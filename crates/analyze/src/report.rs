@@ -17,7 +17,7 @@ pub const JSON_REPORT_VERSION: u32 = 1;
 pub struct JsonReport {
     /// Shared machine-readable report format version
     /// ([`rgpdos_trace::SCHEMA_VERSION`]), stamped on every report the
-    /// workspace emits (bench `--json`, crashgrind, metrics, this one) so
+    /// workspace emits (crashgrind, metrics, this one) so
     /// artifact consumers can detect format drift in one place.
     pub schema_version: u32,
     /// Report shape version ([`JSON_REPORT_VERSION`]).

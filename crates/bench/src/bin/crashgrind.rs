@@ -1,5 +1,5 @@
 //! Crash-matrix driver: brute-forces a crash at every write index of the
-//! scripted DBFS / sharded / migration workloads and reports violations.
+//! scripted DBFS and sharded workloads and reports violations.
 //!
 //! Run with `cargo run --release -p rgpdos-bench --bin crashgrind --
 //! [--seed <n>] [--json <path>]`.  The seed (echoed below) fully determines

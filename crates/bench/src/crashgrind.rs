@@ -243,7 +243,7 @@ struct Shadow {
 /// The machine-readable outcome of one sweep (uploaded as a CI artifact).
 #[derive(Debug, Serialize)]
 pub struct SweepReport {
-    /// Which scenario was swept (`dbfs`, `sharded`, `migration`, …).
+    /// Which scenario was swept (`dbfs`, `dbfs-scrub`, `sharded-3`, …).
     pub scenario: String,
     /// Number of crash points exercised (= writes in the reference run).
     pub crash_points: u64,
@@ -830,145 +830,11 @@ pub fn sweep_sharded(scenario: &str, script: &[ScriptOp], shards: usize) -> Swee
     report
 }
 
-/// Builds a format-v1 DBFS image (bare-counter metadata + single-section
-/// JSON records) by hand, for the migration sweep.
-fn build_v1_image(device: &SweepDevice) {
-    use rgpdos::core::record::stored;
-    use rgpdos::inode::{fs::ROOT_INO, FormatParams, InodeFs, InodeKind, JournalMode};
-
-    #[derive(Serialize)]
-    struct V1 {
-        membrane: Membrane,
-        row: Row,
-    }
-
-    let fs = InodeFs::format(
-        Arc::clone(device),
-        FormatParams::small()
-            .with_inode_count(512)
-            .with_journal_blocks(64)
-            .with_secure_free(true),
-        JournalMode::Scrub,
-    )
-    .expect("format v1 image");
-    let tables_ino = fs.alloc_inode(InodeKind::Directory).unwrap();
-    fs.dir_add(ROOT_INO, "tables", tables_ino).unwrap();
-    let subjects_ino = fs.alloc_inode(InodeKind::Directory).unwrap();
-    fs.dir_add(ROOT_INO, "subjects", subjects_ino).unwrap();
-    let meta_ino = fs.alloc_inode(InodeKind::File).unwrap();
-    fs.dir_add(ROOT_INO, "meta", meta_ino).unwrap();
-    let table_ino = fs.alloc_inode(InodeKind::Table).unwrap();
-    fs.dir_add(tables_ino, "user", table_ino).unwrap();
-    let schema_ino = fs.alloc_inode(InodeKind::Schema).unwrap();
-    fs.write_replace(
-        schema_ino,
-        &serde_json::to_vec(&listing1_user_schema()).unwrap(),
-    )
-    .unwrap();
-    fs.dir_add(table_ino, "__schema", schema_ino).unwrap();
-    let subject_ino = fs.alloc_inode(InodeKind::SubjectRoot).unwrap();
-    fs.dir_add(subjects_ino, "subject-9", subject_ino).unwrap();
-
-    // Record 0: legacy single-section JSON.
-    let legacy = V1 {
-        membrane: Membrane::from_schema(
-            &listing1_user_schema(),
-            SubjectId::new(9),
-            rgpdos::core::Timestamp::ZERO,
-        ),
-        row: sample_row("Legacy"),
-    };
-    let record_ino = fs.alloc_inode(InodeKind::Record).unwrap();
-    fs.write_replace(record_ino, &serde_json::to_vec(&legacy).unwrap())
-        .unwrap();
-    fs.dir_add(table_ino, "pd-0", record_ino).unwrap();
-    fs.dir_add(subject_ino, "user#pd-0", record_ino).unwrap();
-
-    // Record 1: already split (the image a crash mid-migration leaves).
-    let membrane = Membrane::from_schema(
-        &listing1_user_schema(),
-        SubjectId::new(9),
-        rgpdos::core::Timestamp::ZERO,
-    );
-    let record2_ino = fs.alloc_inode(InodeKind::Record).unwrap();
-    fs.write_replace(
-        record2_ino,
-        &stored::encode(&membrane, &sample_row("Partial")).unwrap(),
-    )
-    .unwrap();
-    fs.dir_add(table_ino, "pd-1", record2_ino).unwrap();
-    fs.dir_add(subject_ino, "user#pd-1", record2_ino).unwrap();
-    fs.write_replace(meta_ino, &2u64.to_le_bytes()).unwrap();
-}
-
-/// Sweeps every write index of the **v1 → v2 migration** itself: the crash
-/// fires during `Dbfs::mount`'s in-place record rewrites, and the next
-/// mount must finish the migration idempotently.
-pub fn sweep_migration() -> SweepReport {
-    let user: DataTypeId = "user".into();
-
-    // Reference: how many writes does a clean migration perform?
-    let reference_device = fresh_sweep_device();
-    build_v1_image(&reference_device);
-    let probe = FaultyDevice::new(Arc::clone(&reference_device), FaultPlan::None);
-    let cell = probe.cell();
-    let (total_writes, mounted) = cell.writes_between(|| Dbfs::mount(probe));
-    mounted.expect("reference migration succeeds");
-
-    let mut report = SweepReport::new("migration", total_writes);
-    report.drain_sanitizer(&reference_device, "reference run");
-    for crash_after in 0..total_writes {
-        let device = fresh_sweep_device();
-        build_v1_image(&device);
-        // The crash fires inside mount; either outcome (error or a mounted
-        // store that dies on first use) is legitimate.
-        let _ = Dbfs::mount(FaultyDevice::new(
-            Arc::clone(&device),
-            FaultPlan::CrashAfterWrites(crash_after),
-        ));
-        let remounted = match Dbfs::mount(Arc::clone(&device)) {
-            Ok(dbfs) => dbfs,
-            Err(e) => {
-                report
-                    .violations
-                    .push(format!("crash {crash_after}: post-crash mount failed: {e}"));
-                continue;
-            }
-        };
-        let stats = remounted.stats();
-        report.journal_replays += stats.journal_replays;
-        report.recovered_txs += stats.recovered_txs;
-        if let Err(e) = remounted.verify_index_invariants() {
-            report
-                .violations
-                .push(format!("crash {crash_after}: invariants violated: {e}"));
-        }
-        for (raw, name) in [(0u64, "Legacy"), (1u64, "Partial")] {
-            match remounted.get(&user, PdId::new(raw)) {
-                Ok(record) => {
-                    if record.row().get("name").and_then(|v| v.as_text()) != Some(name) {
-                        report.violations.push(format!(
-                            "crash {crash_after}: pd-{raw} migrated with wrong contents"
-                        ));
-                    }
-                }
-                Err(e) => report
-                    .violations
-                    .push(format!("crash {crash_after}: pd-{raw} unreadable: {e}")),
-            }
-        }
-        report.check_leaks(remounted.inode_fs(), &format!("crash {crash_after}"));
-        drop(remounted);
-        report.drain_sanitizer(&device, &format!("crash {crash_after}"));
-    }
-    report
-}
-
 /// Runs the full crash-matrix: the default single-store sweep, a seeded
 /// pseudo-random single-store sweep, the **batched** (group-commit)
 /// single-store and sharded sweeps, the **scrubber** (tombstone
-/// compaction) single-store and sharded sweeps, the sharded whole-machine
-/// sweep and the migration sweep.
+/// compaction) single-store and sharded sweeps and the sharded
+/// whole-machine sweep.
 pub fn run_all(seed: u64) -> Vec<SweepReport> {
     vec![
         sweep_dbfs("dbfs", &default_script()),
@@ -978,7 +844,6 @@ pub fn run_all(seed: u64) -> Vec<SweepReport> {
         sweep_sharded("sharded", &default_script(), 3),
         sweep_sharded("sharded-batched", &batched_script(), 2),
         sweep_sharded("sharded-scrub", &scrub_script(), 2),
-        sweep_migration(),
     ]
 }
 
@@ -1065,17 +930,6 @@ mod tests {
         assert!(
             report.passed(),
             "scrub sweep violations: {:?}",
-            report.violations
-        );
-    }
-
-    #[test]
-    fn migration_sweep_passes() {
-        let report = sweep_migration();
-        assert!(report.crash_points > 0);
-        assert!(
-            report.passed(),
-            "migration sweep violations: {:?}",
             report.violations
         );
     }

@@ -1,11 +1,12 @@
-//! # rgpdos-bench — shared harness for the experiments and Criterion benches
+//! # rgpdos-bench — paper-reproduction scenarios and the crash matrix
 //!
 //! The paper is a vision paper without a quantitative evaluation section, so
 //! the experiment set reproduced here is the one defined in `DESIGN.md`
 //! (F1–F4 for the figures, L1–L3 for the listings, C1–C5 for the prose
 //! claims, plus the A-series ablations).  This crate provides the scenario
-//! builders shared by the `experiments` binary (which prints every series)
-//! and `benches/paper_experiments.rs` (which measures them with Criterion).
+//! builders of the `experiments` binary (which prints every series) and the
+//! [`crashgrind`] crash-point harness.  Performance is measured elsewhere,
+//! by the `rgpdbench/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,13 +14,9 @@
 pub mod crashgrind;
 
 use rgpdos::baseline::UserspaceDbEngine;
-use rgpdos::blockdev::{InstrumentedDevice, LatencyModel, MemDevice};
-use rgpdos::dbfs::Dbfs;
+use rgpdos::blockdev::MemDevice;
 use rgpdos::prelude::*;
-use rgpdos::workloads::{
-    GeneratedSubject, MultiTableWorkload, OperationKind, PopulationGenerator, SkewedPopulation,
-    WorkloadMix,
-};
+use rgpdos::workloads::{GeneratedSubject, OperationKind, PopulationGenerator, WorkloadMix};
 use std::sync::Arc;
 
 /// The purpose used by the benchmark processings.
@@ -150,188 +147,6 @@ pub fn baseline_scenario(subjects: usize, consent_rate: f64) -> BaselineScenario
         device,
         records,
         population,
-    }
-}
-
-/// A populated many-tables DBFS for the S1 scaling experiment: the *target*
-/// table has a fixed record count, every other table only adds unrelated
-/// records.  With the secondary indexes, scanning the target table costs the
-/// same however many unrelated records exist.
-pub struct ScalingScenario {
-    /// The populated store.
-    pub dbfs: Dbfs<Arc<InstrumentedDevice<MemDevice>>>,
-    /// The instrumented device underneath (for block-read accounting).
-    pub device: Arc<InstrumentedDevice<MemDevice>>,
-    /// Name of the target table.
-    pub target: DataTypeId,
-    /// Records in the target table.
-    pub target_records: usize,
-    /// Records spread over the other tables.
-    pub other_records: usize,
-}
-
-/// Builds the S1 scenario: one target table of `target_records` records
-/// created and populated *first* (so its on-disk layout is identical across
-/// scenario sizes), then `other_tables` tables of `records_per_other_table`
-/// records each.
-///
-/// # Panics
-///
-/// Panics when the simulated device cannot hold the requested population.
-pub fn scaling_scenario(
-    target_records: usize,
-    other_tables: usize,
-    records_per_other_table: usize,
-) -> ScalingScenario {
-    let total = target_records + other_tables * records_per_other_table;
-    let device = Arc::new(InstrumentedDevice::new(
-        MemDevice::new((total as u64 * 24).max(16_384), 512),
-        LatencyModel::nvme(),
-    ));
-    let mut params = DbfsParams::secure();
-    params.inode_params.inode_count = params.inode_params.inode_count.max(total as u64 * 2 + 256);
-    let dbfs = Dbfs::format(Arc::clone(&device), params).expect("format scaling DBFS");
-
-    // Populations ingest through the batched write path (journal group
-    // commit), the same API the S3 experiment measures.
-    let target_gen = MultiTableWorkload::new(1, target_records).with_payload_bytes(1_024);
-    let target: DataTypeId = MultiTableWorkload::table_name(0).as_str().into();
-    dbfs.create_type(target_gen.schema(0)).expect("target type");
-    dbfs.collect_many(target.clone(), target_gen.rows(0).collect())
-        .expect("collect target rows");
-
-    let other_gen = MultiTableWorkload::new(other_tables + 1, records_per_other_table)
-        .with_payload_bytes(1_024);
-    for table in 1..=other_tables {
-        dbfs.create_type(other_gen.schema(table))
-            .expect("other type");
-        let name: DataTypeId = MultiTableWorkload::table_name(table).as_str().into();
-        dbfs.collect_many(name, other_gen.rows(table).collect())
-            .expect("collect other rows");
-    }
-
-    ScalingScenario {
-        dbfs,
-        device,
-        target,
-        target_records,
-        other_records: other_tables * records_per_other_table,
-    }
-}
-
-/// The instrumented device type the sharded scenarios run on.
-pub type ShardDevice = Arc<InstrumentedDevice<MemDevice>>;
-
-/// A populated sharded DBFS for the S2 scaling experiment: one *target*
-/// subject with a fixed record count on its home shard, plus a skewed
-/// multi-subject population spread over the **other** shards.  With
-/// subject-hash placement, operations routed by the target subject must cost
-/// the same number of block reads however much data the other shards hold.
-pub struct ShardedScalingScenario {
-    /// The sharded store.
-    pub dbfs: ShardedDbfs<ShardDevice>,
-    /// The per-shard instrumented devices, in shard order.
-    pub devices: Vec<ShardDevice>,
-    /// The subject whose records form the isolation target.
-    pub target_subject: SubjectId,
-    /// The target subject's home shard.
-    pub target_shard: usize,
-    /// Records collected for the target subject.
-    pub target_records: usize,
-    /// Records collected for the skewed off-target population.
-    pub other_records: usize,
-}
-
-/// Builds the S2 scenario: `shards` shards, a target subject homed on shard
-/// 0 with `target_records` records collected *first* (so its on-disk layout
-/// is identical across scenario sizes), then `other_records` rows of a
-/// Zipf-skewed population restricted to subjects homed on other shards.
-///
-/// # Panics
-///
-/// Panics when a simulated shard device cannot hold the requested
-/// population, or when `shards < 2` while `other_records > 0` (the
-/// off-target population needs a non-target shard to live on).
-pub fn sharded_scaling_scenario(
-    shards: usize,
-    target_records: usize,
-    other_records: usize,
-) -> ShardedScalingScenario {
-    assert!(
-        other_records == 0 || shards >= 2,
-        "off-target records need a second shard"
-    );
-    let per_device = ((target_records + other_records) as u64 * 24).max(16_384);
-    let devices: Vec<ShardDevice> = (0..shards)
-        .map(|_| {
-            Arc::new(InstrumentedDevice::new(
-                MemDevice::new(per_device, 512),
-                LatencyModel::nvme(),
-            ))
-        })
-        .collect();
-    let mut params = DbfsParams::secure();
-    params.inode_params.inode_count = params
-        .inode_params
-        .inode_count
-        .max((target_records + other_records) as u64 * 2 + 256);
-    let dbfs = ShardedDbfs::format(devices.clone(), params).expect("format sharded DBFS");
-    dbfs.create_type(rgpdos::core::schema::listing1_user_schema())
-        .expect("install user type");
-
-    // The target subject: the smallest raw id homed on shard 0.
-    let target_subject = (0..u64::MAX)
-        .map(SubjectId::new)
-        .find(|&s| dbfs.home_shard(s) == 0)
-        .expect("some subject is homed on shard 0");
-    // Batched ingest via the router's scatter-write path (per-shard group
-    // commit) — the same API the S3 experiment measures.
-    dbfs.collect_many(
-        "user",
-        (0..target_records)
-            .map(|record| {
-                (
-                    target_subject,
-                    rgpdos::core::Row::new()
-                        .with("name", format!("target-{record}"))
-                        .with("pwd", "pw")
-                        .with("year_of_birthdate", 1990i64),
-                )
-            })
-            .collect(),
-    )
-    .expect("collect target rows");
-
-    // The skewed off-target population: remap every generated subject onto a
-    // raw id homed away from shard 0, keeping the Zipf record-count skew.
-    let population = SkewedPopulation::new(0x52, 64, other_records);
-    let mut remapped: std::collections::BTreeMap<u64, SubjectId> =
-        std::collections::BTreeMap::new();
-    let mut next_raw = target_subject.raw() + 1;
-    let skewed_rows: Vec<(SubjectId, rgpdos::core::Row)> = population
-        .rows()
-        .into_iter()
-        .map(|(subject, row)| {
-            let mapped = *remapped.entry(subject.raw()).or_insert_with(|| loop {
-                let candidate = SubjectId::new(next_raw);
-                next_raw += 1;
-                if dbfs.home_shard(candidate) != 0 {
-                    break candidate;
-                }
-            });
-            (mapped, row)
-        })
-        .collect();
-    dbfs.collect_many("user", skewed_rows)
-        .expect("collect skewed rows");
-
-    ShardedScalingScenario {
-        target_shard: dbfs.home_shard(target_subject),
-        dbfs,
-        devices,
-        target_subject,
-        target_records,
-        other_records,
     }
 }
 
@@ -475,130 +290,11 @@ pub fn run_mix_on_baseline(
     outcome
 }
 
-/// Replays a GDPRBench-style mix at Zipf skew **directly against a
-/// [`PdStore`]** (single-device or sharded), timing every operation into the
-/// `gdpr_right_latency_us` histogram family of `ctx` — one series per
-/// `(right, mix)` label pair, so the `--gdpr` experiment can report p50/p99
-/// per right.  Subjects are drawn with the same skew the population was
-/// ingested with: the hottest subjects receive most of the rights traffic,
-/// the realistic worst case for erasure (their lineage is the widest).
-///
-/// Rights map onto the store surface as follows: access →
-/// [`PdStore::records_of_subject`], portability → a subject-pinned query
-/// (the machine-readable export), erasure → [`PdStore::erase_subject`],
-/// reads/updates/invokes/audits → membrane loads, consent deltas, full-table
-/// queries and audit-log sweeps (the controller/regulator traffic).
-///
-/// # Panics
-///
-/// Panics when the mix requests an operation on an empty subject universe.
-#[allow(clippy::too_many_arguments)]
-pub fn run_gdpr_mix<S: rgpdos::dbfs::PdStore>(
-    store: &S,
-    ctx: &rgpdos::trace::TraceCtx,
-    mix_name: &str,
-    mix: &WorkloadMix,
-    subjects: &[SubjectId],
-    escrow: &rgpdos::crypto::escrow::OperatorEscrow,
-    ops: usize,
-    seed: u64,
-) -> MixOutcome {
-    use rgpdos::dbfs::QueryRequest;
-    assert!(
-        !subjects.is_empty(),
-        "the GDPR mix needs subjects to target"
-    );
-    let user = DataTypeId::from("user");
-    let stream = mix.generate(ops, seed);
-    let timer = |right: &str| {
-        ctx.registry
-            .histogram_with(
-                "gdpr_right_latency_us",
-                &[("right", right), ("mix", mix_name)],
-            )
-            .timer(&ctx.clock)
-    };
-    let mut outcome = MixOutcome {
-        operations: ops,
-        failures: 0,
-    };
-    let mut next_fresh = 10_000_000u64;
-    for (i, op) in stream.iter().enumerate() {
-        // Walking the skew-ordered subject list reproduces the Zipf draw the
-        // population was generated with.
-        let subject = subjects[(i * 31 + 17) % subjects.len()];
-        let ok = match op {
-            OperationKind::Collect => {
-                next_fresh += 1;
-                let _t = timer("collect");
-                store
-                    .collect(
-                        &user,
-                        SubjectId::new(next_fresh),
-                        rgpdos::core::Row::new()
-                            .with("name", format!("gdpr-{next_fresh}"))
-                            .with("pwd", "pw")
-                            .with("year_of_birthdate", 1975i64),
-                    )
-                    .is_ok()
-            }
-            OperationKind::Read => {
-                let _t = timer("query");
-                store.load_membranes_for_subject(&user, subject).is_ok()
-            }
-            OperationKind::Update | OperationKind::ConsentChange => {
-                let ids = store
-                    .load_membranes_for_subject(&user, subject)
-                    .unwrap_or_default();
-                let _t = timer("consent");
-                match ids.iter().find(|(_, m)| !m.is_erased()) {
-                    Some((id, _)) => store
-                        .apply_membrane_delta(
-                            &user,
-                            *id,
-                            &MembraneDelta::Grant {
-                                purpose: BENCH_PURPOSE.into(),
-                                decision: rgpdos::core::ConsentDecision::All,
-                            },
-                        )
-                        .is_ok(),
-                    // Nothing left to re-consent once the subject is erased.
-                    None => true,
-                }
-            }
-            OperationKind::Invoke => {
-                let _t = timer("query");
-                store.query(&QueryRequest::all("user")).is_ok()
-            }
-            OperationKind::AccessRequest => {
-                let _t = timer("access");
-                store.records_of_subject(subject).is_ok()
-            }
-            OperationKind::Portability => {
-                let _t = timer("portability");
-                store
-                    .query(&QueryRequest::all("user").for_subject(subject))
-                    .is_ok()
-            }
-            OperationKind::Erasure => {
-                let _t = timer("erasure");
-                store.erase_subject(subject, escrow).is_ok()
-            }
-            OperationKind::Audit => {
-                let _t = timer("audit");
-                store.audit().count_matching(|_| true) > 0
-            }
-        };
-        if !ok {
-            outcome.failures += 1;
-        }
-    }
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rgpdos::blockdev::{InstrumentedDevice, LatencyModel};
+    use rgpdos::dbfs::Dbfs;
 
     #[test]
     fn scenarios_build_and_run() {
@@ -616,23 +312,73 @@ mod tests {
         assert_eq!(baseline.engine.record_count(), 20);
     }
 
+    type Device = Arc<InstrumentedDevice<MemDevice>>;
+
+    fn instrumented_device(records: usize) -> Device {
+        Arc::new(InstrumentedDevice::new(
+            MemDevice::new((records as u64 * 24).max(16_384), 512),
+            LatencyModel::nvme(),
+        ))
+    }
+
+    fn params_for(records: usize) -> DbfsParams {
+        let mut params = DbfsParams::secure();
+        params.inode_params.inode_count = params
+            .inode_params
+            .inode_count
+            .max(records as u64 * 2 + 256);
+        params
+    }
+
+    /// A store whose `target` table holds 50 multi-block records, created
+    /// first so its on-disk layout does not depend on what follows, plus
+    /// `other_tables` unrelated tables of `per_table` records each.
+    fn many_tables(other_tables: usize, per_table: usize) -> (Dbfs<Device>, Device) {
+        let total = 50 + other_tables * per_table;
+        let device = instrumented_device(total);
+        let dbfs = Dbfs::format(Arc::clone(&device), params_for(total)).unwrap();
+        let payload = "x".repeat(1_024);
+        let fill = |table: &str, records: usize| {
+            let schema = DataTypeSchema::builder(table)
+                .field("seq", FieldType::Int)
+                .field("payload", FieldType::Text)
+                .build()
+                .unwrap();
+            dbfs.create_type(schema).unwrap();
+            let rows = (0..records)
+                .map(|seq| {
+                    let row = Row::new()
+                        .with("seq", seq as i64)
+                        .with("payload", payload.as_str());
+                    (SubjectId::new(seq as u64 % 64), row)
+                })
+                .collect();
+            dbfs.collect_many(table, rows).unwrap();
+        };
+        fill("target", 50);
+        for table in 0..other_tables {
+            fill(&format!("other_{table}"), per_table);
+        }
+        (dbfs, device)
+    }
+
     #[test]
     fn target_table_scan_cost_is_independent_of_other_tables() {
         // The acceptance check of the indexed read path: scanning the
         // membranes of one table costs the same number of block reads
         // whether the store holds 0 or 400 unrelated records.
-        let small = scaling_scenario(50, 0, 0);
-        let big = scaling_scenario(50, 4, 100);
-        let membrane_scan_reads = |s: &ScalingScenario| {
+        let target = DataTypeId::from("target");
+        let membrane_scan_reads = |(dbfs, device): &(Dbfs<Device>, Device)| {
             // Cold-cache measurement: the claim is about *device* reads,
             // which the inode-layer buffer cache would otherwise absorb.
-            s.dbfs.drop_caches();
-            s.device.reset_stats();
-            let membranes = s.dbfs.load_membranes(&s.target).unwrap();
+            dbfs.drop_caches();
+            device.reset_stats();
+            let membranes = dbfs.load_membranes(&target).unwrap();
             assert_eq!(membranes.len(), 50);
-            s.device.stats().reads
+            device.stats().reads
         };
-        let isolated = membrane_scan_reads(&small);
+        let big = many_tables(4, 100);
+        let isolated = membrane_scan_reads(&many_tables(0, 0));
         let crowded = membrane_scan_reads(&big);
         assert_eq!(
             isolated, crowded,
@@ -640,18 +386,46 @@ mod tests {
         );
         // And the membrane-only scan reads a fraction of the blocks a
         // full-record scan does.
-        big.dbfs.drop_caches();
-        big.device.reset_stats();
-        let batch = big
-            .dbfs
-            .query(&QueryRequest::all(big.target.clone()))
-            .unwrap();
+        let (dbfs, device) = big;
+        dbfs.drop_caches();
+        device.reset_stats();
+        let batch = dbfs.query(&QueryRequest::all(target)).unwrap();
         assert_eq!(batch.len(), 50);
-        let full = big.device.stats().reads;
+        let full = device.stats().reads;
         assert!(
             crowded * 2 <= full,
             "membrane scan ({crowded} reads) should cost well under a full scan ({full} reads)"
         );
+    }
+
+    /// Four shards; the smallest subject homed on shard 0 collects 50
+    /// records first, then `other_records` rows go to 64 subjects homed on
+    /// the other shards.
+    fn many_shards(other_records: usize) -> (ShardedDbfs<Device>, Vec<Device>, SubjectId) {
+        let total = 50 + other_records;
+        let devices: Vec<Device> = (0..4).map(|_| instrumented_device(total)).collect();
+        let dbfs = ShardedDbfs::format(devices.clone(), params_for(total)).unwrap();
+        dbfs.create_type(rgpdos::core::schema::listing1_user_schema())
+            .unwrap();
+        let user_row = |name: String| {
+            Row::new()
+                .with("name", name)
+                .with("pwd", "pw")
+                .with("year_of_birthdate", 1990i64)
+        };
+        let mut subjects = (0..u64::MAX).map(SubjectId::new);
+        let target = subjects
+            .find(|&subject| dbfs.home_shard(subject) == 0)
+            .unwrap();
+        let elsewhere: Vec<SubjectId> = subjects
+            .filter(|&subject| dbfs.home_shard(subject) != 0)
+            .take(64)
+            .collect();
+        let rows = (0..50).map(|i| (target, user_row(format!("target-{i}"))));
+        dbfs.collect_many("user", rows.collect()).unwrap();
+        let rows = (0..other_records).map(|i| (elsewhere[i % 64], user_row(format!("other-{i}"))));
+        dbfs.collect_many("user", rows.collect()).unwrap();
+        (dbfs, devices, target)
     }
 
     #[test]
@@ -659,38 +433,29 @@ mod tests {
         // The acceptance check of the sharded read path: a subject-routed
         // operation costs the same block reads on the home shard whether the
         // other shards hold 0 or 1000 records — and zero reads elsewhere.
-        let small = sharded_scaling_scenario(4, 50, 0);
-        let big = sharded_scaling_scenario(4, 50, 1_000);
-        let subject_reads = |s: &ShardedScalingScenario| {
+        let subject_reads = |(dbfs, devices, target): &(ShardedDbfs<Device>, Vec<Device>, _)| {
             // Cold-cache: isolation is a device-read property.
-            s.dbfs.drop_caches();
-            for device in &s.devices {
+            dbfs.drop_caches();
+            for device in devices {
                 device.reset_stats();
             }
-            let records = s.dbfs.records_of_subject(s.target_subject).unwrap();
+            let records = dbfs.records_of_subject(*target).unwrap();
             assert_eq!(records.len(), 50);
-            let home = s.devices[s.target_shard].stats().reads;
-            let elsewhere: u64 = s
-                .devices
-                .iter()
-                .enumerate()
-                .filter(|(shard, _)| *shard != s.target_shard)
-                .map(|(_, device)| device.stats().reads)
-                .sum();
-            (home, elsewhere)
+            let elsewhere: u64 = devices[1..].iter().map(|d| d.stats().reads).sum();
+            (devices[0].stats().reads, elsewhere)
         };
-        let (isolated, quiet_a) = subject_reads(&small);
+        let big = many_shards(1_000);
+        let (isolated, quiet_a) = subject_reads(&many_shards(0));
         let (crowded, quiet_b) = subject_reads(&big);
         assert_eq!(
             isolated, crowded,
             "subject-routed reads must not depend on other shards' records"
         );
         assert_eq!(quiet_a + quiet_b, 0, "non-home shards are never touched");
-        // The skewed population landed live records, none on the target shard
-        // beyond the target's own.
-        assert_eq!(big.dbfs.count(&"user".into()).unwrap(), 50 + 1_000);
-        let balance = big.dbfs.sharded_stats();
-        assert_eq!(balance.records_per_shard()[big.target_shard], 50);
+        // Every off-target record landed live, none on the target's shard.
+        let (dbfs, ..) = big;
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 50 + 1_000);
+        assert_eq!(dbfs.sharded_stats().records_per_shard()[0], 50);
     }
 
     #[test]

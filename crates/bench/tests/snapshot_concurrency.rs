@@ -162,3 +162,46 @@ fn concurrent_reader_sees_erased_not_stale_during_subject_erasure() {
     dbfs.verify_index_invariants()
         .expect("quiescent invariants");
 }
+
+/// Readers are served from the published snapshot: with no writer running,
+/// `get`/`query`/`load_membranes`/`records_of_subject`/`count` from two
+/// threads take the writer-side index lock zero times.
+#[test]
+fn read_mix_takes_zero_index_lock_acquisitions() {
+    let dbfs = fresh_dbfs();
+    let user = DataTypeId::from("user");
+    let subjects: Vec<SubjectId> = (0..8).map(|s| SubjectId::new(3_000 + s)).collect();
+    let mut ids = Vec::new();
+    for (i, &subject) in subjects.iter().enumerate() {
+        let rows = (0..GROUP)
+            .map(|row| (subject, user_row(&format!("r{i}-{row}"))))
+            .collect();
+        ids.extend(dbfs.collect_many("user", rows).expect("preload"));
+    }
+
+    let holds_before = dbfs.index_lock_holds();
+    assert!(holds_before > 0, "the preload went through the index lock");
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for &id in &ids {
+                    assert_eq!(dbfs.get(&user, id).expect("get").id(), id);
+                }
+                for &subject in &subjects {
+                    let request = QueryRequest::all(user.clone()).for_subject(subject);
+                    assert_eq!(dbfs.query(&request).expect("query").len(), GROUP);
+                    let owned = dbfs.records_of_subject(subject).expect("subject scan");
+                    assert_eq!(owned.len(), GROUP);
+                }
+                let membranes = dbfs.load_membranes(&user).expect("membrane scan");
+                assert_eq!(membranes.len(), ids.len());
+                assert_eq!(dbfs.count(&user), ids.len());
+            });
+        }
+    });
+    assert_eq!(
+        dbfs.index_lock_holds() - holds_before,
+        0,
+        "a snapshot-served read took the index lock"
+    );
+}

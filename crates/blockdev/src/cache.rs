@@ -1,23 +1,11 @@
-//! Write-through LRU block cache.
-//!
-//! uFS (the filesystem the paper re-architects) relies heavily on block
-//! caching for its performance; the cache here lets the benchmarks explore
-//! how much of DBFS's cost is device I/O versus CPU, and exercises the
-//! cache-consistency concerns of crypto-erasure (an erased block must not
-//! survive in any cache).
+//! Hit/miss counters of the buffer cache that sits above the device.
 
-use crate::device::{BlockDevice, DeviceGeometry};
-use crate::error::DeviceError;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Hit/miss counters of a block cache.
 ///
-/// Shared by every caching layer in the reproduction: the device-level
-/// [`CachedDevice`] here and the inode-layer buffer cache of `rgpdos-inode`
-/// both report this type, so the benchmark harness aggregates cache
-/// behaviour uniformly across layers.
+/// Reported by the inode-layer buffer cache of `rgpdos-inode` (the only
+/// block cache in the stack) and surfaced through `Dbfs::cache_stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -50,214 +38,13 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// A write-through block cache with LRU eviction.
-#[derive(Debug)]
-pub struct CachedDevice<D> {
-    inner: D,
-    capacity: usize,
-    state: Mutex<CacheState>,
-}
-
-#[derive(Debug, Default)]
-struct CacheState {
-    entries: HashMap<u64, Vec<u8>>,
-    /// Blocks in least-recently-used order (front = coldest).
-    lru: Vec<u64>,
-    hits: u64,
-    misses: u64,
-}
-
-impl CacheState {
-    fn touch(&mut self, block: u64) {
-        if let Some(pos) = self.lru.iter().position(|&b| b == block) {
-            self.lru.remove(pos);
-        }
-        self.lru.push(block);
-    }
-
-    fn evict_if_needed(&mut self, capacity: usize) {
-        while self.entries.len() > capacity {
-            if let Some(coldest) = self.lru.first().copied() {
-                self.lru.remove(0);
-                self.entries.remove(&coldest);
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-impl<D: BlockDevice> CachedDevice<D> {
-    /// Wraps `inner` with a cache holding at most `capacity` blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(inner: D, capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        Self {
-            inner,
-            capacity,
-            state: Mutex::new(CacheState::default()),
-        }
-    }
-
-    /// Returns `(hits, misses)` counters.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        let state = self.state.lock();
-        (state.hits, state.misses)
-    }
-
-    /// The hit/miss counters as a [`CacheStats`] snapshot.
-    pub fn stats(&self) -> CacheStats {
-        let state = self.state.lock();
-        CacheStats {
-            hits: state.hits,
-            misses: state.misses,
-        }
-    }
-
-    /// Number of blocks currently cached.
-    pub fn cached_blocks(&self) -> usize {
-        self.state.lock().entries.len()
-    }
-
-    /// Drops every cached block (used after crypto-erasure so that no
-    /// plaintext survives in the cache).
-    pub fn invalidate_all(&self) {
-        let mut state = self.state.lock();
-        state.entries.clear();
-        state.lru.clear();
-    }
-
-    /// Drops one cached block.
-    pub fn invalidate(&self, block: u64) {
-        let mut state = self.state.lock();
-        state.entries.remove(&block);
-        if let Some(pos) = state.lru.iter().position(|&b| b == block) {
-            state.lru.remove(pos);
-        }
-    }
-
-    /// Gives access to the wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for CachedDevice<D> {
-    fn geometry(&self) -> DeviceGeometry {
-        self.inner.geometry()
-    }
-
-    fn read_block(&self, block: u64) -> Result<Vec<u8>, DeviceError> {
-        {
-            let mut state = self.state.lock();
-            if let Some(data) = state.entries.get(&block).cloned() {
-                state.hits += 1;
-                state.touch(block);
-                return Ok(data);
-            }
-            state.misses += 1;
-        }
-        let data = self.inner.read_block(block)?;
-        let mut state = self.state.lock();
-        state.entries.insert(block, data.clone());
-        state.touch(block);
-        state.evict_if_needed(self.capacity);
-        Ok(data)
-    }
-
-    fn write_block(&self, block: u64, data: &[u8]) -> Result<(), DeviceError> {
-        // Write-through: the device is always updated first.
-        self.inner.write_block(block, data)?;
-        let mut state = self.state.lock();
-        state.entries.insert(block, data.to_vec());
-        state.touch(block);
-        state.evict_if_needed(self.capacity);
-        Ok(())
-    }
-
-    fn flush(&self) -> Result<(), DeviceError> {
-        self.inner.flush()
-    }
-
-    fn sanitizer(&self) -> Option<&crate::sanitize::BlockSanitizer> {
-        self.inner.sanitizer()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instrument::{InstrumentedDevice, LatencyModel};
-    use crate::mem::MemDevice;
 
     #[test]
-    fn cache_hits_avoid_device_reads() {
-        let inner = InstrumentedDevice::new(MemDevice::new(8, 16), LatencyModel::zero());
-        let cached = CachedDevice::new(inner, 4);
-        cached.write_block(0, &[1u8; 16]).unwrap();
-        for _ in 0..10 {
-            assert_eq!(cached.read_block(0).unwrap(), vec![1u8; 16]);
-        }
-        let (hits, misses) = cached.hit_miss();
-        assert_eq!(hits, 10);
-        assert_eq!(misses, 0);
-        // All reads served from cache: the device saw only the write.
-        assert_eq!(cached.inner().stats().reads, 0);
-        assert_eq!(cached.inner().stats().writes, 1);
-    }
-
-    #[test]
-    fn lru_eviction() {
-        let cached = CachedDevice::new(MemDevice::new(16, 8), 2);
-        cached.write_block(0, &[0u8; 8]).unwrap();
-        cached.write_block(1, &[1u8; 8]).unwrap();
-        cached.write_block(2, &[2u8; 8]).unwrap();
-        assert_eq!(cached.cached_blocks(), 2);
-        // Block 0 was evicted; reading it is a miss.
-        let _ = cached.read_block(0).unwrap();
-        let (_, misses) = cached.hit_miss();
-        assert_eq!(misses, 1);
-    }
-
-    #[test]
-    fn write_through_keeps_device_consistent() {
-        let cached = CachedDevice::new(MemDevice::new(4, 8), 2);
-        cached.write_block(3, &[7u8; 8]).unwrap();
-        assert_eq!(cached.inner().read_block(3).unwrap(), vec![7u8; 8]);
-        cached.flush().unwrap();
-    }
-
-    #[test]
-    fn invalidation() {
-        let cached = CachedDevice::new(MemDevice::new(4, 8), 4);
-        cached.write_block(0, &[1u8; 8]).unwrap();
-        cached.write_block(1, &[2u8; 8]).unwrap();
-        cached.invalidate(0);
-        assert_eq!(cached.cached_blocks(), 1);
-        cached.invalidate_all();
-        assert_eq!(cached.cached_blocks(), 0);
-        // Data still on the device (write-through).
-        assert_eq!(cached.read_block(1).unwrap(), vec![2u8; 8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        CachedDevice::new(MemDevice::new(1, 8), 0);
-    }
-
-    #[test]
-    fn cache_stats_snapshot_and_hit_rate() {
-        let cached = CachedDevice::new(MemDevice::new(4, 8), 2);
-        cached.write_block(0, &[1u8; 8]).unwrap();
-        let _ = cached.read_block(0).unwrap();
-        let _ = cached.read_block(1).unwrap();
-        let stats = cached.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
+    fn hit_rate_and_display() {
+        let stats = CacheStats { hits: 1, misses: 1 };
         assert!((stats.hit_rate() - 0.5).abs() < f64::EPSILON);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
         assert!(stats.to_string().contains("hits=1"));

@@ -1,6 +1,6 @@
 //! Instrumentation wrapper: operation counters and a simulated latency model.
 //!
-//! Benchmarks in `rgpdos-bench` report both wall-clock time (Criterion) and
+//! The experiments and `rgpdbench` report both wall-clock time and
 //! *simulated device time*, which is what the paper's storage-level arguments
 //! are about.  The [`LatencyModel`] charges a configurable cost per read and
 //! per write; the [`InstrumentedDevice`] accumulates those costs and exposes

@@ -42,7 +42,7 @@ pub mod mem;
 pub mod sanitize;
 pub mod scan;
 
-pub use cache::{CacheStats, CachedDevice};
+pub use cache::CacheStats;
 pub use device::{BlockDevice, DeviceGeometry};
 pub use error::DeviceError;
 pub use faults::{FaultCell, FaultEvent, FaultPlan, FaultScript, FaultyDevice};

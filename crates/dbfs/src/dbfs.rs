@@ -53,9 +53,9 @@ const INTENTS_ENTRY: &str = "__intents";
 const TABLES_DIR: &str = "tables";
 /// Name of the subject tree in the DBFS root.
 const SUBJECTS_DIR: &str = "subjects";
-/// Magic-plus-version tag leading the metadata entry since format v2 (split
-/// record layout).  v1 metadata was a bare 8-byte `next_pd` counter; v1
-/// images are migrated in place on mount.
+/// Magic-plus-version tag leading the metadata entry (format v2, the split
+/// record layout).  Format v1 metadata was a bare 8-byte `next_pd` counter;
+/// such images are refused on mount.
 const META_MAGIC_V2: u64 = 0x5247_5044_4653_0002;
 
 /// Encodes the v2 metadata entry (magic + next PD identifier).
@@ -66,20 +66,21 @@ fn encode_meta(next_pd: u64) -> [u8; 16] {
     bytes
 }
 
-/// Decodes the metadata entry, returning `(format_version, next_pd)`.
-fn decode_meta(meta: &[u8]) -> Option<(u32, u64)> {
+/// Decodes the metadata entry, returning `next_pd`.
+fn decode_meta(meta: &[u8]) -> Result<u64, DbfsError> {
+    let corrupt = |what: &str| DbfsError::Corrupt {
+        what: what.to_owned(),
+    };
     match meta.len() {
-        8 => Some((1, u64::from_le_bytes(meta[0..8].try_into().ok()?))),
+        8 => Err(corrupt("unsupported format version 1")),
         16 => {
-            let magic = u64::from_le_bytes(meta[0..8].try_into().ok()?);
-            (magic == META_MAGIC_V2).then(|| {
-                (
-                    2,
-                    u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes")),
-                )
-            })
+            let (magic, next_pd) = meta.split_at(8);
+            if magic != META_MAGIC_V2.to_le_bytes() {
+                return Err(corrupt("metadata"));
+            }
+            Ok(u64::from_le_bytes(next_pd.try_into().expect("8 bytes")))
         }
-        _ => None,
+        _ => Err(corrupt("metadata")),
     }
 }
 
@@ -220,14 +221,6 @@ impl Default for DbfsParams {
 /// layout of [`rgpdos_core::record::stored`]).
 #[derive(Debug, Clone)]
 struct StoredRecord {
-    membrane: Membrane,
-    row: Row,
-}
-
-/// The single-section JSON encoding of format v1, kept only so that legacy
-/// images can be migrated on mount.
-#[derive(Debug, Deserialize)]
-struct LegacyStoredRecord {
     membrane: Membrane,
     row: Row,
 }
@@ -625,8 +618,7 @@ pub struct Dbfs<D> {
     stats: DbfsStatsInner,
     /// Acquisitions of the writer-side index lock (every `lock_index`
     /// call).  The read path serves from the published snapshot and must
-    /// never appear in this tally — the `--s4` bench asserts the delta
-    /// stays zero across its read phase.
+    /// never appear in this tally.
     index_lock_holds: std::sync::atomic::AtomicU64,
     /// Space-accounting gauges (`space_amplification`,
     /// `tombstones_reclaimed`), refreshed by [`Dbfs::space_stats`] and every
@@ -821,7 +813,7 @@ impl<D: BlockDevice> Dbfs<D> {
             .dir_lookup(ROOT_INO, META_ENTRY)?
             .ok_or_else(|| corrupt("missing metadata file"))?;
         let meta = fs.read_all(meta_ino)?;
-        let (format_version, next_pd) = decode_meta(&meta).ok_or_else(|| corrupt("metadata"))?;
+        let next_pd = decode_meta(&meta)?;
 
         let mut index = DbfsIndex {
             tables_ino,
@@ -861,34 +853,13 @@ impl<D: BlockDevice> Dbfs<D> {
                         .strip_prefix("pd-")
                         .and_then(|s| s.parse::<u64>().ok())
                         .ok_or_else(|| corrupt("malformed record entry"))?;
-                    let membrane = if format_version == 1 {
-                        // Legacy single-section record: decode it whole and
-                        // rewrite it in place using the split layout.  A
-                        // crash mid-migration leaves some records already
-                        // split while the metadata still says v1, so fall
-                        // back to the split decoding to stay idempotent.
-                        let bytes = fs.read_all(ino)?;
-                        match serde_json::from_slice::<LegacyStoredRecord>(&bytes) {
-                            Ok(legacy) => {
-                                let encoded = stored::encode(&legacy.membrane, &legacy.row)?;
-                                let tx = fs.begin_tx();
-                                fs.write_replace(ino, &encoded)?;
-                                tx.commit()?;
-                                legacy.membrane
-                            }
-                            Err(_) => stored::decode(&bytes)
-                                .map(|(membrane, _)| membrane)
-                                .map_err(|_| corrupt("record decodes in neither layout"))?,
+                    let membrane = match read_membrane_from(&fs, ino) {
+                        Ok(membrane) => membrane,
+                        Err(DbfsError::Corrupt { .. }) | Err(DbfsError::Core(_)) => {
+                            debris.push((entry.clone(), ino, table_ino));
+                            continue;
                         }
-                    } else {
-                        match read_membrane_from(&fs, ino) {
-                            Ok(membrane) => membrane,
-                            Err(DbfsError::Corrupt { .. }) | Err(DbfsError::Core(_)) => {
-                                debris.push((entry.clone(), ino, table_ino));
-                                continue;
-                            }
-                            Err(e) => return Err(e),
-                        }
+                        Err(e) => return Err(e),
                     };
                     index.insert_record(
                         PdId::new(raw),
@@ -1044,12 +1015,6 @@ impl<D: BlockDevice> Dbfs<D> {
             recovered += 1;
         }
 
-        if format_version == 1 {
-            // The records above were rewritten in the split layout; stamp the
-            // metadata so the next mount takes the v2 fast path.
-            fs.write_replace(meta_ino, &encode_meta(index.next_pd))?;
-        }
-
         let stats = DbfsStatsInner::default();
         stats.journal_replays.add(fs.recovered_txs());
         stats.recovered_txs.add(recovered);
@@ -1188,8 +1153,8 @@ impl<D: BlockDevice> Dbfs<D> {
 
     /// Total acquisitions of the writer-side index lock since
     /// format/mount.  Snapshot-served readers never take that lock, so the
-    /// tally is flat across a read-only phase — the `--s4` bench asserts
-    /// exactly that.
+    /// tally is flat across a read-only phase (asserted by the
+    /// `snapshot_concurrency` suite of `rgpdos-bench`).
     pub fn index_lock_holds(&self) -> u64 {
         self.index_lock_holds
             .load(std::sync::atomic::Ordering::Relaxed)
@@ -3420,92 +3385,31 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_images_migrate_on_mount() {
+    fn format_v1_images_are_refused_without_touching_the_device() {
         let device = Arc::new(MemDevice::new(8192, 512));
-        // Hand-build a format-v1 image: bare-counter metadata and
-        // single-section JSON records.
-        {
-            let fs = InodeFs::format(
-                Arc::clone(&device),
-                FormatParams::small()
-                    .with_inode_count(512)
-                    .with_secure_free(true),
-                JournalMode::Scrub,
-            )
+        let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
+        dbfs.create_type(listing1_user_schema()).unwrap();
+        dbfs.collect("user", SubjectId::new(9), user_row("Kept", 1975))
             .unwrap();
-            let tables_ino = fs.alloc_inode(InodeKind::Directory).unwrap();
-            fs.dir_add(ROOT_INO, TABLES_DIR, tables_ino).unwrap();
-            let subjects_ino = fs.alloc_inode(InodeKind::Directory).unwrap();
-            fs.dir_add(ROOT_INO, SUBJECTS_DIR, subjects_ino).unwrap();
-            let meta_ino = fs.alloc_inode(InodeKind::File).unwrap();
-            fs.dir_add(ROOT_INO, META_ENTRY, meta_ino).unwrap();
-            fs.write_replace(meta_ino, &1u64.to_le_bytes()).unwrap();
-            let table_ino = fs.alloc_inode(InodeKind::Table).unwrap();
-            fs.dir_add(tables_ino, "user", table_ino).unwrap();
-            let schema_ino = fs.alloc_inode(InodeKind::Schema).unwrap();
-            fs.write_replace(
-                schema_ino,
-                &serde_json::to_vec(&listing1_user_schema()).unwrap(),
-            )
+        // Format v1 marked itself by a bare 8-byte counter as metadata.
+        let meta_ino = dbfs.fs.dir_lookup(ROOT_INO, META_ENTRY).unwrap().unwrap();
+        dbfs.fs
+            .write_replace(meta_ino, &1u64.to_le_bytes())
             .unwrap();
-            fs.dir_add(table_ino, SCHEMA_ENTRY, schema_ino).unwrap();
-
-            #[derive(serde::Serialize)]
-            struct V1 {
-                membrane: Membrane,
-                row: Row,
-            }
-            let legacy = V1 {
-                membrane: Membrane::from_schema(
-                    &listing1_user_schema(),
-                    SubjectId::new(9),
-                    rgpdos_core::Timestamp::ZERO,
-                ),
-                row: user_row("Legacy", 1975),
-            };
-            let record_ino = fs.alloc_inode(InodeKind::Record).unwrap();
-            fs.write_replace(record_ino, &serde_json::to_vec(&legacy).unwrap())
-                .unwrap();
-            fs.dir_add(table_ino, "pd-0", record_ino).unwrap();
-            let subject_ino = fs.alloc_inode(InodeKind::SubjectRoot).unwrap();
-            fs.dir_add(subjects_ino, "subject-9", subject_ino).unwrap();
-            fs.dir_add(subject_ino, "user#pd-0", record_ino).unwrap();
-
-            // A second record already in the *split* layout while the
-            // metadata still says v1 — the image a crash mid-migration
-            // leaves behind.  The migration must stay idempotent.
-            let membrane = Membrane::from_schema(
-                &listing1_user_schema(),
-                SubjectId::new(9),
-                rgpdos_core::Timestamp::ZERO,
-            );
-            let row = user_row("Partial", 1980);
-            let record2_ino = fs.alloc_inode(InodeKind::Record).unwrap();
-            fs.write_replace(record2_ino, &stored::encode(&membrane, &row).unwrap())
-                .unwrap();
-            fs.dir_add(table_ino, "pd-1", record2_ino).unwrap();
-            fs.dir_add(subject_ino, "user#pd-1", record2_ino).unwrap();
-            fs.write_replace(meta_ino, &2u64.to_le_bytes()).unwrap();
-        }
-
-        // Mounting migrates the records to the split layout and stamps v2.
-        let dbfs = Dbfs::mount(Arc::clone(&device)).unwrap();
-        let record = dbfs.get(&"user".into(), PdId::new(0)).unwrap();
-        assert_eq!(record.row().get("name").unwrap().as_text(), Some("Legacy"));
-        assert_eq!(record.subject(), SubjectId::new(9));
-        let record = dbfs.get(&"user".into(), PdId::new(1)).unwrap();
-        assert_eq!(record.row().get("name").unwrap().as_text(), Some("Partial"));
-        dbfs.verify_index_invariants().unwrap();
         drop(dbfs);
+        let image = |device: &MemDevice| -> Vec<Vec<u8>> {
+            (0..device.geometry().blocks)
+                .map(|block| device.read_block(block).unwrap())
+                .collect()
+        };
+        let before = image(&device);
 
-        // A second mount takes the v2 header-only path and keeps working.
-        let dbfs = Dbfs::mount(device).unwrap();
-        assert_eq!(dbfs.count(&"user".into()), 2);
-        let id = dbfs
-            .collect("user", SubjectId::new(9), user_row("New", 2000))
-            .unwrap();
-        assert_eq!(id, PdId::new(2));
-        dbfs.verify_index_invariants().unwrap();
+        match Dbfs::mount(Arc::clone(&device)) {
+            Err(DbfsError::Corrupt { what }) => assert_eq!(what, "unsupported format version 1"),
+            Err(other) => panic!("v1 image refused with the wrong error: {other}"),
+            Ok(_) => panic!("a v1 image must not mount"),
+        }
+        assert!(before == image(&device), "a refused mount must not write");
     }
 
     #[test]

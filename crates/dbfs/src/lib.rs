@@ -32,9 +32,8 @@
 //! the row payload** ([`rgpdos_core::record::stored`]).  Membrane-only reads
 //! — the `ded_load_membrane` request that consent filtering runs on — fetch
 //! and decode the header section without ever reading the payload, making
-//! data minimisation hold at the storage layer too.  Mounting a format-v1
-//! image (single-section JSON records, bare-counter metadata) migrates it in
-//! place.
+//! data minimisation hold at the storage layer too.  A format-v1 image
+//! (single-section JSON records, bare-counter metadata) is refused on mount.
 //!
 //! The in-memory index keeps four secondary maps besides the primary record
 //! map: per-table and per-subject id sets (bounding every scan to the

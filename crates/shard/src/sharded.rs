@@ -26,6 +26,22 @@ use std::sync::Arc;
 /// `take()`s its slot exactly once, so row payloads move instead of clone.
 type ShardBatches<T> = Arc<Vec<Mutex<Option<Vec<T>>>>>;
 
+/// What one shard answered for its slice of a scatter batch
+/// ([`ShardedDbfs::scatter_batch`]).
+struct BatchLeg<R> {
+    shard: usize,
+    /// Input positions of the items routed to `shard`, in input order.
+    positions: Vec<usize>,
+    result: Result<R, DbfsError>,
+}
+
+/// Puts one leg's per-item outputs back at its items' input positions.
+fn place<R>(slots: &mut [Option<R>], positions: Vec<usize>, outputs: Vec<R>) {
+    for (pos, output) in positions.into_iter().zip(outputs) {
+        slots[pos] = Some(output);
+    }
+}
+
 /// SplitMix64: a strong deterministic mix so that dense subject ids spread
 /// evenly over the shards.
 fn mix(mut x: u64) -> u64 {
@@ -759,45 +775,70 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         data_type: impl Into<DataTypeId>,
         rows: Vec<(SubjectId, Row)>,
     ) -> Result<Vec<PdId>, DbfsError> {
-        let data_type = data_type.into();
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let total = rows.len();
-        let mut groups: Vec<Vec<(SubjectId, Row)>> = vec![Vec::new(); self.shards.len()];
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (pos, (subject, row)) in rows.into_iter().enumerate() {
-            let shard = self.home_shard(subject);
-            groups[shard].push((subject, row));
-            positions[shard].push(pos);
-        }
-        let involved: Vec<usize> = (0..groups.len())
-            .filter(|&shard| !groups[shard].is_empty())
-            .collect();
-        let groups: ShardBatches<(SubjectId, Row)> = Arc::new(
-            groups
-                .into_iter()
-                .map(|group| Mutex::new(Some(group)))
-                .collect(),
-        );
-        let name = data_type.clone();
-        let results = self.pool.scatter_on(&involved, move |shard, dbfs| {
-            let batch = groups[shard]
-                .lock()
-                .take()
-                .expect("each involved shard runs exactly once");
+        let name = data_type.into();
+        let mut ids: Vec<Option<PdId>> = vec![None; rows.len()];
+        let routed = rows
+            .into_iter()
+            .enumerate()
+            .map(|(pos, row)| (pos, self.home_shard(row.0), row));
+        let legs = self.scatter_batch(routed, move |dbfs, batch| {
             dbfs.collect_many(name.clone(), batch)
         });
-        let mut ids: Vec<Option<PdId>> = vec![None; total];
-        for (&shard, result) in involved.iter().zip(results) {
-            for (&pos, id) in positions[shard].iter().zip(result?) {
-                ids[pos] = Some(id);
-            }
+        // Ascending shard order: `?` reports the lowest failing shard.
+        for leg in legs {
+            place(&mut ids, leg.positions, leg.result?);
         }
         Ok(ids
             .into_iter()
             .map(|id| id.expect("every row was routed to exactly one shard"))
             .collect())
+    }
+
+    /// The scatter half of every batched operation: groups `routed` items
+    /// — `(input position, target shard, item)` — per shard, runs `run` on
+    /// each involved shard's group concurrently on the worker pool (groups
+    /// keep input order and move, not clone, their payloads), and returns
+    /// one [`BatchLeg`] per involved shard in ascending shard order.
+    fn scatter_batch<T, R>(
+        &self,
+        routed: impl IntoIterator<Item = (usize, usize, T)>,
+        run: impl Fn(&Dbfs<D>, Vec<T>) -> Result<R, DbfsError> + Send + Sync + 'static,
+    ) -> Vec<BatchLeg<R>>
+    where
+        T: Send + 'static,
+        R: Send + 'static,
+    {
+        let mut groups: Vec<Vec<T>> = self.shards.iter().map(|_| Vec::new()).collect();
+        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for (pos, shard, item) in routed {
+            groups[shard].push(item);
+            positions[shard].push(pos);
+        }
+        let involved: Vec<usize> = (0..groups.len())
+            .filter(|&shard| !groups[shard].is_empty())
+            .collect();
+        let groups: ShardBatches<T> = Arc::new(
+            groups
+                .into_iter()
+                .map(|group| Mutex::new(Some(group)))
+                .collect(),
+        );
+        let results = self.pool.scatter_on(&involved, move |shard, dbfs| {
+            let batch = groups[shard]
+                .lock()
+                .take()
+                .expect("each involved shard runs exactly once");
+            run(dbfs, batch)
+        });
+        involved
+            .into_iter()
+            .zip(results)
+            .map(|(shard, result)| BatchLeg {
+                shard,
+                positions: std::mem::take(&mut positions[shard]),
+                result,
+            })
+            .collect()
     }
 
     /// Batched [`ShardedDbfs::insert_wrapped`]: lineage-free records are
@@ -812,43 +853,21 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     /// Same as [`ShardedDbfs::insert_wrapped`]; partial application on
     /// error follows [`ShardedDbfs::collect_many`].
     pub fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let total = items.len();
-        let mut plain: Vec<Vec<(DataTypeId, WrappedPd)>> = vec![Vec::new(); self.shards.len()];
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        let mut ids: Vec<Option<PdId>> = vec![None; items.len()];
+        let mut plain: Vec<(usize, usize, (DataTypeId, WrappedPd))> = Vec::new();
         let mut with_lineage: Vec<(usize, DataTypeId, WrappedPd)> = Vec::new();
         for (pos, (data_type, wrapped)) in items.into_iter().enumerate() {
-            let target = self.home_shard(wrapped.membrane().subject());
             if wrapped.membrane().copied_from().is_none() {
-                plain[target].push((data_type, wrapped));
-                positions[target].push(pos);
+                let target = self.home_shard(wrapped.membrane().subject());
+                plain.push((pos, target, (data_type, wrapped)));
             } else {
                 with_lineage.push((pos, data_type, wrapped));
             }
         }
-        let involved: Vec<usize> = (0..plain.len())
-            .filter(|&shard| !plain[shard].is_empty())
-            .collect();
-        let plain: ShardBatches<(DataTypeId, WrappedPd)> = Arc::new(
-            plain
-                .into_iter()
-                .map(|group| Mutex::new(Some(group)))
-                .collect(),
-        );
-        let results = self.pool.scatter_on(&involved, move |shard, dbfs| {
-            let batch = plain[shard]
-                .lock()
-                .take()
-                .expect("each involved shard runs exactly once");
-            dbfs.insert_many(batch)
-        });
-        let mut ids: Vec<Option<PdId>> = vec![None; total];
-        for (&shard, result) in involved.iter().zip(results) {
-            for (&pos, id) in positions[shard].iter().zip(result?) {
-                ids[pos] = Some(id);
-            }
+        let legs = self.scatter_batch(plain, |dbfs, batch| dbfs.insert_many(batch));
+        // Ascending shard order: `?` reports the lowest failing shard.
+        for leg in legs {
+            place(&mut ids, leg.positions, leg.result?);
         }
         for (pos, data_type, wrapped) in with_lineage {
             let target = self.home_shard(wrapped.membrane().subject());
@@ -874,32 +893,14 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         data_type: &DataTypeId,
         updates: Vec<(PdId, Row)>,
     ) -> Result<(), DbfsError> {
-        if updates.is_empty() {
-            return Ok(());
-        }
-        let mut groups: Vec<Vec<(PdId, Row)>> = vec![Vec::new(); self.shards.len()];
-        for (id, row) in updates {
-            groups[self.shard_of_id(id)].push((id, row));
-        }
-        let involved: Vec<usize> = (0..groups.len())
-            .filter(|&shard| !groups[shard].is_empty())
-            .collect();
-        let groups: ShardBatches<(PdId, Row)> = Arc::new(
-            groups
-                .into_iter()
-                .map(|group| Mutex::new(Some(group)))
-                .collect(),
-        );
         let name = data_type.clone();
-        let results = self.pool.scatter_on(&involved, move |shard, dbfs| {
-            let batch = groups[shard]
-                .lock()
-                .take()
-                .expect("each involved shard runs exactly once");
-            dbfs.update_rows(&name, batch)
-        });
-        for result in results {
-            result?;
+        let routed = updates
+            .into_iter()
+            .enumerate()
+            .map(|(pos, update)| (pos, self.shard_of_id(update.0), update));
+        let legs = self.scatter_batch(routed, move |dbfs, batch| dbfs.update_rows(&name, batch));
+        for leg in legs {
+            leg.result?;
         }
         Ok(())
     }
@@ -996,33 +997,28 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         data_type: &DataTypeId,
         ids: &[PdId],
     ) -> Result<RecordBatch, DbfsError> {
-        let mut groups: Vec<Vec<PdId>> = vec![Vec::new(); self.shards.len()];
-        for &id in ids {
-            groups[self.shard_of_id(id)].push(id);
-        }
-        let involved: Vec<usize> = (0..groups.len())
-            .filter(|&shard| !groups[shard].is_empty())
-            .collect();
-        let groups = Arc::new(groups);
         let name = data_type.clone();
-        let results = self.pool.scatter_on(&involved, move |shard, dbfs| {
-            dbfs.load_records(&name, &groups[shard])
+        let routed = ids
+            .iter()
+            .enumerate()
+            .map(|(pos, &id)| (pos, self.shard_of_id(id), id));
+        let legs = self.scatter_batch(routed, move |dbfs, batch| {
+            dbfs.load_records(&name, &batch)
+                .map(RecordBatch::into_records)
         });
-        let per_shard = gather_scatter(involved.iter().copied(), results)?;
-        let mut by_id: BTreeMap<PdId, PdRecord> = BTreeMap::new();
-        for shard_batch in per_shard {
-            for record in shard_batch.into_records() {
-                by_id.insert(record.id(), record);
-            }
+        let mut records: Vec<Option<PdRecord>> = vec![None; ids.len()];
+        let shards: Vec<usize> = legs.iter().map(|leg| leg.shard).collect();
+        let results = legs
+            .into_iter()
+            .map(|leg| leg.result.map(|found| (leg.positions, found)))
+            .collect();
+        for (positions, found) in gather_scatter(shards, results)? {
+            place(&mut records, positions, found);
         }
-        let mut batch = RecordBatch::new();
-        for id in ids {
-            match by_id.remove(id) {
-                Some(record) => batch.push(record),
-                None => return Err(DbfsError::UnknownPd { id: id.raw() }),
-            }
-        }
-        Ok(batch)
+        Ok(records
+            .into_iter()
+            .map(|record| record.expect("every id was routed to exactly one shard"))
+            .collect())
     }
 
     /// The `update` built-in, routed by id.

@@ -13,8 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Version stamped on every machine-readable report this workspace emits
-/// (metrics snapshots, `experiments --json`, crashgrind matrices, the
-/// analyzer report).  Bump on any breaking shape change.
+/// (metrics snapshots, crashgrind matrices, the analyzer report).  Bump on any breaking shape change.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// A point-in-time dump of every registered metric plus the span ring.

@@ -23,4 +23,4 @@ pub mod population;
 
 pub use ops::{OperationKind, WorkloadMix};
 pub use penalties::{PenaltyRecord, Sector};
-pub use population::{GeneratedSubject, MultiTableWorkload, PopulationGenerator, SkewedPopulation};
+pub use population::{GeneratedSubject, PopulationGenerator};

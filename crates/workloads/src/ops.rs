@@ -121,23 +121,6 @@ impl WorkloadMix {
         }
     }
 
-    /// The erase-heavy mix the scrubber/compaction experiments run: a burst
-    /// of right-to-be-forgotten traffic with enough reads and exports mixed
-    /// in to keep the store's hot paths honest while tombstones pile up.
-    pub fn erase_heavy() -> Self {
-        Self {
-            collect: 10,
-            read: 10,
-            update: 0,
-            invoke: 0,
-            access_request: 10,
-            portability: 10,
-            erasure: 60,
-            consent_change: 0,
-            audit: 0,
-        }
-    }
-
     fn weights(&self) -> [(OperationKind, u32); 9] {
         [
             (OperationKind::Collect, self.collect),
@@ -227,15 +210,8 @@ mod tests {
         assert_eq!(WorkloadMix::controller().total_weight(), 100);
         assert_eq!(WorkloadMix::customer().total_weight(), 100);
         assert_eq!(WorkloadMix::regulator().total_weight(), 100);
-        assert_eq!(WorkloadMix::erase_heavy().total_weight(), 100);
         assert_eq!(OperationKind::Erasure.to_string(), "erasure");
         assert_eq!(OperationKind::Portability.to_string(), "portability");
-    }
-
-    #[test]
-    fn erase_heavy_mix_is_dominated_by_erasures() {
-        let h = histogram(&WorkloadMix::erase_heavy().generate(10_000, 3));
-        assert!(h["erasure"] > h["read"] + h["collect"] + h["portability"]);
     }
 
     #[test]

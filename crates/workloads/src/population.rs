@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rgpdos_core::{ConsentDecision, DataTypeSchema, FieldType, Row, SubjectId};
+use rgpdos_core::{ConsentDecision, Row, SubjectId};
 
 /// One generated data subject with the `user` row of Listing 1 and the
 /// consent decision they give to the benchmark purpose.
@@ -118,223 +118,9 @@ impl PopulationGenerator {
     }
 }
 
-/// Deterministic generator for the many-tables/many-subjects scaling
-/// scenario: `tables` independent data types, each populated with
-/// `records_per_table` rows spread over `subjects` subjects, every row
-/// carrying a `payload_bytes`-sized blob so that records span several device
-/// blocks (which is what makes membrane-only reads measurably cheaper than
-/// full-record reads).
-#[derive(Debug, Clone)]
-pub struct MultiTableWorkload {
-    tables: usize,
-    records_per_table: usize,
-    subjects: usize,
-    payload_bytes: usize,
-}
-
-impl MultiTableWorkload {
-    /// Creates a workload of `tables` tables with `records_per_table`
-    /// records each (64 subjects and a 2 KiB payload by default).
-    pub fn new(tables: usize, records_per_table: usize) -> Self {
-        Self {
-            tables,
-            records_per_table,
-            subjects: 64,
-            payload_bytes: 2_048,
-        }
-    }
-
-    /// Sets how many distinct subjects the rows are spread over.
-    #[must_use]
-    pub fn with_subjects(mut self, subjects: usize) -> Self {
-        assert!(subjects > 0, "at least one subject");
-        self.subjects = subjects;
-        self
-    }
-
-    /// Sets the payload blob size per row.
-    #[must_use]
-    pub fn with_payload_bytes(mut self, payload_bytes: usize) -> Self {
-        self.payload_bytes = payload_bytes;
-        self
-    }
-
-    /// Number of tables in the workload.
-    pub fn tables(&self) -> usize {
-        self.tables
-    }
-
-    /// Records per table.
-    pub fn records_per_table(&self) -> usize {
-        self.records_per_table
-    }
-
-    /// Total number of records across every table.
-    pub fn total_records(&self) -> usize {
-        self.tables * self.records_per_table
-    }
-
-    /// The name of table `index`.
-    pub fn table_name(index: usize) -> String {
-        format!("scale_{index:03}")
-    }
-
-    /// The schema of table `index` (a sequence number plus the payload).
-    ///
-    /// # Panics
-    ///
-    /// Never panics: the generated schema is valid by construction.
-    pub fn schema(&self, index: usize) -> DataTypeSchema {
-        DataTypeSchema::builder(Self::table_name(index).as_str())
-            .field("seq", FieldType::Int)
-            .field("payload", FieldType::Text)
-            .build()
-            .expect("scaling schema is valid")
-    }
-
-    /// The `(subject, row)` pairs of table `index`, deterministically
-    /// derived from the table number and row sequence.
-    pub fn rows(&self, index: usize) -> impl Iterator<Item = (SubjectId, Row)> + '_ {
-        let payload = "x".repeat(self.payload_bytes);
-        (0..self.records_per_table).map(move |seq| {
-            let global = index * self.records_per_table + seq;
-            (
-                SubjectId::new((global % self.subjects) as u64),
-                Row::new()
-                    .with("seq", seq as i64)
-                    .with("payload", payload.as_str()),
-            )
-        })
-    }
-}
-
-/// Deterministic **skewed** multi-subject population for the sharded
-/// experiments: `records` Listing-1 `user` rows spread over `subjects`
-/// subjects whose record counts follow a Zipf-like distribution (subject 0
-/// is the hottest).  Real per-subject stores are never balanced — a few
-/// subjects own most of the data — so placement and scatter-gather must be
-/// measured under skew, not under a uniform population.
-#[derive(Debug, Clone)]
-pub struct SkewedPopulation {
-    seed: u64,
-    subjects: usize,
-    records: usize,
-    exponent: f64,
-}
-
-impl SkewedPopulation {
-    /// Creates a skewed population of `records` rows over `subjects`
-    /// subjects (Zipf exponent 1.0 by default).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `subjects` is zero.
-    pub fn new(seed: u64, subjects: usize, records: usize) -> Self {
-        assert!(subjects > 0, "at least one subject");
-        Self {
-            seed,
-            subjects,
-            records,
-            exponent: 1.0,
-        }
-    }
-
-    /// Sets the Zipf exponent (`0.0` degenerates to uniform; larger values
-    /// concentrate more records on the hottest subjects).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `exponent` is negative.
-    #[must_use]
-    pub fn with_exponent(mut self, exponent: f64) -> Self {
-        assert!(exponent >= 0.0, "non-negative Zipf exponent");
-        self.exponent = exponent;
-        self
-    }
-
-    /// Number of records the population generates.
-    pub fn records(&self) -> usize {
-        self.records
-    }
-
-    /// Number of distinct subjects.
-    pub fn subjects(&self) -> usize {
-        self.subjects
-    }
-
-    /// The hottest subject (rank 0 of the Zipf distribution).
-    pub fn hot_subject(&self) -> SubjectId {
-        SubjectId::new(0)
-    }
-
-    /// The `(subject, row)` pairs, deterministically derived from the seed.
-    /// Rows match the Listing 1 `user` schema.
-    pub fn rows(&self) -> Vec<(SubjectId, Row)> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // Cumulative Zipf weights: w_i = 1 / (i + 1)^s.
-        let weights: Vec<f64> = (0..self.subjects)
-            .map(|i| 1.0 / ((i + 1) as f64).powf(self.exponent))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut cumulative = Vec::with_capacity(self.subjects);
-        let mut acc = 0.0;
-        for w in &weights {
-            acc += w / total;
-            cumulative.push(acc);
-        }
-        (0..self.records)
-            .map(|record| {
-                let draw: f64 = rng.gen();
-                let rank = cumulative
-                    .iter()
-                    .position(|&c| draw < c)
-                    .unwrap_or(self.subjects - 1);
-                let subject = SubjectId::new(rank as u64);
-                let row = Row::new()
-                    .with("name", format!("skew-{rank}-{record}"))
-                    .with("pwd", "pw")
-                    .with("year_of_birthdate", 1940 + (record % 65) as i64);
-                (subject, row)
-            })
-            .collect()
-    }
-
-    /// Records per subject rank, for balance reporting.
-    pub fn counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.subjects];
-        for (subject, _) in self.rows() {
-            counts[subject.raw() as usize] += 1;
-        }
-        counts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn multi_table_workload_is_deterministic_and_schema_valid() {
-        let workload = MultiTableWorkload::new(3, 10)
-            .with_subjects(4)
-            .with_payload_bytes(128);
-        assert_eq!(workload.tables(), 3);
-        assert_eq!(workload.total_records(), 30);
-        for table in 0..workload.tables() {
-            let schema = workload.schema(table);
-            assert_eq!(
-                schema.name().as_str(),
-                MultiTableWorkload::table_name(table)
-            );
-            let rows: Vec<_> = workload.rows(table).collect();
-            assert_eq!(rows.len(), 10);
-            for (subject, row) in &rows {
-                assert!(subject.raw() < 4);
-                schema.validate_row(row).unwrap();
-            }
-            assert_eq!(workload.rows(table).collect::<Vec<_>>(), rows);
-        }
-    }
 
     #[test]
     fn generation_is_deterministic() {
@@ -398,37 +184,5 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn bad_rate_panics() {
         let _ = PopulationGenerator::new(1).with_consent_rate(1.5);
-    }
-
-    #[test]
-    fn skewed_population_is_deterministic_skewed_and_schema_valid() {
-        use rgpdos_core::schema::listing1_user_schema;
-        let population = SkewedPopulation::new(7, 16, 800);
-        let rows = population.rows();
-        assert_eq!(rows.len(), 800);
-        assert_eq!(rows, population.rows(), "generation is deterministic");
-        let schema = listing1_user_schema();
-        for (_, row) in rows.iter().take(50) {
-            schema.validate_row(row).unwrap();
-        }
-        // Zipf skew: the hottest subject owns well more than a uniform share,
-        // and ranks are monotonically colder in aggregate.
-        let counts = population.counts();
-        assert_eq!(counts.iter().sum::<usize>(), 800);
-        let uniform_share = 800 / 16;
-        assert!(
-            counts[0] > 2 * uniform_share,
-            "hot subject owns {} of 800",
-            counts[0]
-        );
-        assert!(counts[0] > counts[8], "rank 0 hotter than rank 8");
-        assert_eq!(population.hot_subject(), SubjectId::new(0));
-        // Exponent 0 degenerates to a roughly uniform spread.
-        let flat = SkewedPopulation::new(7, 16, 800).with_exponent(0.0);
-        let flat_counts = flat.counts();
-        assert!(
-            *flat_counts.iter().max().unwrap() < 2 * uniform_share,
-            "uniform spread: {flat_counts:?}"
-        );
     }
 }

@@ -1,8 +1,8 @@
 //! Workspace-level guarantees of the `rgpdos_trace` observability layer:
 //! determinism (identical sim runs snapshot byte-identically), overhead
-//! (tracing adds **zero** device I/O and negligible simulated cost), and
-//! the thin-view contract (legacy stats accessors and the registry read
-//! the same atomics).
+//! (tracing adds **zero** device I/O and negligible simulated cost), the
+//! thin-view contract (legacy stats accessors and the registry read the
+//! same atomics), and the space-lifecycle gauges of the scrubber.
 
 use rgpdos::prelude::*;
 use rgpdos::trace::SCHEMA_VERSION;
@@ -112,5 +112,54 @@ fn legacy_stats_accessors_are_views_over_the_registry() {
     assert_eq!(
         counters["fs_journal_txs"],
         os.dbfs().inode_fs().journal_txs()
+    );
+}
+
+/// `attach_trace` puts the scrubber's `space_amplification` and
+/// `tombstones_reclaimed` gauges on the registry — one series per store,
+/// one per shard when sharded — and the reclaim gauge follows a scrub.
+#[test]
+fn space_gauges_exist_after_attach_trace_and_follow_the_scrubber() {
+    use rgpdos::blockdev::MemDevice;
+    use rgpdos::core::schema::listing1_user_schema;
+    use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
+    use rgpdos::dbfs::Dbfs;
+    use std::sync::Arc;
+
+    fn check<S: PdStore>(store: &S, series: usize) {
+        let ctx = TraceCtx::sim();
+        store.attach_trace(&ctx);
+        let gauge = |family: &str| -> Vec<i64> {
+            let (_, gauges, _) = ctx.registry.collect();
+            gauges
+                .iter()
+                .filter(|(key, _)| key.starts_with(family))
+                .map(|(_, value)| *value)
+                .collect()
+        };
+        assert_eq!(gauge("space_amplification").len(), series);
+        assert_eq!(gauge("tombstones_reclaimed"), vec![0; series]);
+
+        let user = DataTypeId::from("user");
+        store.create_type(listing1_user_schema()).unwrap();
+        for raw in 0..8u64 {
+            let row = Row::new()
+                .with("name", format!("gauge-{raw}"))
+                .with("pwd", "pw")
+                .with("year_of_birthdate", 1980i64);
+            store.collect(&user, SubjectId::new(raw), row).unwrap();
+        }
+        let escrow = OperatorEscrow::new(Authority::generate(0x6A).public_key());
+        store.erase_subject(SubjectId::new(3), &escrow).unwrap();
+        assert_eq!(store.scrub_tombstones().unwrap().reclaimed_count(), 1);
+        assert_eq!(gauge("tombstones_reclaimed").iter().sum::<i64>(), 1);
+    }
+
+    let device = || Arc::new(MemDevice::new(8_192, 512));
+    check(&Dbfs::format(device(), DbfsParams::small()).unwrap(), 1);
+    let devices = (0..3).map(|_| device()).collect();
+    check(
+        &ShardedDbfs::format(devices, DbfsParams::small()).unwrap(),
+        3,
     );
 }
