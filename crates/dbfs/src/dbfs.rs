@@ -251,44 +251,73 @@ impl RecordLocation {
     }
 }
 
-/// One record staged into the open compound transaction but not yet
-/// committed: the index mutations to apply once its group commits.
-#[derive(Debug, Clone)]
-struct StagedInsert {
-    id: PdId,
-    data_type: DataTypeId,
-    subject: SubjectId,
-    record_ino: Ino,
-    membrane: Membrane,
+/// One record mutation on its way through [`Dbfs::commit_ops`], the single
+/// write pipeline.  Every public mutating built-in is a batch of these.
+#[derive(Debug, Clone, Copy)]
+enum WriteOp<'a> {
+    /// `acquisition` / `copy`: store a new wrapped record.
+    Insert {
+        data_type: &'a DataTypeId,
+        wrapped: &'a WrappedPd,
+    },
+    /// `update`: replace the payload row of a live record.
+    UpdateRow {
+        data_type: &'a DataTypeId,
+        id: PdId,
+        row: &'a Row,
+    },
+    /// Consent / retention change: rewrite the membrane header only.
+    MembraneDelta {
+        data_type: &'a DataTypeId,
+        id: PdId,
+        delta: &'a MembraneDelta,
+    },
 }
 
-/// The in-memory side of one group commit: the records staged into the
-/// open compound transaction, the running identifier counter, and the
-/// subject subtrees the group created (visible to later records of the
-/// same group).  [`InsertGroup::mark`] / [`InsertGroup::rollback_to`] are
-/// the O(1) savepoint pair used to unstage the one record that would
-/// overflow the journal capacity — staging only ever appends, so a mark
-/// is three lengths/counters.
+/// One op staged into the open compound transaction but not yet committed:
+/// the index mutation to apply once its group commits, and the audit event
+/// to record after the index lock is released.
 #[derive(Debug)]
-struct InsertGroup {
-    /// Running identifier counter (`index.next_pd` + records staged).
+struct StagedOp {
+    /// The record the op created or changed.
+    id: PdId,
+    subject: SubjectId,
+    event: AuditEventKind,
+    change: IndexChange,
+}
+
+/// What a committed [`StagedOp`] does to the in-memory index.  A group
+/// publishes a new read snapshot only if one of its ops changes the index.
+#[derive(Debug)]
+enum IndexChange {
+    /// A row update: the record stays where it is.
+    None,
+    /// A new record, and the subject subtree the insert created for it
+    /// (`None` when the subject already had one).
+    Insert {
+        location: RecordLocation,
+        new_subject: Option<Ino>,
+    },
+    /// A retention change: re-key the record in the expiry index.
+    Expiry(Option<Timestamp>),
+}
+
+/// The in-memory side of one group commit: the ops staged into the open
+/// compound transaction, the running identifier counter, and the subject
+/// subtrees the group created (visible to later inserts of the same group).
+/// An op joins the group only after its writes are staged *and* known to
+/// fit, so cutting a group never has to un-stage anything here.
+#[derive(Debug)]
+struct WriteGroup {
+    /// Running identifier counter (`index.next_pd` + inserts staged).
     next_pd: u64,
     /// Subject subtrees created by this group.
     new_subjects: BTreeMap<SubjectId, Ino>,
-    /// The staged records, in staging order.
-    staged: Vec<StagedInsert>,
+    /// The staged ops, in staging order.
+    staged: Vec<StagedOp>,
 }
 
-/// A position in an [`InsertGroup`]'s append-only state, paired with
-/// [`InsertGroup::rollback_to`].
-#[derive(Debug, Clone, Copy)]
-struct GroupMark {
-    next_pd: u64,
-    staged_len: usize,
-    subjects_len: usize,
-}
-
-impl InsertGroup {
+impl WriteGroup {
     fn starting_at(next_pd: u64) -> Self {
         Self {
             next_pd,
@@ -297,24 +326,23 @@ impl InsertGroup {
         }
     }
 
-    fn mark(&self) -> GroupMark {
-        GroupMark {
-            next_pd: self.next_pd,
-            staged_len: self.staged.len(),
-            subjects_len: self.new_subjects.len(),
+    /// Admits an op whose writes are staged and fit the group.
+    fn push(&mut self, op: StagedOp) {
+        if let IndexChange::Insert { new_subject, .. } = &op.change {
+            self.next_pd += 1;
+            if let Some(ino) = new_subject {
+                self.new_subjects.insert(op.subject, *ino);
+            }
         }
+        self.staged.push(op);
     }
 
-    /// Undoes everything staged after `mark`.  At most one record — and
-    /// therefore at most one new subject, the record's own — can have been
-    /// staged since, which is why the subject rollback only needs the
-    /// record's subject.
-    fn rollback_to(&mut self, mark: GroupMark, subject: SubjectId) {
-        self.next_pd = mark.next_pd;
-        self.staged.truncate(mark.staged_len);
-        if self.new_subjects.len() > mark.subjects_len {
-            self.new_subjects.remove(&subject);
-        }
+    /// The location of a record this group inserted (not yet in the index).
+    fn staged_insert(&self, id: PdId) -> Option<&RecordLocation> {
+        self.staged.iter().find_map(|op| match &op.change {
+            IndexChange::Insert { location, .. } if op.id == id => Some(location),
+            _ => None,
+        })
     }
 }
 
@@ -1310,21 +1338,27 @@ impl<D: BlockDevice> Dbfs<D> {
         let now = self.clock.now();
         let schema = self.schema(&data_type)?;
         let membrane = Membrane::from_schema(&schema, subject, now);
-        self.store_wrapped(&data_type, WrappedPd::new(row, membrane), true)
+        self.insert_wrapped(&data_type, WrappedPd::new(row, membrane))
     }
 
     /// Stores an already-wrapped record (used by the `copy` built-in and by
-    /// the DED when a processing produces new personal data).
+    /// the DED when a processing produces new personal data): a batch of
+    /// one through the write pipeline.
     ///
     /// # Errors
     ///
-    /// Same as [`Dbfs::collect`].
+    /// Same as [`Dbfs::collect`], plus [`DbfsError::Erased`] for a live
+    /// copy whose lineage is already tombstoned.
     pub fn insert_wrapped(
         &self,
         data_type: &DataTypeId,
         wrapped: WrappedPd,
     ) -> Result<PdId, DbfsError> {
-        self.store_wrapped(data_type, wrapped, true)
+        let ids = self.commit_ops(&[WriteOp::Insert {
+            data_type,
+            wrapped: &wrapped,
+        }])?;
+        Ok(ids[0])
     }
 
     /// Batched `acquisition`: collects every row under the default membrane
@@ -1359,12 +1393,10 @@ impl<D: BlockDevice> Dbfs<D> {
         self.insert_many(items)
     }
 
-    /// Batched [`Dbfs::insert_wrapped`] with journal group commit: N
-    /// independent inserts are staged into one compound transaction and
-    /// journaled together, cutting a new group whenever the staged write
-    /// set would overflow [`rgpdos_inode::InodeFs::tx_capacity_blocks`]
-    /// (the crash-atomicity bound).  Returns the identifiers in input
-    /// order.
+    /// Batched [`Dbfs::insert_wrapped`]: N independent inserts go through
+    /// the write pipeline as one batch, journaled together in group
+    /// commits cut at [`rgpdos_inode::InodeFs::tx_capacity_blocks`] (the
+    /// crash-atomicity bound).  Returns the identifiers in input order.
     ///
     /// # Errors
     ///
@@ -1376,97 +1408,19 @@ impl<D: BlockDevice> Dbfs<D> {
             return Ok(Vec::new());
         }
         let _timer = self.op_timer("insert_batch");
-        let capacity = self.fs.tx_capacity_blocks();
-        let mut ids = Vec::with_capacity(items.len());
-        let mut committed: Vec<(PdId, SubjectId)> = Vec::new();
-        let mut failure: Option<DbfsError> = None;
-        {
-            let mut index = self.lock_index();
-            let mut group = InsertGroup::starting_at(index.next_pd);
-            let mut tx = Some(self.fs.begin_tx());
-            for (data_type, wrapped) in &items {
-                let savepoint = self.fs.tx_savepoint();
-                let mark = group.mark();
-                let staged = self
-                    .check_insertable(&index, &group, data_type, wrapped, true)
-                    .and_then(|()| self.stage_wrapped(&index, &mut group, data_type, wrapped));
-                let id = match staged {
-                    Ok(id) => id,
-                    Err(e) => {
-                        // Unstage the partial writes of the failing record;
-                        // the group staged so far commits below (prefix
-                        // semantics, as if inserted sequentially).
-                        self.fs.tx_rollback_to(savepoint);
-                        group.rollback_to(mark, wrapped.membrane().subject());
-                        failure = Some(e);
-                        break;
-                    }
-                };
-                if self.fs.tx_staged_blocks() > capacity && mark.staged_len > 0 {
-                    // This record overflows the crash-atomic capacity of
-                    // the open group: unstage it, commit the group, then
-                    // re-stage it first into a fresh transaction.  (The
-                    // identifier is stable across the re-stage: the
-                    // counter rolls back and forward to the same value.)
-                    self.fs.tx_rollback_to(savepoint);
-                    group.rollback_to(mark, wrapped.membrane().subject());
-                    if let Err(e) = tx.take().expect("open group tx").commit() {
-                        failure = Some(e.into());
-                        break;
-                    }
-                    let full = std::mem::replace(&mut group, InsertGroup::starting_at(0));
-                    let before = committed.len();
-                    committed.extend(self.apply_group(&mut index, full));
-                    self.record_group_commit((committed.len() - before) as u64);
-                    // Each group-commit cut point publishes: concurrent
-                    // readers observe whole groups, never a partial batch.
-                    self.publish_locked(&mut index);
-                    group = InsertGroup::starting_at(index.next_pd);
-                    tx = Some(self.fs.begin_tx());
-                    let fresh = self.fs.tx_savepoint();
-                    match self.stage_wrapped(&index, &mut group, data_type, wrapped) {
-                        Ok(again) => debug_assert_eq!(again, id),
-                        Err(e) => {
-                            self.fs.tx_rollback_to(fresh);
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                ids.push(id);
-            }
-            // Commit whatever the last open group staged — on the happy
-            // path the batch's tail, on the error path the prefix before
-            // the failing item.
-            if let Some(tx) = tx.take() {
-                match tx.commit() {
-                    Ok(()) => {
-                        let before = committed.len();
-                        committed.extend(self.apply_group(&mut index, group));
-                        self.record_group_commit((committed.len() - before) as u64);
-                        self.publish_locked(&mut index);
-                    }
-                    Err(e) => {
-                        if failure.is_none() {
-                            failure = Some(e.into());
-                        }
-                    }
-                }
-            }
-        }
+        let ops: Vec<WriteOp<'_>> = items
+            .iter()
+            .map(|(data_type, wrapped)| WriteOp::Insert { data_type, wrapped })
+            .collect();
+        let result = self.commit_ops(&ops);
         DbfsStatsInner::bump(&self.stats.insert_batches);
-        self.account_inserts(&committed);
-        match failure {
-            None => Ok(ids),
-            Some(e) => Err(e),
-        }
+        result
     }
 
-    /// Batched [`Dbfs::update_row`] with journal group commit: the row
-    /// replacements are staged into shared compound transactions, cut at
-    /// the journal-capacity bound like [`Dbfs::insert_many`].  Every
-    /// update stays individually crash-atomic; a crash leaves a prefix of
-    /// whole groups applied.
+    /// Batched [`Dbfs::update_row`]: the row replacements go through the
+    /// write pipeline as one batch, sharing group commits like
+    /// [`Dbfs::insert_many`].  Every update stays individually
+    /// crash-atomic; a crash leaves a prefix of whole groups applied.
     ///
     /// # Errors
     ///
@@ -1480,116 +1434,175 @@ impl<D: BlockDevice> Dbfs<D> {
         if updates.is_empty() {
             return Ok(());
         }
-        let schema = self.schema(data_type)?;
-        for (_, row) in &updates {
-            schema.validate_row(row)?;
-        }
+        let ops: Vec<WriteOp<'_>> = updates
+            .iter()
+            .map(|(id, row)| WriteOp::UpdateRow {
+                data_type,
+                id: *id,
+                row,
+            })
+            .collect();
+        self.commit_ops(&ops).map(drop)
+    }
+
+    /// The one write pipeline: every record mutation — insert, row update,
+    /// membrane change, alone or batched — is a slice of [`WriteOp`]s run
+    /// here under **one** index-lock hold, so no erasure or other writer
+    /// can interleave between an op's checks, its disk writes and its
+    /// index update.
+    ///
+    /// Ops are checked and staged one by one into an open compound
+    /// transaction (a **group**).  Every disk effect of an op is staged
+    /// behind a savepoint: an op that fails is un-staged and ends the batch
+    /// (prefix semantics — the ops before it still commit); an op that
+    /// would push a non-empty group past the journal's crash-atomic
+    /// capacity is un-staged, the group commits, and the op is staged again
+    /// as the first of the next group (an insert keeps its identifier: the
+    /// counter only advances when an op joins a group).  The in-memory
+    /// index is updated only after a group's commit, and a new read
+    /// snapshot is published per group that changed it — readers observe
+    /// whole groups, never a partial one.  A group no op joined journals
+    /// nothing and publishes nothing.
+    ///
+    /// Stats and audit events are recorded after the lock is released, per
+    /// committed op in input order — a crashed or refused op is never
+    /// audited.  Returns the ids of the ops that took effect (the new
+    /// identifier for an insert), in input order.
+    ///
+    /// # Errors
+    ///
+    /// The first failing op's error, or a commit failure if no op failed.
+    fn commit_ops(&self, ops: &[WriteOp<'_>]) -> Result<Vec<PdId>, DbfsError> {
         let capacity = self.fs.tx_capacity_blocks();
-        let mut committed: Vec<(PdId, SubjectId)> = Vec::new();
+        let mut committed = Vec::with_capacity(ops.len());
         let mut failure: Option<DbfsError> = None;
         {
-            // Held across the whole batch, like the per-record path: no
-            // erasure or membrane change can interleave with the staged
-            // read-modify-writes.
-            let index = self.lock_index();
-            let mut tx = Some(self.fs.begin_tx());
-            let mut group: Vec<(PdId, SubjectId)> = Vec::new();
-            for (id, row) in &updates {
-                let savepoint = self.fs.tx_savepoint();
-                let staged = Self::locate_in(&index, data_type, *id).and_then(|location| {
-                    if location.erased {
-                        return Err(DbfsError::Erased { id: id.raw() });
-                    }
-                    let mut stored = self.read_stored(location.ino)?;
-                    stored.row = row.clone();
-                    self.write_stored(location.ino, &stored)?;
-                    Ok(location.subject)
-                });
-                let subject = match staged {
-                    Ok(subject) => subject,
-                    Err(e) => {
-                        self.fs.tx_rollback_to(savepoint);
-                        failure = Some(e);
-                        break;
-                    }
-                };
-                if self.fs.tx_staged_blocks() > capacity && !group.is_empty() {
-                    // Overflow: unstage this update, commit the group so
-                    // far, re-stage into a fresh transaction.
-                    self.fs.tx_rollback_to(savepoint);
-                    if let Err(e) = tx.take().expect("open group tx").commit() {
-                        failure = Some(e.into());
-                        break;
-                    }
-                    committed.append(&mut group);
-                    tx = Some(self.fs.begin_tx());
-                    let fresh = self.fs.tx_savepoint();
-                    let restaged = Self::locate_in(&index, data_type, *id).and_then(|location| {
-                        let mut stored = self.read_stored(location.ino)?;
-                        stored.row = row.clone();
-                        self.write_stored(location.ino, &stored)
-                    });
-                    if let Err(e) = restaged {
-                        self.fs.tx_rollback_to(fresh);
-                        failure = Some(e);
-                        break;
-                    }
-                }
-                group.push((*id, subject));
-            }
-            if let Some(tx) = tx.take() {
-                match tx.commit() {
-                    Ok(()) => committed.append(&mut group),
-                    Err(e) => {
-                        if failure.is_none() {
-                            failure = Some(e.into());
+            let mut index = self.lock_index();
+            let mut rest = ops;
+            // One iteration per group commit.
+            while failure.is_none() && !rest.is_empty() {
+                let tx = self.fs.begin_tx();
+                let mut group = WriteGroup::starting_at(index.next_pd);
+                while let Some((op, tail)) = rest.split_first() {
+                    let savepoint = self.fs.tx_savepoint();
+                    match self.stage_op(&index, &group, op) {
+                        Ok(_)
+                            if self.fs.tx_staged_blocks() > capacity
+                                && !group.staged.is_empty() =>
+                        {
+                            // Cut: `op` opens the next group instead.
+                            self.fs.tx_rollback_to(savepoint);
+                            break;
+                        }
+                        Ok(staged) => {
+                            if let Some(staged) = staged {
+                                group.push(staged);
+                            }
+                            rest = tail;
+                        }
+                        Err(e) => {
+                            self.fs.tx_rollback_to(savepoint);
+                            failure = Some(e);
+                            break;
                         }
                     }
                 }
+                if let Err(e) = tx.commit() {
+                    failure.get_or_insert(e.into());
+                    break;
+                }
+                self.apply_group(&mut index, group, &mut committed);
             }
         }
-        for (id, subject) in &committed {
-            DbfsStatsInner::bump(&self.stats.updates);
-            self.audit.record(
-                self.clock.now(),
-                Some(*subject),
-                AuditEventKind::Updated { pd: *id },
-            );
+        let mut ids = Vec::with_capacity(committed.len());
+        for (id, subject, event) in committed {
+            match event {
+                AuditEventKind::Collected { .. } => DbfsStatsInner::bump(&self.stats.collects),
+                AuditEventKind::Updated { .. } => DbfsStatsInner::bump(&self.stats.updates),
+                _ => {}
+            }
+            self.audit.record(self.clock.now(), Some(subject), event);
+            ids.push(id);
         }
         match failure {
-            None => Ok(()),
+            None => Ok(ids),
             Some(e) => Err(e),
         }
     }
 
-    fn store_wrapped(
+    /// Checks one op against the committed index *and* the open group,
+    /// then stages its disk writes into the open compound transaction.
+    /// `Ok(None)` is an op with no effect (a membrane delta that changes
+    /// nothing): nothing staged, nothing to commit or audit.
+    fn stage_op(
         &self,
-        data_type: &DataTypeId,
-        wrapped: WrappedPd,
-        validate: bool,
-    ) -> Result<PdId, DbfsError> {
-        // The whole insert (lineage guard, disk writes, index update) runs
-        // under the index lock: the erased-ancestor check below is only
-        // sound because no erasure can interleave with it, and the id/inode
-        // trees stay consistent.  Inserts therefore serialize against each
-        // other — an accepted cost, since the read paths are what the
-        // secondary indexes optimize.
-        let mut index = self.lock_index();
-        let mut group = InsertGroup::starting_at(index.next_pd);
-        self.check_insertable(&index, &group, data_type, &wrapped, validate)?;
-        // Every disk effect of the insert — identifier counter, record
-        // inode, table-tree entry, subject-tree entry — is staged in one
-        // compound transaction, so a crash at any write index leaves either
-        // the whole record or none of it.  The in-memory index is only
-        // updated after the commit.
-        let tx = self.fs.begin_tx();
-        let id = self.stage_wrapped(&index, &mut group, data_type, &wrapped)?;
-        tx.commit()?;
-        let committed = self.apply_group(&mut index, group);
-        self.publish_locked(&mut index);
-        drop(index);
-        self.account_inserts(&committed);
-        Ok(id)
+        index: &DbfsIndex,
+        group: &WriteGroup,
+        op: &WriteOp<'_>,
+    ) -> Result<Option<StagedOp>, DbfsError> {
+        match *op {
+            WriteOp::Insert { data_type, wrapped } => {
+                self.check_insertable(index, group, data_type, wrapped)?;
+                self.stage_insert(index, group, data_type, wrapped)
+                    .map(Some)
+            }
+            WriteOp::UpdateRow { data_type, id, row } => {
+                let schema =
+                    index
+                        .schemas
+                        .get(data_type)
+                        .ok_or_else(|| DbfsError::UnknownType {
+                            name: data_type.to_string(),
+                        })?;
+                schema.validate_row(row)?;
+                let location = Self::locate_in(index, data_type, id)?;
+                if location.erased {
+                    return Err(DbfsError::Erased { id: id.raw() });
+                }
+                let mut stored = self.read_stored(location.ino)?;
+                stored.row = row.clone();
+                self.write_stored(location.ino, &stored)?;
+                Ok(Some(StagedOp {
+                    id,
+                    subject: location.subject,
+                    event: AuditEventKind::Updated { pd: id },
+                    change: IndexChange::None,
+                }))
+            }
+            WriteOp::MembraneDelta {
+                data_type,
+                id,
+                delta,
+            } => {
+                let location = Self::locate_in(index, data_type, id)?;
+                // Only the membrane header is deserialized and re-encoded;
+                // the row payload bytes are carried over untouched.
+                let bytes = self.fs.read_all(location.ino)?;
+                let mut membrane = stored::membrane_of(&bytes).map_err(|_| DbfsError::Corrupt {
+                    what: format!("record inode {}", location.ino),
+                })?;
+                if !membrane.apply(delta) {
+                    return Ok(None);
+                }
+                let spliced = stored::replace_membrane(&bytes, &membrane)?;
+                self.fs.write_replace(location.ino, &spliced)?;
+                let (purpose, change) = match delta {
+                    MembraneDelta::Grant { purpose, .. } | MembraneDelta::Withdraw { purpose } => {
+                        (purpose.clone(), IndexChange::None)
+                    }
+                    MembraneDelta::SetTimeToLive { .. } => (
+                        "retention".into(),
+                        IndexChange::Expiry(membrane.expiry_instant()),
+                    ),
+                };
+                Ok(Some(StagedOp {
+                    id,
+                    subject: location.subject,
+                    event: AuditEventKind::ConsentChanged { pd: id, purpose },
+                    change,
+                }))
+            }
+        }
     }
 
     /// Validation + lineage guard of one insert, against the committed
@@ -1598,48 +1611,46 @@ impl<D: BlockDevice> Dbfs<D> {
     fn check_insertable(
         &self,
         index: &DbfsIndex,
-        group: &InsertGroup,
+        group: &WriteGroup,
         data_type: &DataTypeId,
         wrapped: &WrappedPd,
-        validate: bool,
     ) -> Result<(), DbfsError> {
         if !index.tables.contains_key(data_type) {
             return Err(DbfsError::UnknownType {
                 name: data_type.to_string(),
             });
         }
-        if validate && !wrapped.membrane().is_erased() {
-            let schema = index
-                .schemas
-                .get(data_type)
-                .ok_or_else(|| DbfsError::UnknownType {
-                    name: data_type.to_string(),
-                })?;
-            schema.validate_row(wrapped.row())?;
+        if wrapped.membrane().is_erased() {
+            return Ok(());
         }
+        let schema = index
+            .schemas
+            .get(data_type)
+            .ok_or_else(|| DbfsError::UnknownType {
+                name: data_type.to_string(),
+            })?;
+        schema.validate_row(wrapped.row())?;
         // A copy must not outlive its lineage: refuse a live copy when *any*
         // ancestor in its copied_from chain is already tombstoned.  This
         // closes the race where `copy` reads the plaintext just before an
         // `erase` snapshots the lineage closure: the erasure tombstones the
         // chain's root first, so an insert that slips in after the snapshot
         // finds an erased ancestor here and loses.
-        if !wrapped.membrane().is_erased() {
-            let mut seen = BTreeSet::new();
-            let mut ancestor = wrapped.membrane().copied_from();
-            while let Some(current) = ancestor {
-                if !seen.insert(current) {
-                    break;
+        let mut seen = BTreeSet::new();
+        let mut ancestor = wrapped.membrane().copied_from();
+        while let Some(current) = ancestor {
+            if !seen.insert(current) {
+                break;
+            }
+            if let Some(loc) = index.records.get(&current) {
+                if loc.erased {
+                    return Err(DbfsError::Erased { id: current.raw() });
                 }
-                if let Some(loc) = index.records.get(&current) {
-                    if loc.erased {
-                        return Err(DbfsError::Erased { id: current.raw() });
-                    }
-                    ancestor = loc.copied_from;
-                } else if let Some(staged) = group.staged.iter().find(|s| s.id == current) {
-                    ancestor = staged.membrane.copied_from();
-                } else {
-                    break;
-                }
+                ancestor = loc.copied_from;
+            } else if let Some(staged) = group.staged_insert(current) {
+                ancestor = staged.copied_from;
+            } else {
+                break;
             }
         }
         Ok(())
@@ -1647,17 +1658,15 @@ impl<D: BlockDevice> Dbfs<D> {
 
     /// Stages every disk effect of one insert — identifier counter, record
     /// inode, table-tree entry, subject-tree entry — into the **open**
-    /// compound transaction, and records the index mutations to apply once
-    /// the group commits.  The group is only mutated after every staged
-    /// write succeeded, so a caller that rolls the transaction back to a
-    /// pre-call savepoint can keep using the (then-untouched) group.
-    fn stage_wrapped(
+    /// compound transaction, so a crash at any write index leaves either
+    /// the whole record or none of it.
+    fn stage_insert(
         &self,
         index: &DbfsIndex,
-        group: &mut InsertGroup,
+        group: &WriteGroup,
         data_type: &DataTypeId,
         wrapped: &WrappedPd,
-    ) -> Result<PdId, DbfsError> {
+    ) -> Result<StagedOp, DbfsError> {
         let Some(&table_ino) = index.tables.get(data_type) else {
             return Err(DbfsError::UnknownType {
                 name: data_type.to_string(),
@@ -1665,9 +1674,8 @@ impl<D: BlockDevice> Dbfs<D> {
         };
         let subject = wrapped.membrane().subject();
         let id = PdId::new(index.alloc.id_for(group.next_pd));
-        let next_pd = group.next_pd + 1;
         self.fs
-            .write_replace(index.meta_ino, &encode_meta(next_pd))?;
+            .write_replace(index.meta_ino, &encode_meta(group.next_pd + 1))?;
 
         // Record inode + table-tree entry.
         let record_ino = self.fs.alloc_inode(InodeKind::Record)?;
@@ -1684,12 +1692,12 @@ impl<D: BlockDevice> Dbfs<D> {
             .or_else(|| group.new_subjects.get(&subject))
             .copied();
         let (subject_ino, new_subject) = match known_subject {
-            Some(ino) => (ino, false),
+            Some(ino) => (ino, None),
             None => {
                 let ino = self.fs.alloc_inode(InodeKind::SubjectRoot)?;
                 self.fs
                     .dir_add(index.subjects_ino, &subject.to_string(), ino)?;
-                (ino, true)
+                (ino, Some(ino))
             }
         };
         self.fs.dir_add(
@@ -1698,52 +1706,54 @@ impl<D: BlockDevice> Dbfs<D> {
             record_ino,
         )?;
 
-        group.next_pd = next_pd;
-        if new_subject {
-            group.new_subjects.insert(subject, subject_ino);
-        }
-        group.staged.push(StagedInsert {
+        Ok(StagedOp {
             id,
-            data_type: data_type.clone(),
             subject,
-            record_ino,
-            membrane: wrapped.membrane().clone(),
-        });
-        Ok(id)
+            event: AuditEventKind::Collected { pd: id },
+            change: IndexChange::Insert {
+                location: RecordLocation::from_membrane(data_type, wrapped.membrane(), record_ino),
+                new_subject,
+            },
+        })
     }
 
-    /// Applies a committed group's index mutations, returning the
-    /// `(id, subject)` pairs for stats/audit accounting.
-    fn apply_group(&self, index: &mut DbfsIndex, group: InsertGroup) -> Vec<(PdId, SubjectId)> {
+    /// Applies a committed group's index mutations, publishes a snapshot if
+    /// any of them changed the index (a plain row update does not), and
+    /// hands the ops over for stats/audit accounting.
+    fn apply_group(
+        &self,
+        index: &mut DbfsIndex,
+        group: WriteGroup,
+        committed: &mut Vec<(PdId, SubjectId, AuditEventKind)>,
+    ) {
+        if group.staged.is_empty() {
+            return;
+        }
+        self.record_group_commit(group.staged.len() as u64);
         index.next_pd = group.next_pd;
-        for (subject, ino) in group.new_subjects {
-            Arc::make_mut(&mut index.subjects).insert(subject, ino);
+        let mut index_changed = false;
+        for op in group.staged {
+            match op.change {
+                IndexChange::None => {}
+                IndexChange::Insert {
+                    location,
+                    new_subject,
+                } => {
+                    if let Some(ino) = new_subject {
+                        Arc::make_mut(&mut index.subjects).insert(op.subject, ino);
+                    }
+                    index.insert_record(op.id, location);
+                    index_changed = true;
+                }
+                IndexChange::Expiry(expires_at) => {
+                    index.set_expiry(op.id, expires_at);
+                    index_changed = true;
+                }
+            }
+            committed.push((op.id, op.subject, op.event));
         }
-        let mut done = Vec::with_capacity(group.staged.len());
-        for staged in group.staged {
-            index.insert_record(
-                staged.id,
-                RecordLocation::from_membrane(
-                    &staged.data_type,
-                    &staged.membrane,
-                    staged.record_ino,
-                ),
-            );
-            done.push((staged.id, staged.subject));
-        }
-        done
-    }
-
-    /// Stats + audit events for committed inserts (outside the index lock,
-    /// after the commit — a crashed insert is never audited).
-    fn account_inserts(&self, committed: &[(PdId, SubjectId)]) {
-        for (id, subject) in committed {
-            DbfsStatsInner::bump(&self.stats.collects);
-            self.audit.record(
-                self.clock.now(),
-                Some(*subject),
-                AuditEventKind::Collected { pd: *id },
-            );
+        if index_changed {
+            self.publish_locked(index);
         }
     }
 
@@ -1923,7 +1933,8 @@ impl<D: BlockDevice> Dbfs<D> {
         Ok(batch)
     }
 
-    /// The `update` built-in: replaces the payload row of a record.
+    /// The `update` built-in: replaces the payload row of a record (a batch
+    /// of one through the write pipeline).
     ///
     /// # Errors
     ///
@@ -1931,35 +1942,17 @@ impl<D: BlockDevice> Dbfs<D> {
     /// [`DbfsError::Core`] for schema violations.
     pub fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
         let _timer = self.op_timer("update");
-        let schema = self.schema(data_type)?;
-        schema.validate_row(&row)?;
-        // The read-modify-write runs atomically under the index lock, so a
-        // concurrent membrane change (consent withdrawal, TTL change) or
-        // erasure can never be reverted by this row update.
-        let location = {
-            let index = self.lock_index();
-            let location = Self::locate_in(&index, data_type, id)?;
-            if location.erased {
-                return Err(DbfsError::Erased { id: id.raw() });
-            }
-            let mut stored = self.read_stored(location.ino)?;
-            stored.row = row;
-            let tx = self.fs.begin_tx();
-            self.write_stored(location.ino, &stored)?;
-            tx.commit()?;
-            location
-        };
-        DbfsStatsInner::bump(&self.stats.updates);
-        self.audit.record(
-            self.clock.now(),
-            Some(location.subject),
-            AuditEventKind::Updated { pd: id },
-        );
-        Ok(())
+        self.commit_ops(&[WriteOp::UpdateRow {
+            data_type,
+            id,
+            row: &row,
+        }])
+        .map(drop)
     }
 
     /// Applies a subject-initiated membrane change (consent grant/withdrawal,
-    /// retention change).  Returns whether the delta had an effect.
+    /// retention change) as a batch of one through the write pipeline.
+    /// Returns whether the delta had an effect.
     ///
     /// Concurrent deltas to the same record are last-writer-wins; the expiry
     /// index may briefly trail the membrane on disk, but the retention sweep
@@ -1977,44 +1970,12 @@ impl<D: BlockDevice> Dbfs<D> {
         id: PdId,
         delta: &MembraneDelta,
     ) -> Result<bool, DbfsError> {
-        // Atomic read-modify-write under the index lock, mirroring
-        // `update_row`: a racing erasure or row update is never clobbered.
-        // Only the membrane header is deserialized and re-encoded; the row
-        // payload bytes are carried over untouched.
-        let (location, applied) = {
-            let mut index = self.lock_index();
-            let location = Self::locate_in(&index, data_type, id)?;
-            let bytes = self.fs.read_all(location.ino)?;
-            let mut membrane = stored::membrane_of(&bytes).map_err(|_| DbfsError::Corrupt {
-                what: format!("record inode {}", location.ino),
-            })?;
-            let applied = membrane.apply(delta);
-            if applied {
-                let spliced = stored::replace_membrane(&bytes, &membrane)?;
-                let tx = self.fs.begin_tx();
-                self.fs.write_replace(location.ino, &spliced)?;
-                tx.commit()?;
-                if matches!(delta, MembraneDelta::SetTimeToLive { .. }) {
-                    index.set_expiry(id, membrane.expiry_instant());
-                    self.publish_locked(&mut index);
-                }
-            }
-            (location, applied)
-        };
-        if applied {
-            let purpose = match delta {
-                MembraneDelta::Grant { purpose, .. } | MembraneDelta::Withdraw { purpose } => {
-                    purpose.clone()
-                }
-                MembraneDelta::SetTimeToLive { .. } => "retention".into(),
-            };
-            self.audit.record(
-                self.clock.now(),
-                Some(location.subject),
-                AuditEventKind::ConsentChanged { pd: id, purpose },
-            );
-        }
-        Ok(applied)
+        let applied = self.commit_ops(&[WriteOp::MembraneDelta {
+            data_type,
+            id,
+            delta,
+        }])?;
+        Ok(!applied.is_empty())
     }
 
     /// The `copy` built-in: duplicates a record, keeping the membrane
@@ -2035,8 +1996,7 @@ impl<D: BlockDevice> Dbfs<D> {
         }
         let stored = self.read_stored(location.ino)?;
         let copy_membrane = stored.membrane.for_copy(id);
-        let new_id =
-            self.store_wrapped(data_type, WrappedPd::new(stored.row, copy_membrane), true)?;
+        let new_id = self.insert_wrapped(data_type, WrappedPd::new(stored.row, copy_membrane))?;
         DbfsStatsInner::bump(&self.stats.copies);
         self.audit.record(
             self.clock.now(),

@@ -98,25 +98,20 @@ pub trait PdStore: Send + Sync {
         -> Result<PdId, DbfsError>;
 
     /// Batched `acquisition`: collects every row, returning the assigned
-    /// identifiers in input order.  Stores that support journal group
-    /// commit override this to coalesce the inserts into far fewer journal
-    /// transactions; the default collects sequentially, so every
-    /// implementation honours the same crash semantics — each record is
-    /// individually atomic and a crash leaves a prefix of the batch.
+    /// identifiers in input order.  The batch goes through the store's
+    /// write pipeline as one unit: the inserts share journal group commits
+    /// (per backing instance for partitioned stores), each record is
+    /// individually atomic, and a crash leaves a prefix of whole groups.
     ///
     /// # Errors
     ///
     /// Same as [`PdStore::collect`]; on error the rows before the failing
-    /// one are applied.
+    /// one are applied (per backing instance for partitioned stores).
     fn collect_many(
         &self,
         data_type: &DataTypeId,
         rows: Vec<(SubjectId, Row)>,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        rows.into_iter()
-            .map(|(subject, row)| self.collect(data_type, subject, row))
-            .collect()
-    }
+    ) -> Result<Vec<PdId>, DbfsError>;
 
     /// Batched [`PdStore::insert_wrapped`] (see [`PdStore::collect_many`]
     /// for the batching and crash semantics).
@@ -125,12 +120,7 @@ pub trait PdStore: Send + Sync {
     ///
     /// Same as [`PdStore::insert_wrapped`]; on error the items before the
     /// failing one are applied.
-    fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
-        items
-            .into_iter()
-            .map(|(data_type, wrapped)| self.insert_wrapped(&data_type, wrapped))
-            .collect()
-    }
+    fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError>;
 
     /// Batched [`PdStore::update_row`] (see [`PdStore::collect_many`] for
     /// the batching and crash semantics).
@@ -143,11 +133,7 @@ pub trait PdStore: Send + Sync {
         &self,
         data_type: &DataTypeId,
         updates: Vec<(PdId, Row)>,
-    ) -> Result<(), DbfsError> {
-        updates
-            .into_iter()
-            .try_for_each(|(id, row)| self.update_row(data_type, id, row))
-    }
+    ) -> Result<(), DbfsError>;
 
     /// Reads one record (payload + membrane).
     ///
@@ -275,28 +261,21 @@ pub trait PdStore: Send + Sync {
     /// One tombstone-scrub pass: reclaims the on-disk footprint of
     /// tombstones whose erasure receipt is durable, never touching one
     /// still referenced by a pending erase intent or by surviving lineage
-    /// (locally or in a routing layer's lineage directory).  The default is
-    /// a no-op pass, so minimal stores stay trivially conformant —
-    /// tombstones then simply accumulate, exactly as before scrubbing
-    /// existed.
+    /// (locally or in a routing layer's lineage directory).
     ///
     /// # Errors
     ///
     /// Propagates storage errors.
-    fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
-        Ok(ScrubReport::default())
-    }
+    fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError>;
 
     /// The store's space footprint: live versus tombstone record bytes and
     /// allocated blocks (aggregated across backing instances for
-    /// partitioned stores).  The default reports an empty footprint.
+    /// partitioned stores).
     ///
     /// # Errors
     ///
     /// Propagates storage errors.
-    fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
-        Ok(SpaceStats::default())
-    }
+    fn space_stats(&self) -> Result<SpaceStats, DbfsError>;
 }
 
 impl<D: BlockDevice> PdStore for Dbfs<D> {
