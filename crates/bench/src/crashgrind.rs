@@ -66,6 +66,16 @@ pub enum ScriptOp {
         /// Index into the ids created so far (modulo).
         pick: u8,
     },
+    /// Rewrite the rows of the `count` most recently created records,
+    /// newest first, through the batched `update_rows` API: the rewrites
+    /// share a group commit, so a crash inside it must leave every record
+    /// whole.  Rows carry no identity the invariants track, so the shadow
+    /// accepts any whole-group prefix; a tombstone among the targets ends
+    /// the batch with the expected `Erased` refusal after a clean prefix.
+    UpdateMany {
+        /// Records rewritten (capped at the number created so far).
+        count: u8,
+    },
     /// Copy a previously created record (round-robin across shards when
     /// sharded — the cross-shard lineage case).
     Copy {
@@ -151,7 +161,9 @@ pub fn scrub_script() -> Vec<ScriptOp> {
 /// large enough to span several journal transactions on the small test
 /// geometry), interleaved with the mutations that must stay correct around
 /// them — copies into batch-created lineage, erasure, TTL expiry, a
-/// subject-wide erasure of subjects created by a batch.
+/// subject-wide erasure of subjects created by a batch — and batched row
+/// rewrites, once over live records only and once running into the
+/// tombstones the erasures left.
 pub fn batched_script() -> Vec<ScriptOp> {
     vec![
         ScriptOp::InsertMany {
@@ -164,9 +176,11 @@ pub fn batched_script() -> Vec<ScriptOp> {
             count: 5,
         },
         ScriptOp::Update { pick: 1 },
+        ScriptOp::UpdateMany { count: 12 },
         ScriptOp::SetTtlDays { pick: 3, days: 20 },
         ScriptOp::Erase { pick: 0 },
         ScriptOp::EraseSubject { subject: 2 },
+        ScriptOp::UpdateMany { count: 12 },
         ScriptOp::AdvanceDays { days: 30 },
         ScriptOp::Purge,
     ]
@@ -426,6 +440,17 @@ fn replay<S: PdStore>(
                         .map(|()| None);
                     filter(&mut shadow.ids, result)?;
                 }
+            }
+            ScriptOp::UpdateMany { count } => {
+                let updates: Vec<(PdId, Row)> = shadow
+                    .ids
+                    .iter()
+                    .rev()
+                    .take(usize::from(count))
+                    .map(|&id| (id, sample_row("batch-updated")))
+                    .collect();
+                let result = store.update_rows(user, updates).map(|()| None);
+                filter(&mut shadow.ids, result)?;
             }
             ScriptOp::Copy { pick } => {
                 if let Some(id) = pick_id(&shadow.ids, pick).copied() {
@@ -884,6 +909,9 @@ mod tests {
         assert!(script
             .iter()
             .any(|op| matches!(op, ScriptOp::InsertMany { .. })));
+        assert!(script
+            .iter()
+            .any(|op| matches!(op, ScriptOp::UpdateMany { .. })));
         assert!(script.iter().any(|op| matches!(op, ScriptOp::Copy { .. })));
         assert!(script.iter().any(|op| matches!(op, ScriptOp::Erase { .. })));
         assert!(script

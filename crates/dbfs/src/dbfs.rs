@@ -3029,6 +3029,30 @@ mod tests {
             "a 30-record batch cannot fit one 16-block journal transaction"
         );
         dbfs.verify_index_invariants().unwrap();
+
+        // The same cut, reached by updates: rewriting all 30 rows spans
+        // several groups too, and every row must come out updated.
+        let before_txs = dbfs.inode_fs().journal_txs();
+        dbfs.update_rows(
+            &"user".into(),
+            ids.iter()
+                .map(|&id| (id, user_row(&format!("u{}", id.raw()), 1961)))
+                .collect(),
+        )
+        .unwrap();
+        assert!(
+            dbfs.inode_fs().journal_txs() - before_txs > 1,
+            "30 row rewrites cannot fit one 16-block journal transaction"
+        );
+        for &id in &ids {
+            let record = dbfs.get(&"user".into(), id).unwrap();
+            assert_eq!(
+                record.row().get("name").unwrap().as_text(),
+                Some(format!("u{}", id.raw()).as_str())
+            );
+        }
+        assert_eq!(dbfs.stats().updates, 30);
+        dbfs.verify_index_invariants().unwrap();
     }
 
     #[test]
@@ -3053,6 +3077,32 @@ mod tests {
             .collect("user", SubjectId::new(9), user_row("after", 1990))
             .unwrap();
         assert_eq!(next.raw(), 2);
+
+        // Updates follow the same rule: the row before the bad one is
+        // rewritten, the bad one and everything after it are not.
+        let name_of = |id: u64| {
+            let record = dbfs.get(&"user".into(), PdId::new(id)).unwrap();
+            record
+                .row()
+                .get("name")
+                .unwrap()
+                .as_text()
+                .map(String::from)
+        };
+        let result = dbfs.update_rows(
+            &"user".into(),
+            vec![
+                (PdId::new(0), user_row("updated-0", 1980)),
+                (PdId::new(1), Row::new().with("name", "missing fields")),
+                (PdId::new(2), user_row("never", 1990)),
+            ],
+        );
+        assert!(matches!(result, Err(DbfsError::Core(_))));
+        assert_eq!(dbfs.stats().updates, 1);
+        assert_eq!(name_of(0).as_deref(), Some("updated-0"));
+        assert_eq!(name_of(1).as_deref(), Some("ok-2"));
+        assert_eq!(name_of(2).as_deref(), Some("after"));
+        dbfs.verify_index_invariants().unwrap();
     }
 
     #[test]

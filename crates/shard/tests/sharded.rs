@@ -5,7 +5,7 @@ use rgpdos_blockdev::MemDevice;
 use rgpdos_core::schema::listing1_user_schema;
 use rgpdos_core::{DataTypeId, Duration, MembraneDelta, PdId, Row, SubjectId, TimeToLive};
 use rgpdos_crypto::escrow::{Authority, OperatorEscrow};
-use rgpdos_dbfs::{DbfsParams, PdStore, Predicate, QueryRequest};
+use rgpdos_dbfs::{DbfsError, DbfsParams, PdStore, Predicate, QueryRequest};
 use rgpdos_shard::ShardedDbfs;
 use std::sync::Arc;
 
@@ -134,6 +134,38 @@ fn batched_ingest_routes_groups_to_home_shards_with_group_commit() {
             Some("rewritten")
         );
     }
+
+    // A schema-invalid row mid-batch leaves its shard a clean prefix: the
+    // update before it is applied, the bad row and the one after are not.
+    let on_shard_0: Vec<PdId> = ids
+        .iter()
+        .copied()
+        .filter(|&id| sharded.shard_of_id(id) == 0)
+        .take(3)
+        .collect();
+    assert_eq!(on_shard_0.len(), 3, "48 subjects leave shard 0 three ids");
+    let result = sharded.update_rows(
+        &user(),
+        vec![
+            (on_shard_0[0], user_row("prefix")),
+            (on_shard_0[1], Row::new().with("name", "missing fields")),
+            (on_shard_0[2], user_row("never")),
+        ],
+    );
+    assert!(matches!(result, Err(DbfsError::Core(_))));
+    let name_of = |id: PdId| {
+        let record = sharded.get(&user(), id).unwrap();
+        record
+            .row()
+            .get("name")
+            .unwrap()
+            .as_text()
+            .map(String::from)
+    };
+    assert_eq!(name_of(on_shard_0[0]).as_deref(), Some("prefix"));
+    assert_eq!(name_of(on_shard_0[1]).as_deref(), Some("rewritten"));
+    assert_eq!(name_of(on_shard_0[2]).as_deref(), Some("rewritten"));
+    assert_eq!(sharded.stats().updates, 49);
 
     // A batch after an erasure still refuses erased lineage through the
     // single-record guard path (wrapped copies go through store_routed).

@@ -6,10 +6,13 @@
 //! clean *prefix* of the batch — whole groups, never a torn record — and in
 //! particular that the window **between a group's in-place flush and its
 //! journal checkpoint/scrub** rolls forward via mount-time journal replay.
+//! A second sweep does the same to a group-cutting `update_rows`, which
+//! runs through the same pipeline: the rewritten rows are a prefix of the
+//! batch and no row is torn.
 
 use rgpdos::blockdev::{FaultPlan, FaultyDevice, MemDevice};
 use rgpdos::core::schema::listing1_user_schema;
-use rgpdos::core::{Row, SubjectId};
+use rgpdos::core::{PdId, Row, SubjectId};
 use rgpdos::dbfs::{Dbfs, DbfsParams, QueryRequest};
 use std::sync::Arc;
 
@@ -127,6 +130,87 @@ fn group_commit_crashes_leave_a_clean_prefix_at_every_write_index() {
     );
     // Early crash points commit nothing, late ones commit everything, and
     // intermediate group boundaries appear in between.
+    assert_eq!(*prefix_lengths.first().unwrap(), 0);
+    assert_eq!(*prefix_lengths.last().unwrap() as u64, BATCH);
+    assert!(
+        prefix_lengths
+            .iter()
+            .any(|&len| len > 0 && (len as u64) < BATCH),
+        "some crash point must land between two committed groups"
+    );
+}
+
+#[test]
+fn update_rows_crashes_leave_a_clean_prefix_at_every_write_index() {
+    const BATCH: u64 = 12;
+    let preloaded_image = || {
+        let device = fresh_image();
+        let dbfs = Dbfs::mount(Arc::clone(&device)).expect("preload mount");
+        dbfs.collect_many("user", batch_rows(BATCH))
+            .expect("preload");
+        device
+    };
+    let rewrites = || -> Vec<(PdId, Row)> {
+        batch_rows(BATCH)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (_, row))| (PdId::new(i as u64), row.with("name", format!("new-{i}"))))
+            .collect()
+    };
+
+    let reference = preloaded_image();
+    let probe = FaultyDevice::new(Arc::clone(&reference), FaultPlan::None);
+    let cell = probe.cell();
+    let dbfs = Dbfs::mount(probe).expect("reference mount");
+    let (total_writes, result) =
+        cell.writes_between(|| dbfs.update_rows(&"user".into(), rewrites()));
+    result.expect("reference batch");
+    let groups = dbfs.inode_fs().journal_txs();
+    assert!(
+        groups > 1 && groups < BATCH,
+        "the rewrites must span several group commits: {groups} journal txs for {BATCH} rows"
+    );
+    drop(dbfs);
+
+    let mut prefix_lengths: Vec<usize> = Vec::new();
+    for crash_after in 0..total_writes {
+        let device = preloaded_image();
+        let dbfs = Dbfs::mount(FaultyDevice::new(
+            Arc::clone(&device),
+            FaultPlan::CrashAfterWrites(crash_after),
+        ))
+        .expect("pre-crash mount");
+        assert!(
+            dbfs.update_rows(&"user".into(), rewrites()).is_err(),
+            "crash point {crash_after} must trip"
+        );
+        drop(dbfs);
+
+        let remounted = Dbfs::mount(Arc::clone(&device)).expect("post-crash mount");
+        remounted
+            .verify_index_invariants()
+            .unwrap_or_else(|e| panic!("crash {crash_after}: invariants violated: {e}"));
+        // Every row is whole — the old one or the new one — and the new
+        // ones are exactly the first k of the batch.
+        let mut rewritten = Vec::new();
+        for i in 0..BATCH {
+            let record = remounted
+                .get(&"user".into(), PdId::new(i))
+                .unwrap_or_else(|e| panic!("crash {crash_after}: record {i} unreadable: {e}"));
+            let name = record.row().get("name").and_then(|v| v.as_text()).unwrap();
+            assert!(
+                name == format!("batch-{i}") || name == format!("new-{i}"),
+                "crash {crash_after}: record {i} torn: {name}"
+            );
+            rewritten.push(name.starts_with("new-"));
+        }
+        let prefix = rewritten.iter().take_while(|&&new| new).count();
+        assert!(
+            rewritten[prefix..].iter().all(|&new| !new),
+            "crash {crash_after}: rewrites must form a clean prefix: {rewritten:?}"
+        );
+        prefix_lengths.push(prefix);
+    }
     assert_eq!(*prefix_lengths.first().unwrap(), 0);
     assert_eq!(*prefix_lengths.last().unwrap() as u64, BATCH);
     assert!(
