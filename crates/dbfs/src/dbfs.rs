@@ -1575,6 +1575,11 @@ impl<D: BlockDevice> Dbfs<D> {
                 delta,
             } => {
                 let location = Self::locate_in(index, data_type, id)?;
+                if location.erased {
+                    // A tombstone is immutable: no write, no event after
+                    // its `Erased`.
+                    return Ok(None);
+                }
                 // Only the membrane header is deserialized and re-encoded;
                 // the row payload bytes are carried over untouched.
                 let bytes = self.fs.read_all(location.ino)?;
@@ -1959,7 +1964,8 @@ impl<D: BlockDevice> Dbfs<D> {
     /// re-verifies every candidate against its on-disk header before erasing
     /// (and a remount rebuilds the index from disk).  An erasure racing this
     /// call always wins: the stale pre-erasure membrane is never written
-    /// over the tombstone.
+    /// over the tombstone, and a delta to an erased record has no effect
+    /// (`Ok(false)`, nothing written, nothing audited).
     ///
     /// # Errors
     ///
@@ -3292,6 +3298,39 @@ mod tests {
     }
 
     #[test]
+    fn membrane_delta_leaves_a_tombstone_untouched() {
+        let dbfs = dbfs();
+        let escrow = OperatorEscrow::new(Authority::generate(3).public_key());
+        let id = dbfs
+            .collect("user", SubjectId::new(2), user_row("Gone", 1970))
+            .unwrap();
+        dbfs.erase(&"user".into(), id, &escrow).unwrap();
+        let tombstone = dbfs.get(&"user".into(), id).unwrap();
+        let txs = dbfs.inode_fs().journal_txs();
+        let events = dbfs.audit().snapshot().len();
+        for delta in [
+            MembraneDelta::Grant {
+                purpose: PurposeId::from("newsletter"),
+                decision: ConsentDecision::All,
+            },
+            MembraneDelta::SetTimeToLive {
+                ttl: rgpdos_core::TimeToLive::days(1),
+            },
+        ] {
+            assert!(!dbfs
+                .apply_membrane_delta(&"user".into(), id, &delta)
+                .unwrap());
+        }
+        assert_eq!(dbfs.inode_fs().journal_txs(), txs, "nothing journaled");
+        assert_eq!(dbfs.audit().snapshot().len(), events, "nothing audited");
+        assert_eq!(dbfs.get(&"user".into(), id).unwrap(), tombstone);
+        assert!(matches!(
+            dbfs.update_row(&"user".into(), id, user_row("Back", 1970)),
+            Err(DbfsError::Erased { .. })
+        ));
+    }
+
+    #[test]
     fn copy_preserves_membrane_and_erasure_reaches_copies() {
         let dbfs = dbfs();
         let authority = Authority::generate(9);
@@ -3913,7 +3952,9 @@ mod tests {
         let scrubber =
             crate::scrub::Scrubber::spawn(Arc::clone(&dbfs), std::time::Duration::from_millis(1));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while dbfs.tombstones_reclaimed() == 0 && std::time::Instant::now() < deadline {
+        // The scrubber bumps its own tally after the pass that moved the
+        // store's gauge returns, so wait on the later of the two.
+        while scrubber.reclaimed() == 0 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
         assert_eq!(dbfs.tombstones_reclaimed(), 1);

@@ -279,6 +279,16 @@ fn cross_shard_copies_are_tracked_and_erasure_reaches_the_whole_closure() {
     // A copy of an erased record is refused.
     assert!(sharded.copy(&user(), original).is_err());
     assert!(sharded.copy(&user(), grandchild).is_err());
+    // Tombstones are immutable on whichever shard they live: a membrane
+    // delta has no effect and leaves no event after the `Erased`.
+    let events = sharded.audit().merged().len();
+    let delta = MembraneDelta::SetTimeToLive {
+        ttl: TimeToLive::days(1),
+    };
+    for id in [original, grandchild] {
+        assert!(!sharded.apply_membrane_delta(&user(), id, &delta).unwrap());
+    }
+    assert_eq!(sharded.audit().merged().len(), events);
     sharded.verify_index_invariants().unwrap();
 }
 
