@@ -13,15 +13,16 @@
 //! so that per-table scans, subject-wide operations, erasure propagation
 //! and retention sweeps never iterate the global record map.
 //!
-//! # Write path: group commit
+//! # Write path: one pipeline, group commit
 //!
-//! Every mutation stages its block writes in a compound transaction of the
-//! inode layer and commits them as one journal transaction.  The batched
-//! APIs ([`Dbfs::collect_many`], [`Dbfs::insert_many`],
-//! [`Dbfs::update_rows`]) go further: N independent mutations share one
-//! compound transaction — a **group commit** — cut at the journal-capacity
-//! bound, so ingest costs one journal round-trip per *group* instead of
-//! per record while each record stays individually crash-atomic.
+//! Every record mutation — insert, row update, membrane change, alone or
+//! batched — is a slice of write ops run by one private function
+//! (`Dbfs::commit_ops`) under one index-lock hold.  It stages the ops into
+//! compound transactions of the inode layer, each op behind a savepoint,
+//! and commits each as one journal transaction — a **group commit** — cut
+//! at the journal-capacity bound, so a batch costs one journal round-trip
+//! per *group* instead of per record while each record stays individually
+//! crash-atomic.  The single-record built-ins are batches of one.
 
 use crate::error::DbfsError;
 use crate::query::QueryRequest;
@@ -1464,65 +1465,50 @@ impl<D: BlockDevice> Dbfs<D> {
     /// whole groups, never a partial one.  A group no op joined journals
     /// nothing and publishes nothing.
     ///
-    /// Stats and audit events are recorded after the lock is released, per
-    /// committed op in input order — a crashed or refused op is never
-    /// audited.  Returns the ids of the ops that took effect (the new
-    /// identifier for an insert), in input order.
+    /// Stats and audit events are recorded per committed group, per op in
+    /// input order — a crashed or refused op is never audited.  Returns
+    /// the ids of the ops that took effect (the new identifier for an
+    /// insert), in input order.
     ///
     /// # Errors
     ///
     /// The first failing op's error, or a commit failure if no op failed.
     fn commit_ops(&self, ops: &[WriteOp<'_>]) -> Result<Vec<PdId>, DbfsError> {
         let capacity = self.fs.tx_capacity_blocks();
-        let mut committed = Vec::with_capacity(ops.len());
+        let mut ids = Vec::with_capacity(ops.len());
         let mut failure: Option<DbfsError> = None;
-        {
-            let mut index = self.lock_index();
-            let mut rest = ops;
-            // One iteration per group commit.
-            while failure.is_none() && !rest.is_empty() {
-                let tx = self.fs.begin_tx();
-                let mut group = WriteGroup::starting_at(index.next_pd);
-                while let Some((op, tail)) = rest.split_first() {
-                    let savepoint = self.fs.tx_savepoint();
-                    match self.stage_op(&index, &group, op) {
-                        Ok(_)
-                            if self.fs.tx_staged_blocks() > capacity
-                                && !group.staged.is_empty() =>
-                        {
-                            // Cut: `op` opens the next group instead.
-                            self.fs.tx_rollback_to(savepoint);
-                            break;
+        let mut index = self.lock_index();
+        let mut rest = ops;
+        // One iteration per group commit.
+        while failure.is_none() && !rest.is_empty() {
+            let tx = self.fs.begin_tx();
+            let mut group = WriteGroup::starting_at(index.next_pd);
+            while let Some((op, tail)) = rest.split_first() {
+                let savepoint = self.fs.tx_savepoint();
+                match self.stage_op(&index, &group, op) {
+                    Ok(_) if self.fs.tx_staged_blocks() > capacity && !group.staged.is_empty() => {
+                        // Cut: `op` opens the next group instead.
+                        self.fs.tx_rollback_to(savepoint);
+                        break;
+                    }
+                    Ok(staged) => {
+                        if let Some(staged) = staged {
+                            group.push(staged);
                         }
-                        Ok(staged) => {
-                            if let Some(staged) = staged {
-                                group.push(staged);
-                            }
-                            rest = tail;
-                        }
-                        Err(e) => {
-                            self.fs.tx_rollback_to(savepoint);
-                            failure = Some(e);
-                            break;
-                        }
+                        rest = tail;
+                    }
+                    Err(e) => {
+                        self.fs.tx_rollback_to(savepoint);
+                        failure = Some(e);
+                        break;
                     }
                 }
-                if let Err(e) = tx.commit() {
-                    failure.get_or_insert(e.into());
-                    break;
-                }
-                self.apply_group(&mut index, group, &mut committed);
             }
-        }
-        let mut ids = Vec::with_capacity(committed.len());
-        for (id, subject, event) in committed {
-            match event {
-                AuditEventKind::Collected { .. } => DbfsStatsInner::bump(&self.stats.collects),
-                AuditEventKind::Updated { .. } => DbfsStatsInner::bump(&self.stats.updates),
-                _ => {}
+            if let Err(e) = tx.commit() {
+                failure.get_or_insert(e.into());
+                break;
             }
-            self.audit.record(self.clock.now(), Some(subject), event);
-            ids.push(id);
+            self.apply_group(&mut index, group, &mut ids);
         }
         match failure {
             None => Ok(ids),
@@ -1722,24 +1708,22 @@ impl<D: BlockDevice> Dbfs<D> {
         })
     }
 
-    /// Applies a committed group's index mutations, publishes a snapshot if
-    /// any of them changed the index (a plain row update does not), and
-    /// hands the ops over for stats/audit accounting.
-    fn apply_group(
-        &self,
-        index: &mut DbfsIndex,
-        group: WriteGroup,
-        committed: &mut Vec<(PdId, SubjectId, AuditEventKind)>,
-    ) {
+    /// Makes a committed group visible: applies its index mutations,
+    /// publishes a snapshot if any of them changed the index (a plain row
+    /// update does not), then bumps stats and audits each op in order.
+    /// The audit append happens under the index lock on purpose: an erasure
+    /// of one of these records can only start after it, so the trail never
+    /// shows an event on a record after its `Erased`.
+    fn apply_group(&self, index: &mut DbfsIndex, mut group: WriteGroup, ids: &mut Vec<PdId>) {
         if group.staged.is_empty() {
             return;
         }
         self.record_group_commit(group.staged.len() as u64);
         index.next_pd = group.next_pd;
         let mut index_changed = false;
-        for op in group.staged {
-            match op.change {
-                IndexChange::None => {}
+        for op in &mut group.staged {
+            match std::mem::replace(&mut op.change, IndexChange::None) {
+                IndexChange::None => continue,
                 IndexChange::Insert {
                     location,
                     new_subject,
@@ -1748,17 +1732,23 @@ impl<D: BlockDevice> Dbfs<D> {
                         Arc::make_mut(&mut index.subjects).insert(op.subject, ino);
                     }
                     index.insert_record(op.id, location);
-                    index_changed = true;
                 }
-                IndexChange::Expiry(expires_at) => {
-                    index.set_expiry(op.id, expires_at);
-                    index_changed = true;
-                }
+                IndexChange::Expiry(expires_at) => index.set_expiry(op.id, expires_at),
             }
-            committed.push((op.id, op.subject, op.event));
+            index_changed = true;
         }
         if index_changed {
             self.publish_locked(index);
+        }
+        for op in group.staged {
+            match op.event {
+                AuditEventKind::Collected { .. } => DbfsStatsInner::bump(&self.stats.collects),
+                AuditEventKind::Updated { .. } => DbfsStatsInner::bump(&self.stats.updates),
+                _ => {}
+            }
+            self.audit
+                .record(self.clock.now(), Some(op.subject), op.event);
+            ids.push(op.id);
         }
     }
 
