@@ -43,12 +43,17 @@
 //! visit records that actually expired).  `Dbfs::verify_index_invariants`
 //! checks all of them against the primary map and the on-disk headers.
 //!
-//! ## Batched writes: journal group commit
+//! ## Batched writes: one pipeline, journal group commit
 //!
-//! The hot write path is batched: [`Dbfs::collect_many`],
-//! [`Dbfs::insert_many`] and [`Dbfs::update_rows`] coalesce N independent
-//! mutations into shared compound transactions (**group commits**), cut at
-//! the inode journal's capacity bound so each group — and therefore each
+//! Every record mutation is a batch through one private write pipeline:
+//! [`Dbfs::collect`], [`Dbfs::insert_wrapped`], [`Dbfs::copy`],
+//! [`Dbfs::update_row`] and [`Dbfs::apply_membrane_delta`] are batches of
+//! one, [`Dbfs::collect_many`], [`Dbfs::insert_many`] and
+//! [`Dbfs::update_rows`] batches of N.  The pipeline stages the ops into
+//! shared compound transactions (**group commits**), each op behind a
+//! savepoint: a failing op is un-staged and ends the batch with the ops
+//! before it committed, and a group is cut at the inode journal's
+//! capacity bound so each group — and therefore each
 //! record — stays crash-atomic.  Reads are served through the inode
 //! layer's LRU buffer cache, which only ever holds committed contents
 //! (dirty data lives in the transaction overlay until the commit's flush
