@@ -85,6 +85,12 @@ fn decode_meta(meta: &[u8]) -> Result<u64, DbfsError> {
     }
 }
 
+fn unknown_type(name: &DataTypeId) -> DbfsError {
+    DbfsError::UnknownType {
+        name: name.to_string(),
+    }
+}
+
 /// Reads only the membrane header section of a split-layout record: the
 /// first block is fetched once, and further blocks only when the header
 /// spills past it.  The row payload is never read.
@@ -276,8 +282,10 @@ enum WriteOp<'a> {
 }
 
 /// One op staged into the open compound transaction but not yet committed:
-/// the index mutation to apply once its group commits, and the audit event
-/// to record after the index lock is released.
+/// the index mutation to apply and the audit event to record once its group
+/// commits.  The open group is simply the `Vec` of these, in staging order;
+/// an op joins it only after its writes are staged *and* known to fit, so
+/// cutting a group never has to un-stage anything in memory.
 #[derive(Debug)]
 struct StagedOp {
     /// The record the op created or changed.
@@ -303,47 +311,17 @@ enum IndexChange {
     Expiry(Option<Timestamp>),
 }
 
-/// The in-memory side of one group commit: the ops staged into the open
-/// compound transaction, the running identifier counter, and the subject
-/// subtrees the group created (visible to later inserts of the same group).
-/// An op joins the group only after its writes are staged *and* known to
-/// fit, so cutting a group never has to un-stage anything here.
-#[derive(Debug)]
-struct WriteGroup {
-    /// Running identifier counter (`index.next_pd` + inserts staged).
-    next_pd: u64,
-    /// Subject subtrees created by this group.
-    new_subjects: BTreeMap<SubjectId, Ino>,
-    /// The staged ops, in staging order.
-    staged: Vec<StagedOp>,
-}
-
-impl WriteGroup {
-    fn starting_at(next_pd: u64) -> Self {
-        Self {
-            next_pd,
-            new_subjects: BTreeMap::new(),
-            staged: Vec::new(),
-        }
-    }
-
-    /// Admits an op whose writes are staged and fit the group.
-    fn push(&mut self, op: StagedOp) {
-        if let IndexChange::Insert { new_subject, .. } = &op.change {
-            self.next_pd += 1;
-            if let Some(ino) = new_subject {
-                self.new_subjects.insert(op.subject, *ino);
-            }
-        }
-        self.staged.push(op);
-    }
-
-    /// The location of a record this group inserted (not yet in the index).
-    fn staged_insert(&self, id: PdId) -> Option<&RecordLocation> {
-        self.staged.iter().find_map(|op| match &op.change {
-            IndexChange::Insert { location, .. } if op.id == id => Some(location),
+impl StagedOp {
+    /// The new record's location and the subject subtree created for it,
+    /// when the op is an insert.  Later inserts of the same group see both.
+    fn as_insert(&self) -> Option<(&RecordLocation, Option<Ino>)> {
+        match &self.change {
+            IndexChange::Insert {
+                location,
+                new_subject,
+            } => Some((location, *new_subject)),
             _ => None,
-        })
+        }
     }
 }
 
@@ -1132,13 +1110,6 @@ impl<D: BlockDevice> Dbfs<D> {
             .and_then(|t| t.op_us.get(op).map(|h| h.timer(&t.clock)))
     }
 
-    /// Records the size of one journal group commit, if tracing.
-    fn record_group_commit(&self, records: u64) {
-        if let Some(t) = self.trace.lock().as_ref() {
-            t.group_records.record(records);
-        }
-    }
-
     /// Hit/miss counters of the inode-layer buffer cache under this store.
     pub fn cache_stats(&self) -> rgpdos_blockdev::CacheStats {
         self.fs.cache_stats()
@@ -1432,9 +1403,6 @@ impl<D: BlockDevice> Dbfs<D> {
         data_type: &DataTypeId,
         updates: Vec<(PdId, Row)>,
     ) -> Result<(), DbfsError> {
-        if updates.is_empty() {
-            return Ok(());
-        }
         let ops: Vec<WriteOp<'_>> = updates
             .iter()
             .map(|(id, row)| WriteOp::UpdateRow {
@@ -1459,7 +1427,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// would push a non-empty group past the journal's crash-atomic
     /// capacity is un-staged, the group commits, and the op is staged again
     /// as the first of the next group (an insert keeps its identifier: the
-    /// counter only advances when an op joins a group).  The in-memory
+    /// counter only advances with the inserts that joined a group).  The in-memory
     /// index is updated only after a group's commit, and a new read
     /// snapshot is published per group that changed it — readers observe
     /// whole groups, never a partial one.  A group no op joined journals
@@ -1482,19 +1450,17 @@ impl<D: BlockDevice> Dbfs<D> {
         // One iteration per group commit.
         while failure.is_none() && !rest.is_empty() {
             let tx = self.fs.begin_tx();
-            let mut group = WriteGroup::starting_at(index.next_pd);
+            let mut group: Vec<StagedOp> = Vec::new();
             while let Some((op, tail)) = rest.split_first() {
                 let savepoint = self.fs.tx_savepoint();
                 match self.stage_op(&index, &group, op) {
-                    Ok(_) if self.fs.tx_staged_blocks() > capacity && !group.staged.is_empty() => {
+                    Ok(_) if self.fs.tx_staged_blocks() > capacity && !group.is_empty() => {
                         // Cut: `op` opens the next group instead.
                         self.fs.tx_rollback_to(savepoint);
                         break;
                     }
                     Ok(staged) => {
-                        if let Some(staged) = staged {
-                            group.push(staged);
-                        }
+                        group.extend(staged);
                         rest = tail;
                     }
                     Err(e) => {
@@ -1523,24 +1489,18 @@ impl<D: BlockDevice> Dbfs<D> {
     fn stage_op(
         &self,
         index: &DbfsIndex,
-        group: &WriteGroup,
+        group: &[StagedOp],
         op: &WriteOp<'_>,
     ) -> Result<Option<StagedOp>, DbfsError> {
         match *op {
-            WriteOp::Insert { data_type, wrapped } => {
-                self.check_insertable(index, group, data_type, wrapped)?;
-                self.stage_insert(index, group, data_type, wrapped)
-                    .map(Some)
-            }
+            WriteOp::Insert { data_type, wrapped } => self
+                .stage_insert(index, group, data_type, wrapped)
+                .map(Some),
             WriteOp::UpdateRow { data_type, id, row } => {
-                let schema =
-                    index
-                        .schemas
-                        .get(data_type)
-                        .ok_or_else(|| DbfsError::UnknownType {
-                            name: data_type.to_string(),
-                        })?;
-                schema.validate_row(row)?;
+                let schema = index.schemas.get(data_type);
+                schema
+                    .ok_or_else(|| unknown_type(data_type))?
+                    .validate_row(row)?;
                 let location = Self::locate_in(index, data_type, id)?;
                 if location.erased {
                     return Err(DbfsError::Erased { id: id.raw() });
@@ -1596,77 +1556,59 @@ impl<D: BlockDevice> Dbfs<D> {
         }
     }
 
-    /// Validation + lineage guard of one insert, against the committed
-    /// index *and* the records staged by the open group (a staged record is
-    /// never erased, but its ancestors must still be walked).
-    fn check_insertable(
+    /// Checks one insert — schema, lineage guard — against the committed
+    /// index *and* the inserts staged by the open group (a staged record is
+    /// never erased, but its ancestors must still be walked), then stages
+    /// every disk effect of it — identifier counter, record inode,
+    /// table-tree entry, subject-tree entry — into the **open** compound
+    /// transaction, so a crash at any write index leaves either the whole
+    /// record or none of it.
+    fn stage_insert(
         &self,
         index: &DbfsIndex,
-        group: &WriteGroup,
+        group: &[StagedOp],
         data_type: &DataTypeId,
         wrapped: &WrappedPd,
-    ) -> Result<(), DbfsError> {
-        if !index.tables.contains_key(data_type) {
-            return Err(DbfsError::UnknownType {
-                name: data_type.to_string(),
-            });
-        }
-        if wrapped.membrane().is_erased() {
-            return Ok(());
-        }
-        let schema = index
-            .schemas
+    ) -> Result<StagedOp, DbfsError> {
+        let table_ino = *index
+            .tables
             .get(data_type)
-            .ok_or_else(|| DbfsError::UnknownType {
-                name: data_type.to_string(),
-            })?;
-        schema.validate_row(wrapped.row())?;
-        // A copy must not outlive its lineage: refuse a live copy when *any*
-        // ancestor in its copied_from chain is already tombstoned.  This
-        // closes the race where `copy` reads the plaintext just before an
-        // `erase` snapshots the lineage closure: the erasure tombstones the
-        // chain's root first, so an insert that slips in after the snapshot
-        // finds an erased ancestor here and loses.
-        let mut seen = BTreeSet::new();
-        let mut ancestor = wrapped.membrane().copied_from();
-        while let Some(current) = ancestor {
-            if !seen.insert(current) {
-                break;
-            }
-            if let Some(loc) = index.records.get(&current) {
+            .ok_or_else(|| unknown_type(data_type))?;
+        if !wrapped.membrane().is_erased() {
+            let schema = index.schemas.get(data_type);
+            schema
+                .ok_or_else(|| unknown_type(data_type))?
+                .validate_row(wrapped.row())?;
+            // A copy must not outlive its lineage: refuse a live copy when
+            // *any* ancestor in its copied_from chain is already tombstoned.
+            // This closes the race where `copy` reads the plaintext just
+            // before an `erase` snapshots the lineage closure: the erasure
+            // tombstones the chain's root first, so an insert that slips in
+            // after the snapshot finds an erased ancestor here and loses.
+            let mut seen = BTreeSet::new();
+            let mut ancestor = wrapped.membrane().copied_from();
+            while let Some(current) = ancestor {
+                if !seen.insert(current) {
+                    break;
+                }
+                let mut staged = group.iter().filter(|op| op.id == current);
+                let staged = staged.find_map(|op| Some(op.as_insert()?.0));
+                let Some(loc) = index.records.get(&current).or(staged) else {
+                    break;
+                };
                 if loc.erased {
                     return Err(DbfsError::Erased { id: current.raw() });
                 }
                 ancestor = loc.copied_from;
-            } else if let Some(staged) = group.staged_insert(current) {
-                ancestor = staged.copied_from;
-            } else {
-                break;
             }
         }
-        Ok(())
-    }
 
-    /// Stages every disk effect of one insert — identifier counter, record
-    /// inode, table-tree entry, subject-tree entry — into the **open**
-    /// compound transaction, so a crash at any write index leaves either
-    /// the whole record or none of it.
-    fn stage_insert(
-        &self,
-        index: &DbfsIndex,
-        group: &WriteGroup,
-        data_type: &DataTypeId,
-        wrapped: &WrappedPd,
-    ) -> Result<StagedOp, DbfsError> {
-        let Some(&table_ino) = index.tables.get(data_type) else {
-            return Err(DbfsError::UnknownType {
-                name: data_type.to_string(),
-            });
-        };
         let subject = wrapped.membrane().subject();
-        let id = PdId::new(index.alloc.id_for(group.next_pd));
+        let staged_inserts = group.iter().filter(|op| op.as_insert().is_some()).count();
+        let next_pd = index.next_pd + staged_inserts as u64;
+        let id = PdId::new(index.alloc.id_for(next_pd));
         self.fs
-            .write_replace(index.meta_ino, &encode_meta(group.next_pd + 1))?;
+            .write_replace(index.meta_ino, &encode_meta(next_pd + 1))?;
 
         // Record inode + table-tree entry.
         let record_ino = self.fs.alloc_inode(InodeKind::Record)?;
@@ -1677,11 +1619,10 @@ impl<D: BlockDevice> Dbfs<D> {
 
         // Subject-tree entry (creating the subject's subtree on first use —
         // a subtree created earlier in the same group is reused).
-        let known_subject = index
-            .subjects
-            .get(&subject)
-            .or_else(|| group.new_subjects.get(&subject))
-            .copied();
+        let known_subject = index.subjects.get(&subject).copied().or_else(|| {
+            let mut staged = group.iter().filter(|op| op.subject == subject);
+            staged.find_map(|op| op.as_insert()?.1)
+        });
         let (subject_ino, new_subject) = match known_subject {
             Some(ino) => (ino, None),
             None => {
@@ -1714,14 +1655,15 @@ impl<D: BlockDevice> Dbfs<D> {
     /// The audit append happens under the index lock on purpose: an erasure
     /// of one of these records can only start after it, so the trail never
     /// shows an event on a record after its `Erased`.
-    fn apply_group(&self, index: &mut DbfsIndex, mut group: WriteGroup, ids: &mut Vec<PdId>) {
-        if group.staged.is_empty() {
+    fn apply_group(&self, index: &mut DbfsIndex, mut group: Vec<StagedOp>, ids: &mut Vec<PdId>) {
+        if group.is_empty() {
             return;
         }
-        self.record_group_commit(group.staged.len() as u64);
-        index.next_pd = group.next_pd;
+        if let Some(t) = self.trace.lock().as_ref() {
+            t.group_records.record(group.len() as u64);
+        }
         let mut index_changed = false;
-        for op in &mut group.staged {
+        for op in &mut group {
             match std::mem::replace(&mut op.change, IndexChange::None) {
                 IndexChange::None => continue,
                 IndexChange::Insert {
@@ -1732,6 +1674,7 @@ impl<D: BlockDevice> Dbfs<D> {
                         Arc::make_mut(&mut index.subjects).insert(op.subject, ino);
                     }
                     index.insert_record(op.id, location);
+                    index.next_pd += 1;
                 }
                 IndexChange::Expiry(expires_at) => index.set_expiry(op.id, expires_at),
             }
@@ -1740,7 +1683,7 @@ impl<D: BlockDevice> Dbfs<D> {
         if index_changed {
             self.publish_locked(index);
         }
-        for op in group.staged {
+        for op in group {
             match op.event {
                 AuditEventKind::Collected { .. } => DbfsStatsInner::bump(&self.stats.collects),
                 AuditEventKind::Updated { .. } => DbfsStatsInner::bump(&self.stats.updates),
