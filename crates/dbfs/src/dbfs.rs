@@ -260,7 +260,7 @@ impl RecordLocation {
 
 /// One record mutation on its way through [`Dbfs::commit_ops`], the single
 /// write pipeline.  Every public mutating built-in is a batch of these.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 enum WriteOp<'a> {
     /// `acquisition` / `copy`: store a new wrapped record.
     Insert {
@@ -1427,11 +1427,11 @@ impl<D: BlockDevice> Dbfs<D> {
     /// would push a non-empty group past the journal's crash-atomic
     /// capacity is un-staged, the group commits, and the op is staged again
     /// as the first of the next group (an insert keeps its identifier: the
-    /// counter only advances with the inserts that joined a group).  The in-memory
-    /// index is updated only after a group's commit, and a new read
-    /// snapshot is published per group that changed it — readers observe
-    /// whole groups, never a partial one.  A group no op joined journals
-    /// nothing and publishes nothing.
+    /// counter only advances with the inserts that joined a group).  The
+    /// in-memory index is updated only after a group's commit, and a new
+    /// read snapshot is published per group that changed it — readers
+    /// observe whole groups, never a partial one.  A group no op joined
+    /// journals nothing and publishes nothing.
     ///
     /// Stats and audit events are recorded per committed group, per op in
     /// input order — a crashed or refused op is never audited.  Returns
@@ -1505,9 +1505,9 @@ impl<D: BlockDevice> Dbfs<D> {
                 if location.erased {
                     return Err(DbfsError::Erased { id: id.raw() });
                 }
-                let mut stored = self.read_stored(location.ino)?;
-                stored.row = row.clone();
-                self.write_stored(location.ino, &stored)?;
+                let membrane = self.read_stored(location.ino)?.membrane;
+                let bytes = stored::encode(&membrane, row)?;
+                self.fs.write_replace(location.ino, &bytes)?;
                 Ok(Some(StagedOp {
                     id,
                     subject: location.subject,
@@ -1591,9 +1591,11 @@ impl<D: BlockDevice> Dbfs<D> {
                 if !seen.insert(current) {
                     break;
                 }
-                let mut staged = group.iter().filter(|op| op.id == current);
-                let staged = staged.find_map(|op| Some(op.as_insert()?.0));
-                let Some(loc) = index.records.get(&current).or(staged) else {
+                let staged = || {
+                    let mut staged = group.iter().filter(|op| op.id == current);
+                    staged.find_map(|op| Some(op.as_insert()?.0))
+                };
+                let Some(loc) = index.records.get(&current).or_else(staged) else {
                     break;
                 };
                 if loc.erased {
