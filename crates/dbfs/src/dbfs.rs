@@ -120,6 +120,15 @@ fn read_membrane_from<D: BlockDevice>(fs: &InodeFs<D>, ino: Ino) -> Result<Membr
     Ok(membrane)
 }
 
+/// Reads and decodes a whole split-layout record (membrane + row).
+fn read_stored<D: BlockDevice>(fs: &InodeFs<D>, ino: Ino) -> Result<WrappedPd, DbfsError> {
+    let bytes = fs.read_all(ino)?;
+    let (membrane, row) = stored::decode(&bytes).map_err(|_| DbfsError::Corrupt {
+        what: format!("record inode {ino}"),
+    })?;
+    Ok(WrappedPd::new(row, membrane))
+}
+
 /// How a DBFS instance allocates [`PdId`]s: the `n`-th record receives
 /// `offset + n * stride`.
 ///
@@ -224,14 +233,6 @@ impl Default for DbfsParams {
     }
 }
 
-/// What DBFS persists for one personal-data item (encoded via the split
-/// layout of [`rgpdos_core::record::stored`]).
-#[derive(Debug, Clone)]
-struct StoredRecord {
-    membrane: Membrane,
-    row: Row,
-}
-
 #[derive(Debug, Clone)]
 struct RecordLocation {
     data_type: DataTypeId,
@@ -258,14 +259,53 @@ impl RecordLocation {
     }
 }
 
+/// What [`Dbfs::checked_read`] found once its unlocked device read was
+/// validated against the current snapshot.
+#[derive(Debug)]
+enum Checked<T> {
+    /// The record is still what the reader's snapshot located.
+    AsLocated(T),
+    /// Live when located, crypto-erased since: the committed tombstone
+    /// image, read again.
+    NowTombstone(T),
+    /// Reclaimed by a scrub pass since: the id names nothing any more, and
+    /// its inode may already hold another record.
+    Gone,
+}
+
+impl<T> Checked<T> {
+    /// For a point read that wants the record it located: an erasure or a
+    /// reclaim that won the race is [`DbfsError::Erased`].
+    fn into_located(self, id: PdId) -> Result<T, DbfsError> {
+        match self {
+            Checked::AsLocated(value) => Ok(value),
+            _ => Err(DbfsError::Erased { id: id.raw() }),
+        }
+    }
+
+    /// For a set read: `None` leaves the id out.  A record erased since is
+    /// kept — as its tombstone — only when the request includes erased
+    /// records.
+    fn unless_erased_since(self, include_erased: bool) -> Option<T> {
+        match self {
+            Checked::AsLocated(value) => Some(value),
+            Checked::NowTombstone(value) if include_erased => Some(value),
+            _ => None,
+        }
+    }
+}
+
 /// One record mutation on its way through [`Dbfs::commit_ops`], the single
 /// write pipeline.  Every public mutating built-in is a batch of these.
 #[derive(Debug)]
 enum WriteOp<'a> {
-    /// `acquisition` / `copy`: store a new wrapped record.
+    /// `acquisition` / `copy`: store a new wrapped record.  `copy_of` is
+    /// the source when the `copy` built-in itself is the caller, which is
+    /// then audited as `Copied` right after the insert's `Collected`.
     Insert {
         data_type: &'a DataTypeId,
         wrapped: &'a WrappedPd,
+        copy_of: Option<PdId>,
     },
     /// `update`: replace the payload row of a live record.
     UpdateRow {
@@ -325,14 +365,14 @@ impl StagedOp {
     }
 }
 
-/// The writer-side index.  The maps a reader could consult are `Arc`-wrapped
-/// so that publishing a snapshot is seven `Arc` clones; the *first* writer
-/// mutation after a publish copies only the maps it touches
-/// ([`Arc::make_mut`] copy-on-write) while the published snapshot keeps the
-/// previous version alive.  `copies_of` and the allocator state are only
-/// ever consulted under the index lock, so they stay plain.
-#[derive(Debug, Default)]
-struct DbfsIndex {
+/// The maps a reader can consult, held by the writer-side [`DbfsIndex`] and
+/// by every published [`IndexSnapshot`].  Each is `Arc`-wrapped, so
+/// publishing is one clone of this struct (seven `Arc` clones, no map copy,
+/// whatever the store's size); the *first* writer mutation after a publish
+/// copies only the maps it touches ([`Arc::make_mut`] copy-on-write) while
+/// the published snapshots keep the previous versions alive.
+#[derive(Debug, Clone, Default)]
+struct IndexView {
     schemas: Arc<SchemaRegistry>,
     tables: Arc<BTreeMap<DataTypeId, Ino>>,
     subjects: Arc<BTreeMap<SubjectId, Ino>>,
@@ -342,12 +382,64 @@ struct DbfsIndex {
     by_table: Arc<BTreeMap<DataTypeId, BTreeSet<PdId>>>,
     /// Secondary index: subject -> record ids (live and tombstoned).
     by_subject: Arc<BTreeMap<SubjectId, BTreeSet<PdId>>>,
-    /// Reverse copy-lineage index: original -> its direct copies.  Erasure
-    /// propagation walks the transitive closure of this map.
-    copies_of: BTreeMap<PdId, BTreeSet<PdId>>,
     /// Expiry index: expiry instant -> live bounded-TTL record ids.  The
     /// retention sweep only ever visits the `..now` range of this map.
     by_expiry: Arc<BTreeMap<Timestamp, BTreeSet<PdId>>>,
+}
+
+impl IndexView {
+    /// The ids of one table (empty when the table holds no record yet).
+    fn table_ids(&self, data_type: &DataTypeId) -> impl Iterator<Item = PdId> + '_ {
+        self.by_table
+            .get(data_type)
+            .into_iter()
+            .flat_map(|ids| ids.iter().copied())
+    }
+
+    /// The ids of one subject (empty when the subject owns no record).
+    fn subject_ids(&self, subject: SubjectId) -> impl Iterator<Item = PdId> + '_ {
+        self.by_subject
+            .get(&subject)
+            .into_iter()
+            .flat_map(|ids| ids.iter().copied())
+    }
+
+    /// Projects ids onto their locations (live and tombstoned).
+    fn locations<'a>(
+        &'a self,
+        ids: impl Iterator<Item = PdId> + 'a,
+    ) -> impl Iterator<Item = (PdId, &'a RecordLocation)> + 'a {
+        ids.filter_map(|id| self.records.get(&id).map(|loc| (id, loc)))
+    }
+
+    /// Projects ids onto their live (non-tombstoned) locations.
+    fn live_locations<'a>(
+        &'a self,
+        ids: impl Iterator<Item = PdId> + 'a,
+    ) -> impl Iterator<Item = (PdId, &'a RecordLocation)> + 'a {
+        self.locations(ids).filter(|(_, loc)| !loc.erased)
+    }
+
+    /// Resolves a record, checking table membership.
+    fn locate(&self, data_type: &DataTypeId, id: PdId) -> Result<&RecordLocation, DbfsError> {
+        if !self.tables.contains_key(data_type) {
+            return Err(unknown_type(data_type));
+        }
+        match self.records.get(&id) {
+            Some(location) if location.data_type == *data_type => Ok(location),
+            _ => Err(DbfsError::UnknownPd { id: id.raw() }),
+        }
+    }
+}
+
+/// The writer-side index: the reader-visible [`IndexView`] plus what is only
+/// ever consulted under the index lock (`copies_of`, the allocator state).
+#[derive(Debug, Default)]
+struct DbfsIndex {
+    view: IndexView,
+    /// Reverse copy-lineage index: original -> its direct copies.  Erasure
+    /// propagation walks the transitive closure of this map.
+    copies_of: BTreeMap<PdId, BTreeSet<PdId>>,
     /// Identifier allocation policy (dense by default, strided on shards).
     alloc: IdAllocation,
     next_pd: u64,
@@ -363,11 +455,11 @@ struct DbfsIndex {
 impl DbfsIndex {
     /// Inserts a record into the primary map and every secondary index.
     fn insert_record(&mut self, id: PdId, location: RecordLocation) {
-        Arc::make_mut(&mut self.by_table)
+        Arc::make_mut(&mut self.view.by_table)
             .entry(location.data_type.clone())
             .or_default()
             .insert(id);
-        Arc::make_mut(&mut self.by_subject)
+        Arc::make_mut(&mut self.view.by_subject)
             .entry(location.subject)
             .or_default()
             .insert(id);
@@ -376,18 +468,40 @@ impl DbfsIndex {
         }
         if !location.erased {
             if let Some(at) = location.expires_at {
-                Arc::make_mut(&mut self.by_expiry)
+                Arc::make_mut(&mut self.view.by_expiry)
                     .entry(at)
                     .or_default()
                     .insert(id);
             }
         }
-        Arc::make_mut(&mut self.records).insert(id, location);
+        Arc::make_mut(&mut self.view.records).insert(id, location);
+    }
+
+    /// Drops a tombstone from the primary map and every secondary index —
+    /// the exact reverse of [`DbfsIndex::insert_record`] (tombstones never
+    /// appear in the expiry index: `mark_erased` retires them).
+    fn remove_tombstone(&mut self, id: PdId, location: &RecordLocation) {
+        Arc::make_mut(&mut self.view.records).remove(&id);
+        if let Some(ids) = Arc::make_mut(&mut self.view.by_table).get_mut(&location.data_type) {
+            ids.remove(&id);
+        }
+        if let Some(ids) = Arc::make_mut(&mut self.view.by_subject).get_mut(&location.subject) {
+            ids.remove(&id);
+        }
+        if let Some(original) = location.copied_from {
+            if let Some(copies) = self.copies_of.get_mut(&original) {
+                copies.remove(&id);
+                if copies.is_empty() {
+                    self.copies_of.remove(&original);
+                }
+            }
+        }
+        self.copies_of.remove(&id);
     }
 
     /// Marks a record as a tombstone, retiring it from the expiry index.
     fn mark_erased(&mut self, id: PdId) {
-        let expires_at = match Arc::make_mut(&mut self.records).get_mut(&id) {
+        let expires_at = match Arc::make_mut(&mut self.view.records).get_mut(&id) {
             Some(location) => {
                 location.erased = true;
                 location.expires_at.take()
@@ -401,7 +515,7 @@ impl DbfsIndex {
 
     /// Re-keys a live record in the expiry index after a TTL change.
     fn set_expiry(&mut self, id: PdId, expires_at: Option<Timestamp>) {
-        let previous = match Arc::make_mut(&mut self.records).get_mut(&id) {
+        let previous = match Arc::make_mut(&mut self.view.records).get_mut(&id) {
             Some(location) if !location.erased => {
                 let previous = location.expires_at;
                 location.expires_at = expires_at;
@@ -416,7 +530,7 @@ impl DbfsIndex {
             self.remove_expiry_entry(at, id);
         }
         if let Some(at) = expires_at {
-            Arc::make_mut(&mut self.by_expiry)
+            Arc::make_mut(&mut self.view.by_expiry)
                 .entry(at)
                 .or_default()
                 .insert(id);
@@ -424,34 +538,13 @@ impl DbfsIndex {
     }
 
     fn remove_expiry_entry(&mut self, at: Timestamp, id: PdId) {
-        let by_expiry = Arc::make_mut(&mut self.by_expiry);
+        let by_expiry = Arc::make_mut(&mut self.view.by_expiry);
         if let Some(ids) = by_expiry.get_mut(&at) {
             ids.remove(&id);
             if ids.is_empty() {
                 by_expiry.remove(&at);
             }
         }
-    }
-
-    /// The ids of one subject (empty when the subject owns no record).
-    fn subject_ids(&self, subject: SubjectId) -> impl Iterator<Item = PdId> + '_ {
-        self.by_subject
-            .get(&subject)
-            .into_iter()
-            .flat_map(|ids| ids.iter().copied())
-    }
-
-    /// Projects ids onto their live (non-tombstoned) locations.
-    fn live_locations<'a>(
-        &'a self,
-        ids: impl Iterator<Item = PdId> + 'a,
-    ) -> impl Iterator<Item = (PdId, &'a RecordLocation)> + 'a {
-        ids.filter_map(|id| {
-            self.records
-                .get(&id)
-                .filter(|loc| !loc.erased)
-                .map(|loc| (id, loc))
-        })
     }
 
     /// The transitive copy closure of `id` (excluding `id` itself), computed
@@ -477,10 +570,6 @@ impl DbfsIndex {
 /// An immutable, versioned view of the record index, published by writers
 /// at each commit point and read lock-free (one `RwLock` read to clone an
 /// `Arc`, never held across device I/O).
-///
-/// The maps are the `Arc`s the publishing [`DbfsIndex`] held at commit time:
-/// structurally shared with the live index until the next writer mutation
-/// copies-on-write, so a snapshot costs O(1) regardless of store size.
 #[derive(Debug)]
 struct IndexSnapshot {
     /// Version counter; strictly increasing across publishes.
@@ -490,60 +579,11 @@ struct IndexSnapshot {
     /// Journal transactions committed when this snapshot was cut: the
     /// inode-layer commit sequence the snapshot's contents are durable up to.
     committed_txs: u64,
-    schemas: Arc<SchemaRegistry>,
-    tables: Arc<BTreeMap<DataTypeId, Ino>>,
-    subjects: Arc<BTreeMap<SubjectId, Ino>>,
-    records: Arc<BTreeMap<PdId, RecordLocation>>,
-    by_table: Arc<BTreeMap<DataTypeId, BTreeSet<PdId>>>,
-    by_subject: Arc<BTreeMap<SubjectId, BTreeSet<PdId>>>,
-    by_expiry: Arc<BTreeMap<Timestamp, BTreeSet<PdId>>>,
+    /// The publishing [`DbfsIndex`]'s view at commit time.
+    view: IndexView,
 }
 
-impl IndexSnapshot {
-    /// The ids of one table (empty when the table holds no record yet).
-    fn table_ids(&self, data_type: &DataTypeId) -> impl Iterator<Item = PdId> + '_ {
-        self.by_table
-            .get(data_type)
-            .into_iter()
-            .flat_map(|ids| ids.iter().copied())
-    }
-
-    /// The ids of one subject (empty when the subject owns no record).
-    fn subject_ids(&self, subject: SubjectId) -> impl Iterator<Item = PdId> + '_ {
-        self.by_subject
-            .get(&subject)
-            .into_iter()
-            .flat_map(|ids| ids.iter().copied())
-    }
-
-    /// Projects ids onto their live (non-tombstoned) locations.
-    fn live_locations<'a>(
-        &'a self,
-        ids: impl Iterator<Item = PdId> + 'a,
-    ) -> impl Iterator<Item = (PdId, &'a RecordLocation)> + 'a {
-        ids.filter_map(|id| {
-            self.records
-                .get(&id)
-                .filter(|loc| !loc.erased)
-                .map(|loc| (id, loc))
-        })
-    }
-
-    /// Resolves a record in this snapshot, checking table membership.
-    fn locate(&self, data_type: &DataTypeId, id: PdId) -> Result<RecordLocation, DbfsError> {
-        if !self.tables.contains_key(data_type) {
-            return Err(DbfsError::UnknownType {
-                name: data_type.to_string(),
-            });
-        }
-        match self.records.get(&id) {
-            Some(location) if location.data_type == *data_type => Ok(location.clone()),
-            _ => Err(DbfsError::UnknownPd { id: id.raw() }),
-        }
-    }
-}
-
-/// Cuts an immutable snapshot of `index`: seven `Arc` clones, no map copy.
+/// Cuts an immutable snapshot of `index`: one clone of its view.
 fn snapshot_of(
     index: &DbfsIndex,
     published_at: Timestamp,
@@ -553,13 +593,7 @@ fn snapshot_of(
         epoch: index.epoch,
         published_at,
         committed_txs,
-        schemas: Arc::clone(&index.schemas),
-        tables: Arc::clone(&index.tables),
-        subjects: Arc::clone(&index.subjects),
-        records: Arc::clone(&index.records),
-        by_table: Arc::clone(&index.by_table),
-        by_subject: Arc::clone(&index.by_subject),
-        by_expiry: Arc::clone(&index.by_expiry),
+        view: index.view.clone(),
     })
 }
 
@@ -726,11 +760,7 @@ impl<D: BlockDevice> Dbfs<D> {
         alloc: IdAllocation,
     ) -> Result<Self, DbfsError> {
         assert!(alloc.stride > 0, "id stride must be non-zero");
-        let inode_params = FormatParams {
-            secure_free: params.inode_params.secure_free,
-            ..params.inode_params
-        };
-        let fs = InodeFs::format(device, inode_params, params.journal_mode)?;
+        let fs = InodeFs::format(device, params.inode_params, params.journal_mode)?;
         let tx = fs.begin_tx();
         let tables_ino = fs.alloc_inode(InodeKind::Directory)?;
         fs.dir_add(ROOT_INO, TABLES_DIR, tables_ino)?;
@@ -838,7 +868,7 @@ impl<D: BlockDevice> Dbfs<D> {
                 .strip_prefix("subject-")
                 .and_then(|s| s.parse::<u64>().ok())
                 .ok_or_else(|| corrupt("malformed subject entry"))?;
-            Arc::make_mut(&mut index.subjects).insert(SubjectId::new(raw), subject_ino);
+            Arc::make_mut(&mut index.view.subjects).insert(SubjectId::new(raw), subject_ino);
         }
 
         // Scan the tables tree (the authoritative record registry).  A
@@ -848,13 +878,13 @@ impl<D: BlockDevice> Dbfs<D> {
         let mut debris: Vec<(String, Ino, Ino)> = Vec::new();
         for (type_name, table_ino) in fs.dir_entries(tables_ino)? {
             let data_type = DataTypeId::from(type_name.as_str());
-            Arc::make_mut(&mut index.tables).insert(data_type.clone(), table_ino);
+            Arc::make_mut(&mut index.view.tables).insert(data_type.clone(), table_ino);
             for (entry, ino) in fs.dir_entries(table_ino)? {
                 if entry == SCHEMA_ENTRY {
                     let bytes = fs.read_all(ino)?;
                     let schema: DataTypeSchema = serde_json::from_slice(&bytes)
                         .map_err(|_| corrupt("schema does not decode"))?;
-                    Arc::make_mut(&mut index.schemas).register(schema);
+                    Arc::make_mut(&mut index.view.schemas).register(schema);
                 } else {
                     let raw = entry
                         .strip_prefix("pd-")
@@ -905,6 +935,7 @@ impl<D: BlockDevice> Dbfs<D> {
         // dropped (roll back).
         let mut present: BTreeMap<SubjectId, BTreeSet<String>> = BTreeMap::new();
         let subjects_snapshot: Vec<(SubjectId, Ino)> = index
+            .view
             .subjects
             .iter()
             .map(|(&subject, &ino)| (subject, ino))
@@ -921,7 +952,7 @@ impl<D: BlockDevice> Dbfs<D> {
                     continue;
                 };
                 let id = PdId::new(raw);
-                match index.records.get(&id) {
+                match index.view.records.get(&id) {
                     Some(loc) if loc.ino == ino => {
                         names.insert(entry);
                     }
@@ -933,7 +964,7 @@ impl<D: BlockDevice> Dbfs<D> {
                     }
                     None => {
                         let data_type = DataTypeId::from(type_name.as_str());
-                        let repaired = match index.tables.get(&data_type).copied() {
+                        let repaired = match index.view.tables.get(&data_type).copied() {
                             Some(table_ino) => match read_membrane_from(&fs, ino) {
                                 Ok(membrane) => {
                                     let name = format!("pd-{raw}");
@@ -980,20 +1011,21 @@ impl<D: BlockDevice> Dbfs<D> {
         // its subject's subtree (erase_subject and the right of access walk
         // that tree).
         let records_snapshot: Vec<(PdId, RecordLocation)> = index
+            .view
             .records
             .iter()
             .map(|(&id, loc)| (id, loc.clone()))
             .collect();
         for (id, loc) in records_snapshot {
             let name = format!("{}#pd-{}", loc.data_type, id.raw());
-            let subject_ino = match index.subjects.get(&loc.subject) {
+            let subject_ino = match index.view.subjects.get(&loc.subject) {
                 Some(&ino) => ino,
                 None => {
                     let tx = fs.begin_tx();
                     let ino = fs.alloc_inode(InodeKind::SubjectRoot)?;
                     fs.dir_add(subjects_ino, &loc.subject.to_string(), ino)?;
                     tx.commit()?;
-                    Arc::make_mut(&mut index.subjects).insert(loc.subject, ino);
+                    Arc::make_mut(&mut index.view.subjects).insert(loc.subject, ino);
                     recovered += 1;
                     ino
                 }
@@ -1010,7 +1042,7 @@ impl<D: BlockDevice> Dbfs<D> {
         // disk, or a recycled id could collide with (and resurrect) an
         // existing record.
         let mut max_counter = index.next_pd;
-        for &id in index.records.keys() {
+        for &id in index.view.records.keys() {
             let raw = id.raw();
             if raw >= alloc.offset && (raw - alloc.offset).is_multiple_of(alloc.stride) {
                 max_counter = max_counter.max((raw - alloc.offset) / alloc.stride + 1);
@@ -1169,20 +1201,46 @@ impl<D: BlockDevice> Dbfs<D> {
         *self.snapshot.write() = snapshot;
     }
 
-    /// Returns `true` if `id` — live in the snapshot a reader resolved its
-    /// block location from — has been crypto-erased by a writer that
-    /// published *after* that snapshot was cut.  Readers call this after
-    /// the device read: a `true` answer means the payload bytes may be the
-    /// erased record's scrubbed blocks (or their reuse by a newer record)
-    /// and must not be handed out.
-    fn erased_since(&self, snapshot: &IndexSnapshot, id: PdId) -> bool {
-        let current = self.read_snapshot();
-        if current.epoch == snapshot.epoch {
-            return false;
-        }
-        match current.records.get(&id) {
-            Some(location) => location.erased,
-            None => true,
+    /// The one checked read: every snapshot-served reader fetches record
+    /// bytes through here and nowhere else.
+    ///
+    /// `read` (the whole record or only its membrane header) runs against
+    /// the inode `snapshot` located, with **no lock held** — so a
+    /// crypto-erase, a scrub reclaim or an insert reusing the freed inode can
+    /// commit underneath it.  Whatever the read returned (bytes, another
+    /// record's bytes, an error) and whatever the snapshot said (live or
+    /// tombstone) is therefore validated against the *current* snapshot
+    /// before anything is handed out: an id the current snapshot no longer
+    /// holds is [`Checked::Gone`]; a record erased since is read again — the
+    /// tombstone image is committed before the erasure publishes — and
+    /// validated again; otherwise the read stands.  With no publish since
+    /// `snapshot` was cut the cost over the bare read is one slot read.
+    fn checked_read<T>(
+        &self,
+        snapshot: &IndexSnapshot,
+        id: PdId,
+        location: &RecordLocation,
+        read: fn(&InodeFs<D>, Ino) -> Result<T, DbfsError>,
+    ) -> Result<Checked<T>, DbfsError> {
+        let (mut epoch, mut erased) = (snapshot.epoch, location.erased);
+        loop {
+            let outcome = read(&self.fs, location.ino);
+            let current = self.read_snapshot();
+            if current.epoch != epoch {
+                match current.view.records.get(&id) {
+                    None => return Ok(Checked::Gone),
+                    Some(now) if now.erased && !erased => {
+                        (epoch, erased) = (current.epoch, true);
+                        continue;
+                    }
+                    Some(_) => {}
+                }
+            }
+            return Ok(if erased == location.erased {
+                Checked::AsLocated(outcome?)
+            } else {
+                Checked::NowTombstone(outcome?)
+            });
         }
     }
 
@@ -1209,7 +1267,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// Returns [`DbfsError::TypeAlreadyExists`] when the type exists.
     pub fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
         let mut index = self.lock_index();
-        if index.tables.contains_key(schema.name()) {
+        if index.view.tables.contains_key(schema.name()) {
             return Err(DbfsError::TypeAlreadyExists {
                 name: schema.name().to_string(),
             });
@@ -1228,8 +1286,8 @@ impl<D: BlockDevice> Dbfs<D> {
         self.fs.write_replace(schema_ino, &bytes)?;
         self.fs.dir_add(table_ino, SCHEMA_ENTRY, schema_ino)?;
         tx.commit()?;
-        Arc::make_mut(&mut index.tables).insert(schema.name().clone(), table_ino);
-        Arc::make_mut(&mut index.schemas).register(schema);
+        Arc::make_mut(&mut index.view.tables).insert(schema.name().clone(), table_ino);
+        Arc::make_mut(&mut index.view.schemas).register(schema);
         self.publish_locked(&mut index);
         Ok(())
     }
@@ -1241,18 +1299,17 @@ impl<D: BlockDevice> Dbfs<D> {
     /// Returns [`DbfsError::UnknownType`].
     pub fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
         self.read_snapshot()
+            .view
             .schemas
             .get(name)
             .cloned()
-            .ok_or_else(|| DbfsError::UnknownType {
-                name: name.to_string(),
-            })
+            .ok_or_else(|| unknown_type(name))
     }
 
     /// The installed type names.  Served from the published snapshot:
     /// wait-free, never touches the index lock.
     pub fn types(&self) -> Vec<DataTypeId> {
-        self.read_snapshot().tables.keys().cloned().collect()
+        self.read_snapshot().view.tables.keys().cloned().collect()
     }
 
     /// Number of live (non-erased) records of a type.
@@ -1261,8 +1318,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// **batch-atomic**: a concurrent group commit is either fully counted
     /// or not at all — a half-applied batch is never observed.
     pub fn count(&self, name: &DataTypeId) -> usize {
-        let snapshot = self.read_snapshot();
-        snapshot.live_locations(snapshot.table_ids(name)).count()
+        self.try_count(name).unwrap_or(0)
     }
 
     /// Like [`Dbfs::count`] but distinguishing "table absent" from "table
@@ -1274,18 +1330,17 @@ impl<D: BlockDevice> Dbfs<D> {
     /// Returns [`DbfsError::UnknownType`] when the type is not installed.
     pub fn try_count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
         let snapshot = self.read_snapshot();
-        if !snapshot.tables.contains_key(name) {
-            return Err(DbfsError::UnknownType {
-                name: name.to_string(),
-            });
+        let view = &snapshot.view;
+        if !view.tables.contains_key(name) {
+            return Err(unknown_type(name));
         }
-        Ok(snapshot.live_locations(snapshot.table_ids(name)).count())
+        Ok(view.live_locations(view.table_ids(name)).count())
     }
 
     /// The subjects that currently own at least one record.  Wait-free
     /// (published snapshot), like [`Dbfs::types`].
     pub fn subjects(&self) -> Vec<SubjectId> {
-        self.read_snapshot().subjects.keys().copied().collect()
+        self.read_snapshot().view.subjects.keys().copied().collect()
     }
 
     // ------------------------------------------------------------------
@@ -1329,6 +1384,7 @@ impl<D: BlockDevice> Dbfs<D> {
         let ids = self.commit_ops(&[WriteOp::Insert {
             data_type,
             wrapped: &wrapped,
+            copy_of: None,
         }])?;
         Ok(ids[0])
     }
@@ -1382,7 +1438,11 @@ impl<D: BlockDevice> Dbfs<D> {
         let _timer = self.op_timer("insert_batch");
         let ops: Vec<WriteOp<'_>> = items
             .iter()
-            .map(|(data_type, wrapped)| WriteOp::Insert { data_type, wrapped })
+            .map(|(data_type, wrapped)| WriteOp::Insert {
+                data_type,
+                wrapped,
+                copy_of: None,
+            })
             .collect();
         let result = self.commit_ops(&ops);
         DbfsStatsInner::bump(&self.stats.insert_batches);
@@ -1493,20 +1553,31 @@ impl<D: BlockDevice> Dbfs<D> {
         op: &WriteOp<'_>,
     ) -> Result<Option<StagedOp>, DbfsError> {
         match *op {
-            WriteOp::Insert { data_type, wrapped } => self
-                .stage_insert(index, group, data_type, wrapped)
-                .map(Some),
+            WriteOp::Insert {
+                data_type,
+                wrapped,
+                copy_of,
+            } => {
+                let mut staged = self.stage_insert(index, group, data_type, wrapped)?;
+                if let Some(from) = copy_of {
+                    staged.event = AuditEventKind::Copied {
+                        from,
+                        to: staged.id,
+                    };
+                }
+                Ok(Some(staged))
+            }
             WriteOp::UpdateRow { data_type, id, row } => {
-                let schema = index.schemas.get(data_type);
+                let schema = index.view.schemas.get(data_type);
                 schema
                     .ok_or_else(|| unknown_type(data_type))?
                     .validate_row(row)?;
-                let location = Self::locate_in(index, data_type, id)?;
+                let location = index.view.locate(data_type, id)?;
                 if location.erased {
                     return Err(DbfsError::Erased { id: id.raw() });
                 }
-                let membrane = self.read_stored(location.ino)?.membrane;
-                let bytes = stored::encode(&membrane, row)?;
+                let stored = read_stored(&self.fs, location.ino)?;
+                let bytes = stored::encode(stored.membrane(), row)?;
                 self.fs.write_replace(location.ino, &bytes)?;
                 Ok(Some(StagedOp {
                     id,
@@ -1520,7 +1591,7 @@ impl<D: BlockDevice> Dbfs<D> {
                 id,
                 delta,
             } => {
-                let location = Self::locate_in(index, data_type, id)?;
+                let location = index.view.locate(data_type, id)?;
                 if location.erased {
                     // A tombstone is immutable: no write, no event after
                     // its `Erased`.
@@ -1571,11 +1642,12 @@ impl<D: BlockDevice> Dbfs<D> {
         wrapped: &WrappedPd,
     ) -> Result<StagedOp, DbfsError> {
         let table_ino = *index
+            .view
             .tables
             .get(data_type)
             .ok_or_else(|| unknown_type(data_type))?;
         if !wrapped.membrane().is_erased() {
-            let schema = index.schemas.get(data_type);
+            let schema = index.view.schemas.get(data_type);
             schema
                 .ok_or_else(|| unknown_type(data_type))?
                 .validate_row(wrapped.row())?;
@@ -1595,7 +1667,7 @@ impl<D: BlockDevice> Dbfs<D> {
                     let mut staged = group.iter().filter(|op| op.id == current);
                     staged.find_map(|op| Some(op.as_insert()?.0))
                 };
-                let Some(loc) = index.records.get(&current).or_else(staged) else {
+                let Some(loc) = index.view.records.get(&current).or_else(staged) else {
                     break;
                 };
                 if loc.erased {
@@ -1621,7 +1693,7 @@ impl<D: BlockDevice> Dbfs<D> {
 
         // Subject-tree entry (creating the subject's subtree on first use —
         // a subtree created earlier in the same group is reused).
-        let known_subject = index.subjects.get(&subject).copied().or_else(|| {
+        let known_subject = index.view.subjects.get(&subject).copied().or_else(|| {
             let mut staged = group.iter().filter(|op| op.subject == subject);
             staged.find_map(|op| op.as_insert()?.1)
         });
@@ -1673,7 +1745,7 @@ impl<D: BlockDevice> Dbfs<D> {
                     new_subject,
                 } => {
                     if let Some(ino) = new_subject {
-                        Arc::make_mut(&mut index.subjects).insert(op.subject, ino);
+                        Arc::make_mut(&mut index.view.subjects).insert(op.subject, ino);
                     }
                     index.insert_record(op.id, location);
                     index.next_pd += 1;
@@ -1689,6 +1761,15 @@ impl<D: BlockDevice> Dbfs<D> {
             match op.event {
                 AuditEventKind::Collected { .. } => DbfsStatsInner::bump(&self.stats.collects),
                 AuditEventKind::Updated { .. } => DbfsStatsInner::bump(&self.stats.updates),
+                // The `copy` built-in is an insert first: `Collected`, then
+                // its own `Copied`.
+                AuditEventKind::Copied { to, .. } => {
+                    DbfsStatsInner::bump(&self.stats.collects);
+                    let collected = AuditEventKind::Collected { pd: to };
+                    self.audit
+                        .record(self.clock.now(), Some(op.subject), collected);
+                    DbfsStatsInner::bump(&self.stats.copies);
+                }
                 _ => {}
             }
             self.audit
@@ -1697,41 +1778,31 @@ impl<D: BlockDevice> Dbfs<D> {
         }
     }
 
-    /// Reads one record (payload + membrane).
-    ///
-    /// The block location is resolved from the published snapshot and the
-    /// device is read with **no lock held**.  Because a crypto-erase can
-    /// commit concurrently (scrubbing — and possibly reusing — the very
-    /// blocks this read targets), the record's tombstone state is
-    /// re-validated against the *current* snapshot after the device read:
-    /// a record erased since the snapshot was cut returns
-    /// [`DbfsError::Erased`] instead of stale or reused payload bytes.
+    /// Reads one record (payload + membrane) through the checked read
+    /// (`Dbfs::checked_read`): the location resolves from the published
+    /// snapshot, the device is read with **no lock held**, and the result
+    /// is validated against the current snapshot before it is returned.
     ///
     /// # Errors
     ///
     /// Returns [`DbfsError::UnknownPd`] when the id does not exist or belongs
-    /// to another type, and [`DbfsError::Erased`] when a concurrent erasure
-    /// beat the payload read.
+    /// to another type, and [`DbfsError::Erased`] when an erasure or a
+    /// reclaim committed after the snapshot was cut.
     pub fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
         let _timer = self.op_timer("get");
         DbfsStatsInner::bump(&self.stats.reads);
         let snapshot = self.read_snapshot();
-        let location = snapshot.locate(data_type, id)?;
-        let stored = self.read_stored(location.ino);
-        if !location.erased && self.erased_since(&snapshot, id) {
-            return Err(DbfsError::Erased { id: id.raw() });
-        }
-        let stored = stored?;
-        Ok(PdRecord::new(
-            id,
-            data_type.clone(),
-            WrappedPd::new(stored.row, stored.membrane),
-        ))
+        let location = snapshot.view.locate(data_type, id)?;
+        let stored = self
+            .checked_read(&snapshot, id, location, read_stored)?
+            .into_located(id)?;
+        Ok(PdRecord::new(id, data_type.clone(), stored))
     }
 
     /// The `ded_load_membrane` request: fetches only the membranes of a
     /// table, so consent filtering can happen *before* any personal data is
-    /// read (data minimisation inside the OS itself).
+    /// read (data minimisation inside the OS itself).  Tombstones are
+    /// included; a record reclaimed since the snapshot was cut is left out.
     ///
     /// # Errors
     ///
@@ -1741,16 +1812,11 @@ impl<D: BlockDevice> Dbfs<D> {
         data_type: &DataTypeId,
     ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
         let snapshot = self.read_snapshot();
-        if !snapshot.tables.contains_key(data_type) {
-            return Err(DbfsError::UnknownType {
-                name: data_type.to_string(),
-            });
+        if !snapshot.view.tables.contains_key(data_type) {
+            return Err(unknown_type(data_type));
         }
-        let locations: Vec<(PdId, Ino)> = snapshot
-            .table_ids(data_type)
-            .filter_map(|id| snapshot.records.get(&id).map(|loc| (id, loc.ino)))
-            .collect();
-        self.read_membranes(&snapshot, locations)
+        let view = &snapshot.view;
+        self.read_membranes(&snapshot, view.locations(view.table_ids(data_type)))
     }
 
     /// Membrane-only load restricted to one subject's records of a type,
@@ -1766,109 +1832,79 @@ impl<D: BlockDevice> Dbfs<D> {
         subject: SubjectId,
     ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
         let snapshot = self.read_snapshot();
-        if !snapshot.tables.contains_key(data_type) {
-            return Err(DbfsError::UnknownType {
-                name: data_type.to_string(),
-            });
+        if !snapshot.view.tables.contains_key(data_type) {
+            return Err(unknown_type(data_type));
         }
-        let locations: Vec<(PdId, Ino)> = snapshot
-            .subject_ids(subject)
-            .filter_map(|id| snapshot.records.get(&id).map(|loc| (id, loc)))
-            .filter(|(_, loc)| &loc.data_type == data_type)
-            .map(|(id, loc)| (id, loc.ino))
-            .collect();
-        self.read_membranes(&snapshot, locations)
+        let view = &snapshot.view;
+        let of_type = view
+            .locations(view.subject_ids(subject))
+            .filter(|(_, loc)| &loc.data_type == data_type);
+        self.read_membranes(&snapshot, of_type)
     }
 
-    /// Membrane-only load of a single record.
+    /// Membrane-only load of a single record (a tombstone's membrane says
+    /// so itself).
     ///
     /// # Errors
     ///
-    /// Returns [`DbfsError::UnknownPd`].
+    /// Returns [`DbfsError::UnknownPd`], and [`DbfsError::Erased`] for a
+    /// record reclaimed after the snapshot was cut.
     pub fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
         let _timer = self.op_timer("load_membrane");
         let snapshot = self.read_snapshot();
-        let location = snapshot.locate(data_type, id)?;
+        let location = snapshot.view.locate(data_type, id)?;
         DbfsStatsInner::bump(&self.stats.membrane_loads);
-        self.read_membrane_checked(&snapshot, id, location.ino)
+        self.checked_read(&snapshot, id, location, read_membrane_from)?
+            .unless_erased_since(true)
+            .ok_or(DbfsError::Erased { id: id.raw() })
     }
 
-    /// Reads membrane headers resolved from `snapshot` with no lock held.
-    fn read_membranes(
+    /// Reads the membrane headers of records located by `snapshot`.
+    fn read_membranes<'a>(
         &self,
         snapshot: &IndexSnapshot,
-        locations: Vec<(PdId, Ino)>,
+        locations: impl Iterator<Item = (PdId, &'a RecordLocation)>,
     ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        let mut out = Vec::with_capacity(locations.len());
-        for (id, ino) in locations {
+        let mut out = Vec::new();
+        for (id, location) in locations {
             DbfsStatsInner::bump(&self.stats.membrane_loads);
-            out.push((id, self.read_membrane_checked(snapshot, id, ino)?));
+            let read = self.checked_read(snapshot, id, location, read_membrane_from)?;
+            if let Some(membrane) = read.unless_erased_since(true) {
+                out.push((id, membrane));
+            }
         }
         Ok(out)
     }
 
-    /// One membrane read with stale-snapshot protection: an erasure that
-    /// committed after `snapshot` was cut rewrites the record in place, so
-    /// a read that catches the header mid-rewrite fails to decode.  In that
-    /// case — and only when the current snapshot confirms the record was
-    /// erased since — the read is retried once; the tombstone image is
-    /// committed to the device *before* the erasure publishes, so the retry
-    /// sees a decodable (erased) header.
-    fn read_membrane_checked(
-        &self,
-        snapshot: &IndexSnapshot,
-        id: PdId,
-        ino: Ino,
-    ) -> Result<Membrane, DbfsError> {
-        match read_membrane_from(&self.fs, ino) {
-            Ok(membrane) => Ok(membrane),
-            Err(DbfsError::Corrupt { .. } | DbfsError::Core(_))
-                if self.erased_since(snapshot, id) =>
-            {
-                read_membrane_from(&self.fs, ino)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// The `ded_load_data` request: fetches the full records for the
-    /// identifiers that passed the membrane filter.
-    ///
-    /// Locations resolve from one published snapshot and the device reads
-    /// run with no lock held; each record that was live in that snapshot is
-    /// re-validated afterwards so a concurrent crypto-erase can never leak
-    /// its scrubbed (or reused) payload blocks.
+    /// identifiers that passed the membrane filter, each through the
+    /// checked read against one published snapshot.
     ///
     /// # Errors
     ///
     /// Returns [`DbfsError::UnknownPd`] for unknown identifiers and
-    /// [`DbfsError::Erased`] when a concurrent erasure beat a payload read.
+    /// [`DbfsError::Erased`] when an erasure or a reclaim of one of them
+    /// committed after the snapshot was cut.
     pub fn load_records(
         &self,
         data_type: &DataTypeId,
         ids: &[PdId],
     ) -> Result<RecordBatch, DbfsError> {
         let snapshot = self.read_snapshot();
-        let locations: Vec<(PdId, Ino, bool)> = ids
+        let locations: Vec<(PdId, &RecordLocation)> = ids
             .iter()
-            .map(|&id| match snapshot.records.get(&id) {
-                Some(loc) if &loc.data_type == data_type => Ok((id, loc.ino, loc.erased)),
+            .map(|&id| match snapshot.view.records.get(&id) {
+                Some(loc) if &loc.data_type == data_type => Ok((id, loc)),
                 _ => Err(DbfsError::UnknownPd { id: id.raw() }),
             })
             .collect::<Result<_, _>>()?;
         let mut batch = RecordBatch::new();
-        for (id, ino, was_erased) in locations {
+        for (id, location) in locations {
             DbfsStatsInner::bump(&self.stats.reads);
-            let stored = self.read_stored(ino);
-            if !was_erased && self.erased_since(&snapshot, id) {
-                return Err(DbfsError::Erased { id: id.raw() });
-            }
-            let stored = stored?;
-            batch.push(PdRecord::new(
-                id,
-                data_type.clone(),
-                WrappedPd::new(stored.row, stored.membrane),
-            ));
+            let stored = self
+                .checked_read(&snapshot, id, location, read_stored)?
+                .into_located(id)?;
+            batch.push(PdRecord::new(id, data_type.clone(), stored));
         }
         Ok(batch)
     }
@@ -1929,25 +1965,24 @@ impl<D: BlockDevice> Dbfs<D> {
         let _timer = self.op_timer("copy");
         // The source resolves from the published snapshot, so an erasure can
         // commit between this read and the insert below.  That race is closed
-        // by `check_insertable`, which re-walks the copy's lineage under the
+        // by `stage_insert`, which re-walks the copy's lineage under the
         // index lock and refuses a live copy of an erased ancestor.
-        let location = self.locate(data_type, id)?;
+        let snapshot = self.read_snapshot();
+        let location = snapshot.view.locate(data_type, id)?;
         if location.erased {
             return Err(DbfsError::Erased { id: id.raw() });
         }
-        let stored = self.read_stored(location.ino)?;
-        let copy_membrane = stored.membrane.for_copy(id);
-        let new_id = self.insert_wrapped(data_type, WrappedPd::new(stored.row, copy_membrane))?;
-        DbfsStatsInner::bump(&self.stats.copies);
-        self.audit.record(
-            self.clock.now(),
-            Some(location.subject),
-            AuditEventKind::Copied {
-                from: id,
-                to: new_id,
-            },
-        );
-        Ok(new_id)
+        let stored = self
+            .checked_read(&snapshot, id, location, read_stored)?
+            .into_located(id)?;
+        let (row, membrane) = stored.into_parts();
+        let wrapped = WrappedPd::new(row, membrane.for_copy(id));
+        let ids = self.commit_ops(&[WriteOp::Insert {
+            data_type,
+            wrapped: &wrapped,
+            copy_of: Some(id),
+        }])?;
+        Ok(ids[0])
     }
 
     /// The `delete` built-in, i.e. the right to be forgotten (§4): the
@@ -1972,46 +2007,49 @@ impl<D: BlockDevice> Dbfs<D> {
         escrow: &OperatorEscrow,
     ) -> Result<Vec<PdId>, DbfsError> {
         let _timer = self.op_timer("erase");
-        let done = {
-            let mut index = self.lock_index();
-            let root = Self::locate_in(&index, data_type, id)?;
-            // Snapshot the lineage closure from the index — a pure in-memory
-            // walk, so no disk I/O happens before the write set is known.
-            let mut targets: Vec<(DataTypeId, PdId)> = Vec::new();
-            if !root.erased {
-                targets.push((data_type.clone(), id));
-            }
-            targets.extend(
-                index
-                    .live_locations(index.lineage_closure(id).into_iter())
-                    .map(|(copy, loc)| (loc.data_type.clone(), copy)),
-            );
-            if targets.is_empty() {
-                return Ok(Vec::new());
-            }
-            self.erase_targets_locked(&mut index, &targets, escrow)?
-        };
-        self.audit_erasures(&done);
-        Ok(done.into_iter().map(|(erased_id, _)| erased_id).collect())
+        let mut index = self.lock_index();
+        let root_erased = index.view.locate(data_type, id)?.erased;
+        // Snapshot the lineage closure from the index — a pure in-memory
+        // walk, so no disk I/O happens before the write set is known.
+        let mut targets: Vec<(DataTypeId, PdId)> = Vec::new();
+        if !root_erased {
+            targets.push((data_type.clone(), id));
+        }
+        targets.extend(
+            index
+                .view
+                .live_locations(index.lineage_closure(id).into_iter())
+                .map(|(copy, loc)| (loc.data_type.clone(), copy)),
+        );
+        self.erase_targets_locked(&mut index, &targets, escrow)
     }
 
     /// Crypto-erases every target (skipping records already tombstoned) in
     /// **one** compound transaction under an already-held index lock: the
     /// escrowed ciphertexts always capture the rows as last committed, no
     /// writer can interleave between the tombstone writes and the index flag
-    /// flips, and a crash applies either every tombstone or none.
+    /// flips, and a crash applies either every tombstone or none.  Returns
+    /// the identifiers it tombstoned.
     ///
     /// Multi-target cascades additionally log a **local erase intent**
     /// before the transaction and clear it after: if the staged write set
     /// ever exceeds one journal transaction (forcing the chunked fallback),
     /// a crash between chunks is still completed at the next mount instead
     /// of leaving a copy that outlives its erased original.
+    ///
+    /// The erasure counter and one `Erased` event per tombstoned record are
+    /// recorded after the commit (a crashed erasure is never audited) and
+    /// before the index lock is released, so no scrub pass can audit a
+    /// record's `Reclaimed` ahead of its `Erased`.
     fn erase_targets_locked(
         &self,
         index: &mut DbfsIndex,
         targets: &[(DataTypeId, PdId)],
         escrow: &OperatorEscrow,
-    ) -> Result<Vec<(PdId, SubjectId)>, DbfsError> {
+    ) -> Result<Vec<PdId>, DbfsError> {
+        if targets.is_empty() {
+            return Ok(Vec::new());
+        }
         let token = if targets.len() > 1 {
             let intent = EraseIntent {
                 targets: targets
@@ -2026,22 +2064,19 @@ impl<D: BlockDevice> Dbfs<D> {
             None
         };
         let tx = self.fs.begin_tx();
-        let mut done = Vec::with_capacity(targets.len());
+        let mut done: Vec<(PdId, SubjectId)> = Vec::with_capacity(targets.len());
         for (data_type, id) in targets {
-            let location = Self::locate_in(index, data_type, *id)?;
+            let location = index.view.locate(data_type, *id)?;
             if location.erased {
                 continue;
             }
-            let mut stored = self.read_stored(location.ino)?;
-            let plaintext = serde_json::to_vec(&stored.row).map_err(|_| DbfsError::Corrupt {
+            let mut stored = read_stored(&self.fs, location.ino)?;
+            let plaintext = serde_json::to_vec(stored.row()).map_err(|_| DbfsError::Corrupt {
                 what: "row serialization for erasure".to_owned(),
             })?;
-            let ciphertext = escrow.erase(&plaintext);
-            let mut wrapped = WrappedPd::new(stored.row.clone(), stored.membrane.clone());
-            wrapped.erase_with(ciphertext.encode());
-            stored.row = wrapped.row().clone();
-            stored.membrane = wrapped.membrane().clone();
-            self.write_stored(location.ino, &stored)?;
+            stored.erase_with(escrow.erase(&plaintext).encode());
+            let bytes = stored::encode(stored.membrane(), stored.row())?;
+            self.fs.write_replace(location.ino, &bytes)?;
             done.push((*id, location.subject));
         }
         tx.commit()?;
@@ -2053,27 +2088,21 @@ impl<D: BlockDevice> Dbfs<D> {
         if !done.is_empty() {
             self.publish_locked(index);
         }
+        for (id, subject) in &done {
+            DbfsStatsInner::bump(&self.stats.erasures);
+            self.audit.record(
+                self.clock.now(),
+                Some(*subject),
+                AuditEventKind::Erased { pd: *id },
+            );
+        }
         if let Some(token) = token {
             // A crash before this clear is benign: the next mount finds
             // every target already tombstoned, completes nothing and clears
             // the intent itself.
             self.clear_erase_intent_locked(index, token)?;
         }
-        Ok(done)
-    }
-
-    /// Bumps the erasure counter and audits one `Erased` event per
-    /// tombstoned record (after the commit, so a crashed erasure is never
-    /// audited).
-    fn audit_erasures(&self, done: &[(PdId, SubjectId)]) {
-        for (erased_id, subject) in done {
-            DbfsStatsInner::bump(&self.stats.erasures);
-            self.audit.record(
-                self.clock.now(),
-                Some(*subject),
-                AuditEventKind::Erased { pd: *erased_id },
-            );
-        }
+        Ok(done.into_iter().map(|(id, _)| id).collect())
     }
 
     /// Erases every record of a subject (a subject-wide right-to-be-forgotten
@@ -2091,30 +2120,23 @@ impl<D: BlockDevice> Dbfs<D> {
         escrow: &OperatorEscrow,
     ) -> Result<Vec<PdId>, DbfsError> {
         let _timer = self.op_timer("erase_subject");
-        let done = {
-            let mut index = self.lock_index();
-            let roots: Vec<(DataTypeId, PdId)> = index
-                .live_locations(index.subject_ids(subject))
-                .map(|(id, loc)| (loc.data_type.clone(), id))
-                .collect();
-            let mut seen: BTreeSet<PdId> = roots.iter().map(|(_, id)| *id).collect();
-            let mut closure: Vec<(DataTypeId, PdId)> = Vec::new();
-            for (_, root) in &roots {
-                for (copy, loc) in index.live_locations(index.lineage_closure(*root).into_iter()) {
-                    if seen.insert(copy) {
-                        closure.push((loc.data_type.clone(), copy));
-                    }
+        let mut index = self.lock_index();
+        let mut targets: Vec<(DataTypeId, PdId)> = index
+            .view
+            .live_locations(index.view.subject_ids(subject))
+            .map(|(id, loc)| (loc.data_type.clone(), id))
+            .collect();
+        let roots: Vec<PdId> = targets.iter().map(|(_, id)| *id).collect();
+        let mut seen: BTreeSet<PdId> = roots.iter().copied().collect();
+        for root in roots {
+            let closure = index.lineage_closure(root).into_iter();
+            for (copy, loc) in index.view.live_locations(closure) {
+                if seen.insert(copy) {
+                    targets.push((loc.data_type.clone(), copy));
                 }
             }
-            let mut targets = roots;
-            targets.extend(closure);
-            if targets.is_empty() {
-                return Ok(Vec::new());
-            }
-            self.erase_targets_locked(&mut index, &targets, escrow)?
-        };
-        self.audit_erasures(&done);
-        Ok(done.into_iter().map(|(erased_id, _)| erased_id).collect())
+        }
+        self.erase_targets_locked(&mut index, &targets, escrow)
     }
 
     /// Enforces the storage-limitation principle: erases every record whose
@@ -2133,8 +2155,10 @@ impl<D: BlockDevice> Dbfs<D> {
         let candidates: Vec<(DataTypeId, PdId, SubjectId)> = {
             let index = self.lock_index();
             index
+                .view
                 .live_locations(
                     index
+                        .view
                         .by_expiry
                         .range(..now)
                         .flat_map(|(_, ids)| ids.iter().copied()),
@@ -2158,6 +2182,7 @@ impl<D: BlockDevice> Dbfs<D> {
                     // Art. 17 request) since the snapshot — not this sweep's
                     // expiry to report.
                     match index
+                        .view
                         .records
                         .get(&id)
                         .filter(|loc| !loc.erased)
@@ -2202,24 +2227,16 @@ impl<D: BlockDevice> Dbfs<D> {
     /// Propagates storage errors.
     pub fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
         let snapshot = self.read_snapshot();
-        let locations: Vec<(PdId, RecordLocation)> = snapshot
-            .live_locations(snapshot.subject_ids(subject))
-            .map(|(id, loc)| (id, loc.clone()))
-            .collect();
-        let mut out = Vec::with_capacity(locations.len());
-        for (id, loc) in locations {
-            let stored = self.read_stored(loc.ino);
-            if self.erased_since(&snapshot, id) {
-                // Tombstoned since the snapshot was cut: the right of access
-                // must not return the (scrubbed or reused) payload blocks.
+        let view = &snapshot.view;
+        let mut out = Vec::new();
+        for (id, location) in view.live_locations(view.subject_ids(subject)) {
+            // Tombstoned or reclaimed since the snapshot was cut: the right
+            // of access only returns live records.
+            let read = self.checked_read(&snapshot, id, location, read_stored)?;
+            let Some(stored) = read.unless_erased_since(false) else {
                 continue;
-            }
-            let stored = stored?;
-            out.push(PdRecord::new(
-                id,
-                loc.data_type,
-                WrappedPd::new(stored.row, stored.membrane),
-            ));
+            };
+            out.push(PdRecord::new(id, location.data_type.clone(), stored));
         }
         Ok(out)
     }
@@ -2231,7 +2248,8 @@ impl<D: BlockDevice> Dbfs<D> {
     pub fn ids_of_subject(&self, subject: SubjectId) -> Vec<(DataTypeId, PdId)> {
         let snapshot = self.read_snapshot();
         snapshot
-            .live_locations(snapshot.subject_ids(subject))
+            .view
+            .live_locations(snapshot.view.subject_ids(subject))
             .map(|(id, loc)| (loc.data_type.clone(), id))
             .collect()
     }
@@ -2241,8 +2259,13 @@ impl<D: BlockDevice> Dbfs<D> {
     /// reporting; [`Dbfs::record_index_snapshot`] is the full snapshot).
     pub fn record_counts(&self) -> (usize, usize) {
         let snapshot = self.read_snapshot();
-        let tombstones = snapshot.records.values().filter(|loc| loc.erased).count();
-        (snapshot.records.len() - tombstones, tombstones)
+        let tombstones = snapshot
+            .view
+            .records
+            .values()
+            .filter(|loc| loc.erased)
+            .count();
+        (snapshot.view.records.len() - tombstones, tombstones)
     }
 
     /// An index-only snapshot of every record (live and tombstoned).  Routing
@@ -2250,6 +2273,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// and to audit cross-instance invariants.
     pub fn record_index_snapshot(&self) -> Vec<RecordSummary> {
         self.read_snapshot()
+            .view
             .records
             .iter()
             .map(|(&id, loc)| RecordSummary {
@@ -2283,7 +2307,7 @@ impl<D: BlockDevice> Dbfs<D> {
         // Candidates resolve from one published snapshot, so the result is
         // batch-atomic; the device reads below run with no lock held.
         let snapshot = self.read_snapshot();
-        let locations: Vec<(PdId, RecordLocation)> = {
+        let locations: Vec<(PdId, &RecordLocation)> = {
             // Narrow the candidate set through the secondary indexes before
             // touching the disk: seed it from the most selective source —
             // an explicit id-list conjunct, then a subject conjunct, then
@@ -2301,49 +2325,40 @@ impl<D: BlockDevice> Dbfs<D> {
                 } else if !subjects.is_empty() {
                     let smallest = subjects
                         .iter()
-                        .map(|s| snapshot.by_subject.get(s))
+                        .map(|s| snapshot.view.by_subject.get(s))
                         .min_by_key(|set| set.map_or(0, BTreeSet::len))
                         .flatten()
                         .unwrap_or(&EMPTY);
                     Box::new(smallest.iter().copied())
                 } else {
-                    Box::new(snapshot.table_ids(&request.data_type))
+                    Box::new(snapshot.view.table_ids(&request.data_type))
                 };
-            candidates
-                .filter_map(|id| snapshot.records.get(&id).map(|loc| (id, loc)))
+            snapshot
+                .view
+                .locations(candidates)
                 .filter(|(_, loc)| loc.data_type == request.data_type)
                 .filter(|(_, loc)| subjects.iter().all(|s| loc.subject == *s))
                 .filter(|(id, _)| id_sets.iter().all(|ids| ids.contains(id)))
                 .filter(|(_, loc)| !(request.skip_erased && loc.erased))
-                .map(|(id, loc)| (id, loc.clone()))
                 .collect()
         };
         let mut batch = RecordBatch::new();
         for (id, loc) in locations {
-            let mut stored = self.read_stored(loc.ino);
-            if !loc.erased && self.erased_since(&snapshot, id) {
-                // Tombstoned since the snapshot was cut: the payload bytes
-                // just read may be the scrubbed (or reused) blocks.
-                if request.skip_erased {
-                    continue;
-                }
-                // The tombstone image was durable before the erasure
-                // published, so one retry reads the committed erased record.
-                stored = self.read_stored(loc.ino);
-            }
-            let stored = stored?;
-            if !request.predicate.matches(id, loc.subject, &stored.row) {
+            // A record tombstoned since the snapshot was cut is kept (as
+            // its tombstone) only by a query that includes erased records;
+            // a reclaimed one is left out.
+            let read = self.checked_read(&snapshot, id, loc, read_stored)?;
+            let Some(stored) = read.unless_erased_since(!request.skip_erased) else {
+                continue;
+            };
+            if !request.predicate.matches(id, loc.subject, stored.row()) {
                 continue;
             }
-            let row = match &view {
-                Some(v) => v.apply(&stored.row),
-                None => stored.row,
+            let stored = match &view {
+                Some(v) => WrappedPd::new(v.apply(stored.row()), stored.into_parts().1),
+                None => stored,
             };
-            batch.push(PdRecord::new(
-                id,
-                request.data_type.clone(),
-                WrappedPd::new(row, stored.membrane),
-            ));
+            batch.push(PdRecord::new(id, request.data_type.clone(), stored));
         }
         Ok(batch)
     }
@@ -2493,6 +2508,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// candidate against its on-disk header before erasing).
     pub fn has_expired_candidates(&self, now: Timestamp) -> bool {
         self.read_snapshot()
+            .view
             .by_expiry
             .range(..now)
             .any(|(_, ids)| !ids.is_empty())
@@ -2523,7 +2539,7 @@ impl<D: BlockDevice> Dbfs<D> {
     pub fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
         let snapshot = self.read_snapshot();
         let mut stats = SpaceStats::default();
-        for loc in snapshot.records.values() {
+        for loc in snapshot.view.records.values() {
             let bytes = match self.fs.stat(loc.ino) {
                 Ok(inode) => inode.size,
                 // Reclaimed between the snapshot and this stat.
@@ -2610,7 +2626,7 @@ impl<D: BlockDevice> Dbfs<D> {
             };
             let mut blocked = 0usize;
             let mut queue: Vec<PdId> = Vec::new();
-            for (&id, _) in index.records.iter().filter(|(_, loc)| loc.erased) {
+            for (&id, _) in index.view.records.iter().filter(|(_, loc)| loc.erased) {
                 report.scanned_tombstones += 1;
                 if pending.contains(&id) {
                     report.retained_intent += 1;
@@ -2636,7 +2652,7 @@ impl<D: BlockDevice> Dbfs<D> {
                         deferred.push(id);
                         continue;
                     }
-                    let Some(location) = index.records.get(&id).cloned() else {
+                    let Some(location) = index.view.records.get(&id).cloned() else {
                         continue;
                     };
                     let bytes = self.fs.stat(location.ino)?.size;
@@ -2673,120 +2689,72 @@ impl<D: BlockDevice> Dbfs<D> {
         Ok(report)
     }
 
-    /// Reclaims one tombstone under the index lock: one compound
-    /// transaction unlinks both tree entries and frees the record inode,
-    /// then the in-memory index drops the id (the exact reverse of
-    /// `insert_record`) and a new snapshot publishes.
+    /// Reclaims one tombstone under the index lock.  The index drops the id
+    /// and publishes **first**, then one compound transaction unlinks both
+    /// tree entries and frees the record inode: a reader holding an older
+    /// snapshot that meets the staged or freed inode finds the id gone when
+    /// `checked_read` validates, and one that validated before this publish
+    /// read the tombstone intact — a reclaimed id is never readable.  (An
+    /// un-indexed tombstone that a crash leaves on disk is simply indexed
+    /// again by the next mount.)
     fn reclaim_locked(
         &self,
         index: &mut DbfsIndex,
         id: PdId,
         location: &RecordLocation,
     ) -> Result<(), DbfsError> {
-        let Some(&table_ino) = index.tables.get(&location.data_type) else {
+        let Some(&table_ino) = index.view.tables.get(&location.data_type) else {
             return Err(DbfsError::Corrupt {
                 what: format!("tombstone {id} belongs to an unknown table"),
             });
         };
-        let Some(&subject_ino) = index.subjects.get(&location.subject) else {
+        let Some(&subject_ino) = index.view.subjects.get(&location.subject) else {
             return Err(DbfsError::Corrupt {
                 what: format!("tombstone {id} belongs to an unknown subject"),
             });
         };
-        let tx = self.fs.begin_tx();
-        self.fs.dir_remove(table_ino, &format!("pd-{}", id.raw()))?;
-        self.fs.dir_remove(
-            subject_ino,
-            &format!("{}#pd-{}", location.data_type, id.raw()),
-        )?;
-        self.fs.free_inode(location.ino)?;
-        tx.commit()?;
-        Arc::make_mut(&mut index.records).remove(&id);
-        if let Some(ids) = Arc::make_mut(&mut index.by_table).get_mut(&location.data_type) {
-            ids.remove(&id);
-        }
-        if let Some(ids) = Arc::make_mut(&mut index.by_subject).get_mut(&location.subject) {
-            ids.remove(&id);
-        }
-        if let Some(original) = location.copied_from {
-            if let Some(copies) = index.copies_of.get_mut(&original) {
-                copies.remove(&id);
-                if copies.is_empty() {
-                    index.copies_of.remove(&original);
-                }
-            }
-        }
-        index.copies_of.remove(&id);
-        // Tombstones never appear in the expiry index (`mark_erased`
-        // retires them), so nothing to undo there.  Publishing after the
-        // commit means a reader holding an older snapshot resolves the id
-        // to `Erased` via `erased_since` — a reclaimed id is never
-        // readable.
+        index.remove_tombstone(id, location);
         self.publish_locked(index);
-        Ok(())
+        let free = || -> Result<(), DbfsError> {
+            let tx = self.fs.begin_tx();
+            self.fs.dir_remove(table_ino, &format!("pd-{}", id.raw()))?;
+            self.fs.dir_remove(
+                subject_ino,
+                &format!("{}#pd-{}", location.data_type, id.raw()),
+            )?;
+            self.fs.free_inode(location.ino)?;
+            Ok(tx.commit()?)
+        };
+        free().inspect_err(|_| {
+            // Nothing reached the device: the tombstone is still there.
+            index.insert_record(id, location.clone());
+            self.publish_locked(index);
+        })
     }
 
     // ------------------------------------------------------------------
-
-    fn locate(&self, data_type: &DataTypeId, id: PdId) -> Result<RecordLocation, DbfsError> {
-        self.read_snapshot().locate(data_type, id)
-    }
-
-    /// Like [`Dbfs::locate`] but against an already-held index lock, so that
-    /// read-modify-write operations can resolve and write atomically.
-    fn locate_in(
-        index: &DbfsIndex,
-        data_type: &DataTypeId,
-        id: PdId,
-    ) -> Result<RecordLocation, DbfsError> {
-        if !index.tables.contains_key(data_type) {
-            return Err(DbfsError::UnknownType {
-                name: data_type.to_string(),
-            });
-        }
-        match index.records.get(&id) {
-            Some(loc) if &loc.data_type == data_type => Ok(loc.clone()),
-            _ => Err(DbfsError::UnknownPd { id: id.raw() }),
-        }
-    }
-
-    fn read_stored(&self, ino: Ino) -> Result<StoredRecord, DbfsError> {
-        let bytes = self.fs.read_all(ino)?;
-        let (membrane, row) = stored::decode(&bytes).map_err(|_| DbfsError::Corrupt {
-            what: format!("record inode {ino}"),
-        })?;
-        Ok(StoredRecord { membrane, row })
-    }
-
-    fn write_stored(&self, ino: Ino, stored: &StoredRecord) -> Result<(), DbfsError> {
-        let bytes = stored::encode(&stored.membrane, &stored.row)?;
-        self.fs.write_replace(ino, &bytes)?;
-        Ok(())
-    }
 
     /// Verifies that the secondary indexes agree with the primary record map
     /// and with the membrane headers on disk.  Used by the property tests
     /// and available to compliance audits.
     ///
-    /// Expects a *quiescent* store: the disk comparison runs against an
-    /// index snapshot, so a writer racing this call can make the two
-    /// transiently disagree and produce a false corruption report.
+    /// Runs under the index lock from start to end, so no writer can make
+    /// the index and the disk disagree while they are compared.
     ///
     /// # Errors
     ///
     /// Returns [`DbfsError::Corrupt`] describing the first violation found,
     /// and propagates storage errors.
     pub fn verify_index_invariants(&self) -> Result<(), DbfsError> {
-        let (records, by_table, by_subject, copies_of, by_expiry) = {
-            let index = self.lock_index();
-            (
-                index.records.clone(),
-                index.by_table.clone(),
-                index.by_subject.clone(),
-                index.copies_of.clone(),
-                index.by_expiry.clone(),
-            )
-        };
+        let index = self.lock_index();
+        let IndexView {
+            records,
+            by_table,
+            by_subject,
+            by_expiry,
+            ..
+        } = &index.view;
+        let copies_of = &index.copies_of;
         let violation = |what: String| DbfsError::Corrupt { what };
         // Every record is present in exactly the right secondary entries.
         for (id, loc) in records.iter() {
@@ -2831,7 +2799,7 @@ impl<D: BlockDevice> Dbfs<D> {
                 }
             }
         }
-        for (original, ids) in &copies_of {
+        for (original, ids) in copies_of {
             for id in ids {
                 if records.get(id).and_then(|loc| loc.copied_from) != Some(*original) {
                     return Err(violation(format!(
@@ -3653,22 +3621,31 @@ mod tests {
             .unwrap();
         let copy = dbfs.copy(&"user".into(), id).unwrap();
         dbfs.erase(&"user".into(), id, &escrow).unwrap();
-        let audit = dbfs.audit();
-        assert!(audit.count_matching(|e| matches!(e.kind, AuditEventKind::Collected { .. })) >= 2);
+        dbfs.scrub_tombstones().unwrap();
+        // The whole trail, in order: a copy is audited as an insert and then
+        // as a copy, an erasure root first, a reclaim child first — and no
+        // record's `Reclaimed` comes ahead of its `Erased`.
+        let kinds: Vec<AuditEventKind> = dbfs
+            .audit()
+            .snapshot()
+            .into_iter()
+            .map(|e| e.kind)
+            .collect();
         assert_eq!(
-            audit.count_matching(|e| matches!(e.kind, AuditEventKind::Updated { .. })),
-            1
+            kinds,
+            vec![
+                AuditEventKind::Collected { pd: id },
+                AuditEventKind::Updated { pd: id },
+                AuditEventKind::Collected { pd: copy },
+                AuditEventKind::Copied { from: id, to: copy },
+                AuditEventKind::Erased { pd: id },
+                AuditEventKind::Erased { pd: copy },
+                AuditEventKind::Reclaimed { pd: copy },
+                AuditEventKind::Reclaimed { pd: id },
+            ]
         );
-        assert_eq!(
-            audit.count_matching(
-                |e| matches!(e.kind, AuditEventKind::Copied { from, to } if from == id && to == copy)
-            ),
-            1
-        );
-        assert!(
-            audit.count_matching(|e| matches!(e.kind, AuditEventKind::Erased { .. })) >= 2,
-            "original and copy erasures are both audited"
-        );
+        let stats = dbfs.stats();
+        assert_eq!((stats.collects, stats.copies, stats.erasures), (2, 1, 2));
     }
 
     #[test]
@@ -3871,30 +3848,5 @@ mod tests {
             .unwrap();
         assert!(fresh.raw() > stays.raw());
         remounted.verify_index_invariants().unwrap();
-    }
-
-    #[test]
-    fn background_scrubber_reclaims_and_stops_on_drop() {
-        let device = Arc::new(MemDevice::new(8192, 512));
-        let dbfs = Arc::new(Dbfs::format(device, DbfsParams::small()).unwrap());
-        dbfs.create_type(listing1_user_schema()).unwrap();
-        let authority = Authority::generate(29);
-        let escrow = OperatorEscrow::new(authority.public_key());
-        let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Background", 1990))
-            .unwrap();
-        dbfs.erase(&"user".into(), id, &escrow).unwrap();
-        let scrubber =
-            crate::scrub::Scrubber::spawn(Arc::clone(&dbfs), std::time::Duration::from_millis(1));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        // The scrubber bumps its own tally after the pass that moved the
-        // store's gauge returns, so wait on the later of the two.
-        while scrubber.reclaimed() == 0 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(dbfs.tombstones_reclaimed(), 1);
-        assert!(scrubber.reclaimed() >= 1);
-        drop(scrubber);
-        dbfs.verify_index_invariants().unwrap();
     }
 }

@@ -54,11 +54,25 @@
 //! savepoint: a failing op is un-staged and ends the batch with the ops
 //! before it committed, and a group is cut at the inode journal's
 //! capacity bound so each group — and therefore each
-//! record — stays crash-atomic.  Reads are served through the inode
-//! layer's LRU buffer cache, which only ever holds committed contents
-//! (dirty data lives in the transaction overlay until the commit's flush
-//! barrier) and is updated in place by crypto-erasure writes, so no erased
-//! plaintext survives in memory either.
+//! record — stays crash-atomic.
+//!
+//! ## Reads: one checked read
+//!
+//! Readers never take the index lock: they resolve locations from the
+//! published, epoch-stamped snapshot (a clone of the writer's index view)
+//! and read the device unlocked.  Every reader — [`Dbfs::get`], the
+//! `load_membrane*` family, [`Dbfs::load_records`],
+//! [`Dbfs::records_of_subject`], [`Dbfs::query`], the source read of
+//! [`Dbfs::copy`] — fetches record bytes through one private function that
+//! validates *after* the read, against the current snapshot, whatever the
+//! read returned and whether the record was located live or as a
+//! tombstone: a record erased since is read again as its tombstone, an id
+//! reclaimed since is gone and its reused inode is never served under it.
+//! Point reads report [`DbfsError::Erased`]; set reads leave the id out.
+//! Block reads go through the inode layer's LRU buffer cache, which only
+//! ever holds committed contents (dirty data lives in the transaction
+//! overlay until the commit's flush barrier) and is updated in place by
+//! crypto-erasure writes, so no erased plaintext survives in memory either.
 //!
 //! ## Example
 //!
@@ -96,6 +110,6 @@ pub mod store;
 pub use dbfs::{Dbfs, DbfsParams, EraseIntent, IdAllocation, RecordSummary};
 pub use error::DbfsError;
 pub use query::{Predicate, QueryRequest};
-pub use scrub::{ScrubReport, Scrubber, SpaceStats};
+pub use scrub::{ScrubReport, SpaceStats};
 pub use stats::DbfsStats;
 pub use store::PdStore;

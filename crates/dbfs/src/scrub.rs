@@ -25,24 +25,15 @@
 //!
 //! [`Dbfs::space_stats`] measures the amplification; the
 //! `space_amplification` / `tombstones_reclaimed` gauges surface both in the
-//! metrics snapshot once a trace context is attached.  [`Scrubber`] is the
-//! background driver: a thread that runs periodic scrub passes over any
-//! [`PdStore`] until dropped.
+//! metrics snapshot once a trace context is attached.  There is no
+//! background driver: whoever owns the store decides when a pass runs.
 //!
 //! [`Dbfs::scrub_tombstones`]: crate::Dbfs::scrub_tombstones
 //! [`Dbfs::space_stats`]: crate::Dbfs::space_stats
 //! [`EraseIntent`]: crate::EraseIntent
-//! [`PdStore`]: crate::PdStore
 
-use crate::store::PdStore;
 use rgpdos_core::PdId;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-// The scrubber's stop signal deliberately uses the std primitives, not the
-// instrumented lock shim: the signal never nests with any store lock (the
-// scrub pass itself runs entirely under the store's own locking), so it has
-// no place in the lock-order graph — and the shim has no condvar.
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// A space-accounting snapshot of one store: live versus tombstoned record
 /// footprints, as measured from the record inodes' on-disk sizes.
@@ -175,97 +166,6 @@ impl SpaceGauges {
     /// Tombstones reclaimed since format/mount.
     pub fn reclaimed(&self) -> u64 {
         self.reclaimed.load(Ordering::Relaxed)
-    }
-}
-
-/// Shared stop-flag of a [`Scrubber`] thread.
-#[derive(Default)]
-struct ScrubberSignal {
-    stopped: Mutex<bool>,
-    wake: Condvar,
-}
-
-/// A background scrubber: a thread that runs
-/// [`PdStore::scrub_tombstones`] passes at a fixed interval until the
-/// handle is dropped (drop joins the thread, so no pass outlives the
-/// owner).
-///
-/// The driver is deliberately dumb — all correctness lives in the store's
-/// own scrub pass, which takes the same locks as any foreground mutation.
-#[derive(Debug)]
-pub struct Scrubber {
-    signal: Arc<ScrubberSignal>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    passes: Arc<AtomicU64>,
-    reclaimed: Arc<AtomicU64>,
-}
-
-impl std::fmt::Debug for ScrubberSignal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScrubberSignal")
-            .field("stopped", &*self.stopped.lock().expect("signal lock"))
-            .finish()
-    }
-}
-
-impl Scrubber {
-    /// Spawns a scrubber over `store`, running one pass every `interval`
-    /// (the first pass runs after one interval, not immediately).  Pass
-    /// errors are swallowed — a failed pass changes nothing durable and the
-    /// next pass retries; foreground operations surface the same errors to
-    /// their callers.
-    pub fn spawn<S: PdStore + 'static>(store: Arc<S>, interval: Duration) -> Self {
-        let signal = Arc::new(ScrubberSignal::default());
-        let passes = Arc::new(AtomicU64::new(0));
-        let reclaimed = Arc::new(AtomicU64::new(0));
-        let thread_signal = Arc::clone(&signal);
-        let thread_passes = Arc::clone(&passes);
-        let thread_reclaimed = Arc::clone(&reclaimed);
-        let handle = std::thread::spawn(move || loop {
-            {
-                let mut stopped = thread_signal.stopped.lock().expect("signal lock");
-                if !*stopped {
-                    stopped = thread_signal
-                        .wake
-                        .wait_timeout(stopped, interval)
-                        .expect("signal lock")
-                        .0;
-                }
-                if *stopped {
-                    return;
-                }
-            }
-            if let Ok(report) = store.scrub_tombstones() {
-                thread_reclaimed.fetch_add(report.reclaimed_count() as u64, Ordering::Relaxed);
-            }
-            thread_passes.fetch_add(1, Ordering::Relaxed);
-        });
-        Self {
-            signal,
-            handle: Some(handle),
-            passes,
-            reclaimed,
-        }
-    }
-
-    /// Number of passes completed so far.
-    pub fn passes(&self) -> u64 {
-        self.passes.load(Ordering::Relaxed)
-    }
-
-    /// Total tombstones reclaimed by this scrubber's passes.
-    pub fn reclaimed(&self) -> u64 {
-        self.reclaimed.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for Scrubber {
-    fn drop(&mut self) {
-        *self.signal.stopped.lock().expect("signal lock") = true;
-        self.signal.wake.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
     }
 }
 

@@ -1119,28 +1119,43 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
             }));
             (targets, pre_announced)
         };
+        // Phase 2: intent on the root's shard, then the erasures.
+        self.erase_routed(root_shard, targets, pre_announced, escrow)
+    }
+
+    /// The tail `erase` and `erase_subject` share once their targets are
+    /// snapshotted and pre-announced: persist the routed intent on
+    /// `intent_shard` **before the first tombstone**, erase shard by shard
+    /// in target order (`erase` lists the root first, so even an unlogged
+    /// crash leaves every survivor with an erased ancestor — healable),
+    /// record the tombstones in the directory, clear the intent.
+    fn erase_routed(
+        &self,
+        intent_shard: usize,
+        targets: Vec<(usize, DataTypeId, PdId)>,
+        pre_announced: Vec<PdId>,
+        escrow: &OperatorEscrow,
+    ) -> Result<Vec<PdId>, DbfsError> {
         if targets.is_empty() {
             return Ok(Vec::new());
         }
-        // Phase 1.5: persist the intent before the first tombstone.  If the
-        // intent write itself fails (nothing touched disk yet), retract the
-        // pre-announcement — the directory must not claim tombstones for an
-        // erasure that never happened.
-        let token = match self.shards[root_shard].put_erase_intent(&intent_for(&targets, escrow)) {
+        // If the intent write itself fails (nothing touched disk yet),
+        // retract the pre-announcement — the directory must not claim
+        // tombstones for an erasure that never happened.
+        let intent = intent_for(&targets, escrow);
+        let token = match self.shards[intent_shard].put_erase_intent(&intent) {
             Ok(token) => token,
             Err(e) => {
                 self.directory.lock().retract_erased(pre_announced);
                 return Err(e);
             }
         };
-        // Phase 2: per-shard erasure (root first, so even an unlogged crash
-        // leaves every survivor with an erased ancestor — healable).
         let mut erased: BTreeSet<PdId> = BTreeSet::new();
-        for (shard, member_type, member) in targets {
-            erased.extend(self.shards[shard].erase(&member_type, member, escrow)?);
+        for (shard, data_type, id) in targets {
+            erased.extend(self.shards[shard].erase(&data_type, id, escrow)?);
         }
         self.directory.lock().mark_erased(erased.iter().copied());
-        self.shards[root_shard].clear_erase_intent(token)?;
+        self.shards[intent_shard].clear_erase_intent(token)?;
         Ok(erased.into_iter().collect())
     }
 
@@ -1195,27 +1210,8 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
             let pre_announced = directory.mark_erased_returning_new(seen);
             (targets, pre_announced)
         };
-        if targets.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Persist the intent on the subject's home shard, then erase.  A
-        // failed intent write retracts the pre-announcement (see `erase`).
-        let home = self.home_shard(subject);
-        let token = match self.shards[home].put_erase_intent(&intent_for(&targets, escrow)) {
-            Ok(token) => token,
-            Err(e) => {
-                self.directory.lock().retract_erased(pre_announced);
-                return Err(e);
-            }
-        };
-        // Phase 2: per-shard erasure.
-        let mut erased: BTreeSet<PdId> = BTreeSet::new();
-        for (shard, data_type, id) in targets {
-            erased.extend(self.shards[shard].erase(&data_type, id, escrow)?);
-        }
-        self.directory.lock().mark_erased(erased.iter().copied());
-        self.shards[home].clear_erase_intent(token)?;
-        Ok(erased.into_iter().collect())
+        // Phase 2: intent on the subject's home shard, then the erasures.
+        self.erase_routed(self.home_shard(subject), targets, pre_announced, escrow)
     }
 
     /// Storage-limitation sweep: every shard purges its own expiry index,
