@@ -300,7 +300,7 @@ mod tests {
     fn scenarios_build_and_run() {
         let scenario = rgpdos_scenario(20, 0.8, DbfsParams::small());
         assert_eq!(scenario.population.len(), 20);
-        assert_eq!(scenario.os.dbfs().count(&"user".into()), 20);
+        assert_eq!(scenario.os.dbfs().count(&"user".into()).unwrap(), 20);
         let result = scenario
             .os
             .invoke(scenario.compute_age, InvokeRequest::whole_type())
@@ -353,7 +353,7 @@ mod tests {
                     (SubjectId::new(seq as u64 % 64), row)
                 })
                 .collect();
-            dbfs.collect_many(table, rows).unwrap();
+            dbfs.collect_many(&table.into(), rows).unwrap();
         };
         fill("target", 50);
         for table in 0..other_tables {
@@ -422,9 +422,9 @@ mod tests {
             .take(64)
             .collect();
         let rows = (0..50).map(|i| (target, user_row(format!("target-{i}"))));
-        dbfs.collect_many("user", rows.collect()).unwrap();
+        dbfs.collect_many(&"user".into(), rows.collect()).unwrap();
         let rows = (0..other_records).map(|i| (elsewhere[i % 64], user_row(format!("other-{i}"))));
-        dbfs.collect_many("user", rows.collect()).unwrap();
+        dbfs.collect_many(&"user".into(), rows.collect()).unwrap();
         (dbfs, devices, target)
     }
 

@@ -26,7 +26,7 @@ use rgpdos::core::{
     Row, SubjectId,
 };
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
-use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams};
+use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams, PdStore};
 use rgpdos_conc::{spawn, Checker};
 use std::sync::Arc;
 
@@ -52,14 +52,14 @@ fn group_commit_model() {
             .map(|i| (SubjectId::new(i % 3), user_row(&format!("batch{i}"))))
             .collect();
         batch_store
-            .collect_many("user", rows)
+            .collect_many(&"user".into(), rows)
             .expect("batched insert")
     });
 
     let single_store = Arc::clone(&dbfs);
     let single = spawn(move || {
         single_store
-            .collect("user", SubjectId::new(9), user_row("solo"))
+            .collect(&"user".into(), SubjectId::new(9), user_row("solo"))
             .expect("single insert")
     });
 
@@ -67,7 +67,7 @@ fn group_commit_model() {
     ids.push(single.join());
 
     // Both writers landed, ids are unique, every record is readable.
-    assert_eq!(dbfs.count(&"user".into()), 7, "a record was lost");
+    assert_eq!(dbfs.count(&"user".into()).unwrap(), 7, "a record was lost");
     let mut unique = ids.clone();
     unique.sort_unstable();
     unique.dedup();
@@ -112,7 +112,7 @@ fn small_journal_store() -> (Arc<Dbfs<Arc<MemDevice>>>, Vec<PdId>) {
     let rows = (0..PRELOADED)
         .map(|i| (SubjectId::new(i % 3), user_row(&format!("old{i}"))))
         .collect();
-    let ids = dbfs.collect_many("user", rows).expect("preload");
+    let ids = dbfs.collect_many(&"user".into(), rows).expect("preload");
     (dbfs, ids)
 }
 

@@ -12,7 +12,7 @@ use rgpdos::blockdev::MemDevice;
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{DataTypeId, Row, SubjectId};
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
-use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams, QueryRequest};
+use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams, PdStore, QueryRequest};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -58,7 +58,7 @@ fn concurrent_reader_observes_only_group_commit_cut_points() {
                 assert!(epoch >= last_epoch, "snapshot epoch went backwards");
                 assert!(txs >= last_txs, "journal cut point went backwards");
                 (last_epoch, last_txs) = (epoch, txs);
-                let count = dbfs.count(&user);
+                let count = dbfs.count(&user).expect("count");
                 assert_eq!(
                     count % GROUP,
                     0,
@@ -90,12 +90,12 @@ fn concurrent_reader_observes_only_group_commit_cut_points() {
         let rows = (0..GROUP)
             .map(|row| (subject, user_row(&format!("u{group}-{row}"))))
             .collect();
-        dbfs.collect_many("user", rows).expect("group insert");
+        dbfs.collect_many(&"user".into(), rows).expect("group insert");
     }
     done.store(true, Ordering::Release);
     let sweeps = reader.join().expect("reader thread");
     assert!(sweeps > 0, "the reader never got a sweep in");
-    assert_eq!(dbfs.count(&user), GROUP * GROUPS);
+    assert_eq!(dbfs.count(&user).unwrap(), GROUP * GROUPS);
     dbfs.verify_index_invariants()
         .expect("quiescent invariants");
 }
@@ -113,7 +113,7 @@ fn concurrent_reader_sees_erased_not_stale_during_subject_erasure() {
         let rows = (0..GROUP)
             .map(|row| (subject, user_row(&format!("s{i}-{row}"))))
             .collect();
-        ids.extend(dbfs.collect_many("user", rows).expect("preload"));
+        ids.extend(dbfs.collect_many(&"user".into(), rows).expect("preload"));
     }
     let ids = Arc::new(ids);
     let done = Arc::new(AtomicBool::new(false));
@@ -124,7 +124,7 @@ fn concurrent_reader_sees_erased_not_stale_during_subject_erasure() {
         let ids = Arc::clone(&ids);
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
-            let mut last_count = dbfs.count(&user);
+            let mut last_count = dbfs.count(&user).expect("count");
             loop {
                 let finished = done.load(Ordering::Acquire);
                 for &id in ids.iter() {
@@ -134,7 +134,7 @@ fn concurrent_reader_sees_erased_not_stale_during_subject_erasure() {
                         Err(e) => panic!("concurrent get surfaced {e}"),
                     }
                 }
-                let count = dbfs.count(&user);
+                let count = dbfs.count(&user).expect("count");
                 assert!(
                     count <= last_count,
                     "an erased record came back: {last_count} -> {count}"
@@ -154,7 +154,7 @@ fn concurrent_reader_sees_erased_not_stale_during_subject_erasure() {
     }
     done.store(true, Ordering::Release);
     reader.join().expect("reader thread");
-    assert_eq!(dbfs.count(&user), 0);
+    assert_eq!(dbfs.count(&user).unwrap(), 0);
     for &id in ids.iter() {
         let membrane = dbfs.load_membrane(&user, id).expect("tombstone load");
         assert!(membrane.is_erased(), "{id} survived its subject's erasure");
@@ -176,7 +176,7 @@ fn read_mix_takes_zero_index_lock_acquisitions() {
         let rows = (0..GROUP)
             .map(|row| (subject, user_row(&format!("r{i}-{row}"))))
             .collect();
-        ids.extend(dbfs.collect_many("user", rows).expect("preload"));
+        ids.extend(dbfs.collect_many(&"user".into(), rows).expect("preload"));
     }
 
     let holds_before = dbfs.index_lock_holds();
@@ -195,7 +195,7 @@ fn read_mix_takes_zero_index_lock_acquisitions() {
                 }
                 let membranes = dbfs.load_membranes(&user).expect("membrane scan");
                 assert_eq!(membranes.len(), ids.len());
-                assert_eq!(dbfs.count(&user), ids.len());
+                assert_eq!(dbfs.count(&user).unwrap(), ids.len());
             });
         }
     });

@@ -28,6 +28,7 @@ use crate::error::DbfsError;
 use crate::query::QueryRequest;
 use crate::scrub::{ScrubReport, SpaceGauges, SpaceStats};
 use crate::stats::{DbfsStats, DbfsStatsInner};
+use crate::store::PdStore;
 use parking_lot::{Mutex, RwLock};
 use rgpdos_blockdev::BlockDevice;
 use rgpdos_core::record::stored;
@@ -41,7 +42,7 @@ use rgpdos_inode::fs::ROOT_INO;
 use rgpdos_inode::{FormatParams, Ino, InodeFs, InodeKind, JournalMode};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Name of the schema entry inside a table directory.
 const SCHEMA_ENTRY: &str = "__schema";
@@ -667,22 +668,22 @@ pub struct Dbfs<D> {
     /// borrowing `self` — and without any device I/O.
     space: Arc<SpaceGauges>,
     /// Per-operation latency instrumentation, installed by
-    /// [`Dbfs::attach_trace`].  `None` (the default) costs one uncontended
-    /// lock per public operation and nothing else.
-    trace: Mutex<Option<DbfsTrace>>,
+    /// [`Dbfs::attach_trace_as`] (the first attach wins).  Unset (the
+    /// default) costs one load per public operation and nothing else.
+    trace: OnceLock<DbfsTrace>,
 }
 
-/// The handles [`Dbfs::attach_trace`] installs: one latency histogram per
+/// The handles [`Dbfs::attach_trace_as`] installs: one latency histogram per
 /// public operation plus the group-commit size distribution, all timed
 /// against the shared trace clock.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DbfsTrace {
     clock: Arc<rgpdos_trace::TraceClock>,
     op_us: std::collections::BTreeMap<&'static str, rgpdos_trace::Hist>,
     group_records: rgpdos_trace::Hist,
 }
 
-/// The public operations [`Dbfs::attach_trace`] gives a latency histogram
+/// The public operations [`Dbfs::attach_trace_as`] gives a latency histogram
 /// (`dbfs_op_us{op="<name>"}`).
 const DBFS_TRACED_OPS: [&str; 10] = [
     "collect",
@@ -787,7 +788,7 @@ impl<D: BlockDevice> Dbfs<D> {
             stats: DbfsStatsInner::default(),
             index_lock_holds: std::sync::atomic::AtomicU64::new(0),
             space: Arc::new(SpaceGauges::default()),
-            trace: Mutex::new(None),
+            trace: OnceLock::new(),
         })
     }
 
@@ -1067,33 +1068,12 @@ impl<D: BlockDevice> Dbfs<D> {
             stats,
             index_lock_holds: std::sync::atomic::AtomicU64::new(0),
             space: Arc::new(SpaceGauges::default()),
-            trace: Mutex::new(None),
+            trace: OnceLock::new(),
         };
         // Complete any local erase cascade a crash interrupted beyond the
         // single-journal-transaction capacity bound.
         this.recover_local_intents()?;
         Ok(this)
-    }
-
-    /// The clock DBFS uses to timestamp membranes.
-    pub fn clock(&self) -> Arc<LogicalClock> {
-        Arc::clone(&self.clock)
-    }
-
-    /// The audit log DBFS records storage events into.
-    pub fn audit(&self) -> AuditLog {
-        self.audit.clone()
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> DbfsStats {
-        self.stats.snapshot()
-    }
-
-    /// Routes this store's instrumentation through `ctx` (the unlabeled
-    /// single-store form of [`Dbfs::attach_trace_as`]).
-    pub fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
-        self.attach_trace_as(ctx, &[]);
     }
 
     /// Routes this store's instrumentation through `ctx`: every
@@ -1130,16 +1110,14 @@ impl<D: BlockDevice> Dbfs<D> {
             .gauge_fn("tombstones_reclaimed", labels, move || {
                 i64::try_from(space.reclaimed()).unwrap_or(i64::MAX)
             });
-        *self.trace.lock() = Some(DbfsTrace::new(ctx, labels));
+        let _ = self.trace.set(DbfsTrace::new(ctx, labels));
     }
 
     /// A drop-timer for one traced public operation, or `None` when no
     /// trace is attached.
     fn op_timer(&self, op: &'static str) -> Option<rgpdos_trace::HistTimer> {
-        let guard = self.trace.lock();
-        guard
-            .as_ref()
-            .and_then(|t| t.op_us.get(op).map(|h| h.timer(&t.clock)))
+        let trace = self.trace.get()?;
+        trace.op_us.get(op).map(|h| h.timer(&trace.clock))
     }
 
     /// Hit/miss counters of the inode-layer buffer cache under this store.
@@ -1256,223 +1234,15 @@ impl<D: BlockDevice> Dbfs<D> {
         )
     }
 
-    // ------------------------------------------------------------------
-    // Schema management
-    // ------------------------------------------------------------------
-
-    /// Installs a personal-data type (creates its table).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::TypeAlreadyExists`] when the type exists.
-    pub fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
-        let mut index = self.lock_index();
-        if index.view.tables.contains_key(schema.name()) {
-            return Err(DbfsError::TypeAlreadyExists {
-                name: schema.name().to_string(),
-            });
-        }
-        // The table subtree, its schema entry and the tables-tree link are
-        // created in one compound transaction: a crash never exposes a table
-        // without its schema.
-        let tx = self.fs.begin_tx();
-        let table_ino = self.fs.alloc_inode(InodeKind::Table)?;
-        self.fs
-            .dir_add(index.tables_ino, schema.name().as_str(), table_ino)?;
-        let schema_ino = self.fs.alloc_inode(InodeKind::Schema)?;
-        let bytes = serde_json::to_vec(&schema).map_err(|_| DbfsError::Corrupt {
-            what: "schema serialization".to_owned(),
-        })?;
-        self.fs.write_replace(schema_ino, &bytes)?;
-        self.fs.dir_add(table_ino, SCHEMA_ENTRY, schema_ino)?;
-        tx.commit()?;
-        Arc::make_mut(&mut index.view.tables).insert(schema.name().clone(), table_ino);
-        Arc::make_mut(&mut index.view.schemas).register(schema);
-        self.publish_locked(&mut index);
-        Ok(())
-    }
-
-    /// Returns the schema of a type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`].
-    pub fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
-        self.read_snapshot()
-            .view
-            .schemas
-            .get(name)
-            .cloned()
-            .ok_or_else(|| unknown_type(name))
-    }
-
-    /// The installed type names.  Served from the published snapshot:
-    /// wait-free, never touches the index lock.
-    pub fn types(&self) -> Vec<DataTypeId> {
-        self.read_snapshot().view.tables.keys().cloned().collect()
-    }
-
-    /// Number of live (non-erased) records of a type.
-    ///
-    /// Served from the published snapshot, so the answer is
-    /// **batch-atomic**: a concurrent group commit is either fully counted
-    /// or not at all — a half-applied batch is never observed.
-    pub fn count(&self, name: &DataTypeId) -> usize {
-        self.try_count(name).unwrap_or(0)
-    }
-
-    /// Like [`Dbfs::count`] but distinguishing "table absent" from "table
-    /// empty" (routing layers need the difference to surface partial scatter
-    /// failures instead of silent undercounts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`] when the type is not installed.
-    pub fn try_count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
-        let snapshot = self.read_snapshot();
-        let view = &snapshot.view;
-        if !view.tables.contains_key(name) {
-            return Err(unknown_type(name));
-        }
-        Ok(view.live_locations(view.table_ids(name)).count())
-    }
-
     /// The subjects that currently own at least one record.  Wait-free
-    /// (published snapshot), like [`Dbfs::types`].
+    /// (published snapshot), like [`PdStore::types`].
     pub fn subjects(&self) -> Vec<SubjectId> {
         self.read_snapshot().view.subjects.keys().copied().collect()
     }
 
     // ------------------------------------------------------------------
-    // Record lifecycle (the rgpdOS built-in functions)
+    // The write pipeline
     // ------------------------------------------------------------------
-
-    /// The `acquisition` built-in: stores a newly collected row, wrapping it
-    /// in the default membrane derived from its type's declaration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`] or [`DbfsError::Core`] when the row
-    /// does not match the schema.
-    pub fn collect(
-        &self,
-        data_type: impl Into<DataTypeId>,
-        subject: SubjectId,
-        row: Row,
-    ) -> Result<PdId, DbfsError> {
-        let _timer = self.op_timer("collect");
-        let data_type = data_type.into();
-        let now = self.clock.now();
-        let schema = self.schema(&data_type)?;
-        let membrane = Membrane::from_schema(&schema, subject, now);
-        self.insert_wrapped(&data_type, WrappedPd::new(row, membrane))
-    }
-
-    /// Stores an already-wrapped record (used by the `copy` built-in and by
-    /// the DED when a processing produces new personal data): a batch of
-    /// one through the write pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dbfs::collect`], plus [`DbfsError::Erased`] for a live
-    /// copy whose lineage is already tombstoned.
-    pub fn insert_wrapped(
-        &self,
-        data_type: &DataTypeId,
-        wrapped: WrappedPd,
-    ) -> Result<PdId, DbfsError> {
-        let ids = self.commit_ops(&[WriteOp::Insert {
-            data_type,
-            wrapped: &wrapped,
-            copy_of: None,
-        }])?;
-        Ok(ids[0])
-    }
-
-    /// Batched `acquisition`: collects every row under the default membrane
-    /// of `data_type`, coalescing the inserts into **group commits** — as
-    /// many records per journal transaction as the journal capacity allows
-    /// — instead of one journal transaction per record.  Returns the
-    /// assigned identifiers in input order.
-    ///
-    /// Crash semantics are unchanged from per-record [`Dbfs::collect`]:
-    /// each group is one compound transaction, so a crash leaves a clean
-    /// *prefix* of the batch (whole groups), never a torn record.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dbfs::collect`].  On error, the items before the failing
-    /// one are still inserted (exactly as if collected sequentially).
-    pub fn collect_many(
-        &self,
-        data_type: impl Into<DataTypeId>,
-        rows: Vec<(SubjectId, Row)>,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        let data_type = data_type.into();
-        let schema = self.schema(&data_type)?;
-        let now = self.clock.now();
-        let items = rows
-            .into_iter()
-            .map(|(subject, row)| {
-                let membrane = Membrane::from_schema(&schema, subject, now);
-                (data_type.clone(), WrappedPd::new(row, membrane))
-            })
-            .collect();
-        self.insert_many(items)
-    }
-
-    /// Batched [`Dbfs::insert_wrapped`]: N independent inserts go through
-    /// the write pipeline as one batch, journaled together in group
-    /// commits cut at [`rgpdos_inode::InodeFs::tx_capacity_blocks`] (the
-    /// crash-atomicity bound).  Returns the identifiers in input order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dbfs::insert_wrapped`].  On error, the items staged
-    /// before the failing one are committed first (prefix semantics), the
-    /// failing item and everything after it are not applied.
-    pub fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _timer = self.op_timer("insert_batch");
-        let ops: Vec<WriteOp<'_>> = items
-            .iter()
-            .map(|(data_type, wrapped)| WriteOp::Insert {
-                data_type,
-                wrapped,
-                copy_of: None,
-            })
-            .collect();
-        let result = self.commit_ops(&ops);
-        DbfsStatsInner::bump(&self.stats.insert_batches);
-        result
-    }
-
-    /// Batched [`Dbfs::update_row`]: the row replacements go through the
-    /// write pipeline as one batch, sharing group commits like
-    /// [`Dbfs::insert_many`].  Every update stays individually
-    /// crash-atomic; a crash leaves a prefix of whole groups applied.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dbfs::update_row`] (`Erased`, `UnknownPd`, schema
-    /// violations).  On error, updates before the failing one are applied.
-    pub fn update_rows(
-        &self,
-        data_type: &DataTypeId,
-        updates: Vec<(PdId, Row)>,
-    ) -> Result<(), DbfsError> {
-        let ops: Vec<WriteOp<'_>> = updates
-            .iter()
-            .map(|(id, row)| WriteOp::UpdateRow {
-                data_type,
-                id: *id,
-                row,
-            })
-            .collect();
-        self.commit_ops(&ops).map(drop)
-    }
 
     /// The one write pipeline: every record mutation — insert, row update,
     /// membrane change, alone or batched — is a slice of [`WriteOp`]s run
@@ -1733,7 +1503,7 @@ impl<D: BlockDevice> Dbfs<D> {
         if group.is_empty() {
             return;
         }
-        if let Some(t) = self.trace.lock().as_ref() {
+        if let Some(t) = self.trace.get() {
             t.group_records.record(group.len() as u64);
         }
         let mut index_changed = false;
@@ -1778,87 +1548,6 @@ impl<D: BlockDevice> Dbfs<D> {
         }
     }
 
-    /// Reads one record (payload + membrane) through the checked read
-    /// (`Dbfs::checked_read`): the location resolves from the published
-    /// snapshot, the device is read with **no lock held**, and the result
-    /// is validated against the current snapshot before it is returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] when the id does not exist or belongs
-    /// to another type, and [`DbfsError::Erased`] when an erasure or a
-    /// reclaim committed after the snapshot was cut.
-    pub fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
-        let _timer = self.op_timer("get");
-        DbfsStatsInner::bump(&self.stats.reads);
-        let snapshot = self.read_snapshot();
-        let location = snapshot.view.locate(data_type, id)?;
-        let stored = self
-            .checked_read(&snapshot, id, location, read_stored)?
-            .into_located(id)?;
-        Ok(PdRecord::new(id, data_type.clone(), stored))
-    }
-
-    /// The `ded_load_membrane` request: fetches only the membranes of a
-    /// table, so consent filtering can happen *before* any personal data is
-    /// read (data minimisation inside the OS itself).  Tombstones are
-    /// included; a record reclaimed since the snapshot was cut is left out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`].
-    pub fn load_membranes(
-        &self,
-        data_type: &DataTypeId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        let snapshot = self.read_snapshot();
-        if !snapshot.view.tables.contains_key(data_type) {
-            return Err(unknown_type(data_type));
-        }
-        let view = &snapshot.view;
-        self.read_membranes(&snapshot, view.locations(view.table_ids(data_type)))
-    }
-
-    /// Membrane-only load restricted to one subject's records of a type,
-    /// resolved through the subject index (used by subject-targeted
-    /// invocations and the rights engine).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`].
-    pub fn load_membranes_for_subject(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        let snapshot = self.read_snapshot();
-        if !snapshot.view.tables.contains_key(data_type) {
-            return Err(unknown_type(data_type));
-        }
-        let view = &snapshot.view;
-        let of_type = view
-            .locations(view.subject_ids(subject))
-            .filter(|(_, loc)| &loc.data_type == data_type);
-        self.read_membranes(&snapshot, of_type)
-    }
-
-    /// Membrane-only load of a single record (a tombstone's membrane says
-    /// so itself).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`], and [`DbfsError::Erased`] for a
-    /// record reclaimed after the snapshot was cut.
-    pub fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
-        let _timer = self.op_timer("load_membrane");
-        let snapshot = self.read_snapshot();
-        let location = snapshot.view.locate(data_type, id)?;
-        DbfsStatsInner::bump(&self.stats.membrane_loads);
-        self.checked_read(&snapshot, id, location, read_membrane_from)?
-            .unless_erased_since(true)
-            .ok_or(DbfsError::Erased { id: id.raw() })
-    }
-
     /// Reads the membrane headers of records located by `snapshot`.
     fn read_membranes<'a>(
         &self,
@@ -1874,154 +1563,6 @@ impl<D: BlockDevice> Dbfs<D> {
             }
         }
         Ok(out)
-    }
-
-    /// The `ded_load_data` request: fetches the full records for the
-    /// identifiers that passed the membrane filter, each through the
-    /// checked read against one published snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown identifiers and
-    /// [`DbfsError::Erased`] when an erasure or a reclaim of one of them
-    /// committed after the snapshot was cut.
-    pub fn load_records(
-        &self,
-        data_type: &DataTypeId,
-        ids: &[PdId],
-    ) -> Result<RecordBatch, DbfsError> {
-        let snapshot = self.read_snapshot();
-        let locations: Vec<(PdId, &RecordLocation)> = ids
-            .iter()
-            .map(|&id| match snapshot.view.records.get(&id) {
-                Some(loc) if &loc.data_type == data_type => Ok((id, loc)),
-                _ => Err(DbfsError::UnknownPd { id: id.raw() }),
-            })
-            .collect::<Result<_, _>>()?;
-        let mut batch = RecordBatch::new();
-        for (id, location) in locations {
-            DbfsStatsInner::bump(&self.stats.reads);
-            let stored = self
-                .checked_read(&snapshot, id, location, read_stored)?
-                .into_located(id)?;
-            batch.push(PdRecord::new(id, data_type.clone(), stored));
-        }
-        Ok(batch)
-    }
-
-    /// The `update` built-in: replaces the payload row of a record (a batch
-    /// of one through the write pipeline).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Erased`] for erased records and
-    /// [`DbfsError::Core`] for schema violations.
-    pub fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
-        let _timer = self.op_timer("update");
-        self.commit_ops(&[WriteOp::UpdateRow {
-            data_type,
-            id,
-            row: &row,
-        }])
-        .map(drop)
-    }
-
-    /// Applies a subject-initiated membrane change (consent grant/withdrawal,
-    /// retention change) as a batch of one through the write pipeline.
-    /// Returns whether the delta had an effect.
-    ///
-    /// Concurrent deltas to the same record are last-writer-wins; the expiry
-    /// index may briefly trail the membrane on disk, but the retention sweep
-    /// re-verifies every candidate against its on-disk header before erasing
-    /// (and a remount rebuilds the index from disk).  An erasure racing this
-    /// call always wins: the stale pre-erasure membrane is never written
-    /// over the tombstone, and a delta to an erased record has no effect
-    /// (`Ok(false)`, nothing written, nothing audited).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown records.
-    pub fn apply_membrane_delta(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        delta: &MembraneDelta,
-    ) -> Result<bool, DbfsError> {
-        let applied = self.commit_ops(&[WriteOp::MembraneDelta {
-            data_type,
-            id,
-            delta,
-        }])?;
-        Ok(!applied.is_empty())
-    }
-
-    /// The `copy` built-in: duplicates a record, keeping the membrane
-    /// consistent across copies and recording the lineage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Erased`] for erased records.
-    pub fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
-        let _timer = self.op_timer("copy");
-        // The source resolves from the published snapshot, so an erasure can
-        // commit between this read and the insert below.  That race is closed
-        // by `stage_insert`, which re-walks the copy's lineage under the
-        // index lock and refuses a live copy of an erased ancestor.
-        let snapshot = self.read_snapshot();
-        let location = snapshot.view.locate(data_type, id)?;
-        if location.erased {
-            return Err(DbfsError::Erased { id: id.raw() });
-        }
-        let stored = self
-            .checked_read(&snapshot, id, location, read_stored)?
-            .into_located(id)?;
-        let (row, membrane) = stored.into_parts();
-        let wrapped = WrappedPd::new(row, membrane.for_copy(id));
-        let ids = self.commit_ops(&[WriteOp::Insert {
-            data_type,
-            wrapped: &wrapped,
-            copy_of: Some(id),
-        }])?;
-        Ok(ids[0])
-    }
-
-    /// The `delete` built-in, i.e. the right to be forgotten (§4): the
-    /// record's payload is encrypted under the authority's public key and the
-    /// membrane is marked erased.  Erasure reaches every *transitive* copy of
-    /// the record — the full lineage closure, computed from the reverse
-    /// copy-lineage index without any disk scan — and the **whole cascade is
-    /// one compound transaction**: a crash at any write index either
-    /// tombstones the record and every copy, or none of them.  A copy can
-    /// therefore never outlive its erased original across a power loss.
-    ///
-    /// Returns the identifiers this call tombstoned (the record itself and
-    /// every lineage copy it reached; already-erased items are not listed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown records.
-    pub fn erase(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        let _timer = self.op_timer("erase");
-        let mut index = self.lock_index();
-        let root_erased = index.view.locate(data_type, id)?.erased;
-        // Snapshot the lineage closure from the index — a pure in-memory
-        // walk, so no disk I/O happens before the write set is known.
-        let mut targets: Vec<(DataTypeId, PdId)> = Vec::new();
-        if !root_erased {
-            targets.push((data_type.clone(), id));
-        }
-        targets.extend(
-            index
-                .view
-                .live_locations(index.lineage_closure(id).into_iter())
-                .map(|(copy, loc)| (loc.data_type.clone(), copy)),
-        );
-        self.erase_targets_locked(&mut index, &targets, escrow)
     }
 
     /// Crypto-erases every target (skipping records already tombstoned) in
@@ -2105,142 +1646,6 @@ impl<D: BlockDevice> Dbfs<D> {
         Ok(done.into_iter().map(|(id, _)| id).collect())
     }
 
-    /// Erases every record of a subject (a subject-wide right-to-be-forgotten
-    /// request) in **one** compound transaction.  Returns the identifiers
-    /// tombstoned by this call — the subject's records *and* every transitive
-    /// lineage copy the cascade reached (copies carry their original's
-    /// subject, so the closure stays within the subject's id set).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn erase_subject(
-        &self,
-        subject: SubjectId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        let _timer = self.op_timer("erase_subject");
-        let mut index = self.lock_index();
-        let mut targets: Vec<(DataTypeId, PdId)> = index
-            .view
-            .live_locations(index.view.subject_ids(subject))
-            .map(|(id, loc)| (loc.data_type.clone(), id))
-            .collect();
-        let roots: Vec<PdId> = targets.iter().map(|(_, id)| *id).collect();
-        let mut seen: BTreeSet<PdId> = roots.iter().copied().collect();
-        for root in roots {
-            let closure = index.lineage_closure(root).into_iter();
-            for (copy, loc) in index.view.live_locations(closure) {
-                if seen.insert(copy) {
-                    targets.push((loc.data_type.clone(), copy));
-                }
-            }
-        }
-        self.erase_targets_locked(&mut index, &targets, escrow)
-    }
-
-    /// Enforces the storage-limitation principle: erases every record whose
-    /// retention period has elapsed.  Returns the expired identifiers.
-    ///
-    /// The candidates come from the expiry index, so the sweep only ever
-    /// visits records that actually expired — unexpired and unbounded-TTL
-    /// records cost nothing, in memory or on disk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
-        let _timer = self.op_timer("purge_expired");
-        let now = self.clock.now();
-        let candidates: Vec<(DataTypeId, PdId, SubjectId)> = {
-            let index = self.lock_index();
-            index
-                .view
-                .live_locations(
-                    index
-                        .view
-                        .by_expiry
-                        .range(..now)
-                        .flat_map(|(_, ids)| ids.iter().copied()),
-                )
-                .map(|(id, loc)| (loc.data_type.clone(), id, loc.subject))
-                .collect()
-        };
-        let mut expired = Vec::new();
-        let mut swept: BTreeSet<PdId> = BTreeSet::new();
-        for (data_type, id, subject) in candidates {
-            let reached_earlier = swept.contains(&id);
-            if !reached_earlier {
-                // Re-verify against the on-disk membrane header before
-                // erasing: a TTL change racing the sweep must never erase a
-                // record whose membrane no longer allows it.  The read and
-                // the heal happen under one lock acquisition so the heal
-                // cannot clobber a concurrent TTL change.
-                let still_expired = {
-                    let mut index = self.lock_index();
-                    // Tombstoned by someone else (a concurrent sweep or an
-                    // Art. 17 request) since the snapshot — not this sweep's
-                    // expiry to report.
-                    match index
-                        .view
-                        .records
-                        .get(&id)
-                        .filter(|loc| !loc.erased)
-                        .map(|loc| loc.ino)
-                    {
-                        None => false,
-                        Some(ino) => {
-                            let membrane = read_membrane_from(&self.fs, ino)?;
-                            if membrane.is_expired(now) {
-                                true
-                            } else {
-                                // Heal the stale expiry entry the race left.
-                                index.set_expiry(id, membrane.expiry_instant());
-                                self.publish_locked(&mut index);
-                                false
-                            }
-                        }
-                    }
-                };
-                if !still_expired {
-                    continue;
-                }
-                swept.extend(self.erase(&data_type, id, escrow)?);
-            }
-            // Reported when erased by this iteration, or earlier in this
-            // sweep as the expired copy of another expired record.
-            if reached_earlier || swept.contains(&id) {
-                DbfsStatsInner::bump(&self.stats.expirations);
-                self.audit
-                    .record(now, Some(subject), AuditEventKind::Expired { pd: id });
-                expired.push(id);
-            }
-        }
-        Ok(expired)
-    }
-
-    /// Returns every live record belonging to a subject, across all types —
-    /// the raw material of the right of access.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
-        let snapshot = self.read_snapshot();
-        let view = &snapshot.view;
-        let mut out = Vec::new();
-        for (id, location) in view.live_locations(view.subject_ids(subject)) {
-            // Tombstoned or reclaimed since the snapshot was cut: the right
-            // of access only returns live records.
-            let read = self.checked_read(&snapshot, id, location, read_stored)?;
-            let Some(stored) = read.unless_erased_since(false) else {
-                continue;
-            };
-            out.push(PdRecord::new(id, location.data_type.clone(), stored));
-        }
-        Ok(out)
-    }
-
     /// The `(table, id)` pairs of a subject's *live* records, resolved purely
     /// from the in-memory index — no disk I/O.  Sharded deployments use this
     /// to snapshot a subject's record set before a cross-shard erasure
@@ -2284,83 +1689,6 @@ impl<D: BlockDevice> Dbfs<D> {
                 erased: loc.erased,
             })
             .collect()
-    }
-
-    /// Executes a query against one table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`] (and [`DbfsError::Core`] when the
-    /// requested view does not exist).
-    pub fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
-        let _timer = self.op_timer("query");
-        DbfsStatsInner::bump(&self.stats.queries);
-        let schema = self.schema(&request.data_type)?;
-        let view = match &request.view {
-            Some(view_name) => Some(schema.view(view_name).cloned().ok_or(
-                rgpdos_core::CoreError::NotFound {
-                    what: format!("view `{view_name}`"),
-                },
-            )?),
-            None => None,
-        };
-        // Candidates resolve from one published snapshot, so the result is
-        // batch-atomic; the device reads below run with no lock held.
-        let snapshot = self.read_snapshot();
-        let locations: Vec<(PdId, &RecordLocation)> = {
-            // Narrow the candidate set through the secondary indexes before
-            // touching the disk: seed it from the most selective source —
-            // an explicit id-list conjunct, then a subject conjunct, then
-            // the table index — so point and per-subject queries cost
-            // O(result), not O(table).
-            let mut subjects = Vec::new();
-            let mut id_sets = Vec::new();
-            request
-                .predicate
-                .conjunctive_hints(&mut subjects, &mut id_sets);
-            static EMPTY: BTreeSet<PdId> = BTreeSet::new();
-            let candidates: Box<dyn Iterator<Item = PdId> + '_> =
-                if let Some(smallest) = id_sets.iter().copied().min_by_key(|ids| ids.len()) {
-                    Box::new(smallest.iter().copied())
-                } else if !subjects.is_empty() {
-                    let smallest = subjects
-                        .iter()
-                        .map(|s| snapshot.view.by_subject.get(s))
-                        .min_by_key(|set| set.map_or(0, BTreeSet::len))
-                        .flatten()
-                        .unwrap_or(&EMPTY);
-                    Box::new(smallest.iter().copied())
-                } else {
-                    Box::new(snapshot.view.table_ids(&request.data_type))
-                };
-            snapshot
-                .view
-                .locations(candidates)
-                .filter(|(_, loc)| loc.data_type == request.data_type)
-                .filter(|(_, loc)| subjects.iter().all(|s| loc.subject == *s))
-                .filter(|(id, _)| id_sets.iter().all(|ids| ids.contains(id)))
-                .filter(|(_, loc)| !(request.skip_erased && loc.erased))
-                .collect()
-        };
-        let mut batch = RecordBatch::new();
-        for (id, loc) in locations {
-            // A record tombstoned since the snapshot was cut is kept (as
-            // its tombstone) only by a query that includes erased records;
-            // a reclaimed one is left out.
-            let read = self.checked_read(&snapshot, id, loc, read_stored)?;
-            let Some(stored) = read.unless_erased_since(!request.skip_erased) else {
-                continue;
-            };
-            if !request.predicate.matches(id, loc.subject, stored.row()) {
-                continue;
-            }
-            let stored = match &view {
-                Some(v) => WrappedPd::new(v.apply(stored.row()), stored.into_parts().1),
-                None => stored,
-            };
-            batch.push(PdRecord::new(id, request.data_type.clone(), stored));
-        }
-        Ok(batch)
     }
 
     // ------------------------------------------------------------------
@@ -2525,56 +1853,10 @@ impl<D: BlockDevice> Dbfs<D> {
     // Tombstone scrubbing / space reclamation
     // ------------------------------------------------------------------
 
-    /// Measures the store's space footprint: live versus tombstone record
-    /// bytes (from the record inodes' on-disk sizes) plus the device's
-    /// allocated-block count.  Also refreshes the `space_amplification`
-    /// gauge.
-    ///
-    /// Sizes resolve against the published snapshot with no index lock
-    /// held; a record reclaimed concurrently is simply skipped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
-        let snapshot = self.read_snapshot();
-        let mut stats = SpaceStats::default();
-        for loc in snapshot.view.records.values() {
-            let bytes = match self.fs.stat(loc.ino) {
-                Ok(inode) => inode.size,
-                // Reclaimed between the snapshot and this stat.
-                Err(rgpdos_inode::InodeError::BadInode { .. }) => continue,
-                Err(e) => return Err(e.into()),
-            };
-            if loc.erased {
-                stats.tombstone_records += 1;
-                stats.tombstone_bytes += bytes;
-            } else {
-                stats.live_records += 1;
-                stats.live_bytes += bytes;
-            }
-        }
-        stats.allocated_blocks = self.fs.allocated_blocks();
-        self.space
-            .set_amplification_x100(stats.amplification_x100());
-        Ok(stats)
-    }
-
     /// Tombstones reclaimed by scrub passes since format/mount (the
     /// `tombstones_reclaimed` gauge).
     pub fn tombstones_reclaimed(&self) -> u64 {
         self.space.reclaimed()
-    }
-
-    /// One scrub pass with no extra retention policy: reclaims every
-    /// tombstone not referenced by a pending erase intent, children before
-    /// parents (see [`Dbfs::scrub_tombstones_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
-        self.scrub_tombstones_with(|_| true)
     }
 
     /// One scrub pass: reclaims the on-disk footprint of tombstones whose
@@ -2731,21 +2013,534 @@ impl<D: BlockDevice> Dbfs<D> {
             self.publish_locked(index);
         })
     }
+}
 
-    // ------------------------------------------------------------------
+/// The store operations.  [`PdStore`]'s own documentation is the contract;
+/// a method is documented here only for what is specific to the
+/// single-device store — which lock it takes, what it journals, what a
+/// crash leaves behind.
+impl<D: BlockDevice> PdStore for Dbfs<D> {
+    fn clock(&self) -> Arc<LogicalClock> {
+        Arc::clone(&self.clock)
+    }
 
-    /// Verifies that the secondary indexes agree with the primary record map
-    /// and with the membrane headers on disk.  Used by the property tests
-    /// and available to compliance audits.
-    ///
-    /// Runs under the index lock from start to end, so no writer can make
-    /// the index and the disk disagree while they are compared.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Corrupt`] describing the first violation found,
-    /// and propagates storage errors.
-    pub fn verify_index_invariants(&self) -> Result<(), DbfsError> {
+    fn audit(&self) -> AuditLog {
+        self.audit.clone()
+    }
+
+    fn stats(&self) -> DbfsStats {
+        self.stats.snapshot()
+    }
+
+    /// The unlabeled form of [`Dbfs::attach_trace_as`].
+    fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
+        self.attach_trace_as(ctx, &[]);
+    }
+
+    /// The table subtree, its schema entry and the tables-tree link are one
+    /// compound transaction.
+    fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
+        let mut index = self.lock_index();
+        if index.view.tables.contains_key(schema.name()) {
+            return Err(DbfsError::TypeAlreadyExists {
+                name: schema.name().to_string(),
+            });
+        }
+        // One compound transaction: a crash never exposes a table without
+        // its schema.
+        let tx = self.fs.begin_tx();
+        let table_ino = self.fs.alloc_inode(InodeKind::Table)?;
+        self.fs
+            .dir_add(index.tables_ino, schema.name().as_str(), table_ino)?;
+        let schema_ino = self.fs.alloc_inode(InodeKind::Schema)?;
+        let bytes = serde_json::to_vec(&schema).map_err(|_| DbfsError::Corrupt {
+            what: "schema serialization".to_owned(),
+        })?;
+        self.fs.write_replace(schema_ino, &bytes)?;
+        self.fs.dir_add(table_ino, SCHEMA_ENTRY, schema_ino)?;
+        tx.commit()?;
+        Arc::make_mut(&mut index.view.tables).insert(schema.name().clone(), table_ino);
+        Arc::make_mut(&mut index.view.schemas).register(schema);
+        self.publish_locked(&mut index);
+        Ok(())
+    }
+
+    fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
+        self.read_snapshot()
+            .view
+            .schemas
+            .get(name)
+            .cloned()
+            .ok_or_else(|| unknown_type(name))
+    }
+
+    /// Served from the published snapshot: wait-free, never touches the
+    /// index lock.
+    fn types(&self) -> Vec<DataTypeId> {
+        self.read_snapshot().view.tables.keys().cloned().collect()
+    }
+
+    /// Served from the published snapshot, so the answer is
+    /// **batch-atomic**: a concurrent group commit is either fully counted
+    /// or not at all — a half-applied batch is never observed.
+    fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
+        let snapshot = self.read_snapshot();
+        let view = &snapshot.view;
+        if !view.tables.contains_key(name) {
+            return Err(unknown_type(name));
+        }
+        Ok(view.live_locations(view.table_ids(name)).count())
+    }
+
+    fn collect(
+        &self,
+        data_type: &DataTypeId,
+        subject: SubjectId,
+        row: Row,
+    ) -> Result<PdId, DbfsError> {
+        let _timer = self.op_timer("collect");
+        let now = self.clock.now();
+        let schema = self.schema(data_type)?;
+        let membrane = Membrane::from_schema(&schema, subject, now);
+        self.insert_wrapped(data_type, WrappedPd::new(row, membrane))
+    }
+
+    /// A batch of one through the write pipeline.
+    fn insert_wrapped(
+        &self,
+        data_type: &DataTypeId,
+        wrapped: WrappedPd,
+    ) -> Result<PdId, DbfsError> {
+        let ids = self.commit_ops(&[WriteOp::Insert {
+            data_type,
+            wrapped: &wrapped,
+            copy_of: None,
+        }])?;
+        Ok(ids[0])
+    }
+
+    /// The inserts coalesce into **group commits** — as many records per
+    /// journal transaction as the journal capacity allows.  Each group is
+    /// one compound transaction, so a crash leaves a clean *prefix* of the
+    /// batch (whole groups), never a torn record; on error the rows before
+    /// the failing one are inserted exactly as if collected sequentially.
+    fn collect_many(
+        &self,
+        data_type: &DataTypeId,
+        rows: Vec<(SubjectId, Row)>,
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let schema = self.schema(data_type)?;
+        let now = self.clock.now();
+        let items = rows
+            .into_iter()
+            .map(|(subject, row)| {
+                let membrane = Membrane::from_schema(&schema, subject, now);
+                (data_type.clone(), WrappedPd::new(row, membrane))
+            })
+            .collect();
+        self.insert_many(items)
+    }
+
+    /// One batch through the write pipeline, journaled in group commits
+    /// cut at [`rgpdos_inode::InodeFs::tx_capacity_blocks`] (the
+    /// crash-atomicity bound).  On error the items staged before the
+    /// failing one are committed first (prefix semantics).
+    fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
+        if items.is_empty() {
+            return Ok(Vec::new());
+        }
+        let _timer = self.op_timer("insert_batch");
+        let ops: Vec<WriteOp<'_>> = items
+            .iter()
+            .map(|(data_type, wrapped)| WriteOp::Insert {
+                data_type,
+                wrapped,
+                copy_of: None,
+            })
+            .collect();
+        let result = self.commit_ops(&ops);
+        DbfsStatsInner::bump(&self.stats.insert_batches);
+        result
+    }
+
+    /// One batch through the write pipeline, sharing group commits like
+    /// [`PdStore::insert_many`]; every update stays individually
+    /// crash-atomic.
+    fn update_rows(
+        &self,
+        data_type: &DataTypeId,
+        updates: Vec<(PdId, Row)>,
+    ) -> Result<(), DbfsError> {
+        let ops: Vec<WriteOp<'_>> = updates
+            .iter()
+            .map(|(id, row)| WriteOp::UpdateRow {
+                data_type,
+                id: *id,
+                row,
+            })
+            .collect();
+        self.commit_ops(&ops).map(drop)
+    }
+
+    /// Served through the checked read (`Dbfs::checked_read`): the location
+    /// resolves from the published snapshot, the device is read with **no
+    /// lock held**, and the result is validated against the current
+    /// snapshot before it is returned — [`DbfsError::Erased`] when an
+    /// erasure or a reclaim committed after the snapshot was cut.
+    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
+        let _timer = self.op_timer("get");
+        DbfsStatsInner::bump(&self.stats.reads);
+        let snapshot = self.read_snapshot();
+        let location = snapshot.view.locate(data_type, id)?;
+        let stored = self
+            .checked_read(&snapshot, id, location, read_stored)?
+            .into_located(id)?;
+        Ok(PdRecord::new(id, data_type.clone(), stored))
+    }
+
+    /// Reads membrane headers only, never a payload block.  A record
+    /// reclaimed since the snapshot was cut is left out.
+    fn load_membranes(&self, data_type: &DataTypeId) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
+        let snapshot = self.read_snapshot();
+        if !snapshot.view.tables.contains_key(data_type) {
+            return Err(unknown_type(data_type));
+        }
+        let view = &snapshot.view;
+        self.read_membranes(&snapshot, view.locations(view.table_ids(data_type)))
+    }
+
+    /// Resolved through the subject index.
+    fn load_membranes_for_subject(
+        &self,
+        data_type: &DataTypeId,
+        subject: SubjectId,
+    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
+        let snapshot = self.read_snapshot();
+        if !snapshot.view.tables.contains_key(data_type) {
+            return Err(unknown_type(data_type));
+        }
+        let view = &snapshot.view;
+        let of_type = view
+            .locations(view.subject_ids(subject))
+            .filter(|(_, loc)| &loc.data_type == data_type);
+        self.read_membranes(&snapshot, of_type)
+    }
+
+    /// [`DbfsError::Erased`] only for a record reclaimed after the snapshot
+    /// was cut; a tombstone's membrane is returned as it is.
+    fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
+        let _timer = self.op_timer("load_membrane");
+        let snapshot = self.read_snapshot();
+        let location = snapshot.view.locate(data_type, id)?;
+        DbfsStatsInner::bump(&self.stats.membrane_loads);
+        self.checked_read(&snapshot, id, location, read_membrane_from)?
+            .unless_erased_since(true)
+            .ok_or(DbfsError::Erased { id: id.raw() })
+    }
+
+    /// Each record goes through the checked read against one published
+    /// snapshot — [`DbfsError::Erased`] when an erasure or a reclaim of one
+    /// of them committed after the snapshot was cut.
+    fn load_records(&self, data_type: &DataTypeId, ids: &[PdId]) -> Result<RecordBatch, DbfsError> {
+        let snapshot = self.read_snapshot();
+        let locations: Vec<(PdId, &RecordLocation)> = ids
+            .iter()
+            .map(|&id| match snapshot.view.records.get(&id) {
+                Some(loc) if &loc.data_type == data_type => Ok((id, loc)),
+                _ => Err(DbfsError::UnknownPd { id: id.raw() }),
+            })
+            .collect::<Result<_, _>>()?;
+        let mut batch = RecordBatch::new();
+        for (id, location) in locations {
+            DbfsStatsInner::bump(&self.stats.reads);
+            let stored = self
+                .checked_read(&snapshot, id, location, read_stored)?
+                .into_located(id)?;
+            batch.push(PdRecord::new(id, data_type.clone(), stored));
+        }
+        Ok(batch)
+    }
+
+    /// A batch of one through the write pipeline.
+    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
+        let _timer = self.op_timer("update");
+        self.commit_ops(&[WriteOp::UpdateRow {
+            data_type,
+            id,
+            row: &row,
+        }])
+        .map(drop)
+    }
+
+    /// A batch of one through the write pipeline.  Concurrent deltas to the
+    /// same record are last-writer-wins; the expiry index may briefly trail
+    /// the membrane on disk, but the retention sweep re-verifies every
+    /// candidate against its on-disk header before erasing (and a remount
+    /// rebuilds the index from disk).  An erasure racing this call always
+    /// wins: the stale pre-erasure membrane is never written over the
+    /// tombstone.
+    fn apply_membrane_delta(
+        &self,
+        data_type: &DataTypeId,
+        id: PdId,
+        delta: &MembraneDelta,
+    ) -> Result<bool, DbfsError> {
+        let applied = self.commit_ops(&[WriteOp::MembraneDelta {
+            data_type,
+            id,
+            delta,
+        }])?;
+        Ok(!applied.is_empty())
+    }
+
+    fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
+        let _timer = self.op_timer("copy");
+        // The source resolves from the published snapshot, so an erasure can
+        // commit between this read and the insert below.  That race is closed
+        // by `stage_insert`, which re-walks the copy's lineage under the
+        // index lock and refuses a live copy of an erased ancestor.
+        let snapshot = self.read_snapshot();
+        let location = snapshot.view.locate(data_type, id)?;
+        if location.erased {
+            return Err(DbfsError::Erased { id: id.raw() });
+        }
+        let stored = self
+            .checked_read(&snapshot, id, location, read_stored)?
+            .into_located(id)?;
+        let (row, membrane) = stored.into_parts();
+        let wrapped = WrappedPd::new(row, membrane.for_copy(id));
+        let ids = self.commit_ops(&[WriteOp::Insert {
+            data_type,
+            wrapped: &wrapped,
+            copy_of: Some(id),
+        }])?;
+        Ok(ids[0])
+    }
+
+    /// The record's payload is encrypted under the authority's public key
+    /// and the membrane is marked erased (§4).  The lineage closure comes
+    /// from the reverse copy-lineage index without any disk scan, and the
+    /// **whole cascade is one compound transaction**: a crash at any write
+    /// index either tombstones the record and every copy, or none of them.
+    /// A copy can therefore never outlive its erased original across a
+    /// power loss.  Already-erased items are not listed in the result.
+    fn erase(
+        &self,
+        data_type: &DataTypeId,
+        id: PdId,
+        escrow: &OperatorEscrow,
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let _timer = self.op_timer("erase");
+        let mut index = self.lock_index();
+        let root_erased = index.view.locate(data_type, id)?.erased;
+        // Snapshot the lineage closure from the index — a pure in-memory
+        // walk, so no disk I/O happens before the write set is known.
+        let mut targets: Vec<(DataTypeId, PdId)> = Vec::new();
+        if !root_erased {
+            targets.push((data_type.clone(), id));
+        }
+        targets.extend(
+            index
+                .view
+                .live_locations(index.lineage_closure(id).into_iter())
+                .map(|(copy, loc)| (loc.data_type.clone(), copy)),
+        );
+        self.erase_targets_locked(&mut index, &targets, escrow)
+    }
+
+    /// **One** compound transaction for the subject's records and every
+    /// transitive lineage copy (copies carry their original's subject, so
+    /// the closure stays within the subject's id set).
+    fn erase_subject(
+        &self,
+        subject: SubjectId,
+        escrow: &OperatorEscrow,
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let _timer = self.op_timer("erase_subject");
+        let mut index = self.lock_index();
+        let mut targets: Vec<(DataTypeId, PdId)> = index
+            .view
+            .live_locations(index.view.subject_ids(subject))
+            .map(|(id, loc)| (loc.data_type.clone(), id))
+            .collect();
+        let roots: Vec<PdId> = targets.iter().map(|(_, id)| *id).collect();
+        let mut seen: BTreeSet<PdId> = roots.iter().copied().collect();
+        for root in roots {
+            let closure = index.lineage_closure(root).into_iter();
+            for (copy, loc) in index.view.live_locations(closure) {
+                if seen.insert(copy) {
+                    targets.push((loc.data_type.clone(), copy));
+                }
+            }
+        }
+        self.erase_targets_locked(&mut index, &targets, escrow)
+    }
+
+    /// The candidates come from the expiry index, so the sweep only ever
+    /// visits records that actually expired — unexpired and unbounded-TTL
+    /// records cost nothing, in memory or on disk.
+    fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
+        let _timer = self.op_timer("purge_expired");
+        let now = self.clock.now();
+        let candidates: Vec<(DataTypeId, PdId, SubjectId)> = {
+            let index = self.lock_index();
+            index
+                .view
+                .live_locations(
+                    index
+                        .view
+                        .by_expiry
+                        .range(..now)
+                        .flat_map(|(_, ids)| ids.iter().copied()),
+                )
+                .map(|(id, loc)| (loc.data_type.clone(), id, loc.subject))
+                .collect()
+        };
+        let mut expired = Vec::new();
+        let mut swept: BTreeSet<PdId> = BTreeSet::new();
+        for (data_type, id, subject) in candidates {
+            let reached_earlier = swept.contains(&id);
+            if !reached_earlier {
+                // Re-verify against the on-disk membrane header before
+                // erasing: a TTL change racing the sweep must never erase a
+                // record whose membrane no longer allows it.  The read and
+                // the heal happen under one lock acquisition so the heal
+                // cannot clobber a concurrent TTL change.
+                let still_expired = {
+                    let mut index = self.lock_index();
+                    // Tombstoned by someone else (a concurrent sweep or an
+                    // Art. 17 request) since the snapshot — not this sweep's
+                    // expiry to report.
+                    match index
+                        .view
+                        .records
+                        .get(&id)
+                        .filter(|loc| !loc.erased)
+                        .map(|loc| loc.ino)
+                    {
+                        None => false,
+                        Some(ino) => {
+                            let membrane = read_membrane_from(&self.fs, ino)?;
+                            if membrane.is_expired(now) {
+                                true
+                            } else {
+                                // Heal the stale expiry entry the race left.
+                                index.set_expiry(id, membrane.expiry_instant());
+                                self.publish_locked(&mut index);
+                                false
+                            }
+                        }
+                    }
+                };
+                if !still_expired {
+                    continue;
+                }
+                swept.extend(self.erase(&data_type, id, escrow)?);
+            }
+            // Reported when erased by this iteration, or earlier in this
+            // sweep as the expired copy of another expired record.
+            if reached_earlier || swept.contains(&id) {
+                DbfsStatsInner::bump(&self.stats.expirations);
+                self.audit
+                    .record(now, Some(subject), AuditEventKind::Expired { pd: id });
+                expired.push(id);
+            }
+        }
+        Ok(expired)
+    }
+
+    fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
+        let snapshot = self.read_snapshot();
+        let view = &snapshot.view;
+        let mut out = Vec::new();
+        for (id, location) in view.live_locations(view.subject_ids(subject)) {
+            // Tombstoned or reclaimed since the snapshot was cut: the right
+            // of access only returns live records.
+            let read = self.checked_read(&snapshot, id, location, read_stored)?;
+            let Some(stored) = read.unless_erased_since(false) else {
+                continue;
+            };
+            out.push(PdRecord::new(id, location.data_type.clone(), stored));
+        }
+        Ok(out)
+    }
+
+    fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
+        let _timer = self.op_timer("query");
+        DbfsStatsInner::bump(&self.stats.queries);
+        let schema = self.schema(&request.data_type)?;
+        let view = match &request.view {
+            Some(view_name) => Some(schema.view(view_name).cloned().ok_or(
+                rgpdos_core::CoreError::NotFound {
+                    what: format!("view `{view_name}`"),
+                },
+            )?),
+            None => None,
+        };
+        // Candidates resolve from one published snapshot, so the result is
+        // batch-atomic; the device reads below run with no lock held.
+        let snapshot = self.read_snapshot();
+        let locations: Vec<(PdId, &RecordLocation)> = {
+            // Narrow the candidate set through the secondary indexes before
+            // touching the disk: seed it from the most selective source —
+            // an explicit id-list conjunct, then a subject conjunct, then
+            // the table index — so point and per-subject queries cost
+            // O(result), not O(table).
+            let mut subjects = Vec::new();
+            let mut id_sets = Vec::new();
+            request
+                .predicate
+                .conjunctive_hints(&mut subjects, &mut id_sets);
+            static EMPTY: BTreeSet<PdId> = BTreeSet::new();
+            let candidates: Box<dyn Iterator<Item = PdId> + '_> =
+                if let Some(smallest) = id_sets.iter().copied().min_by_key(|ids| ids.len()) {
+                    Box::new(smallest.iter().copied())
+                } else if !subjects.is_empty() {
+                    let smallest = subjects
+                        .iter()
+                        .map(|s| snapshot.view.by_subject.get(s))
+                        .min_by_key(|set| set.map_or(0, BTreeSet::len))
+                        .flatten()
+                        .unwrap_or(&EMPTY);
+                    Box::new(smallest.iter().copied())
+                } else {
+                    Box::new(snapshot.view.table_ids(&request.data_type))
+                };
+            snapshot
+                .view
+                .locations(candidates)
+                .filter(|(_, loc)| loc.data_type == request.data_type)
+                .filter(|(_, loc)| subjects.iter().all(|s| loc.subject == *s))
+                .filter(|(id, _)| id_sets.iter().all(|ids| ids.contains(id)))
+                .filter(|(_, loc)| !(request.skip_erased && loc.erased))
+                .collect()
+        };
+        let mut batch = RecordBatch::new();
+        for (id, loc) in locations {
+            // A record tombstoned since the snapshot was cut is kept (as
+            // its tombstone) only by a query that includes erased records;
+            // a reclaimed one is left out.
+            let read = self.checked_read(&snapshot, id, loc, read_stored)?;
+            let Some(stored) = read.unless_erased_since(!request.skip_erased) else {
+                continue;
+            };
+            if !request.predicate.matches(id, loc.subject, stored.row()) {
+                continue;
+            }
+            let stored = match &view {
+                Some(v) => WrappedPd::new(v.apply(stored.row()), stored.into_parts().1),
+                None => stored,
+            };
+            batch.push(PdRecord::new(id, request.data_type.clone(), stored));
+        }
+        Ok(batch)
+    }
+
+    /// Checks that the secondary indexes agree with the primary record map
+    /// and with the membrane headers on disk, under the index lock from
+    /// start to end, so no writer can make the index and the disk disagree
+    /// while they are compared.
+    fn verify_index_invariants(&self) -> Result<(), DbfsError> {
         let index = self.lock_index();
         let IndexView {
             records,
@@ -2837,6 +2632,39 @@ impl<D: BlockDevice> Dbfs<D> {
         }
         Ok(())
     }
+
+    /// [`Dbfs::scrub_tombstones_with`] under no extra retention policy.
+    fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
+        self.scrub_tombstones_with(|_| true)
+    }
+
+    /// Record bytes come from the record inodes' on-disk sizes, resolved
+    /// against the published snapshot with no index lock held; a record
+    /// reclaimed concurrently is simply skipped.  Also refreshes the
+    /// `space_amplification` gauge.
+    fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
+        let snapshot = self.read_snapshot();
+        let mut stats = SpaceStats::default();
+        for loc in snapshot.view.records.values() {
+            let bytes = match self.fs.stat(loc.ino) {
+                Ok(inode) => inode.size,
+                // Reclaimed between the snapshot and this stat.
+                Err(rgpdos_inode::InodeError::BadInode { .. }) => continue,
+                Err(e) => return Err(e.into()),
+            };
+            if loc.erased {
+                stats.tombstone_records += 1;
+                stats.tombstone_bytes += bytes;
+            } else {
+                stats.live_records += 1;
+                stats.live_bytes += bytes;
+            }
+        }
+        stats.allocated_blocks = self.fs.allocated_blocks();
+        self.space
+            .set_amplification_x100(stats.amplification_x100());
+        Ok(stats)
+    }
 }
 
 #[cfg(test)]
@@ -2875,14 +2703,14 @@ mod tests {
             })
             .collect();
 
-        let ids = batched.collect_many("user", rows.clone()).unwrap();
+        let ids = batched.collect_many(&"user".into(), rows.clone()).unwrap();
         let mut seq_ids = Vec::new();
         for (subject, row) in rows {
-            seq_ids.push(sequential.collect("user", subject, row).unwrap());
+            seq_ids.push(sequential.collect(&"user".into(), subject, row).unwrap());
         }
         // Same identifiers, same visible records, same index state.
         assert_eq!(ids, seq_ids);
-        assert_eq!(batched.count(&"user".into()), 40);
+        assert_eq!(batched.count(&"user".into()).unwrap(), 40);
         for &id in &ids {
             let a = batched.get(&"user".into(), id).unwrap();
             let b = sequential.get(&"user".into(), id).unwrap();
@@ -2932,7 +2760,7 @@ mod tests {
             .collect();
         let ids = dbfs.insert_many(items).unwrap();
         assert_eq!(ids.len(), 30);
-        assert_eq!(dbfs.count(&"user".into()), 30);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 30);
         assert!(
             dbfs.inode_fs().journal_txs() > 1,
             "a 30-record batch cannot fit one 16-block journal transaction"
@@ -2974,16 +2802,16 @@ mod tests {
             (SubjectId::new(4), user_row("never", 1983)),
         ];
         assert!(matches!(
-            dbfs.collect_many("user", rows),
+            dbfs.collect_many(&"user".into(), rows),
             Err(DbfsError::Core(_))
         ));
         // The two valid rows before the failure are applied, nothing after.
-        assert_eq!(dbfs.count(&"user".into()), 2);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
         assert_eq!(dbfs.stats().collects, 2);
         dbfs.verify_index_invariants().unwrap();
         // The id counter continues cleanly for later inserts.
         let next = dbfs
-            .collect("user", SubjectId::new(9), user_row("after", 1990))
+            .collect(&"user".into(), SubjectId::new(9), user_row("after", 1990))
             .unwrap();
         assert_eq!(next.raw(), 2);
 
@@ -3021,7 +2849,7 @@ mod tests {
         let escrow = OperatorEscrow::new(authority.public_key());
         let ids = dbfs
             .collect_many(
-                "user",
+                &"user".into(),
                 (0..10u64)
                     .map(|i| (SubjectId::new(i), user_row(&format!("v{i}"), 1970)))
                     .collect(),
@@ -3088,7 +2916,7 @@ mod tests {
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
             .collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(1),
                 user_row("CACHE-RESIDUE-CANARY-77", 1990),
             )
@@ -3112,13 +2940,13 @@ mod tests {
             Err(DbfsError::TypeAlreadyExists { .. })
         ));
         let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Chiraz", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Chiraz", 1990))
             .unwrap();
         let record = dbfs.get(&"user".into(), id).unwrap();
         assert_eq!(record.subject(), SubjectId::new(1));
         assert_eq!(record.row().get("name").unwrap().as_text(), Some("Chiraz"));
         assert!(!record.membrane().is_erased());
-        assert_eq!(dbfs.count(&"user".into()), 1);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 1);
         assert_eq!(dbfs.subjects(), vec![SubjectId::new(1)]);
         assert_eq!(dbfs.stats().collects, 1);
     }
@@ -3130,7 +2958,7 @@ mod tests {
         // `insert_wrapped` takes a WrappedPd which cannot be built without one.
         let dbfs = dbfs();
         let id = dbfs
-            .collect("user", SubjectId::new(4), user_row("Anyone", 1980))
+            .collect(&"user".into(), SubjectId::new(4), user_row("Anyone", 1980))
             .unwrap();
         for (pd, membrane) in dbfs.load_membranes(&"user".into()).unwrap() {
             assert_eq!(pd, id);
@@ -3143,11 +2971,11 @@ mod tests {
         let dbfs = dbfs();
         let bad = Row::new().with("name", "X");
         assert!(matches!(
-            dbfs.collect("user", SubjectId::new(1), bad),
+            dbfs.collect(&"user".into(), SubjectId::new(1), bad),
             Err(DbfsError::Core(_))
         ));
         assert!(matches!(
-            dbfs.collect("ghost", SubjectId::new(1), user_row("X", 1990)),
+            dbfs.collect(&"ghost".into(), SubjectId::new(1), user_row("X", 1990)),
             Err(DbfsError::UnknownType { .. })
         ));
     }
@@ -3156,7 +2984,7 @@ mod tests {
     fn update_and_membrane_delta() {
         let dbfs = dbfs();
         let id = dbfs
-            .collect("user", SubjectId::new(2), user_row("Old", 1970))
+            .collect(&"user".into(), SubjectId::new(2), user_row("Old", 1970))
             .unwrap();
         dbfs.update_row(&"user".into(), id, user_row("New", 1970))
             .unwrap();
@@ -3205,7 +3033,7 @@ mod tests {
         let dbfs = dbfs();
         let escrow = OperatorEscrow::new(Authority::generate(3).public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(2), user_row("Gone", 1970))
+            .collect(&"user".into(), SubjectId::new(2), user_row("Gone", 1970))
             .unwrap();
         dbfs.erase(&"user".into(), id, &escrow).unwrap();
         let tombstone = dbfs.get(&"user".into(), id).unwrap();
@@ -3239,13 +3067,13 @@ mod tests {
         let authority = Authority::generate(9);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(3), user_row("Copied", 1985))
+            .collect(&"user".into(), SubjectId::new(3), user_row("Copied", 1985))
             .unwrap();
         let copy = dbfs.copy(&"user".into(), id).unwrap();
         let copy_record = dbfs.get(&"user".into(), copy).unwrap();
         assert_eq!(copy_record.membrane().copied_from(), Some(id));
         assert_eq!(copy_record.subject(), SubjectId::new(3));
-        assert_eq!(dbfs.count(&"user".into()), 2);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
 
         dbfs.erase(&"user".into(), id, &escrow).unwrap();
         // Both the original and its copy are erased.
@@ -3255,7 +3083,7 @@ mod tests {
             .unwrap()
             .membrane()
             .is_erased());
-        assert_eq!(dbfs.count(&"user".into()), 0);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 0);
         assert!(matches!(
             dbfs.copy(&"user".into(), id),
             Err(DbfsError::Erased { .. })
@@ -3275,7 +3103,7 @@ mod tests {
         let authority = Authority::generate(13);
         let escrow = OperatorEscrow::new(authority.public_key());
         let original = dbfs
-            .collect("user", SubjectId::new(6), user_row("Chain", 1988))
+            .collect(&"user".into(), SubjectId::new(6), user_row("Chain", 1988))
             .unwrap();
         let copy = dbfs.copy(&"user".into(), original).unwrap();
         let copy_of_copy = dbfs.copy(&"user".into(), copy).unwrap();
@@ -3296,7 +3124,7 @@ mod tests {
                 id.raw()
             );
         }
-        assert_eq!(dbfs.count(&"user".into()), 0);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 0);
         assert_eq!(dbfs.stats().erasures, 3);
         // Every hop's erasure is individually audited.
         assert_eq!(
@@ -3316,7 +3144,7 @@ mod tests {
         let authority = Authority::generate(21);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(2), user_row("Gone", 1970))
+            .collect(&"user".into(), SubjectId::new(2), user_row("Gone", 1970))
             .unwrap();
         dbfs.erase(&"user".into(), id, &escrow).unwrap();
         let membrane = Membrane::from_schema(
@@ -3332,7 +3160,7 @@ mod tests {
             ),
             Err(DbfsError::Erased { .. })
         ));
-        assert_eq!(dbfs.count(&"user".into()), 0);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 0);
         dbfs.verify_index_invariants().unwrap();
     }
 
@@ -3341,7 +3169,7 @@ mod tests {
         let device = Arc::new(MemDevice::new(8192, 512));
         let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
         dbfs.create_type(listing1_user_schema()).unwrap();
-        dbfs.collect("user", SubjectId::new(9), user_row("Kept", 1975))
+        dbfs.collect(&"user".into(), SubjectId::new(9), user_row("Kept", 1975))
             .unwrap();
         // Format v1 marked itself by a bare 8-byte counter as metadata.
         let meta_ino = dbfs.fs.dir_lookup(ROOT_INO, META_ENTRY).unwrap().unwrap();
@@ -3378,7 +3206,7 @@ mod tests {
         let blob = "x".repeat(8 * 512);
         for i in 0..4u64 {
             dbfs.collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(i),
                 Row::new()
                     .with("name", blob.as_str())
@@ -3417,7 +3245,7 @@ mod tests {
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
             .collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(5),
                 user_row("FORGOTTEN-NAME-XYZ", 1999),
             )
@@ -3460,13 +3288,13 @@ mod tests {
         let escrow = OperatorEscrow::new(authority.public_key());
         for i in 0..5 {
             dbfs.collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(10),
                 user_row(&format!("dup-{i}"), 1990 + i),
             )
             .unwrap();
         }
-        dbfs.collect("user", SubjectId::new(11), user_row("other", 1970))
+        dbfs.collect(&"user".into(), SubjectId::new(11), user_row("other", 1970))
             .unwrap();
         assert_eq!(
             dbfs.records_of_subject(SubjectId::new(10)).unwrap().len(),
@@ -3490,7 +3318,7 @@ mod tests {
         let authority = Authority::generate(5);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Expiring", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Expiring", 1990))
             .unwrap();
         // Nothing expires immediately.
         assert!(dbfs.purge_expired(&escrow).unwrap().is_empty());
@@ -3509,7 +3337,7 @@ mod tests {
         let dbfs = dbfs();
         for i in 0..10 {
             dbfs.collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(i % 3),
                 user_row(&format!("user-{i}"), 1960 + i as i64),
             )
@@ -3556,14 +3384,14 @@ mod tests {
             let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
             dbfs.create_type(listing1_user_schema()).unwrap();
             id = dbfs
-                .collect("user", SubjectId::new(7), user_row("Persisted", 2001))
+                .collect(&"user".into(), SubjectId::new(7), user_row("Persisted", 2001))
                 .unwrap();
-            dbfs.collect("user", SubjectId::new(8), user_row("Another", 2002))
+            dbfs.collect(&"user".into(), SubjectId::new(8), user_row("Another", 2002))
                 .unwrap();
         }
         let dbfs = Dbfs::mount(Arc::clone(&device)).unwrap();
         assert_eq!(dbfs.types(), vec![DataTypeId::from("user")]);
-        assert_eq!(dbfs.count(&"user".into()), 2);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
         let record = dbfs.get(&"user".into(), id).unwrap();
         assert_eq!(
             record.row().get("name").unwrap().as_text(),
@@ -3571,7 +3399,7 @@ mod tests {
         );
         // New identifiers do not collide with pre-remount ones.
         let new_id = dbfs
-            .collect("user", SubjectId::new(7), user_row("Fresh", 2003))
+            .collect(&"user".into(), SubjectId::new(7), user_row("Fresh", 2003))
             .unwrap();
         assert!(new_id.raw() > id.raw());
         // Mounting a non-DBFS device fails cleanly.
@@ -3615,7 +3443,7 @@ mod tests {
         let authority = Authority::generate(2);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Audited", 1991))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Audited", 1991))
             .unwrap();
         dbfs.update_row(&"user".into(), id, user_row("Audited2", 1991))
             .unwrap();
@@ -3657,7 +3485,7 @@ mod tests {
         for i in 0..6 {
             let id = dbfs
                 .collect(
-                    "user",
+                    &"user".into(),
                     SubjectId::new(i % 2),
                     user_row(&format!("scrub-{i}"), 1980 + i as i64),
                 )
@@ -3684,7 +3512,7 @@ mod tests {
         assert_eq!(after.amplification(), 1.0);
         assert!(after.allocated_blocks < before.allocated_blocks);
         assert_eq!(dbfs.tombstones_reclaimed(), 4);
-        assert_eq!(dbfs.count(&"user".into()), 2);
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
         dbfs.verify_index_invariants().unwrap();
 
         // Each reclamation is audited; a reclaimed id reads as unknown.
@@ -3714,7 +3542,7 @@ mod tests {
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
             .collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(3),
                 user_row("SCRUB-TARGET-ABC", 1988),
             )
@@ -3745,7 +3573,7 @@ mod tests {
         let authority = Authority::generate(13);
         let escrow = OperatorEscrow::new(authority.public_key());
         let original = dbfs
-            .collect("user", SubjectId::new(1), user_row("Chain", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Chain", 1990))
             .unwrap();
         let copy = dbfs.copy(&"user".into(), original).unwrap();
         let grandcopy = dbfs.copy(&"user".into(), copy).unwrap();
@@ -3768,7 +3596,7 @@ mod tests {
         let authority = Authority::generate(17);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(1), user_row("Held", 1991))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Held", 1991))
             .unwrap();
         dbfs.erase(&"user".into(), id, &escrow).unwrap();
         // A routed erasure still in flight names the tombstone.
@@ -3799,10 +3627,10 @@ mod tests {
         let authority = Authority::generate(19);
         let escrow = OperatorEscrow::new(authority.public_key());
         let keep = dbfs
-            .collect("user", SubjectId::new(1), user_row("Keep", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Keep", 1990))
             .unwrap();
         let free = dbfs
-            .collect("user", SubjectId::new(1), user_row("Free", 1991))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Free", 1991))
             .unwrap();
         dbfs.erase_subject(SubjectId::new(1), &escrow).unwrap();
         let report = dbfs.scrub_tombstones_with(|id| id != keep).unwrap();
@@ -3823,10 +3651,10 @@ mod tests {
         let authority = Authority::generate(23);
         let escrow = OperatorEscrow::new(authority.public_key());
         let gone = dbfs
-            .collect("user", SubjectId::new(1), user_row("Gone", 1990))
+            .collect(&"user".into(), SubjectId::new(1), user_row("Gone", 1990))
             .unwrap();
         let stays = dbfs
-            .collect("user", SubjectId::new(2), user_row("Stays", 1991))
+            .collect(&"user".into(), SubjectId::new(2), user_row("Stays", 1991))
             .unwrap();
         dbfs.erase(&"user".into(), gone, &escrow).unwrap();
         dbfs.scrub_tombstones().unwrap();
@@ -3844,7 +3672,7 @@ mod tests {
         );
         // The healed id counter never recycles a reclaimed id.
         let fresh = remounted
-            .collect("user", SubjectId::new(3), user_row("Fresh", 1992))
+            .collect(&"user".into(), SubjectId::new(3), user_row("Fresh", 1992))
             .unwrap();
         assert!(fresh.raw() > stays.raw());
         remounted.verify_index_invariants().unwrap();

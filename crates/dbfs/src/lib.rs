@@ -40,16 +40,16 @@
 //! records actually involved), a **reverse copy-lineage** map (so the right
 //! to be forgotten reaches every *transitive* copy via a pure index walk),
 //! and an **expiry** map keyed by expiry instant (so retention sweeps only
-//! visit records that actually expired).  `Dbfs::verify_index_invariants`
+//! visit records that actually expired).  [`PdStore::verify_index_invariants`]
 //! checks all of them against the primary map and the on-disk headers.
 //!
 //! ## Batched writes: one pipeline, journal group commit
 //!
 //! Every record mutation is a batch through one private write pipeline:
-//! [`Dbfs::collect`], [`Dbfs::insert_wrapped`], [`Dbfs::copy`],
-//! [`Dbfs::update_row`] and [`Dbfs::apply_membrane_delta`] are batches of
-//! one, [`Dbfs::collect_many`], [`Dbfs::insert_many`] and
-//! [`Dbfs::update_rows`] batches of N.  The pipeline stages the ops into
+//! [`PdStore::collect`], [`PdStore::insert_wrapped`], [`PdStore::copy`],
+//! [`PdStore::update_row`] and [`PdStore::apply_membrane_delta`] are
+//! batches of one, [`PdStore::collect_many`], [`PdStore::insert_many`] and
+//! [`PdStore::update_rows`] batches of N.  The pipeline stages the ops into
 //! shared compound transactions (**group commits**), each op behind a
 //! savepoint: a failing op is un-staged and ends the batch with the ops
 //! before it committed, and a group is cut at the inode journal's
@@ -60,10 +60,10 @@
 //!
 //! Readers never take the index lock: they resolve locations from the
 //! published, epoch-stamped snapshot (a clone of the writer's index view)
-//! and read the device unlocked.  Every reader — [`Dbfs::get`], the
-//! `load_membrane*` family, [`Dbfs::load_records`],
-//! [`Dbfs::records_of_subject`], [`Dbfs::query`], the source read of
-//! [`Dbfs::copy`] — fetches record bytes through one private function that
+//! and read the device unlocked.  Every reader — [`PdStore::get`], the
+//! `load_membrane*` family, [`PdStore::load_records`],
+//! [`PdStore::records_of_subject`], [`PdStore::query`], the source read of
+//! [`PdStore::copy`] — fetches record bytes through one private function that
 //! validates *after* the read, against the current snapshot, whatever the
 //! read returned and whether the record was located live or as a
 //! tombstone: a record erased since is read again as its tombstone, an id
@@ -74,13 +74,22 @@
 //! overlay until the commit's flush barrier) and is updated in place by
 //! crypto-erasure writes, so no erased plaintext survives in memory either.
 //!
+//! ## One store surface
+//!
+//! The store operations exist once, as the [`PdStore`] trait; [`Dbfs`]
+//! implements it directly (there are no same-named inherent methods), so
+//! callers bring the trait into scope.  What stays inherent on [`Dbfs`] is
+//! what is not a store operation: constructors, instrumentation accessors
+//! and the protocol a routing layer drives (erase intents, index
+//! snapshots, the scrub pass with a retention predicate).
+//!
 //! ## Example
 //!
 //! ```rust
 //! use rgpdos_blockdev::MemDevice;
 //! use rgpdos_core::prelude::*;
 //! use rgpdos_core::schema::listing1_user_schema;
-//! use rgpdos_dbfs::{Dbfs, DbfsParams};
+//! use rgpdos_dbfs::{Dbfs, DbfsParams, PdStore};
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), rgpdos_dbfs::DbfsError> {
@@ -90,8 +99,9 @@
 //!     .with("name", "Chiraz")
 //!     .with("pwd", "secret")
 //!     .with("year_of_birthdate", 1990i64);
-//! let id = dbfs.collect("user", SubjectId::new(1), row)?;
-//! let record = dbfs.get(&"user".into(), id)?;
+//! let user = DataTypeId::from("user");
+//! let id = dbfs.collect(&user, SubjectId::new(1), row)?;
+//! let record = dbfs.get(&user, id)?;
 //! assert_eq!(record.membrane().subject(), SubjectId::new(1));
 //! # Ok(())
 //! # }

@@ -14,8 +14,6 @@ use crate::error::DbfsError;
 use crate::query::QueryRequest;
 use crate::scrub::{ScrubReport, SpaceStats};
 use crate::stats::DbfsStats;
-use crate::Dbfs;
-use rgpdos_blockdev::BlockDevice;
 use rgpdos_core::{
     AuditLog, DataTypeId, DataTypeSchema, LogicalClock, Membrane, MembraneDelta, PdId, PdRecord,
     RecordBatch, Row, SubjectId, WrappedPd,
@@ -278,163 +276,10 @@ pub trait PdStore: Send + Sync {
     fn space_stats(&self) -> Result<SpaceStats, DbfsError>;
 }
 
-impl<D: BlockDevice> PdStore for Dbfs<D> {
-    fn clock(&self) -> Arc<LogicalClock> {
-        Dbfs::clock(self)
-    }
-
-    fn audit(&self) -> AuditLog {
-        Dbfs::audit(self)
-    }
-
-    fn stats(&self) -> DbfsStats {
-        Dbfs::stats(self)
-    }
-
-    fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
-        Dbfs::attach_trace(self, ctx);
-    }
-
-    fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
-        Dbfs::create_type(self, schema)
-    }
-
-    fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
-        Dbfs::schema(self, name)
-    }
-
-    fn types(&self) -> Vec<DataTypeId> {
-        Dbfs::types(self)
-    }
-
-    fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
-        Dbfs::try_count(self, name)
-    }
-
-    fn collect(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-        row: Row,
-    ) -> Result<PdId, DbfsError> {
-        Dbfs::collect(self, data_type.clone(), subject, row)
-    }
-
-    fn insert_wrapped(
-        &self,
-        data_type: &DataTypeId,
-        wrapped: WrappedPd,
-    ) -> Result<PdId, DbfsError> {
-        Dbfs::insert_wrapped(self, data_type, wrapped)
-    }
-
-    fn collect_many(
-        &self,
-        data_type: &DataTypeId,
-        rows: Vec<(SubjectId, Row)>,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        Dbfs::collect_many(self, data_type.clone(), rows)
-    }
-
-    fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
-        Dbfs::insert_many(self, items)
-    }
-
-    fn update_rows(
-        &self,
-        data_type: &DataTypeId,
-        updates: Vec<(PdId, Row)>,
-    ) -> Result<(), DbfsError> {
-        Dbfs::update_rows(self, data_type, updates)
-    }
-
-    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
-        Dbfs::get(self, data_type, id)
-    }
-
-    fn load_membranes(&self, data_type: &DataTypeId) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        Dbfs::load_membranes(self, data_type)
-    }
-
-    fn load_membranes_for_subject(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        Dbfs::load_membranes_for_subject(self, data_type, subject)
-    }
-
-    fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
-        Dbfs::load_membrane(self, data_type, id)
-    }
-
-    fn load_records(&self, data_type: &DataTypeId, ids: &[PdId]) -> Result<RecordBatch, DbfsError> {
-        Dbfs::load_records(self, data_type, ids)
-    }
-
-    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
-        Dbfs::update_row(self, data_type, id, row)
-    }
-
-    fn apply_membrane_delta(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        delta: &MembraneDelta,
-    ) -> Result<bool, DbfsError> {
-        Dbfs::apply_membrane_delta(self, data_type, id, delta)
-    }
-
-    fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
-        Dbfs::copy(self, data_type, id)
-    }
-
-    fn erase(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        Dbfs::erase(self, data_type, id, escrow)
-    }
-
-    fn erase_subject(
-        &self,
-        subject: SubjectId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        Dbfs::erase_subject(self, subject, escrow)
-    }
-
-    fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
-        Dbfs::purge_expired(self, escrow)
-    }
-
-    fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
-        Dbfs::records_of_subject(self, subject)
-    }
-
-    fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
-        Dbfs::query(self, request)
-    }
-
-    fn verify_index_invariants(&self) -> Result<(), DbfsError> {
-        Dbfs::verify_index_invariants(self)
-    }
-
-    fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
-        Dbfs::scrub_tombstones(self)
-    }
-
-    fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
-        Dbfs::space_stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DbfsParams;
+    use crate::{Dbfs, DbfsParams};
     use rgpdos_blockdev::MemDevice;
     use rgpdos_core::schema::listing1_user_schema;
 

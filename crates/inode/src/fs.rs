@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use rgpdos_blockdev::{BlockDevice, CacheStats};
 use rgpdos_trace::{Counter, Hist, TraceClock, TraceCtx, Tracer};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The inode number of the root directory created by `format`.
 pub const ROOT_INO: Ino = 0;
@@ -127,15 +127,15 @@ pub struct InodeFs<D> {
     journal_txs: Counter,
     /// Number of journal transactions replayed by `mount` (crash recovery).
     recovered_txs: u64,
-    /// Commit-path instrumentation, when attached (see
-    /// [`InodeFs::attach_trace`]).  `None` costs one uncontended lock per
-    /// journaled commit and nothing else.
-    trace: Mutex<Option<FsTrace>>,
+    /// Commit-path instrumentation, set by the first
+    /// [`InodeFs::attach_trace`].  Unset costs one load per journaled
+    /// commit and nothing else.
+    trace: OnceLock<FsTrace>,
 }
 
 /// The handles [`InodeFs::attach_trace`] installs: the commit-latency
 /// histogram, the phase-span tracer, and the clock both read.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FsTrace {
     clock: Arc<TraceClock>,
     tracer: Arc<Tracer>,
@@ -284,7 +284,7 @@ impl<D: BlockDevice> InodeFs<D> {
             cache: Mutex::new(BlockCache::new(DEFAULT_CACHE_BLOCKS)),
             journal_txs: Counter::new(),
             recovered_txs: 0,
-            trace: Mutex::new(None),
+            trace: OnceLock::new(),
         })
     }
 
@@ -401,7 +401,7 @@ impl<D: BlockDevice> InodeFs<D> {
             cache: Mutex::new(BlockCache::new(DEFAULT_CACHE_BLOCKS)),
             journal_txs: Counter::new(),
             recovered_txs,
-            trace: Mutex::new(None),
+            trace: OnceLock::new(),
         })
     }
 
@@ -466,7 +466,7 @@ impl<D: BlockDevice> InodeFs<D> {
         ctx.registry
             .gauge_with("fs_recovered_txs", labels)
             .set(self.recovered_txs as i64);
-        *self.trace.lock() = Some(FsTrace {
+        let _ = self.trace.set(FsTrace {
             clock: Arc::clone(&ctx.clock),
             tracer: Arc::clone(&ctx.tracer),
             commit_us: ctx.registry.histogram_with("fs_commit_latency_us", labels),
@@ -1273,10 +1273,10 @@ impl<D: BlockDevice> InodeFs<D> {
         let block_size = self.layout.block_size;
         let journal_capacity = (self.layout.journal_blocks.saturating_sub(2)) as usize;
         let chunk_size = max_targets_per_tx(block_size).min(journal_capacity).max(1);
-        let trace = self.trace.lock().clone();
+        let trace = self.trace.get();
         for chunk in writes.chunks(chunk_size) {
-            let commit_span = trace.as_ref().map(|t| t.tracer.span("fs_commit"));
-            let commit_start = trace.as_ref().map(|t| t.clock.now_us());
+            let commit_span = trace.map(|t| t.tracer.span("fs_commit"));
+            let commit_start = trace.map(|t| t.clock.now_us());
             let needed = chunk.len() as u64 + 2;
             let mut pos = state.superblock.journal_write_ptr;
             if pos + needed > self.layout.journal_blocks {
@@ -1286,7 +1286,7 @@ impl<D: BlockDevice> InodeFs<D> {
             let targets: Vec<u64> = chunk.iter().map(|(b, _)| *b).collect();
 
             // 1. Journal records.
-            let journal_span = trace.as_ref().map(|t| t.tracer.span("fs_journal"));
+            let journal_span = trace.map(|t| t.tracer.span("fs_journal"));
             self.device.write_block(
                 self.layout.journal_start + pos,
                 &encode_header(tx_id, &targets, block_size),
@@ -1312,7 +1312,7 @@ impl<D: BlockDevice> InodeFs<D> {
             // crypto-erasure reaches the cache — a tombstone or
             // zero-on-free write replaces whatever plaintext the cache
             // held for that block.
-            let apply_span = trace.as_ref().map(|t| t.tracer.span("fs_apply"));
+            let apply_span = trace.map(|t| t.tracer.span("fs_apply"));
             {
                 let mut cache = self.cache.lock();
                 for (target, _) in chunk {
@@ -1325,7 +1325,7 @@ impl<D: BlockDevice> InodeFs<D> {
                 self.device.write_block(*target, &padded)?;
             }
             drop(apply_span);
-            let flush_span = trace.as_ref().map(|t| t.tracer.span("fs_flush"));
+            let flush_span = trace.map(|t| t.tracer.span("fs_flush"));
             self.device.flush()?;
             drop(flush_span);
             {
@@ -1343,7 +1343,7 @@ impl<D: BlockDevice> InodeFs<D> {
             self.journal_txs.inc();
 
             // 3. Checkpoint record in the superblock.
-            let checkpoint_span = trace.as_ref().map(|t| t.tracer.span("fs_checkpoint"));
+            let checkpoint_span = trace.map(|t| t.tracer.span("fs_checkpoint"));
             state.superblock.last_started_tx = tx_id;
             state.superblock.last_applied_tx = tx_id;
             state.superblock.last_tx_offset = pos;
@@ -1361,7 +1361,7 @@ impl<D: BlockDevice> InodeFs<D> {
             }
             self.device.flush()?;
             drop(checkpoint_span);
-            if let (Some(t), Some(start)) = (&trace, commit_start) {
+            if let (Some(t), Some(start)) = (trace, commit_start) {
                 t.commit_us.record(t.clock.now_us().saturating_sub(start));
             }
             drop(commit_span);

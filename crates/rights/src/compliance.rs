@@ -254,7 +254,7 @@ mod tests {
         );
         dbfs.create_type(listing1_user_schema()).unwrap();
         dbfs.collect(
-            "user",
+            &"user".into(),
             SubjectId::new(1),
             Row::new()
                 .with("name", "A")
@@ -275,7 +275,7 @@ mod tests {
         );
         dbfs.create_type(listing1_user_schema()).unwrap();
         dbfs.collect(
-            "user",
+            &"user".into(),
             SubjectId::new(1),
             Row::new()
                 .with("name", "A")

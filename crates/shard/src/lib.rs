@@ -49,7 +49,7 @@
 //!     .with("name", "Chiraz")
 //!     .with("pwd", "secret")
 //!     .with("year_of_birthdate", 1990i64);
-//! let id = sharded.collect("user", SubjectId::new(1), row)?;
+//! let id = sharded.collect(&"user".into(), SubjectId::new(1), row)?;
 //! // The id was allocated on the subject's home shard.
 //! assert_eq!(sharded.shard_of_id(id), sharded.home_shard(SubjectId::new(1)));
 //! assert_eq!(sharded.count(&"user".into()).unwrap(), 1);

@@ -20,7 +20,7 @@ use rgpdos_dbfs::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-shard batch slots handed to the worker pool: each involved shard
 /// `take()`s its slot exactly once, so row payloads move instead of clone.
@@ -243,9 +243,9 @@ pub struct ShardedDbfs<D: BlockDevice + 'static> {
     /// a failed intent write can then safely retract exactly the tombstone
     /// marks it pre-announced.
     erasures: Mutex<()>,
-    /// Router-level observability, attached post-construction via
-    /// [`ShardedDbfs::attach_trace`].  `None` until then.
-    trace: Mutex<Option<ShardTrace>>,
+    /// Router-level observability, set by the first
+    /// [`PdStore::attach_trace`]; unset until then.
+    trace: OnceLock<ShardTrace>,
 }
 
 /// Router-level trace handles: the tracer for scatter-gather spans and the
@@ -429,7 +429,7 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
             audit,
             next_copy: AtomicUsize::new(0),
             erasures: Mutex::new_named("cross-shard-erasures", ()),
-            trace: Mutex::new_named("sharded-trace", None),
+            trace: OnceLock::new(),
         }
     }
 
@@ -556,24 +556,6 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         &self.shards
     }
 
-    /// The shared clock.
-    pub fn clock(&self) -> Arc<LogicalClock> {
-        Arc::clone(&self.clock)
-    }
-
-    /// The shared audit log.
-    pub fn audit(&self) -> AuditLog {
-        self.audit.clone()
-    }
-
-    /// Merged operation counters across every shard.
-    pub fn stats(&self) -> DbfsStats {
-        self.shards
-            .iter()
-            .map(|shard| shard.stats())
-            .fold(DbfsStats::default(), DbfsStats::merge)
-    }
-
     /// Per-shard load plus merged counters (records-per-shard balance).
     pub fn sharded_stats(&self) -> ShardedStats {
         let per_shard = self.pool.scatter(|shard, dbfs| {
@@ -592,117 +574,9 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         ShardedStats { per_shard, totals }
     }
 
-    /// Attaches an observability context to the whole deployment: every
-    /// shard registers its counters and latency histograms under a
-    /// `shard="i"` label, per-shard balance is exported as derived gauges
-    /// (`shard_live_records` / `shard_tombstones`, read at snapshot time),
-    /// and the router itself records scatter-gather spans plus a
-    /// `shard_query_fanout` histogram of how many shards each query
-    /// touched.
-    pub fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            let index = i.to_string();
-            shard.attach_trace_as(ctx, &[("shard", &index)]);
-            let live = Arc::clone(shard);
-            ctx.registry
-                .gauge_fn("shard_live_records", &[("shard", &index)], move || {
-                    i64::try_from(live.record_counts().0).unwrap_or(i64::MAX)
-                });
-            let dead = Arc::clone(shard);
-            ctx.registry
-                .gauge_fn("shard_tombstones", &[("shard", &index)], move || {
-                    i64::try_from(dead.record_counts().1).unwrap_or(i64::MAX)
-                });
-        }
-        ctx.registry
-            .gauge("shard_count")
-            .set(i64::try_from(self.shards.len()).unwrap_or(i64::MAX));
-        *self.trace.lock() = Some(ShardTrace {
-            tracer: Arc::clone(&ctx.tracer),
-            fanout: ctx.registry.histogram("shard_query_fanout"),
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Schema management (broadcast)
-    // ------------------------------------------------------------------
-
-    /// Installs a type on every shard (shards stay schema-identical).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::TypeAlreadyExists`] when the type exists.
-    pub fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
-        for shard in &self.shards {
-            shard.create_type(schema.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Returns the schema of a type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`].
-    pub fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
-        self.shards[0].schema(name)
-    }
-
-    /// The installed type names.
-    pub fn types(&self) -> Vec<DataTypeId> {
-        self.shards[0].types()
-    }
-
-    /// Live records of a type, summed over a scatter across every shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::PartialScatter`] when any shard fails to answer
-    /// (for example because the type is missing there): a sum over the
-    /// remaining shards would be an undercount presented as a total.
-    pub fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
-        let name = name.clone();
-        let counts = gather_scatter(
-            0..self.shards.len(),
-            self.pool.scatter(move |_, dbfs| dbfs.try_count(&name)),
-        )?;
-        Ok(counts.into_iter().sum())
-    }
-
     // ------------------------------------------------------------------
     // Record lifecycle
     // ------------------------------------------------------------------
-
-    /// The `acquisition` built-in, routed to the subject's home shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`] or [`DbfsError::Core`] on schema
-    /// mismatch.
-    pub fn collect(
-        &self,
-        data_type: impl Into<DataTypeId>,
-        subject: SubjectId,
-        row: Row,
-    ) -> Result<PdId, DbfsError> {
-        self.shards[self.home_shard(subject)].collect(data_type, subject, row)
-    }
-
-    /// Stores an already-wrapped record on its subject's home shard,
-    /// registering any lineage the membrane carries.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedDbfs::collect`], plus [`DbfsError::Erased`] when the
-    /// membrane's lineage chain is already tombstoned.
-    pub fn insert_wrapped(
-        &self,
-        data_type: &DataTypeId,
-        wrapped: WrappedPd,
-    ) -> Result<PdId, DbfsError> {
-        let target = self.home_shard(wrapped.membrane().subject());
-        self.store_routed(data_type, wrapped, target)
-    }
 
     /// Stores a wrapped record on an explicit target shard.
     ///
@@ -753,47 +627,6 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(id)
     }
 
-    /// Batched `acquisition`: the rows are grouped by home shard and every
-    /// involved shard ingests its group through [`Dbfs::collect_many`]'s
-    /// journal group commit — the scatter-write analogue of the
-    /// scatter-gather read path.  The groups run concurrently on the worker
-    /// pool: each shard appends to its own audit stream with a dense
-    /// per-shard sequence, and the streams merge by Lamport stamp, so the
-    /// crash-matrix's audit-prefix invariant holds per stream without
-    /// serializing the shards.  The batching win — one journal transaction
-    /// per group instead of per record — is per-shard and unaffected.
-    /// Returns the assigned identifiers in input order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedDbfs::collect`]; the lowest failing shard's error
-    /// is reported.  On error, each shard has applied a clean prefix of its
-    /// own group (per-record atomicity holds everywhere); rows routed to
-    /// other shards may or may not have been applied.
-    pub fn collect_many(
-        &self,
-        data_type: impl Into<DataTypeId>,
-        rows: Vec<(SubjectId, Row)>,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        let name = data_type.into();
-        let mut ids: Vec<Option<PdId>> = vec![None; rows.len()];
-        let routed = rows
-            .into_iter()
-            .enumerate()
-            .map(|(pos, row)| (pos, self.home_shard(row.0), row));
-        let legs = self.scatter_batch(routed, move |dbfs, batch| {
-            dbfs.collect_many(name.clone(), batch)
-        });
-        // Ascending shard order: `?` reports the lowest failing shard.
-        for leg in legs {
-            place(&mut ids, leg.positions, leg.result?);
-        }
-        Ok(ids
-            .into_iter()
-            .map(|id| id.expect("every row was routed to exactly one shard"))
-            .collect())
-    }
-
     /// The scatter half of every batched operation: groups `routed` items
     /// — `(input position, target shard, item)` — per shard, runs `run` on
     /// each involved shard's group concurrently on the worker pool (groups
@@ -841,286 +674,12 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
             .collect()
     }
 
-    /// Batched [`ShardedDbfs::insert_wrapped`]: lineage-free records are
-    /// batch-routed to their home shards (group commit per shard, groups
-    /// run concurrently on the worker pool — see
-    /// [`ShardedDbfs::collect_many`]); records carrying lineage go through
-    /// the directory-registering single-record path.  Returns the
-    /// identifiers in input order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedDbfs::insert_wrapped`]; partial application on
-    /// error follows [`ShardedDbfs::collect_many`].
-    pub fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
-        let mut ids: Vec<Option<PdId>> = vec![None; items.len()];
-        let mut plain: Vec<(usize, usize, (DataTypeId, WrappedPd))> = Vec::new();
-        let mut with_lineage: Vec<(usize, DataTypeId, WrappedPd)> = Vec::new();
-        for (pos, (data_type, wrapped)) in items.into_iter().enumerate() {
-            if wrapped.membrane().copied_from().is_none() {
-                let target = self.home_shard(wrapped.membrane().subject());
-                plain.push((pos, target, (data_type, wrapped)));
-            } else {
-                with_lineage.push((pos, data_type, wrapped));
-            }
-        }
-        let legs = self.scatter_batch(plain, |dbfs, batch| dbfs.insert_many(batch));
-        // Ascending shard order: `?` reports the lowest failing shard.
-        for leg in legs {
-            place(&mut ids, leg.positions, leg.result?);
-        }
-        for (pos, data_type, wrapped) in with_lineage {
-            let target = self.home_shard(wrapped.membrane().subject());
-            ids[pos] = Some(self.store_routed(&data_type, wrapped, target)?);
-        }
-        Ok(ids
-            .into_iter()
-            .map(|id| id.expect("every item was routed"))
-            .collect())
-    }
-
-    /// Batched [`ShardedDbfs::update_row`]: updates are grouped by owning
-    /// shard (computable from the strided id space) and each shard applies
-    /// its group under journal group commit, with the groups running
-    /// concurrently on the worker pool (see [`ShardedDbfs::collect_many`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedDbfs::update_row`]; partial application on error
-    /// follows [`ShardedDbfs::collect_many`].
-    pub fn update_rows(
-        &self,
-        data_type: &DataTypeId,
-        updates: Vec<(PdId, Row)>,
-    ) -> Result<(), DbfsError> {
-        let name = data_type.clone();
-        let routed = updates
-            .into_iter()
-            .enumerate()
-            .map(|(pos, update)| (pos, self.shard_of_id(update.0), update));
-        let legs = self.scatter_batch(routed, move |dbfs, batch| dbfs.update_rows(&name, batch));
-        for leg in legs {
-            leg.result?;
-        }
-        Ok(())
-    }
-
     /// Drops every shard's inode-layer buffer cache (cold-path
     /// measurements; correctness never requires it).
     pub fn drop_caches(&self) {
         for shard in &self.shards {
             shard.drop_caches();
         }
-    }
-
-    /// Reads one record, routed by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`].
-    pub fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
-        self.shards[self.shard_of_id(id)].get(data_type, id)
-    }
-
-    /// Membrane-only load of a single record, routed by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`].
-    pub fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
-        self.shards[self.shard_of_id(id)].load_membrane(data_type, id)
-    }
-
-    /// Membrane-only load of a whole table: a scatter-gather over every
-    /// shard, merged in shard order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::PartialScatter`] when any shard fails
-    /// (wrapping, for example, [`DbfsError::UnknownType`]): merging only
-    /// the shards that answered would pass off a partial membrane set as
-    /// the whole table.
-    pub fn load_membranes(
-        &self,
-        data_type: &DataTypeId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        let name = data_type.clone();
-        let per_shard = gather_scatter(
-            0..self.shards.len(),
-            self.pool.scatter(move |_, dbfs| dbfs.load_membranes(&name)),
-        )?;
-        Ok(per_shard.into_iter().flatten().collect())
-    }
-
-    /// Membrane-only load of one subject's records of a type: the home shard
-    /// answers from its subject index, plus the directory's foreign
-    /// placements of that subject — `O(home shard + lineage)`, never a
-    /// fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownType`].
-    pub fn load_membranes_for_subject(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        let mut out =
-            self.shards[self.home_shard(subject)].load_membranes_for_subject(data_type, subject)?;
-        let foreign: Vec<PdId> = {
-            let directory = self.directory.lock();
-            directory
-                .foreign_of(subject)
-                .into_iter()
-                .filter(|id| {
-                    directory
-                        .entry(*id)
-                        .is_some_and(|entry| &entry.data_type == data_type)
-                })
-                .collect()
-        };
-        for id in foreign {
-            out.push((id, self.load_membrane(data_type, id)?));
-        }
-        Ok(out)
-    }
-
-    /// Full-record load of the given identifiers, grouped per shard, fetched
-    /// through the worker pool and returned in the order of `ids`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown identifiers, or
-    /// [`DbfsError::PartialScatter`] when a shard fails outright.
-    pub fn load_records(
-        &self,
-        data_type: &DataTypeId,
-        ids: &[PdId],
-    ) -> Result<RecordBatch, DbfsError> {
-        let name = data_type.clone();
-        let routed = ids
-            .iter()
-            .enumerate()
-            .map(|(pos, &id)| (pos, self.shard_of_id(id), id));
-        let legs = self.scatter_batch(routed, move |dbfs, batch| {
-            dbfs.load_records(&name, &batch)
-                .map(RecordBatch::into_records)
-        });
-        let mut records: Vec<Option<PdRecord>> = vec![None; ids.len()];
-        let shards: Vec<usize> = legs.iter().map(|leg| leg.shard).collect();
-        let results = legs
-            .into_iter()
-            .map(|leg| leg.result.map(|found| (leg.positions, found)))
-            .collect();
-        for (positions, found) in gather_scatter(shards, results)? {
-            place(&mut records, positions, found);
-        }
-        Ok(records
-            .into_iter()
-            .map(|record| record.expect("every id was routed to exactly one shard"))
-            .collect())
-    }
-
-    /// The `update` built-in, routed by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Erased`] or [`DbfsError::Core`].
-    pub fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
-        self.shards[self.shard_of_id(id)].update_row(data_type, id, row)
-    }
-
-    /// Applies a membrane delta, routed by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`].
-    pub fn apply_membrane_delta(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        delta: &MembraneDelta,
-    ) -> Result<bool, DbfsError> {
-        self.shards[self.shard_of_id(id)].apply_membrane_delta(data_type, id, delta)
-    }
-
-    /// The `copy` built-in.  The source is read on its own shard; the copy
-    /// is placed **round-robin** across the deployment (derived-data load
-    /// balancing), so a copy routinely lands on a different shard than its
-    /// source — the case the lineage directory exists for.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Erased`] for erased records (including a source
-    /// whose erasure wins the race against this copy).
-    pub fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
-        let record = self.get(data_type, id)?;
-        if record.membrane().is_erased() {
-            return Err(DbfsError::Erased { id: id.raw() });
-        }
-        let wrapped = WrappedPd::new(record.row().clone(), record.membrane().for_copy(id));
-        let target = self.next_copy.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.store_routed(data_type, wrapped, target)
-    }
-
-    /// The `delete` built-in across the deployment: tombstones the record
-    /// *and* the **transitive copy closure on every shard**.  The erasure is
-    /// two-phase and crash-durable:
-    ///
-    /// 1. the closure is snapshotted and pre-announced as tombstoned under
-    ///    the directory lock (pure metadata, no disk I/O), so a copy racing
-    ///    the erasure is refused from here on;
-    /// 2. the full target list is persisted as an [`EraseIntent`] on the
-    ///    root's shard **before any tombstone is written**, then each
-    ///    involved shard performs its crypto-erasures (each shard's cascade
-    ///    is one compound transaction) and the intent is cleared.
-    ///
-    /// A crash before the intent write leaves the deployment untouched (a
-    /// clean abort); a crash after it is **completed** at the next
-    /// [`ShardedDbfs::mount`], so no copy ever outlives its erased original
-    /// across a power loss.
-    ///
-    /// Returns every identifier this call tombstoned, transitive cross-shard
-    /// copies included.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown records.
-    pub fn erase(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        let _serialized = self.erasures.lock();
-        let root_shard = self.shard_of_id(id);
-        // Validate the id (and learn whether the root is already a
-        // tombstone) without mutating anything.
-        let root_erased = self.shards[root_shard]
-            .load_membrane(data_type, id)?
-            .is_erased();
-        // Phase 1: snapshot the directory closure and pre-announce the
-        // tombstones.  No disk I/O under the directory lock.
-        let (targets, pre_announced): (Vec<(usize, DataTypeId, PdId)>, Vec<PdId>) = {
-            let mut directory = self.directory.lock();
-            let members = directory.closure([id]);
-            let pre_announced =
-                directory.mark_erased_returning_new(members.iter().copied().chain([id]));
-            let mut targets = Vec::with_capacity(members.len() + 1);
-            if !root_erased {
-                targets.push((root_shard, data_type.clone(), id));
-            }
-            targets.extend(members.into_iter().map(|member| {
-                let member_type = directory
-                    .entry(member)
-                    .map(|entry| entry.data_type.clone())
-                    .unwrap_or_else(|| data_type.clone());
-                (self.shard_of_id(member), member_type, member)
-            }));
-            (targets, pre_announced)
-        };
-        // Phase 2: intent on the root's shard, then the erasures.
-        self.erase_routed(root_shard, targets, pre_announced, escrow)
     }
 
     /// The tail `erase` and `erase_subject` share once their targets are
@@ -1159,19 +718,394 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(erased.into_iter().collect())
     }
 
-    /// Subject-wide right to be forgotten: the subject's home-shard records
-    /// and foreign placements are snapshotted together with their transitive
-    /// copy closure under the directory lock, the target list is persisted
-    /// as an [`EraseIntent`] on the subject's home shard, then every
-    /// involved shard erases its members and the intent is cleared.  A crash
-    /// mid-erasure is completed at the next mount — the request never stays
-    /// half-applied.  Returns every identifier tombstoned, cross-shard
-    /// copies included.
+    /// Total tombstones reclaimed by scrub passes since mount, summed over
+    /// the shards.
+    pub fn tombstones_reclaimed(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|shard| shard.tombstones_reclaimed())
+            .sum()
+    }
+}
+
+/// The store operations.  [`PdStore`]'s own documentation is the contract;
+/// a method is documented here only for what the router adds — where the
+/// operation is routed, what it scatters, and how a cross-shard erasure
+/// survives a crash.
+impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
+    fn clock(&self) -> Arc<LogicalClock> {
+        Arc::clone(&self.clock)
+    }
+
+    fn audit(&self) -> AuditLog {
+        self.audit.clone()
+    }
+
+    fn stats(&self) -> DbfsStats {
+        self.shards
+            .iter()
+            .map(|shard| shard.stats())
+            .fold(DbfsStats::default(), DbfsStats::merge)
+    }
+
+    /// Every shard registers its counters and latency histograms under a
+    /// `shard="i"` label, per-shard balance is exported as derived gauges
+    /// (`shard_live_records` / `shard_tombstones`, read at snapshot time),
+    /// and the router itself records scatter-gather spans plus a
+    /// `shard_query_fanout` histogram of how many shards each query
+    /// touched.
+    fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            let index = i.to_string();
+            shard.attach_trace_as(ctx, &[("shard", &index)]);
+            let live = Arc::clone(shard);
+            ctx.registry
+                .gauge_fn("shard_live_records", &[("shard", &index)], move || {
+                    i64::try_from(live.record_counts().0).unwrap_or(i64::MAX)
+                });
+            let dead = Arc::clone(shard);
+            ctx.registry
+                .gauge_fn("shard_tombstones", &[("shard", &index)], move || {
+                    i64::try_from(dead.record_counts().1).unwrap_or(i64::MAX)
+                });
+        }
+        ctx.registry
+            .gauge("shard_count")
+            .set(i64::try_from(self.shards.len()).unwrap_or(i64::MAX));
+        let _ = self.trace.set(ShardTrace {
+            tracer: Arc::clone(&ctx.tracer),
+            fanout: ctx.registry.histogram("shard_query_fanout"),
+        });
+    }
+
+    /// Broadcast shard by shard (shards stay schema-identical).  A
+    /// broadcast that a failure or a crash cut short is resumed by calling
+    /// again: a shard already holding the identical schema is skipped, and
+    /// [`DbfsError::TypeAlreadyExists`] is returned only when every shard
+    /// held it — or when one holds a different schema under the name.
+    fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
+        let mut installed = false;
+        for shard in &self.shards {
+            match shard.create_type(schema.clone()) {
+                Ok(()) => installed = true,
+                Err(DbfsError::TypeAlreadyExists { .. })
+                    if shard.schema(schema.name())? == schema => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if installed {
+            Ok(())
+        } else {
+            Err(DbfsError::TypeAlreadyExists {
+                name: schema.name().to_string(),
+            })
+        }
+    }
+
+    /// Answered by shard 0.
+    fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
+        self.shards[0].schema(name)
+    }
+
+    /// Answered by shard 0.
+    fn types(&self) -> Vec<DataTypeId> {
+        self.shards[0].types()
+    }
+
+    /// Summed over a scatter across every shard.
+    fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
+        let name = name.clone();
+        let counts = gather_scatter(
+            0..self.shards.len(),
+            self.pool.scatter(move |_, dbfs| dbfs.count(&name)),
+        )?;
+        Ok(counts.into_iter().sum())
+    }
+
+    /// Routed to the subject's home shard.
+    fn collect(
+        &self,
+        data_type: &DataTypeId,
+        subject: SubjectId,
+        row: Row,
+    ) -> Result<PdId, DbfsError> {
+        self.shards[self.home_shard(subject)].collect(data_type, subject, row)
+    }
+
+    /// Stored on the subject's home shard, registering any lineage the
+    /// membrane carries in the directory.
+    fn insert_wrapped(
+        &self,
+        data_type: &DataTypeId,
+        wrapped: WrappedPd,
+    ) -> Result<PdId, DbfsError> {
+        let target = self.home_shard(wrapped.membrane().subject());
+        self.store_routed(data_type, wrapped, target)
+    }
+
+    /// The rows are grouped by home shard and every involved shard ingests
+    /// its group under its own journal group commit — the scatter-write
+    /// analogue of the scatter-gather read path.  The groups run
+    /// concurrently on the worker pool: each shard appends to its own audit
+    /// stream with a dense per-shard sequence, and the streams merge by
+    /// Lamport stamp, so the crash-matrix's audit-prefix invariant holds
+    /// per stream without serializing the shards.
     ///
-    /// # Errors
+    /// The lowest failing shard's error is reported.  On error, each shard
+    /// has applied a clean prefix of its own group (per-record atomicity
+    /// holds everywhere); rows routed to other shards may or may not have
+    /// been applied.
+    fn collect_many(
+        &self,
+        data_type: &DataTypeId,
+        rows: Vec<(SubjectId, Row)>,
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let name = data_type.clone();
+        let mut ids: Vec<Option<PdId>> = vec![None; rows.len()];
+        let routed = rows
+            .into_iter()
+            .enumerate()
+            .map(|(pos, row)| (pos, self.home_shard(row.0), row));
+        let legs = self.scatter_batch(routed, move |dbfs, batch| {
+            dbfs.collect_many(&name, batch)
+        });
+        // Ascending shard order: `?` reports the lowest failing shard.
+        for leg in legs {
+            place(&mut ids, leg.positions, leg.result?);
+        }
+        Ok(ids
+            .into_iter()
+            .map(|id| id.expect("every row was routed to exactly one shard"))
+            .collect())
+    }
+
+    /// Lineage-free records are batch-routed to their home shards (group
+    /// commit per shard, groups run concurrently on the worker pool);
+    /// records carrying lineage go through the directory-registering
+    /// single-record path.  Partial application on error follows
+    /// `collect_many`.
+    fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
+        let mut ids: Vec<Option<PdId>> = vec![None; items.len()];
+        let mut plain: Vec<(usize, usize, (DataTypeId, WrappedPd))> = Vec::new();
+        let mut with_lineage: Vec<(usize, DataTypeId, WrappedPd)> = Vec::new();
+        for (pos, (data_type, wrapped)) in items.into_iter().enumerate() {
+            if wrapped.membrane().copied_from().is_none() {
+                let target = self.home_shard(wrapped.membrane().subject());
+                plain.push((pos, target, (data_type, wrapped)));
+            } else {
+                with_lineage.push((pos, data_type, wrapped));
+            }
+        }
+        let legs = self.scatter_batch(plain, |dbfs, batch| dbfs.insert_many(batch));
+        // Ascending shard order: `?` reports the lowest failing shard.
+        for leg in legs {
+            place(&mut ids, leg.positions, leg.result?);
+        }
+        for (pos, data_type, wrapped) in with_lineage {
+            let target = self.home_shard(wrapped.membrane().subject());
+            ids[pos] = Some(self.store_routed(&data_type, wrapped, target)?);
+        }
+        Ok(ids
+            .into_iter()
+            .map(|id| id.expect("every item was routed"))
+            .collect())
+    }
+
+    /// Updates are grouped by owning shard (computable from the strided id
+    /// space) and each shard applies its group under journal group commit,
+    /// the groups running concurrently on the worker pool.  Partial
+    /// application on error follows `collect_many`.
+    fn update_rows(
+        &self,
+        data_type: &DataTypeId,
+        updates: Vec<(PdId, Row)>,
+    ) -> Result<(), DbfsError> {
+        let name = data_type.clone();
+        let routed = updates
+            .into_iter()
+            .enumerate()
+            .map(|(pos, update)| (pos, self.shard_of_id(update.0), update));
+        let legs = self.scatter_batch(routed, move |dbfs, batch| dbfs.update_rows(&name, batch));
+        for leg in legs {
+            leg.result?;
+        }
+        Ok(())
+    }
+
+    /// Routed by id.
+    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
+        self.shards[self.shard_of_id(id)].get(data_type, id)
+    }
+
+    /// A scatter-gather over every shard, merged in shard order;
+    /// [`DbfsError::PartialScatter`] when any shard fails (wrapping, for
+    /// example, [`DbfsError::UnknownType`]): merging only the shards that
+    /// answered would pass off a partial membrane set as the whole table.
+    fn load_membranes(
+        &self,
+        data_type: &DataTypeId,
+    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
+        let name = data_type.clone();
+        let per_shard = gather_scatter(
+            0..self.shards.len(),
+            self.pool.scatter(move |_, dbfs| dbfs.load_membranes(&name)),
+        )?;
+        Ok(per_shard.into_iter().flatten().collect())
+    }
+
+    /// The home shard answers from its subject index, plus the directory's
+    /// foreign placements of that subject — `O(home shard + lineage)`,
+    /// never a fan-out.
+    fn load_membranes_for_subject(
+        &self,
+        data_type: &DataTypeId,
+        subject: SubjectId,
+    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
+        let mut out =
+            self.shards[self.home_shard(subject)].load_membranes_for_subject(data_type, subject)?;
+        let foreign: Vec<PdId> = {
+            let directory = self.directory.lock();
+            directory
+                .foreign_of(subject)
+                .into_iter()
+                .filter(|id| {
+                    directory
+                        .entry(*id)
+                        .is_some_and(|entry| &entry.data_type == data_type)
+                })
+                .collect()
+        };
+        for id in foreign {
+            out.push((id, self.load_membrane(data_type, id)?));
+        }
+        Ok(out)
+    }
+
+    /// Routed by id.
+    fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
+        self.shards[self.shard_of_id(id)].load_membrane(data_type, id)
+    }
+
+    /// Grouped per shard and fetched through the worker pool;
+    /// [`DbfsError::PartialScatter`] when a shard fails outright.
+    fn load_records(
+        &self,
+        data_type: &DataTypeId,
+        ids: &[PdId],
+    ) -> Result<RecordBatch, DbfsError> {
+        let name = data_type.clone();
+        let routed = ids
+            .iter()
+            .enumerate()
+            .map(|(pos, &id)| (pos, self.shard_of_id(id), id));
+        let legs = self.scatter_batch(routed, move |dbfs, batch| {
+            dbfs.load_records(&name, &batch)
+                .map(RecordBatch::into_records)
+        });
+        let mut records: Vec<Option<PdRecord>> = vec![None; ids.len()];
+        let shards: Vec<usize> = legs.iter().map(|leg| leg.shard).collect();
+        let results = legs
+            .into_iter()
+            .map(|leg| leg.result.map(|found| (leg.positions, found)))
+            .collect();
+        for (positions, found) in gather_scatter(shards, results)? {
+            place(&mut records, positions, found);
+        }
+        Ok(records
+            .into_iter()
+            .map(|record| record.expect("every id was routed to exactly one shard"))
+            .collect())
+    }
+
+    /// Routed by id.
+    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
+        self.shards[self.shard_of_id(id)].update_row(data_type, id, row)
+    }
+
+    /// Routed by id.
+    fn apply_membrane_delta(
+        &self,
+        data_type: &DataTypeId,
+        id: PdId,
+        delta: &MembraneDelta,
+    ) -> Result<bool, DbfsError> {
+        self.shards[self.shard_of_id(id)].apply_membrane_delta(data_type, id, delta)
+    }
+
+    /// The source is read on its own shard; the copy is placed
+    /// **round-robin** across the deployment (derived-data load balancing),
+    /// so a copy routinely lands on a different shard than its source — the
+    /// case the lineage directory exists for.  A source whose erasure wins
+    /// the race against this copy is [`DbfsError::Erased`].
+    fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
+        let record = self.get(data_type, id)?;
+        if record.membrane().is_erased() {
+            return Err(DbfsError::Erased { id: id.raw() });
+        }
+        let wrapped = WrappedPd::new(record.row().clone(), record.membrane().for_copy(id));
+        let target = self.next_copy.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        self.store_routed(data_type, wrapped, target)
+    }
+
+    /// Tombstones the record *and* the **transitive copy closure on every
+    /// shard**.  The erasure is two-phase and crash-durable:
     ///
-    /// Propagates storage errors.
-    pub fn erase_subject(
+    /// 1. the closure is snapshotted and pre-announced as tombstoned under
+    ///    the directory lock (pure metadata, no disk I/O), so a copy racing
+    ///    the erasure is refused from here on;
+    /// 2. the full target list is persisted as an [`EraseIntent`] on the
+    ///    root's shard **before any tombstone is written**, then each
+    ///    involved shard performs its crypto-erasures (each shard's cascade
+    ///    is one compound transaction) and the intent is cleared.
+    ///
+    /// A crash before the intent write leaves the deployment untouched (a
+    /// clean abort); a crash after it is **completed** at the next
+    /// [`ShardedDbfs::mount`], so no copy ever outlives its erased original
+    /// across a power loss.
+    fn erase(
+        &self,
+        data_type: &DataTypeId,
+        id: PdId,
+        escrow: &OperatorEscrow,
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let _serialized = self.erasures.lock();
+        let root_shard = self.shard_of_id(id);
+        // Validate the id (and learn whether the root is already a
+        // tombstone) without mutating anything.
+        let root_erased = self.shards[root_shard]
+            .load_membrane(data_type, id)?
+            .is_erased();
+        // Phase 1: snapshot the directory closure and pre-announce the
+        // tombstones.  No disk I/O under the directory lock.
+        let (targets, pre_announced): (Vec<(usize, DataTypeId, PdId)>, Vec<PdId>) = {
+            let mut directory = self.directory.lock();
+            let members = directory.closure([id]);
+            let pre_announced =
+                directory.mark_erased_returning_new(members.iter().copied().chain([id]));
+            let mut targets = Vec::with_capacity(members.len() + 1);
+            if !root_erased {
+                targets.push((root_shard, data_type.clone(), id));
+            }
+            targets.extend(members.into_iter().map(|member| {
+                let member_type = directory
+                    .entry(member)
+                    .map(|entry| entry.data_type.clone())
+                    .unwrap_or_else(|| data_type.clone());
+                (self.shard_of_id(member), member_type, member)
+            }));
+            (targets, pre_announced)
+        };
+        // Phase 2: intent on the root's shard, then the erasures.
+        self.erase_routed(root_shard, targets, pre_announced, escrow)
+    }
+
+    /// The subject's home-shard records and foreign placements are
+    /// snapshotted together with their transitive copy closure under the
+    /// directory lock, the target list is persisted as an [`EraseIntent`]
+    /// on the subject's home shard, then every involved shard erases its
+    /// members and the intent is cleared.  A crash mid-erasure is completed
+    /// at the next mount — the request never stays half-applied.
+    fn erase_subject(
         &self,
         subject: SubjectId,
         escrow: &OperatorEscrow,
@@ -1214,21 +1148,17 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         self.erase_routed(self.home_shard(subject), targets, pre_announced, escrow)
     }
 
-    /// Storage-limitation sweep: every shard purges its own expiry index,
-    /// then the directory propagates the erasure to cross-shard copies whose
-    /// retention diverged from their expired original (a copy must never
-    /// outlive its lineage).  Returns every identifier the sweep tombstoned.
+    /// Every shard purges its own expiry index, then the directory
+    /// propagates the erasure to cross-shard copies whose retention
+    /// diverged from their expired original (a copy must never outlive its
+    /// lineage).
     ///
     /// The sweep's exact target set is only known mid-sweep, so the durable
     /// intent written up front carries no targets — just the authority key.
     /// If a crash interrupts the sweep between a shard purge and the
     /// cross-shard propagation, the next mount finds the intent and runs the
     /// **lineage heal**: any live record with an erased ancestor is erased.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
+    fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
         let _serialized = self.erasures.lock();
         let now = self.clock.now();
         if !self
@@ -1270,14 +1200,9 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(expired)
     }
 
-    /// Every live record of a subject across the deployment: the home
-    /// shard's subject index plus the directory's foreign placements —
-    /// `O(home shard + lineage)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
+    /// The home shard's subject index plus the directory's foreign
+    /// placements — `O(home shard + lineage)`.
+    fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
         let mut out = self.shards[self.home_shard(subject)].records_of_subject(subject)?;
         let foreign: Vec<(PdId, DataTypeId)> = {
             let directory = self.directory.lock();
@@ -1301,19 +1226,15 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(out)
     }
 
-    /// Executes a query.  A query whose predicate pins an id list is routed
-    /// to the shards owning those ids (computable from the strided id
-    /// space); one that pins one or more subjects is routed to the home
-    /// shards of those subjects (plus the shards holding their foreign
-    /// records); anything else scatter-gathers across every shard and
-    /// merges in shard order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::PartialScatter`] when any involved shard fails
+    /// A query whose predicate pins an id list is routed to the shards
+    /// owning those ids (computable from the strided id space); one that
+    /// pins one or more subjects is routed to the home shards of those
+    /// subjects (plus the shards holding their foreign records); anything
+    /// else scatter-gathers across every shard and merges in shard order.
+    /// [`DbfsError::PartialScatter`] when any involved shard fails
     /// (wrapping [`DbfsError::UnknownType`] or [`DbfsError::Core`]): a
     /// merge of the surviving legs would be a silently incomplete answer.
-    pub fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
+    fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
         let pinned = request.predicate.pinned_subjects();
         let involved: Vec<usize> = if let Some(ids) = request.predicate.pinned_ids() {
             let mut involved: Vec<usize> = ids.iter().map(|&id| self.shard_of_id(id)).collect();
@@ -1334,16 +1255,16 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
             involved.dedup();
             involved
         };
-        let trace = self.trace.lock().clone();
-        let scatter_span = trace.as_ref().map(|t| t.tracer.span("shard_query_scatter"));
-        if let Some(t) = &trace {
+        let trace = self.trace.get();
+        let scatter_span = trace.map(|t| t.tracer.span("shard_query_scatter"));
+        if let Some(t) = trace {
             t.fanout.record(involved.len() as u64);
         }
         // Pool workers run on their own threads, so the per-leg spans name
         // the scatter span as parent explicitly rather than relying on the
         // tracer's per-thread nesting stack.
         let parent = scatter_span.as_ref().map(rgpdos_trace::SpanGuard::id);
-        let legs = trace.clone();
+        let legs = trace.cloned();
         let request = Arc::new(request.clone());
         let results = self.pool.scatter_on(&involved, move |_, dbfs| {
             let leg = legs
@@ -1370,12 +1291,8 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     /// the shards, and the GDPR core property — **no live record anywhere in
     /// the deployment has an erased lineage ancestor**.
     ///
-    /// Expects a quiescent deployment, like the per-shard checker.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbfsError::Corrupt`] describing the first violation.
-    pub fn verify_index_invariants(&self) -> Result<(), DbfsError> {
+    /// Expects a quiescent deployment.
+    fn verify_index_invariants(&self) -> Result<(), DbfsError> {
         for result in self.pool.scatter(|_, dbfs| dbfs.verify_index_invariants()) {
             result?;
         }
@@ -1458,29 +1375,6 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(())
     }
 
-    /// Space accounting aggregated across every shard (records, bytes and
-    /// allocated blocks summed; see [`SpaceStats::amplification`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
-        let mut stats = SpaceStats::default();
-        for result in self.pool.scatter(|_, dbfs| dbfs.space_stats()) {
-            stats.merge(&result?);
-        }
-        Ok(stats)
-    }
-
-    /// Total tombstones reclaimed by scrub passes since mount, summed over
-    /// the shards.
-    pub fn tombstones_reclaimed(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| shard.tombstones_reclaimed())
-            .sum()
-    }
-
     /// Router-level scrub pass: reclaims every shard's durable tombstones,
     /// honouring the cross-shard protocol state.  A tombstone survives the
     /// pass while **any** shard holds a pending [`EraseIntent`] naming it
@@ -1499,11 +1393,7 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     ///
     /// The returned report accumulates reclaims across rounds; the
     /// `retained_*` counters describe what the *final* round left behind.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
+    fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
         let _serialized = self.erasures.lock();
         let mut report = ScrubReport::default();
         let mut first_scan: Option<usize> = None;
@@ -1551,157 +1441,14 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         report.scanned_tombstones = first_scan.unwrap_or(0);
         Ok(report)
     }
-}
 
-impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
-    fn clock(&self) -> Arc<LogicalClock> {
-        ShardedDbfs::clock(self)
-    }
-
-    fn audit(&self) -> AuditLog {
-        ShardedDbfs::audit(self)
-    }
-
-    fn stats(&self) -> DbfsStats {
-        ShardedDbfs::stats(self)
-    }
-
-    fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
-        ShardedDbfs::create_type(self, schema)
-    }
-
-    fn schema(&self, name: &DataTypeId) -> Result<DataTypeSchema, DbfsError> {
-        ShardedDbfs::schema(self, name)
-    }
-
-    fn types(&self) -> Vec<DataTypeId> {
-        ShardedDbfs::types(self)
-    }
-
-    fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
-        ShardedDbfs::count(self, name)
-    }
-
-    fn collect(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-        row: Row,
-    ) -> Result<PdId, DbfsError> {
-        ShardedDbfs::collect(self, data_type.clone(), subject, row)
-    }
-
-    fn insert_wrapped(
-        &self,
-        data_type: &DataTypeId,
-        wrapped: WrappedPd,
-    ) -> Result<PdId, DbfsError> {
-        ShardedDbfs::insert_wrapped(self, data_type, wrapped)
-    }
-
-    fn collect_many(
-        &self,
-        data_type: &DataTypeId,
-        rows: Vec<(SubjectId, Row)>,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        ShardedDbfs::collect_many(self, data_type.clone(), rows)
-    }
-
-    fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
-        ShardedDbfs::insert_many(self, items)
-    }
-
-    fn update_rows(
-        &self,
-        data_type: &DataTypeId,
-        updates: Vec<(PdId, Row)>,
-    ) -> Result<(), DbfsError> {
-        ShardedDbfs::update_rows(self, data_type, updates)
-    }
-
-    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
-        ShardedDbfs::get(self, data_type, id)
-    }
-
-    fn load_membranes(&self, data_type: &DataTypeId) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        ShardedDbfs::load_membranes(self, data_type)
-    }
-
-    fn load_membranes_for_subject(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        ShardedDbfs::load_membranes_for_subject(self, data_type, subject)
-    }
-
-    fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
-        ShardedDbfs::load_membrane(self, data_type, id)
-    }
-
-    fn load_records(&self, data_type: &DataTypeId, ids: &[PdId]) -> Result<RecordBatch, DbfsError> {
-        ShardedDbfs::load_records(self, data_type, ids)
-    }
-
-    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
-        ShardedDbfs::update_row(self, data_type, id, row)
-    }
-
-    fn apply_membrane_delta(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        delta: &MembraneDelta,
-    ) -> Result<bool, DbfsError> {
-        ShardedDbfs::apply_membrane_delta(self, data_type, id, delta)
-    }
-
-    fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
-        ShardedDbfs::copy(self, data_type, id)
-    }
-
-    fn erase(
-        &self,
-        data_type: &DataTypeId,
-        id: PdId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        ShardedDbfs::erase(self, data_type, id, escrow)
-    }
-
-    fn erase_subject(
-        &self,
-        subject: SubjectId,
-        escrow: &OperatorEscrow,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        ShardedDbfs::erase_subject(self, subject, escrow)
-    }
-
-    fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
-        ShardedDbfs::purge_expired(self, escrow)
-    }
-
-    fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
-        ShardedDbfs::records_of_subject(self, subject)
-    }
-
-    fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
-        ShardedDbfs::query(self, request)
-    }
-
-    fn verify_index_invariants(&self) -> Result<(), DbfsError> {
-        ShardedDbfs::verify_index_invariants(self)
-    }
-
-    fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
-        ShardedDbfs::scrub_tombstones(self)
-    }
-
+    /// Records, bytes and allocated blocks summed across every shard (see
+    /// [`SpaceStats::amplification`]).
     fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
-        ShardedDbfs::space_stats(self)
-    }
-
-    fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
-        ShardedDbfs::attach_trace(self, ctx);
+        let mut stats = SpaceStats::default();
+        for result in self.pool.scatter(|_, dbfs| dbfs.space_stats()) {
+            stats.merge(&result?);
+        }
+        Ok(stats)
     }
 }

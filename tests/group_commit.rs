@@ -13,7 +13,7 @@
 use rgpdos::blockdev::{FaultPlan, FaultyDevice, MemDevice};
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{PdId, Row, SubjectId};
-use rgpdos::dbfs::{Dbfs, DbfsParams, QueryRequest};
+use rgpdos::dbfs::{Dbfs, DbfsParams, PdStore, QueryRequest};
 use std::sync::Arc;
 
 fn batch_rows(n: u64) -> Vec<(SubjectId, Row)> {
@@ -53,7 +53,7 @@ fn group_commit_crashes_leave_a_clean_prefix_at_every_write_index() {
     let probe = FaultyDevice::new(Arc::clone(&reference), FaultPlan::None);
     let cell = probe.cell();
     let dbfs = Dbfs::mount(probe).expect("reference mount");
-    let (total_writes, ids) = cell.writes_between(|| dbfs.collect_many("user", batch_rows(BATCH)));
+    let (total_writes, ids) = cell.writes_between(|| dbfs.collect_many(&"user".into(), batch_rows(BATCH)));
     assert_eq!(ids.expect("reference batch").len(), BATCH as usize);
     let groups = dbfs.inode_fs().journal_txs();
     assert!(
@@ -73,7 +73,7 @@ fn group_commit_crashes_leave_a_clean_prefix_at_every_write_index() {
         ))
         .expect("pre-crash mount");
         assert!(
-            dbfs.collect_many("user", batch_rows(BATCH)).is_err(),
+            dbfs.collect_many(&"user".into(), batch_rows(BATCH)).is_err(),
             "crash point {crash_after} must trip"
         );
         drop(dbfs);
@@ -113,7 +113,7 @@ fn group_commit_crashes_leave_a_clean_prefix_at_every_write_index() {
         // The store stays usable after recovery.
         remounted
             .collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(99),
                 Row::new()
                     .with("name", "post-crash")
@@ -146,7 +146,7 @@ fn update_rows_crashes_leave_a_clean_prefix_at_every_write_index() {
     let preloaded_image = || {
         let device = fresh_image();
         let dbfs = Dbfs::mount(Arc::clone(&device)).expect("preload mount");
-        dbfs.collect_many("user", batch_rows(BATCH))
+        dbfs.collect_many(&"user".into(), batch_rows(BATCH))
             .expect("preload");
         device
     };

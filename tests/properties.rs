@@ -5,7 +5,7 @@ use rgpdos::blockdev::{scan_for_pattern, BlockDevice, MemDevice};
 use rgpdos::core::prelude::*;
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
-use rgpdos::dbfs::{Dbfs, DbfsParams};
+use rgpdos::dbfs::{Dbfs, DbfsParams, PdStore};
 use rgpdos::inode::{FormatParams, InodeFs, InodeKind, JournalMode};
 use std::sync::Arc;
 
@@ -412,7 +412,7 @@ proptest! {
                         .with("name", format!("subject-{subject}"))
                         .with("pwd", "pw")
                         .with("year_of_birthdate", 1990i64);
-                    ids.push(dbfs.collect("user", SubjectId::new(subject as u64), row).unwrap());
+                    ids.push(dbfs.collect(&"user".into(), SubjectId::new(subject as u64), row).unwrap());
                 }
                 DbfsOp::Copy { pick } if !ids.is_empty() => {
                     let id = ids[pick as usize % ids.len()];
@@ -478,11 +478,11 @@ proptest! {
             }
         }
         dbfs.verify_index_invariants().unwrap();
-        let live = dbfs.count(&user);
+        let live = dbfs.count(&user).unwrap();
         drop(dbfs);
         let remounted = Dbfs::mount(device).unwrap();
         remounted.verify_index_invariants().unwrap();
-        prop_assert_eq!(remounted.count(&user), live);
+        prop_assert_eq!(remounted.count(&user).unwrap(), live);
         // Reclaims survive the remount: a reclaimed id never resurrects.
         for &id in &reclaimed {
             prop_assert!(
@@ -558,7 +558,7 @@ proptest! {
                         .with("year_of_birthdate", 1990i64);
                     ids.push(
                         sharded
-                            .collect("user", SubjectId::new(subject as u64), row)
+                            .collect(&"user".into(), SubjectId::new(subject as u64), row)
                             .unwrap(),
                     );
                 }
@@ -701,7 +701,7 @@ fn concurrent_dbfs_operations_keep_indexes_consistent() {
             for i in 0..25u64 {
                 let subject = SubjectId::new(thread * 100 + i % 5);
                 let row = Row::new().with("name", format!("t{thread}-i{i}"));
-                let id = dbfs.collect(table.clone(), subject, row).unwrap();
+                let id = dbfs.collect(&table, subject, row).unwrap();
                 if i % 3 == 0 {
                     let copy = dbfs.copy(&table, id).unwrap();
                     if i % 6 == 0 {
@@ -743,7 +743,7 @@ fn erasure_never_leaves_residue_for_sampled_payloads() {
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
             .collect(
-                "user",
+                &"user".into(),
                 SubjectId::new(i as u64),
                 Row::new()
                     .with("name", *name)
@@ -792,9 +792,9 @@ fn scrub_leaves_no_forensic_residue_on_any_device() {
         let authority = Authority::generate(41);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect("user", SubjectId::new(1), row(canary))
+            .collect(&"user".into(), SubjectId::new(1), row(canary))
             .unwrap();
-        dbfs.collect("user", SubjectId::new(2), row(keeper))
+        dbfs.collect(&"user".into(), SubjectId::new(2), row(keeper))
             .unwrap();
         dbfs.erase(&user, id, &escrow).unwrap();
         // The tombstone is on disk (marker present), the payload is not.
@@ -829,12 +829,12 @@ fn scrub_leaves_no_forensic_residue_on_any_device() {
         let authority = Authority::generate(42);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = sharded
-            .collect("user", SubjectId::new(1), row(canary))
+            .collect(&"user".into(), SubjectId::new(1), row(canary))
             .unwrap();
         let copy = sharded.copy(&user, id).unwrap();
         sharded.copy(&user, copy).unwrap();
         sharded
-            .collect("user", SubjectId::new(2), row(keeper))
+            .collect(&"user".into(), SubjectId::new(2), row(keeper))
             .unwrap();
         sharded.erase_subject(SubjectId::new(1), &escrow).unwrap();
         assert!(

@@ -16,7 +16,7 @@ use rgpdos::blockdev::{BlockDevice, DeviceError, DeviceGeometry, MemDevice};
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{DataTypeId, Membrane, PdId, PdRecord, Row, SubjectId};
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
-use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams, QueryRequest};
+use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams, PdStore, QueryRequest};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -119,10 +119,10 @@ fn fixture() -> Fixture {
         .store(store.inode_fs().layout().data_start, Ordering::SeqCst);
     store.create_type(listing1_user_schema()).unwrap();
     let bystander = store
-        .collect("user", BYSTANDER_SUBJECT, row("bystander"))
+        .collect(&"user".into(), BYSTANDER_SUBJECT, row("bystander"))
         .unwrap();
     let victim = store
-        .collect("user", VICTIM_SUBJECT, row("victim"))
+        .collect(&"user".into(), VICTIM_SUBJECT, row("victim"))
         .unwrap();
     Fixture {
         store,
@@ -165,7 +165,7 @@ impl Fixture {
             if race != Race::Erase {
                 let report = store.scrub_tombstones().unwrap();
                 assert_eq!(report.reclaimed, vec![victim]);
-                let fresh = store.collect("user", FRESH_SUBJECT, row("fresh!")).unwrap();
+                let fresh = store.collect(&"user".into(), FRESH_SUBJECT, row("fresh!")).unwrap();
                 assert_ne!(fresh, victim, "identifiers are never reused");
             }
         });
