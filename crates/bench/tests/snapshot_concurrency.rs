@@ -90,7 +90,8 @@ fn concurrent_reader_observes_only_group_commit_cut_points() {
         let rows = (0..GROUP)
             .map(|row| (subject, user_row(&format!("u{group}-{row}"))))
             .collect();
-        dbfs.collect_many(&"user".into(), rows).expect("group insert");
+        dbfs.collect_many(&"user".into(), rows)
+            .expect("group insert");
     }
     done.store(true, Ordering::Release);
     let sweeps = reader.join().expect("reader thread");

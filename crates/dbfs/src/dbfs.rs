@@ -663,7 +663,7 @@ pub struct Dbfs<D> {
     /// never appear in this tally.
     index_lock_holds: std::sync::atomic::AtomicU64,
     /// Space-accounting gauges (`space_amplification`,
-    /// `tombstones_reclaimed`), refreshed by [`Dbfs::space_stats`] and every
+    /// `tombstones_reclaimed`), refreshed by [`PdStore::space_stats`] and every
     /// scrub pass.  `Arc`'d so gauge closures observe them without
     /// borrowing `self` — and without any device I/O.
     space: Arc<SpaceGauges>,
@@ -3318,7 +3318,11 @@ mod tests {
         let authority = Authority::generate(5);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = dbfs
-            .collect(&"user".into(), SubjectId::new(1), user_row("Expiring", 1990))
+            .collect(
+                &"user".into(),
+                SubjectId::new(1),
+                user_row("Expiring", 1990),
+            )
             .unwrap();
         // Nothing expires immediately.
         assert!(dbfs.purge_expired(&escrow).unwrap().is_empty());
@@ -3384,7 +3388,11 @@ mod tests {
             let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
             dbfs.create_type(listing1_user_schema()).unwrap();
             id = dbfs
-                .collect(&"user".into(), SubjectId::new(7), user_row("Persisted", 2001))
+                .collect(
+                    &"user".into(),
+                    SubjectId::new(7),
+                    user_row("Persisted", 2001),
+                )
                 .unwrap();
             dbfs.collect(&"user".into(), SubjectId::new(8), user_row("Another", 2002))
                 .unwrap();

@@ -2,13 +2,18 @@
 //! (the DED pipeline, the rights engine, the compliance checker, the
 //! runtime) programs against.
 //!
-//! Two implementations exist: the single-device [`Dbfs`] in this crate, and
-//! the horizontally partitioned `ShardedDbfs` of `rgpdos_shard`, which runs
-//! N independent `Dbfs` instances behind a subject-hash placement map.  The
-//! trait deliberately mirrors the GDPR-relevant surface of `Dbfs` — every
-//! method either enforces an obligation (membrane-wrapped storage, lineage
-//! erasure, retention) or serves a subject right — so any store that
-//! implements it inherits the whole enforcement stack above it.
+//! Two implementations exist: the single-device [`Dbfs`](crate::Dbfs) in
+//! this crate, and the horizontally partitioned `ShardedDbfs` of
+//! `rgpdos_shard`, which runs N independent `Dbfs` instances behind a
+//! subject-hash placement map.  Every method either enforces an obligation
+//! (membrane-wrapped storage, lineage erasure, retention) or serves a
+//! subject right, so any store that implements the trait inherits the
+//! whole enforcement stack above it.
+//!
+//! The trait is the *only* statement of the store operations: neither
+//! implementation has same-named inherent methods, so the documentation
+//! here is the contract and an implementation documents only what is
+//! specific to it.
 
 use crate::error::DbfsError;
 use crate::query::QueryRequest;
@@ -87,11 +92,12 @@ pub trait PdStore: Send + Sync {
     ) -> Result<PdId, DbfsError>;
 
     /// Stores an already-wrapped record (the DED's store step for produced
-    /// personal data).
+    /// personal data, and the second half of `copy`).
     ///
     /// # Errors
     ///
-    /// Same as [`PdStore::collect`].
+    /// Same as [`PdStore::collect`], plus [`DbfsError::Erased`] for a live
+    /// copy whose lineage chain is already tombstoned.
     fn insert_wrapped(&self, data_type: &DataTypeId, wrapped: WrappedPd)
         -> Result<PdId, DbfsError>;
 
@@ -137,10 +143,13 @@ pub trait PdStore: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`DbfsError::UnknownPd`].
+    /// Returns [`DbfsError::UnknownPd`] when the id does not exist or
+    /// belongs to another type.
     fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError>;
 
-    /// Membrane-only load of a whole table (the `ded_load_membrane` request).
+    /// Membrane-only load of a whole table (the `ded_load_membrane`
+    /// request), so consent filtering can happen *before* any personal data
+    /// is read.  Tombstones are included.
     ///
     /// # Errors
     ///
@@ -158,7 +167,8 @@ pub trait PdStore: Send + Sync {
         subject: SubjectId,
     ) -> Result<Vec<(PdId, Membrane)>, DbfsError>;
 
-    /// Membrane-only load of a single record.
+    /// Membrane-only load of a single record (a tombstone's membrane says
+    /// so itself).
     ///
     /// # Errors
     ///
@@ -180,8 +190,10 @@ pub trait PdStore: Send + Sync {
     /// Returns [`DbfsError::Erased`] or [`DbfsError::Core`].
     fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError>;
 
-    /// Applies a subject-initiated membrane change; returns whether the delta
-    /// had an effect.
+    /// Applies a subject-initiated membrane change (consent grant or
+    /// withdrawal, retention change); returns whether the delta had an
+    /// effect.  A delta to an erased record has none: `Ok(false)`, nothing
+    /// written, nothing audited.
     ///
     /// # Errors
     ///
@@ -201,8 +213,9 @@ pub trait PdStore: Send + Sync {
     fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError>;
 
     /// The `delete` built-in: crypto-erases a record and its transitive
-    /// lineage closure.  Returns the identifiers this call tombstoned —
-    /// the record itself plus every transitively reached copy.
+    /// lineage closure, so no copy outlives its erased original.  Returns
+    /// the identifiers this call tombstoned — the record itself plus every
+    /// transitively reached copy; already-erased items are not listed.
     ///
     /// # Errors
     ///

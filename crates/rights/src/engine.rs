@@ -289,7 +289,11 @@ mod tests {
         let (engine, device) = engine();
         let dbfs = engine.dbfs();
         let id = dbfs
-            .collect(&"user".into(), SubjectId::new(9), user_row("ERASE-ME-PLEASE", 1990))
+            .collect(
+                &"user".into(),
+                SubjectId::new(9),
+                user_row("ERASE-ME-PLEASE", 1990),
+            )
             .unwrap();
         dbfs.copy(&"user".into(), id).unwrap();
         let receipt = engine.right_to_be_forgotten(SubjectId::new(9)).unwrap();

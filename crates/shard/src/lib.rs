@@ -28,8 +28,9 @@
 //!   every copy on every shard while staying `O(one shard + lineage)`.
 //!
 //! Both [`ShardedDbfs`] and the single-device `Dbfs` implement
-//! [`PdStore`](rgpdos_dbfs::PdStore), so the DED pipeline, the rights
-//! engine and the compliance checker run unchanged over either.
+//! [`PdStore`](rgpdos_dbfs::PdStore) — and only that: the store operations
+//! are the trait's methods, not inherent ones — so the DED pipeline, the
+//! rights engine and the compliance checker run unchanged over either.
 //!
 //! ## Example
 //!
@@ -37,7 +38,7 @@
 //! use rgpdos_blockdev::MemDevice;
 //! use rgpdos_core::prelude::*;
 //! use rgpdos_core::schema::listing1_user_schema;
-//! use rgpdos_dbfs::DbfsParams;
+//! use rgpdos_dbfs::{DbfsParams, PdStore};
 //! use rgpdos_shard::ShardedDbfs;
 //! use std::sync::Arc;
 //!
@@ -49,10 +50,11 @@
 //!     .with("name", "Chiraz")
 //!     .with("pwd", "secret")
 //!     .with("year_of_birthdate", 1990i64);
-//! let id = sharded.collect(&"user".into(), SubjectId::new(1), row)?;
+//! let user = DataTypeId::from("user");
+//! let id = sharded.collect(&user, SubjectId::new(1), row)?;
 //! // The id was allocated on the subject's home shard.
 //! assert_eq!(sharded.shard_of_id(id), sharded.home_shard(SubjectId::new(1)));
-//! assert_eq!(sharded.count(&"user".into()).unwrap(), 1);
+//! assert_eq!(sharded.count(&user)?, 1);
 //! # Ok(())
 //! # }
 //! ```

@@ -330,8 +330,8 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     /// per-shard indexes (membrane headers only — no payload reads).
     ///
     /// Mounting completes any **crashed two-phase erasure**: erase intents
-    /// persisted by [`ShardedDbfs::erase`] / [`ShardedDbfs::erase_subject`] /
-    /// [`ShardedDbfs::purge_expired`] before the crash are re-driven to
+    /// persisted by [`PdStore::erase`] / [`PdStore::erase_subject`] /
+    /// [`PdStore::purge_expired`] before the crash are re-driven to
     /// completion (using an escrow rebuilt from the intent's authority key),
     /// followed by a lineage heal that erases any live record left with an
     /// erased ancestor.  Completed intents are counted in the involved
@@ -866,9 +866,7 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
             .into_iter()
             .enumerate()
             .map(|(pos, row)| (pos, self.home_shard(row.0), row));
-        let legs = self.scatter_batch(routed, move |dbfs, batch| {
-            dbfs.collect_many(&name, batch)
-        });
+        let legs = self.scatter_batch(routed, move |dbfs, batch| dbfs.collect_many(&name, batch));
         // Ascending shard order: `?` reports the lowest failing shard.
         for leg in legs {
             place(&mut ids, leg.positions, leg.result?);
@@ -941,10 +939,7 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// [`DbfsError::PartialScatter`] when any shard fails (wrapping, for
     /// example, [`DbfsError::UnknownType`]): merging only the shards that
     /// answered would pass off a partial membrane set as the whole table.
-    fn load_membranes(
-        &self,
-        data_type: &DataTypeId,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
+    fn load_membranes(&self, data_type: &DataTypeId) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
         let name = data_type.clone();
         let per_shard = gather_scatter(
             0..self.shards.len(),
@@ -988,11 +983,7 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
 
     /// Grouped per shard and fetched through the worker pool;
     /// [`DbfsError::PartialScatter`] when a shard fails outright.
-    fn load_records(
-        &self,
-        data_type: &DataTypeId,
-        ids: &[PdId],
-    ) -> Result<RecordBatch, DbfsError> {
+    fn load_records(&self, data_type: &DataTypeId, ids: &[PdId]) -> Result<RecordBatch, DbfsError> {
         let name = data_type.clone();
         let routed = ids
             .iter()

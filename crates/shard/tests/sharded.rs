@@ -41,7 +41,7 @@ fn placement_is_deterministic_and_ids_are_strided() {
     let sharded = sharded(4);
     for raw in 0..32u64 {
         let subject = SubjectId::new(raw);
-        let id = sharded.collect(&"user".into(), subject, user_row("p")).unwrap();
+        let id = sharded.collect(&user(), subject, user_row("p")).unwrap();
         // The id's strided shard is the subject's home shard.
         assert_eq!(sharded.shard_of_id(id), sharded.home_shard(subject));
         assert_eq!(id.raw() % 4, sharded.home_shard(subject) as u64);
@@ -62,7 +62,7 @@ fn scatter_gather_merges_scans_and_subject_queries_stay_routed() {
     let sharded = sharded(3);
     for raw in 0..30u64 {
         sharded
-            .collect(&"user".into(), SubjectId::new(raw), user_row(&format!("s{raw}")))
+            .collect(&user(), SubjectId::new(raw), user_row(&format!("s{raw}")))
             .unwrap();
     }
     // Full scan reaches every shard's records.
@@ -90,7 +90,7 @@ fn batched_ingest_routes_groups_to_home_shards_with_group_commit() {
     let rows: Vec<(SubjectId, Row)> = (0..48u64)
         .map(|raw| (SubjectId::new(raw), user_row(&format!("b{raw}"))))
         .collect();
-    let ids = sharded.collect_many(&"user".into(), rows.clone()).unwrap();
+    let ids = sharded.collect_many(&user(), rows.clone()).unwrap();
     assert_eq!(ids.len(), 48);
     // Input order is preserved and every id landed on its home shard.
     for (&id, (subject, _)) in ids.iter().zip(&rows) {
@@ -196,7 +196,7 @@ fn id_pinned_queries_route_to_the_owning_shards_only() {
     let ids: Vec<PdId> = (0..16u64)
         .map(|raw| {
             sharded
-                .collect(&"user".into(), SubjectId::new(raw), user_row("id-pin"))
+                .collect(&user(), SubjectId::new(raw), user_row("id-pin"))
                 .unwrap()
         })
         .collect();
@@ -233,7 +233,7 @@ fn load_records_preserves_request_order_across_shards() {
     let mut ids: Vec<PdId> = (0..9u64)
         .map(|raw| {
             sharded
-                .collect(&"user".into(), SubjectId::new(raw), user_row("o"))
+                .collect(&user(), SubjectId::new(raw), user_row("o"))
                 .unwrap()
         })
         .collect();
@@ -251,7 +251,7 @@ fn cross_shard_copies_are_tracked_and_erasure_reaches_the_whole_closure() {
     let escrow = escrow();
     let subject = SubjectId::new(5);
     let original = sharded
-        .collect(&"user".into(), subject, user_row("lineage"))
+        .collect(&user(), subject, user_row("lineage"))
         .unwrap();
     // Round-robin placement: four copies cover every shard, and a copy of a
     // copy extends the chain cross-shard.
@@ -299,12 +299,12 @@ fn erase_subject_reaches_foreign_copies_on_every_shard() {
     let subject = SubjectId::new(11);
     let other = SubjectId::new(12);
     let a = sharded
-        .collect(&"user".into(), subject, user_row("mine-a"))
+        .collect(&user(), subject, user_row("mine-a"))
         .unwrap();
     let b = sharded
-        .collect(&"user".into(), subject, user_row("mine-b"))
+        .collect(&user(), subject, user_row("mine-b"))
         .unwrap();
-    let other_id = sharded.collect(&"user".into(), other, user_row("theirs")).unwrap();
+    let other_id = sharded.collect(&user(), other, user_row("theirs")).unwrap();
     let copy_a = sharded.copy(&user(), a).unwrap();
     let copy_b = sharded.copy(&user(), b).unwrap();
 
@@ -329,7 +329,7 @@ fn retention_purge_propagates_to_ttl_diverged_cross_shard_copies() {
     let sharded = sharded(3);
     let escrow = escrow();
     let subject = SubjectId::new(2);
-    let original = sharded.collect(&"user".into(), subject, user_row("ttl")).unwrap();
+    let original = sharded.collect(&user(), subject, user_row("ttl")).unwrap();
     // Find a copy on a different shard than the original, then extend its
     // TTL so it will not expire on its own.
     let copy = loop {
@@ -370,17 +370,17 @@ fn mount_rebuilds_the_directory_and_invariants_hold() {
         sharded.create_type(listing1_user_schema()).unwrap();
         for raw in 0..12u64 {
             sharded
-                .collect(&"user".into(), SubjectId::new(raw), user_row(&format!("m{raw}")))
+                .collect(&user(), SubjectId::new(raw), user_row(&format!("m{raw}")))
                 .unwrap();
         }
         let victim = sharded
-            .collect(&"user".into(), SubjectId::new(50), user_row("victim"))
+            .collect(&user(), SubjectId::new(50), user_row("victim"))
             .unwrap();
         let _spread: Vec<PdId> = (0..3)
             .map(|_| sharded.copy(&user(), victim).unwrap())
             .collect();
         let keeper = sharded
-            .collect(&"user".into(), SubjectId::new(51), user_row("keeper"))
+            .collect(&user(), SubjectId::new(51), user_row("keeper"))
             .unwrap();
         sharded.copy(&user(), keeper).unwrap();
         sharded.erase(&user(), victim, &escrow).unwrap();
@@ -421,7 +421,7 @@ fn single_shard_deployment_degenerates_to_plain_dbfs_semantics() {
     let sharded = sharded(1);
     let escrow = escrow();
     let id = sharded
-        .collect(&"user".into(), SubjectId::new(1), user_row("solo"))
+        .collect(&user(), SubjectId::new(1), user_row("solo"))
         .unwrap();
     let copy = sharded.copy(&user(), id).unwrap();
     assert_eq!(sharded.count(&user()).unwrap(), 2);
@@ -463,7 +463,7 @@ fn attached_trace_labels_shards_and_records_scatter_fanout() {
     sharded.attach_trace(&ctx);
     for raw in 0..12u64 {
         sharded
-            .collect(&"user".into(), SubjectId::new(raw), user_row(&format!("t{raw}")))
+            .collect(&user(), SubjectId::new(raw), user_row(&format!("t{raw}")))
             .unwrap();
     }
     // A full scan fans out to all 3 shards; a subject-pinned query to 1.
@@ -529,7 +529,7 @@ fn scatter_read_failure_surfaces_as_partial_scatter() {
         sharded.create_type(listing1_user_schema()).unwrap();
         for raw in 0..16u64 {
             sharded
-                .collect(&"user".into(), SubjectId::new(raw), user_row(&format!("f{raw}")))
+                .collect(&user(), SubjectId::new(raw), user_row(&format!("f{raw}")))
                 .unwrap();
         }
         sharded.drop_caches();
@@ -602,14 +602,14 @@ fn scrub_reclaims_cross_shard_erased_chains_whole() {
     let sharded = sharded(4);
     let escrow = escrow();
     let original = sharded
-        .collect(&"user".into(), SubjectId::new(5), user_row("chain"))
+        .collect(&user(), SubjectId::new(5), user_row("chain"))
         .unwrap();
     let copies: Vec<PdId> = (0..4)
         .map(|_| sharded.copy(&user(), original).unwrap())
         .collect();
     let grandchild = sharded.copy(&user(), copies[0]).unwrap();
     let keeper = sharded
-        .collect(&"user".into(), SubjectId::new(6), user_row("keeper"))
+        .collect(&user(), SubjectId::new(6), user_row("keeper"))
         .unwrap();
     sharded.erase(&user(), original, &escrow).unwrap();
 
@@ -644,7 +644,7 @@ fn scrub_retains_tombstones_named_by_in_flight_routed_intents() {
     let sharded = sharded(3);
     let escrow = escrow();
     let id = sharded
-        .collect(&"user".into(), SubjectId::new(9), user_row("held"))
+        .collect(&user(), SubjectId::new(9), user_row("held"))
         .unwrap();
     sharded.erase(&user(), id, &escrow).unwrap();
     // A routed erasure parked on a *different* shard still names the
@@ -676,13 +676,13 @@ fn scrubbed_deployment_survives_remount_with_a_clean_directory() {
         let sharded = ShardedDbfs::format(devices.clone(), DbfsParams::small()).unwrap();
         sharded.create_type(listing1_user_schema()).unwrap();
         let victim = sharded
-            .collect(&"user".into(), SubjectId::new(50), user_row("victim"))
+            .collect(&user(), SubjectId::new(50), user_row("victim"))
             .unwrap();
         for _ in 0..3 {
             sharded.copy(&user(), victim).unwrap();
         }
         let keeper = sharded
-            .collect(&"user".into(), SubjectId::new(51), user_row("keeper"))
+            .collect(&user(), SubjectId::new(51), user_row("keeper"))
             .unwrap();
         sharded.copy(&user(), keeper).unwrap();
         sharded.erase(&user(), victim, &escrow).unwrap();
@@ -710,4 +710,48 @@ fn scrubbed_deployment_survives_remount_with_a_clean_directory() {
         .membrane()
         .is_erased());
     assert_eq!(remounted.scrub_tombstones().unwrap().reclaimed_count(), 0);
+}
+
+#[test]
+fn create_type_resumes_a_broadcast_that_stopped_part_way() {
+    let sharded = ShardedDbfs::format(devices(3), DbfsParams::small()).unwrap();
+    // What a failure or a crash after shard 0 committed leaves behind.
+    sharded.shards()[0]
+        .create_type(listing1_user_schema())
+        .unwrap();
+    assert!(matches!(
+        sharded.count(&user()),
+        Err(DbfsError::PartialScatter { shard: 1, .. })
+    ));
+
+    sharded.create_type(listing1_user_schema()).unwrap();
+    for shard in sharded.shards() {
+        assert_eq!(shard.schema(&user()).unwrap(), listing1_user_schema());
+    }
+    // One subject homed on each shard can collect and is counted.
+    let mut homes = std::collections::BTreeSet::new();
+    for subject in (0..64).map(SubjectId::new) {
+        if homes.insert(sharded.home_shard(subject)) {
+            sharded.collect(&user(), subject, user_row("r")).unwrap();
+        }
+    }
+    assert_eq!(homes.len(), 3);
+    assert_eq!(sharded.count(&user()).unwrap(), 3);
+
+    // Installed everywhere: the type exists.  A different schema under the
+    // same name is refused too, and installs nothing.
+    assert!(matches!(
+        sharded.create_type(listing1_user_schema()),
+        Err(DbfsError::TypeAlreadyExists { .. })
+    ));
+    let other = rgpdos_core::DataTypeSchema::builder("user")
+        .field("name", rgpdos_core::FieldType::Text)
+        .build()
+        .unwrap();
+    assert!(matches!(
+        sharded.create_type(other),
+        Err(DbfsError::TypeAlreadyExists { .. })
+    ));
+    assert_eq!(sharded.schema(&user()).unwrap(), listing1_user_schema());
+    sharded.verify_index_invariants().unwrap();
 }

@@ -331,7 +331,11 @@ fn erasure_destroys_key_material_on_dbfs() {
     let impostor = Authority::generate(32);
     let escrow = OperatorEscrow::new(authority.public_key());
     let id = dbfs
-        .collect(&"user".into(), SubjectId::new(5), user_row("RAW-BLOCK-CANARY-77"))
+        .collect(
+            &"user".into(),
+            SubjectId::new(5),
+            user_row("RAW-BLOCK-CANARY-77"),
+        )
         .unwrap();
     assert!(!scan_for_pattern(device.as_ref(), b"RAW-BLOCK-CANARY-77")
         .unwrap()
@@ -384,7 +388,11 @@ fn erasure_destroys_key_material_on_sharded_dbfs() {
     let escrow = OperatorEscrow::new(authority.public_key());
     let user: DataTypeId = "user".into();
     let original = sharded
-        .collect(&"user".into(), SubjectId::new(9), user_row("SHARD-CANARY-4242"))
+        .collect(
+            &"user".into(),
+            SubjectId::new(9),
+            user_row("SHARD-CANARY-4242"),
+        )
         .unwrap();
     // Force a cross-shard copy so the ciphertext lands on a second device.
     let copy = loop {

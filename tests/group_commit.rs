@@ -53,7 +53,8 @@ fn group_commit_crashes_leave_a_clean_prefix_at_every_write_index() {
     let probe = FaultyDevice::new(Arc::clone(&reference), FaultPlan::None);
     let cell = probe.cell();
     let dbfs = Dbfs::mount(probe).expect("reference mount");
-    let (total_writes, ids) = cell.writes_between(|| dbfs.collect_many(&"user".into(), batch_rows(BATCH)));
+    let (total_writes, ids) =
+        cell.writes_between(|| dbfs.collect_many(&"user".into(), batch_rows(BATCH)));
     assert_eq!(ids.expect("reference batch").len(), BATCH as usize);
     let groups = dbfs.inode_fs().journal_txs();
     assert!(
@@ -73,7 +74,8 @@ fn group_commit_crashes_leave_a_clean_prefix_at_every_write_index() {
         ))
         .expect("pre-crash mount");
         assert!(
-            dbfs.collect_many(&"user".into(), batch_rows(BATCH)).is_err(),
+            dbfs.collect_many(&"user".into(), batch_rows(BATCH))
+                .is_err(),
             "crash point {crash_after} must trip"
         );
         drop(dbfs);

@@ -165,7 +165,9 @@ impl Fixture {
             if race != Race::Erase {
                 let report = store.scrub_tombstones().unwrap();
                 assert_eq!(report.reclaimed, vec![victim]);
-                let fresh = store.collect(&"user".into(), FRESH_SUBJECT, row("fresh!")).unwrap();
+                let fresh = store
+                    .collect(&"user".into(), FRESH_SUBJECT, row("fresh!"))
+                    .unwrap();
                 assert_ne!(fresh, victim, "identifiers are never reused");
             }
         });
