@@ -212,12 +212,6 @@ impl Membrane {
         &self.consents
     }
 
-    /// Mutable access to the consent table (used by the consent-update
-    /// built-in on behalf of the subject).
-    pub fn consents_mut(&mut self) -> &mut ConsentTable {
-        &mut self.consents
-    }
-
     /// The retention period.
     pub fn time_to_live(&self) -> TimeToLive {
         self.time_to_live

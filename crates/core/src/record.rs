@@ -154,11 +154,6 @@ impl WrappedPd {
         &self.membrane
     }
 
-    /// Mutable access to the membrane (consent updates, erasure marking).
-    pub fn membrane_mut(&mut self) -> &mut Membrane {
-        &mut self.membrane
-    }
-
     /// Splits the wrapper into its parts.
     pub fn into_parts(self) -> (Row, Membrane) {
         (self.row, self.membrane)

@@ -8,7 +8,6 @@
 
 use rgpdos_trace::{Counter, Registry};
 use std::fmt;
-use std::ops::{Add, AddAssign};
 
 /// Counters of DBFS operations since format/mount.
 #[derive(Debug, Default)]
@@ -73,20 +72,6 @@ impl DbfsStats {
             journal_replays: self.journal_replays + other.journal_replays,
             recovered_txs: self.recovered_txs + other.recovered_txs,
         }
-    }
-}
-
-impl Add for DbfsStats {
-    type Output = DbfsStats;
-
-    fn add(self, other: DbfsStats) -> DbfsStats {
-        self.merge(other)
-    }
-}
-
-impl AddAssign for DbfsStats {
-    fn add_assign(&mut self, other: DbfsStats) {
-        *self = self.merge(other);
     }
 }
 
@@ -210,13 +195,7 @@ mod tests {
         assert_eq!(merged.queries, 88);
         assert_eq!(merged.journal_replays, 99);
         assert_eq!(merged.recovered_txs, 110);
-        // `+` and `+=` agree with `merge`, and the identity element is the
-        // default snapshot.
-        assert_eq!(a + b, merged);
-        let mut acc = DbfsStats::default();
-        acc += a;
-        acc += b;
-        assert_eq!(acc, merged);
-        assert_eq!(a + DbfsStats::default(), a);
+        // The identity element is the default snapshot.
+        assert_eq!(a.merge(DbfsStats::default()), a);
     }
 }
