@@ -28,7 +28,7 @@
 //! erasure's intent log exists for.
 
 use rgpdos::blockdev::{
-    BlockDevice, FaultCell, FaultPlan, FaultScript, FaultyDevice, MemDevice, SanitizedDevice,
+    BlockDevice, FaultCell, FaultScript, FaultyDevice, MemDevice, SanitizedDevice,
 };
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{
@@ -667,139 +667,105 @@ fn fresh_sweep_device() -> SweepDevice {
     Arc::new(SanitizedDevice::new(MemDevice::new(16_384, 512)))
 }
 
-fn setup_dbfs_image(device: &SweepDevice) {
-    let dbfs = Dbfs::format(Arc::clone(device), DbfsParams::small()).expect("format DBFS image");
-    dbfs.create_type(listing1_user_schema())
-        .expect("install the user type");
-}
+/// A sweep device behind a fault cell.  Every store of a sweep — the one
+/// that formats the image, the one that crashes and the one that recovers —
+/// is mounted over these, so one store type serves all three; only the
+/// cell's script differs.
+type FaultyDev = FaultyDevice<SweepDevice>;
 
-/// Sweeps every write index of `script` against a single-device DBFS,
-/// reporting under `scenario`.
-pub fn sweep_dbfs(scenario: &str, script: &[ScriptOp]) -> SweepReport {
-    let authority = Authority::generate(0xA0D1);
-    let user: DataTypeId = "user".into();
-
-    // Reference run: learns the write count and the expected audit trail.
-    let reference_device = fresh_sweep_device();
-    setup_dbfs_image(&reference_device);
-    let probe = FaultyDevice::new(Arc::clone(&reference_device), FaultPlan::None);
-    let cell = probe.cell();
-    let dbfs = Dbfs::mount(probe).expect("reference mount");
-    let mut reference_shadow = Shadow::default();
-    let escrow = OperatorEscrow::new(authority.public_key());
-    let (total_writes, outcome) =
-        cell.writes_between(|| replay(&dbfs, &escrow, script, &mut reference_shadow, &user));
-    outcome.expect("the reference run must not fail");
-    let reference_audit = dbfs.audit().snapshot();
-    drop(dbfs);
-
-    let mut report = SweepReport::new(scenario, total_writes);
-    report.drain_sanitizer(&reference_device, "reference run");
-    for crash_after in 0..total_writes {
-        let device = fresh_sweep_device();
-        setup_dbfs_image(&device);
-        let faulty = FaultyDevice::new(
-            Arc::clone(&device),
-            FaultPlan::CrashAfterWrites(crash_after),
-        );
-        let dbfs = match Dbfs::mount(faulty) {
-            Ok(dbfs) => dbfs,
-            Err(e) => {
-                report
-                    .violations
-                    .push(format!("crash {crash_after}: pre-crash mount failed: {e}"));
-                continue;
-            }
-        };
-        let escrow = OperatorEscrow::new(authority.public_key());
-        let mut shadow = Shadow::default();
-        match replay(&dbfs, &escrow, script, &mut shadow, &user) {
-            Err(ReplayFailure::Crash(_)) => {}
-            Ok(()) => report
-                .violations
-                .push(format!("crash {crash_after}: the fault never fired")),
-            Err(ReplayFailure::Unexpected(e)) => report.violations.push(format!(
-                "crash {crash_after}: unexpected pre-crash failure: {e}"
-            )),
-        }
-        let crashed_audit = dbfs.audit().snapshot();
-        drop(dbfs);
-
-        let remounted = match Dbfs::mount(Arc::clone(&device)) {
-            Ok(dbfs) => dbfs,
-            Err(e) => {
-                report
-                    .violations
-                    .push(format!("crash {crash_after}: remount failed: {e}"));
-                continue;
-            }
-        };
-        let stats = remounted.stats();
-        report.journal_replays += stats.journal_replays;
-        report.recovered_txs += stats.recovered_txs;
-        for violation in
-            check_recovered(&remounted, &shadow, &crashed_audit, &reference_audit, &user)
-        {
-            report
-                .violations
-                .push(format!("crash {crash_after}: {violation}"));
-        }
-        report.check_leaks(remounted.inode_fs(), &format!("crash {crash_after}"));
-        drop(remounted);
-        report.drain_sanitizer(&device, &format!("crash {crash_after}"));
-    }
-    report
-}
-
-fn setup_sharded_image(devices: &[SweepDevice]) {
-    let sharded =
-        ShardedDbfs::format(devices.to_vec(), DbfsParams::small()).expect("format sharded image");
-    sharded
-        .create_type(listing1_user_schema())
-        .expect("install the user type");
-}
-
-/// Sweeps every *global* write index of `script` against a sharded DBFS:
-/// all shard devices share one [`FaultCell`], so the crash is a
-/// whole-machine power loss — the window the two-phase cross-shard erasure
-/// must survive.
-pub fn sweep_sharded(scenario: &str, script: &[ScriptOp], shards: usize) -> SweepReport {
-    let authority = Authority::generate(0x5A4D);
-    let user: DataTypeId = "user".into();
-    let fresh_devices =
-        |shards: usize| -> Vec<SweepDevice> { (0..shards).map(|_| fresh_sweep_device()).collect() };
-
-    // Reference run.
-    let reference_devices = fresh_devices(shards);
-    setup_sharded_image(&reference_devices);
-    let cell = Arc::new(FaultCell::new(FaultScript::none()));
-    let wrapped: Vec<_> = reference_devices
+/// Wraps `devices` behind one shared [`FaultCell`] running `script`: a
+/// crash is a whole-machine power loss at a global write index.
+fn behind_one_cell(
+    devices: &[SweepDevice],
+    script: FaultScript,
+) -> (Arc<FaultCell>, Vec<FaultyDev>) {
+    let cell = Arc::new(FaultCell::new(script));
+    let wrapped = devices
         .iter()
         .map(|device| FaultyDevice::with_cell(Arc::clone(device), Arc::clone(&cell)))
         .collect();
-    let sharded = ShardedDbfs::mount(wrapped).expect("reference mount");
-    let mut reference_shadow = Shadow::default();
-    let escrow = OperatorEscrow::new(authority.public_key());
-    let (total_writes, outcome) =
-        cell.writes_between(|| replay(&sharded, &escrow, script, &mut reference_shadow, &user));
-    outcome.expect("the reference run must not fail");
-    let reference_audit = sharded.audit().snapshot();
-    drop(sharded);
+    (cell, wrapped)
+}
 
-    let mut report = SweepReport::new(format!("{scenario}-{shards}"), total_writes);
+/// What a sweep needs from a store besides [`PdStore`]: building one over a
+/// set of devices, and the `Dbfs` instances underneath for the leak check.
+trait MountableStore: PdStore + Sized {
+    fn format(devices: Vec<FaultyDev>) -> Result<Self, DbfsError>;
+    fn mount(devices: Vec<FaultyDev>) -> Result<Self, DbfsError>;
+    fn instances(&self) -> Vec<&Dbfs<FaultyDev>>;
+}
+
+impl MountableStore for Dbfs<FaultyDev> {
+    fn format(mut devices: Vec<FaultyDev>) -> Result<Self, DbfsError> {
+        Dbfs::format(devices.pop().expect("one device"), DbfsParams::small())
+    }
+
+    fn mount(mut devices: Vec<FaultyDev>) -> Result<Self, DbfsError> {
+        Dbfs::mount(devices.pop().expect("one device"))
+    }
+
+    fn instances(&self) -> Vec<&Dbfs<FaultyDev>> {
+        vec![self]
+    }
+}
+
+impl MountableStore for ShardedDbfs<FaultyDev> {
+    fn format(devices: Vec<FaultyDev>) -> Result<Self, DbfsError> {
+        ShardedDbfs::format(devices, DbfsParams::small())
+    }
+
+    fn mount(devices: Vec<FaultyDev>) -> Result<Self, DbfsError> {
+        ShardedDbfs::mount(devices)
+    }
+
+    fn instances(&self) -> Vec<&Dbfs<FaultyDev>> {
+        self.shards().iter().map(|shard| &**shard).collect()
+    }
+}
+
+/// Fresh devices holding a formatted image with the user type installed
+/// (none of it counted or faulted: the crash window starts at the mount).
+fn fresh_image<S: MountableStore>(devices: usize) -> Vec<SweepDevice> {
+    let devices: Vec<SweepDevice> = (0..devices).map(|_| fresh_sweep_device()).collect();
+    let store = S::format(behind_one_cell(&devices, FaultScript::none()).1).expect("format image");
+    store
+        .create_type(listing1_user_schema())
+        .expect("install the user type");
+    devices
+}
+
+/// Sweeps every *global* write index of `script` against a store of type
+/// `S` over `devices` devices, reporting under `scenario`.
+fn sweep<S: MountableStore>(
+    scenario: String,
+    script: &[ScriptOp],
+    devices: usize,
+    authority_seed: u64,
+) -> SweepReport {
+    let authority = Authority::generate(authority_seed);
+    let escrow = OperatorEscrow::new(authority.public_key());
+    let user: DataTypeId = "user".into();
+
+    // Reference run: learns the write count and the expected audit trail.
+    let reference_devices = fresh_image::<S>(devices);
+    let (cell, wrapped) = behind_one_cell(&reference_devices, FaultScript::none());
+    let store = S::mount(wrapped).expect("reference mount");
+    let mut reference_shadow = Shadow::default();
+    let (total_writes, outcome) =
+        cell.writes_between(|| replay(&store, &escrow, script, &mut reference_shadow, &user));
+    outcome.expect("the reference run must not fail");
+    let reference_audit = store.audit().snapshot();
+    drop(store);
+
+    let mut report = SweepReport::new(scenario, total_writes);
     for device in &reference_devices {
         report.drain_sanitizer(device, "reference run");
     }
     for crash_after in 0..total_writes {
-        let devices = fresh_devices(shards);
-        setup_sharded_image(&devices);
-        let cell = Arc::new(FaultCell::new(FaultScript::crash_after_writes(crash_after)));
-        let wrapped: Vec<_> = devices
-            .iter()
-            .map(|device| FaultyDevice::with_cell(Arc::clone(device), Arc::clone(&cell)))
-            .collect();
-        let sharded = match ShardedDbfs::mount(wrapped) {
-            Ok(sharded) => sharded,
+        let devices = fresh_image::<S>(devices);
+        let crashing = behind_one_cell(&devices, FaultScript::crash_after_writes(crash_after)).1;
+        let store = match S::mount(crashing) {
+            Ok(store) => store,
             Err(e) => {
                 report
                     .violations
@@ -807,9 +773,8 @@ pub fn sweep_sharded(scenario: &str, script: &[ScriptOp], shards: usize) -> Swee
                 continue;
             }
         };
-        let escrow = OperatorEscrow::new(authority.public_key());
         let mut shadow = Shadow::default();
-        match replay(&sharded, &escrow, script, &mut shadow, &user) {
+        match replay(&store, &escrow, script, &mut shadow, &user) {
             Err(ReplayFailure::Crash(_)) => {}
             Ok(()) => report
                 .violations
@@ -818,12 +783,13 @@ pub fn sweep_sharded(scenario: &str, script: &[ScriptOp], shards: usize) -> Swee
                 "crash {crash_after}: unexpected pre-crash failure: {e}"
             )),
         }
-        let crashed_audit = sharded.audit().snapshot();
-        drop(sharded);
+        let crashed_audit = store.audit().snapshot();
+        drop(store);
 
-        // Remount the revived devices; this runs intent recovery.
-        let remounted = match ShardedDbfs::mount(devices.clone()) {
-            Ok(sharded) => sharded,
+        // Remount the revived devices; this runs journal and intent recovery.
+        let revived = behind_one_cell(&devices, FaultScript::none()).1;
+        let remounted = match S::mount(revived) {
+            Ok(store) => store,
             Err(e) => {
                 report
                     .violations
@@ -841,9 +807,9 @@ pub fn sweep_sharded(scenario: &str, script: &[ScriptOp], shards: usize) -> Swee
                 .violations
                 .push(format!("crash {crash_after}: {violation}"));
         }
-        for (index, shard) in remounted.shards().iter().enumerate() {
+        for (index, instance) in remounted.instances().into_iter().enumerate() {
             report.check_leaks(
-                shard.inode_fs(),
+                instance.inode_fs(),
                 &format!("crash {crash_after} shard {index}"),
             );
         }
@@ -853,6 +819,20 @@ pub fn sweep_sharded(scenario: &str, script: &[ScriptOp], shards: usize) -> Swee
         }
     }
     report
+}
+
+/// Sweeps every write index of `script` against a single-device DBFS,
+/// reporting under `scenario`.
+pub fn sweep_dbfs(scenario: &str, script: &[ScriptOp]) -> SweepReport {
+    sweep::<Dbfs<FaultyDev>>(scenario.to_owned(), script, 1, 0xA0D1)
+}
+
+/// Sweeps every *global* write index of `script` against a sharded DBFS:
+/// all shard devices share one [`FaultCell`], so the crash is a
+/// whole-machine power loss — the window the two-phase cross-shard erasure
+/// must survive.
+pub fn sweep_sharded(scenario: &str, script: &[ScriptOp], shards: usize) -> SweepReport {
+    sweep::<ShardedDbfs<FaultyDev>>(format!("{scenario}-{shards}"), script, shards, 0x5A4D)
 }
 
 /// Runs the full crash-matrix: the default single-store sweep, a seeded
