@@ -14,9 +14,9 @@ use crate::cipher::StreamCipher;
 use crate::elgamal::{decapsulate, encapsulate, ElGamalCiphertextHeader, KeyPair, PublicKey};
 use crate::error::CryptoError;
 use crate::rng::DeterministicRng;
-use bytes::Bytes;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A ciphertext produced by crypto-erasure.
 ///
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct EscrowedCiphertext {
     header: ElGamalCiphertextHeader,
     nonce: u64,
-    payload: Bytes,
+    payload: Arc<[u8]>,
 }
 
 impl EscrowedCiphertext {
@@ -86,7 +86,7 @@ impl EscrowedCiphertext {
         Ok(Self {
             header,
             nonce,
-            payload: Bytes::copy_from_slice(&buf[24..]),
+            payload: buf[24..].into(),
         })
     }
 }
@@ -171,7 +171,7 @@ impl OperatorEscrow {
         EscrowedCiphertext {
             header,
             nonce,
-            payload: Bytes::from(cipher.apply(plaintext)),
+            payload: cipher.apply(plaintext).into(),
         }
     }
 }
