@@ -725,8 +725,8 @@ impl MountableStore for ShardedDbfs<FaultyDev> {
 
 /// Fresh devices holding a formatted image with the user type installed
 /// (none of it counted or faulted: the crash window starts at the mount).
-fn fresh_image<S: MountableStore>(devices: usize) -> Vec<SweepDevice> {
-    let devices: Vec<SweepDevice> = (0..devices).map(|_| fresh_sweep_device()).collect();
+fn fresh_image<S: MountableStore>(device_count: usize) -> Vec<SweepDevice> {
+    let devices: Vec<SweepDevice> = (0..device_count).map(|_| fresh_sweep_device()).collect();
     let store = S::format(behind_one_cell(&devices, FaultScript::none()).1).expect("format image");
     store
         .create_type(listing1_user_schema())
@@ -735,11 +735,11 @@ fn fresh_image<S: MountableStore>(devices: usize) -> Vec<SweepDevice> {
 }
 
 /// Sweeps every *global* write index of `script` against a store of type
-/// `S` over `devices` devices, reporting under `scenario`.
+/// `S` over `device_count` devices, reporting under `scenario`.
 fn sweep<S: MountableStore>(
     scenario: String,
     script: &[ScriptOp],
-    devices: usize,
+    device_count: usize,
     authority_seed: u64,
 ) -> SweepReport {
     let authority = Authority::generate(authority_seed);
@@ -747,7 +747,7 @@ fn sweep<S: MountableStore>(
     let user: DataTypeId = "user".into();
 
     // Reference run: learns the write count and the expected audit trail.
-    let reference_devices = fresh_image::<S>(devices);
+    let reference_devices = fresh_image::<S>(device_count);
     let (cell, wrapped) = behind_one_cell(&reference_devices, FaultScript::none());
     let store = S::mount(wrapped).expect("reference mount");
     let mut reference_shadow = Shadow::default();
@@ -762,7 +762,7 @@ fn sweep<S: MountableStore>(
         report.drain_sanitizer(device, "reference run");
     }
     for crash_after in 0..total_writes {
-        let devices = fresh_image::<S>(devices);
+        let devices = fresh_image::<S>(device_count);
         let crashing = behind_one_cell(&devices, FaultScript::crash_after_writes(crash_after)).1;
         let store = match S::mount(crashing) {
             Ok(store) => store,

@@ -90,8 +90,7 @@ fn concurrent_reader_observes_only_group_commit_cut_points() {
         let rows = (0..GROUP)
             .map(|row| (subject, user_row(&format!("u{group}-{row}"))))
             .collect();
-        dbfs.collect_many(&"user".into(), rows)
-            .expect("group insert");
+        dbfs.collect_many(&user, rows).expect("group insert");
     }
     done.store(true, Ordering::Release);
     let sweeps = reader.join().expect("reader thread");
@@ -114,7 +113,7 @@ fn concurrent_reader_sees_erased_not_stale_during_subject_erasure() {
         let rows = (0..GROUP)
             .map(|row| (subject, user_row(&format!("s{i}-{row}"))))
             .collect();
-        ids.extend(dbfs.collect_many(&"user".into(), rows).expect("preload"));
+        ids.extend(dbfs.collect_many(&user, rows).expect("preload"));
     }
     let ids = Arc::new(ids);
     let done = Arc::new(AtomicBool::new(false));
@@ -177,7 +176,7 @@ fn read_mix_takes_zero_index_lock_acquisitions() {
         let rows = (0..GROUP)
             .map(|row| (subject, user_row(&format!("r{i}-{row}"))))
             .collect();
-        ids.extend(dbfs.collect_many(&"user".into(), rows).expect("preload"));
+        ids.extend(dbfs.collect_many(&user, rows).expect("preload"));
     }
 
     let holds_before = dbfs.index_lock_holds();

@@ -2037,8 +2037,6 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         self.attach_trace_as(ctx, &[]);
     }
 
-    /// The table subtree, its schema entry and the tables-tree link are one
-    /// compound transaction.
     fn create_type(&self, schema: DataTypeSchema) -> Result<(), DbfsError> {
         let mut index = self.lock_index();
         if index.view.tables.contains_key(schema.name()) {
@@ -2046,8 +2044,9 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
                 name: schema.name().to_string(),
             });
         }
-        // One compound transaction: a crash never exposes a table without
-        // its schema.
+        // The table subtree, its schema entry and the tables-tree link are
+        // created in one compound transaction: a crash never exposes a table
+        // without its schema.
         let tx = self.fs.begin_tx();
         let table_ino = self.fs.alloc_inode(InodeKind::Table)?;
         self.fs

@@ -364,6 +364,8 @@ impl<S: PdStore> RgpdOsWith<S> {
     }
 
     /// The personal-data store (a single DBFS or a sharded deployment).
+    /// Its operations are the methods of [`PdStore`]: bring the trait into
+    /// scope (it is in the prelude) to call them.
     pub fn dbfs(&self) -> &Arc<S> {
         &self.dbfs
     }

@@ -210,7 +210,7 @@ fn crashed_two_phase_erase_completes_on_sharded_remount() {
         let sharded = ShardedDbfs::format(devices.clone(), DbfsParams::small()).unwrap();
         sharded.create_type(listing1_user_schema()).unwrap();
         let original = sharded
-            .collect(&"user".into(), SubjectId::new(11), user_row("original"))
+            .collect(&user, SubjectId::new(11), user_row("original"))
             .unwrap();
         // Round-robin placement: find a copy that landed off the original's
         // shard, so the erasure genuinely crosses shards.
@@ -284,7 +284,7 @@ fn empty_target_intent_heals_lineage_on_remount() {
         let sharded = ShardedDbfs::format(devices.clone(), DbfsParams::small()).unwrap();
         sharded.create_type(listing1_user_schema()).unwrap();
         let original = sharded
-            .collect(&"user".into(), SubjectId::new(3), user_row("expiring"))
+            .collect(&user, SubjectId::new(3), user_row("expiring"))
             .unwrap();
         let copy = loop {
             let copy = sharded.copy(&user, original).unwrap();
@@ -388,11 +388,7 @@ fn erasure_destroys_key_material_on_sharded_dbfs() {
     let escrow = OperatorEscrow::new(authority.public_key());
     let user: DataTypeId = "user".into();
     let original = sharded
-        .collect(
-            &"user".into(),
-            SubjectId::new(9),
-            user_row("SHARD-CANARY-4242"),
-        )
+        .collect(&user, SubjectId::new(9), user_row("SHARD-CANARY-4242"))
         .unwrap();
     // Force a cross-shard copy so the ciphertext lands on a second device.
     let copy = loop {

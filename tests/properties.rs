@@ -412,7 +412,7 @@ proptest! {
                         .with("name", format!("subject-{subject}"))
                         .with("pwd", "pw")
                         .with("year_of_birthdate", 1990i64);
-                    ids.push(dbfs.collect(&"user".into(), SubjectId::new(subject as u64), row).unwrap());
+                    ids.push(dbfs.collect(&user, SubjectId::new(subject as u64), row).unwrap());
                 }
                 DbfsOp::Copy { pick } if !ids.is_empty() => {
                     let id = ids[pick as usize % ids.len()];
@@ -558,7 +558,7 @@ proptest! {
                         .with("year_of_birthdate", 1990i64);
                     ids.push(
                         sharded
-                            .collect(&"user".into(), SubjectId::new(subject as u64), row)
+                            .collect(&user, SubjectId::new(subject as u64), row)
                             .unwrap(),
                     );
                 }
@@ -791,11 +791,8 @@ fn scrub_leaves_no_forensic_residue_on_any_device() {
         dbfs.create_type(listing1_user_schema()).unwrap();
         let authority = Authority::generate(41);
         let escrow = OperatorEscrow::new(authority.public_key());
-        let id = dbfs
-            .collect(&"user".into(), SubjectId::new(1), row(canary))
-            .unwrap();
-        dbfs.collect(&"user".into(), SubjectId::new(2), row(keeper))
-            .unwrap();
+        let id = dbfs.collect(&user, SubjectId::new(1), row(canary)).unwrap();
+        dbfs.collect(&user, SubjectId::new(2), row(keeper)).unwrap();
         dbfs.erase(&user, id, &escrow).unwrap();
         // The tombstone is on disk (marker present), the payload is not.
         assert!(!scan_for_pattern(device.as_ref(), TOMBSTONE_MARKER)
@@ -829,12 +826,12 @@ fn scrub_leaves_no_forensic_residue_on_any_device() {
         let authority = Authority::generate(42);
         let escrow = OperatorEscrow::new(authority.public_key());
         let id = sharded
-            .collect(&"user".into(), SubjectId::new(1), row(canary))
+            .collect(&user, SubjectId::new(1), row(canary))
             .unwrap();
         let copy = sharded.copy(&user, id).unwrap();
         sharded.copy(&user, copy).unwrap();
         sharded
-            .collect(&"user".into(), SubjectId::new(2), row(keeper))
+            .collect(&user, SubjectId::new(2), row(keeper))
             .unwrap();
         sharded.erase_subject(SubjectId::new(1), &escrow).unwrap();
         assert!(

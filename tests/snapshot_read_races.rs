@@ -119,10 +119,10 @@ fn fixture() -> Fixture {
         .store(store.inode_fs().layout().data_start, Ordering::SeqCst);
     store.create_type(listing1_user_schema()).unwrap();
     let bystander = store
-        .collect(&"user".into(), BYSTANDER_SUBJECT, row("bystander"))
+        .collect(&user(), BYSTANDER_SUBJECT, row("bystander"))
         .unwrap();
     let victim = store
-        .collect(&"user".into(), VICTIM_SUBJECT, row("victim"))
+        .collect(&user(), VICTIM_SUBJECT, row("victim"))
         .unwrap();
     Fixture {
         store,
@@ -166,7 +166,7 @@ impl Fixture {
                 let report = store.scrub_tombstones().unwrap();
                 assert_eq!(report.reclaimed, vec![victim]);
                 let fresh = store
-                    .collect(&"user".into(), FRESH_SUBJECT, row("fresh!"))
+                    .collect(&user(), FRESH_SUBJECT, row("fresh!"))
                     .unwrap();
                 assert_ne!(fresh, victim, "identifiers are never reused");
             }

@@ -366,9 +366,9 @@ fn one_script_reads_the_same_on_dbfs_one_shard_and_three_shards() {
     assert_eq!(size_of("get a reclaimed id"), [None]);
     assert_eq!(size_of("verify_index_invariants"), [Some(0)]);
 
+    assert_eq!(single.0.len(), one_shard.0.len());
     for (a, b) in single.0.iter().zip(&one_shard.0) {
         assert_eq!(a, b, "Dbfs (left) and one shard (right) disagree");
     }
-    assert_eq!(single.0.len(), one_shard.0.len());
     assert_eq!(single.sizes(), three_shards.sizes());
 }
