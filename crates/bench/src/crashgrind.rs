@@ -35,7 +35,7 @@ use rgpdos::core::{
     AuditEvent, DataTypeId, Duration, Membrane, MembraneDelta, PdId, Row, SubjectId, TimeToLive,
 };
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
-use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams, PdStore, QueryRequest};
+use rgpdos::dbfs::{erased_ancestor, Dbfs, DbfsError, DbfsParams, PdStore, QueryRequest};
 use rgpdos::inode::InodeError;
 use rgpdos::shard::ShardedDbfs;
 use serde::Serialize;
@@ -580,24 +580,12 @@ fn check_recovered<S: PdStore>(
                         membrane.subject()
                     ));
                 }
-                let mut seen = BTreeSet::from([*id]);
-                let mut ancestor = membrane.copied_from();
-                while let Some(current) = ancestor {
-                    if !seen.insert(current) {
-                        break;
-                    }
-                    match map.get(&current) {
-                        Some(parent) => {
-                            if parent.is_erased() {
-                                violations.push(format!(
-                                    "live {id} outlives its erased ancestor {current}"
-                                ));
-                                break;
-                            }
-                            ancestor = parent.copied_from();
-                        }
-                        None => break,
-                    }
+                let lookup = |id| {
+                    let parent = map.get(&id)?;
+                    Some((parent.is_erased(), parent.copied_from()))
+                };
+                if let Some(ancestor) = erased_ancestor(membrane.copied_from(), lookup) {
+                    violations.push(format!("live {id} outlives its erased ancestor {ancestor}"));
                 }
             }
         }

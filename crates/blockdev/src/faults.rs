@@ -6,14 +6,13 @@
 //! crash-point harness (`rgpdos-bench`'s `crashgrind`) brute-forces this:
 //! it sweeps `CrashAfterWrites(k)` over every `k` a workload performs.
 //!
-//! Three layers of API, from simple to scripted:
+//! Two layers of API:
 //!
-//! * [`FaultPlan`] — a single-shot fault (one crash, one torn write, one
-//!   failing read), enough for most unit tests;
 //! * [`FaultScript`] — an ordered sequence of [`FaultEvent`]s triggered by
-//!   absolute operation counters, so a test can model e.g. "torn write at
-//!   write 7, then a full crash at write 20, then a transient read error
-//!   after the reboot";
+//!   absolute operation counters: none ([`FaultScript::none`]), a single
+//!   crash, torn write or failing read, or e.g. "torn write at write 7,
+//!   then a full crash at write 20, then a transient read error after the
+//!   reboot";
 //! * [`FaultCell`] — the shared trigger state behind a script.  Several
 //!   [`FaultyDevice`]s can share one cell
 //!   ([`FaultyDevice::with_cell`]), which models a whole-machine power
@@ -25,22 +24,6 @@ use crate::error::DeviceError;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// When (and how) the device should start failing (single-shot plans).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultPlan {
-    /// Never fail.
-    None,
-    /// Every operation fails once the total write count reaches `n`
-    /// (simulates a sudden power loss after the n-th write).
-    CrashAfterWrites(u64),
-    /// Write number `n` (0-based) silently writes only the first half of the
-    /// block (a torn write), subsequent operations succeed normally.
-    TornWriteAt(u64),
-    /// Read number `n` (0-based) fails transiently; subsequent reads
-    /// succeed.
-    FailedReadAt(u64),
-}
 
 /// One scripted fault event.  Counters are *absolute* operation indexes on
 /// the shared [`FaultCell`], counted across every device attached to it.
@@ -79,16 +62,6 @@ impl FaultScript {
     /// A single whole-machine crash once `n` writes have happened.
     pub fn crash_after_writes(n: u64) -> Self {
         Self::new([FaultEvent::CrashAfterWrites(n)])
-    }
-
-    /// The script equivalent of a single-shot plan.
-    pub fn from_plan(plan: FaultPlan) -> Self {
-        match plan {
-            FaultPlan::None => Self::none(),
-            FaultPlan::CrashAfterWrites(n) => Self::new([FaultEvent::CrashAfterWrites(n)]),
-            FaultPlan::TornWriteAt(n) => Self::new([FaultEvent::TornWriteAt(n)]),
-            FaultPlan::FailedReadAt(n) => Self::new([FaultEvent::FailedReadAt(n)]),
-        }
     }
 
     /// The events still pending in the script.
@@ -205,7 +178,7 @@ enum WriteOutcome {
     Torn { at_op: u64 },
 }
 
-/// Wraps a device with a fault plan or script.
+/// Wraps a device with a fault script.
 #[derive(Debug)]
 pub struct FaultyDevice<D> {
     inner: D,
@@ -213,13 +186,8 @@ pub struct FaultyDevice<D> {
 }
 
 impl<D: BlockDevice> FaultyDevice<D> {
-    /// Wraps `inner` with the given single-shot plan.
-    pub fn new(inner: D, plan: FaultPlan) -> Self {
-        Self::scripted(inner, FaultScript::from_plan(plan))
-    }
-
-    /// Wraps `inner` with a multi-event fault script.
-    pub fn scripted(inner: D, script: FaultScript) -> Self {
+    /// Wraps `inner` with a fault script of its own.
+    pub fn new(inner: D, script: FaultScript) -> Self {
         Self::with_cell(inner, Arc::new(FaultCell::new(script)))
     }
 
@@ -314,8 +282,8 @@ mod tests {
     use crate::mem::MemDevice;
 
     #[test]
-    fn no_plan_never_fails() {
-        let d = FaultyDevice::new(MemDevice::new(4, 8), FaultPlan::None);
+    fn the_empty_script_never_fails() {
+        let d = FaultyDevice::new(MemDevice::new(4, 8), FaultScript::none());
         for i in 0..4 {
             d.write_block(i, &[i as u8; 8]).unwrap();
         }
@@ -325,7 +293,7 @@ mod tests {
 
     #[test]
     fn crash_after_writes() {
-        let d = FaultyDevice::new(MemDevice::new(8, 8), FaultPlan::CrashAfterWrites(2));
+        let d = FaultyDevice::new(MemDevice::new(8, 8), FaultScript::crash_after_writes(2));
         d.write_block(0, &[1u8; 8]).unwrap();
         d.write_block(1, &[2u8; 8]).unwrap();
         assert!(matches!(
@@ -344,7 +312,8 @@ mod tests {
 
     #[test]
     fn torn_write() {
-        let d = FaultyDevice::new(MemDevice::new(4, 8), FaultPlan::TornWriteAt(1));
+        let script = FaultScript::new([FaultEvent::TornWriteAt(1)]);
+        let d = FaultyDevice::new(MemDevice::new(4, 8), script);
         d.write_block(0, &[0xFFu8; 8]).unwrap();
         assert!(matches!(
             d.write_block(1, &[0xFFu8; 8]),
@@ -362,7 +331,8 @@ mod tests {
 
     #[test]
     fn failed_read_is_transient() {
-        let d = FaultyDevice::new(MemDevice::new(4, 8), FaultPlan::FailedReadAt(1));
+        let script = FaultScript::new([FaultEvent::FailedReadAt(1)]);
+        let d = FaultyDevice::new(MemDevice::new(4, 8), script);
         d.write_block(0, &[7u8; 8]).unwrap();
         assert_eq!(d.read_block(0).unwrap(), vec![7u8; 8]);
         assert!(matches!(
@@ -386,7 +356,7 @@ mod tests {
             FaultEvent::CrashAfterWrites(3),
             FaultEvent::FailedReadAt(2),
         ]);
-        let d = FaultyDevice::scripted(MemDevice::new(8, 8), script);
+        let d = FaultyDevice::new(MemDevice::new(8, 8), script);
         d.write_block(0, &[1u8; 8]).unwrap();
         assert!(matches!(
             d.write_block(1, &[0xFFu8; 8]),
@@ -453,22 +423,5 @@ mod tests {
             let _ = a.read_block(0);
         });
         assert_eq!(none, 0);
-    }
-
-    #[test]
-    fn plan_converts_to_script() {
-        assert_eq!(FaultScript::from_plan(FaultPlan::None).events(), &[]);
-        assert_eq!(
-            FaultScript::from_plan(FaultPlan::TornWriteAt(4)).events(),
-            &[FaultEvent::TornWriteAt(4)]
-        );
-        assert_eq!(
-            FaultScript::from_plan(FaultPlan::FailedReadAt(2)).events(),
-            &[FaultEvent::FailedReadAt(2)]
-        );
-        assert_eq!(
-            FaultScript::from_plan(FaultPlan::CrashAfterWrites(1)).events(),
-            &[FaultEvent::CrashAfterWrites(1)]
-        );
     }
 }

@@ -45,7 +45,7 @@ pub mod scan;
 pub use cache::CacheStats;
 pub use device::{BlockDevice, DeviceGeometry};
 pub use error::DeviceError;
-pub use faults::{FaultCell, FaultEvent, FaultPlan, FaultScript, FaultyDevice};
+pub use faults::{FaultCell, FaultEvent, FaultScript, FaultyDevice};
 pub use instrument::{DeviceStats, InstrumentedDevice, LatencyModel};
 pub use mem::MemDevice;
 pub use sanitize::{

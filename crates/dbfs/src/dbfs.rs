@@ -8,10 +8,10 @@
 //! followed by the row payload.  Membrane-only reads (`ded_load_membrane`)
 //! fetch and deserialize the header section without touching the payload.
 //!
-//! The in-memory index mirrors the two inode trees with secondary indexes
-//! — per-table, per-subject, reverse copy-lineage, and an expiry index —
-//! so that per-table scans, subject-wide operations, erasure propagation
-//! and retention sweeps never iterate the global record map.
+//! The in-memory index (the private `index` module) mirrors the two inode
+//! trees and derives per-table, per-subject, reverse copy-lineage and expiry
+//! indexes from them, so no scan, subject-wide operation, erasure
+//! propagation or retention sweep iterates the global record map.
 //!
 //! # Write path: one pipeline, group commit
 //!
@@ -25,6 +25,7 @@
 //! crash-atomic.  The single-record built-ins are batches of one.
 
 use crate::error::DbfsError;
+use crate::index::{erased_ancestor, DbfsIndex, IndexSnapshot, RecordLocation};
 use crate::query::QueryRequest;
 use crate::scrub::{ScrubReport, SpaceGauges, SpaceStats};
 use crate::stats::{DbfsStats, DbfsStatsInner};
@@ -34,7 +35,7 @@ use rgpdos_blockdev::BlockDevice;
 use rgpdos_core::record::stored;
 use rgpdos_core::{
     AuditEventKind, AuditLog, DataTypeId, DataTypeSchema, LogicalClock, Membrane, MembraneDelta,
-    PdId, PdRecord, RecordBatch, Row, SchemaRegistry, SubjectId, Timestamp, WrappedPd,
+    PdId, PdRecord, RecordBatch, Row, SubjectId, Timestamp, WrappedPd,
 };
 use rgpdos_crypto::escrow::OperatorEscrow;
 use rgpdos_crypto::PublicKey;
@@ -70,9 +71,6 @@ fn encode_meta(next_pd: u64) -> [u8; 16] {
 
 /// Decodes the metadata entry, returning `next_pd`.
 fn decode_meta(meta: &[u8]) -> Result<u64, DbfsError> {
-    let corrupt = |what: &str| DbfsError::Corrupt {
-        what: what.to_owned(),
-    };
     match meta.len() {
         8 => Err(corrupt("unsupported format version 1")),
         16 => {
@@ -86,7 +84,11 @@ fn decode_meta(meta: &[u8]) -> Result<u64, DbfsError> {
     }
 }
 
-fn unknown_type(name: &DataTypeId) -> DbfsError {
+pub(crate) fn corrupt(what: impl Into<String>) -> DbfsError {
+    DbfsError::Corrupt { what: what.into() }
+}
+
+pub(crate) fn unknown_type(name: &DataTypeId) -> DbfsError {
     DbfsError::UnknownType {
         name: name.to_string(),
     }
@@ -99,12 +101,11 @@ fn read_membrane_from<D: BlockDevice>(fs: &InodeFs<D>, ino: Ino) -> Result<Membr
     let block_size = fs.layout().block_size.max(stored::PREFIX_LEN);
     let first = fs.read(ino, 0, block_size)?;
     let header_len = stored::membrane_section_len(&first)?;
-    let header_end =
-        stored::PREFIX_LEN
-            .checked_add(header_len)
-            .ok_or_else(|| DbfsError::Corrupt {
-                what: format!("membrane header length of record inode {ino} overflows"),
-            })?;
+    let header_end = stored::PREFIX_LEN.checked_add(header_len).ok_or_else(|| {
+        corrupt(format!(
+            "membrane header length of record inode {ino} overflows"
+        ))
+    })?;
     let membrane = if first.len() >= header_end {
         stored::decode_membrane(&first[stored::PREFIX_LEN..header_end])?
     } else {
@@ -112,9 +113,9 @@ fn read_membrane_from<D: BlockDevice>(fs: &InodeFs<D>, ino: Ino) -> Result<Membr
         let rest = fs.read(ino, first.len() as u64, header_end - first.len())?;
         section.extend_from_slice(&rest);
         if section.len() < header_len {
-            return Err(DbfsError::Corrupt {
-                what: format!("membrane header of record inode {ino} truncated"),
-            });
+            return Err(corrupt(format!(
+                "membrane header of record inode {ino} truncated"
+            )));
         }
         stored::decode_membrane(&section)?
     };
@@ -124,9 +125,8 @@ fn read_membrane_from<D: BlockDevice>(fs: &InodeFs<D>, ino: Ino) -> Result<Membr
 /// Reads and decodes a whole split-layout record (membrane + row).
 fn read_stored<D: BlockDevice>(fs: &InodeFs<D>, ino: Ino) -> Result<WrappedPd, DbfsError> {
     let bytes = fs.read_all(ino)?;
-    let (membrane, row) = stored::decode(&bytes).map_err(|_| DbfsError::Corrupt {
-        what: format!("record inode {ino}"),
-    })?;
+    let (membrane, row) =
+        stored::decode(&bytes).map_err(|_| corrupt(format!("record inode {ino}")))?;
     Ok(WrappedPd::new(row, membrane))
 }
 
@@ -234,32 +234,6 @@ impl Default for DbfsParams {
     }
 }
 
-#[derive(Debug, Clone)]
-struct RecordLocation {
-    data_type: DataTypeId,
-    subject: SubjectId,
-    ino: Ino,
-    erased: bool,
-    /// Direct lineage parent when the record was produced by `copy`.
-    copied_from: Option<PdId>,
-    /// When the record's retention period elapses (`None` for unbounded TTLs
-    /// and for tombstones, which no longer expire).
-    expires_at: Option<Timestamp>,
-}
-
-impl RecordLocation {
-    fn from_membrane(data_type: &DataTypeId, membrane: &Membrane, ino: Ino) -> Self {
-        Self {
-            data_type: data_type.clone(),
-            subject: membrane.subject(),
-            ino,
-            erased: membrane.is_erased(),
-            copied_from: membrane.copied_from(),
-            expires_at: membrane.expiry_instant(),
-        }
-    }
-}
-
 /// What [`Dbfs::checked_read`] found once its unlocked device read was
 /// validated against the current snapshot.
 #[derive(Debug)]
@@ -364,238 +338,6 @@ impl StagedOp {
             _ => None,
         }
     }
-}
-
-/// The maps a reader can consult, held by the writer-side [`DbfsIndex`] and
-/// by every published [`IndexSnapshot`].  Each is `Arc`-wrapped, so
-/// publishing is one clone of this struct (seven `Arc` clones, no map copy,
-/// whatever the store's size); the *first* writer mutation after a publish
-/// copies only the maps it touches ([`Arc::make_mut`] copy-on-write) while
-/// the published snapshots keep the previous versions alive.
-#[derive(Debug, Clone, Default)]
-struct IndexView {
-    schemas: Arc<SchemaRegistry>,
-    tables: Arc<BTreeMap<DataTypeId, Ino>>,
-    subjects: Arc<BTreeMap<SubjectId, Ino>>,
-    /// The primary record map.
-    records: Arc<BTreeMap<PdId, RecordLocation>>,
-    /// Secondary index: table -> record ids (live and tombstoned).
-    by_table: Arc<BTreeMap<DataTypeId, BTreeSet<PdId>>>,
-    /// Secondary index: subject -> record ids (live and tombstoned).
-    by_subject: Arc<BTreeMap<SubjectId, BTreeSet<PdId>>>,
-    /// Expiry index: expiry instant -> live bounded-TTL record ids.  The
-    /// retention sweep only ever visits the `..now` range of this map.
-    by_expiry: Arc<BTreeMap<Timestamp, BTreeSet<PdId>>>,
-}
-
-impl IndexView {
-    /// The ids of one table (empty when the table holds no record yet).
-    fn table_ids(&self, data_type: &DataTypeId) -> impl Iterator<Item = PdId> + '_ {
-        self.by_table
-            .get(data_type)
-            .into_iter()
-            .flat_map(|ids| ids.iter().copied())
-    }
-
-    /// The ids of one subject (empty when the subject owns no record).
-    fn subject_ids(&self, subject: SubjectId) -> impl Iterator<Item = PdId> + '_ {
-        self.by_subject
-            .get(&subject)
-            .into_iter()
-            .flat_map(|ids| ids.iter().copied())
-    }
-
-    /// Projects ids onto their locations (live and tombstoned).
-    fn locations<'a>(
-        &'a self,
-        ids: impl Iterator<Item = PdId> + 'a,
-    ) -> impl Iterator<Item = (PdId, &'a RecordLocation)> + 'a {
-        ids.filter_map(|id| self.records.get(&id).map(|loc| (id, loc)))
-    }
-
-    /// Projects ids onto their live (non-tombstoned) locations.
-    fn live_locations<'a>(
-        &'a self,
-        ids: impl Iterator<Item = PdId> + 'a,
-    ) -> impl Iterator<Item = (PdId, &'a RecordLocation)> + 'a {
-        self.locations(ids).filter(|(_, loc)| !loc.erased)
-    }
-
-    /// Resolves a record, checking table membership.
-    fn locate(&self, data_type: &DataTypeId, id: PdId) -> Result<&RecordLocation, DbfsError> {
-        if !self.tables.contains_key(data_type) {
-            return Err(unknown_type(data_type));
-        }
-        match self.records.get(&id) {
-            Some(location) if location.data_type == *data_type => Ok(location),
-            _ => Err(DbfsError::UnknownPd { id: id.raw() }),
-        }
-    }
-}
-
-/// The writer-side index: the reader-visible [`IndexView`] plus what is only
-/// ever consulted under the index lock (`copies_of`, the allocator state).
-#[derive(Debug, Default)]
-struct DbfsIndex {
-    view: IndexView,
-    /// Reverse copy-lineage index: original -> its direct copies.  Erasure
-    /// propagation walks the transitive closure of this map.
-    copies_of: BTreeMap<PdId, BTreeSet<PdId>>,
-    /// Identifier allocation policy (dense by default, strided on shards).
-    alloc: IdAllocation,
-    next_pd: u64,
-    /// Monotonic version counter, bumped on every snapshot publish.
-    epoch: u64,
-    tables_ino: Ino,
-    subjects_ino: Ino,
-    meta_ino: Ino,
-    /// The erase-intent WAL file, once one exists (created lazily).
-    intents_ino: Option<Ino>,
-}
-
-impl DbfsIndex {
-    /// Inserts a record into the primary map and every secondary index.
-    fn insert_record(&mut self, id: PdId, location: RecordLocation) {
-        Arc::make_mut(&mut self.view.by_table)
-            .entry(location.data_type.clone())
-            .or_default()
-            .insert(id);
-        Arc::make_mut(&mut self.view.by_subject)
-            .entry(location.subject)
-            .or_default()
-            .insert(id);
-        if let Some(original) = location.copied_from {
-            self.copies_of.entry(original).or_default().insert(id);
-        }
-        if !location.erased {
-            if let Some(at) = location.expires_at {
-                Arc::make_mut(&mut self.view.by_expiry)
-                    .entry(at)
-                    .or_default()
-                    .insert(id);
-            }
-        }
-        Arc::make_mut(&mut self.view.records).insert(id, location);
-    }
-
-    /// Drops a tombstone from the primary map and every secondary index —
-    /// the exact reverse of [`DbfsIndex::insert_record`] (tombstones never
-    /// appear in the expiry index: `mark_erased` retires them).
-    fn remove_tombstone(&mut self, id: PdId, location: &RecordLocation) {
-        Arc::make_mut(&mut self.view.records).remove(&id);
-        if let Some(ids) = Arc::make_mut(&mut self.view.by_table).get_mut(&location.data_type) {
-            ids.remove(&id);
-        }
-        if let Some(ids) = Arc::make_mut(&mut self.view.by_subject).get_mut(&location.subject) {
-            ids.remove(&id);
-        }
-        if let Some(original) = location.copied_from {
-            if let Some(copies) = self.copies_of.get_mut(&original) {
-                copies.remove(&id);
-                if copies.is_empty() {
-                    self.copies_of.remove(&original);
-                }
-            }
-        }
-        self.copies_of.remove(&id);
-    }
-
-    /// Marks a record as a tombstone, retiring it from the expiry index.
-    fn mark_erased(&mut self, id: PdId) {
-        let expires_at = match Arc::make_mut(&mut self.view.records).get_mut(&id) {
-            Some(location) => {
-                location.erased = true;
-                location.expires_at.take()
-            }
-            None => None,
-        };
-        if let Some(at) = expires_at {
-            self.remove_expiry_entry(at, id);
-        }
-    }
-
-    /// Re-keys a live record in the expiry index after a TTL change.
-    fn set_expiry(&mut self, id: PdId, expires_at: Option<Timestamp>) {
-        let previous = match Arc::make_mut(&mut self.view.records).get_mut(&id) {
-            Some(location) if !location.erased => {
-                let previous = location.expires_at;
-                location.expires_at = expires_at;
-                previous
-            }
-            _ => return,
-        };
-        if previous == expires_at {
-            return;
-        }
-        if let Some(at) = previous {
-            self.remove_expiry_entry(at, id);
-        }
-        if let Some(at) = expires_at {
-            Arc::make_mut(&mut self.view.by_expiry)
-                .entry(at)
-                .or_default()
-                .insert(id);
-        }
-    }
-
-    fn remove_expiry_entry(&mut self, at: Timestamp, id: PdId) {
-        let by_expiry = Arc::make_mut(&mut self.view.by_expiry);
-        if let Some(ids) = by_expiry.get_mut(&at) {
-            ids.remove(&id);
-            if ids.is_empty() {
-                by_expiry.remove(&at);
-            }
-        }
-    }
-
-    /// The transitive copy closure of `id` (excluding `id` itself), computed
-    /// purely from the reverse-lineage index — no disk I/O.
-    fn lineage_closure(&self, id: PdId) -> Vec<PdId> {
-        let mut closure = Vec::new();
-        let mut seen = BTreeSet::from([id]);
-        let mut stack = vec![id];
-        while let Some(current) = stack.pop() {
-            if let Some(copies) = self.copies_of.get(&current) {
-                for &copy in copies {
-                    if seen.insert(copy) {
-                        stack.push(copy);
-                        closure.push(copy);
-                    }
-                }
-            }
-        }
-        closure
-    }
-}
-
-/// An immutable, versioned view of the record index, published by writers
-/// at each commit point and read lock-free (one `RwLock` read to clone an
-/// `Arc`, never held across device I/O).
-#[derive(Debug)]
-struct IndexSnapshot {
-    /// Version counter; strictly increasing across publishes.
-    epoch: u64,
-    /// Logical instant of the publish (drives `read_snapshot_age`).
-    published_at: Timestamp,
-    /// Journal transactions committed when this snapshot was cut: the
-    /// inode-layer commit sequence the snapshot's contents are durable up to.
-    committed_txs: u64,
-    /// The publishing [`DbfsIndex`]'s view at commit time.
-    view: IndexView,
-}
-
-/// Cuts an immutable snapshot of `index`: one clone of its view.
-fn snapshot_of(
-    index: &DbfsIndex,
-    published_at: Timestamp,
-    committed_txs: u64,
-) -> Arc<IndexSnapshot> {
-    Arc::new(IndexSnapshot {
-        epoch: index.epoch,
-        published_at,
-        committed_txs,
-        view: index.view.clone(),
-    })
 }
 
 /// An index-only summary of one record, exposed so that routing layers
@@ -771,14 +513,8 @@ impl<D: BlockDevice> Dbfs<D> {
         fs.dir_add(ROOT_INO, META_ENTRY, meta_ino)?;
         fs.write_replace(meta_ino, &encode_meta(0))?;
         tx.commit()?;
-        let index = DbfsIndex {
-            tables_ino,
-            subjects_ino,
-            meta_ino,
-            alloc,
-            ..DbfsIndex::default()
-        };
-        let snapshot = snapshot_of(&index, clock.now(), fs.journal_txs());
+        let index = DbfsIndex::new(alloc, tables_ino, subjects_ino, meta_ino);
+        let snapshot = index.snapshot(clock.now(), fs.journal_txs());
         Ok(Self {
             fs,
             index: Mutex::new_named("dbfs-index", index),
@@ -838,9 +574,6 @@ impl<D: BlockDevice> Dbfs<D> {
     ) -> Result<Self, DbfsError> {
         assert!(alloc.stride > 0, "id stride must be non-zero");
         let fs = InodeFs::mount_with(device, true)?;
-        let corrupt = |what: &str| DbfsError::Corrupt {
-            what: what.to_owned(),
-        };
         let tables_ino = fs
             .dir_lookup(ROOT_INO, TABLES_DIR)?
             .ok_or_else(|| corrupt("missing tables tree"))?;
@@ -853,15 +586,9 @@ impl<D: BlockDevice> Dbfs<D> {
         let meta = fs.read_all(meta_ino)?;
         let next_pd = decode_meta(&meta)?;
 
-        let mut index = DbfsIndex {
-            tables_ino,
-            subjects_ino,
-            meta_ino,
-            alloc,
-            next_pd,
-            intents_ino: fs.dir_lookup(ROOT_INO, INTENTS_ENTRY)?,
-            ..DbfsIndex::default()
-        };
+        let mut index = DbfsIndex::new(alloc, tables_ino, subjects_ino, meta_ino);
+        index.next_pd = next_pd;
+        index.intents_ino = fs.dir_lookup(ROOT_INO, INTENTS_ENTRY)?;
         let mut recovered = 0u64;
 
         for (subject_name, subject_ino) in fs.dir_entries(subjects_ino)? {
@@ -869,7 +596,7 @@ impl<D: BlockDevice> Dbfs<D> {
                 .strip_prefix("subject-")
                 .and_then(|s| s.parse::<u64>().ok())
                 .ok_or_else(|| corrupt("malformed subject entry"))?;
-            Arc::make_mut(&mut index.view.subjects).insert(SubjectId::new(raw), subject_ino);
+            index.register_subject(SubjectId::new(raw), subject_ino);
         }
 
         // Scan the tables tree (the authoritative record registry).  A
@@ -879,13 +606,12 @@ impl<D: BlockDevice> Dbfs<D> {
         let mut debris: Vec<(String, Ino, Ino)> = Vec::new();
         for (type_name, table_ino) in fs.dir_entries(tables_ino)? {
             let data_type = DataTypeId::from(type_name.as_str());
-            Arc::make_mut(&mut index.view.tables).insert(data_type.clone(), table_ino);
             for (entry, ino) in fs.dir_entries(table_ino)? {
                 if entry == SCHEMA_ENTRY {
                     let bytes = fs.read_all(ino)?;
                     let schema: DataTypeSchema = serde_json::from_slice(&bytes)
                         .map_err(|_| corrupt("schema does not decode"))?;
-                    Arc::make_mut(&mut index.view.schemas).register(schema);
+                    index.register_type(table_ino, schema);
                 } else {
                     let raw = entry
                         .strip_prefix("pd-")
@@ -914,19 +640,17 @@ impl<D: BlockDevice> Dbfs<D> {
         // preserving it would keep half-written personal data on the device
         // outside any membrane's governance — the exact residue failure the
         // paper criticises.  Every scrub is audited.
+        let audit_scrub = |entry: &str| {
+            let description = format!(
+                "mount recovery scrubbed torn record image `{entry}` (uncommitted crash debris)"
+            );
+            let scrubbed = AuditEventKind::ViolationBlocked { description };
+            audit.record(clock.now(), None, scrubbed);
+        };
         for (entry, ino, table_ino) in &debris {
             fs.dir_remove(*table_ino, entry)?;
             let _ = fs.free_inode(*ino);
-            audit.record(
-                clock.now(),
-                None,
-                AuditEventKind::ViolationBlocked {
-                    description: format!(
-                        "mount recovery scrubbed torn record image `{entry}` \
-                         (uncommitted crash debris)"
-                    ),
-                },
-            );
+            audit_scrub(entry);
             recovered += 1;
         }
 
@@ -935,13 +659,9 @@ impl<D: BlockDevice> Dbfs<D> {
         // table (roll forward); an entry whose record is torn or missing is
         // dropped (roll back).
         let mut present: BTreeMap<SubjectId, BTreeSet<String>> = BTreeMap::new();
-        let subjects_snapshot: Vec<(SubjectId, Ino)> = index
-            .view
-            .subjects
-            .iter()
-            .map(|(&subject, &ino)| (subject, ino))
-            .collect();
-        for (subject, subject_ino) in subjects_snapshot {
+        // (Each loop below walks one map of the index while adding to
+        // another: the walked map's `Arc` is the snapshot, nothing is copied.)
+        for (&subject, &subject_ino) in Arc::clone(&index.view.subjects).iter() {
             let names = present.entry(subject).or_default();
             for (entry, ino) in fs.dir_entries(subject_ino)? {
                 let parsed = entry
@@ -991,16 +711,7 @@ impl<D: BlockDevice> Dbfs<D> {
                         if !repaired {
                             fs.dir_remove(subject_ino, &entry)?;
                             let _ = fs.free_inode(ino);
-                            audit.record(
-                                clock.now(),
-                                None,
-                                AuditEventKind::ViolationBlocked {
-                                    description: format!(
-                                        "mount recovery scrubbed torn record image \
-                                         `{entry}` (uncommitted crash debris)"
-                                    ),
-                                },
-                            );
+                            audit_scrub(&entry);
                         }
                         recovered += 1;
                     }
@@ -1011,13 +722,7 @@ impl<D: BlockDevice> Dbfs<D> {
         // The other direction: every indexed record must be reachable from
         // its subject's subtree (erase_subject and the right of access walk
         // that tree).
-        let records_snapshot: Vec<(PdId, RecordLocation)> = index
-            .view
-            .records
-            .iter()
-            .map(|(&id, loc)| (id, loc.clone()))
-            .collect();
-        for (id, loc) in records_snapshot {
+        for (&id, loc) in Arc::clone(&index.view.records).iter() {
             let name = format!("{}#pd-{}", loc.data_type, id.raw());
             let subject_ino = match index.view.subjects.get(&loc.subject) {
                 Some(&ino) => ino,
@@ -1026,7 +731,7 @@ impl<D: BlockDevice> Dbfs<D> {
                     let ino = fs.alloc_inode(InodeKind::SubjectRoot)?;
                     fs.dir_add(subjects_ino, &loc.subject.to_string(), ino)?;
                     tx.commit()?;
-                    Arc::make_mut(&mut index.view.subjects).insert(loc.subject, ino);
+                    index.register_subject(loc.subject, ino);
                     recovered += 1;
                     ino
                 }
@@ -1058,7 +763,7 @@ impl<D: BlockDevice> Dbfs<D> {
         let stats = DbfsStatsInner::default();
         stats.journal_replays.add(fs.recovered_txs());
         stats.recovered_txs.add(recovered);
-        let snapshot = snapshot_of(&index, clock.now(), fs.journal_txs());
+        let snapshot = index.snapshot(clock.now(), fs.journal_txs());
         let this = Self {
             fs,
             index: Mutex::new_named("dbfs-index", index),
@@ -1175,7 +880,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// ordered and the lock order is always `dbfs-index` → `dbfs-snapshot`.
     fn publish_locked(&self, index: &mut DbfsIndex) {
         index.epoch += 1;
-        let snapshot = snapshot_of(index, self.clock.now(), self.fs.journal_txs());
+        let snapshot = index.snapshot(self.clock.now(), self.fs.journal_txs());
         *self.snapshot.write() = snapshot;
     }
 
@@ -1370,9 +1075,8 @@ impl<D: BlockDevice> Dbfs<D> {
                 // Only the membrane header is deserialized and re-encoded;
                 // the row payload bytes are carried over untouched.
                 let bytes = self.fs.read_all(location.ino)?;
-                let mut membrane = stored::membrane_of(&bytes).map_err(|_| DbfsError::Corrupt {
-                    what: format!("record inode {}", location.ino),
-                })?;
+                let mut membrane = stored::membrane_of(&bytes)
+                    .map_err(|_| corrupt(format!("record inode {}", location.ino)))?;
                 if !membrane.apply(delta) {
                     return Ok(None);
                 }
@@ -1427,23 +1131,16 @@ impl<D: BlockDevice> Dbfs<D> {
             // before an `erase` snapshots the lineage closure: the erasure
             // tombstones the chain's root first, so an insert that slips in
             // after the snapshot finds an erased ancestor here and loses.
-            let mut seen = BTreeSet::new();
-            let mut ancestor = wrapped.membrane().copied_from();
-            while let Some(current) = ancestor {
-                if !seen.insert(current) {
-                    break;
-                }
+            let lookup = |id| {
                 let staged = || {
-                    let mut staged = group.iter().filter(|op| op.id == current);
+                    let mut staged = group.iter().filter(|op| op.id == id);
                     staged.find_map(|op| Some(op.as_insert()?.0))
                 };
-                let Some(loc) = index.view.records.get(&current).or_else(staged) else {
-                    break;
-                };
-                if loc.erased {
-                    return Err(DbfsError::Erased { id: current.raw() });
-                }
-                ancestor = loc.copied_from;
+                let loc = index.view.records.get(&id).or_else(staged)?;
+                Some((loc.erased, loc.copied_from))
+            };
+            if let Some(erased) = erased_ancestor(wrapped.membrane().copied_from(), lookup) {
+                return Err(DbfsError::Erased { id: erased.raw() });
             }
         }
 
@@ -1515,7 +1212,7 @@ impl<D: BlockDevice> Dbfs<D> {
                     new_subject,
                 } => {
                     if let Some(ino) = new_subject {
-                        Arc::make_mut(&mut index.view.subjects).insert(op.subject, ino);
+                        index.register_subject(op.subject, ino);
                     }
                     index.insert_record(op.id, location);
                     index.next_pd += 1;
@@ -1612,9 +1309,8 @@ impl<D: BlockDevice> Dbfs<D> {
                 continue;
             }
             let mut stored = read_stored(&self.fs, location.ino)?;
-            let plaintext = serde_json::to_vec(stored.row()).map_err(|_| DbfsError::Corrupt {
-                what: "row serialization for erasure".to_owned(),
-            })?;
+            let plaintext = serde_json::to_vec(stored.row())
+                .map_err(|_| corrupt("row serialization for erasure"))?;
             stored.erase_with(escrow.erase(&plaintext).encode());
             let bytes = stored::encode(stored.membrane(), stored.row())?;
             self.fs.write_replace(location.ino, &bytes)?;
@@ -1788,10 +1484,8 @@ impl<D: BlockDevice> Dbfs<D> {
             if intent.routed {
                 continue;
             }
-            let public =
-                PublicKey::from_element(intent.escrow_key).map_err(|_| DbfsError::Corrupt {
-                    what: "erase intent carries an invalid authority key".to_owned(),
-                })?;
+            let public = PublicKey::from_element(intent.escrow_key)
+                .map_err(|_| corrupt("erase intent carries an invalid authority key"))?;
             let escrow = OperatorEscrow::new(public);
             for (type_name, raw) in &intent.targets {
                 let id = PdId::new(*raw);
@@ -1818,15 +1512,11 @@ impl<D: BlockDevice> Dbfs<D> {
         if bytes.is_empty() {
             return Ok(IntentsFile::default());
         }
-        serde_json::from_slice(&bytes).map_err(|_| DbfsError::Corrupt {
-            what: "erase-intent log".to_owned(),
-        })
+        serde_json::from_slice(&bytes).map_err(|_| corrupt("erase-intent log"))
     }
 
     fn write_intents(&self, ino: Ino, file: &IntentsFile) -> Result<(), DbfsError> {
-        let bytes = serde_json::to_vec(file).map_err(|_| DbfsError::Corrupt {
-            what: "erase-intent serialization".to_owned(),
-        })?;
+        let bytes = serde_json::to_vec(file).map_err(|_| corrupt("erase-intent serialization"))?;
         self.fs.write_replace(ino, &bytes)?;
         Ok(())
     }
@@ -1835,11 +1525,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// elapsed at `now` (no disk I/O; the retention sweep re-verifies every
     /// candidate against its on-disk header before erasing).
     pub fn has_expired_candidates(&self, now: Timestamp) -> bool {
-        self.read_snapshot()
-            .view
-            .by_expiry
-            .range(..now)
-            .any(|(_, ids)| !ids.is_empty())
+        self.read_snapshot().view.expired_ids(now).next().is_some()
     }
 
     /// Records one recovery action performed on this instance's behalf by a
@@ -1880,19 +1566,19 @@ impl<D: BlockDevice> Dbfs<D> {
     ///   child-before-parent — iterated to fixpoint, so a fully erased copy
     ///   chain is reclaimed whole in one pass, deepest copies first.
     ///
-    /// Each reclamation is audited as an
-    /// [`AuditEventKind::Reclaimed`] event after its commit.
+    /// Each reclamation is counted and audited as an
+    /// [`AuditEventKind::Reclaimed`] event right after its commit.
     ///
     /// # Errors
     ///
     /// Propagates storage errors; tombstones reclaimed before the failure
-    /// stay reclaimed (each was individually atomic).
+    /// stay reclaimed (each was individually atomic), counted and audited.
     pub fn scrub_tombstones_with(
         &self,
         reclaimable: impl Fn(PdId) -> bool,
     ) -> Result<ScrubReport, DbfsError> {
         let mut report = ScrubReport::default();
-        let done = {
+        {
             let mut index = self.lock_index();
             // Tombstones named by a pending intent are still part of an
             // in-flight erasure (a chunked local cascade or a routed
@@ -1918,7 +1604,6 @@ impl<D: BlockDevice> Dbfs<D> {
                     queue.push(id);
                 }
             }
-            let mut done: Vec<(PdId, SubjectId)> = Vec::new();
             // Child-before-parent, iterated to fixpoint: a tombstone is
             // only reclaimed once nothing references it as its lineage
             // original, so the reverse-lineage index never dangles.
@@ -1926,11 +1611,7 @@ impl<D: BlockDevice> Dbfs<D> {
                 let mut progressed = false;
                 let mut deferred = Vec::new();
                 for id in std::mem::take(&mut queue) {
-                    if index
-                        .copies_of
-                        .get(&id)
-                        .is_some_and(|copies| !copies.is_empty())
-                    {
+                    if index.has_copies(id) {
                         deferred.push(id);
                         continue;
                     }
@@ -1939,8 +1620,15 @@ impl<D: BlockDevice> Dbfs<D> {
                     };
                     let bytes = self.fs.stat(location.ino)?.size;
                     self.reclaim_locked(&mut index, id, &location)?;
+                    // Counted and audited right after its commit, under the
+                    // index lock as erasure does: an error later in the pass
+                    // leaves every committed reclaim accounted for.
+                    self.space.add_reclaimed(1);
+                    let reclaimed = AuditEventKind::Reclaimed { pd: id };
+                    self.audit
+                        .record(self.clock.now(), Some(location.subject), reclaimed);
                     report.bytes_reclaimed += bytes;
-                    done.push((id, location.subject));
+                    report.reclaimed.push(id);
                     progressed = true;
                 }
                 queue = deferred;
@@ -1951,20 +1639,6 @@ impl<D: BlockDevice> Dbfs<D> {
             // Whatever still waits on surviving copies — or on the caller's
             // retain policy — stays a tombstone until a later pass.
             report.retained_lineage = blocked + queue.len();
-            report.reclaimed = done.iter().map(|(id, _)| *id).collect();
-            done
-        };
-        if !done.is_empty() {
-            self.space.add_reclaimed(done.len() as u64);
-            // Audited after the commits, outside the index lock: a crashed
-            // reclamation is never audited, mirroring erasure accounting.
-            for (id, subject) in &done {
-                self.audit.record(
-                    self.clock.now(),
-                    Some(*subject),
-                    AuditEventKind::Reclaimed { pd: *id },
-                );
-            }
         }
         // Refresh the amplification gauge from the post-pass footprint.
         self.space_stats()?;
@@ -1986,16 +1660,16 @@ impl<D: BlockDevice> Dbfs<D> {
         location: &RecordLocation,
     ) -> Result<(), DbfsError> {
         let Some(&table_ino) = index.view.tables.get(&location.data_type) else {
-            return Err(DbfsError::Corrupt {
-                what: format!("tombstone {id} belongs to an unknown table"),
-            });
+            return Err(corrupt(format!(
+                "tombstone {id} belongs to an unknown table"
+            )));
         };
         let Some(&subject_ino) = index.view.subjects.get(&location.subject) else {
-            return Err(DbfsError::Corrupt {
-                what: format!("tombstone {id} belongs to an unknown subject"),
-            });
+            return Err(corrupt(format!(
+                "tombstone {id} belongs to an unknown subject"
+            )));
         };
-        index.remove_tombstone(id, location);
+        index.remove_record(id, location);
         self.publish_locked(index);
         let free = || -> Result<(), DbfsError> {
             let tx = self.fs.begin_tx();
@@ -2052,14 +1726,11 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         self.fs
             .dir_add(index.tables_ino, schema.name().as_str(), table_ino)?;
         let schema_ino = self.fs.alloc_inode(InodeKind::Schema)?;
-        let bytes = serde_json::to_vec(&schema).map_err(|_| DbfsError::Corrupt {
-            what: "schema serialization".to_owned(),
-        })?;
+        let bytes = serde_json::to_vec(&schema).map_err(|_| corrupt("schema serialization"))?;
         self.fs.write_replace(schema_ino, &bytes)?;
         self.fs.dir_add(table_ino, SCHEMA_ENTRY, schema_ino)?;
         tx.commit()?;
-        Arc::make_mut(&mut index.view.tables).insert(schema.name().clone(), table_ino);
-        Arc::make_mut(&mut index.view.schemas).register(schema);
+        index.register_type(table_ino, schema);
         self.publish_locked(&mut index);
         Ok(())
     }
@@ -2331,19 +2002,11 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
     ) -> Result<Vec<PdId>, DbfsError> {
         let _timer = self.op_timer("erase");
         let mut index = self.lock_index();
-        let root_erased = index.view.locate(data_type, id)?.erased;
-        // Snapshot the lineage closure from the index — a pure in-memory
-        // walk, so no disk I/O happens before the write set is known.
-        let mut targets: Vec<(DataTypeId, PdId)> = Vec::new();
-        if !root_erased {
-            targets.push((data_type.clone(), id));
-        }
-        targets.extend(
-            index
-                .view
-                .live_locations(index.lineage_closure(id).into_iter())
-                .map(|(copy, loc)| (loc.data_type.clone(), copy)),
-        );
+        index.view.locate(data_type, id)?;
+        // The record (unless already a tombstone) and its lineage closure,
+        // snapshotted from the index — a pure in-memory walk, so no disk
+        // I/O happens before the write set is known.
+        let targets = index.erasure_targets(&[id]);
         self.erase_targets_locked(&mut index, &targets, escrow)
     }
 
@@ -2357,21 +2020,9 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
     ) -> Result<Vec<PdId>, DbfsError> {
         let _timer = self.op_timer("erase_subject");
         let mut index = self.lock_index();
-        let mut targets: Vec<(DataTypeId, PdId)> = index
-            .view
-            .live_locations(index.view.subject_ids(subject))
-            .map(|(id, loc)| (loc.data_type.clone(), id))
-            .collect();
-        let roots: Vec<PdId> = targets.iter().map(|(_, id)| *id).collect();
-        let mut seen: BTreeSet<PdId> = roots.iter().copied().collect();
-        for root in roots {
-            let closure = index.lineage_closure(root).into_iter();
-            for (copy, loc) in index.view.live_locations(closure) {
-                if seen.insert(copy) {
-                    targets.push((loc.data_type.clone(), copy));
-                }
-            }
-        }
+        let live = index.view.live_locations(index.view.subject_ids(subject));
+        let roots: Vec<PdId> = live.map(|(id, _)| id).collect();
+        let targets = index.erasure_targets(&roots);
         self.erase_targets_locked(&mut index, &targets, escrow)
     }
 
@@ -2385,13 +2036,7 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
             let index = self.lock_index();
             index
                 .view
-                .live_locations(
-                    index
-                        .view
-                        .by_expiry
-                        .range(..now)
-                        .flat_map(|(_, ids)| ids.iter().copied()),
-                )
+                .live_locations(index.view.expired_ids(now))
                 .map(|(id, loc)| (loc.data_type.clone(), id, loc.subject))
                 .collect()
         };
@@ -2490,18 +2135,13 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
             request
                 .predicate
                 .conjunctive_hints(&mut subjects, &mut id_sets);
-            static EMPTY: BTreeSet<PdId> = BTreeSet::new();
             let candidates: Box<dyn Iterator<Item = PdId> + '_> =
                 if let Some(smallest) = id_sets.iter().copied().min_by_key(|ids| ids.len()) {
                     Box::new(smallest.iter().copied())
-                } else if !subjects.is_empty() {
-                    let smallest = subjects
-                        .iter()
-                        .map(|s| snapshot.view.by_subject.get(s))
-                        .min_by_key(|set| set.map_or(0, BTreeSet::len))
-                        .flatten()
-                        .unwrap_or(&EMPTY);
-                    Box::new(smallest.iter().copied())
+                } else if let Some(&subject) = subjects.first() {
+                    // Any one pinned subject bounds the set; the filters
+                    // below hold the candidates to all of them.
+                    Box::new(snapshot.view.subject_ids(subject))
                 } else {
                     Box::new(snapshot.view.table_ids(&request.data_type))
                 };
@@ -2535,98 +2175,25 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         Ok(batch)
     }
 
-    /// Checks that the secondary indexes agree with the primary record map
-    /// and with the membrane headers on disk, under the index lock from
-    /// start to end, so no writer can make the index and the disk disagree
-    /// while they are compared.
+    /// Checks the derived indexes against the primary record map (the
+    /// index module's own `verify`) and the primary map against the
+    /// membrane headers on disk, under the index lock from start to end, so
+    /// no writer can make the index and the disk disagree while they are
+    /// compared.
     fn verify_index_invariants(&self) -> Result<(), DbfsError> {
         let index = self.lock_index();
-        let IndexView {
-            records,
-            by_table,
-            by_subject,
-            by_expiry,
-            ..
-        } = &index.view;
-        let copies_of = &index.copies_of;
-        let violation = |what: String| DbfsError::Corrupt { what };
-        // Every record is present in exactly the right secondary entries.
-        for (id, loc) in records.iter() {
-            if !by_table
-                .get(&loc.data_type)
-                .is_some_and(|ids| ids.contains(id))
-            {
-                return Err(violation(format!("{id} missing from table index")));
-            }
-            if !by_subject
-                .get(&loc.subject)
-                .is_some_and(|ids| ids.contains(id))
-            {
-                return Err(violation(format!("{id} missing from subject index")));
-            }
-            if let Some(original) = loc.copied_from {
-                if !copies_of.get(&original).is_some_and(|ids| ids.contains(id)) {
-                    return Err(violation(format!("{id} missing from lineage index")));
-                }
-            }
-            if let Some(at) = loc.expires_at {
-                if loc.erased {
-                    return Err(violation(format!("tombstone {id} still carries an expiry")));
-                }
-                if !by_expiry.get(&at).is_some_and(|ids| ids.contains(id)) {
-                    return Err(violation(format!("{id} missing from expiry index")));
-                }
-            }
-        }
-        // No secondary entry points at a missing or mismatched record.
-        for (data_type, ids) in by_table.iter() {
-            for id in ids {
-                if records.get(id).map(|loc| &loc.data_type) != Some(data_type) {
-                    return Err(violation(format!("table index points {id} at {data_type}")));
-                }
-            }
-        }
-        for (subject, ids) in by_subject.iter() {
-            for id in ids {
-                if records.get(id).map(|loc| loc.subject) != Some(*subject) {
-                    return Err(violation(format!("subject index points {id} at {subject}")));
-                }
-            }
-        }
-        for (original, ids) in copies_of {
-            for id in ids {
-                if records.get(id).and_then(|loc| loc.copied_from) != Some(*original) {
-                    return Err(violation(format!(
-                        "lineage index points {id} at {original}"
-                    )));
-                }
-            }
-        }
-        for (at, ids) in by_expiry.iter() {
-            for id in ids {
-                let Some(loc) = records.get(id) else {
-                    return Err(violation(format!("expiry index holds unknown {id}")));
-                };
-                if loc.erased || loc.expires_at != Some(*at) {
-                    return Err(violation(format!("expiry index mis-keys {id}")));
-                }
-            }
-        }
+        index.verify()?;
         // The indexed locations agree with the membrane headers on disk.
-        for (id, loc) in records.iter() {
+        for (id, loc) in index.view.records.iter() {
             let membrane = read_membrane_from(&self.fs, loc.ino)?;
             if membrane.subject() != loc.subject
                 || membrane.is_erased() != loc.erased
                 || membrane.copied_from() != loc.copied_from
             {
-                return Err(violation(format!(
-                    "{id} disagrees with its on-disk membrane"
-                )));
+                return Err(corrupt(format!("{id} disagrees with its on-disk membrane")));
             }
             if membrane.expiry_instant() != loc.expires_at {
-                return Err(violation(format!(
-                    "{id} expiry disagrees with its membrane"
-                )));
+                return Err(corrupt(format!("{id} expiry disagrees with its membrane")));
             }
         }
         Ok(())

@@ -35,13 +35,19 @@
 //! data minimisation hold at the storage layer too.  A format-v1 image
 //! (single-section JSON records, bare-counter metadata) is refused on mount.
 //!
-//! The in-memory index keeps four secondary maps besides the primary record
-//! map: per-table and per-subject id sets (bounding every scan to the
-//! records actually involved), a **reverse copy-lineage** map (so the right
-//! to be forgotten reaches every *transitive* copy via a pure index walk),
-//! and an **expiry** map keyed by expiry instant (so retention sweeps only
-//! visit records that actually expired).  [`PdStore::verify_index_invariants`]
-//! checks all of them against the primary map and the on-disk headers.
+//! Besides the primary record map the in-memory index keeps four derived
+//! structures: per-table and per-subject id sets (bounding every scan to the
+//! records actually involved), a **reverse copy-lineage** index (so the
+//! right to be forgotten reaches every *transitive* copy via a pure index
+//! walk), and an **expiry** index ordered by expiry instant (so retention
+//! sweeps only visit records that actually expired).  What a record
+//! contributes to them is defined once (`keys_of` in the private `index`
+//! module): every index mutation, the mount rebuild and
+//! [`PdStore::verify_index_invariants`] go through that one statement; the
+//! checker then compares the primary map with the on-disk headers.  The
+//! obligation over the lineage — no copy outlives its erased original — is
+//! one function too, [`erased_ancestor`], shared by the insert guard here,
+//! the shard router and the crash-matrix oracle.
 //!
 //! ## Batched writes: one pipeline, journal group commit
 //!
@@ -112,6 +118,7 @@
 
 pub mod dbfs;
 pub mod error;
+mod index;
 pub mod query;
 pub mod scrub;
 pub mod stats;
@@ -119,6 +126,7 @@ pub mod store;
 
 pub use dbfs::{Dbfs, DbfsParams, EraseIntent, IdAllocation, RecordSummary};
 pub use error::DbfsError;
+pub use index::erased_ancestor;
 pub use query::{Predicate, QueryRequest};
 pub use scrub::{ScrubReport, SpaceStats};
 pub use stats::DbfsStats;

@@ -1373,7 +1373,7 @@ impl<D: BlockDevice> InodeFs<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rgpdos_blockdev::{scan_for_pattern, FaultPlan, FaultyDevice, MemDevice};
+    use rgpdos_blockdev::{scan_for_pattern, FaultScript, FaultyDevice, MemDevice};
     use std::sync::Arc;
 
     fn small_fs() -> InodeFs<Arc<MemDevice>> {
@@ -1687,8 +1687,10 @@ mod tests {
         // The faulty device crashes after a limited number of writes.
         for crash_after in [1u64, 3, 5, 8, 13, 21] {
             let twin = Arc::new(MemDevice::new(512, 256));
-            let faulty =
-                FaultyDevice::new(Arc::clone(&twin), FaultPlan::CrashAfterWrites(crash_after));
+            let faulty = FaultyDevice::new(
+                Arc::clone(&twin),
+                FaultScript::crash_after_writes(crash_after),
+            );
             let fs2 = InodeFs::format(faulty, FormatParams::small(), JournalMode::Retain);
             // Format itself may crash for small limits; that is fine — the
             // device is then unformatted and unmountable, which is a
@@ -1876,7 +1878,7 @@ mod tests {
         .unwrap();
         let probe = InodeFs::mount(FaultyDevice::new(
             Arc::clone(&probe_device),
-            FaultPlan::None,
+            FaultScript::none(),
         ))
         .unwrap();
         let (total_writes, result) = probe.device().writes_between(|| mutate(&probe));
@@ -1894,7 +1896,7 @@ mod tests {
             .unwrap();
             let fs = InodeFs::mount(FaultyDevice::new(
                 Arc::clone(&device),
-                FaultPlan::CrashAfterWrites(crash_after),
+                FaultScript::crash_after_writes(crash_after),
             ))
             .unwrap();
             assert!(mutate(&fs).is_err(), "crash point {crash_after} must trip");

@@ -20,7 +20,12 @@
 //! common case) bypass the lock entirely.
 
 use rgpdos_core::{DataTypeId, PdId, SubjectId};
+use rgpdos_dbfs::{erased_ancestor, RecordSummary};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Every record of the deployment by id, with the shard that holds it: the
+/// shards' index summaries, from which all of the directory is derived.
+pub(crate) type GlobalSummaries = BTreeMap<PdId, (usize, RecordSummary)>;
 
 /// Routing metadata for one directory-tracked record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,24 +36,85 @@ pub(crate) struct DirectoryEntry {
     pub subject: SubjectId,
 }
 
+/// The ids filed under `key` in a flat `(key, id)` index.
+fn ids_under<K: Ord + Copy>(
+    index: &BTreeSet<(K, PdId)>,
+    key: K,
+) -> impl Iterator<Item = PdId> + '_ {
+    index
+        .range((key, PdId::new(0))..=(key, PdId::new(u64::MAX)))
+        .map(|&(_, id)| id)
+}
+
 /// The router-level lineage and placement directory.
 #[derive(Debug, Default)]
 pub(crate) struct LineageDirectory {
-    /// original -> its direct copies (every copy made through the router).
-    copies_of: BTreeMap<PdId, BTreeSet<PdId>>,
+    /// `(original, direct copy)` for every copy made through the router.
+    copies_of: BTreeSet<(PdId, PdId)>,
     /// copy -> its direct lineage parent.
     copied_from: BTreeMap<PdId, PdId>,
     /// Routing metadata for every id involved in lineage or placed off its
     /// subject's home shard.
     entries: BTreeMap<PdId, DirectoryEntry>,
-    /// subject -> records living off the subject's home shard.
-    foreign: BTreeMap<SubjectId, BTreeSet<PdId>>,
+    /// `(subject, record living off the subject's home shard)`.
+    foreign: BTreeSet<(SubjectId, PdId)>,
     /// Identifiers tombstoned through the router (or found tombstoned on
     /// mount).  Grows monotonically — tombstones never resurrect.
     erased: BTreeSet<PdId>,
 }
 
 impl LineageDirectory {
+    /// The directory the shards' summaries derive — the single definition
+    /// of how edges, foreign placements and tombstones follow from what the
+    /// shards hold.  `home` is the placement map.  Mount builds the
+    /// directory with it, the scrubber resynchronises with it after a failed
+    /// pass, and the invariant checker compares the live directory against
+    /// it ([`LineageDirectory::first_difference`]).
+    pub(crate) fn from_summaries(
+        global: &GlobalSummaries,
+        home: impl Fn(SubjectId) -> usize,
+    ) -> Self {
+        let entry_of = |summary: &RecordSummary| DirectoryEntry {
+            data_type: summary.data_type.clone(),
+            subject: summary.subject,
+        };
+        let mut directory = Self::default();
+        for (&id, (shard, summary)) in global {
+            if summary.erased {
+                directory.erased.insert(id);
+            }
+            if let Some(parent) = summary.copied_from {
+                let parent_entry = global.get(&parent).map_or(summary, |(_, parent)| parent);
+                directory.register_copy(parent, entry_of(parent_entry), id, entry_of(summary));
+            }
+            if *shard != home(summary.subject) {
+                directory.register_foreign(summary.subject, id, entry_of(summary));
+            }
+        }
+        directory
+    }
+
+    /// Names the first id on which this (live) directory and one `rebuilt`
+    /// from the shards disagree: lineage edges first, then foreign
+    /// placements, then tombstone marks.
+    pub(crate) fn first_difference(&self, rebuilt: &Self) -> Option<String> {
+        let edges = |directory: &Self| -> BTreeSet<(PdId, PdId)> {
+            let edges = directory.copied_from.iter();
+            edges.map(|(&copy, &original)| (copy, original)).collect()
+        };
+        let differs = |what: &str, id: &PdId| {
+            format!("{what} of {id} differs between the directory and the shards")
+        };
+        if let Some((copy, _)) = edges(self).symmetric_difference(&edges(rebuilt)).next() {
+            return Some(differs("lineage edge", copy));
+        }
+        if let Some((_, id)) = self.foreign.symmetric_difference(&rebuilt.foreign).next() {
+            return Some(differs("foreign placement", id));
+        }
+        let id = self.erased.symmetric_difference(&rebuilt.erased).next()?;
+        Some(differs("tombstone mark", id))
+    }
+
     /// Records a copy edge `original -> copy`, keeping routing metadata for
     /// both endpoints.
     pub(crate) fn register_copy(
@@ -58,7 +124,7 @@ impl LineageDirectory {
         copy: PdId,
         copy_entry: DirectoryEntry,
     ) {
-        self.copies_of.entry(original).or_default().insert(copy);
+        self.copies_of.insert((original, copy));
         self.copied_from.insert(copy, original);
         self.entries.entry(original).or_insert(original_entry);
         self.entries.entry(copy).or_insert(copy_entry);
@@ -66,7 +132,7 @@ impl LineageDirectory {
 
     /// Records that `id` lives off `subject`'s home shard.
     pub(crate) fn register_foreign(&mut self, subject: SubjectId, id: PdId, entry: DirectoryEntry) {
-        self.foreign.entry(subject).or_default().insert(id);
+        self.foreign.insert((subject, id));
         self.entries.entry(id).or_insert(entry);
     }
 
@@ -104,18 +170,8 @@ impl LineageDirectory {
     /// Whether `id` or any ancestor in its lineage chain is tombstoned (the
     /// cross-shard insert guard: a copy must never outlive its lineage).
     pub(crate) fn lineage_erased(&self, id: PdId) -> bool {
-        let mut seen = BTreeSet::new();
-        let mut current = Some(id);
-        while let Some(node) = current {
-            if !seen.insert(node) {
-                break;
-            }
-            if self.erased.contains(&node) {
-                return true;
-            }
-            current = self.copied_from.get(&node).copied();
-        }
-        false
+        let lookup = |id| Some((self.is_erased(id), self.copied_from.get(&id).copied()));
+        erased_ancestor(Some(id), lookup).is_some()
     }
 
     /// The transitive copy closure of `roots` (descendants only, the roots
@@ -125,12 +181,10 @@ impl LineageDirectory {
         let mut seen: BTreeSet<PdId> = stack.iter().copied().collect();
         let mut out = Vec::new();
         while let Some(current) = stack.pop() {
-            if let Some(copies) = self.copies_of.get(&current) {
-                for &copy in copies {
-                    if seen.insert(copy) {
-                        stack.push(copy);
-                        out.push(copy);
-                    }
+            for copy in ids_under(&self.copies_of, current) {
+                if seen.insert(copy) {
+                    stack.push(copy);
+                    out.push(copy);
                 }
             }
         }
@@ -142,36 +196,10 @@ impl LineageDirectory {
         self.entries.get(&id)
     }
 
-    /// The lineage parent of `id`, when the directory tracks one.
-    pub(crate) fn parent(&self, id: PdId) -> Option<PdId> {
-        self.copied_from.get(&id).copied()
-    }
-
     /// The ids recorded as living off `subject`'s home shard (tombstones
     /// included; readers filter).
     pub(crate) fn foreign_of(&self, subject: SubjectId) -> Vec<PdId> {
-        self.foreign
-            .get(&subject)
-            .map(|ids| ids.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Iterates every foreign placement, for invariant checking.
-    pub(crate) fn foreign_iter(&self) -> impl Iterator<Item = (SubjectId, PdId)> + '_ {
-        self.foreign
-            .iter()
-            .flat_map(|(&subject, ids)| ids.iter().map(move |&id| (subject, id)))
-    }
-
-    /// Iterates every lineage edge `(copy, original)`, for invariant
-    /// checking.
-    pub(crate) fn edges(&self) -> impl Iterator<Item = (PdId, PdId)> + '_ {
-        self.copied_from.iter().map(|(&copy, &orig)| (copy, orig))
-    }
-
-    /// Iterates the tombstone set, for invariant checking.
-    pub(crate) fn erased_iter(&self) -> impl Iterator<Item = PdId> + '_ {
-        self.erased.iter().copied()
+        ids_under(&self.foreign, subject).collect()
     }
 
     /// The ids that still have at least one direct copy on record — the
@@ -180,8 +208,7 @@ impl LineageDirectory {
     pub(crate) fn copy_sources(&self) -> BTreeSet<PdId> {
         self.copies_of
             .iter()
-            .filter(|(_, copies)| !copies.is_empty())
-            .map(|(&id, _)| id)
+            .map(|&(original, _)| original)
             .collect()
     }
 
@@ -194,22 +221,11 @@ impl LineageDirectory {
         for id in ids {
             self.erased.remove(&id);
             if let Some(entry) = self.entries.remove(&id) {
-                if let Some(set) = self.foreign.get_mut(&entry.subject) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        self.foreign.remove(&entry.subject);
-                    }
-                }
+                self.foreign.remove(&(entry.subject, id));
             }
             if let Some(parent) = self.copied_from.remove(&id) {
-                if let Some(set) = self.copies_of.get_mut(&parent) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        self.copies_of.remove(&parent);
-                    }
-                }
+                self.copies_of.remove(&(parent, id));
             }
-            self.copies_of.remove(&id);
         }
     }
 }
@@ -236,7 +252,6 @@ mod tests {
         closure.sort();
         assert_eq!(closure, vec![PdId::new(2), PdId::new(3), PdId::new(4)]);
         assert_eq!(dir.closure([PdId::new(3)]), Vec::<PdId>::new());
-        assert_eq!(dir.parent(PdId::new(3)), Some(PdId::new(2)));
     }
 
     #[test]
@@ -265,6 +280,68 @@ mod tests {
         );
         assert!(dir.foreign_of(SubjectId::new(7)).is_empty());
         assert_eq!(dir.entry(PdId::new(11)).unwrap().data_type, "u".into());
-        assert_eq!(dir.foreign_iter().count(), 3);
+    }
+
+    /// Two shards, every subject at home on shard 0: pd-0 (erased) on shard
+    /// 0, its copy pd-1 on shard 1 — so pd-1 is an edge and a foreign
+    /// placement, pd-0 a tombstone.
+    fn summaries() -> GlobalSummaries {
+        let summary = |raw: u64, copied_from: Option<u64>, erased| RecordSummary {
+            id: PdId::new(raw),
+            data_type: "t".into(),
+            subject: SubjectId::new(9),
+            copied_from: copied_from.map(PdId::new),
+            erased,
+        };
+        GlobalSummaries::from([
+            (PdId::new(0), (0, summary(0, None, true))),
+            (PdId::new(1), (1, summary(1, Some(0), false))),
+        ])
+    }
+
+    fn derive(global: &GlobalSummaries) -> LineageDirectory {
+        LineageDirectory::from_summaries(global, |_| 0)
+    }
+
+    #[test]
+    fn from_summaries_derives_edges_foreign_placements_and_tombstones() {
+        let dir = derive(&summaries());
+        assert_eq!(dir.closure([PdId::new(0)]), [PdId::new(1)]);
+        assert!(dir.lineage_erased(PdId::new(1)) && !dir.is_erased(PdId::new(1)));
+        assert_eq!(dir.foreign_of(SubjectId::new(9)), [PdId::new(1)]);
+        assert_eq!(dir.copy_sources(), BTreeSet::from([PdId::new(0)]));
+        assert_eq!(dir.first_difference(&derive(&summaries())), None);
+    }
+
+    #[test]
+    fn first_difference_names_a_missing_edge_a_stale_placement_and_a_tombstone_mismatch() {
+        let rebuilt = derive(&summaries());
+        let differs = |live: &LineageDirectory| live.first_difference(&rebuilt).unwrap();
+
+        let mut missing_edge = derive(&summaries());
+        missing_edge.copied_from.remove(&PdId::new(1));
+        assert!(differs(&missing_edge).starts_with("lineage edge of pd-1 differs"));
+        // A reclaimed copy nobody told the directory about.
+        let mut gone = summaries();
+        gone.remove(&PdId::new(1));
+        let stale_edge = rebuilt.first_difference(&derive(&gone)).unwrap();
+        assert!(stale_edge.starts_with("lineage edge of pd-1 differs"));
+
+        let mut stale_placement = derive(&summaries());
+        stale_placement.register_foreign(SubjectId::new(9), PdId::new(5), entry("t", 9));
+        assert!(differs(&stale_placement).starts_with("foreign placement of pd-5 differs"));
+
+        let mut unmarked = derive(&summaries());
+        unmarked.retract_erased([PdId::new(0)]);
+        assert!(differs(&unmarked).starts_with("tombstone mark of pd-0 differs"));
+        let mut pre_announced = derive(&summaries());
+        pre_announced.mark_erased([PdId::new(1)]);
+        assert!(differs(&pre_announced).starts_with("tombstone mark of pd-1 differs"));
+
+        // `forget` is the exact reverse of the derivation.
+        let mut forgotten = derive(&summaries());
+        forgotten.forget([PdId::new(1)]);
+        assert_eq!(forgotten.first_difference(&derive(&gone)), None);
+        assert!(forgotten.copy_sources().is_empty() && forgotten.foreign.is_empty());
     }
 }

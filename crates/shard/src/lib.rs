@@ -26,6 +26,13 @@
 //!   tombstones under the directory lock — pure metadata, no disk I/O —
 //!   then crypto-erase per shard), so the right to be forgotten reaches
 //!   every copy on every shard while staying `O(one shard + lineage)`.
+//!   The directory is derived state, and how it follows from the shards'
+//!   index summaries is defined once (`LineageDirectory::from_summaries`):
+//!   mount builds it that way, a failed scrub pass resynchronises it that
+//!   way, and `verify_index_invariants` compares the live directory with a
+//!   rebuild.  The copy guard and the lineage heal walk ancestors with
+//!   [`erased_ancestor`](rgpdos_dbfs::erased_ancestor), the function the
+//!   per-shard insert guard uses.
 //!
 //! Both [`ShardedDbfs`] and the single-device `Dbfs` implement
 //! [`PdStore`](rgpdos_dbfs::PdStore) — and only that: the store operations

@@ -2,7 +2,7 @@
 //! subject-hash placement map, a scatter-gather router and a cross-shard
 //! lineage directory.
 
-use crate::directory::{DirectoryEntry, LineageDirectory};
+use crate::directory::{DirectoryEntry, GlobalSummaries, LineageDirectory};
 use crate::pool::ShardPool;
 use parking_lot::Mutex;
 use rgpdos_blockdev::BlockDevice;
@@ -12,12 +12,11 @@ use rgpdos_core::{
 };
 use rgpdos_crypto::escrow::OperatorEscrow;
 use rgpdos_crypto::PublicKey;
-use rgpdos_dbfs::dbfs::RecordSummary;
 use rgpdos_dbfs::{
-    Dbfs, DbfsError, DbfsParams, DbfsStats, EraseIntent, IdAllocation, PdStore, QueryRequest,
-    ScrubReport, SpaceStats,
+    erased_ancestor, Dbfs, DbfsError, DbfsParams, DbfsStats, EraseIntent, IdAllocation, PdStore,
+    QueryRequest, ScrubReport, SpaceStats,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -99,39 +98,31 @@ fn gather_scatter<T>(
     }
 }
 
-/// `(descendant, erased ancestor)` pairs over a global summary map: live
-/// records whose lineage chain contains an erased ancestor.  The walk
-/// inspects full ancestor chains, so every transitive descendant of an
-/// erased record is reported in one pass.  Shared by the mount-time lineage
-/// heal (which erases the descendants) and the invariant checker (which
-/// reports them).
-fn erased_ancestor_violations(
-    global: &BTreeMap<PdId, (usize, RecordSummary)>,
-) -> Vec<(PdId, PdId)> {
-    let mut out = Vec::new();
-    for (id, (_, summary)) in global {
-        if summary.erased {
-            continue;
-        }
-        let mut seen = BTreeSet::from([*id]);
-        let mut ancestor = summary.copied_from;
-        while let Some(current) = ancestor {
-            if !seen.insert(current) {
-                break;
-            }
-            match global.get(&current) {
-                Some((_, parent)) => {
-                    if parent.erased {
-                        out.push((*id, current));
-                        break;
-                    }
-                    ancestor = parent.copied_from;
-                }
-                None => break,
-            }
+/// Every record of the deployment by id, with the shard that holds it —
+/// read off the shards' published index snapshots, no disk I/O.
+fn global_summaries<D: BlockDevice>(shards: &[Arc<Dbfs<D>>]) -> GlobalSummaries {
+    let mut global = GlobalSummaries::new();
+    for (shard, instance) in shards.iter().enumerate() {
+        for summary in instance.record_index_snapshot() {
+            global.insert(summary.id, (shard, summary));
         }
     }
-    out
+    global
+}
+
+/// `(descendant, erased ancestor)` pairs over a global summary map: live
+/// records whose lineage chain contains an erased ancestor, every
+/// transitive descendant included.  Shared by the mount-time lineage heal
+/// (which erases the descendants) and the invariant checker (which reports
+/// them).
+fn erased_ancestor_violations(global: &GlobalSummaries) -> Vec<(PdId, PdId)> {
+    let lookup = |id| {
+        let (_, summary) = global.get(&id)?;
+        Some((summary.erased, summary.copied_from))
+    };
+    let live = global.iter().filter(|(_, (_, summary))| !summary.erased);
+    live.filter_map(|(&id, (_, summary))| Some((id, erased_ancestor(summary.copied_from, lookup)?)))
+        .collect()
 }
 
 /// Load and operation counters of one shard.
@@ -378,37 +369,10 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        // Rebuild the directory: first a global placement map, then the
-        // lineage, foreign-placement and tombstone registrations.
-        let mut global: BTreeMap<PdId, (usize, RecordSummary)> = BTreeMap::new();
-        for (shard, instance) in instances.iter().enumerate() {
-            for summary in instance.record_index_snapshot() {
-                global.insert(summary.id, (shard, summary));
-            }
-        }
-        let mut directory = LineageDirectory::default();
-        for (&id, (shard, summary)) in &global {
-            if summary.erased {
-                directory.mark_erased([id]);
-            }
-            let entry = DirectoryEntry {
-                data_type: summary.data_type.clone(),
-                subject: summary.subject,
-            };
-            if let Some(parent) = summary.copied_from {
-                let parent_entry = global
-                    .get(&parent)
-                    .map(|(_, p)| DirectoryEntry {
-                        data_type: p.data_type.clone(),
-                        subject: p.subject,
-                    })
-                    .unwrap_or_else(|| entry.clone());
-                directory.register_copy(parent, parent_entry, id, entry.clone());
-            }
-            if *shard != home_for(summary.subject, shards) {
-                directory.register_foreign(summary.subject, id, entry);
-            }
-        }
+        let directory =
+            LineageDirectory::from_summaries(&global_summaries(&instances), |subject| {
+                home_for(subject, shards)
+            });
         let sharded = Self::assemble(instances, directory, clock, audit);
         sharded.recover_crashed_erasures()?;
         Ok(sharded)
@@ -506,12 +470,7 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     /// ancestor chain, so every transitive descendant of an erased record is
     /// caught in the same pass.
     fn lineage_heal(&self, escrow: &OperatorEscrow) -> Result<(), DbfsError> {
-        let mut global: BTreeMap<PdId, (usize, RecordSummary)> = BTreeMap::new();
-        for (shard, instance) in self.shards.iter().enumerate() {
-            for summary in instance.record_index_snapshot() {
-                global.insert(summary.id, (shard, summary));
-            }
-        }
+        let global = global_summaries(&self.shards);
         let victims: Vec<(usize, DataTypeId, PdId)> = erased_ancestor_violations(&global)
             .into_iter()
             .map(|(id, _)| {
@@ -716,6 +675,56 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         self.directory.lock().mark_erased(erased.iter().copied());
         self.shards[intent_shard].clear_erase_intent(token)?;
         Ok(erased.into_iter().collect())
+    }
+
+    /// The rounds of [`PdStore::scrub_tombstones`], run under the cross-shard
+    /// erasure lock its caller holds.
+    fn scrub_rounds(&self) -> Result<ScrubReport, DbfsError> {
+        let mut report = ScrubReport::default();
+        let mut first_scan: Option<usize> = None;
+        loop {
+            // Tombstones named by any shard's pending intents stay: the
+            // intent may target ids on other shards, so the guard set is
+            // gathered deployment-wide, not per shard.
+            let mut pending: BTreeSet<PdId> = BTreeSet::new();
+            for shard in &self.shards {
+                for (_, intent) in shard.pending_erase_intents()? {
+                    pending.extend(intent.targets.iter().map(|(_, raw)| PdId::new(*raw)));
+                }
+            }
+            let blocked = self.directory.lock().copy_sources();
+            let mut round = ScrubReport::default();
+            // The shard-level scrubber classifies every closure-vetoed
+            // tombstone as lineage-retained; count the vetoes that were
+            // really in-flight-intent holds so the report attributes them
+            // correctly.
+            let pending_holds = std::sync::atomic::AtomicUsize::new(0);
+            for shard in &self.shards {
+                round.merge(shard.scrub_tombstones_with(|id| {
+                    if pending.contains(&id) {
+                        pending_holds.fetch_add(1, Ordering::Relaxed);
+                        return false;
+                    }
+                    !blocked.contains(&id)
+                })?);
+            }
+            if first_scan.is_none() {
+                first_scan = Some(round.scanned_tombstones);
+            }
+            let pending_holds = pending_holds.into_inner();
+            report.retained_intent = round.retained_intent + pending_holds;
+            report.retained_lineage = round.retained_lineage.saturating_sub(pending_holds);
+            if round.reclaimed.is_empty() {
+                break;
+            }
+            self.directory
+                .lock()
+                .forget(round.reclaimed.iter().copied());
+            report.bytes_reclaimed += round.bytes_reclaimed;
+            report.reclaimed.extend(round.reclaimed);
+        }
+        report.scanned_tombstones = first_scan.unwrap_or(0);
+        Ok(report)
     }
 
     /// Total tombstones reclaimed by scrub passes since mount, summed over
@@ -1288,74 +1297,25 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
             result?;
         }
         let violation = |what: String| DbfsError::Corrupt { what };
-        let snapshots = self.pool.scatter(|_, dbfs| dbfs.record_index_snapshot());
-        let mut global: BTreeMap<PdId, (usize, RecordSummary)> = BTreeMap::new();
-        for (shard, snapshot) in snapshots.into_iter().enumerate() {
-            for summary in snapshot {
-                let id = summary.id;
-                if self.shard_of_id(id) != shard {
-                    return Err(violation(format!("{id} allocated off its strided shard")));
-                }
-                if global.insert(id, (shard, summary)).is_some() {
-                    return Err(violation(format!("{id} exists on two shards")));
-                }
+        let global = global_summaries(&self.shards);
+        for (id, (shard, _)) in &global {
+            if self.shard_of_id(*id) != *shard {
+                return Err(violation(format!("{id} allocated off its strided shard")));
             }
         }
-        let directory = self.directory.lock();
-        // Every on-shard lineage edge is in the directory, and vice versa.
-        for (id, (_, summary)) in &global {
-            if let Some(parent) = summary.copied_from {
-                if directory.parent(*id) != Some(parent) {
-                    return Err(violation(format!("lineage edge of {id} not in directory")));
-                }
-            }
+        // An id held by two shards is one entry of the map.
+        let counts = self.shards.iter().map(|shard| shard.record_counts());
+        let held: usize = counts.map(|(live, tombstones)| live + tombstones).sum();
+        if held != global.len() {
+            return Err(violation(format!(
+                "an id exists on two shards ({held} records, {} ids)",
+                global.len()
+            )));
         }
-        for (copy, original) in directory.edges() {
-            match global.get(&copy) {
-                Some((_, summary)) if summary.copied_from == Some(original) => {}
-                _ => {
-                    return Err(violation(format!(
-                        "directory edge {copy} -> {original} has no backing record"
-                    )))
-                }
-            }
-        }
-        // Foreign placements agree in both directions.
-        for (subject, id) in directory.foreign_iter() {
-            match global.get(&id) {
-                Some((shard, summary))
-                    if summary.subject == subject && *shard != self.home_shard(subject) => {}
-                _ => {
-                    return Err(violation(format!(
-                        "directory foreign placement of {id} disagrees with the shards"
-                    )))
-                }
-            }
-        }
-        for (id, (shard, summary)) in &global {
-            if *shard != self.home_shard(summary.subject)
-                && !directory.foreign_of(summary.subject).contains(id)
-            {
-                return Err(violation(format!(
-                    "{id} lives off-home but is unregistered"
-                )));
-            }
-        }
-        // Tombstones agree in both directions.
-        for id in directory.erased_iter() {
-            match global.get(&id) {
-                Some((_, summary)) if summary.erased => {}
-                _ => {
-                    return Err(violation(format!(
-                        "directory tombstone {id} disagrees with the shards"
-                    )))
-                }
-            }
-        }
-        for (id, (_, summary)) in &global {
-            if summary.erased && !directory.is_erased(*id) {
-                return Err(violation(format!("shard tombstone {id} not in directory")));
-            }
+        // The live directory is what the shards' summaries derive.
+        let rebuilt = LineageDirectory::from_summaries(&global, |s| self.home_shard(s));
+        if let Some(difference) = self.directory.lock().first_difference(&rebuilt) {
+            return Err(violation(difference));
         }
         // The GDPR invariant: no live record has an erased lineage ancestor.
         if let Some((id, ancestor)) = erased_ancestor_violations(&global).into_iter().next() {
@@ -1377,60 +1337,21 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// leaf copy on one shard unblocks its original on another, so the pass
     /// iterates until no shard makes progress — erased copy chains vanish
     /// whole, children first, exactly like the per-shard fixpoint.  After
-    /// each round the reclaimed ids are forgotten by the directory; a crash
-    /// between a shard reclaim and the in-memory forget is benign, because
-    /// the directory is rebuilt from the shards' indexes at mount and the
-    /// reclaimed ids are simply absent.
+    /// each round the reclaimed ids are forgotten by the directory.  When a
+    /// round fails, what it reclaimed before the error — on the earlier
+    /// shards, and on the failing one — is on no report, so the directory
+    /// is instead derived afresh from the shards, as a mount would (which
+    /// is also why a crash between a reclaim and the forget is benign).
     ///
     /// The returned report accumulates reclaims across rounds; the
     /// `retained_*` counters describe what the *final* round left behind.
     fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
         let _serialized = self.erasures.lock();
-        let mut report = ScrubReport::default();
-        let mut first_scan: Option<usize> = None;
-        loop {
-            // Tombstones named by any shard's pending intents stay: the
-            // intent may target ids on other shards, so the guard set is
-            // gathered deployment-wide, not per shard.
-            let mut pending: BTreeSet<PdId> = BTreeSet::new();
-            for shard in &self.shards {
-                for (_, intent) in shard.pending_erase_intents()? {
-                    pending.extend(intent.targets.iter().map(|(_, raw)| PdId::new(*raw)));
-                }
-            }
-            let blocked = self.directory.lock().copy_sources();
-            let mut round = ScrubReport::default();
-            // The shard-level scrubber classifies every closure-vetoed
-            // tombstone as lineage-retained; count the vetoes that were
-            // really in-flight-intent holds so the report attributes them
-            // correctly.
-            let pending_holds = std::sync::atomic::AtomicUsize::new(0);
-            for shard in &self.shards {
-                round.merge(shard.scrub_tombstones_with(|id| {
-                    if pending.contains(&id) {
-                        pending_holds.fetch_add(1, Ordering::Relaxed);
-                        return false;
-                    }
-                    !blocked.contains(&id)
-                })?);
-            }
-            if first_scan.is_none() {
-                first_scan = Some(round.scanned_tombstones);
-            }
-            let pending_holds = pending_holds.into_inner();
-            report.retained_intent = round.retained_intent + pending_holds;
-            report.retained_lineage = round.retained_lineage.saturating_sub(pending_holds);
-            if round.reclaimed.is_empty() {
-                break;
-            }
-            self.directory
-                .lock()
-                .forget(round.reclaimed.iter().copied());
-            report.bytes_reclaimed += round.bytes_reclaimed;
-            report.reclaimed.extend(round.reclaimed);
-        }
-        report.scanned_tombstones = first_scan.unwrap_or(0);
-        Ok(report)
+        self.scrub_rounds().inspect_err(|_| {
+            let mut directory = self.directory.lock();
+            let global = global_summaries(&self.shards);
+            *directory = LineageDirectory::from_summaries(&global, |s| self.home_shard(s));
+        })
     }
 
     /// Records, bytes and allocated blocks summed across every shard (see

@@ -511,19 +511,19 @@ fn attached_trace_labels_shards_and_records_scatter_fanout() {
 /// that answered (which would pass a partial membrane set off as the whole
 /// table).  The fault index is self-calibrating: a fault-free pass measures
 /// how many reads setup costs on the target shard, then an identical pass
-/// arms [`FaultPlan::FailedReadAt`] at exactly that index, so the very
+/// arms [`FaultEvent::FailedReadAt`] at exactly that index, so the very
 /// first device read of the scatter leg fails.
 #[test]
 fn scatter_read_failure_surfaces_as_partial_scatter() {
-    use rgpdos_blockdev::{FaultPlan, FaultyDevice};
+    use rgpdos_blockdev::{FaultEvent, FaultScript, FaultyDevice};
     use rgpdos_dbfs::DbfsError;
 
     type FaultyShard = Arc<FaultyDevice<MemDevice>>;
 
-    fn deployment(plans: [FaultPlan; 2]) -> (ShardedDbfs<FaultyShard>, Vec<FaultyShard>) {
-        let devices: Vec<FaultyShard> = plans
+    fn deployment(scripts: [FaultScript; 2]) -> (ShardedDbfs<FaultyShard>, Vec<FaultyShard>) {
+        let devices: Vec<FaultyShard> = scripts
             .into_iter()
-            .map(|plan| Arc::new(FaultyDevice::new(MemDevice::new(8192, 512), plan)))
+            .map(|script| Arc::new(FaultyDevice::new(MemDevice::new(8192, 512), script)))
             .collect();
         let sharded = ShardedDbfs::format(devices.clone(), DbfsParams::small()).unwrap();
         sharded.create_type(listing1_user_schema()).unwrap();
@@ -538,7 +538,7 @@ fn scatter_read_failure_surfaces_as_partial_scatter() {
 
     // Calibration pass: measure how many reads setup costs on shard 1, and
     // confirm the fault-free scatter sees the whole table.
-    let (clean, devices) = deployment([FaultPlan::None, FaultPlan::None]);
+    let (clean, devices) = deployment([FaultScript::none(), FaultScript::none()]);
     let fault_at = devices[1].reads_seen();
     assert_eq!(
         clean.load_membranes(&user()).unwrap().len(),
@@ -552,7 +552,8 @@ fn scatter_read_failure_surfaces_as_partial_scatter() {
     drop(clean);
 
     // Faulty pass: identical setup, shard 1's next read fails.
-    let (sharded, _devices) = deployment([FaultPlan::None, FaultPlan::FailedReadAt(fault_at)]);
+    let failing = FaultScript::new([FaultEvent::FailedReadAt(fault_at)]);
+    let (sharded, _devices) = deployment([FaultScript::none(), failing]);
     match sharded.load_membranes(&user()) {
         Err(DbfsError::PartialScatter {
             shard, completed, ..

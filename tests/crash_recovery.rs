@@ -3,7 +3,7 @@
 //! sharded router, recovery observability, and proof that erasure destroys
 //! the key material an operator would need to read the raw blocks back.
 
-use rgpdos::blockdev::{scan_for_pattern, FaultPlan, FaultyDevice, MemDevice};
+use rgpdos::blockdev::{scan_for_pattern, FaultScript, FaultyDevice, MemDevice};
 use rgpdos::core::record::stored;
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{DataTypeId, Membrane, PdId, Row, SubjectId, Timestamp};
@@ -39,7 +39,7 @@ fn dbfs_mutations_are_crash_atomic_at_every_write_index() {
     // Reference run to learn the total write count.
     let reference = Arc::new(MemDevice::new(16_384, 512));
     setup_image(&reference);
-    let probe = FaultyDevice::new(Arc::clone(&reference), FaultPlan::None);
+    let probe = FaultyDevice::new(Arc::clone(&reference), FaultScript::none());
     let cell = probe.cell();
     let dbfs = Dbfs::mount(probe).unwrap();
     let escrow = OperatorEscrow::new(authority.public_key());
@@ -63,7 +63,7 @@ fn dbfs_mutations_are_crash_atomic_at_every_write_index() {
         setup_image(&device);
         let faulty = FaultyDevice::new(
             Arc::clone(&device),
-            FaultPlan::CrashAfterWrites(crash_after),
+            FaultScript::crash_after_writes(crash_after),
         );
         let dbfs = Dbfs::mount(faulty).unwrap();
         let escrow = OperatorEscrow::new(authority.public_key());
@@ -177,7 +177,7 @@ fn journal_replays_surface_in_stats_after_a_crash_remount() {
         setup_image(&device);
         let faulty = FaultyDevice::new(
             Arc::clone(&device),
-            FaultPlan::CrashAfterWrites(crash_after),
+            FaultScript::crash_after_writes(crash_after),
         );
         let dbfs = Dbfs::mount(faulty).unwrap();
         let _ = dbfs.collect(&"user".into(), SubjectId::new(1), user_row("x"));

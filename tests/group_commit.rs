@@ -10,7 +10,7 @@
 //! runs through the same pipeline: the rewritten rows are a prefix of the
 //! batch and no row is torn.
 
-use rgpdos::blockdev::{FaultPlan, FaultyDevice, MemDevice};
+use rgpdos::blockdev::{FaultScript, FaultyDevice, MemDevice};
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{PdId, Row, SubjectId};
 use rgpdos::dbfs::{Dbfs, DbfsParams, PdStore, QueryRequest};
@@ -50,7 +50,7 @@ fn group_commit_crashes_leave_a_clean_prefix_at_every_write_index() {
     // Reference run: learn the total write count and prove the batch really
     // is group-committed (fewer journal transactions than records).
     let reference = fresh_image();
-    let probe = FaultyDevice::new(Arc::clone(&reference), FaultPlan::None);
+    let probe = FaultyDevice::new(Arc::clone(&reference), FaultScript::none());
     let cell = probe.cell();
     let dbfs = Dbfs::mount(probe).expect("reference mount");
     let (total_writes, ids) =
@@ -70,7 +70,7 @@ fn group_commit_crashes_leave_a_clean_prefix_at_every_write_index() {
         let device = fresh_image();
         let dbfs = Dbfs::mount(FaultyDevice::new(
             Arc::clone(&device),
-            FaultPlan::CrashAfterWrites(crash_after),
+            FaultScript::crash_after_writes(crash_after),
         ))
         .expect("pre-crash mount");
         assert!(
@@ -161,7 +161,7 @@ fn update_rows_crashes_leave_a_clean_prefix_at_every_write_index() {
     };
 
     let reference = preloaded_image();
-    let probe = FaultyDevice::new(Arc::clone(&reference), FaultPlan::None);
+    let probe = FaultyDevice::new(Arc::clone(&reference), FaultScript::none());
     let cell = probe.cell();
     let dbfs = Dbfs::mount(probe).expect("reference mount");
     let (total_writes, result) =
@@ -179,7 +179,7 @@ fn update_rows_crashes_leave_a_clean_prefix_at_every_write_index() {
         let device = preloaded_image();
         let dbfs = Dbfs::mount(FaultyDevice::new(
             Arc::clone(&device),
-            FaultPlan::CrashAfterWrites(crash_after),
+            FaultScript::crash_after_writes(crash_after),
         ))
         .expect("pre-crash mount");
         assert!(
