@@ -14,8 +14,10 @@
 //!   no live records;
 //! * **no half-written record is visible** — every record (tombstones
 //!   included) decodes;
-//! * no live record anywhere has an erased lineage ancestor (the erasure
-//!   cascade is all-or-nothing across the crash);
+//! * no live record anywhere has an erased lineage ancestor, and a
+//!   subject-wide erasure the crash interrupted tombstoned all of its
+//!   targets or none (the erasure cascade is all-or-nothing across the
+//!   crash, however many journal transactions it spans);
 //! * the audit log at the moment of the crash is a **prefix** of the
 //!   reference run's audit log (no event is recorded for work that never
 //!   committed);
@@ -186,6 +188,26 @@ pub fn batched_script() -> Vec<ScriptOp> {
     ]
 }
 
+/// The large-cascade workload, for a store formatted with
+/// [`cascade_params`]: one subject's records, their copies and the copies
+/// of those, 18 in all, so that its subject-wide erasure is cut into
+/// several groups — a crash between two of them is the window only the
+/// local erase intent covers — then a scrub of the pile.
+pub fn cascade_script() -> Vec<ScriptOp> {
+    let mut script = vec![ScriptOp::Insert { subject: 1 }; 6];
+    script.extend((0..12).map(|pick| ScriptOp::Copy { pick }));
+    script.extend([ScriptOp::EraseSubject { subject: 1 }, ScriptOp::Scrub]);
+    script
+}
+
+/// [`DbfsParams::small`] with a 16-block journal: a transaction holds 14
+/// blocks, an insert and a few tombstones.
+pub fn cascade_params() -> DbfsParams {
+    let mut params = DbfsParams::small();
+    params.inode_params = params.inode_params.with_journal_blocks(16);
+    params
+}
+
 /// A deterministic pseudo-random workload derived from `seed` (echoed in CI
 /// logs so any sweep can be reproduced bit-for-bit).
 pub fn scripted_ops(seed: u64, len: usize) -> Vec<ScriptOp> {
@@ -247,6 +269,10 @@ struct Shadow {
     /// Every id a completed scrub *reported* reclaimed before the crash:
     /// these must stay gone after recovery.
     reclaimed: BTreeSet<PdId>,
+    /// The live records of a subject whose subject-wide erasure had started
+    /// but not returned when the crash hit: after recovery they are all
+    /// tombstones or all still live, whatever the cascade's size.
+    erasing: Vec<PdId>,
     /// Whether any scrub pass *started* before the crash.  A crash
     /// mid-scrub can durably reclaim tombstones the interrupted call never
     /// reported, so "erased id is gone" is only legitimate once this is
@@ -370,18 +396,12 @@ fn replay<S: PdStore>(
     shadow: &mut Shadow,
     user: &DataTypeId,
 ) -> Result<(), ReplayFailure> {
-    fn filter(
-        ids: &mut Vec<PdId>,
-        result: Result<Option<PdId>, DbfsError>,
-    ) -> Result<(), ReplayFailure> {
+    /// What an op reported, nothing (`T::default()`) for a logical refusal.
+    fn settle<T: Default>(result: Result<T, DbfsError>) -> Result<T, ReplayFailure> {
         match result {
-            Ok(Some(id)) => {
-                ids.push(id);
-                Ok(())
-            }
-            Ok(None) => Ok(()),
+            Ok(outcome) => Ok(outcome),
             Err(e) if is_crash(&e) => Err(ReplayFailure::Crash(e)),
-            Err(e) if is_expected_refusal(&e) => Ok(()),
+            Err(e) if is_expected_refusal(&e) => Ok(T::default()),
             Err(e) => Err(ReplayFailure::Unexpected(e)),
         }
     }
@@ -402,7 +422,7 @@ fn replay<S: PdStore>(
                 if !matches!(result, Err(ref e) if is_expected_refusal(e)) {
                     shadow.erased_subjects.remove(&subject);
                 }
-                filter(&mut shadow.ids, result)?;
+                shadow.ids.extend(settle(result)?);
             }
             ScriptOp::InsertMany {
                 base_subject,
@@ -422,23 +442,15 @@ fn replay<S: PdStore>(
                             .remove(&SubjectId::new(base_subject + i % 3));
                     }
                 }
-                match result {
-                    // Only a fully returned batch enters the shadow: a
-                    // crash mid-batch may leave a committed prefix the
-                    // shadow does not know about, which the decode-all and
-                    // invariant checks still cover after remount.
-                    Ok(ids) => shadow.ids.extend(ids),
-                    Err(e) if is_crash(&e) => return Err(ReplayFailure::Crash(e)),
-                    Err(e) if is_expected_refusal(&e) => {}
-                    Err(e) => return Err(ReplayFailure::Unexpected(e)),
-                }
+                // Only a fully returned batch enters the shadow: a crash
+                // mid-batch may leave a committed prefix the shadow does
+                // not know about, which the decode-all and invariant
+                // checks still cover after remount.
+                shadow.ids.extend(settle(result)?);
             }
             ScriptOp::Update { pick } => {
                 if let Some(id) = pick_id(&shadow.ids, pick).copied() {
-                    let result = store
-                        .update_row(user, id, sample_row("updated"))
-                        .map(|()| None);
-                    filter(&mut shadow.ids, result)?;
+                    settle(store.update_row(user, id, sample_row("updated")))?;
                 }
             }
             ScriptOp::UpdateMany { count } => {
@@ -449,13 +461,12 @@ fn replay<S: PdStore>(
                     .take(usize::from(count))
                     .map(|&id| (id, sample_row("batch-updated")))
                     .collect();
-                let result = store.update_rows(user, updates).map(|()| None);
-                filter(&mut shadow.ids, result)?;
+                settle(store.update_rows(user, updates))?;
             }
             ScriptOp::Copy { pick } => {
                 if let Some(id) = pick_id(&shadow.ids, pick).copied() {
                     let result = store.copy(user, id).map(Some);
-                    filter(&mut shadow.ids, result)?;
+                    shadow.ids.extend(settle(result)?);
                 }
             }
             ScriptOp::SetTtlDays { pick, days } => {
@@ -463,8 +474,7 @@ fn replay<S: PdStore>(
                     let delta = MembraneDelta::SetTimeToLive {
                         ttl: TimeToLive::days(days),
                     };
-                    let result = store.apply_membrane_delta(user, id, &delta).map(|_| None);
-                    filter(&mut shadow.ids, result)?;
+                    settle(store.apply_membrane_delta(user, id, &delta))?;
                 }
             }
             ScriptOp::AdvanceDays { days } => {
@@ -472,40 +482,28 @@ fn replay<S: PdStore>(
             }
             ScriptOp::Erase { pick } => {
                 if let Some(id) = pick_id(&shadow.ids, pick).copied() {
-                    match store.erase(user, id, escrow) {
-                        Ok(erased) => shadow.erased.extend(erased),
-                        Err(e) if is_crash(&e) => return Err(ReplayFailure::Crash(e)),
-                        Err(e) if is_expected_refusal(&e) => {}
-                        Err(e) => return Err(ReplayFailure::Unexpected(e)),
-                    }
+                    shadow.erased.extend(settle(store.erase(user, id, escrow))?);
                 }
             }
             ScriptOp::EraseSubject { subject } => {
                 let subject = SubjectId::new(subject);
-                match store.erase_subject(subject, escrow) {
-                    Ok(erased) => {
-                        shadow.erased.extend(erased);
-                        shadow.erased_subjects.insert(subject);
-                    }
-                    Err(e) if is_crash(&e) => return Err(ReplayFailure::Crash(e)),
-                    Err(e) if is_expected_refusal(&e) => {}
-                    Err(e) => return Err(ReplayFailure::Unexpected(e)),
+                if let Ok(membranes) = store.load_membranes_for_subject(user, subject) {
+                    let live = membranes.into_iter().filter(|(_, m)| !m.is_erased());
+                    shadow.erasing = live.map(|(id, _)| id).collect();
+                }
+                // A crash returns from here with `erasing` still set.
+                let erased = settle(store.erase_subject(subject, escrow).map(Some))?;
+                shadow.erasing.clear();
+                if let Some(erased) = erased {
+                    shadow.erased.extend(erased);
+                    shadow.erased_subjects.insert(subject);
                 }
             }
-            ScriptOp::Purge => match store.purge_expired(escrow) {
-                Ok(expired) => shadow.erased.extend(expired),
-                Err(e) if is_crash(&e) => return Err(ReplayFailure::Crash(e)),
-                Err(e) if is_expected_refusal(&e) => {}
-                Err(e) => return Err(ReplayFailure::Unexpected(e)),
-            },
+            ScriptOp::Purge => shadow.erased.extend(settle(store.purge_expired(escrow))?),
             ScriptOp::Scrub => {
                 shadow.scrub_started = true;
-                match store.scrub_tombstones() {
-                    Ok(scrub) => shadow.reclaimed.extend(scrub.reclaimed),
-                    Err(e) if is_crash(&e) => return Err(ReplayFailure::Crash(e)),
-                    Err(e) if is_expected_refusal(&e) => {}
-                    Err(e) => return Err(ReplayFailure::Unexpected(e)),
-                }
+                let scrub = settle(store.scrub_tombstones())?;
+                shadow.reclaimed.extend(scrub.reclaimed);
             }
         }
     }
@@ -544,6 +542,16 @@ fn check_recovered<S: PdStore>(
             Err(DbfsError::UnknownPd { .. }) if shadow.scrub_started => {}
             Err(e) => violations.push(format!("{id} was erased before the crash but is gone: {e}")),
         }
+    }
+    // An interrupted subject-wide erasure tombstoned all of its targets or
+    // none: the intent completes what a crash between two groups left.
+    let tombstoned = |&id: &PdId| matches!(store.load_membrane(user, id), Ok(m) if m.is_erased());
+    let done = shadow.erasing.iter().filter(|id| tombstoned(id)).count();
+    if done != 0 && done != shadow.erasing.len() {
+        violations.push(format!(
+            "an interrupted subject erasure tombstoned {done} of its {} targets",
+            shadow.erasing.len()
+        ));
     }
     // A reclaim a completed scrub reported is durable: the id must stay
     // gone — neither a live record (resurrection) nor a reappeared
@@ -678,14 +686,14 @@ fn behind_one_cell(
 /// What a sweep needs from a store besides [`PdStore`]: building one over a
 /// set of devices, and the `Dbfs` instances underneath for the leak check.
 trait MountableStore: PdStore + Sized {
-    fn format(devices: Vec<FaultyDev>) -> Result<Self, DbfsError>;
+    fn format(devices: Vec<FaultyDev>, params: DbfsParams) -> Result<Self, DbfsError>;
     fn mount(devices: Vec<FaultyDev>) -> Result<Self, DbfsError>;
     fn instances(&self) -> Vec<&Dbfs<FaultyDev>>;
 }
 
 impl MountableStore for Dbfs<FaultyDev> {
-    fn format(mut devices: Vec<FaultyDev>) -> Result<Self, DbfsError> {
-        Dbfs::format(devices.pop().expect("one device"), DbfsParams::small())
+    fn format(mut devices: Vec<FaultyDev>, params: DbfsParams) -> Result<Self, DbfsError> {
+        Dbfs::format(devices.pop().expect("one device"), params)
     }
 
     fn mount(mut devices: Vec<FaultyDev>) -> Result<Self, DbfsError> {
@@ -698,8 +706,8 @@ impl MountableStore for Dbfs<FaultyDev> {
 }
 
 impl MountableStore for ShardedDbfs<FaultyDev> {
-    fn format(devices: Vec<FaultyDev>) -> Result<Self, DbfsError> {
-        ShardedDbfs::format(devices, DbfsParams::small())
+    fn format(devices: Vec<FaultyDev>, params: DbfsParams) -> Result<Self, DbfsError> {
+        ShardedDbfs::format(devices, params)
     }
 
     fn mount(devices: Vec<FaultyDev>) -> Result<Self, DbfsError> {
@@ -713,9 +721,10 @@ impl MountableStore for ShardedDbfs<FaultyDev> {
 
 /// Fresh devices holding a formatted image with the user type installed
 /// (none of it counted or faulted: the crash window starts at the mount).
-fn fresh_image<S: MountableStore>(device_count: usize) -> Vec<SweepDevice> {
+fn fresh_image<S: MountableStore>(device_count: usize, params: DbfsParams) -> Vec<SweepDevice> {
     let devices: Vec<SweepDevice> = (0..device_count).map(|_| fresh_sweep_device()).collect();
-    let store = S::format(behind_one_cell(&devices, FaultScript::none()).1).expect("format image");
+    let store =
+        S::format(behind_one_cell(&devices, FaultScript::none()).1, params).expect("format image");
     store
         .create_type(listing1_user_schema())
         .expect("install the user type");
@@ -723,19 +732,21 @@ fn fresh_image<S: MountableStore>(device_count: usize) -> Vec<SweepDevice> {
 }
 
 /// Sweeps every *global* write index of `script` against a store of type
-/// `S` over `device_count` devices, reporting under `scenario`.
+/// `S` over `device_count` devices formatted with `params`, reporting under
+/// `scenario`.
 fn sweep<S: MountableStore>(
-    scenario: String,
+    scenario: &str,
     script: &[ScriptOp],
     device_count: usize,
     authority_seed: u64,
+    params: DbfsParams,
 ) -> SweepReport {
     let authority = Authority::generate(authority_seed);
     let escrow = OperatorEscrow::new(authority.public_key());
     let user: DataTypeId = "user".into();
 
     // Reference run: learns the write count and the expected audit trail.
-    let reference_devices = fresh_image::<S>(device_count);
+    let reference_devices = fresh_image::<S>(device_count, params);
     let (cell, wrapped) = behind_one_cell(&reference_devices, FaultScript::none());
     let store = S::mount(wrapped).expect("reference mount");
     let mut reference_shadow = Shadow::default();
@@ -750,7 +761,7 @@ fn sweep<S: MountableStore>(
         report.drain_sanitizer(device, "reference run");
     }
     for crash_after in 0..total_writes {
-        let devices = fresh_image::<S>(device_count);
+        let devices = fresh_image::<S>(device_count, params);
         let crashing = behind_one_cell(&devices, FaultScript::crash_after_writes(crash_after)).1;
         let store = match S::mount(crashing) {
             Ok(store) => store,
@@ -812,7 +823,7 @@ fn sweep<S: MountableStore>(
 /// Sweeps every write index of `script` against a single-device DBFS,
 /// reporting under `scenario`.
 pub fn sweep_dbfs(scenario: &str, script: &[ScriptOp]) -> SweepReport {
-    sweep::<Dbfs<FaultyDev>>(scenario.to_owned(), script, 1, 0xA0D1)
+    sweep::<Dbfs<FaultyDev>>(scenario, script, 1, 0xA0D1, DbfsParams::small())
 }
 
 /// Sweeps every *global* write index of `script` against a sharded DBFS:
@@ -820,14 +831,15 @@ pub fn sweep_dbfs(scenario: &str, script: &[ScriptOp]) -> SweepReport {
 /// whole-machine power loss — the window the two-phase cross-shard erasure
 /// must survive.
 pub fn sweep_sharded(scenario: &str, script: &[ScriptOp], shards: usize) -> SweepReport {
-    sweep::<ShardedDbfs<FaultyDev>>(format!("{scenario}-{shards}"), script, shards, 0x5A4D)
+    let scenario = format!("{scenario}-{shards}");
+    sweep::<ShardedDbfs<FaultyDev>>(&scenario, script, shards, 0x5A4D, DbfsParams::small())
 }
 
 /// Runs the full crash-matrix: the default single-store sweep, a seeded
 /// pseudo-random single-store sweep, the **batched** (group-commit)
 /// single-store and sharded sweeps, the **scrubber** (tombstone
-/// compaction) single-store and sharded sweeps and the sharded
-/// whole-machine sweep.
+/// compaction) single-store and sharded sweeps, the sharded whole-machine
+/// sweep and the single-store **large-cascade** sweep.
 pub fn run_all(seed: u64) -> Vec<SweepReport> {
     vec![
         sweep_dbfs("dbfs", &default_script()),
@@ -837,6 +849,13 @@ pub fn run_all(seed: u64) -> Vec<SweepReport> {
         sweep_sharded("sharded", &default_script(), 3),
         sweep_sharded("sharded-batched", &batched_script(), 2),
         sweep_sharded("sharded-scrub", &scrub_script(), 2),
+        sweep::<Dbfs<FaultyDev>>(
+            "dbfs-cascade",
+            &cascade_script(),
+            1,
+            0xA0D1,
+            cascade_params(),
+        ),
     ]
 }
 
@@ -899,6 +918,38 @@ mod tests {
             "batched sweep violations: {:?}",
             report.violations
         );
+    }
+
+    #[test]
+    fn cascade_script_cuts_its_erasure_into_at_least_three_groups() {
+        let script = cascade_script();
+        let erase_at = script.len() - 2;
+        assert!(matches!(script[erase_at], ScriptOp::EraseSubject { .. }));
+
+        // The subject erasure journals its intent, at least three groups of
+        // tombstones, and the intent's clear: the `dbfs-cascade` sweep
+        // crashes between groups.
+        let devices = fresh_image::<Dbfs<FaultyDev>>(1, cascade_params());
+        let store = <Dbfs<FaultyDev> as MountableStore>::mount(
+            behind_one_cell(&devices, FaultScript::none()).1,
+        )
+        .unwrap();
+        let escrow = OperatorEscrow::new(Authority::generate(0xA0D1).public_key());
+        let user: DataTypeId = "user".into();
+        let mut shadow = Shadow::default();
+        replay(&store, &escrow, &script[..erase_at], &mut shadow, &user).unwrap();
+        let before = store.inode_fs().journal_txs();
+        replay(
+            &store,
+            &escrow,
+            &script[erase_at..=erase_at],
+            &mut shadow,
+            &user,
+        )
+        .unwrap();
+        let groups = store.inode_fs().journal_txs() - before - 2;
+        assert!(groups >= 3, "the cascade spans {groups} groups");
+        assert_eq!(shadow.erased.len(), 18);
     }
 
     #[test]

@@ -15,14 +15,15 @@
 //!
 //! # Write path: one pipeline, group commit
 //!
-//! Every record mutation — insert, row update, membrane change, alone or
-//! batched — is a slice of write ops run by one private function
+//! Every record mutation — insert, row update, membrane change, erasure,
+//! alone or batched — is a slice of write ops run by one private function
 //! (`Dbfs::commit_ops`) under one index-lock hold.  It stages the ops into
 //! compound transactions of the inode layer, each op behind a savepoint,
 //! and commits each as one journal transaction — a **group commit** — cut
 //! at the journal-capacity bound, so a batch costs one journal round-trip
 //! per *group* instead of per record while each record stays individually
-//! crash-atomic.  The single-record built-ins are batches of one.
+//! crash-atomic.  The single-record built-ins are batches of one; an op
+//! that does not fit a journal transaction on its own is refused.
 
 use crate::error::DbfsError;
 use crate::index::{erased_ancestor, DbfsIndex, IndexSnapshot, RecordLocation};
@@ -92,6 +93,12 @@ pub(crate) fn unknown_type(name: &DataTypeId) -> DbfsError {
     DbfsError::UnknownType {
         name: name.to_string(),
     }
+}
+
+/// The name of a record's entry in its subject's directory (`user#pd-7`);
+/// in its table's directory it is the id alone (`pd-7`).
+fn subject_entry(data_type: &DataTypeId, id: PdId) -> String {
+    format!("{data_type}#{id}")
 }
 
 /// Reads only the membrane header section of a split-layout record: the
@@ -192,9 +199,9 @@ pub struct DbfsParams {
 impl DbfsParams {
     /// The secure defaults used by rgpdOS (scrubbed journal, zero-on-free).
     ///
-    /// The journal is sized so that every DBFS mutation — including a
-    /// whole-lineage cascade erasure — fits one journal transaction and is
-    /// therefore crash-atomic (see the compound transactions of
+    /// The journal is sized so that every mutation the shipped workloads
+    /// make — a whole-lineage cascade erasure included — fits one journal
+    /// transaction (see the compound transactions of
     /// [`rgpdos_inode::InodeFs`]).
     pub fn secure() -> Self {
         Self {
@@ -294,6 +301,13 @@ enum WriteOp<'a> {
         id: PdId,
         delta: &'a MembraneDelta,
     },
+    /// Crypto-erasure: encrypt the row under the authority escrow and
+    /// tombstone the membrane (a record that already is one is skipped).
+    Erase {
+        data_type: &'a DataTypeId,
+        id: PdId,
+        escrow: &'a OperatorEscrow,
+    },
 }
 
 /// One op staged into the open compound transaction but not yet committed:
@@ -324,6 +338,8 @@ enum IndexChange {
     },
     /// A retention change: re-key the record in the expiry index.
     Expiry(Option<Timestamp>),
+    /// An erasure: the record is a tombstone from now on.
+    Erased,
 }
 
 impl StagedOp {
@@ -556,16 +572,19 @@ impl<D: BlockDevice> Dbfs<D> {
     /// allocation.  The allocation is not persisted: a sharded deployment
     /// must pass the same `IdAllocation` it formatted the shard with.
     ///
-    /// Mounting also performs **crash recovery**: besides the inode layer's
-    /// journal replay, DBFS reconciles its two trees (a record reachable from
-    /// only one tree is re-linked into the other, torn record images are
-    /// unlinked and freed), heals the identifier counter, and counts every
-    /// repair in [`DbfsStats::recovered_txs`].  Recovery is idempotent, so a
-    /// crash *during* recovery is repaired by the next mount.
+    /// Mounting builds the index from the table tree and the subjects
+    /// directory and repairs nothing in either: every mutation of the two
+    /// trees is one journal transaction, so after the inode layer's journal
+    /// replay they agree, and [`PdStore::verify_index_invariants`] reports
+    /// an image where they do not.  What mount still does on top of the
+    /// replay is heal the identifier counter and complete the local erase
+    /// intents a crash interrupted, counting both in
+    /// [`DbfsStats::recovered_txs`].
     ///
     /// # Errors
     ///
-    /// Same as [`Dbfs::mount`].
+    /// Same as [`Dbfs::mount`]; a record image that does not decode is
+    /// [`DbfsError::Corrupt`].
     pub fn mount_with_ids(
         device: D,
         clock: Arc<LogicalClock>,
@@ -589,7 +608,6 @@ impl<D: BlockDevice> Dbfs<D> {
         let mut index = DbfsIndex::new(alloc, tables_ino, subjects_ino, meta_ino);
         index.next_pd = next_pd;
         index.intents_ino = fs.dir_lookup(ROOT_INO, INTENTS_ENTRY)?;
-        let mut recovered = 0u64;
 
         for (subject_name, subject_ino) in fs.dir_entries(subjects_ino)? {
             let raw = subject_name
@@ -599,11 +617,8 @@ impl<D: BlockDevice> Dbfs<D> {
             index.register_subject(SubjectId::new(raw), subject_ino);
         }
 
-        // Scan the tables tree (the authoritative record registry).  A
-        // record image that fails to decode is crash debris — the leftovers
-        // of an insert whose compound transaction did not fit one journal
-        // transaction — and is unlinked below.
-        let mut debris: Vec<(String, Ino, Ino)> = Vec::new();
+        // The tables tree is the record registry: what a record contributes
+        // to every other index follows from its membrane header.
         for (type_name, table_ino) in fs.dir_entries(tables_ino)? {
             let data_type = DataTypeId::from(type_name.as_str());
             for (entry, ino) in fs.dir_entries(table_ino)? {
@@ -617,130 +632,15 @@ impl<D: BlockDevice> Dbfs<D> {
                         .strip_prefix("pd-")
                         .and_then(|s| s.parse::<u64>().ok())
                         .ok_or_else(|| corrupt("malformed record entry"))?;
-                    let membrane = match read_membrane_from(&fs, ino) {
-                        Ok(membrane) => membrane,
-                        Err(DbfsError::Corrupt { .. }) | Err(DbfsError::Core(_)) => {
-                            debris.push((entry.clone(), ino, table_ino));
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    };
+                    let membrane = read_membrane_from(&fs, ino).map_err(|e| match e {
+                        DbfsError::Core(_) => corrupt(format!("record image `{entry}`")),
+                        e => e,
+                    })?;
                     index.insert_record(
                         PdId::new(raw),
                         RecordLocation::from_membrane(&data_type, &membrane, ino),
                     );
                 }
-            }
-        }
-
-        // Unlink and free torn record images (zero-on-free scrubs whatever
-        // plaintext the torn image still held).  This is a deliberate
-        // roll-back policy, not silent data loss: a torn image is the
-        // leftover of a mutation that never committed atomically, and
-        // preserving it would keep half-written personal data on the device
-        // outside any membrane's governance — the exact residue failure the
-        // paper criticises.  Every scrub is audited.
-        let audit_scrub = |entry: &str| {
-            let description = format!(
-                "mount recovery scrubbed torn record image `{entry}` (uncommitted crash debris)"
-            );
-            let scrubbed = AuditEventKind::ViolationBlocked { description };
-            audit.record(clock.now(), None, scrubbed);
-        };
-        for (entry, ino, table_ino) in &debris {
-            fs.dir_remove(*table_ino, entry)?;
-            let _ = fs.free_inode(*ino);
-            audit_scrub(entry);
-            recovered += 1;
-        }
-
-        // Reconcile the subject tree against the table tree.  A record
-        // reachable only through its subject entry is re-linked into its
-        // table (roll forward); an entry whose record is torn or missing is
-        // dropped (roll back).
-        let mut present: BTreeMap<SubjectId, BTreeSet<String>> = BTreeMap::new();
-        // (Each loop below walks one map of the index while adding to
-        // another: the walked map's `Arc` is the snapshot, nothing is copied.)
-        for (&subject, &subject_ino) in Arc::clone(&index.view.subjects).iter() {
-            let names = present.entry(subject).or_default();
-            for (entry, ino) in fs.dir_entries(subject_ino)? {
-                let parsed = entry
-                    .rsplit_once("#pd-")
-                    .and_then(|(ty, raw)| raw.parse::<u64>().ok().map(|raw| (ty.to_owned(), raw)));
-                let Some((type_name, raw)) = parsed else {
-                    fs.dir_remove(subject_ino, &entry)?;
-                    recovered += 1;
-                    continue;
-                };
-                let id = PdId::new(raw);
-                match index.view.records.get(&id) {
-                    Some(loc) if loc.ino == ino => {
-                        names.insert(entry);
-                    }
-                    Some(_) => {
-                        // Entry pointing at a stale inode: drop it; the
-                        // canonical entry is re-created below.
-                        fs.dir_remove(subject_ino, &entry)?;
-                        recovered += 1;
-                    }
-                    None => {
-                        let data_type = DataTypeId::from(type_name.as_str());
-                        let repaired = match index.view.tables.get(&data_type).copied() {
-                            Some(table_ino) => match read_membrane_from(&fs, ino) {
-                                Ok(membrane) => {
-                                    let name = format!("pd-{raw}");
-                                    if fs.dir_lookup(table_ino, &name)?.is_none() {
-                                        fs.dir_add(table_ino, &name, ino)?;
-                                    }
-                                    index.insert_record(
-                                        id,
-                                        RecordLocation::from_membrane(&data_type, &membrane, ino),
-                                    );
-                                    names.insert(entry.clone());
-                                    true
-                                }
-                                Err(DbfsError::Corrupt { .. })
-                                | Err(DbfsError::Core(_))
-                                | Err(DbfsError::Inode(rgpdos_inode::InodeError::BadInode {
-                                    ..
-                                })) => false,
-                                Err(e) => return Err(e),
-                            },
-                            None => false,
-                        };
-                        if !repaired {
-                            fs.dir_remove(subject_ino, &entry)?;
-                            let _ = fs.free_inode(ino);
-                            audit_scrub(&entry);
-                        }
-                        recovered += 1;
-                    }
-                }
-            }
-        }
-
-        // The other direction: every indexed record must be reachable from
-        // its subject's subtree (erase_subject and the right of access walk
-        // that tree).
-        for (&id, loc) in Arc::clone(&index.view.records).iter() {
-            let name = format!("{}#pd-{}", loc.data_type, id.raw());
-            let subject_ino = match index.view.subjects.get(&loc.subject) {
-                Some(&ino) => ino,
-                None => {
-                    let tx = fs.begin_tx();
-                    let ino = fs.alloc_inode(InodeKind::SubjectRoot)?;
-                    fs.dir_add(subjects_ino, &loc.subject.to_string(), ino)?;
-                    tx.commit()?;
-                    index.register_subject(loc.subject, ino);
-                    recovered += 1;
-                    ino
-                }
-            };
-            let names = present.entry(loc.subject).or_default();
-            if !names.contains(&name) {
-                fs.dir_add(subject_ino, &name, loc.ino)?;
-                names.insert(name);
-                recovered += 1;
             }
         }
 
@@ -754,15 +654,13 @@ impl<D: BlockDevice> Dbfs<D> {
                 max_counter = max_counter.max((raw - alloc.offset) / alloc.stride + 1);
             }
         }
+        let stats = DbfsStatsInner::default();
+        stats.journal_replays.add(fs.recovered_txs());
         if max_counter > index.next_pd {
             index.next_pd = max_counter;
             fs.write_replace(meta_ino, &encode_meta(max_counter))?;
-            recovered += 1;
+            DbfsStatsInner::bump(&stats.recovered_txs);
         }
-
-        let stats = DbfsStatsInner::default();
-        stats.journal_replays.add(fs.recovered_txs());
-        stats.recovered_txs.add(recovered);
         let snapshot = index.snapshot(clock.now(), fs.journal_txs());
         let this = Self {
             fs,
@@ -775,8 +673,8 @@ impl<D: BlockDevice> Dbfs<D> {
             space: Arc::new(SpaceGauges::default()),
             trace: OnceLock::new(),
         };
-        // Complete any local erase cascade a crash interrupted beyond the
-        // single-journal-transaction capacity bound.
+        // Complete any local erase cascade a crash interrupted between two
+        // of its groups.
         this.recover_local_intents()?;
         Ok(this)
     }
@@ -950,19 +848,22 @@ impl<D: BlockDevice> Dbfs<D> {
     // ------------------------------------------------------------------
 
     /// The one write pipeline: every record mutation — insert, row update,
-    /// membrane change, alone or batched — is a slice of [`WriteOp`]s run
-    /// here under **one** index-lock hold, so no erasure or other writer
-    /// can interleave between an op's checks, its disk writes and its
-    /// index update.
+    /// membrane change, erasure, alone or batched — is a slice of
+    /// [`WriteOp`]s run here under **one** index-lock hold, so no other
+    /// writer can interleave between an op's checks, its disk writes and
+    /// its index update.
     ///
     /// Ops are checked and staged one by one into an open compound
     /// transaction (a **group**).  Every disk effect of an op is staged
     /// behind a savepoint: an op that fails is un-staged and ends the batch
     /// (prefix semantics — the ops before it still commit); an op that
-    /// would push a non-empty group past the journal's crash-atomic
-    /// capacity is un-staged, the group commits, and the op is staged again
-    /// as the first of the next group (an insert keeps its identifier: the
-    /// counter only advances with the inserts that joined a group).  The
+    /// would push the group past the journal's crash-atomic capacity is
+    /// un-staged, the group commits, and the op is staged again as the
+    /// first of the next group (an insert keeps its identifier: the
+    /// counter only advances with the inserts that joined a group) — or,
+    /// when it overflows a group of its own, ends the batch with
+    /// [`rgpdos_inode::InodeError::TxTooLarge`] like any other failing op:
+    /// no op is ever applied in pieces.  The
     /// in-memory index is updated only after a group's commit, and a new
     /// read snapshot is published per group that changed it — readers
     /// observe whole groups, never a partial one.  A group no op joined
@@ -977,10 +878,19 @@ impl<D: BlockDevice> Dbfs<D> {
     ///
     /// The first failing op's error, or a commit failure if no op failed.
     fn commit_ops(&self, ops: &[WriteOp<'_>]) -> Result<Vec<PdId>, DbfsError> {
+        self.commit_ops_locked(&mut self.lock_index(), ops)
+    }
+
+    /// [`Dbfs::commit_ops`] under an index lock the caller already holds
+    /// (an erasure snapshots its lineage closure under the same hold).
+    fn commit_ops_locked(
+        &self,
+        index: &mut DbfsIndex,
+        ops: &[WriteOp<'_>],
+    ) -> Result<Vec<PdId>, DbfsError> {
         let capacity = self.fs.tx_capacity_blocks();
         let mut ids = Vec::with_capacity(ops.len());
         let mut failure: Option<DbfsError> = None;
-        let mut index = self.lock_index();
         let mut rest = ops;
         // One iteration per group commit.
         while failure.is_none() && !rest.is_empty() {
@@ -988,10 +898,14 @@ impl<D: BlockDevice> Dbfs<D> {
             let mut group: Vec<StagedOp> = Vec::new();
             while let Some((op, tail)) = rest.split_first() {
                 let savepoint = self.fs.tx_savepoint();
-                match self.stage_op(&index, &group, op) {
-                    Ok(_) if self.fs.tx_staged_blocks() > capacity && !group.is_empty() => {
-                        // Cut: `op` opens the next group instead.
-                        self.fs.tx_rollback_to(savepoint);
+                match self.stage_op(index, &group, op) {
+                    Ok(_) if self.fs.tx_staged_blocks() > capacity => {
+                        // Cut: `op` opens the next group instead.  With a
+                        // group to itself it stays staged, and the commit
+                        // below refuses and aborts it.
+                        if !group.is_empty() {
+                            self.fs.tx_rollback_to(savepoint);
+                        }
                         break;
                     }
                     Ok(staged) => {
@@ -1009,7 +923,7 @@ impl<D: BlockDevice> Dbfs<D> {
                 failure.get_or_insert(e.into());
                 break;
             }
-            self.apply_group(&mut index, group, &mut ids);
+            self.apply_group(index, group, &mut ids);
         }
         match failure {
             None => Ok(ids),
@@ -1098,6 +1012,30 @@ impl<D: BlockDevice> Dbfs<D> {
                     change,
                 }))
             }
+            WriteOp::Erase {
+                data_type,
+                id,
+                escrow,
+            } => {
+                let location = index.view.locate(data_type, id)?;
+                if location.erased {
+                    return Ok(None);
+                }
+                // The escrowed ciphertext captures the row as last
+                // committed (or as staged earlier in this group).
+                let mut stored = read_stored(&self.fs, location.ino)?;
+                let plaintext = serde_json::to_vec(stored.row())
+                    .map_err(|_| corrupt("row serialization for erasure"))?;
+                stored.erase_with(escrow.erase(&plaintext).encode());
+                let bytes = stored::encode(stored.membrane(), stored.row())?;
+                self.fs.write_replace(location.ino, &bytes)?;
+                Ok(Some(StagedOp {
+                    id,
+                    subject: location.subject,
+                    event: AuditEventKind::Erased { pd: id },
+                    change: IndexChange::Erased,
+                }))
+            }
         }
     }
 
@@ -1155,8 +1093,7 @@ impl<D: BlockDevice> Dbfs<D> {
         let record_ino = self.fs.alloc_inode(InodeKind::Record)?;
         let bytes = stored::encode(wrapped.membrane(), wrapped.row())?;
         self.fs.write_replace(record_ino, &bytes)?;
-        self.fs
-            .dir_add(table_ino, &format!("pd-{}", id.raw()), record_ino)?;
+        self.fs.dir_add(table_ino, &id.to_string(), record_ino)?;
 
         // Subject-tree entry (creating the subject's subtree on first use —
         // a subtree created earlier in the same group is reused).
@@ -1173,11 +1110,8 @@ impl<D: BlockDevice> Dbfs<D> {
                 (ino, Some(ino))
             }
         };
-        self.fs.dir_add(
-            subject_ino,
-            &format!("{}#pd-{}", data_type, id.raw()),
-            record_ino,
-        )?;
+        self.fs
+            .dir_add(subject_ino, &subject_entry(data_type, id), record_ino)?;
 
         Ok(StagedOp {
             id,
@@ -1192,10 +1126,12 @@ impl<D: BlockDevice> Dbfs<D> {
 
     /// Makes a committed group visible: applies its index mutations,
     /// publishes a snapshot if any of them changed the index (a plain row
-    /// update does not), then bumps stats and audits each op in order.
-    /// The audit append happens under the index lock on purpose: an erasure
-    /// of one of these records can only start after it, so the trail never
-    /// shows an event on a record after its `Erased`.
+    /// update does not) — after the commit, so a reader that sees the new
+    /// epoch finds the tombstone already on the device — then bumps stats
+    /// and audits each op in order.  The audit append happens under the
+    /// index lock on purpose: an erasure or a reclaim of one of these
+    /// records can only start after it, so the trail never shows an event
+    /// on a record after its `Erased`, nor a `Reclaimed` ahead of it.
     fn apply_group(&self, index: &mut DbfsIndex, mut group: Vec<StagedOp>, ids: &mut Vec<PdId>) {
         if group.is_empty() {
             return;
@@ -1218,6 +1154,7 @@ impl<D: BlockDevice> Dbfs<D> {
                     index.next_pd += 1;
                 }
                 IndexChange::Expiry(expires_at) => index.set_expiry(op.id, expires_at),
+                IndexChange::Erased => index.mark_erased(op.id),
             }
             index_changed = true;
         }
@@ -1228,6 +1165,7 @@ impl<D: BlockDevice> Dbfs<D> {
             match op.event {
                 AuditEventKind::Collected { .. } => DbfsStatsInner::bump(&self.stats.collects),
                 AuditEventKind::Updated { .. } => DbfsStatsInner::bump(&self.stats.updates),
+                AuditEventKind::Erased { .. } => DbfsStatsInner::bump(&self.stats.erasures),
                 // The `copy` built-in is an insert first: `Collected`, then
                 // its own `Copied`.
                 AuditEventKind::Copied { to, .. } => {
@@ -1262,32 +1200,49 @@ impl<D: BlockDevice> Dbfs<D> {
         Ok(out)
     }
 
-    /// Crypto-erases every target (skipping records already tombstoned) in
-    /// **one** compound transaction under an already-held index lock: the
-    /// escrowed ciphertexts always capture the rows as last committed, no
-    /// writer can interleave between the tombstone writes and the index flag
-    /// flips, and a crash applies either every tombstone or none.  Returns
-    /// the identifiers it tombstoned.
-    ///
-    /// Multi-target cascades additionally log a **local erase intent**
-    /// before the transaction and clear it after: if the staged write set
-    /// ever exceeds one journal transaction (forcing the chunked fallback),
-    /// a crash between chunks is still completed at the next mount instead
-    /// of leaving a copy that outlives its erased original.
-    ///
-    /// The erasure counter and one `Erased` event per tombstoned record are
-    /// recorded after the commit (a crashed erasure is never audited) and
-    /// before the index lock is released, so no scrub pass can audit a
-    /// record's `Reclaimed` ahead of its `Erased`.
-    fn erase_targets_locked(
+    /// Checks one directory of a tree against the index: it holds the
+    /// entry `name` gives each `expected` record, pointing at the record's
+    /// inode, and (a table's schema entry aside) nothing else.
+    fn verify_tree<'a>(
+        &self,
+        dir: Ino,
+        tree: &str,
+        expected: impl Iterator<Item = (PdId, &'a RecordLocation)>,
+        name: impl Fn(PdId, &RecordLocation) -> String,
+    ) -> Result<(), DbfsError> {
+        let mut entries: BTreeMap<String, Ino> = self.fs.dir_entries(dir)?.into_iter().collect();
+        entries.remove(SCHEMA_ENTRY);
+        for (id, location) in expected {
+            if entries.remove(&name(id, location)) != Some(location.ino) {
+                return Err(corrupt(format!("{id} missing from its {tree} tree")));
+            }
+        }
+        match entries.into_keys().next() {
+            None => Ok(()),
+            Some(name) => Err(corrupt(format!(
+                "{tree} tree holds `{name}`, which the index lacks"
+            ))),
+        }
+    }
+
+    /// Crypto-erases the live records among `roots` and in their copy
+    /// closures — snapshotted from the index under the already-held lock, a
+    /// pure memory walk — as one batch of [`WriteOp::Erase`]s through the
+    /// write pipeline, roots first, and returns the ids it tombstoned.  A
+    /// cascade that fits one journal transaction (every one the shipped
+    /// geometries produce) is one group: a crash applies every tombstone or
+    /// none.  A larger one is cut into atomic groups, so multi-target
+    /// cascades log a **local erase intent** before the batch and clear it
+    /// after: a crash between two groups, or an error that ends the batch
+    /// after a prefix, is completed at the next mount instead of leaving a
+    /// copy that outlives its erased original.
+    fn erase_roots_locked(
         &self,
         index: &mut DbfsIndex,
-        targets: &[(DataTypeId, PdId)],
+        roots: &[PdId],
         escrow: &OperatorEscrow,
     ) -> Result<Vec<PdId>, DbfsError> {
-        if targets.is_empty() {
-            return Ok(Vec::new());
-        }
+        let targets = index.erasure_targets(roots);
         let token = if targets.len() > 1 {
             let intent = EraseIntent {
                 targets: targets
@@ -1301,45 +1256,22 @@ impl<D: BlockDevice> Dbfs<D> {
         } else {
             None
         };
-        let tx = self.fs.begin_tx();
-        let mut done: Vec<(PdId, SubjectId)> = Vec::with_capacity(targets.len());
-        for (data_type, id) in targets {
-            let location = index.view.locate(data_type, *id)?;
-            if location.erased {
-                continue;
-            }
-            let mut stored = read_stored(&self.fs, location.ino)?;
-            let plaintext = serde_json::to_vec(stored.row())
-                .map_err(|_| corrupt("row serialization for erasure"))?;
-            stored.erase_with(escrow.erase(&plaintext).encode());
-            let bytes = stored::encode(stored.membrane(), stored.row())?;
-            self.fs.write_replace(location.ino, &bytes)?;
-            done.push((*id, location.subject));
-        }
-        tx.commit()?;
-        for (id, _) in &done {
-            index.mark_erased(*id);
-        }
-        // Publish *after* the tombstones are durable: a reader that sees the
-        // new epoch can rely on the device already holding the erased image.
-        if !done.is_empty() {
-            self.publish_locked(index);
-        }
-        for (id, subject) in &done {
-            DbfsStatsInner::bump(&self.stats.erasures);
-            self.audit.record(
-                self.clock.now(),
-                Some(*subject),
-                AuditEventKind::Erased { pd: *id },
-            );
-        }
+        let ops: Vec<WriteOp<'_>> = targets
+            .iter()
+            .map(|(data_type, id)| WriteOp::Erase {
+                data_type,
+                id: *id,
+                escrow,
+            })
+            .collect();
+        let done = self.commit_ops_locked(index, &ops)?;
         if let Some(token) = token {
             // A crash before this clear is benign: the next mount finds
             // every target already tombstoned, completes nothing and clears
             // the intent itself.
             self.clear_erase_intent_locked(index, token)?;
         }
-        Ok(done.into_iter().map(|(id, _)| id).collect())
+        Ok(done)
     }
 
     /// The `(table, id)` pairs of a subject's *live* records, resolved purely
@@ -1474,11 +1406,10 @@ impl<D: BlockDevice> Dbfs<D> {
     }
 
     /// Completes **local** erase intents left behind by a crash: a cascade
-    /// whose compound transaction spilled past one journal transaction is
-    /// re-driven to completion with an escrow rebuilt from the intent's
-    /// authority key, so no copy ever outlives its erased original even
-    /// beyond the single-transaction capacity bound.  Routed intents are
-    /// left for the routing layer that wrote them.
+    /// interrupted between two of its groups is re-driven to completion
+    /// with an escrow rebuilt from the intent's authority key, so no copy
+    /// outlives its erased original however large the cascade.  Routed
+    /// intents are left for the routing layer that wrote them.
     fn recover_local_intents(&self) -> Result<(), DbfsError> {
         for (token, intent) in self.pending_erase_intents()? {
             if intent.routed {
@@ -1488,16 +1419,11 @@ impl<D: BlockDevice> Dbfs<D> {
                 .map_err(|_| corrupt("erase intent carries an invalid authority key"))?;
             let escrow = OperatorEscrow::new(public);
             for (type_name, raw) in &intent.targets {
-                let id = PdId::new(*raw);
                 let data_type = DataTypeId::from(type_name.as_str());
-                match self.load_membrane(&data_type, id) {
-                    Ok(membrane) if !membrane.is_erased() => {
-                        self.erase(&data_type, id, &escrow)?;
-                    }
-                    Ok(_) => {}
-                    // The target never reached the disk (its insert was lost
-                    // in the same crash, or rolled back as debris).
-                    Err(DbfsError::UnknownPd { .. }) | Err(DbfsError::UnknownType { .. }) => {}
+                // A target already tombstoned is skipped; one that no
+                // longer exists has nothing left to erase.
+                match self.erase(&data_type, PdId::new(*raw), &escrow) {
+                    Ok(_) | Err(DbfsError::UnknownPd { .. } | DbfsError::UnknownType { .. }) => {}
                     Err(e) => return Err(e),
                 }
             }
@@ -1581,7 +1507,7 @@ impl<D: BlockDevice> Dbfs<D> {
         {
             let mut index = self.lock_index();
             // Tombstones named by a pending intent are still part of an
-            // in-flight erasure (a chunked local cascade or a routed
+            // in-flight erasure (a local cascade between groups or a routed
             // cross-shard erasure): never reclaim them.
             let pending: BTreeSet<PdId> = match index.intents_ino {
                 Some(ino) => self
@@ -1673,11 +1599,9 @@ impl<D: BlockDevice> Dbfs<D> {
         self.publish_locked(index);
         let free = || -> Result<(), DbfsError> {
             let tx = self.fs.begin_tx();
-            self.fs.dir_remove(table_ino, &format!("pd-{}", id.raw()))?;
-            self.fs.dir_remove(
-                subject_ino,
-                &format!("{}#pd-{}", location.data_type, id.raw()),
-            )?;
+            self.fs.dir_remove(table_ino, &id.to_string())?;
+            self.fs
+                .dir_remove(subject_ino, &subject_entry(&location.data_type, id))?;
             self.fs.free_inode(location.ino)?;
             Ok(tx.commit()?)
         };
@@ -1990,10 +1914,12 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
     /// The record's payload is encrypted under the authority's public key
     /// and the membrane is marked erased (§4).  The lineage closure comes
     /// from the reverse copy-lineage index without any disk scan, and the
-    /// **whole cascade is one compound transaction**: a crash at any write
-    /// index either tombstones the record and every copy, or none of them.
-    /// A copy can therefore never outlive its erased original across a
-    /// power loss.  Already-erased items are not listed in the result.
+    /// cascade goes through the write pipeline under the same index-lock
+    /// hold (`Dbfs::erase_roots_locked`): whatever write a crash hits, the
+    /// next mount ends with the record and every copy tombstoned, or none
+    /// of them.  A copy can therefore never outlive its erased original
+    /// across a power loss.  Already-erased items are not listed in the
+    /// result.
     fn erase(
         &self,
         data_type: &DataTypeId,
@@ -2003,16 +1929,12 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         let _timer = self.op_timer("erase");
         let mut index = self.lock_index();
         index.view.locate(data_type, id)?;
-        // The record (unless already a tombstone) and its lineage closure,
-        // snapshotted from the index — a pure in-memory walk, so no disk
-        // I/O happens before the write set is known.
-        let targets = index.erasure_targets(&[id]);
-        self.erase_targets_locked(&mut index, &targets, escrow)
+        self.erase_roots_locked(&mut index, &[id], escrow)
     }
 
-    /// **One** compound transaction for the subject's records and every
-    /// transitive lineage copy (copies carry their original's subject, so
-    /// the closure stays within the subject's id set).
+    /// One cascade, as for [`PdStore::erase`], over the subject's records
+    /// and every transitive lineage copy (copies carry their original's
+    /// subject, so the closure stays within the subject's id set).
     fn erase_subject(
         &self,
         subject: SubjectId,
@@ -2022,8 +1944,7 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         let mut index = self.lock_index();
         let live = index.view.live_locations(index.view.subject_ids(subject));
         let roots: Vec<PdId> = live.map(|(id, _)| id).collect();
-        let targets = index.erasure_targets(&roots);
-        self.erase_targets_locked(&mut index, &targets, escrow)
+        self.erase_roots_locked(&mut index, &roots, escrow)
     }
 
     /// The candidates come from the expiry index, so the sweep only ever
@@ -2176,15 +2097,19 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
     }
 
     /// Checks the derived indexes against the primary record map (the
-    /// index module's own `verify`) and the primary map against the
-    /// membrane headers on disk, under the index lock from start to end, so
-    /// no writer can make the index and the disk disagree while they are
-    /// compared.
+    /// index module's own `verify`), the primary map against the membrane
+    /// headers on disk, and the two on-disk trees against the primary map:
+    /// every record has exactly its `pd-<id>` table entry and its
+    /// `<type>#pd-<id>` subject entry, both naming its inode, and neither
+    /// tree holds an entry the index lacks.  All under the index lock from
+    /// start to end, so no writer can make the index and the disk disagree
+    /// while they are compared.
     fn verify_index_invariants(&self) -> Result<(), DbfsError> {
         let index = self.lock_index();
         index.verify()?;
+        let view = &index.view;
         // The indexed locations agree with the membrane headers on disk.
-        for (id, loc) in index.view.records.iter() {
+        for (id, loc) in view.records.iter() {
             let membrane = read_membrane_from(&self.fs, loc.ino)?;
             if membrane.subject() != loc.subject
                 || membrane.is_erased() != loc.erased
@@ -2195,6 +2120,15 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
             if membrane.expiry_instant() != loc.expires_at {
                 return Err(corrupt(format!("{id} expiry disagrees with its membrane")));
             }
+        }
+        for (data_type, &dir) in view.tables.iter() {
+            let records = view.locations(view.table_ids(data_type));
+            self.verify_tree(dir, "table", records, |id, _| id.to_string())?;
+        }
+        for (&subject, &dir) in view.subjects.iter() {
+            let records = view.locations(view.subject_ids(subject));
+            let name = |id, loc: &RecordLocation| subject_entry(&loc.data_type, id);
+            self.verify_tree(dir, "subject", records, name)?;
         }
         Ok(())
     }
@@ -2241,6 +2175,7 @@ mod tests {
     use rgpdos_core::{AccessDecision, ConsentDecision, Duration, PurposeId};
     use rgpdos_crypto::escrow::Authority;
     use rgpdos_dsl::compile_type_declarations;
+    use rgpdos_inode::InodeError;
 
     fn dbfs() -> Dbfs<Arc<MemDevice>> {
         let device = Arc::new(MemDevice::new(8192, 512));
@@ -2406,6 +2341,41 @@ mod tests {
         assert_eq!(name_of(1).as_deref(), Some("ok-2"));
         assert_eq!(name_of(2).as_deref(), Some("after"));
         dbfs.verify_index_invariants().unwrap();
+    }
+
+    #[test]
+    fn an_op_too_large_for_one_group_fails_like_any_other() {
+        // A 16-block journal holds an ordinary insert; a 4 KiB row is
+        // eight data blocks more and does not fit.
+        let device = Arc::new(MemDevice::new(8192, 512));
+        let mut params = DbfsParams::small();
+        params.inode_params.journal_blocks = 16;
+        let dbfs = Dbfs::format(device, params).unwrap();
+        dbfs.create_type(listing1_user_schema()).unwrap();
+        let capacity = dbfs.inode_fs().tx_capacity_blocks();
+        let rows = vec![
+            (SubjectId::new(1), user_row("ok-1", 1980)),
+            (SubjectId::new(2), user_row("ok-2", 1981)),
+            (SubjectId::new(3), user_row(&"x".repeat(4096), 1982)),
+            (SubjectId::new(4), user_row("never", 1983)),
+        ];
+        match dbfs.collect_many(&"user".into(), rows) {
+            Err(DbfsError::Inode(InodeError::TxTooLarge {
+                staged,
+                capacity: bound,
+            })) => assert!(staged > capacity && bound == capacity),
+            other => panic!("expected the oversize insert to be refused, got {other:?}"),
+        }
+        // The prefix committed, the oversize row left nothing behind — not
+        // in the index, not in either tree, not in the allocation bitmaps.
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
+        assert_eq!(dbfs.stats().collects, 2);
+        dbfs.verify_index_invariants().unwrap();
+        assert!(dbfs.inode_fs().leaked_data_blocks().unwrap().is_empty());
+        let next = dbfs
+            .collect(&"user".into(), SubjectId::new(9), user_row("after", 1990))
+            .unwrap();
+        assert_eq!(next.raw(), 2);
     }
 
     #[test]

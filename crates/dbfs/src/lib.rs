@@ -44,7 +44,8 @@
 //! contributes to them is defined once (`keys_of` in the private `index`
 //! module): every index mutation, the mount rebuild and
 //! [`PdStore::verify_index_invariants`] go through that one statement; the
-//! checker then compares the primary map with the on-disk headers.  The
+//! checker then compares the primary map with the on-disk headers and with
+//! the entries of both trees.  The
 //! obligation over the lineage — no copy outlives its erased original — is
 //! one function too, [`erased_ancestor`], shared by the insert guard here,
 //! the shard router and the crash-matrix oracle.
@@ -60,7 +61,8 @@
 //! savepoint: a failing op is un-staged and ends the batch with the ops
 //! before it committed, and a group is cut at the inode journal's
 //! capacity bound so each group — and therefore each
-//! record — stays crash-atomic.
+//! record — stays crash-atomic; an op too large for a group of its own is
+//! refused.  Erasure cascades are batches through the same pipeline.
 //!
 //! ## Reads: one checked read
 //!

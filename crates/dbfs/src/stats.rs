@@ -49,7 +49,7 @@ pub struct DbfsStats {
     pub queries: u64,
     /// Inode-layer journal transactions replayed at mount (crash recovery).
     pub journal_replays: u64,
-    /// DBFS-level recovery actions: mount-time tree repairs, counter heals
+    /// DBFS-level recovery actions: mount-time identifier-counter heals
     /// and completed erase intents performed on this instance's behalf.
     pub recovered_txs: u64,
 }

@@ -6,17 +6,6 @@ use rgpdos_blockdev::BlockDevice;
 use rgpdos_inode::fs::ROOT_INO;
 use rgpdos_inode::{FormatParams, Ino, InodeFs, InodeKind, JournalMode};
 
-/// Metadata returned by [`FileFs::stat`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FileStat {
-    /// Size in bytes (0 for directories).
-    pub size: u64,
-    /// Whether the path is a directory.
-    pub is_directory: bool,
-    /// The underlying inode number.
-    pub ino: Ino,
-}
-
 /// A traditional file-based filesystem: files and directories addressed by
 /// path, conventional (residue-prone) deletion semantics by default.
 #[derive(Debug)]
@@ -103,25 +92,6 @@ impl<D: BlockDevice> FileFs<D> {
         Ok(())
     }
 
-    /// Returns metadata for a path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] when the path does not exist.
-    pub fn stat(&self, path: &str) -> Result<FileStat, FsError> {
-        let ino = self.resolve(path)?;
-        let inode = self.inner.stat(ino)?;
-        Ok(FileStat {
-            size: if inode.kind == InodeKind::Directory {
-                0
-            } else {
-                inode.size
-            },
-            is_directory: inode.kind == InodeKind::Directory,
-            ino,
-        })
-    }
-
     /// Returns `true` if the path exists.
     pub fn exists(&self, path: &str) -> bool {
         self.resolve(path).is_ok()
@@ -161,16 +131,6 @@ impl<D: BlockDevice> FileFs<D> {
         Ok(self.inner.read_all(ino)?)
     }
 
-    /// Reads a byte range of a file.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FileFs::write`].
-    pub fn read_range(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>, FsError> {
-        let ino = self.resolve_file(path)?;
-        Ok(self.inner.read(ino, offset, len)?)
-    }
-
     /// Deletes a file.  With the default (conventional) format parameters the
     /// freed blocks and journal records still hold the bytes — which is the
     /// precise behaviour the paper's Fig. 2 critique relies on.
@@ -197,25 +157,6 @@ impl<D: BlockDevice> FileFs<D> {
         self.inner.dir_remove(dir, file_name[0])?;
         self.inner.free_inode(ino)?;
         Ok(())
-    }
-
-    /// Lists the entries of a directory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] when the directory does not exist.
-    pub fn list(&self, path: &str) -> Result<Vec<String>, FsError> {
-        let ino = if path == "/" {
-            ROOT_INO
-        } else {
-            self.resolve(path)?
-        };
-        Ok(self
-            .inner
-            .dir_entries(ino)?
-            .into_iter()
-            .map(|(name, _)| name)
-            .collect())
     }
 
     // ------------------------------------------------------------------
@@ -286,8 +227,6 @@ mod tests {
         fs.create("/notes.txt").unwrap();
         fs.write("/notes.txt", b"non personal note").unwrap();
         assert_eq!(fs.read("/notes.txt").unwrap(), b"non personal note");
-        assert_eq!(fs.stat("/notes.txt").unwrap().size, 17);
-        assert!(!fs.stat("/notes.txt").unwrap().is_directory);
         assert!(fs.exists("/notes.txt"));
         assert!(!fs.exists("/missing.txt"));
     }
@@ -302,9 +241,7 @@ mod tests {
             fs.read("/var/log/app/service.log").unwrap(),
             b"line 1\nline 2\n"
         );
-        assert!(fs.stat("/var/log").unwrap().is_directory);
-        assert_eq!(fs.list("/var/log").unwrap(), vec!["app".to_string()]);
-        assert_eq!(fs.list("/").unwrap(), vec!["var".to_string()]);
+        assert!(fs.exists("/var/log"));
     }
 
     #[test]
@@ -315,14 +252,6 @@ mod tests {
             fs.create("/a"),
             Err(FsError::AlreadyExists { .. })
         ));
-    }
-
-    #[test]
-    fn read_range() {
-        let fs = fs();
-        fs.create("/f").unwrap();
-        fs.write("/f", b"0123456789").unwrap();
-        assert_eq!(fs.read_range("/f", 3, 4).unwrap(), b"3456");
     }
 
     #[test]
@@ -410,6 +339,6 @@ mod tests {
         let fs = fs();
         assert!(matches!(fs.create("//"), Err(FsError::BadPath { .. })));
         assert!(matches!(fs.read("/"), Err(FsError::BadPath { .. })));
-        assert!(matches!(fs.stat(""), Err(FsError::BadPath { .. })));
+        assert!(matches!(fs.write("", b"x"), Err(FsError::BadPath { .. })));
     }
 }

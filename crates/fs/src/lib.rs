@@ -38,5 +38,4 @@ pub mod file_fs;
 pub mod path;
 
 pub use error::FsError;
-pub use file_fs::{FileFs, FileStat};
-pub use path::normalize_path;
+pub use file_fs::FileFs;

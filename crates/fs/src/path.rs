@@ -1,4 +1,4 @@
-//! Path normalisation and splitting.
+//! Path splitting.
 
 use crate::error::FsError;
 
@@ -30,15 +30,6 @@ pub fn split_path(path: &str) -> Result<Vec<&str>, FsError> {
     Ok(components)
 }
 
-/// Normalises a path to its canonical absolute form (`/a/b/c`).
-///
-/// # Errors
-///
-/// Returns [`FsError::BadPath`] for invalid paths.
-pub fn normalize_path(path: &str) -> Result<String, FsError> {
-    Ok(format!("/{}", split_path(path)?.join("/")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,12 +46,5 @@ mod tests {
         for bad in ["", "/", "//", "/a//b", "a/./b", "a/../b"] {
             assert!(split_path(bad).is_err(), "{bad} should be rejected");
         }
-    }
-
-    #[test]
-    fn normalizes() {
-        assert_eq!(normalize_path("a/b").unwrap(), "/a/b");
-        assert_eq!(normalize_path("/a/b").unwrap(), "/a/b");
-        assert!(normalize_path("/").is_err());
     }
 }

@@ -44,6 +44,14 @@ pub enum InodeError {
         /// The maximum supported size.
         max: u64,
     },
+    /// A compound transaction staged more blocks than one journal
+    /// transaction holds, so it could not commit atomically and was aborted.
+    TxTooLarge {
+        /// Distinct blocks the transaction had staged.
+        staged: usize,
+        /// [`InodeFs::tx_capacity_blocks`](crate::InodeFs::tx_capacity_blocks).
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for InodeError {
@@ -64,6 +72,10 @@ impl fmt::Display for InodeError {
             InodeError::FileTooLarge { requested, max } => {
                 write!(f, "file would grow to {requested} bytes, maximum is {max}")
             }
+            InodeError::TxTooLarge { staged, capacity } => write!(
+                f,
+                "transaction stages {staged} blocks, one journal transaction holds {capacity}"
+            ),
         }
     }
 }
@@ -109,6 +121,10 @@ mod tests {
             InodeError::FileTooLarge {
                 requested: 10,
                 max: 5,
+            },
+            InodeError::TxTooLarge {
+                staged: 10,
+                capacity: 5,
             },
         ] {
             assert!(!e.to_string().is_empty());

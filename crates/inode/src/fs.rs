@@ -190,16 +190,16 @@ pub struct Transaction<'a, D: BlockDevice> {
 }
 
 impl<D: BlockDevice> Transaction<'_, D> {
-    /// Journals and applies every staged write.  The set is crash-atomic as
-    /// long as it fits one journal transaction (see
-    /// [`InodeFs::tx_capacity_blocks`]); larger sets fall back to chunked
-    /// commits, whose partial application is repaired by the mount-time
-    /// recovery of the layers above.
+    /// Journals and applies every staged write as **one** journal
+    /// transaction: after a crash the device holds all of them or none.
     ///
     /// # Errors
     ///
-    /// Propagates device errors; a failed commit may leave a journalled but
-    /// unapplied transaction, which the next mount replays.
+    /// [`InodeError::TxTooLarge`] when more blocks are staged than
+    /// [`InodeFs::tx_capacity_blocks`]: the transaction is aborted as if
+    /// dropped, nothing reaches the device.  Propagates device errors; a
+    /// failed commit may leave a journalled but unapplied transaction, which
+    /// the next mount replays.
     pub fn commit(mut self) -> Result<(), InodeError> {
         self.committed = true;
         self.fs.commit_tx()
@@ -524,11 +524,13 @@ impl<D: BlockDevice> InodeFs<D> {
     /// Opens a compound transaction: every mutation performed until the
     /// returned guard is committed stages its block writes in an in-memory
     /// overlay instead of touching the device.  [`Transaction::commit`]
-    /// journals and applies the whole set — in **one** journal transaction
-    /// when it fits [`InodeFs::tx_capacity_blocks`], making the compound
-    /// mutation crash-atomic.  Dropping the guard aborts: the device is left
-    /// untouched and the in-memory allocation bitmaps are restored to their
-    /// `begin_tx` snapshot.
+    /// journals and applies the whole set in **one** journal transaction,
+    /// making the compound mutation crash-atomic, and refuses a set larger
+    /// than [`InodeFs::tx_capacity_blocks`].  (Only a mutating call made
+    /// *outside* a transaction — a plain-file `write` or `truncate` — may
+    /// span several journal transactions.)  Dropping the guard aborts: the
+    /// device is left untouched and the in-memory allocation bitmaps are
+    /// restored to their `begin_tx` snapshot.
     ///
     /// The caller must serialize transactions externally (DBFS runs every
     /// mutation under its index lock); reads concurrent with an open
@@ -557,9 +559,9 @@ impl<D: BlockDevice> InodeFs<D> {
         }
     }
 
-    /// How many distinct blocks a compound transaction can carry while
-    /// staying crash-atomic (one journal transaction): bounded by the
-    /// journal header's target list and by the journal size itself.
+    /// How many distinct blocks a compound transaction can carry (one
+    /// journal transaction): bounded by the journal header's target list
+    /// and by the journal size itself.
     pub fn tx_capacity_blocks(&self) -> usize {
         max_targets_per_tx(self.layout.block_size)
             .min((self.layout.journal_blocks.saturating_sub(2)) as usize)
@@ -631,15 +633,17 @@ impl<D: BlockDevice> InodeFs<D> {
     }
 
     fn commit_tx(&self) -> Result<(), InodeError> {
+        let (staged, capacity) = (self.tx_staged_blocks(), self.tx_capacity_blocks());
+        if staged > capacity {
+            self.abort_tx();
+            return Err(InodeError::TxTooLarge { staged, capacity });
+        }
         let staged = self
             .tx
             .lock()
             .take()
             .expect("commit_tx requires an open transaction");
         let writes: Vec<(u64, Vec<u8>)> = staged.overlay.into_iter().collect();
-        if writes.is_empty() {
-            return Ok(());
-        }
         let mut state = self.state.lock();
         self.commit_writes_journaled(&mut state, writes)
     }
@@ -1242,9 +1246,6 @@ impl<D: BlockDevice> InodeFs<D> {
         state: &mut FsState,
         writes: Vec<(u64, Vec<u8>)>,
     ) -> Result<(), InodeError> {
-        if writes.is_empty() {
-            return Ok(());
-        }
         {
             let mut tx = self.tx.lock();
             if let Some(staged) = tx.as_mut() {
@@ -1260,8 +1261,9 @@ impl<D: BlockDevice> InodeFs<D> {
         self.commit_writes_journaled(state, writes)
     }
 
-    /// Journals and applies a set of block writes as one or more atomic
-    /// journal transactions.
+    /// Journals and applies a set of block writes as atomic journal
+    /// transactions: one for a compound transaction (`commit_tx` refuses a
+    /// larger set), as many as it takes for a single call outside one.
     fn commit_writes_journaled(
         &self,
         state: &mut FsState,
@@ -1271,10 +1273,8 @@ impl<D: BlockDevice> InodeFs<D> {
             return Ok(());
         }
         let block_size = self.layout.block_size;
-        let journal_capacity = (self.layout.journal_blocks.saturating_sub(2)) as usize;
-        let chunk_size = max_targets_per_tx(block_size).min(journal_capacity).max(1);
         let trace = self.trace.get();
-        for chunk in writes.chunks(chunk_size) {
+        for chunk in writes.chunks(self.tx_capacity_blocks()) {
             let commit_span = trace.map(|t| t.tracer.span("fs_commit"));
             let commit_start = trace.map(|t| t.clock.now_us());
             let needed = chunk.len() as u64 + 2;
@@ -2051,6 +2051,42 @@ mod tests {
         let b = fs.alloc_inode(InodeKind::File).unwrap();
         fs.write(b, 0, b"two").unwrap();
         assert_eq!(fs.journal_txs(), before + 3);
+    }
+
+    #[test]
+    fn oversize_compound_tx_is_refused_and_aborted() {
+        let fs = small_fs();
+        let capacity = fs.tx_capacity_blocks();
+        let a = fs.alloc_inode(InodeKind::File).unwrap();
+        let before = fs.allocated_blocks();
+        let big = vec![0xAB; 20 * 256];
+
+        let tx = fs.begin_tx();
+        fs.write(a, 0, &big).unwrap();
+        let staged = fs.tx_staged_blocks();
+        assert!(staged > capacity);
+        assert_eq!(
+            tx.commit(),
+            Err(InodeError::TxTooLarge { staged, capacity })
+        );
+        // Aborted exactly like a dropped guard: nothing written, every
+        // allocation undone.
+        assert_eq!(fs.stat(a).unwrap().size, 0);
+        assert_eq!(fs.allocated_blocks(), before);
+        assert!(fs.leaked_data_blocks().unwrap().is_empty());
+
+        // The refusal closed the transaction; the next one works.
+        let tx = fs.begin_tx();
+        fs.write(a, 0, b"fits").unwrap();
+        tx.commit().unwrap();
+        assert_eq!(fs.read_all(a).unwrap(), b"fits");
+
+        // Outside a transaction the same call keeps its plain-file
+        // semantics and spans as many journal transactions as it takes.
+        let txs = fs.journal_txs();
+        fs.write(a, 0, &big).unwrap();
+        assert!(fs.journal_txs() - txs > 1);
+        assert_eq!(fs.read_all(a).unwrap(), big);
     }
 
     #[test]

@@ -1056,7 +1056,7 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// 2. the full target list is persisted as an [`EraseIntent`] on the
     ///    root's shard **before any tombstone is written**, then each
     ///    involved shard performs its crypto-erasures (each shard's cascade
-    ///    is one compound transaction) and the intent is cleared.
+    ///    is one batch through its write pipeline) and the intent is cleared.
     ///
     /// A crash before the intent write leaves the deployment untouched (a
     /// clean abort); a crash after it is **completed** at the next

@@ -1,63 +1,37 @@
-//! The pluggable time source behind every latency measurement.
+//! The time source behind every latency measurement.
 //!
 //! The bench stack models device time (`sim_io_us`) instead of sleeping, so
 //! a wall clock would read near-zero for every operation and — worse —
 //! would make two identical runs produce different snapshots.  The trace
-//! layer therefore times everything against a [`TraceClock`]:
+//! layer therefore times everything against a [`TraceClock`]: a microsecond
+//! counter advanced explicitly by the instrumented device as it models I/O
+//! cost.  Deterministic: identical runs read identical timestamps.
 //!
-//! * [`TraceClock::sim`] — a microsecond counter advanced explicitly by the
-//!   instrumented device as it models I/O cost.  Deterministic: identical
-//!   runs read identical timestamps.
-//! * [`TraceClock::monotonic`] — the process monotonic clock, for real
-//!   deployments; `advance_us` is a no-op.
-//!
-//! Both feed the same histograms through the same call sites: code records
-//! `now_us()` before an operation and the delta after it, and in simulated
-//! mode the delta is exactly the modeled device cost of that operation.
+//! Code records `now_us()` before an operation and the delta after it; the
+//! delta is exactly the modeled device cost of that operation.  (Wall-clock
+//! time is `rgpdbench`'s business: it wraps the store in its own spans.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// A microsecond clock that is either simulated (explicitly advanced) or
-/// the process monotonic clock.
-#[derive(Debug)]
-pub enum TraceClock {
-    /// Simulated time in microseconds, advanced by the device model.
-    Sim(AtomicU64),
-    /// Real monotonic time, measured from construction.
-    Monotonic(Instant),
-}
+/// A simulated microsecond clock, advanced by the device model.
+#[derive(Debug, Default)]
+pub struct TraceClock(AtomicU64);
 
 impl TraceClock {
     /// A simulated clock starting at 0 µs.
     pub fn sim() -> Arc<Self> {
-        Arc::new(TraceClock::Sim(AtomicU64::new(0)))
-    }
-
-    /// A real monotonic clock starting at construction time.
-    pub fn monotonic() -> Arc<Self> {
-        Arc::new(TraceClock::Monotonic(Instant::now()))
+        Arc::default()
     }
 
     /// Current reading in microseconds.
     pub fn now_us(&self) -> u64 {
-        match self {
-            TraceClock::Sim(us) => us.load(Ordering::Relaxed),
-            TraceClock::Monotonic(start) => start.elapsed().as_micros() as u64,
-        }
+        self.0.load(Ordering::Relaxed)
     }
 
-    /// Advances a simulated clock; no-op on a monotonic clock.
+    /// Advances the clock.
     pub fn advance_us(&self, us: u64) {
-        if let TraceClock::Sim(counter) = self {
-            counter.fetch_add(us, Ordering::Relaxed);
-        }
-    }
-
-    /// Returns `true` for the simulated variant.
-    pub fn is_sim(&self) -> bool {
-        matches!(self, TraceClock::Sim(_))
+        self.0.fetch_add(us, Ordering::Relaxed);
     }
 }
 
@@ -68,20 +42,9 @@ mod tests {
     #[test]
     fn sim_clock_is_explicit() {
         let c = TraceClock::sim();
-        assert!(c.is_sim());
         assert_eq!(c.now_us(), 0);
         c.advance_us(30);
         c.advance_us(12);
         assert_eq!(c.now_us(), 42);
-    }
-
-    #[test]
-    fn monotonic_clock_ignores_advance() {
-        let c = TraceClock::monotonic();
-        assert!(!c.is_sim());
-        let before = c.now_us();
-        c.advance_us(1_000_000);
-        // Advancing did nothing; time only moves with the real clock.
-        assert!(c.now_us() < before + 1_000_000);
     }
 }

@@ -11,9 +11,8 @@
 //!   and exact p50/p90/p99/p999 readout for microsecond-scale samples;
 //! * lightweight span tracing ([`Tracer`]) with parent/child nesting and a
 //!   bounded ring-buffer recorder;
-//! * a pluggable [`TraceClock`] so the bench's simulated-time model and a
-//!   real monotonic clock feed the same histograms through the same call
-//!   sites — deterministically in the simulated case;
+//! * a simulated-time [`TraceClock`], advanced by the device model, so
+//!   identical runs record identical latencies;
 //! * a versioned [`MetricsSnapshot`] (JSON + text) whose pinned schema is
 //!   validated in CI.
 //!
@@ -52,23 +51,15 @@ pub struct TraceCtx {
 }
 
 impl TraceCtx {
-    /// A context over an explicit clock, with the default span capacity.
-    pub fn new(clock: Arc<TraceClock>) -> Self {
+    /// A deterministic simulated-time context with the default span
+    /// capacity.
+    pub fn sim() -> Self {
+        let clock = TraceClock::sim();
         Self {
             registry: Arc::new(Registry::new()),
             tracer: Arc::new(Tracer::new(Arc::clone(&clock))),
             clock,
         }
-    }
-
-    /// A deterministic simulated-time context (the bench default).
-    pub fn sim() -> Self {
-        Self::new(TraceClock::sim())
-    }
-
-    /// A real-time context for live deployments.
-    pub fn monotonic() -> Self {
-        Self::new(TraceClock::monotonic())
     }
 
     /// Freezes every instrument and the span ring into a snapshot stamped

@@ -9,8 +9,8 @@ use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{DataTypeId, Membrane, PdId, Row, SubjectId, Timestamp};
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
 use rgpdos::crypto::EscrowedCiphertext;
-use rgpdos::dbfs::{Dbfs, DbfsParams, EraseIntent, PdStore, QueryRequest};
-use rgpdos::inode::InodeKind;
+use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams, EraseIntent, PdStore, QueryRequest};
+use rgpdos::inode::{InodeError, InodeKind};
 use rgpdos::shard::ShardedDbfs;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -114,22 +114,21 @@ fn dbfs_mutations_are_crash_atomic_at_every_write_index() {
     }
 }
 
-/// Regression for the pre-fix hole: before inserts were one compound
-/// transaction, a crash mid-`collect` could leave a record reachable from
-/// the *table* tree but absent from the *subject* tree — `erase_subject`
-/// and the right of access would silently miss it.  Mount-time recovery
-/// now re-links the record and heals the id counter, and reports the work
-/// in `DbfsStats::recovered_txs`.
+/// Every mutation of the two trees is one journal transaction, so nothing
+/// the store does can leave a record in one tree only — the state is forged
+/// here.  Mount does not repair it (a repair would hide an atomicity bug
+/// from the crash matrix): the image mounts, the index checker names the
+/// record its subject tree lacks, and the id counter — healed so that no id
+/// on disk is ever handed out again — is the one thing mount fixes.
 #[test]
-fn mount_heals_a_single_tree_insert_and_counts_the_repair() {
+fn a_record_in_one_tree_only_mounts_and_fails_the_index_check() {
     let device = Arc::new(MemDevice::new(16_384, 512));
     {
         let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
         dbfs.create_type(listing1_user_schema()).unwrap();
         dbfs.collect(&"user".into(), SubjectId::new(4), user_row("intact"))
             .unwrap();
-        // Forge the torn state the old multi-op insert left behind: a
-        // record linked into the table tree only, with a stale id counter.
+        // A record linked into the table tree only, with a stale id counter.
         let fs = dbfs.inode_fs();
         let tables = fs
             .dir_lookup(rgpdos::inode::fs::ROOT_INO, "tables")
@@ -148,22 +147,18 @@ fn mount_heals_a_single_tree_insert_and_counts_the_repair() {
     }
 
     let dbfs = Dbfs::mount(Arc::clone(&device)).unwrap();
-    let stats = dbfs.stats();
-    assert!(
-        stats.recovered_txs >= 2,
-        "subject re-link and counter heal are counted (got {})",
-        stats.recovered_txs
-    );
-    dbfs.verify_index_invariants().unwrap();
-    // The healed record is reachable subject-wide again.
-    let records = dbfs.records_of_subject(SubjectId::new(4)).unwrap();
-    assert_eq!(records.len(), 2);
-    // The counter was healed past the torn id: no collision.
+    assert_eq!(dbfs.stats().recovered_txs, 1, "the counter heal, only");
+    match dbfs.verify_index_invariants() {
+        Err(DbfsError::Corrupt { what }) => {
+            assert_eq!(what, "pd-5 missing from its subject tree");
+        }
+        other => panic!("expected the split trees to be reported, got {other:?}"),
+    }
+    // The counter was healed past the forged id: no collision.
     let fresh = dbfs
         .collect(&"user".into(), SubjectId::new(4), user_row("fresh"))
         .unwrap();
     assert!(fresh.raw() > 5);
-    dbfs.verify_index_invariants().unwrap();
 }
 
 /// At least one crash point in an insert sweep lands between the journal
@@ -473,4 +468,36 @@ fn erase_intents_persist_across_remount() {
         })
         .unwrap();
     assert!(next > token);
+}
+
+/// An intent too large for one journal transaction is refused before
+/// anything is written.  (It used to be written in chunks, and a crash
+/// between two of them left an intent log no mount could decode.)
+#[test]
+fn an_oversize_erase_intent_is_refused_and_leaves_the_log_intact() {
+    let device = Arc::new(MemDevice::new(16_384, 512));
+    // Ten journal blocks just fit `format` and `create_type`.
+    let mut params = DbfsParams::small();
+    params.inode_params = params.inode_params.with_journal_blocks(10);
+    let probe = FaultyDevice::new(Arc::clone(&device), FaultScript::none());
+    let cell = probe.cell();
+    let dbfs = Dbfs::format(probe, params).unwrap();
+    dbfs.create_type(listing1_user_schema()).unwrap();
+    let intent = |targets: u64| EraseIntent {
+        targets: (0..targets).map(|id| ("user".to_owned(), id)).collect(),
+        escrow_key: Authority::generate(5).public_key().element(),
+        routed: true,
+    };
+    let token = dbfs.put_erase_intent(&intent(2)).unwrap();
+    let (writes, refused) = cell.writes_between(|| dbfs.put_erase_intent(&intent(1_000)));
+    assert!(matches!(
+        refused,
+        Err(DbfsError::Inode(InodeError::TxTooLarge { .. }))
+    ));
+    assert_eq!(writes, 0, "a refusal writes nothing");
+    assert_eq!(dbfs.pending_erase_intents().unwrap(), [(token, intent(2))]);
+    drop(dbfs);
+    let dbfs = Dbfs::mount(device).unwrap();
+    assert_eq!(dbfs.pending_erase_intents().unwrap(), [(token, intent(2))]);
+    dbfs.verify_index_invariants().unwrap();
 }
