@@ -11,7 +11,9 @@
 //!   shard router's directory and the crash-matrix oracle.
 //!
 //! The subject, expiry and lineage indexes are flat `(key, id)` sets read
-//! by range scan.  All copy-on-write ([`Arc::make_mut`]) happens here.
+//! by range scan.  Everything a snapshot shares with the writer is a
+//! [`PMap`], the persistent ordered map defined here, so a publish copies
+//! nothing and the first mutation after it copies one leaf and the spine.
 
 use crate::dbfs::{corrupt, unknown_type, IdAllocation};
 use crate::error::DbfsError;
@@ -19,8 +21,170 @@ use rgpdos_core::{
     DataTypeId, DataTypeSchema, Membrane, PdId, SchemaRegistry, SubjectId, Timestamp,
 };
 use rgpdos_inode::Ino;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
+
+/// Most entries a [`PMap`] leaf holds.
+const LEAF: usize = 64;
+
+/// A persistent ordered map: a spine of `Arc`'d sorted leaves of at most
+/// [`LEAF`] entries each, both copy-on-write.  `clone` is two words and
+/// shares everything; a mutation of a shared map copies the leaf it lands in
+/// and the spine of leaf pointers, and every other leaf stays shared with
+/// the clones taken before.  No leaf is empty.
+#[derive(Debug)]
+pub(crate) struct PMap<K, V> {
+    leaves: Arc<Vec<Leaf<K, V>>>,
+    len: usize,
+}
+
+type Leaf<K, V> = Arc<Vec<(K, V)>>;
+
+/// A persistent ordered set, [`PMap`] with nothing filed under the keys.
+pub(crate) type PSet<K> = PMap<K, ()>;
+
+impl<K, V> Clone for PMap<K, V> {
+    fn clone(&self) -> Self {
+        Self {
+            leaves: Arc::clone(&self.leaves),
+            len: self.len,
+        }
+    }
+}
+
+impl<K, V> Default for PMap<K, V> {
+    fn default() -> Self {
+        Self {
+            leaves: Arc::default(),
+            len: 0,
+        }
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> PMap<K, V> {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Where `key` is or would go: the last leaf that starts at or before
+    /// it (the first leaf for a key below every other), and the
+    /// `binary_search` outcome inside that leaf.
+    fn position(&self, key: &K) -> (usize, Result<usize, usize>) {
+        let at = self.leaves.partition_point(|leaf| leaf[0].0 <= *key);
+        let at = at.saturating_sub(1);
+        let within = self
+            .leaves
+            .get(at)
+            .map_or(Err(0), |leaf| leaf.binary_search_by(|(k, _)| k.cmp(key)));
+        (at, within)
+    }
+
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        let (at, within) = self.position(key);
+        within.ok().map(|slot| &self.leaves[at][slot].1)
+    }
+
+    pub(crate) fn contains_key(&self, key: &K) -> bool {
+        self.get(key).is_some()
+    }
+
+    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let (at, within) = self.position(key);
+        let slot = within.ok()?;
+        Some(&mut Arc::make_mut(&mut Arc::make_mut(&mut self.leaves)[at])[slot].1)
+    }
+
+    /// What is filed under `key`, filing the default first when nothing is.
+    pub(crate) fn or_default(&mut self, key: &K) -> &mut V
+    where
+        V: Default,
+    {
+        if !self.contains_key(key) {
+            self.insert(key.clone(), V::default());
+        }
+        self.get_mut(key).expect("just filed")
+    }
+
+    /// Files `value` under `key`, returning what was filed there before.
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let (at, within) = self.position(&key);
+        let leaves = Arc::make_mut(&mut self.leaves);
+        if leaves.is_empty() {
+            leaves.push(Arc::default());
+        }
+        let leaf = Arc::make_mut(&mut leaves[at]);
+        let slot = match within {
+            Ok(slot) => return Some(std::mem::replace(&mut leaf[slot].1, value)),
+            Err(slot) => slot,
+        };
+        leaf.insert(slot, (key, value));
+        self.len += 1;
+        if leaf.len() > LEAF {
+            // An append splits off the new entry alone, so ascending keys
+            // (record ids) leave full leaves behind; anything else halves.
+            let tail = leaf.split_off(if slot == LEAF { LEAF } else { LEAF / 2 });
+            leaves.insert(at + 1, Arc::new(tail));
+        }
+        None
+    }
+
+    /// Drops `key`, returning what was filed under it.  A leaf left empty
+    /// goes; one left small is merged into its successor's place when the
+    /// two fit half a leaf, so a sparse map does not keep a long spine.
+    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
+        let (at, within) = self.position(key);
+        let slot = within.ok()?;
+        let leaves = Arc::make_mut(&mut self.leaves);
+        let (_, value) = Arc::make_mut(&mut leaves[at]).remove(slot);
+        self.len -= 1;
+        let next = leaves.get(at + 1).map_or(LEAF, |next| next.len());
+        if leaves[at].is_empty() {
+            leaves.remove(at);
+        } else if leaves[at].len() + next <= LEAF / 2 {
+            let next = leaves.remove(at + 1);
+            Arc::make_mut(&mut leaves[at]).extend(next.iter().cloned());
+        }
+        Some(value)
+    }
+
+    /// The entries whose keys lie in `range`, in key order.
+    pub(crate) fn range<'a>(
+        &'a self,
+        range: impl RangeBounds<K>,
+    ) -> impl Iterator<Item = (&'a K, &'a V)> + 'a {
+        let (start, end) = (range.start_bound().cloned(), range.end_bound().cloned());
+        let first = match &start {
+            Bound::Included(key) | Bound::Excluded(key) => self.position(key).0,
+            Bound::Unbounded => 0,
+        };
+        self.leaves[first..]
+            .iter()
+            .flat_map(|leaf| leaf.iter().map(|(key, value)| (key, value)))
+            .skip_while(move |(key, _)| match &start {
+                Bound::Included(start) => *key < start,
+                Bound::Excluded(start) => *key <= start,
+                Bound::Unbounded => false,
+            })
+            .take_while(move |(key, _)| match &end {
+                Bound::Included(end) => *key <= end,
+                Bound::Excluded(end) => *key < end,
+                Bound::Unbounded => true,
+            })
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
+        self.range(..)
+    }
+
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> + '_ {
+        self.iter().map(|(key, _)| key)
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> + '_ {
+        self.iter().map(|(_, value)| value)
+    }
+}
 
 /// Walks the `copied_from` chain that begins at `start` and returns the
 /// first erased record on it, if any — the one statement of "a copy must
@@ -93,35 +257,31 @@ fn keys_of(id: PdId, location: &RecordLocation) -> Keys<'_> {
 }
 
 /// The ids filed under `key` in a flat `(key, id)` index.
-fn ids_under<K: Ord + Copy>(
-    index: &BTreeSet<(K, PdId)>,
-    key: K,
-) -> impl Iterator<Item = PdId> + '_ {
+fn ids_under<K: Ord + Copy>(index: &PSet<(K, PdId)>, key: K) -> impl Iterator<Item = PdId> + '_ {
     index
         .range((key, PdId::new(0))..=(key, PdId::new(u64::MAX)))
-        .map(|&(_, id)| id)
+        .map(|(&(_, id), ())| id)
 }
 
 /// The maps a reader can consult, held by the writer-side [`DbfsIndex`] and
-/// by every published [`IndexSnapshot`].  Each is `Arc`-wrapped, so
-/// publishing is one clone of this struct (seven `Arc` clones, no map copy,
-/// whatever the store's size); the *first* writer mutation after a publish
-/// copies only the maps it touches ([`Arc::make_mut`] copy-on-write) while
-/// the published snapshots keep the previous versions alive.
+/// by every published [`IndexSnapshot`].  Publishing is one clone of this
+/// struct — seven pointer clones, no map copy, whatever the store's size —
+/// and the writer's next mutations copy only the [`PMap`] leaves they land
+/// in, while the published snapshots keep the previous versions alive.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IndexView {
     pub(crate) schemas: Arc<SchemaRegistry>,
-    pub(crate) tables: Arc<BTreeMap<DataTypeId, Ino>>,
-    pub(crate) subjects: Arc<BTreeMap<SubjectId, Ino>>,
+    pub(crate) tables: PMap<DataTypeId, Ino>,
+    pub(crate) subjects: PMap<SubjectId, Ino>,
     /// The primary record map.
-    pub(crate) records: Arc<BTreeMap<PdId, RecordLocation>>,
+    pub(crate) records: PMap<PdId, RecordLocation>,
     /// Secondary index: table -> record ids (live and tombstoned).
-    by_table: Arc<BTreeMap<DataTypeId, BTreeSet<PdId>>>,
+    by_table: PMap<DataTypeId, PSet<PdId>>,
     /// Secondary index: `(subject, id)` (live and tombstoned).
-    by_subject: Arc<BTreeSet<(SubjectId, PdId)>>,
+    by_subject: PSet<(SubjectId, PdId)>,
     /// Expiry index: `(expiry instant, id)` of live bounded-TTL records.
     /// The retention sweep only ever visits its `..now` range.
-    by_expiry: Arc<BTreeSet<(Timestamp, PdId)>>,
+    by_expiry: PSet<(Timestamp, PdId)>,
 }
 
 impl IndexView {
@@ -130,7 +290,7 @@ impl IndexView {
         self.by_table
             .get(data_type)
             .into_iter()
-            .flat_map(|ids| ids.iter().copied())
+            .flat_map(|ids| ids.keys().copied())
     }
 
     /// The ids of one subject (empty when the subject owns no record).
@@ -142,7 +302,7 @@ impl IndexView {
     pub(crate) fn expired_ids(&self, now: Timestamp) -> impl Iterator<Item = PdId> + '_ {
         self.by_expiry
             .range(..(now, PdId::new(0)))
-            .map(|&(_, id)| id)
+            .map(|(&(_, id), ())| id)
     }
 
     /// Projects ids onto their locations (live and tombstoned).
@@ -184,7 +344,7 @@ pub(crate) struct DbfsIndex {
     pub(crate) view: IndexView,
     /// Reverse copy-lineage index: `(original, direct copy)`.  Erasure
     /// propagation walks the transitive closure of it.
-    copies_of: BTreeSet<(PdId, PdId)>,
+    copies_of: PSet<(PdId, PdId)>,
     /// Identifier allocation policy (dense by default, strided on shards).
     pub(crate) alloc: IdAllocation,
     pub(crate) next_pd: u64,
@@ -217,44 +377,41 @@ impl DbfsIndex {
     /// Makes a table and its schema known (`create_type`, and the mount
     /// scan as it meets each table's schema entry).
     pub(crate) fn register_type(&mut self, table_ino: Ino, schema: DataTypeSchema) {
-        Arc::make_mut(&mut self.view.tables).insert(schema.name().clone(), table_ino);
+        self.view.tables.insert(schema.name().clone(), table_ino);
         Arc::make_mut(&mut self.view.schemas).register(schema);
     }
 
     /// Makes a subject's subtree known.
     pub(crate) fn register_subject(&mut self, subject: SubjectId, ino: Ino) {
-        Arc::make_mut(&mut self.view.subjects).insert(subject, ino);
+        self.view.subjects.insert(subject, ino);
     }
 
     /// Files a record under every key [`keys_of`] derives for it, then into
     /// the primary map.
     pub(crate) fn insert_record(&mut self, id: PdId, location: RecordLocation) {
         let keys = keys_of(id, &location);
-        Arc::make_mut(&mut self.view.by_table)
-            .entry(keys.table.clone())
-            .or_default()
-            .insert(id);
-        Arc::make_mut(&mut self.view.by_subject).insert(keys.subject);
+        self.view.by_table.or_default(keys.table).insert(id, ());
+        self.view.by_subject.insert(keys.subject, ());
         if let Some(key) = keys.expiry {
-            Arc::make_mut(&mut self.view.by_expiry).insert(key);
+            self.view.by_expiry.insert(key, ());
         }
         if let Some(key) = keys.lineage {
-            self.copies_of.insert(key);
+            self.copies_of.insert(key, ());
         }
-        Arc::make_mut(&mut self.view.records).insert(id, location);
+        self.view.records.insert(id, location);
     }
 
     /// Drops a record from the primary map and from under every key it was
     /// filed — the exact reverse of [`DbfsIndex::insert_record`].
     pub(crate) fn remove_record(&mut self, id: PdId, location: &RecordLocation) {
         let keys = keys_of(id, location);
-        Arc::make_mut(&mut self.view.records).remove(&id);
-        if let Some(ids) = Arc::make_mut(&mut self.view.by_table).get_mut(keys.table) {
+        self.view.records.remove(&id);
+        if let Some(ids) = self.view.by_table.get_mut(keys.table) {
             ids.remove(&id);
         }
-        Arc::make_mut(&mut self.view.by_subject).remove(&keys.subject);
+        self.view.by_subject.remove(&keys.subject);
         if let Some(key) = keys.expiry {
-            Arc::make_mut(&mut self.view.by_expiry).remove(&key);
+            self.view.by_expiry.remove(&key);
         }
         if let Some(key) = keys.lineage {
             self.copies_of.remove(&key);
@@ -264,19 +421,18 @@ impl DbfsIndex {
     /// Changes a record in place and re-files it under its expiry key, the
     /// only derived key whose inputs (`erased`, `expires_at`) ever change.
     fn update(&mut self, id: PdId, change: impl FnOnce(&mut RecordLocation)) {
-        let Some(location) = Arc::make_mut(&mut self.view.records).get_mut(&id) else {
+        let Some(location) = self.view.records.get_mut(&id) else {
             return;
         };
         let before = keys_of(id, location).expiry;
         change(location);
         let after = keys_of(id, location).expiry;
         if before != after {
-            let by_expiry = Arc::make_mut(&mut self.view.by_expiry);
             if let Some(key) = before {
-                by_expiry.remove(&key);
+                self.view.by_expiry.remove(&key);
             }
             if let Some(key) = after {
-                by_expiry.insert(key);
+                self.view.by_expiry.insert(key, ());
             }
         }
     }
@@ -346,10 +502,10 @@ impl DbfsIndex {
             let keys = keys_of(id, location);
             let in_table = view.by_table.get(keys.table);
             let filed = [
-                Some(in_table.is_some_and(|ids| ids.contains(&id))),
-                Some(view.by_subject.contains(&keys.subject)),
-                keys.expiry.map(|key| view.by_expiry.contains(&key)),
-                keys.lineage.map(|key| self.copies_of.contains(&key)),
+                Some(in_table.is_some_and(|ids| ids.contains_key(&id))),
+                Some(view.by_subject.contains_key(&keys.subject)),
+                keys.expiry.map(|key| view.by_expiry.contains_key(&key)),
+                keys.lineage.map(|key| self.copies_of.contains_key(&key)),
             ];
             for (i, filed) in filed.into_iter().enumerate() {
                 match filed {
@@ -362,7 +518,7 @@ impl DbfsIndex {
             }
         }
         let held = [
-            view.by_table.values().map(BTreeSet::len).sum(),
+            view.by_table.values().map(PSet::len).sum(),
             view.by_subject.len(),
             view.by_expiry.len(),
             self.copies_of.len(),
@@ -410,6 +566,7 @@ pub(crate) struct IndexSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     const SUBJECT: SubjectId = SubjectId::new(7);
 
@@ -437,10 +594,8 @@ mod tests {
         index.verify().unwrap_err().to_string()
     }
 
-    fn table<'a>(index: &'a mut DbfsIndex, name: &str) -> &'a mut BTreeSet<PdId> {
-        Arc::make_mut(&mut index.view.by_table)
-            .entry(name.into())
-            .or_default()
+    fn table<'a>(index: &'a mut DbfsIndex, name: &str) -> &'a mut PSet<PdId> {
+        index.view.by_table.or_default(&name.into())
     }
 
     #[test]
@@ -449,11 +604,11 @@ mod tests {
         table(&mut dropped, "user").remove(&PdId::new(2));
         assert!(complaint(&dropped).contains("pd-2 missing from table index"));
         let mut added = index();
-        table(&mut added, "user").insert(PdId::new(9));
+        table(&mut added, "user").insert(PdId::new(9), ());
         assert!(complaint(&added).contains("table index holds 3 entries"));
         let mut mis_keyed = index();
         table(&mut mis_keyed, "user").remove(&PdId::new(1));
-        table(&mut mis_keyed, "order").insert(PdId::new(1));
+        table(&mut mis_keyed, "order").insert(PdId::new(1), ());
         assert!(complaint(&mis_keyed).contains("pd-1 missing from table index"));
     }
 
@@ -461,14 +616,14 @@ mod tests {
     fn verify_names_a_dropped_an_added_and_a_mis_keyed_subject_entry() {
         let other = SubjectId::new(8);
         let mut dropped = index();
-        Arc::make_mut(&mut dropped.view.by_subject).remove(&(SUBJECT, PdId::new(1)));
+        dropped.view.by_subject.remove(&(SUBJECT, PdId::new(1)));
         assert!(complaint(&dropped).contains("pd-1 missing from subject index"));
         let mut added = index();
-        Arc::make_mut(&mut added.view.by_subject).insert((other, PdId::new(1)));
+        added.view.by_subject.insert((other, PdId::new(1)), ());
         assert!(complaint(&added).contains("subject index holds 3 entries"));
         let mut mis_keyed = index();
-        Arc::make_mut(&mut mis_keyed.view.by_subject).remove(&(SUBJECT, PdId::new(2)));
-        Arc::make_mut(&mut mis_keyed.view.by_subject).insert((other, PdId::new(2)));
+        mis_keyed.view.by_subject.remove(&(SUBJECT, PdId::new(2)));
+        mis_keyed.view.by_subject.insert((other, PdId::new(2)), ());
         assert!(complaint(&mis_keyed).contains("pd-2 missing from subject index"));
     }
 
@@ -476,14 +631,14 @@ mod tests {
     fn verify_names_a_dropped_an_added_and_a_mis_keyed_expiry_entry() {
         let at = Timestamp::from_secs;
         let mut dropped = index();
-        Arc::make_mut(&mut dropped.view.by_expiry).remove(&(at(50), PdId::new(1)));
+        dropped.view.by_expiry.remove(&(at(50), PdId::new(1)));
         assert!(complaint(&dropped).contains("pd-1 missing from expiry index"));
         let mut added = index();
-        Arc::make_mut(&mut added.view.by_expiry).insert((at(60), PdId::new(2)));
+        added.view.by_expiry.insert((at(60), PdId::new(2)), ());
         assert!(complaint(&added).contains("expiry index holds 2 entries"));
         let mut mis_keyed = index();
-        Arc::make_mut(&mut mis_keyed.view.by_expiry).remove(&(at(50), PdId::new(1)));
-        Arc::make_mut(&mut mis_keyed.view.by_expiry).insert((at(51), PdId::new(1)));
+        mis_keyed.view.by_expiry.remove(&(at(50), PdId::new(1)));
+        mis_keyed.view.by_expiry.insert((at(51), PdId::new(1)), ());
         assert!(complaint(&mis_keyed).contains("pd-1 missing from expiry index"));
     }
 
@@ -493,11 +648,11 @@ mod tests {
         dropped.copies_of.remove(&(PdId::new(1), PdId::new(2)));
         assert!(complaint(&dropped).contains("pd-2 missing from lineage index"));
         let mut added = index();
-        added.copies_of.insert((PdId::new(2), PdId::new(1)));
+        added.copies_of.insert((PdId::new(2), PdId::new(1)), ());
         assert!(complaint(&added).contains("lineage index holds 2 entries"));
         let mut mis_keyed = index();
         mis_keyed.copies_of.remove(&(PdId::new(1), PdId::new(2)));
-        mis_keyed.copies_of.insert((PdId::new(3), PdId::new(2)));
+        mis_keyed.copies_of.insert((PdId::new(3), PdId::new(2)), ());
         assert!(complaint(&mis_keyed).contains("pd-2 missing from lineage index"));
     }
 
@@ -522,11 +677,11 @@ mod tests {
         // A tombstone's expiry stays retired.
         index.set_expiry(PdId::new(1), Some(Timestamp::from_secs(5)));
         index.verify().unwrap();
-        assert!(index.view.by_expiry.is_empty());
+        assert_eq!(index.view.by_expiry.len(), 0);
         assert!(index.has_copies(PdId::new(1)) && !index.has_copies(PdId::new(2)));
         assert_eq!(index.lineage_closure(PdId::new(1)), [PdId::new(2)]);
         assert_eq!(index.view.subject_ids(SUBJECT).count(), 2);
-        let copy = index.view.records[&PdId::new(2)].clone();
+        let copy = index.view.records.get(&PdId::new(2)).unwrap().clone();
         index.remove_record(PdId::new(2), &copy);
         index.verify().unwrap();
         assert!(!index.has_copies(PdId::new(1)));
@@ -535,6 +690,162 @@ mod tests {
             [PdId::new(1)]
         );
         assert_eq!(index.view.table_ids(&"user".into()).count(), 1);
+    }
+
+    /// One step of the differential stream; keys are narrow so that the
+    /// steps collide, and a run of inserts is ascending like record ids.
+    #[derive(Debug, Clone)]
+    enum MapOp {
+        Insert(u64, u8),
+        Run(u64, u8),
+        Remove(u64),
+        RemoveRun(u64, u8),
+        Range(u64, u64),
+        Snapshot,
+    }
+
+    fn map_op() -> impl proptest::strategy::Strategy<Value = MapOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0u64..600, any::<u8>()).prop_map(|(key, value)| MapOp::Insert(key, value)),
+            (0u64..600, 1u8..150).prop_map(|(from, len)| MapOp::Run(from, len)),
+            (0u64..600).prop_map(MapOp::Remove),
+            (0u64..600, 1u8..150).prop_map(|(from, len)| MapOp::RemoveRun(from, len)),
+            (0u64..600, 0u64..300).prop_map(|(from, len)| MapOp::Range(from, from + len)),
+            proptest::strategy::Just(MapOp::Snapshot),
+        ]
+    }
+
+    fn same(map: &PMap<u64, u8>, model: &BTreeMap<u64, u8>) -> Result<(), String> {
+        let entries = || map.iter().map(|(k, v)| (*k, *v));
+        if !entries().eq(model.iter().map(|(k, v)| (*k, *v))) || map.len() != model.len() {
+            return Err(format!(
+                "{:?} is not {model:?}",
+                entries().collect::<Vec<_>>()
+            ));
+        }
+        match map
+            .leaves
+            .iter()
+            .find(|leaf| leaf.is_empty() || leaf.len() > LEAF)
+        {
+            Some(leaf) => Err(format!("a leaf of {} entries", leaf.len())),
+            None => Ok(()),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The persistent map against `BTreeMap`, step by step; a snapshot
+        /// taken along the way still equals the model of its moment after
+        /// everything that followed.
+        #[test]
+        fn the_persistent_map_is_a_btreemap_whose_clones_never_change(
+            ops in proptest::collection::vec(map_op(), 1..120)
+        ) {
+            let (mut map, mut model) = (PMap::default(), BTreeMap::new());
+            let mut snapshots = Vec::new();
+            for op in ops {
+                match op {
+                    MapOp::Insert(key, value) => {
+                        proptest::prop_assert_eq!(map.insert(key, value), model.insert(key, value));
+                    }
+                    MapOp::Run(from, len) => {
+                        for key in from..from + u64::from(len) {
+                            proptest::prop_assert_eq!(map.insert(key, len), model.insert(key, len));
+                        }
+                    }
+                    MapOp::Remove(key) => {
+                        proptest::prop_assert_eq!(map.get(&key), model.get(&key));
+                        proptest::prop_assert_eq!(map.remove(&key), model.remove(&key));
+                        proptest::prop_assert!(!map.contains_key(&key));
+                    }
+                    MapOp::RemoveRun(from, len) => {
+                        for key in from..from + u64::from(len) {
+                            proptest::prop_assert_eq!(map.remove(&key), model.remove(&key));
+                        }
+                    }
+                    MapOp::Range(from, to) => {
+                        let got: Vec<_> = map.range(from..to).map(|(k, v)| (*k, *v)).collect();
+                        let want: Vec<_> = model.range(from..to).map(|(k, v)| (*k, *v)).collect();
+                        proptest::prop_assert_eq!(got, want);
+                        let got: Vec<_> = map.range(from..=to).map(|(k, _)| *k).collect();
+                        let want: Vec<_> = model.range(from..=to).map(|(k, _)| *k).collect();
+                        proptest::prop_assert_eq!(got, want);
+                        let got: Vec<_> = map.range(..to).map(|(k, _)| *k).collect();
+                        let want: Vec<_> = model.range(..to).map(|(k, _)| *k).collect();
+                        proptest::prop_assert_eq!(got, want);
+                        if let Some(value) = map.get_mut(&from) {
+                            *value = value.wrapping_add(1);
+                            *model.get_mut(&from).unwrap() = *value;
+                        }
+                    }
+                    MapOp::Snapshot => snapshots.push((map.clone(), model.clone())),
+                }
+                if let Err(difference) = same(&map, &model) {
+                    proptest::prop_assert!(false, "{}", difference);
+                }
+            }
+            for (snapshot, model) in &snapshots {
+                if let Err(difference) = same(snapshot, model) {
+                    proptest::prop_assert!(false, "a snapshot changed: {}", difference);
+                }
+            }
+        }
+    }
+
+    /// The regression test for "O(1) snapshots, O(n) first write": after a
+    /// snapshot of 10k entries, one more insert shares every leaf but the
+    /// one it lands in, and a record insert into a 10k-record index leaves
+    /// all but a handful of the nodes of every map shared with the snapshot.
+    #[test]
+    fn one_insert_after_a_snapshot_shares_all_but_a_bounded_number_of_nodes() {
+        fn unshared<K, V>(now: &PMap<K, V>, then: &PMap<K, V>) -> usize {
+            let shared = |leaf| then.leaves.iter().any(|old| Arc::ptr_eq(old, leaf));
+            now.leaves.iter().filter(|leaf| !shared(leaf)).count()
+        }
+        let mut map: PMap<u64, u64> = PMap::default();
+        for key in 0..10_000 {
+            map.insert(key * 2, key);
+        }
+        assert_eq!(
+            map.leaves.len(),
+            10_000 / LEAF + 1,
+            "ascending keys fill their leaves"
+        );
+        let snapshot = map.clone();
+        map.insert(9_001, 0);
+        assert_eq!(unshared(&map, &snapshot), 2, "the full leaf it split");
+        map.remove(&4_000);
+        map.insert(20_001, 0);
+        assert_eq!(unshared(&map, &snapshot), 4);
+        assert_eq!((snapshot.len(), snapshot.get(&9_001)), (10_000, None));
+        assert_eq!(snapshot.get(&4_000), Some(&2_000));
+
+        let mut index = DbfsIndex::default();
+        for id in 0..10_000 {
+            let mut location = location(None, Some(1_000 + id / 4));
+            location.subject = SubjectId::new(id % 1_250);
+            index.insert_record(PdId::new(id), location);
+        }
+        let then = index.snapshot(Timestamp::from_secs(0), 0);
+        index.insert_record(PdId::new(10_000), location(Some(17), Some(99)));
+        index.mark_erased(PdId::new(5_000));
+        index.verify().unwrap();
+        let (now, then) = (&index.view, &then.view);
+        let users = |view: &'_ IndexView| view.by_table.get(&"user".into()).unwrap().clone();
+        let copied = unshared(&now.records, &then.records)
+            + unshared(&users(now), &users(then))
+            + unshared(&now.by_table, &then.by_table)
+            + unshared(&now.by_subject, &then.by_subject)
+            + unshared(&now.by_expiry, &then.by_expiry);
+        assert!(
+            copied <= 8,
+            "{copied} leaves copied for one insert and one erase"
+        );
+        assert_eq!((then.records.len(), now.records.len()), (10_000, 10_001));
+        assert!(!then.records.get(&PdId::new(5_000)).unwrap().erased);
     }
 
     #[test]

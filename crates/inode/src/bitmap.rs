@@ -58,26 +58,37 @@ impl Bitmap {
         self.bits[(index / 8) as usize] &= !(1 << (index % 8));
     }
 
-    /// Finds, marks and returns the first free index at or after `from`.
+    /// Finds, marks and returns the first free index at or after `from`,
+    /// wrapping around to the indexes before it: exact first-fit.
     ///
     /// # Errors
     ///
-    /// Returns `Err(())` mapped by callers to the appropriate out-of-space
-    /// error when every index is allocated.
+    /// Returns [`InodeError::OutOfSpace`], mapped by callers to the
+    /// appropriate out-of-space error, when every index is allocated.
     pub fn allocate_from(&mut self, from: u64) -> Result<u64, InodeError> {
-        for index in from..self.capacity {
-            if !self.is_set(index) {
-                self.set(index);
-                return Ok(index);
+        let from = from.min(self.capacity);
+        let index = self
+            .first_free(from, self.capacity)
+            .or_else(|| self.first_free(0, from))
+            .ok_or(InodeError::OutOfSpace)?;
+        self.set(index);
+        Ok(index)
+    }
+
+    /// The first free index in `from..end`, skipping full bytes whole.
+    fn first_free(&self, from: u64, end: u64) -> Option<u64> {
+        let mut index = from;
+        while index < end {
+            let byte = self.bits[(index / 8) as usize];
+            if byte == 0xFF && index.is_multiple_of(8) {
+                index += 8;
+            } else if byte & (1 << (index % 8)) == 0 {
+                return Some(index);
+            } else {
+                index += 1;
             }
         }
-        for index in 0..from.min(self.capacity) {
-            if !self.is_set(index) {
-                self.set(index);
-                return Ok(index);
-            }
-        }
-        Err(InodeError::OutOfSpace)
+        None
     }
 
     /// Number of allocated items.
@@ -132,6 +143,35 @@ mod tests {
         // Wraps around to index 2.
         assert_eq!(bm.allocate_from(3).unwrap(), 2);
         assert!(matches!(bm.allocate_from(0), Err(InodeError::OutOfSpace)));
+    }
+
+    proptest::proptest! {
+        /// The byte-skipping scan places exactly where the bit-by-bit one
+        /// does, full bytes, a ragged last byte and the wrap-around included.
+        #[test]
+        fn allocate_from_is_exact_first_fit(
+            capacity in 1u64..200,
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 25..26),
+            dense in proptest::prelude::any::<bool>(),
+            from in 0u64..220,
+        ) {
+            // Random bytes, or — to meet runs of full bytes — mostly 0xFF.
+            let fill = |&byte: &u8| if dense && byte > 40 { 0xFF } else { byte };
+            let bytes: Vec<u8> = bytes.iter().map(fill).collect();
+            let mut bitmap = Bitmap::from_bytes(&bytes, capacity);
+            let naive = (from.min(capacity)..capacity)
+                .chain(0..from.min(capacity))
+                .find(|&index| !bitmap.is_set(index));
+            let before = bitmap.count_set();
+            match bitmap.allocate_from(from) {
+                Ok(index) => {
+                    proptest::prop_assert_eq!(Some(index), naive);
+                    proptest::prop_assert!(bitmap.is_set(index));
+                    proptest::prop_assert_eq!(bitmap.count_set(), before + 1);
+                }
+                Err(_) => proptest::prop_assert_eq!(naive, None),
+            }
+        }
     }
 
     #[test]

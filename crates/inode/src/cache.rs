@@ -7,7 +7,8 @@
 //! device:
 //!
 //! * **read-through** — every internal block read consults the open
-//!   transaction overlay first (uncommitted data), then the cache, then the
+//!   transaction overlay first when its caller opened the transaction
+//!   (uncommitted data, the owner's alone), then the cache, then the
 //!   device; misses populate the cache;
 //! * **write-back within the transaction overlay** — dirty blocks of a
 //!   compound mutation live only in the overlay of

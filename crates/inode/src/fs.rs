@@ -27,6 +27,7 @@ use parking_lot::Mutex;
 use rgpdos_blockdev::{BlockDevice, CacheStats};
 use rgpdos_trace::{Counter, Hist, TraceClock, TraceCtx, Tracer};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The inode number of the root directory created by `format`.
@@ -108,12 +109,19 @@ pub struct InodeFs<D> {
     /// Active compound transaction, when one is open: new block contents
     /// staged by every operation since [`InodeFs::begin_tx`], keyed by block
     /// number, plus a snapshot of the allocation bitmaps taken at
-    /// `begin_tx`.  Reads consult the overlay first, so multi-operation
-    /// mutations observe their own uncommitted writes; nothing reaches the
-    /// device until [`Transaction::commit`] journals the whole set, and an
-    /// abort restores the bitmap snapshot so in-memory allocation state
-    /// never diverges from the (untouched) device.
+    /// `begin_tx`.  The owner's reads consult the overlay first, so
+    /// multi-operation mutations observe their own uncommitted writes;
+    /// nothing reaches the device until [`Transaction::commit`] journals the
+    /// whole set, and an abort restores the bitmap snapshot so in-memory
+    /// allocation state never diverges from the (untouched) device.
     tx: Mutex<Option<TxState>>,
+    /// [`thread_token`] of the thread that opened the transaction in `tx`,
+    /// zero while none is open.  Only that thread's reads look into the
+    /// overlay; every other thread reads committed state and never touches
+    /// the `tx` or `state` mutexes on the way.  `Relaxed` throughout: a
+    /// thread only asks whether the value is its own token, which no other
+    /// thread ever stores, and the overlay itself is read under `tx`.
+    tx_owner: AtomicU64,
     /// The buffer cache of committed block contents (see [`crate::cache`]).
     /// Dirty data never lives here — it stays in the transaction overlay
     /// until the commit's journal/apply/flush barrier, after which the
@@ -140,6 +148,63 @@ struct FsTrace {
     clock: Arc<TraceClock>,
     tracer: Arc<Tracer>,
     commit_us: Hist,
+}
+
+/// A process-unique, non-zero token for the calling thread.
+fn thread_token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local!(static TOKEN: u64 = NEXT.fetch_add(1, Ordering::Relaxed));
+    TOKEN.with(|token| *token)
+}
+
+fn corrupt_dir() -> InodeError {
+    InodeError::Corrupt {
+        what: "directory entries".to_owned(),
+    }
+}
+
+/// A borrowed scan of an encoded directory (see `InodeFs::read_dir`): yields
+/// each counted entry's name bytes and inode, copying nothing.
+struct DirScan<'a> {
+    data: &'a [u8],
+    /// Counted entries not yet yielded.
+    left: u32,
+    /// Where the next entry starts; once exhausted, where a new one goes.
+    offset: usize,
+}
+
+impl<'a> DirScan<'a> {
+    fn new(data: &'a [u8]) -> Result<Self, InodeError> {
+        let left = match data.first_chunk::<4>() {
+            Some(count) => u32::from_le_bytes(*count),
+            None if data.is_empty() => 0,
+            None => return Err(corrupt_dir()),
+        };
+        Ok(Self {
+            data,
+            left,
+            offset: 4,
+        })
+    }
+}
+
+impl<'a> Iterator for DirScan<'a> {
+    type Item = Result<(&'a [u8], Ino), InodeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        let rest = self.data.get(self.offset..).unwrap_or_default();
+        let entry = rest.split_first_chunk::<2>().and_then(|(len, rest)| {
+            let (name, rest) = rest.split_at_checked(u16::from_le_bytes(*len) as usize)?;
+            let (ino, _) = rest.split_first_chunk::<8>()?;
+            Some((name, u64::from_le_bytes(*ino)))
+        });
+        if entry.is_none() {
+            self.left = 0;
+        }
+        self.offset += entry.map_or(0, |(name, _)| 10 + name.len());
+        Some(entry.ok_or_else(corrupt_dir))
+    }
 }
 
 /// The staged state of an open compound transaction.
@@ -281,6 +346,7 @@ impl<D: BlockDevice> InodeFs<D> {
                 op_counter: 1,
             }),
             tx: Mutex::new(None),
+            tx_owner: AtomicU64::new(0),
             cache: Mutex::new(BlockCache::new(DEFAULT_CACHE_BLOCKS)),
             journal_txs: Counter::new(),
             recovered_txs: 0,
@@ -398,6 +464,7 @@ impl<D: BlockDevice> InodeFs<D> {
                 op_counter: 1,
             }),
             tx: Mutex::new(None),
+            tx_owner: AtomicU64::new(0),
             cache: Mutex::new(BlockCache::new(DEFAULT_CACHE_BLOCKS)),
             journal_txs: Counter::new(),
             recovered_txs,
@@ -533,9 +600,9 @@ impl<D: BlockDevice> InodeFs<D> {
     /// restored to their `begin_tx` snapshot.
     ///
     /// The caller must serialize transactions externally (DBFS runs every
-    /// mutation under its index lock); reads concurrent with an open
-    /// transaction observe the staged writes, mirroring the pre-transaction
-    /// behaviour where each sub-operation committed immediately.
+    /// mutation under its index lock).  The staged writes are visible to the
+    /// thread that opened the transaction and to no other: a concurrent
+    /// reader sees the committed contents until the commit applies them.
     ///
     /// # Panics
     ///
@@ -553,6 +620,7 @@ impl<D: BlockDevice> InodeFs<D> {
             saved_inode_bitmap: state.inode_bitmap.clone(),
             saved_data_bitmap: state.data_bitmap.clone(),
         });
+        self.tx_owner.store(thread_token(), Ordering::Relaxed);
         Transaction {
             fs: self,
             committed: false,
@@ -639,18 +707,21 @@ impl<D: BlockDevice> InodeFs<D> {
             return Err(InodeError::TxTooLarge { staged, capacity });
         }
         let staged = self
-            .tx
-            .lock()
-            .take()
+            .take_tx()
             .expect("commit_tx requires an open transaction");
         let writes: Vec<(u64, Vec<u8>)> = staged.overlay.into_iter().collect();
         let mut state = self.state.lock();
         self.commit_writes_journaled(&mut state, writes)
     }
 
+    /// Closes the open transaction, if any, handing its staged state over.
+    fn take_tx(&self) -> Option<TxState> {
+        self.tx_owner.store(0, Ordering::Relaxed);
+        self.tx.lock().take()
+    }
+
     fn abort_tx(&self) {
-        let staged = self.tx.lock().take();
-        if let Some(staged) = staged {
+        if let Some(staged) = self.take_tx() {
             // Roll the in-memory bitmaps back to the snapshot: nothing of
             // the aborted transaction reached the device, so the pre-tx
             // bitmaps are the ones that describe it.
@@ -662,13 +733,19 @@ impl<D: BlockDevice> InodeFs<D> {
     }
 
     /// Reads a block through the transaction overlay (uncommitted staged
-    /// writes), then the buffer cache (committed contents), then the
-    /// device.  Every internal read goes through here so that operations
-    /// inside a compound transaction observe their own staged writes and
-    /// the hot read path is served from memory.
+    /// writes) when the caller is the thread that opened the transaction,
+    /// then the buffer cache (committed contents), then the device.  Every
+    /// internal read goes through here so that operations inside a compound
+    /// transaction observe their own staged writes, everyone else reads
+    /// committed state, and the hot read path is served from memory.
     fn read_block_raw(&self, block: u64) -> Result<Vec<u8>, InodeError> {
-        if let Some(staged) = self.tx.lock().as_ref() {
-            if let Some(data) = staged.overlay.get(&block) {
+        if self.tx_owner.load(Ordering::Relaxed) == thread_token() {
+            if let Some(data) = self
+                .tx
+                .lock()
+                .as_ref()
+                .and_then(|tx| tx.overlay.get(&block))
+            {
                 return Ok(data.clone());
             }
         }
@@ -727,8 +804,7 @@ impl<D: BlockDevice> InodeFs<D> {
     ///
     /// Returns [`InodeError::BadInode`] for out-of-range or free inodes.
     pub fn stat(&self, ino: Ino) -> Result<Inode, InodeError> {
-        let state = self.state.lock();
-        self.load_inode_checked(&state, ino)
+        self.load_inode_checked(ino)
     }
 
     /// Frees an inode, releasing (and, with `secure_free`, zeroing) its data
@@ -740,7 +816,7 @@ impl<D: BlockDevice> InodeFs<D> {
     pub fn free_inode(&self, ino: Ino) -> Result<(), InodeError> {
         self.truncate(ino, 0)?;
         let mut state = self.state.lock();
-        self.load_inode_checked(&state, ino)?;
+        self.load_inode_checked(ino)?;
         state.inode_bitmap.clear(ino);
         let mut writes = Vec::new();
         self.stage_inode_write(ino, &Inode::default(), &mut writes)?;
@@ -762,13 +838,20 @@ impl<D: BlockDevice> InodeFs<D> {
     /// inode's addressing capacity, [`InodeError::OutOfSpace`] when no data
     /// block is left, and [`InodeError::BadInode`] for invalid inodes.
     pub fn write(&self, ino: Ino, offset: u64, data: &[u8]) -> Result<(), InodeError> {
-        if data.is_empty() {
+        self.write_extents(ino, &[(offset, data)])
+    }
+
+    /// [`InodeFs::write`] of several `(offset, bytes)` extents as one set of
+    /// block writes — one journal transaction outside a compound one.  An
+    /// extent that touches a block an earlier one staged patches that copy.
+    fn write_extents(&self, ino: Ino, extents: &[(u64, &[u8])]) -> Result<(), InodeError> {
+        let extents = || extents.iter().filter(|(_, data)| !data.is_empty());
+        let Some(end) = extents().map(|(at, data)| at + data.len() as u64).max() else {
             return Ok(());
-        }
+        };
         let mut state = self.state.lock();
-        let mut inode = self.load_inode_checked(&state, ino)?;
+        let mut inode = self.load_inode_checked(ino)?;
         let block_size = self.layout.block_size as u64;
-        let end = offset + data.len() as u64;
         if end > self.layout.max_file_size() {
             return Err(InodeError::FileTooLarge {
                 requested: end,
@@ -781,45 +864,50 @@ impl<D: BlockDevice> InodeFs<D> {
         let mut allocated_bits: Vec<u64> = Vec::new();
         let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
 
-        let first_block = offset / block_size;
-        let last_block = (end - 1) / block_size;
-        for file_block in first_block..=last_block {
-            let existing_ptr = self.file_block_ptr(&inode, &indirect_table, file_block);
-            let (ptr, newly_allocated) = match existing_ptr {
-                Some(p) => (p, false),
-                None => {
-                    let p = self.allocate_data_block(&mut state, &mut allocated_bits)?;
-                    if (file_block as usize) < DIRECT_POINTERS {
-                        inode.direct[file_block as usize] = p;
-                    } else {
-                        if inode.indirect == 0 {
-                            let ib = self.allocate_data_block(&mut state, &mut allocated_bits)?;
-                            inode.indirect = ib;
+        for &(offset, data) in extents() {
+            let end = offset + data.len() as u64;
+            for file_block in offset / block_size..=(end - 1) / block_size {
+                let existing_ptr = self.file_block_ptr(&inode, &indirect_table, file_block);
+                let (ptr, newly_allocated) = match existing_ptr {
+                    Some(p) => (p, false),
+                    None => {
+                        let p = self.allocate_data_block(&mut state, &mut allocated_bits)?;
+                        if (file_block as usize) < DIRECT_POINTERS {
+                            inode.direct[file_block as usize] = p;
+                        } else {
+                            if inode.indirect == 0 {
+                                let ib =
+                                    self.allocate_data_block(&mut state, &mut allocated_bits)?;
+                                inode.indirect = ib;
+                            }
+                            indirect_table[file_block as usize - DIRECT_POINTERS] = p;
+                            indirect_dirty = true;
                         }
-                        indirect_table[file_block as usize - DIRECT_POINTERS] = p;
-                        indirect_dirty = true;
+                        (p, true)
                     }
-                    (p, true)
-                }
-            };
+                };
 
-            // Assemble the new contents of this block.
-            let block_start = file_block * block_size;
-            let copy_from = offset.max(block_start);
-            let copy_to = end.min(block_start + block_size);
-            let mut content = if newly_allocated
-                || (copy_from == block_start && copy_to == block_start + block_size)
-            {
-                vec![0u8; block_size as usize]
-            } else {
-                self.read_block_raw(ptr)?
-            };
-            let dst_start = (copy_from - block_start) as usize;
-            let dst_end = (copy_to - block_start) as usize;
-            let src_start = (copy_from - offset) as usize;
-            let src_end = (copy_to - offset) as usize;
-            content[dst_start..dst_end].copy_from_slice(&data[src_start..src_end]);
-            writes.push((ptr, content));
+                // Assemble the new contents of this block.
+                let block_start = file_block * block_size;
+                let copy_from = offset.max(block_start);
+                let copy_to = end.min(block_start + block_size);
+                let staged = match writes.iter().position(|(block, _)| *block == ptr) {
+                    Some(staged) => staged,
+                    None => {
+                        let whole = copy_from == block_start && copy_to == block_start + block_size;
+                        let content = if newly_allocated || whole {
+                            vec![0u8; block_size as usize]
+                        } else {
+                            self.read_block_raw(ptr)?
+                        };
+                        writes.push((ptr, content));
+                        writes.len() - 1
+                    }
+                };
+                let source = &data[(copy_from - offset) as usize..(copy_to - offset) as usize];
+                let (from, to) = (copy_from - block_start, copy_to - block_start);
+                writes[staged].1[from as usize..to as usize].copy_from_slice(source);
+            }
         }
 
         if indirect_dirty {
@@ -843,15 +931,17 @@ impl<D: BlockDevice> InodeFs<D> {
     /// Returns [`InodeError::BadInode`] for invalid inodes and propagates
     /// device errors.
     pub fn read(&self, ino: Ino, offset: u64, len: usize) -> Result<Vec<u8>, InodeError> {
-        let state = self.state.lock();
-        let inode = self.load_inode_checked(&state, ino)?;
-        drop(state);
+        self.read_inode(&self.load_inode_checked(ino)?, offset, len)
+    }
+
+    /// [`InodeFs::read`] of an inode already loaded.
+    fn read_inode(&self, inode: &Inode, offset: u64, len: usize) -> Result<Vec<u8>, InodeError> {
         let block_size = self.layout.block_size as u64;
         if offset >= inode.size || len == 0 {
             return Ok(Vec::new());
         }
         let end = (offset + len as u64).min(inode.size);
-        let indirect_table = self.load_indirect_table(&inode)?;
+        let indirect_table = self.load_indirect_table(inode)?;
         let mut out = Vec::with_capacity((end - offset) as usize);
         let first_block = offset / block_size;
         let last_block = (end - 1) / block_size;
@@ -859,7 +949,7 @@ impl<D: BlockDevice> InodeFs<D> {
             let block_start = file_block * block_size;
             let copy_from = offset.max(block_start);
             let copy_to = end.min(block_start + block_size);
-            let content = match self.file_block_ptr(&inode, &indirect_table, file_block) {
+            let content = match self.file_block_ptr(inode, &indirect_table, file_block) {
                 Some(ptr) => self.read_block_raw(ptr)?,
                 None => vec![0u8; block_size as usize],
             };
@@ -876,8 +966,8 @@ impl<D: BlockDevice> InodeFs<D> {
     ///
     /// Same as [`InodeFs::read`].
     pub fn read_all(&self, ino: Ino) -> Result<Vec<u8>, InodeError> {
-        let size = self.stat(ino)?.size;
-        self.read(ino, 0, size as usize)
+        let inode = self.load_inode_checked(ino)?;
+        self.read_inode(&inode, 0, inode.size as usize)
     }
 
     /// Shrinks (or sparsely extends) an inode to `new_size` bytes.
@@ -887,7 +977,7 @@ impl<D: BlockDevice> InodeFs<D> {
     /// Returns [`InodeError::BadInode`] for invalid inodes.
     pub fn truncate(&self, ino: Ino, new_size: u64) -> Result<(), InodeError> {
         let mut state = self.state.lock();
-        let mut inode = self.load_inode_checked(&state, ino)?;
+        let mut inode = self.load_inode_checked(ino)?;
         let block_size = self.layout.block_size as u64;
         let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut freed_bits: Vec<u64> = Vec::new();
@@ -965,6 +1055,20 @@ impl<D: BlockDevice> InodeFs<D> {
     /// Returns [`InodeError::Directory`] when `dir` is not a directory and
     /// [`InodeError::Corrupt`] when its contents fail to decode.
     pub fn dir_entries(&self, dir: Ino) -> Result<Vec<(String, Ino)>, InodeError> {
+        DirScan::new(&self.read_dir(dir)?)?
+            .map(|entry| {
+                let (name, ino) = entry?;
+                let name = String::from_utf8(name.to_vec()).map_err(|_| corrupt_dir())?;
+                Ok((name, ino))
+            })
+            .collect()
+    }
+
+    /// The encoded contents of a directory: `u32 count`, then per entry
+    /// `u16 len · name · u64 ino`.  Bytes past the last counted entry (left
+    /// by a crash between growing the file and counting the entry) are not
+    /// part of the directory.
+    fn read_dir(&self, dir: Ino) -> Result<Vec<u8>, InodeError> {
         let inode = self.stat(dir)?;
         if inode.kind != InodeKind::Directory
             && inode.kind != InodeKind::Table
@@ -974,24 +1078,34 @@ impl<D: BlockDevice> InodeFs<D> {
                 reason: format!("inode {dir} is a {} not a directory", inode.kind),
             });
         }
-        let data = self.read_all(dir)?;
-        Self::decode_dir(&data)
+        self.read_inode(&inode, 0, inode.size as usize)
     }
 
-    /// Adds an entry to a directory.
+    /// Adds an entry to a directory: the new entry is written where the last
+    /// counted one ends and the count is bumped, whatever the directory's
+    /// size — a constant number of blocks, staged together.
     ///
     /// # Errors
     ///
-    /// Returns [`InodeError::Directory`] on duplicate names.
+    /// Returns [`InodeError::Directory`] on duplicate names and on a name too
+    /// long for the entry's 16-bit length prefix.
     pub fn dir_add(&self, dir: Ino, name: &str, ino: Ino) -> Result<(), InodeError> {
-        let mut entries = self.dir_entries(dir)?;
-        if entries.iter().any(|(n, _)| n == name) {
-            return Err(InodeError::Directory {
-                reason: format!("entry `{name}` already exists"),
-            });
+        let name_len = u16::try_from(name.len()).map_err(|_| InodeError::Directory {
+            reason: format!("a name of {} bytes does not fit an entry", name.len()),
+        })?;
+        let data = self.read_dir(dir)?;
+        let mut scan = DirScan::new(&data)?;
+        let count = scan.left;
+        for entry in scan.by_ref() {
+            if entry?.0 == name.as_bytes() {
+                return Err(InodeError::Directory {
+                    reason: format!("entry `{name}` already exists"),
+                });
+            }
         }
-        entries.push((name.to_owned(), ino));
-        self.write_replace(dir, &Self::encode_dir(&entries))
+        let entry = [&name_len.to_le_bytes(), name.as_bytes(), &ino.to_le_bytes()].concat();
+        let count = (count + 1).to_le_bytes();
+        self.write_extents(dir, &[(scan.offset as u64, &entry), (0, &count)])
     }
 
     /// Looks up an entry by name.
@@ -1000,11 +1114,13 @@ impl<D: BlockDevice> InodeFs<D> {
     ///
     /// Propagates directory decoding errors.
     pub fn dir_lookup(&self, dir: Ino, name: &str) -> Result<Option<Ino>, InodeError> {
-        Ok(self
-            .dir_entries(dir)?
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, ino)| ino))
+        for entry in DirScan::new(&self.read_dir(dir)?)? {
+            let (entry_name, ino) = entry?;
+            if entry_name == name.as_bytes() {
+                return Ok(Some(ino));
+            }
+        }
+        Ok(None)
     }
 
     /// Removes an entry by name, returning the inode it pointed to.
@@ -1022,60 +1138,26 @@ impl<D: BlockDevice> InodeFs<D> {
                     reason: format!("entry `{name}` does not exist"),
                 })?;
         let (_, ino) = entries.remove(pos);
-        self.write_replace(dir, &Self::encode_dir(&entries))?;
-        Ok(ino)
-    }
-
-    fn encode_dir(entries: &[(String, Ino)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for (name, ino) in entries {
+        let mut out = (entries.len() as u32).to_le_bytes().to_vec();
+        for (name, ino) in &entries {
             out.extend_from_slice(&(name.len() as u16).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
             out.extend_from_slice(&ino.to_le_bytes());
         }
-        out
-    }
-
-    fn decode_dir(data: &[u8]) -> Result<Vec<(String, Ino)>, InodeError> {
-        let corrupt = || InodeError::Corrupt {
-            what: "directory entries".to_owned(),
-        };
-        if data.is_empty() {
-            return Ok(Vec::new());
-        }
-        if data.len() < 4 {
-            return Err(corrupt());
-        }
-        let count = u32::from_le_bytes(data[0..4].try_into().expect("4 bytes")) as usize;
-        let mut entries = Vec::with_capacity(count);
-        let mut off = 4;
-        for _ in 0..count {
-            if data.len() < off + 2 {
-                return Err(corrupt());
-            }
-            let name_len =
-                u16::from_le_bytes(data[off..off + 2].try_into().expect("2 bytes")) as usize;
-            off += 2;
-            if data.len() < off + name_len + 8 {
-                return Err(corrupt());
-            }
-            let name =
-                String::from_utf8(data[off..off + name_len].to_vec()).map_err(|_| corrupt())?;
-            off += name_len;
-            let ino = u64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-            off += 8;
-            entries.push((name, ino));
-        }
-        Ok(entries)
+        self.write_replace(dir, &out)?;
+        Ok(ino)
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
-    fn load_inode_checked(&self, state: &FsState, ino: Ino) -> Result<Inode, InodeError> {
-        if ino >= self.layout.inode_count || !state.inode_bitmap.is_set(ino) {
+    /// Loads an allocated inode.  Takes no lock of the filesystem's own: the
+    /// inode's `is_free()` says what the allocation bitmap says at every
+    /// commit point (and, through the overlay, inside the owner's
+    /// transaction), since each is only ever staged together with the other.
+    fn load_inode_checked(&self, ino: Ino) -> Result<Inode, InodeError> {
+        if ino >= self.layout.inode_count {
             return Err(InodeError::BadInode { ino });
         }
         let (block, offset) = self.layout.inode_location(ino);
@@ -1176,7 +1258,7 @@ impl<D: BlockDevice> InodeFs<D> {
             if !state.inode_bitmap.is_set(ino) {
                 continue;
             }
-            let inode = self.load_inode_checked(&state, ino)?;
+            let inode = self.load_inode_checked(ino)?;
             for &ptr in &inode.direct {
                 if ptr != 0 {
                     reachable.insert(ptr);
@@ -2134,5 +2216,192 @@ mod tests {
         drop(fs);
         let fs = InodeFs::mount(device).unwrap();
         assert_eq!(fs.stat(ino).unwrap().size, 1024);
+    }
+
+    /// The directory format stated apart from the product code — what the
+    /// writer that rewrote a directory whole laid down: `u32 count`, then
+    /// `u16 len · name · u64 ino` per entry.
+    fn encode_dir_whole(entries: &[(String, Ino)]) -> Vec<u8> {
+        let mut out = (entries.len() as u32).to_le_bytes().to_vec();
+        for (name, ino) in entries {
+            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(&ino.to_le_bytes());
+        }
+        out
+    }
+
+    fn numbered(range: std::ops::Range<u64>) -> Vec<(String, Ino)> {
+        range
+            .map(|i| (format!("entry-{i:05}"), 1_000 + i))
+            .collect()
+    }
+
+    type CountedFs = InodeFs<FaultyDevice<Arc<MemDevice>>>;
+
+    fn counted_fs(device: &Arc<MemDevice>, script: FaultScript) -> CountedFs {
+        InodeFs::mount(FaultyDevice::new(Arc::clone(device), script)).unwrap()
+    }
+
+    #[test]
+    fn a_name_too_long_for_its_length_prefix_is_refused_before_anything_is_staged() {
+        // 2 KiB blocks: a file holds 532 KiB, so the entry itself would fit.
+        let device = Arc::new(MemDevice::new(2_048, 2_048));
+        InodeFs::format(
+            Arc::clone(&device),
+            FormatParams::small(),
+            JournalMode::Retain,
+        )
+        .unwrap();
+        let fs = counted_fs(&device, FaultScript::none());
+        let (writes, refused) = fs
+            .device()
+            .writes_between(|| fs.dir_add(ROOT_INO, &"x".repeat(65_537), 9));
+        assert!(matches!(refused, Err(InodeError::Directory { .. })));
+        assert_eq!(writes, 0);
+        assert_eq!(fs.dir_entries(ROOT_INO).unwrap(), []);
+        // The longest name the prefix can state is stored and found whole.
+        let longest = "y".repeat(usize::from(u16::MAX));
+        fs.dir_add(ROOT_INO, &longest, 9).unwrap();
+        assert_eq!(fs.dir_lookup(ROOT_INO, &longest).unwrap(), Some(9));
+        assert_eq!(fs.dir_entries(ROOT_INO).unwrap(), [(longest, 9)]);
+    }
+
+    #[test]
+    fn dir_add_costs_the_same_device_writes_at_400_and_at_4000_entries() {
+        let device = Arc::new(MemDevice::new(4_096, 2_048));
+        InodeFs::format(
+            Arc::clone(&device),
+            FormatParams::small().with_journal_blocks(64),
+            JournalMode::Retain,
+        )
+        .unwrap();
+        let fs = counted_fs(&device, FaultScript::none());
+        let dir = fs.alloc_inode(InodeKind::Directory).unwrap();
+        let mut next = 0;
+        let mut cost_at = |entries: u64| {
+            while next < entries {
+                let tx = fs.begin_tx();
+                for (name, ino) in numbered(next..(next + 200).min(entries)) {
+                    fs.dir_add(dir, &name, ino).unwrap();
+                }
+                tx.commit().unwrap();
+                next = (next + 200).min(entries);
+            }
+            // 21-byte entries: neither add below crosses into a new block.
+            let (writes, added) = fs
+                .device()
+                .writes_between(|| fs.dir_add(dir, &format!("extra-{entries:05}"), entries));
+            added.unwrap();
+            writes
+        };
+        let (small, large) = (cost_at(400), cost_at(4_000));
+        assert_eq!(small, large, "an add rewrote a share of its directory");
+        // Header, commit, superblock; entry block, count block and inode,
+        // each once in the journal and once in place.
+        assert_eq!(small, 9);
+        assert!(fs.stat(dir).unwrap().size > 40 * 2_048);
+        assert_eq!(fs.dir_entries(dir).unwrap().len(), 4_002);
+    }
+
+    #[test]
+    fn a_directory_laid_down_whole_by_the_old_writer_behaves_like_a_grown_one() {
+        let device = Arc::new(MemDevice::new(1_024, 512));
+        let fs = InodeFs::format(device, FormatParams::small(), JournalMode::Retain).unwrap();
+        let old = fs.alloc_inode(InodeKind::Directory).unwrap();
+        let grown = fs.alloc_inode(InodeKind::Table).unwrap();
+        let mut entries = numbered(0..300);
+        fs.write_replace(old, &encode_dir_whole(&entries)).unwrap();
+        for (name, ino) in &entries {
+            fs.dir_add(grown, name, *ino).unwrap();
+        }
+        assert!(
+            fs.stat(old).unwrap().size > 10 * 512,
+            "past the direct blocks"
+        );
+        assert_eq!(fs.read_all(old).unwrap(), fs.read_all(grown).unwrap());
+
+        entries.push(("appended".to_owned(), 7));
+        let removed = entries.remove(41);
+        for dir in [old, grown] {
+            fs.dir_add(dir, "appended", 7).unwrap();
+            assert!(matches!(
+                fs.dir_add(dir, "entry-00299", 1),
+                Err(InodeError::Directory { .. })
+            ));
+            assert_eq!(fs.dir_remove(dir, &removed.0).unwrap(), removed.1);
+            assert_eq!(fs.dir_lookup(dir, &removed.0).unwrap(), None);
+            assert_eq!(fs.dir_lookup(dir, "entry-00299").unwrap(), Some(1_299));
+            assert_eq!(fs.dir_lookup(dir, "appended").unwrap(), Some(7));
+            assert_eq!(fs.dir_entries(dir).unwrap(), entries);
+            assert_eq!(fs.read_all(dir).unwrap(), encode_dir_whole(&entries));
+        }
+    }
+
+    #[test]
+    fn a_crash_inside_a_bare_directory_update_leaves_the_old_or_the_new_directory() {
+        // No compound transaction is open: `dir_add` is one journal
+        // transaction, `dir_remove` two (rewrite, then truncate) — so a crash
+        // between those two leaves the removed tail behind the count.
+        let image = || {
+            let device = Arc::new(MemDevice::new(1_024, 512));
+            let fs = InodeFs::format(
+                Arc::clone(&device),
+                FormatParams::small(),
+                JournalMode::Retain,
+            )
+            .unwrap();
+            let tx = fs.begin_tx();
+            for (name, ino) in numbered(0..100) {
+                fs.dir_add(ROOT_INO, &name, ino).unwrap();
+            }
+            tx.commit().unwrap();
+            device
+        };
+        type Update = fn(&CountedFs) -> Result<(), InodeError>;
+        let updates: [(Update, Vec<(String, Ino)>); 2] = [
+            (|fs| fs.dir_add(ROOT_INO, "fresh", 5), {
+                let mut after = numbered(0..100);
+                after.push(("fresh".to_owned(), 5));
+                after
+            }),
+            (
+                |fs| fs.dir_remove(ROOT_INO, "entry-00099").map(drop),
+                numbered(0..99),
+            ),
+        ];
+        let mut orphan_tails = 0;
+        for (update, after) in updates {
+            let probe = counted_fs(&image(), FaultScript::none());
+            let (total_writes, done) = probe.device().writes_between(|| update(&probe));
+            done.unwrap();
+            assert_eq!(probe.dir_entries(ROOT_INO).unwrap(), after);
+            for crash_after in 0..total_writes {
+                let device = image();
+                let fs = counted_fs(&device, FaultScript::crash_after_writes(crash_after));
+                assert!(update(&fs).is_err(), "crash point {crash_after} must trip");
+                drop(fs);
+                let fs = InodeFs::mount(device).unwrap();
+                let mut entries = fs.dir_entries(ROOT_INO).unwrap();
+                assert!(
+                    entries == numbered(0..100) || entries == after,
+                    "crash point {crash_after}: neither the old nor the new directory"
+                );
+                let counted = encode_dir_whole(&entries).len() as u64;
+                orphan_tails += usize::from(fs.stat(ROOT_INO).unwrap().size > counted);
+                // The next add goes where the count ends, over any tail.
+                fs.dir_add(ROOT_INO, "next", 6).unwrap();
+                entries.push(("next".to_owned(), 6));
+                assert_eq!(fs.dir_entries(ROOT_INO).unwrap(), entries);
+                let image = fs.read_all(ROOT_INO).unwrap();
+                let counted = encode_dir_whole(&entries);
+                assert_eq!(image[..counted.len()], counted[..]);
+                assert!(fs.leaked_data_blocks().unwrap().is_empty());
+            }
+        }
+        assert!(
+            orphan_tails > 0,
+            "some crash point leaves a tail to overwrite"
+        );
     }
 }

@@ -5,8 +5,8 @@
 
 use rgpdos::blockdev::{scan_for_pattern, FaultScript, FaultyDevice, MemDevice};
 use rgpdos::core::record::stored;
-use rgpdos::core::schema::listing1_user_schema;
-use rgpdos::core::{DataTypeId, Membrane, PdId, Row, SubjectId, Timestamp};
+use rgpdos::core::schema::{listing1_user_schema, DataTypeSchema};
+use rgpdos::core::{DataTypeId, FieldType, Membrane, PdId, Row, SubjectId, Timestamp};
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
 use rgpdos::crypto::EscrowedCiphertext;
 use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams, EraseIntent, PdStore, QueryRequest};
@@ -112,6 +112,127 @@ fn dbfs_mutations_are_crash_atomic_at_every_write_index() {
             .unwrap_or_else(|e| panic!("crash point {crash_after}: post-crash insert: {e}"));
         remounted.verify_index_invariants().unwrap();
     }
+}
+
+/// An insert appends one entry to its table's and its subject's directory
+/// and bumps their counts — a handful of blocks of directories that span
+/// many.  The table is preloaded so that the third of five inserts takes its
+/// directory into a new block: the sweep meets the entry inside a block, the
+/// one that straddles two and allocates, and the first of the new block.  A
+/// crash at any write leaves every record whole in both trees or absent from
+/// both, and no block leaked.
+#[test]
+fn an_insert_into_a_multi_block_directory_is_crash_atomic_at_every_write_index() {
+    let image = |preloaded: u64| {
+        let device = Arc::new(MemDevice::new(16_384, 512));
+        setup_image(&device);
+        let dbfs = Dbfs::mount(Arc::clone(&device)).unwrap();
+        let rows = (0..preloaded).map(|i| (SubjectId::new(i % 3), user_row("preloaded")));
+        dbfs.collect_many(&"user".into(), rows.collect()).unwrap();
+        device
+    };
+    fn insert<D: rgpdos::blockdev::BlockDevice>(dbfs: &Dbfs<D>) -> Result<PdId, DbfsError> {
+        dbfs.collect(&"user".into(), SubjectId::new(1), user_row("swept"))
+    }
+    fn table_blocks<D: rgpdos::blockdev::BlockDevice>(dbfs: &Dbfs<D>) -> u64 {
+        let fs = dbfs.inode_fs();
+        let tables = fs.dir_lookup(0, "tables").unwrap().unwrap();
+        let table = fs.dir_lookup(tables, "user").unwrap().unwrap();
+        fs.stat(table).unwrap().size.div_ceil(512)
+    }
+    let preloaded = {
+        let dbfs = Dbfs::mount(image(150)).unwrap();
+        let before = table_blocks(&dbfs);
+        assert!(before >= 4, "the table directory spans several blocks");
+        let mut records = 150;
+        while table_blocks(&dbfs) == before {
+            insert(&dbfs).unwrap();
+            records += 1;
+        }
+        records - 3
+    };
+    let inserts = |dbfs: &Dbfs<FaultyDevice<Arc<MemDevice>>>| -> Result<(), DbfsError> {
+        (0..5).try_for_each(|_| insert(dbfs).map(drop))
+    };
+    let probe = FaultyDevice::new(image(preloaded), FaultScript::none());
+    let cell = probe.cell();
+    let dbfs = Dbfs::mount(probe).unwrap();
+    let blocks_before = table_blocks(&dbfs);
+    let (total_writes, outcome) = cell.writes_between(|| inserts(&dbfs));
+    outcome.unwrap();
+    assert_eq!(table_blocks(&dbfs), blocks_before + 1);
+    drop(dbfs);
+
+    for crash_after in 0..total_writes {
+        let device = image(preloaded);
+        let faulty = FaultyDevice::new(
+            Arc::clone(&device),
+            FaultScript::crash_after_writes(crash_after),
+        );
+        let dbfs = Dbfs::mount(faulty).unwrap();
+        assert!(inserts(&dbfs).is_err(), "crash point {crash_after}");
+        drop(dbfs);
+        let remounted = Dbfs::mount(device)
+            .unwrap_or_else(|e| panic!("crash point {crash_after}: remount failed: {e}"));
+        remounted
+            .verify_index_invariants()
+            .unwrap_or_else(|e| panic!("crash point {crash_after}: invariants: {e}"));
+        let records = remounted.query(&QueryRequest::all("user")).unwrap().len() as u64;
+        assert!((preloaded..=preloaded + 5).contains(&records));
+        let leaked = remounted.inode_fs().leaked_data_blocks().unwrap();
+        assert!(leaked.is_empty(), "crash point {crash_after}: {leaked:?}");
+        let next = insert(&remounted)
+            .unwrap_or_else(|e| panic!("crash point {crash_after}: post-crash insert: {e}"));
+        assert_eq!(next.raw(), records, "ids stay dense");
+        remounted.verify_index_invariants().unwrap();
+    }
+}
+
+/// One table takes inserts until its directory file reaches the inode's
+/// addressing cap (10 direct + 64 indirect blocks of 512 B: about 2.3k
+/// entries) — well past the ~1.6k at which an insert that staged its
+/// directories whole outgrew a 64-block journal.  At the cap the insert
+/// fails like any other failing op: the prefix stays, nothing leaks, the
+/// image mounts, and other tables are none the wiser.
+#[test]
+fn a_table_takes_inserts_up_to_its_directory_cap_and_then_fails_cleanly() {
+    let device = Arc::new(MemDevice::new(32_768, 512));
+    let mut params = DbfsParams::small();
+    params.inode_params = params.inode_params.with_inode_count(4_096);
+    let dbfs = Dbfs::format(Arc::clone(&device), params).unwrap();
+    dbfs.create_type(listing1_user_schema()).unwrap();
+    let order = DataTypeSchema::builder("order").field("name", FieldType::Text);
+    dbfs.create_type(order.build().unwrap()).unwrap();
+    let batch = |from: u64| -> Vec<(SubjectId, Row)> {
+        let rows = (from..from + 50).map(|i| (SubjectId::new(i % 8), user_row("r")));
+        rows.collect()
+    };
+    let refusal = (0..)
+        .step_by(50)
+        .find_map(|from| dbfs.collect_many(&"user".into(), batch(from)).err())
+        .unwrap();
+    assert!(
+        matches!(refusal, DbfsError::Inode(InodeError::FileTooLarge { .. })),
+        "{refusal}"
+    );
+    let held = dbfs.count(&"user".into()).unwrap();
+    assert!((2_200..2_400).contains(&held), "{held} records at the cap");
+    let full = |dbfs: &Dbfs<Arc<MemDevice>>| {
+        dbfs.verify_index_invariants().unwrap();
+        assert!(dbfs.inode_fs().leaked_data_blocks().unwrap().is_empty());
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), held);
+        let again = dbfs.collect(&"user".into(), SubjectId::new(1), user_row("one more"));
+        assert!(matches!(
+            again,
+            Err(DbfsError::Inode(InodeError::FileTooLarge { .. }))
+        ));
+        let elsewhere = Row::new().with("name", "elsewhere");
+        dbfs.collect(&"order".into(), SubjectId::new(1), elsewhere)
+            .unwrap();
+    };
+    full(&dbfs);
+    drop(dbfs);
+    full(&Dbfs::mount(device).unwrap());
 }
 
 /// Every mutation of the two trees is one journal transaction, so nothing

@@ -11,12 +11,18 @@
 //! under the old inode, zeroed blocks, a freed inode — no reader may hand
 //! out a membrane or row under an id it does not belong to, and none may
 //! fail with a structural error.
+//!
+//! The last two tests are about the other half of the window: what a second
+//! thread sees while a writer's compound transaction is still *open*.  The
+//! staged blocks belong to the thread that opened it; everyone else reads
+//! committed state, without waiting for a lock the writer holds.
 
 use rgpdos::blockdev::{BlockDevice, DeviceError, DeviceGeometry, MemDevice};
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{DataTypeId, Membrane, PdId, PdRecord, Row, SubjectId};
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
 use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams, PdStore, QueryRequest};
+use rgpdos::inode::{FormatParams, InodeError, InodeFs, InodeKind, JournalMode};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -366,5 +372,95 @@ fn a_record_erased_under_a_read_is_its_tombstone_or_an_erased_error() {
             }
         });
         assert!(raced >= 2, "{name}: {raced} positions");
+    }
+}
+
+/// The rule at the inode layer, with the transaction held open across a
+/// second thread's whole visit: committed inodes read as committed (not the
+/// staged rewrite, not `BadInode` for one the transaction frees), an inode
+/// allocated inside the transaction does not exist for the visitor, and the
+/// owner reads what it staged.  The visitor runs to completion while the
+/// owner waits for it, so none of its calls waits on the owner.
+#[test]
+fn an_open_transaction_is_read_by_its_owner_only() {
+    let device = Arc::new(MemDevice::new(1_024, 512));
+    let fs = InodeFs::format(device, FormatParams::small(), JournalMode::Retain).unwrap();
+    let rewritten = fs.alloc_inode(InodeKind::File).unwrap();
+    fs.write(rewritten, 0, &[0xAA; 1_500]).unwrap();
+    let freed = fs.alloc_inode(InodeKind::File).unwrap();
+    fs.write(freed, 0, b"still here").unwrap();
+    let visit = |expect: &(dyn Fn(&InodeFs<Arc<MemDevice>>) + Sync)| {
+        std::thread::scope(|scope| scope.spawn(|| expect(&fs)).join().unwrap());
+    };
+
+    let tx = fs.begin_tx();
+    fs.write(rewritten, 0, &[0xBB; 2_000]).unwrap();
+    let fresh = fs.alloc_inode(InodeKind::File).unwrap();
+    fs.write(fresh, 0, b"staged").unwrap();
+    fs.dir_add(0, "fresh", fresh).unwrap();
+    fs.free_inode(freed).unwrap();
+    let staged = |fs: &InodeFs<Arc<MemDevice>>| {
+        assert_eq!(fs.read_all(rewritten).unwrap(), vec![0xBB; 2_000]);
+        assert!(matches!(fs.stat(freed), Err(InodeError::BadInode { .. })));
+        assert_eq!(fs.read_all(fresh).unwrap(), b"staged");
+        assert_eq!(fs.dir_lookup(0, "fresh").unwrap(), Some(fresh));
+    };
+    staged(&fs);
+    visit(&|fs| {
+        assert_eq!(fs.stat(rewritten).unwrap().size, 1_500);
+        assert_eq!(fs.read_all(rewritten).unwrap(), vec![0xAA; 1_500]);
+        assert_eq!(fs.read(rewritten, 1_000, 600).unwrap(), vec![0xAA; 500]);
+        assert_eq!(fs.read_all(freed).unwrap(), b"still here");
+        assert!(matches!(fs.stat(fresh), Err(InodeError::BadInode { .. })));
+        assert!(matches!(
+            fs.read(fresh, 0, 6),
+            Err(InodeError::BadInode { .. })
+        ));
+        assert_eq!(fs.dir_lookup(0, "fresh").unwrap(), None);
+    });
+    staged(&fs);
+    tx.commit().unwrap();
+    visit(&staged);
+}
+
+/// The same through the store: a second thread reads the bystander at every
+/// block read of an `update_rows` that rewrites it and then the victim —
+/// inside the writer's stage window, the transaction open, the index lock
+/// held, the bystander's new image staged from the victim's first read on.
+/// Each visit returns the committed row; before, it met the staged one, and
+/// where the writer sat inside the filesystem's state lock it could not have
+/// returned at all.
+#[test]
+fn a_reader_inside_a_writers_stage_window_reads_the_committed_record() {
+    fn name(row: &Row) -> &str {
+        row.get("name").unwrap().as_text().unwrap()
+    }
+    for nth in 1.. {
+        let fixture = fixture();
+        let (store, bystander) = (Arc::clone(&fixture.store), fixture.bystander);
+        let (raced, seen) = (Arc::clone(&fixture.raced), Arc::new(Mutex::new(None)));
+        let slot = Arc::clone(&seen);
+        fixture.device.arm(nth, move || {
+            raced.store(true, Ordering::SeqCst);
+            let visitor = std::thread::spawn(move || store.get(&user(), bystander));
+            *slot.lock().unwrap() = Some(visitor.join().unwrap());
+        });
+        let rewrites = vec![
+            (bystander, row("rewritten")),
+            (fixture.victim, row("rewritten too")),
+        ];
+        let updated = fixture.store.update_rows(&user(), rewrites);
+        fixture.device.disarm();
+        updated.unwrap();
+        if !fixture.raced.load(Ordering::SeqCst) {
+            assert!(nth > 6, "both rewrites read several blocks");
+            break;
+        }
+        let seen = seen.lock().unwrap().take().unwrap();
+        let seen = seen.unwrap_or_else(|e| panic!("visit at block read {nth}: {e}"));
+        assert_eq!(name(seen.row()), name(&row("bystander")), "read {nth}");
+        let after = fixture.store.get(&user(), bystander).unwrap();
+        assert_eq!(name(after.row()), name(&row("rewritten")));
+        fixture.store.verify_index_invariants().unwrap();
     }
 }
