@@ -109,9 +109,9 @@ pub enum ScriptOp {
     /// Retention sweep.
     Purge,
     /// Tombstone scrub/compaction pass: reclaims every tombstone whose
-    /// erasure is durable and unreferenced.  Each reclaim is its own
+    /// erasure is durable and unreferenced.  Each group of reclaims is one
     /// committed compound transaction, so a crash at any write index of
-    /// the pass must leave a clean prefix of whole reclaims — never a
+    /// the pass must leave a clean prefix of whole groups — never a
     /// resurrected record, never a half-freed inode.
     Scrub,
 }
@@ -532,9 +532,9 @@ fn check_recovered<S: PdStore>(
         violations.push(format!("index invariants violated after remount: {e}"));
     }
     // No erased id is ever live again.  Once a scrub pass started, an
-    // erased id may legitimately be *gone* (each reclaim commits its own
-    // compound transaction, so an interrupted pass leaves a clean prefix of
-    // whole reclaims) — but it must never be live.
+    // erased id may legitimately be *gone* (each group of reclaims commits
+    // as one compound transaction, so an interrupted pass leaves a clean
+    // prefix of whole groups) — but it must never be live.
     for &id in &shadow.erased {
         match store.load_membrane(user, id) {
             Ok(membrane) if membrane.is_erased() => {}

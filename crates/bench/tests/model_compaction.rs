@@ -1,9 +1,9 @@
 //! Model-checked suite for the tombstone scrubber/compactor.
 //!
 //! The scrubber reclaims tombstones whose erasure is durable: under the
-//! index lock it drops the tombstone's index entries, publishes a fresh
-//! snapshot, then frees the tombstone's blocks.  Two protocols keep that
-//! safe against concurrent traffic, and both are distilled and explored
+//! index lock it drops a group of tombstones' index entries, publishes a
+//! fresh snapshot, then frees their blocks.  Three protocols keep that safe
+//! against concurrent traffic, and all are distilled and explored
 //! exhaustively here:
 //!
 //! 1. **Reclaim vs snapshot reader**: a reader that resolved a record's
@@ -21,6 +21,11 @@
 //!    it after.  The scrubber must skip tombstones named by a pending
 //!    intent — reclaiming one mid-erasure would leave the intent (and its
 //!    crash recovery) pointing at an id that no longer exists.
+//! 3. **A group of reclaims vs snapshot readers**: a pass reclaims its
+//!    tombstones in groups, one compound transaction each.  The whole
+//!    group leaves the index and is published **once**, and only then are
+//!    its inodes freed; publishing after the first free is the caught
+//!    mutation.
 
 use parking_lot::{Mutex, RwLock};
 use rgpdos_conc::{spawn, Checker, FailureKind};
@@ -358,4 +363,103 @@ fn checker_finds_the_reclaim_racing_an_intent() {
     let replayed =
         std::panic::catch_unwind(move || Checker::replay(&schedule, || intent_race_model(false)));
     assert!(replayed.is_err(), "replay must reproduce the race");
+}
+
+// ---------------------------------------------------------------------
+// Model 3: one group reclaims two tombstones
+// ---------------------------------------------------------------------
+
+const ID_U: u8 = 3;
+
+/// `ID_U`'s tombstone, in an inode of its own.
+const U_TOMBSTONE: Image = Image {
+    owner: ID_U,
+    erased: true,
+    payload: 0x44,
+};
+
+/// Where a group reclaim publishes, relative to freeing its inodes.
+#[derive(Clone, Copy, PartialEq)]
+enum GroupPublish {
+    /// The product's order: un-index both, publish once, free both.
+    BeforeTheFrees,
+    /// Publish between the two frees.
+    AfterTheFirstFree,
+}
+
+/// A reader checking both tombstones of a group while the writer reclaims
+/// them in one group: whatever it is served under an id must be that id's
+/// tombstone.
+fn group_reclaim_model(order: GroupPublish) {
+    let records = BTreeMap::from([(ID_T, true), (ID_U, true)]);
+    let slot: Slot = Arc::new(RwLock::new(Arc::new(Snap {
+        epoch: 0,
+        records: records.clone(),
+    })));
+    let inodes = Arc::new([
+        (ID_T, Mutex::new(T_TOMBSTONE)),
+        (ID_U, Mutex::new(U_TOMBSTONE)),
+    ]);
+
+    let (s, d) = (Arc::clone(&slot), Arc::clone(&inodes));
+    let reader = spawn(move || {
+        for (id, inode) in d.iter() {
+            if let Some(Checked::AsLocated(image) | Checked::NowTombstone(image)) =
+                checked_read(&s, inode, *id, Rule::Always)
+            {
+                assert!(
+                    image.owner == *id && image.erased,
+                    "a read of the id served what is not the id's"
+                );
+            }
+        }
+    });
+    let (s, d) = (Arc::clone(&slot), Arc::clone(&inodes));
+    let writer = spawn(move || {
+        let mut index = Index { epoch: 0, records };
+        index.records.remove(&ID_T);
+        index.records.remove(&ID_U);
+        if order == GroupPublish::BeforeTheFrees {
+            publish(&mut index, &s);
+        }
+        for (i, (_, inode)) in d.iter().enumerate() {
+            *inode.lock() = FREED;
+            if i == 0 && order == GroupPublish::AfterTheFirstFree {
+                publish(&mut index, &s);
+            }
+        }
+    });
+    reader.join();
+    writer.join();
+    assert_eq!(slot.read().epoch, 1, "a group publishes once");
+}
+
+#[test]
+fn a_group_reclaim_publishes_once_before_it_frees() {
+    let report = Checker::dfs().check(|| group_reclaim_model(GroupPublish::BeforeTheFrees));
+    assert!(report.complete, "the model must be exhausted");
+    assert!(
+        report.executions >= 100,
+        "{} interleavings",
+        report.executions
+    );
+}
+
+/// Mutation: publish after the first free.  A reader that resolved the
+/// first tombstone before the group reads its freed inode and validates
+/// against a snapshot that still holds the id.
+#[test]
+fn checker_finds_the_group_that_publishes_after_its_first_free() {
+    let mutated = || group_reclaim_model(GroupPublish::AfterTheFirstFree);
+    let report = Checker::dfs().run(mutated);
+    let failure = report.failure.expect("the late publish must be caught");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(
+        failure.message.contains("served what is not the id's"),
+        "{}",
+        failure.message
+    );
+    let schedule = failure.schedule.clone();
+    let replayed = std::panic::catch_unwind(move || Checker::replay(&schedule, mutated));
+    assert!(replayed.is_err(), "replay must reproduce the failure");
 }

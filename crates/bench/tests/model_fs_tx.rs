@@ -2,17 +2,22 @@
 //! real [`InodeFs`].
 //!
 //! The writer opens a transaction, stages writes across two nested
-//! savepoints, rolls both back (dropping the inner stages), re-stages, and
-//! commits — while a reader hammers a file whose only staged write is one
-//! the writer rolls back, which exercises the owner-only overlay rule and
-//! the cache epoch protocol from a second thread.  The filesystem's own
+//! savepoints, rolls both back (dropping the inner stages; a third
+//! savepoint, released inside the outer one, must not cost the outer its
+//! undo), re-stages, and commits — while a reader hammers a file whose only
+//! staged write is one the writer rolls back, which exercises the
+//! owner-only overlay rule and the cache epoch protocol from a second
+//! thread.  The filesystem's own
 //! `parking_lot` locks and the `MemDevice`'s `RwLock` are the scheduling
 //! points; no test-only hooks are inserted into product code.
 //!
 //! The overlay rule itself — staged bytes are visible to the thread that
 //! opened the transaction and to no other — is also distilled into a
 //! two-lock model explored exhaustively, with the old rule ("the overlay
-//! serves any thread") as the mutation the checker must catch.
+//! serves any thread") as the mutation the checker must catch, and so is
+//! the release rule — the undo log goes only once no savepoint is
+//! outstanding — with "release drops undo entries an outer savepoint needs"
+//! as its mutation.
 //!
 //! The schedule space is far too large for exhaustive DFS (every lock
 //! acquisition branches), so this suite uses the seeded random scheduler:
@@ -48,11 +53,15 @@ fn savepoint_model() {
         let own = writer_fs.read_all(stable).expect("owner reads its stage");
         assert_eq!(own, b"SPILLED!", "the owner lost sight of its own write");
         writer_fs.tx_rollback_to(inner); // drops CCCC and the spill
+        let kept = writer_fs.tx_savepoint();
         writer_fs.write(scratch, 8, b"DDDD").expect("restage inner");
+        writer_fs.tx_release(kept); // `outer` still needs the undo log
         writer_fs.tx_rollback_to(outer); // drops BBBB and DDDD
+        let last = writer_fs.tx_savepoint();
         writer_fs
             .write(scratch, 4, b"EEEE")
             .expect("restage after outer");
+        writer_fs.tx_release(last); // none outstanding: the log goes
         tx.commit().expect("commit survivors");
     });
 
@@ -156,6 +165,94 @@ fn checker_finds_the_reader_that_sees_an_aborted_write() {
     assert_eq!(failure.kind, FailureKind::Panic);
     assert!(
         failure.message.contains("a byte that never committed"),
+        "{}",
+        failure.message
+    );
+}
+
+// ---------------------------------------------------------------------
+// The release rule, distilled
+// ---------------------------------------------------------------------
+
+/// `InodeFs`'s undo log in miniature, over one block: a stage pushes the
+/// value it replaces, a savepoint is a position in the log, and closing the
+/// last outstanding savepoint — or, in the mutation, any — drops the log.
+struct UndoLog {
+    block: u8,
+    undo: Vec<u8>,
+    outstanding: usize,
+    release_drops_always: bool,
+}
+
+impl UndoLog {
+    fn stage(&mut self, value: u8) {
+        self.undo.push(self.block);
+        self.block = value;
+    }
+
+    fn savepoint(&mut self) -> usize {
+        self.outstanding += 1;
+        self.undo.len()
+    }
+
+    fn close(&mut self) {
+        self.outstanding -= 1;
+        if self.outstanding == 0 || self.release_drops_always {
+            self.undo.clear();
+        }
+    }
+
+    fn rollback_to(&mut self, savepoint: usize) {
+        while self.undo.len() > savepoint {
+            self.block = self.undo.pop().expect("undo entry");
+        }
+        self.close();
+    }
+}
+
+/// Stage, take an outer savepoint, stage, keep an inner op (release its
+/// savepoint), then roll the outer one back: everything after it must go.
+fn release_model(release_drops_always: bool) {
+    let mut log = UndoLog {
+        block: COMMITTED,
+        undo: Vec::new(),
+        outstanding: 0,
+        release_drops_always,
+    };
+    log.stage(0xA0);
+    let outer = log.savepoint();
+    log.stage(0xB0);
+    let _inner = log.savepoint();
+    log.stage(0xCC);
+    log.close(); // release the inner savepoint
+    log.rollback_to(outer);
+    assert_eq!(
+        log.block, 0xA0,
+        "a rollback kept a write staged after its savepoint"
+    );
+    assert!(
+        log.undo.is_empty(),
+        "no savepoint is left to need the undo log"
+    );
+}
+
+#[test]
+fn a_released_savepoint_leaves_the_undo_log_to_the_outer_one() {
+    let report = Checker::dfs().check(|| release_model(false));
+    assert!(report.complete, "the model must be exhausted");
+}
+
+/// Mutation: a release that drops the undo log while the outer savepoint is
+/// still outstanding — its rollback then has nothing to undo with.
+#[test]
+fn checker_finds_the_release_that_drops_what_an_outer_savepoint_needs() {
+    let report = Checker::dfs().run(|| release_model(true));
+    let failure = report.failure.expect("the early drop must be caught");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(
+        failure
+            .message
+            .contains("kept a write staged after its savepoint"),
         "{}",
         failure.message
     );

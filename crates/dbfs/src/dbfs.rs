@@ -41,7 +41,7 @@ use rgpdos_core::{
 use rgpdos_crypto::escrow::OperatorEscrow;
 use rgpdos_crypto::PublicKey;
 use rgpdos_inode::fs::ROOT_INO;
-use rgpdos_inode::{FormatParams, Ino, InodeFs, InodeKind, JournalMode};
+use rgpdos_inode::{FormatParams, Ino, InodeFs, InodeKind, JournalMode, Transaction};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
@@ -853,21 +853,13 @@ impl<D: BlockDevice> Dbfs<D> {
     /// writer can interleave between an op's checks, its disk writes and
     /// its index update.
     ///
-    /// Ops are checked and staged one by one into an open compound
-    /// transaction (a **group**).  Every disk effect of an op is staged
-    /// behind a savepoint: an op that fails is un-staged and ends the batch
-    /// (prefix semantics — the ops before it still commit); an op that
-    /// would push the group past the journal's crash-atomic capacity is
-    /// un-staged, the group commits, and the op is staged again as the
-    /// first of the next group (an insert keeps its identifier: the
-    /// counter only advances with the inserts that joined a group) — or,
-    /// when it overflows a group of its own, ends the batch with
-    /// [`rgpdos_inode::InodeError::TxTooLarge`] like any other failing op:
-    /// no op is ever applied in pieces.  The
-    /// in-memory index is updated only after a group's commit, and a new
-    /// read snapshot is published per group that changed it — readers
-    /// observe whole groups, never a partial one.  A group no op joined
-    /// journals nothing and publishes nothing.
+    /// Ops are cut into groups by [`Dbfs::commit_in_groups`] (an insert
+    /// cut into the next group keeps its identifier: the counter only
+    /// advances with the inserts that joined a group), so no op is ever
+    /// applied in pieces.  The in-memory index is updated only after a
+    /// group's commit, and a new read snapshot is published per group that
+    /// changed it — readers observe whole groups, never a partial one.  A
+    /// group no op joined journals nothing and publishes nothing.
     ///
     /// Stats and audit events are recorded per committed group, per op in
     /// input order — a crashed or refused op is never audited.  Returns
@@ -888,27 +880,56 @@ impl<D: BlockDevice> Dbfs<D> {
         index: &mut DbfsIndex,
         ops: &[WriteOp<'_>],
     ) -> Result<Vec<PdId>, DbfsError> {
-        let capacity = self.fs.tx_capacity_blocks();
         let mut ids = Vec::with_capacity(ops.len());
+        self.commit_in_groups(
+            index,
+            ops,
+            |index, group, op| self.stage_op(index, group, op),
+            |index, tx, group| {
+                tx.commit()?;
+                self.apply_group(index, group, &mut ids);
+                Ok(())
+            },
+        )?;
+        Ok(ids)
+    }
+
+    /// The group cut every batch shares: `stage` checks one item against
+    /// the index and the open group (a compound transaction) and stages it
+    /// behind a savepoint (`Ok(None)`: no effect).  A failing item is
+    /// un-staged and ends the batch (prefix semantics); one that pushes the
+    /// group past the journal's capacity is un-staged, the group goes to
+    /// `commit`, and the item opens the next group — or, overflowing one of
+    /// its own, is refused by the commit (`TxTooLarge`), ending the batch.
+    /// Returns the first failing item's error, else a commit failure.
+    fn commit_in_groups<I, S>(
+        &self,
+        index: &mut DbfsIndex,
+        items: &[I],
+        stage: impl Fn(&DbfsIndex, &[S], &I) -> Result<Option<S>, DbfsError>,
+        mut commit: impl FnMut(&mut DbfsIndex, Transaction<'_, D>, Vec<S>) -> Result<(), DbfsError>,
+    ) -> Result<(), DbfsError> {
+        let capacity = self.fs.tx_capacity_blocks();
         let mut failure: Option<DbfsError> = None;
-        let mut rest = ops;
+        let mut rest = items;
         // One iteration per group commit.
         while failure.is_none() && !rest.is_empty() {
             let tx = self.fs.begin_tx();
-            let mut group: Vec<StagedOp> = Vec::new();
-            while let Some((op, tail)) = rest.split_first() {
+            let mut group = Vec::new();
+            while let Some((item, tail)) = rest.split_first() {
                 let savepoint = self.fs.tx_savepoint();
-                match self.stage_op(index, &group, op) {
+                match stage(index, &group, item) {
                     Ok(_) if self.fs.tx_staged_blocks() > capacity => {
-                        // Cut: `op` opens the next group instead.  With a
+                        // Cut: `item` opens the next group instead.  With a
                         // group to itself it stays staged, and the commit
-                        // below refuses and aborts it.
+                        // refuses and aborts it.
                         if !group.is_empty() {
                             self.fs.tx_rollback_to(savepoint);
                         }
                         break;
                     }
                     Ok(staged) => {
+                        self.fs.tx_release(savepoint);
                         group.extend(staged);
                         rest = tail;
                     }
@@ -919,16 +940,18 @@ impl<D: BlockDevice> Dbfs<D> {
                     }
                 }
             }
-            if let Err(e) = tx.commit() {
-                failure.get_or_insert(e.into());
+            // Nothing joined: journal nothing, or refuse the lone overflow.
+            let committed = if group.is_empty() {
+                tx.commit().map_err(DbfsError::from)
+            } else {
+                commit(index, tx, group)
+            };
+            if let Err(e) = committed {
+                failure.get_or_insert(e);
                 break;
             }
-            self.apply_group(index, group, &mut ids);
         }
-        match failure {
-            None => Ok(ids),
-            Some(e) => Err(e),
-        }
+        failure.map_or(Ok(()), Err)
     }
 
     /// Checks one op against the committed index *and* the open group,
@@ -1133,9 +1156,6 @@ impl<D: BlockDevice> Dbfs<D> {
     /// records can only start after it, so the trail never shows an event
     /// on a record after its `Erased`, nor a `Reclaimed` ahead of it.
     fn apply_group(&self, index: &mut DbfsIndex, mut group: Vec<StagedOp>, ids: &mut Vec<PdId>) {
-        if group.is_empty() {
-            return;
-        }
         if let Some(t) = self.trace.get() {
             t.group_records.record(group.len() as u64);
         }
@@ -1478,10 +1498,14 @@ impl<D: BlockDevice> Dbfs<D> {
     ///
     /// For every reclaimed tombstone, both tree entries are unlinked and
     /// the record inode is freed (zeroed under `secure_free`, so the
-    /// escrowed ciphertext leaves no residue) in **one** compound
-    /// transaction — a crash at any write index leaves either the whole
-    /// tombstone or none of it, and the next mount simply no longer indexes
-    /// it.  Skipped, in order of precedence:
+    /// escrowed ciphertext leaves no residue).  The reclaims are cut into
+    /// groups at the journal's capacity like a write batch, each **one**
+    /// compound transaction: a crash leaves every tombstone of a group
+    /// whole or none of them.  A group's ids leave the index and one
+    /// snapshot is published **before** its commit, so a reader that meets
+    /// a freed inode finds the id gone when `checked_read` validates — a
+    /// reclaimed id is never readable; a failed commit puts them back and
+    /// publishes again.  Skipped, in order of precedence:
     ///
     /// * tombstones named by a **pending [`EraseIntent`]** (counted in
     ///   [`ScrubReport::retained_intent`]): the erasure protocol has not
@@ -1492,13 +1516,15 @@ impl<D: BlockDevice> Dbfs<D> {
     ///   child-before-parent — iterated to fixpoint, so a fully erased copy
     ///   chain is reclaimed whole in one pass, deepest copies first.
     ///
-    /// Each reclamation is counted and audited as an
-    /// [`AuditEventKind::Reclaimed`] event right after its commit.
+    /// After a group commits, each reclaim is counted and audited as an
+    /// [`AuditEventKind::Reclaimed`] event, in reclamation order.
     ///
     /// # Errors
     ///
-    /// Propagates storage errors; tombstones reclaimed before the failure
-    /// stay reclaimed (each was individually atomic), counted and audited.
+    /// Propagates storage errors — `TxTooLarge` for a tombstone near the
+    /// start of a table directory larger than a journal transaction (its
+    /// reclaim writes the directory from its entry on); tombstones reclaimed
+    /// before the failure stay reclaimed, counted and audited.
     pub fn scrub_tombstones_with(
         &self,
         reclaimable: impl Fn(PdId) -> bool,
@@ -1519,97 +1545,88 @@ impl<D: BlockDevice> Dbfs<D> {
                 None => BTreeSet::new(),
             };
             let mut blocked = 0usize;
-            let mut queue: Vec<PdId> = Vec::new();
-            for (&id, _) in index.view.records.iter().filter(|(_, loc)| loc.erased) {
+            let mut queue = Vec::new();
+            for (&id, location) in index.view.records.iter().filter(|(_, loc)| loc.erased) {
                 report.scanned_tombstones += 1;
                 if pending.contains(&id) {
                     report.retained_intent += 1;
                 } else if !reclaimable(id) {
                     blocked += 1;
                 } else {
-                    queue.push(id);
+                    queue.push((id, location.clone()));
                 }
             }
-            // Child-before-parent, iterated to fixpoint: a tombstone is
-            // only reclaimed once nothing references it as its lineage
+            // Child-before-parent, iterated to fixpoint: a tombstone joins
+            // the order only after every copy naming it as its lineage
             // original, so the reverse-lineage index never dangles.
+            let (mut order, mut planned) = (Vec::new(), BTreeSet::new());
             loop {
-                let mut progressed = false;
+                let before = order.len();
                 let mut deferred = Vec::new();
-                for id in std::mem::take(&mut queue) {
-                    if index.has_copies(id) {
-                        deferred.push(id);
-                        continue;
+                for (id, location) in std::mem::take(&mut queue) {
+                    if index.copies(id).all(|copy| planned.contains(&copy)) {
+                        planned.insert(id);
+                        order.push((id, location));
+                    } else {
+                        deferred.push((id, location));
                     }
-                    let Some(location) = index.view.records.get(&id).cloned() else {
-                        continue;
-                    };
-                    let bytes = self.fs.stat(location.ino)?.size;
-                    self.reclaim_locked(&mut index, id, &location)?;
-                    // Counted and audited right after its commit, under the
-                    // index lock as erasure does: an error later in the pass
-                    // leaves every committed reclaim accounted for.
-                    self.space.add_reclaimed(1);
-                    let reclaimed = AuditEventKind::Reclaimed { pd: id };
-                    self.audit
-                        .record(self.clock.now(), Some(location.subject), reclaimed);
-                    report.bytes_reclaimed += bytes;
-                    report.reclaimed.push(id);
-                    progressed = true;
                 }
                 queue = deferred;
-                if queue.is_empty() || !progressed {
+                if queue.is_empty() || order.len() == before {
                     break;
                 }
             }
             // Whatever still waits on surviving copies — or on the caller's
             // retain policy — stays a tombstone until a later pass.
             report.retained_lineage = blocked + queue.len();
+            self.commit_in_groups(
+                &mut index,
+                &order,
+                |index, _, (id, location)| {
+                    let table = index.view.tables.get(&location.data_type);
+                    let subject = index.view.subjects.get(&location.subject);
+                    let (Some(&table_ino), Some(&subject_ino)) = (table, subject) else {
+                        return Err(corrupt(format!("tombstone {id} outside its trees")));
+                    };
+                    let bytes = self.fs.stat(location.ino)?.size;
+                    self.fs.dir_remove(table_ino, &id.to_string())?;
+                    let entry = subject_entry(&location.data_type, *id);
+                    self.fs.dir_remove(subject_ino, &entry)?;
+                    self.fs.free_inode(location.ino)?;
+                    Ok(Some((*id, location.clone(), bytes)))
+                },
+                |index, tx, group| {
+                    for (id, location, _) in &group {
+                        index.remove_record(*id, location);
+                    }
+                    self.publish_locked(index);
+                    if let Err(e) = tx.commit() {
+                        // Nothing reached the device: the tombstones are
+                        // all still there.
+                        for (id, location, _) in group {
+                            index.insert_record(id, location);
+                        }
+                        self.publish_locked(index);
+                        return Err(e.into());
+                    }
+                    // Counted and audited under the index lock, as erasure
+                    // does: an error later in the pass leaves every
+                    // committed reclaim accounted for.
+                    for (id, location, bytes) in group {
+                        self.space.add_reclaimed(1);
+                        let reclaimed = AuditEventKind::Reclaimed { pd: id };
+                        self.audit
+                            .record(self.clock.now(), Some(location.subject), reclaimed);
+                        report.bytes_reclaimed += bytes;
+                        report.reclaimed.push(id);
+                    }
+                    Ok(())
+                },
+            )?;
         }
         // Refresh the amplification gauge from the post-pass footprint.
         self.space_stats()?;
         Ok(report)
-    }
-
-    /// Reclaims one tombstone under the index lock.  The index drops the id
-    /// and publishes **first**, then one compound transaction unlinks both
-    /// tree entries and frees the record inode: a reader holding an older
-    /// snapshot that meets the staged or freed inode finds the id gone when
-    /// `checked_read` validates, and one that validated before this publish
-    /// read the tombstone intact — a reclaimed id is never readable.  (An
-    /// un-indexed tombstone that a crash leaves on disk is simply indexed
-    /// again by the next mount.)
-    fn reclaim_locked(
-        &self,
-        index: &mut DbfsIndex,
-        id: PdId,
-        location: &RecordLocation,
-    ) -> Result<(), DbfsError> {
-        let Some(&table_ino) = index.view.tables.get(&location.data_type) else {
-            return Err(corrupt(format!(
-                "tombstone {id} belongs to an unknown table"
-            )));
-        };
-        let Some(&subject_ino) = index.view.subjects.get(&location.subject) else {
-            return Err(corrupt(format!(
-                "tombstone {id} belongs to an unknown subject"
-            )));
-        };
-        index.remove_record(id, location);
-        self.publish_locked(index);
-        let free = || -> Result<(), DbfsError> {
-            let tx = self.fs.begin_tx();
-            self.fs.dir_remove(table_ino, &id.to_string())?;
-            self.fs
-                .dir_remove(subject_ino, &subject_entry(&location.data_type, id))?;
-            self.fs.free_inode(location.ino)?;
-            Ok(tx.commit()?)
-        };
-        free().inspect_err(|_| {
-            // Nothing reached the device: the tombstone is still there.
-            index.insert_record(id, location.clone());
-            self.publish_locked(index);
-        })
     }
 }
 
@@ -3075,6 +3092,28 @@ mod tests {
         let again = dbfs.scrub_tombstones().unwrap();
         assert_eq!(again.reclaimed_count(), 0);
         assert_eq!(again.scanned_tombstones, 0);
+    }
+
+    #[test]
+    fn a_scrub_pass_commits_and_publishes_once_per_group() {
+        let dbfs = dbfs();
+        let escrow = OperatorEscrow::new(Authority::generate(9).public_key());
+        let rows = (0..48u64).map(|i| (SubjectId::new(i % 4), user_row("grouped", 1990)));
+        let ids = dbfs.collect_many(&"user".into(), rows.collect()).unwrap();
+        for &id in ids.iter().step_by(2) {
+            dbfs.erase(&"user".into(), id, &escrow).unwrap();
+        }
+        let (epoch, txs) = (dbfs.snapshot_info().0, dbfs.inode_fs().journal_txs());
+        assert_eq!(dbfs.scrub_tombstones().unwrap().reclaimed_count(), 24);
+        let groups = dbfs.inode_fs().journal_txs() - txs;
+        assert!((2..24).contains(&groups), "{groups} groups for 24 reclaims");
+        assert_eq!(
+            dbfs.snapshot_info().0 - epoch,
+            groups,
+            "one publish per group"
+        );
+        dbfs.verify_index_invariants().unwrap();
+        assert_eq!(dbfs.count(&"user".into()).unwrap(), 24);
     }
 
     #[test]

@@ -454,9 +454,9 @@ impl DbfsIndex {
         });
     }
 
-    /// Whether any record still names `id` as its lineage original.
-    pub(crate) fn has_copies(&self, id: PdId) -> bool {
-        ids_under(&self.copies_of, id).next().is_some()
+    /// The records that name `id` as their lineage original.
+    pub(crate) fn copies(&self, id: PdId) -> impl Iterator<Item = PdId> + '_ {
+        ids_under(&self.copies_of, id)
     }
 
     /// What an erasure of `roots` must tombstone: the live records among
@@ -678,13 +678,17 @@ mod tests {
         index.set_expiry(PdId::new(1), Some(Timestamp::from_secs(5)));
         index.verify().unwrap();
         assert_eq!(index.view.by_expiry.len(), 0);
-        assert!(index.has_copies(PdId::new(1)) && !index.has_copies(PdId::new(2)));
+        assert_eq!(
+            index.copies(PdId::new(1)).collect::<Vec<_>>(),
+            [PdId::new(2)]
+        );
+        assert_eq!(index.copies(PdId::new(2)).count(), 0);
         assert_eq!(index.lineage_closure(PdId::new(1)), [PdId::new(2)]);
         assert_eq!(index.view.subject_ids(SUBJECT).count(), 2);
         let copy = index.view.records.get(&PdId::new(2)).unwrap().clone();
         index.remove_record(PdId::new(2), &copy);
         index.verify().unwrap();
-        assert!(!index.has_copies(PdId::new(1)));
+        assert_eq!(index.copies(PdId::new(1)).count(), 0);
         assert_eq!(
             index.view.subject_ids(SUBJECT).collect::<Vec<_>>(),
             [PdId::new(1)]

@@ -10,9 +10,10 @@
 //! The scrubber closes that hole.  [`PdStore::scrub_tombstones`] reclaims the
 //! on-disk footprint of tombstones whose erasure receipt is durable:
 //!
-//! * each reclamation is **one compound transaction** (both tree entries
-//!   unlinked + the record inode freed), so a crash at any write index
-//!   leaves either the whole tombstone or none of it;
+//! * a pass reclaims in **groups** cut at the journal's capacity, each one
+//!   compound transaction (per tombstone: both tree entries unlinked + the
+//!   record inode freed), so a crash at any write index leaves every
+//!   tombstone of a group whole or none of them;
 //! * `secure_free` zeroes the freed blocks, so neither the tombstone
 //!   ciphertext nor any stale payload bytes survive on the raw device;
 //! * a tombstone referenced by a pending [`EraseIntent`] is **never**
@@ -22,6 +23,7 @@
 //!   and the cross-shard lineage directory never dangle;
 //! * every reclamation is audited as an explicit
 //!   [`AuditEventKind::Reclaimed`](rgpdos_core::AuditEventKind) event.
+
 //!
 //! [`PdStore::space_stats`] measures the amplification; the
 //! `space_amplification` / `tombstones_reclaimed` gauges surface both in the

@@ -219,8 +219,11 @@ struct TxState {
     /// what keeps per-record savepoints affordable inside large group
     /// commits.  (The allocation bitmaps are still snapshotted whole per
     /// savepoint: a few KB on the simulated geometries, cheap next to the
-    /// block data the log avoids copying.)
+    /// block data the log avoids copying.)  Dropped whenever no savepoint
+    /// is outstanding (`savepoints`, taken and not yet rolled back to or
+    /// released): nothing can roll back past that point.
     undo: Vec<(u64, Option<Vec<u8>>)>,
+    savepoints: usize,
     /// The allocation bitmaps as of `begin_tx`, restored on abort: the
     /// operations inside a transaction mutate the in-memory bitmaps eagerly
     /// (allocations *and* frees), and a freed-in-memory block whose on-disk
@@ -229,13 +232,23 @@ struct TxState {
     saved_data_bitmap: Bitmap,
 }
 
+impl TxState {
+    fn close_savepoint(&mut self) {
+        self.savepoints -= 1;
+        if self.savepoints == 0 {
+            self.undo.clear();
+        }
+    }
+}
+
 /// A snapshot of an open compound transaction's staged state (overlay and
 /// allocation bitmaps), taken with [`InodeFs::tx_savepoint`].  Rolling back
 /// to a savepoint ([`InodeFs::tx_rollback_to`]) discards everything staged
 /// after it while keeping the transaction open — the mechanism batched
 /// writers use to un-stage the one mutation that would overflow the journal
 /// capacity, commit the group staged so far, and re-stage it in a fresh
-/// transaction.
+/// transaction.  A savepoint that will not be rolled back to is given up
+/// with [`InodeFs::tx_release`].
 #[derive(Debug)]
 pub struct TxSavepoint {
     /// Position in the transaction's undo log at savepoint time.
@@ -617,6 +630,7 @@ impl<D: BlockDevice> InodeFs<D> {
         *tx = Some(TxState {
             overlay: BTreeMap::new(),
             undo: Vec::new(),
+            savepoints: 0,
             saved_inode_bitmap: state.inode_bitmap.clone(),
             saved_data_bitmap: state.data_bitmap.clone(),
         });
@@ -654,10 +668,11 @@ impl<D: BlockDevice> InodeFs<D> {
     /// Panics when no compound transaction is open.
     pub fn tx_savepoint(&self) -> TxSavepoint {
         let state = self.state.lock();
-        let tx = self.tx.lock();
+        let mut tx = self.tx.lock();
         let staged = tx
-            .as_ref()
+            .as_mut()
             .expect("tx_savepoint requires an open compound transaction");
+        staged.savepoints += 1;
         TxSavepoint {
             undo_len: staged.undo.len(),
             inode_bitmap: state.inode_bitmap.clone(),
@@ -695,9 +710,26 @@ impl<D: BlockDevice> InodeFs<D> {
                 }
             }
         }
+        staged.close_savepoint();
         state.inode_bitmap = savepoint.inode_bitmap;
         state.data_bitmap = savepoint.data_bitmap;
-        self.sanitizer_reseed(&state);
+        self.sanitizer_reseed(&state.data_bitmap, &staged.saved_data_bitmap);
+    }
+
+    /// Gives up a savepoint that will not be rolled back to.  With none
+    /// outstanding the undo log is dropped, so a transaction of many kept
+    /// ops holds no copy of the blocks each of them staged again.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no compound transaction is open.
+    pub fn tx_release(&self, savepoint: TxSavepoint) {
+        drop(savepoint);
+        self.tx
+            .lock()
+            .as_mut()
+            .expect("tx_release requires an open compound transaction")
+            .close_savepoint();
     }
 
     fn commit_tx(&self) -> Result<(), InodeError> {
@@ -728,7 +760,7 @@ impl<D: BlockDevice> InodeFs<D> {
             let mut state = self.state.lock();
             state.inode_bitmap = staged.saved_inode_bitmap;
             state.data_bitmap = staged.saved_data_bitmap;
-            self.sanitizer_reseed(&state);
+            self.sanitizer_reseed(&state.data_bitmap, &state.data_bitmap);
         }
     }
 
@@ -1123,28 +1155,32 @@ impl<D: BlockDevice> InodeFs<D> {
         Ok(None)
     }
 
-    /// Removes an entry by name, returning the inode it pointed to.
+    /// Removes an entry by name, returning the inode it pointed to.  The
+    /// entries after it move left over it, so only the blocks from it to the
+    /// last counted entry's end are written (and the count's).
     ///
     /// # Errors
     ///
     /// Returns [`InodeError::Directory`] when the entry does not exist.
     pub fn dir_remove(&self, dir: Ino, name: &str) -> Result<Ino, InodeError> {
-        let mut entries = self.dir_entries(dir)?;
-        let pos =
-            entries
-                .iter()
-                .position(|(n, _)| n == name)
-                .ok_or_else(|| InodeError::Directory {
-                    reason: format!("entry `{name}` does not exist"),
-                })?;
-        let (_, ino) = entries.remove(pos);
-        let mut out = (entries.len() as u32).to_le_bytes().to_vec();
-        for (name, ino) in &entries {
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&ino.to_le_bytes());
+        let data = self.read_dir(dir)?;
+        let mut scan = DirScan::new(&data)?;
+        let count = scan.left;
+        let (mut start, mut removed) = (scan.offset, None);
+        while let Some(entry) = scan.next() {
+            let (entry_name, ino) = entry?;
+            if removed.is_none() && entry_name == name.as_bytes() {
+                removed = Some((start..scan.offset, ino));
+            }
+            start = scan.offset;
         }
-        self.write_replace(dir, &out)?;
+        let (entry, ino) = removed.ok_or_else(|| InodeError::Directory {
+            reason: format!("entry `{name}` does not exist"),
+        })?;
+        let count = (count - 1).to_le_bytes();
+        let moved = &data[entry.end..scan.offset];
+        self.write_extents(dir, &[(0, &count), (entry.start as u64, moved)])?;
+        self.truncate(dir, (scan.offset - entry.len()) as u64)?;
         Ok(ino)
     }
 
@@ -1231,11 +1267,16 @@ impl<D: BlockDevice> InodeFs<D> {
     }
 
     /// Re-aligns an attached block sanitizer's allocation map with the
-    /// in-memory data bitmap.  Called wherever the bitmap is replaced
-    /// wholesale (rollback, abort) rather than mutated incrementally.
-    fn sanitizer_reseed(&self, state: &FsState) {
+    /// in-memory data bitmap `now`.  Called wherever the bitmap is replaced
+    /// wholesale (rollback, abort) rather than mutated incrementally.  A
+    /// block set in `begun` (at `begin_tx`) and clear in `now` stays
+    /// `Freed`: the commit's secure-free zero write to it is legitimate.
+    fn sanitizer_reseed(&self, now: &Bitmap, begun: &Bitmap) {
         if let Some(sanitizer) = self.device.sanitizer() {
-            sanitizer.reseed_with(|block| state.data_bitmap.is_set(block));
+            sanitizer.reseed_with(|block| now.is_set(block));
+            let freed = (self.layout.data_start..self.layout.total_blocks)
+                .filter(|&block| begun.is_set(block) && !now.is_set(block));
+            freed.for_each(|block| sanitizer.note_free(block));
         }
     }
 
@@ -1455,7 +1496,9 @@ impl<D: BlockDevice> InodeFs<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rgpdos_blockdev::{scan_for_pattern, FaultScript, FaultyDevice, MemDevice};
+    use rgpdos_blockdev::{
+        scan_for_pattern, FaultScript, FaultyDevice, MemDevice, SanitizedDevice,
+    };
     use std::sync::Arc;
 
     fn small_fs() -> InodeFs<Arc<MemDevice>> {
@@ -2197,6 +2240,27 @@ mod tests {
     }
 
     #[test]
+    fn a_rollback_keeps_what_the_transaction_freed_before_the_savepoint_freed() {
+        let device = Arc::new(SanitizedDevice::new(MemDevice::new(512, 256)));
+        let params = FormatParams::small().with_secure_free(true);
+        let fs = InodeFs::format(Arc::clone(&device), params, JournalMode::Retain).unwrap();
+        let shrunk = fs.alloc_inode(InodeKind::File).unwrap();
+        let other = fs.alloc_inode(InodeKind::File).unwrap();
+        fs.write(shrunk, 0, &[0xAB; 2_048]).unwrap();
+        let tx = fs.begin_tx();
+        fs.truncate(shrunk, 0).unwrap();
+        let savepoint = fs.tx_savepoint();
+        fs.write(other, 0, b"rolled back").unwrap();
+        fs.tx_rollback_to(savepoint);
+        tx.commit().unwrap();
+        // The commit zeroes the eight blocks the truncate freed: the
+        // secure-free scrub, not a write to an unallocated block.
+        assert_eq!(device.sanitizer().unwrap().violations(), []);
+        assert_eq!(fs.stat(shrunk).unwrap().size, 0);
+        assert!(fs.leaked_data_blocks().unwrap().is_empty());
+    }
+
+    #[test]
     fn journal_wraps_without_corruption() {
         let device = Arc::new(MemDevice::new(1024, 256));
         let fs = InodeFs::format(
@@ -2268,7 +2332,7 @@ mod tests {
     }
 
     #[test]
-    fn dir_add_costs_the_same_device_writes_at_400_and_at_4000_entries() {
+    fn dir_add_and_remove_cost_the_same_device_writes_at_400_and_at_4000_entries() {
         let device = Arc::new(MemDevice::new(4_096, 2_048));
         InodeFs::format(
             Arc::clone(&device),
@@ -2289,19 +2353,23 @@ mod tests {
                 next = (next + 200).min(entries);
             }
             // 21-byte entries: neither add below crosses into a new block.
-            let (writes, added) = fs
+            let name = format!("extra-{entries:05}");
+            let (add, added) = fs
                 .device()
-                .writes_between(|| fs.dir_add(dir, &format!("extra-{entries:05}"), entries));
+                .writes_between(|| fs.dir_add(dir, &name, entries));
             added.unwrap();
-            writes
+            let (remove, removed) = fs.device().writes_between(|| fs.dir_remove(dir, &name));
+            assert_eq!(removed.unwrap(), entries);
+            (add, remove)
         };
         let (small, large) = (cost_at(400), cost_at(4_000));
-        assert_eq!(small, large, "an add rewrote a share of its directory");
-        // Header, commit, superblock; entry block, count block and inode,
-        // each once in the journal and once in place.
-        assert_eq!(small, 9);
+        assert_eq!(small, large, "an update rewrote a share of its directory");
+        // Add: header, commit, superblock; entry block, count block and
+        // inode, each once in the journal and once in place.  Remove: the
+        // count and the inode, then the truncated inode, each a transaction.
+        assert_eq!(small, (9, 12));
         assert!(fs.stat(dir).unwrap().size > 40 * 2_048);
-        assert_eq!(fs.dir_entries(dir).unwrap().len(), 4_002);
+        assert_eq!(fs.dir_entries(dir).unwrap().len(), 4_000);
     }
 
     #[test]
@@ -2322,19 +2390,25 @@ mod tests {
         assert_eq!(fs.read_all(old).unwrap(), fs.read_all(grown).unwrap());
 
         entries.push(("appended".to_owned(), 7));
-        let removed = entries.remove(41);
+        // One from the middle, one from the first block, then the last.
+        let removed = [entries.remove(150), entries.remove(41)];
         for dir in [old, grown] {
             fs.dir_add(dir, "appended", 7).unwrap();
             assert!(matches!(
                 fs.dir_add(dir, "entry-00299", 1),
                 Err(InodeError::Directory { .. })
             ));
-            assert_eq!(fs.dir_remove(dir, &removed.0).unwrap(), removed.1);
-            assert_eq!(fs.dir_lookup(dir, &removed.0).unwrap(), None);
+            for (name, ino) in &removed {
+                assert_eq!(fs.dir_remove(dir, name).unwrap(), *ino);
+                assert_eq!(fs.dir_lookup(dir, name).unwrap(), None);
+            }
             assert_eq!(fs.dir_lookup(dir, "entry-00299").unwrap(), Some(1_299));
             assert_eq!(fs.dir_lookup(dir, "appended").unwrap(), Some(7));
             assert_eq!(fs.dir_entries(dir).unwrap(), entries);
             assert_eq!(fs.read_all(dir).unwrap(), encode_dir_whole(&entries));
+            assert_eq!(fs.dir_remove(dir, "appended").unwrap(), 7);
+            let kept = &entries[..entries.len() - 1];
+            assert_eq!(fs.read_all(dir).unwrap(), encode_dir_whole(kept));
         }
     }
 
@@ -2359,7 +2433,7 @@ mod tests {
             device
         };
         type Update = fn(&CountedFs) -> Result<(), InodeError>;
-        let updates: [(Update, Vec<(String, Ino)>); 2] = [
+        let updates: [(Update, Vec<(String, Ino)>); 3] = [
             (|fs| fs.dir_add(ROOT_INO, "fresh", 5), {
                 let mut after = numbered(0..100);
                 after.push(("fresh".to_owned(), 5));
@@ -2369,6 +2443,11 @@ mod tests {
                 |fs| fs.dir_remove(ROOT_INO, "entry-00099").map(drop),
                 numbered(0..99),
             ),
+            (|fs| fs.dir_remove(ROOT_INO, "entry-00050").map(drop), {
+                let mut after = numbered(0..100);
+                after.remove(50);
+                after
+            }),
         ];
         let mut orphan_tails = 0;
         for (update, after) in updates {

@@ -235,6 +235,55 @@ fn a_table_takes_inserts_up_to_its_directory_cap_and_then_fails_cleanly() {
     full(&Dbfs::mount(device).unwrap());
 }
 
+/// A reclaim rewrites a table directory only from the removed entry on, so
+/// in a 2 000-record table (a 67-block directory, past the 61-block journal
+/// transaction) a tombstone near the end is reclaimed.  One near the start
+/// still overflows a group of its own: the pass ends with `TxTooLarge`,
+/// keeping the groups before it — the bound the keyed on-disk tree removes.
+#[test]
+fn a_scrub_reclaims_near_the_end_of_a_large_table_and_stops_cleanly_near_its_start() {
+    let device = Arc::new(MemDevice::new(32_768, 512));
+    let mut params = DbfsParams::small();
+    params.inode_params = params.inode_params.with_inode_count(4_096);
+    let dbfs = Dbfs::format(Arc::clone(&device), params).unwrap();
+    dbfs.create_type(listing1_user_schema()).unwrap();
+    let user: DataTypeId = "user".into();
+    let mut ids = Vec::new();
+    for from in (0..2_000u64).step_by(50) {
+        let rows = (from..from + 50).map(|i| (SubjectId::new(i % 8), user_row("r")));
+        ids.extend(dbfs.collect_many(&user, rows.collect()).unwrap());
+    }
+    let escrow = OperatorEscrow::new(Authority::generate(25).public_key());
+    // The first record's copy goes last, so the copy is reclaimed first.
+    let (first, near_end) = (ids[0], ids[1_990]);
+    let copy = dbfs.copy(&user, first).unwrap();
+    dbfs.erase(&user, near_end, &escrow).unwrap();
+    dbfs.erase(&user, first, &escrow).unwrap();
+
+    let refusal = dbfs.scrub_tombstones().unwrap_err();
+    assert!(
+        matches!(refusal, DbfsError::Inode(InodeError::TxTooLarge { .. })),
+        "{refusal}"
+    );
+    let check = |dbfs: &Dbfs<Arc<MemDevice>>| {
+        dbfs.verify_index_invariants().unwrap();
+        assert!(dbfs.inode_fs().leaked_data_blocks().unwrap().is_empty());
+        for gone in [near_end, copy] {
+            let probe = dbfs.load_membrane(&user, gone);
+            assert!(
+                matches!(probe, Err(DbfsError::UnknownPd { .. })),
+                "{probe:?}"
+            );
+        }
+        assert!(dbfs.load_membrane(&user, first).unwrap().is_erased());
+        assert_eq!(dbfs.count(&user).unwrap(), 1_998);
+    };
+    check(&dbfs);
+    assert_eq!(dbfs.tombstones_reclaimed(), 2);
+    drop(dbfs);
+    check(&Dbfs::mount(device).unwrap());
+}
+
 /// Every mutation of the two trees is one journal transaction, so nothing
 /// the store does can leave a record in one tree only — the state is forged
 /// here.  Mount does not repair it (a repair would hide an atomicity bug

@@ -1,6 +1,7 @@
 //! A scrub pass that meets a storage error part-way.
 //!
-//! Each reclaim of a pass commits on its own, so an error in the middle
+//! A pass commits its reclaims in groups, and an error while one is staged
+//! still commits the reclaims staged before it, so an error in the middle
 //! leaves a prefix of whole reclaims behind.  Whatever that prefix is, the
 //! accounting must describe it: on one store the `Reclaimed` audit events and
 //! the `tombstones_reclaimed` counter name exactly the ids that are gone; on
