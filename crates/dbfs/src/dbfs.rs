@@ -592,7 +592,7 @@ impl<D: BlockDevice> Dbfs<D> {
         alloc: IdAllocation,
     ) -> Result<Self, DbfsError> {
         assert!(alloc.stride > 0, "id stride must be non-zero");
-        let fs = InodeFs::mount_with(device, true)?;
+        let fs = InodeFs::mount(device)?;
         let tables_ino = fs
             .dir_lookup(ROOT_INO, TABLES_DIR)?
             .ok_or_else(|| corrupt("missing tables tree"))?;
@@ -917,24 +917,23 @@ impl<D: BlockDevice> Dbfs<D> {
             let tx = self.fs.begin_tx();
             let mut group = Vec::new();
             while let Some((item, tail)) = rest.split_first() {
-                let savepoint = self.fs.tx_savepoint();
+                self.fs.tx_savepoint();
                 match stage(index, &group, item) {
                     Ok(_) if self.fs.tx_staged_blocks() > capacity => {
                         // Cut: `item` opens the next group instead.  With a
                         // group to itself it stays staged, and the commit
                         // refuses and aborts it.
                         if !group.is_empty() {
-                            self.fs.tx_rollback_to(savepoint);
+                            self.fs.tx_rollback_to();
                         }
                         break;
                     }
                     Ok(staged) => {
-                        self.fs.tx_release(savepoint);
                         group.extend(staged);
                         rest = tail;
                     }
                     Err(e) => {
-                        self.fs.tx_rollback_to(savepoint);
+                        self.fs.tx_rollback_to();
                         failure = Some(e);
                         break;
                     }

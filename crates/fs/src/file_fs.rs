@@ -131,9 +131,11 @@ impl<D: BlockDevice> FileFs<D> {
         Ok(self.inner.read_all(ino)?)
     }
 
-    /// Deletes a file.  With the default (conventional) format parameters the
-    /// freed blocks and journal records still hold the bytes — which is the
-    /// precise behaviour the paper's Fig. 2 critique relies on.
+    /// Deletes a file: the unlink and the free are one transaction, so a
+    /// crash or a refusal leaves the file whole or gone.  With the default
+    /// (conventional) format parameters the freed blocks and journal records
+    /// still hold the bytes — which is the precise behaviour the paper's
+    /// Fig. 2 critique relies on.
     ///
     /// # Errors
     ///
@@ -154,8 +156,10 @@ impl<D: BlockDevice> FileFs<D> {
                 path: path.to_owned(),
             });
         }
+        let tx = self.inner.begin_tx();
         self.inner.dir_remove(dir, file_name[0])?;
         self.inner.free_inode(ino)?;
+        tx.commit()?;
         Ok(())
     }
 
@@ -306,6 +310,28 @@ mod tests {
         fs.remove("/patient.rec").unwrap();
         let hits = scan_for_pattern(fs.device().as_ref(), b"PATIENT-RECORD-XYZ").unwrap();
         assert!(hits.is_empty());
+    }
+
+    #[test]
+    fn a_secure_log_appended_to_its_cap_is_removed_without_residue() {
+        let device = Arc::new(MemDevice::new(1024, 512));
+        let params = FormatParams::small()
+            .with_journal_blocks(64)
+            .with_secure_free(true);
+        let fs = FileFs::format(Arc::clone(&device), params, JournalMode::Scrub).unwrap();
+        fs.create("/var/log/app.log").unwrap();
+        let inodes = fs.inode_fs().allocated_inodes();
+        let blocks = fs.inode_fs().allocated_blocks();
+        // Grown until refused, however large that is, it is still removable.
+        let line = b"PATIENT-LOG-LINE".repeat(32);
+        while fs.append("/var/log/app.log", &line).is_ok() {}
+        fs.remove("/var/log/app.log").unwrap();
+        assert!(!fs.exists("/var/log/app.log"));
+        assert_eq!(fs.inode_fs().allocated_inodes(), inodes - 1);
+        assert_eq!(fs.inode_fs().allocated_blocks(), blocks);
+        assert_eq!(fs.inode_fs().leaked_data_blocks().unwrap(), []);
+        let hits = scan_for_pattern(device.as_ref(), b"PATIENT-LOG-LINE").unwrap();
+        assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! The mid-level filesystem API over the inode layer.
 //!
 //! [`InodeFs`] exposes inode allocation, byte-granularity reads/writes,
-//! truncation, deletion and a minimal directory abstraction.  Every mutation
-//! is funnelled through the write-ahead journal so that a crash at any point
-//! leaves the filesystem recoverable at the next [`InodeFs::mount`].
+//! truncation, deletion and a minimal directory abstraction.  Every mutating
+//! call is a transaction: it joins the one its thread opened with
+//! [`InodeFs::begin_tx`], or opens its own and commits it before returning.
+//! Either way a commit is one write-ahead journal transaction, so a crash at
+//! any point leaves the filesystem, after the next [`InodeFs::mount`], as
+//! it was before the transaction or after it.
 //!
-//! Two knobs matter for the GDPR experiments:
+//! Two knobs matter for the GDPR experiments, both chosen at format time and
+//! kept in the superblock:
 //!
 //! * the [`JournalMode`] decides whether journal blocks are scrubbed after
 //!   checkpoint (see [`crate::journal`]);
@@ -23,7 +27,7 @@ use crate::journal::{
 };
 use crate::layout::{Layout, DIRECT_POINTERS, INODE_SIZE};
 use crate::superblock::Superblock;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rgpdos_blockdev::{BlockDevice, CacheStats};
 use rgpdos_trace::{Counter, Hist, TraceClock, TraceCtx, Tracer};
 use std::collections::BTreeMap;
@@ -40,7 +44,9 @@ pub struct FormatParams {
     pub inode_count: u64,
     /// Number of blocks reserved for the journal.
     pub journal_blocks: u64,
-    /// Whether freed data blocks are overwritten with zeroes.
+    /// Whether freed data blocks are overwritten with zeroes.  A file then
+    /// grows only as far as one journal transaction can zero and unlink it
+    /// (see [`InodeFs::write`]).
     pub secure_free: bool,
 }
 
@@ -104,16 +110,19 @@ struct FsState {
 pub struct InodeFs<D> {
     device: D,
     layout: Layout,
-    secure_free: bool,
     state: Mutex<FsState>,
-    /// Active compound transaction, when one is open: new block contents
-    /// staged by every operation since [`InodeFs::begin_tx`], keyed by block
-    /// number, plus a snapshot of the allocation bitmaps taken at
-    /// `begin_tx`.  The owner's reads consult the overlay first, so
-    /// multi-operation mutations observe their own uncommitted writes;
-    /// nothing reaches the device until [`Transaction::commit`] journals the
-    /// whole set, and an abort restores the bitmap snapshot so in-memory
-    /// allocation state never diverges from the (untouched) device.
+    /// Held by the open transaction's [`Transaction`] guard until it ends,
+    /// so a thread that does not own it waits in [`InodeFs::begin_tx`]
+    /// instead of mutating under it.
+    gate: Mutex<()>,
+    /// The open transaction, if any: new block contents staged by every
+    /// operation since [`InodeFs::begin_tx`], keyed by block number, plus a
+    /// snapshot of the allocation bitmaps taken at `begin_tx`.  The owner's
+    /// reads consult the overlay first, so multi-operation mutations observe
+    /// their own uncommitted writes; nothing reaches the device until
+    /// [`Transaction::commit`] journals the whole set, and an abort restores
+    /// the bitmap snapshot so in-memory allocation state never diverges from
+    /// the (untouched) device.
     tx: Mutex<Option<TxState>>,
     /// [`thread_token`] of the thread that opened the transaction in `tx`,
     /// zero while none is open.  Only that thread's reads look into the
@@ -207,54 +216,28 @@ impl<'a> Iterator for DirScan<'a> {
     }
 }
 
+/// `(block, previous)` per overlay mutation since a savepoint, in order,
+/// where `None` means the block was not staged before.
+type UndoLog = Vec<(u64, Option<Vec<u8>>)>;
+
 /// The staged state of an open compound transaction.
 #[derive(Debug)]
 struct TxState {
-    /// New block contents staged by the transaction, keyed by block number.
+    /// New block contents staged by the transaction, keyed by block number,
+    /// each padded to a whole block.
     overlay: BTreeMap<u64, Vec<u8>>,
-    /// Undo log of overlay mutations, in order: `(block, previous)` where
-    /// `None` means the block was not staged before.  [`TxSavepoint`]s are
-    /// positions in this log, so the overlay side of a savepoint is O(1)
-    /// to take and rolling back only touches the blocks staged since —
-    /// what keeps per-record savepoints affordable inside large group
-    /// commits.  (The allocation bitmaps are still snapshotted whole per
-    /// savepoint: a few KB on the simulated geometries, cheap next to the
-    /// block data the log avoids copying.)  Dropped whenever no savepoint
-    /// is outstanding (`savepoints`, taken and not yet rolled back to or
-    /// released): nothing can roll back past that point.
-    undo: Vec<(u64, Option<Vec<u8>>)>,
-    savepoints: usize,
+    /// The open savepoint (see [`InodeFs::tx_savepoint`]), if any: its undo
+    /// log and the allocation bitmaps as of it.  Nothing is logged while no
+    /// savepoint is open, and rolling back only touches the blocks staged
+    /// since — what keeps per-record savepoints affordable inside large
+    /// group commits.
+    savepoint: Option<(UndoLog, Bitmap, Bitmap)>,
     /// The allocation bitmaps as of `begin_tx`, restored on abort: the
     /// operations inside a transaction mutate the in-memory bitmaps eagerly
     /// (allocations *and* frees), and a freed-in-memory block whose on-disk
     /// inode still references it must not be handed out again.
     saved_inode_bitmap: Bitmap,
     saved_data_bitmap: Bitmap,
-}
-
-impl TxState {
-    fn close_savepoint(&mut self) {
-        self.savepoints -= 1;
-        if self.savepoints == 0 {
-            self.undo.clear();
-        }
-    }
-}
-
-/// A snapshot of an open compound transaction's staged state (overlay and
-/// allocation bitmaps), taken with [`InodeFs::tx_savepoint`].  Rolling back
-/// to a savepoint ([`InodeFs::tx_rollback_to`]) discards everything staged
-/// after it while keeping the transaction open — the mechanism batched
-/// writers use to un-stage the one mutation that would overflow the journal
-/// capacity, commit the group staged so far, and re-stage it in a fresh
-/// transaction.  A savepoint that will not be rolled back to is given up
-/// with [`InodeFs::tx_release`].
-#[derive(Debug)]
-pub struct TxSavepoint {
-    /// Position in the transaction's undo log at savepoint time.
-    undo_len: usize,
-    inode_bitmap: Bitmap,
-    data_bitmap: Bitmap,
 }
 
 /// An open compound transaction (see [`InodeFs::begin_tx`]).  Dropping the
@@ -265,6 +248,9 @@ pub struct TxSavepoint {
 pub struct Transaction<'a, D: BlockDevice> {
     fs: &'a InodeFs<D>,
     committed: bool,
+    /// The filesystem's gate, released once `Drop` has closed the
+    /// transaction.
+    _gate: MutexGuard<'a, ()>,
 }
 
 impl<D: BlockDevice> Transaction<'_, D> {
@@ -307,7 +293,12 @@ impl<D: BlockDevice> InodeFs<D> {
         let layout = Layout::compute(device.geometry(), params.inode_count, params.journal_blocks)?;
         let block_size = layout.block_size;
 
-        let superblock = Superblock::new(params.inode_count, params.journal_blocks, journal_mode);
+        let superblock = Superblock::new(
+            params.inode_count,
+            params.journal_blocks,
+            journal_mode,
+            params.secure_free,
+        );
         device.write_block(0, &superblock.encode(block_size))?;
 
         let mut inode_bitmap = Bitmap::new(params.inode_count);
@@ -341,30 +332,14 @@ impl<D: BlockDevice> InodeFs<D> {
         block[root_offset..root_offset + INODE_SIZE].copy_from_slice(&root.encode());
         device.write_block(root_block, &block)?;
         device.flush()?;
-
-        // The freshly written bitmap is authoritative: arm any attached
-        // block sanitizer against it.
-        if let Some(sanitizer) = device.sanitizer() {
-            sanitizer.reseed_with(|block| data_bitmap.is_set(block));
-        }
-
-        Ok(Self {
+        Ok(Self::assemble(
             device,
             layout,
-            secure_free: params.secure_free,
-            state: Mutex::new(FsState {
-                superblock,
-                inode_bitmap,
-                data_bitmap,
-                op_counter: 1,
-            }),
-            tx: Mutex::new(None),
-            tx_owner: AtomicU64::new(0),
-            cache: Mutex::new(BlockCache::new(DEFAULT_CACHE_BLOCKS)),
-            journal_txs: Counter::new(),
-            recovered_txs: 0,
-            trace: OnceLock::new(),
-        })
+            superblock,
+            inode_bitmap,
+            data_bitmap,
+            0,
+        ))
     }
 
     /// Mounts an already-formatted device, replaying the journal if a
@@ -374,15 +349,6 @@ impl<D: BlockDevice> InodeFs<D> {
     ///
     /// Returns [`InodeError::Corrupt`] for an unformatted or damaged device.
     pub fn mount(device: D) -> Result<Self, InodeError> {
-        Self::mount_with(device, false)
-    }
-
-    /// Mounts like [`InodeFs::mount`], optionally enabling zero-on-free.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`InodeFs::mount`].
-    pub fn mount_with(device: D, secure_free: bool) -> Result<Self, InodeError> {
         // Journal replay below writes wherever the journal directs it —
         // repairs, not bitmap-checked allocations.  Disarm any attached
         // sanitizer for the duration; the reseed after the bitmaps are
@@ -462,27 +428,46 @@ impl<D: BlockDevice> InodeFs<D> {
             data_bytes.extend_from_slice(&device.read_block(layout.data_bitmap_start + b)?);
         }
         let data_bitmap = Bitmap::from_bytes(&data_bytes, layout.total_blocks);
+        Ok(Self::assemble(
+            device,
+            layout,
+            superblock,
+            inode_bitmap,
+            data_bitmap,
+            recovered_txs,
+        ))
+    }
+
+    /// The mounted filesystem over `device`'s authoritative on-disk state,
+    /// with any attached block sanitizer armed against `data_bitmap`.
+    fn assemble(
+        device: D,
+        layout: Layout,
+        superblock: Superblock,
+        inode_bitmap: Bitmap,
+        data_bitmap: Bitmap,
+        recovered_txs: u64,
+    ) -> Self {
         if let Some(sanitizer) = device.sanitizer() {
             sanitizer.reseed_with(|block| data_bitmap.is_set(block));
         }
-
-        Ok(Self {
+        Self {
             device,
             layout,
-            secure_free,
             state: Mutex::new(FsState {
                 superblock,
                 inode_bitmap,
                 data_bitmap,
                 op_counter: 1,
             }),
+            gate: Mutex::new(()),
             tx: Mutex::new(None),
             tx_owner: AtomicU64::new(0),
             cache: Mutex::new(BlockCache::new(DEFAULT_CACHE_BLOCKS)),
             journal_txs: Counter::new(),
             recovered_txs,
             trace: OnceLock::new(),
-        })
+        }
     }
 
     /// The computed on-disk layout.
@@ -495,9 +480,9 @@ impl<D: BlockDevice> InodeFs<D> {
         self.state.lock().superblock.journal_mode
     }
 
-    /// Whether freed data blocks are zeroed.
+    /// Whether freed data blocks are zeroed, as formatted.
     pub fn secure_free(&self) -> bool {
-        self.secure_free
+        self.state.lock().superblock.secure_free
     }
 
     /// Gives access to the underlying device (used by forensic scans).
@@ -601,36 +586,36 @@ impl<D: BlockDevice> InodeFs<D> {
     // Compound transactions
     // ------------------------------------------------------------------
 
-    /// Opens a compound transaction: every mutation performed until the
-    /// returned guard is committed stages its block writes in an in-memory
-    /// overlay instead of touching the device.  [`Transaction::commit`]
-    /// journals and applies the whole set in **one** journal transaction,
-    /// making the compound mutation crash-atomic, and refuses a set larger
-    /// than [`InodeFs::tx_capacity_blocks`].  (Only a mutating call made
-    /// *outside* a transaction — a plain-file `write` or `truncate` — may
-    /// span several journal transactions.)  Dropping the guard aborts: the
-    /// device is left untouched and the in-memory allocation bitmaps are
+    /// Opens a compound transaction: every mutation the calling thread
+    /// performs until the returned guard is committed stages its block
+    /// writes in an in-memory overlay instead of touching the device.
+    /// [`Transaction::commit`] journals and applies the whole set in **one**
+    /// journal transaction, making the compound mutation crash-atomic, and
+    /// refuses a set larger than [`InodeFs::tx_capacity_blocks`] — the one
+    /// commit rule, since a mutating call made outside a compound
+    /// transaction is a transaction of its own.  Dropping the guard aborts:
+    /// the device is left untouched and the in-memory allocation bitmaps are
     /// restored to their `begin_tx` snapshot.
     ///
-    /// The caller must serialize transactions externally (DBFS runs every
-    /// mutation under its index lock).  The staged writes are visible to the
-    /// thread that opened the transaction and to no other: a concurrent
-    /// reader sees the committed contents until the commit applies them.
+    /// One transaction is open at a time.  Its staged writes are visible to
+    /// the thread that opened it and to no other: a concurrent reader sees
+    /// the committed contents until the commit applies them, and another
+    /// thread's `begin_tx` — or mutating call — waits until it ends.
     ///
     /// # Panics
     ///
-    /// Panics when a transaction is already open (transactions do not nest).
+    /// Panics when the calling thread already has a transaction open
+    /// (transactions do not nest).
     pub fn begin_tx(&self) -> Transaction<'_, D> {
-        let state = self.state.lock();
-        let mut tx = self.tx.lock();
         assert!(
-            tx.is_none(),
+            !self.owns_tx(),
             "InodeFs compound transactions do not nest; commit or drop the previous one first"
         );
-        *tx = Some(TxState {
+        let gate = self.gate.lock();
+        let state = self.state.lock();
+        *self.tx.lock() = Some(TxState {
             overlay: BTreeMap::new(),
-            undo: Vec::new(),
-            savepoints: 0,
+            savepoint: None,
             saved_inode_bitmap: state.inode_bitmap.clone(),
             saved_data_bitmap: state.data_bitmap.clone(),
         });
@@ -638,7 +623,26 @@ impl<D: BlockDevice> InodeFs<D> {
         Transaction {
             fs: self,
             committed: false,
+            _gate: gate,
         }
+    }
+
+    /// Whether the calling thread has the open transaction.
+    fn owns_tx(&self) -> bool {
+        self.tx_owner.load(Ordering::Relaxed) == thread_token()
+    }
+
+    /// Runs a mutating call in the calling thread's transaction: the one it
+    /// has open, else one opened here, committed when `call` succeeds and
+    /// aborted when it fails.
+    fn in_tx<T>(&self, call: impl FnOnce() -> Result<T, InodeError>) -> Result<T, InodeError> {
+        if self.owns_tx() {
+            return call();
+        }
+        let tx = self.begin_tx();
+        let out = call()?;
+        tx.commit()?;
+        Ok(out)
     }
 
     /// How many distinct blocks a compound transaction can carry (one
@@ -661,75 +665,60 @@ impl<D: BlockDevice> InodeFs<D> {
             .map_or(0, |staged| staged.overlay.len())
     }
 
-    /// Snapshots the open transaction's staged state (see [`TxSavepoint`]).
+    /// Takes the open transaction's savepoint: it records the allocation
+    /// bitmaps and opens the undo log of the overlay, so that
+    /// [`InodeFs::tx_rollback_to`] can discard everything staged after it
+    /// while keeping the transaction open — the mechanism batched writers
+    /// use to un-stage the one mutation that fails or would overflow the
+    /// journal capacity.  A transaction has at most one savepoint: taking a
+    /// new one replaces the previous one.  (The bitmaps are copied whole: a
+    /// few KB on the simulated geometries, cheap next to the block data the
+    /// undo log avoids copying.)
     ///
     /// # Panics
     ///
     /// Panics when no compound transaction is open.
-    pub fn tx_savepoint(&self) -> TxSavepoint {
+    pub fn tx_savepoint(&self) {
         let state = self.state.lock();
-        let mut tx = self.tx.lock();
-        let staged = tx
+        self.tx
+            .lock()
             .as_mut()
-            .expect("tx_savepoint requires an open compound transaction");
-        staged.savepoints += 1;
-        TxSavepoint {
-            undo_len: staged.undo.len(),
-            inode_bitmap: state.inode_bitmap.clone(),
-            data_bitmap: state.data_bitmap.clone(),
-        }
+            .expect("tx_savepoint requires an open compound transaction")
+            .savepoint = Some((
+            Vec::new(),
+            state.inode_bitmap.clone(),
+            state.data_bitmap.clone(),
+        ));
     }
 
-    /// Rolls the open transaction back to a savepoint: staged writes and
-    /// in-memory allocations performed after the savepoint are discarded,
-    /// and the transaction stays open.  The undo is O(blocks staged since
-    /// the savepoint), not O(transaction).
+    /// Rolls the open transaction back to its savepoint: staged writes and
+    /// in-memory allocations performed since are discarded, and the
+    /// transaction stays open, with no savepoint.  The undo is O(blocks
+    /// staged since the savepoint), not O(transaction).
     ///
     /// # Panics
     ///
-    /// Panics when no compound transaction is open, or when the savepoint
-    /// belongs to an earlier (already committed or aborted) transaction.
-    pub fn tx_rollback_to(&self, savepoint: TxSavepoint) {
+    /// Panics when no compound transaction is open or it has no savepoint
+    /// (none taken, or already rolled back to).
+    pub fn tx_rollback_to(&self) {
         let mut state = self.state.lock();
         let mut tx = self.tx.lock();
         let staged = tx
             .as_mut()
             .expect("tx_rollback_to requires an open compound transaction");
-        assert!(
-            savepoint.undo_len <= staged.undo.len(),
-            "savepoint belongs to an earlier transaction"
-        );
-        while staged.undo.len() > savepoint.undo_len {
-            let (block, previous) = staged.undo.pop().expect("undo entry");
+        let (undo, inode_bitmap, data_bitmap) = staged
+            .savepoint
+            .take()
+            .expect("tx_rollback_to requires the transaction's savepoint");
+        for (block, previous) in undo.into_iter().rev() {
             match previous {
-                Some(data) => {
-                    staged.overlay.insert(block, data);
-                }
-                None => {
-                    staged.overlay.remove(&block);
-                }
-            }
+                Some(data) => staged.overlay.insert(block, data),
+                None => staged.overlay.remove(&block),
+            };
         }
-        staged.close_savepoint();
-        state.inode_bitmap = savepoint.inode_bitmap;
-        state.data_bitmap = savepoint.data_bitmap;
+        state.inode_bitmap = inode_bitmap;
+        state.data_bitmap = data_bitmap;
         self.sanitizer_reseed(&state.data_bitmap, &staged.saved_data_bitmap);
-    }
-
-    /// Gives up a savepoint that will not be rolled back to.  With none
-    /// outstanding the undo log is dropped, so a transaction of many kept
-    /// ops holds no copy of the blocks each of them staged again.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no compound transaction is open.
-    pub fn tx_release(&self, savepoint: TxSavepoint) {
-        drop(savepoint);
-        self.tx
-            .lock()
-            .as_mut()
-            .expect("tx_release requires an open compound transaction")
-            .close_savepoint();
     }
 
     fn commit_tx(&self) -> Result<(), InodeError> {
@@ -741,9 +730,21 @@ impl<D: BlockDevice> InodeFs<D> {
         let staged = self
             .take_tx()
             .expect("commit_tx requires an open transaction");
-        let writes: Vec<(u64, Vec<u8>)> = staged.overlay.into_iter().collect();
-        let mut state = self.state.lock();
-        self.commit_writes_journaled(&mut state, writes)
+        self.commit_journaled(&mut self.state.lock(), staged.overlay)
+    }
+
+    /// Stages one block's new contents, padded to a whole block, in the
+    /// calling thread's transaction, logging what they replace while a
+    /// savepoint is open.
+    fn stage(&self, block: u64, mut data: Vec<u8>) {
+        assert!(self.owns_tx(), "a mutation stages into its own transaction");
+        data.resize(self.layout.block_size, 0);
+        let mut tx = self.tx.lock();
+        let staged = tx.as_mut().expect("a mutation runs in a transaction");
+        let previous = staged.overlay.insert(block, data);
+        if let Some((undo, ..)) = &mut staged.savepoint {
+            undo.push((block, previous));
+        }
     }
 
     /// Closes the open transaction, if any, handing its staged state over.
@@ -771,7 +772,7 @@ impl<D: BlockDevice> InodeFs<D> {
     /// transaction observe their own staged writes, everyone else reads
     /// committed state, and the hot read path is served from memory.
     fn read_block_raw(&self, block: u64) -> Result<Vec<u8>, InodeError> {
-        if self.tx_owner.load(Ordering::Relaxed) == thread_token() {
+        if self.owns_tx() {
             if let Some(data) = self
                 .tx
                 .lock()
@@ -814,20 +815,19 @@ impl<D: BlockDevice> InodeFs<D> {
     ///
     /// Returns [`InodeError::OutOfInodes`] when the inode table is full.
     pub fn alloc_inode(&self, kind: InodeKind) -> Result<Ino, InodeError> {
-        let mut state = self.state.lock();
-        let ino = match state.inode_bitmap.allocate_from(0) {
-            Ok(ino) => ino,
-            Err(InodeError::OutOfSpace) => return Err(InodeError::OutOfInodes),
-            Err(e) => return Err(e),
-        };
-        let now = state.op_counter;
-        state.op_counter += 1;
-        let inode = Inode::empty(kind, now);
-        let mut writes = Vec::new();
-        self.stage_inode_write(ino, &inode, &mut writes)?;
-        self.stage_inode_bitmap(&state, ino, &mut writes);
-        self.commit_writes(&mut state, writes)?;
-        Ok(ino)
+        self.in_tx(|| {
+            let mut state = self.state.lock();
+            let ino = match state.inode_bitmap.allocate_from(0) {
+                Ok(ino) => ino,
+                Err(InodeError::OutOfSpace) => return Err(InodeError::OutOfInodes),
+                Err(e) => return Err(e),
+            };
+            let now = state.op_counter;
+            state.op_counter += 1;
+            self.stage_inode(ino, &Inode::empty(kind, now))?;
+            self.stage_inode_bitmap(&state, ino);
+            Ok(ino)
+        })
     }
 
     /// Reads the inode metadata of `ino`.
@@ -846,15 +846,14 @@ impl<D: BlockDevice> InodeFs<D> {
     ///
     /// Returns [`InodeError::BadInode`] for invalid inodes.
     pub fn free_inode(&self, ino: Ino) -> Result<(), InodeError> {
-        self.truncate(ino, 0)?;
-        let mut state = self.state.lock();
-        self.load_inode_checked(ino)?;
-        state.inode_bitmap.clear(ino);
-        let mut writes = Vec::new();
-        self.stage_inode_write(ino, &Inode::default(), &mut writes)?;
-        self.stage_inode_bitmap(&state, ino, &mut writes);
-        self.commit_writes(&mut state, writes)?;
-        Ok(())
+        self.in_tx(|| {
+            self.truncate(ino, 0)?;
+            let mut state = self.state.lock();
+            state.inode_bitmap.clear(ino);
+            self.stage_inode(ino, &Inode::default())?;
+            self.stage_inode_bitmap(&state, ino);
+            Ok(())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -868,91 +867,107 @@ impl<D: BlockDevice> InodeFs<D> {
     ///
     /// Returns [`InodeError::FileTooLarge`] when the write would exceed the
     /// inode's addressing capacity, [`InodeError::OutOfSpace`] when no data
-    /// block is left, and [`InodeError::BadInode`] for invalid inodes.
+    /// block is left, [`InodeError::BadInode`] for invalid inodes, and —
+    /// like every mutating call made outside a compound transaction —
+    /// [`InodeError::TxTooLarge`] when it stages more blocks than one
+    /// journal transaction carries.  With `secure_free`, `TxTooLarge` also
+    /// refuses a write that would grow the file past what one journal
+    /// transaction can remove, zeroes and unlink included, so every file
+    /// stays removable.  Outside a compound transaction a failed call leaves
+    /// the filesystem as it was.
     pub fn write(&self, ino: Ino, offset: u64, data: &[u8]) -> Result<(), InodeError> {
+        let capacity = self.tx_capacity_blocks();
+        let staged = self.remove_cost(offset + data.len() as u64);
+        if !data.is_empty() && staged > capacity && self.secure_free() {
+            return Err(InodeError::TxTooLarge { staged, capacity });
+        }
         self.write_extents(ino, &[(offset, data)])
     }
 
-    /// [`InodeFs::write`] of several `(offset, bytes)` extents as one set of
-    /// block writes — one journal transaction outside a compound one.  An
-    /// extent that touches a block an earlier one staged patches that copy.
+    /// Blocks a remove of a `size`-byte file stages at most under
+    /// `secure_free`: its blocks (the indirect one included) zeroed, one
+    /// data-bitmap block per bitmap block they span, its inode and
+    /// inode-bitmap blocks, and — for an entry of a one-block directory —
+    /// the directory's block and inode.  Directories are not held to it:
+    /// they shrink as their entries go.
+    fn remove_cost(&self, size: u64) -> usize {
+        let data = size.div_ceil(self.layout.block_size as u64);
+        let blocks = data + u64::from(data > DIRECT_POINTERS as u64);
+        (blocks + blocks.min(self.layout.data_bitmap_blocks) + 4) as usize
+    }
+
+    /// [`InodeFs::write`] of several `(offset, bytes)` extents as one call.
+    /// An extent that touches a block an earlier one staged patches that
+    /// copy.
     fn write_extents(&self, ino: Ino, extents: &[(u64, &[u8])]) -> Result<(), InodeError> {
         let extents = || extents.iter().filter(|(_, data)| !data.is_empty());
         let Some(end) = extents().map(|(at, data)| at + data.len() as u64).max() else {
             return Ok(());
         };
-        let mut state = self.state.lock();
-        let mut inode = self.load_inode_checked(ino)?;
-        let block_size = self.layout.block_size as u64;
-        if end > self.layout.max_file_size() {
-            return Err(InodeError::FileTooLarge {
-                requested: end,
-                max: self.layout.max_file_size(),
-            });
-        }
-
-        let mut indirect_table = self.load_indirect_table(&inode)?;
-        let mut indirect_dirty = false;
-        let mut allocated_bits: Vec<u64> = Vec::new();
-        let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
-
-        for &(offset, data) in extents() {
-            let end = offset + data.len() as u64;
-            for file_block in offset / block_size..=(end - 1) / block_size {
-                let existing_ptr = self.file_block_ptr(&inode, &indirect_table, file_block);
-                let (ptr, newly_allocated) = match existing_ptr {
-                    Some(p) => (p, false),
-                    None => {
-                        let p = self.allocate_data_block(&mut state, &mut allocated_bits)?;
-                        if (file_block as usize) < DIRECT_POINTERS {
-                            inode.direct[file_block as usize] = p;
-                        } else {
-                            if inode.indirect == 0 {
-                                let ib =
-                                    self.allocate_data_block(&mut state, &mut allocated_bits)?;
-                                inode.indirect = ib;
-                            }
-                            indirect_table[file_block as usize - DIRECT_POINTERS] = p;
-                            indirect_dirty = true;
-                        }
-                        (p, true)
-                    }
-                };
-
-                // Assemble the new contents of this block.
-                let block_start = file_block * block_size;
-                let copy_from = offset.max(block_start);
-                let copy_to = end.min(block_start + block_size);
-                let staged = match writes.iter().position(|(block, _)| *block == ptr) {
-                    Some(staged) => staged,
-                    None => {
-                        let whole = copy_from == block_start && copy_to == block_start + block_size;
-                        let content = if newly_allocated || whole {
-                            vec![0u8; block_size as usize]
-                        } else {
-                            self.read_block_raw(ptr)?
-                        };
-                        writes.push((ptr, content));
-                        writes.len() - 1
-                    }
-                };
-                let source = &data[(copy_from - offset) as usize..(copy_to - offset) as usize];
-                let (from, to) = (copy_from - block_start, copy_to - block_start);
-                writes[staged].1[from as usize..to as usize].copy_from_slice(source);
+        self.in_tx(|| {
+            let mut state = self.state.lock();
+            let mut inode = self.load_inode_checked(ino)?;
+            let block_size = self.layout.block_size as u64;
+            if end > self.layout.max_file_size() {
+                return Err(InodeError::FileTooLarge {
+                    requested: end,
+                    max: self.layout.max_file_size(),
+                });
             }
-        }
 
-        if indirect_dirty {
-            writes.push((inode.indirect, self.encode_indirect_table(&indirect_table)));
-        }
+            let mut indirect_table = self.load_indirect_table(&inode)?;
+            let mut indirect_dirty = false;
+            let mut allocated_bits: Vec<u64> = Vec::new();
 
-        inode.size = inode.size.max(end);
-        inode.modified_at = state.op_counter;
-        state.op_counter += 1;
-        self.stage_inode_write(ino, &inode, &mut writes)?;
-        self.stage_data_bitmap(&state, &allocated_bits, &mut writes);
-        self.commit_writes(&mut state, writes)?;
-        Ok(())
+            for &(offset, data) in extents() {
+                let end = offset + data.len() as u64;
+                for file_block in offset / block_size..=(end - 1) / block_size {
+                    let existing_ptr = self.file_block_ptr(&inode, &indirect_table, file_block);
+                    let (ptr, newly_allocated) = match existing_ptr {
+                        Some(p) => (p, false),
+                        None => {
+                            let p = self.allocate_data_block(&mut state, &mut allocated_bits)?;
+                            if (file_block as usize) < DIRECT_POINTERS {
+                                inode.direct[file_block as usize] = p;
+                            } else {
+                                if inode.indirect == 0 {
+                                    let ib =
+                                        self.allocate_data_block(&mut state, &mut allocated_bits)?;
+                                    inode.indirect = ib;
+                                }
+                                indirect_table[file_block as usize - DIRECT_POINTERS] = p;
+                                indirect_dirty = true;
+                            }
+                            (p, true)
+                        }
+                    };
+
+                    // Assemble the new contents of this block.
+                    let block_start = file_block * block_size;
+                    let from = (offset.max(block_start) - block_start) as usize;
+                    let to = (end.min(block_start + block_size) - block_start) as usize;
+                    let mut content = if newly_allocated || to - from == block_size as usize {
+                        vec![0u8; block_size as usize]
+                    } else {
+                        self.read_block_raw(ptr)?
+                    };
+                    let source = (block_start + from as u64 - offset) as usize;
+                    content[from..to].copy_from_slice(&data[source..source + to - from]);
+                    self.stage(ptr, content);
+                }
+            }
+
+            if indirect_dirty {
+                self.stage(inode.indirect, self.encode_indirect_table(&indirect_table));
+            }
+
+            inode.size = inode.size.max(end);
+            inode.modified_at = state.op_counter;
+            state.op_counter += 1;
+            self.stage_inode(ino, &inode)?;
+            self.stage_data_bitmap(&state, &allocated_bits);
+            Ok(())
+        })
     }
 
     /// Reads up to `len` bytes starting at `offset`; the result is truncated
@@ -1008,72 +1023,75 @@ impl<D: BlockDevice> InodeFs<D> {
     ///
     /// Returns [`InodeError::BadInode`] for invalid inodes.
     pub fn truncate(&self, ino: Ino, new_size: u64) -> Result<(), InodeError> {
-        let mut state = self.state.lock();
-        let mut inode = self.load_inode_checked(ino)?;
-        let block_size = self.layout.block_size as u64;
-        let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut freed_bits: Vec<u64> = Vec::new();
+        self.in_tx(|| {
+            let mut state = self.state.lock();
+            let mut inode = self.load_inode_checked(ino)?;
+            let block_size = self.layout.block_size;
+            let secure_free = state.superblock.secure_free;
+            let mut freed_bits: Vec<u64> = Vec::new();
 
-        if new_size < inode.size {
-            let keep_blocks = new_size.div_ceil(block_size);
-            let total_blocks = inode.size.div_ceil(block_size);
-            let mut indirect_table = self.load_indirect_table(&inode)?;
-            let mut indirect_dirty = false;
-            for file_block in keep_blocks..total_blocks {
-                let ptr = if (file_block as usize) < DIRECT_POINTERS {
-                    let p = inode.direct[file_block as usize];
-                    inode.direct[file_block as usize] = 0;
-                    p
-                } else {
-                    let idx = file_block as usize - DIRECT_POINTERS;
-                    let p = indirect_table[idx];
-                    indirect_table[idx] = 0;
-                    indirect_dirty = true;
-                    p
-                };
-                if ptr != 0 {
-                    state.data_bitmap.clear(ptr);
-                    freed_bits.push(ptr);
-                    if self.secure_free {
-                        writes.push((ptr, vec![0u8; block_size as usize]));
+            if new_size < inode.size {
+                let keep_blocks = new_size.div_ceil(block_size as u64);
+                let total_blocks = inode.size.div_ceil(block_size as u64);
+                let mut indirect_table = self.load_indirect_table(&inode)?;
+                let mut indirect_dirty = false;
+                for file_block in keep_blocks..total_blocks {
+                    let ptr = if (file_block as usize) < DIRECT_POINTERS {
+                        let p = inode.direct[file_block as usize];
+                        inode.direct[file_block as usize] = 0;
+                        p
+                    } else {
+                        let idx = file_block as usize - DIRECT_POINTERS;
+                        let p = indirect_table[idx];
+                        indirect_table[idx] = 0;
+                        indirect_dirty = true;
+                        p
+                    };
+                    if ptr != 0 {
+                        state.data_bitmap.clear(ptr);
+                        freed_bits.push(ptr);
+                        if secure_free {
+                            self.stage(ptr, vec![0u8; block_size]);
+                        }
                     }
                 }
-            }
-            // Free the indirect block itself if no indirect pointer remains.
-            if inode.indirect != 0 && indirect_table.iter().all(|&p| p == 0) {
-                state.data_bitmap.clear(inode.indirect);
-                freed_bits.push(inode.indirect);
-                if self.secure_free {
-                    writes.push((inode.indirect, vec![0u8; block_size as usize]));
+                // Free the indirect block itself if no indirect pointer remains.
+                if inode.indirect != 0 && indirect_table.iter().all(|&p| p == 0) {
+                    state.data_bitmap.clear(inode.indirect);
+                    freed_bits.push(inode.indirect);
+                    if secure_free {
+                        self.stage(inode.indirect, vec![0u8; block_size]);
+                    }
+                    inode.indirect = 0;
+                } else if indirect_dirty && inode.indirect != 0 {
+                    self.stage(inode.indirect, self.encode_indirect_table(&indirect_table));
                 }
-                inode.indirect = 0;
-            } else if indirect_dirty && inode.indirect != 0 {
-                writes.push((inode.indirect, self.encode_indirect_table(&indirect_table)));
             }
-        }
 
-        inode.size = new_size;
-        inode.modified_at = state.op_counter;
-        state.op_counter += 1;
-        if let Some(sanitizer) = self.device.sanitizer() {
-            for &block in &freed_bits {
-                sanitizer.note_free(block);
+            inode.size = new_size;
+            inode.modified_at = state.op_counter;
+            state.op_counter += 1;
+            if let Some(sanitizer) = self.device.sanitizer() {
+                for &block in &freed_bits {
+                    sanitizer.note_free(block);
+                }
             }
-        }
-        self.stage_inode_write(ino, &inode, &mut writes)?;
-        self.stage_data_bitmap(&state, &freed_bits, &mut writes);
-        self.commit_writes(&mut state, writes)?;
-        Ok(())
+            self.stage_inode(ino, &inode)?;
+            self.stage_data_bitmap(&state, &freed_bits);
+            Ok(())
+        })
     }
 
-    /// Replaces the whole contents of `ino` with `data`.
+    /// Replaces the whole contents of `ino` with `data`, atomically.
     ///
     /// # Errors
     ///
     /// Same as [`InodeFs::write`] and [`InodeFs::truncate`].
     pub fn write_replace(&self, ino: Ino, data: &[u8]) -> Result<(), InodeError> {
-        self.write(ino, 0, data)?;
-        self.truncate(ino, data.len() as u64)
+        self.in_tx(|| {
+            self.write(ino, 0, data)?;
+            self.truncate(ino, data.len() as u64)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1125,19 +1143,21 @@ impl<D: BlockDevice> InodeFs<D> {
         let name_len = u16::try_from(name.len()).map_err(|_| InodeError::Directory {
             reason: format!("a name of {} bytes does not fit an entry", name.len()),
         })?;
-        let data = self.read_dir(dir)?;
-        let mut scan = DirScan::new(&data)?;
-        let count = scan.left;
-        for entry in scan.by_ref() {
-            if entry?.0 == name.as_bytes() {
-                return Err(InodeError::Directory {
-                    reason: format!("entry `{name}` already exists"),
-                });
+        self.in_tx(|| {
+            let data = self.read_dir(dir)?;
+            let mut scan = DirScan::new(&data)?;
+            let count = scan.left;
+            for entry in scan.by_ref() {
+                if entry?.0 == name.as_bytes() {
+                    return Err(InodeError::Directory {
+                        reason: format!("entry `{name}` already exists"),
+                    });
+                }
             }
-        }
-        let entry = [&name_len.to_le_bytes(), name.as_bytes(), &ino.to_le_bytes()].concat();
-        let count = (count + 1).to_le_bytes();
-        self.write_extents(dir, &[(scan.offset as u64, &entry), (0, &count)])
+            let entry = [&name_len.to_le_bytes(), name.as_bytes(), &ino.to_le_bytes()].concat();
+            let count = (count + 1).to_le_bytes();
+            self.write_extents(dir, &[(scan.offset as u64, &entry), (0, &count)])
+        })
     }
 
     /// Looks up an entry by name.
@@ -1156,32 +1176,35 @@ impl<D: BlockDevice> InodeFs<D> {
     }
 
     /// Removes an entry by name, returning the inode it pointed to.  The
-    /// entries after it move left over it, so only the blocks from it to the
+    /// entries after it move left over it and the directory is cut to its
+    /// new end, in one transaction: only the blocks from the entry to the
     /// last counted entry's end are written (and the count's).
     ///
     /// # Errors
     ///
     /// Returns [`InodeError::Directory`] when the entry does not exist.
     pub fn dir_remove(&self, dir: Ino, name: &str) -> Result<Ino, InodeError> {
-        let data = self.read_dir(dir)?;
-        let mut scan = DirScan::new(&data)?;
-        let count = scan.left;
-        let (mut start, mut removed) = (scan.offset, None);
-        while let Some(entry) = scan.next() {
-            let (entry_name, ino) = entry?;
-            if removed.is_none() && entry_name == name.as_bytes() {
-                removed = Some((start..scan.offset, ino));
+        self.in_tx(|| {
+            let data = self.read_dir(dir)?;
+            let mut scan = DirScan::new(&data)?;
+            let count = scan.left;
+            let (mut start, mut removed) = (scan.offset, None);
+            while let Some(entry) = scan.next() {
+                let (entry_name, ino) = entry?;
+                if removed.is_none() && entry_name == name.as_bytes() {
+                    removed = Some((start..scan.offset, ino));
+                }
+                start = scan.offset;
             }
-            start = scan.offset;
-        }
-        let (entry, ino) = removed.ok_or_else(|| InodeError::Directory {
-            reason: format!("entry `{name}` does not exist"),
-        })?;
-        let count = (count - 1).to_le_bytes();
-        let moved = &data[entry.end..scan.offset];
-        self.write_extents(dir, &[(0, &count), (entry.start as u64, moved)])?;
-        self.truncate(dir, (scan.offset - entry.len()) as u64)?;
-        Ok(ino)
+            let (entry, ino) = removed.ok_or_else(|| InodeError::Directory {
+                reason: format!("entry `{name}` does not exist"),
+            })?;
+            let count = (count - 1).to_le_bytes();
+            let moved = &data[entry.end..scan.offset];
+            self.write_extents(dir, &[(0, &count), (entry.start as u64, moved)])?;
+            self.truncate(dir, (scan.offset - entry.len()) as u64)?;
+            Ok(ino)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1205,34 +1228,24 @@ impl<D: BlockDevice> InodeFs<D> {
         Ok(inode)
     }
 
-    fn stage_inode_write(
-        &self,
-        ino: Ino,
-        inode: &Inode,
-        writes: &mut Vec<(u64, Vec<u8>)>,
-    ) -> Result<(), InodeError> {
+    /// Stages `inode` into its inode-table block — the staged copy when the
+    /// transaction already holds one.
+    fn stage_inode(&self, ino: Ino, inode: &Inode) -> Result<(), InodeError> {
         let (block, offset) = self.layout.inode_location(ino);
-        // If this block is already staged (e.g. bitmap + inode in the same
-        // table block), patch the staged copy instead of the device copy.
-        let mut content = match writes.iter().find(|(b, _)| *b == block) {
-            Some((_, staged)) => staged.clone(),
-            None => self.read_block_raw(block)?,
-        };
+        let mut content = self.read_block_raw(block)?;
         content[offset..offset + INODE_SIZE].copy_from_slice(&inode.encode());
-        writes.retain(|(b, _)| *b != block);
-        writes.push((block, content));
+        self.stage(block, content);
         Ok(())
     }
 
-    fn stage_inode_bitmap(&self, state: &FsState, ino: Ino, writes: &mut Vec<(u64, Vec<u8>)>) {
+    fn stage_inode_bitmap(&self, state: &FsState, ino: Ino) {
         let block_size = self.layout.block_size;
         let rel = state.inode_bitmap.block_of(ino, block_size);
         let abs = self.layout.inode_bitmap_start + rel;
-        writes.retain(|(b, _)| *b != abs);
-        writes.push((abs, state.inode_bitmap.block_bytes(rel, block_size)));
+        self.stage(abs, state.inode_bitmap.block_bytes(rel, block_size));
     }
 
-    fn stage_data_bitmap(&self, state: &FsState, bits: &[u64], writes: &mut Vec<(u64, Vec<u8>)>) {
+    fn stage_data_bitmap(&self, state: &FsState, bits: &[u64]) {
         let block_size = self.layout.block_size;
         let mut rel_blocks: Vec<u64> = bits
             .iter()
@@ -1242,8 +1255,7 @@ impl<D: BlockDevice> InodeFs<D> {
         rel_blocks.dedup();
         for rel in rel_blocks {
             let abs = self.layout.data_bitmap_start + rel;
-            writes.retain(|(b, _)| *b != abs);
-            writes.push((abs, state.data_bitmap.block_bytes(rel, block_size)));
+            self.stage(abs, state.data_bitmap.block_bytes(rel, block_size));
         }
     }
 
@@ -1336,12 +1348,7 @@ impl<D: BlockDevice> InodeFs<D> {
     }
 
     fn encode_indirect_table(&self, table: &[u64]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.layout.block_size);
-        for ptr in table {
-            out.extend_from_slice(&ptr.to_le_bytes());
-        }
-        out.resize(self.layout.block_size, 0);
-        out
+        table.iter().flat_map(|ptr| ptr.to_le_bytes()).collect()
     }
 
     fn file_block_ptr(
@@ -1362,133 +1369,99 @@ impl<D: BlockDevice> InodeFs<D> {
         }
     }
 
-    /// Journals and applies a set of block writes — or, while a compound
-    /// transaction is open, stages them in its overlay instead.
-    fn commit_writes(
+    /// Journals and applies a transaction's staged blocks as **one** journal
+    /// transaction (`commit_tx` has refused a set the journal cannot hold).
+    fn commit_journaled(
         &self,
         state: &mut FsState,
-        writes: Vec<(u64, Vec<u8>)>,
+        blocks: BTreeMap<u64, Vec<u8>>,
     ) -> Result<(), InodeError> {
-        {
-            let mut tx = self.tx.lock();
-            if let Some(staged) = tx.as_mut() {
-                let block_size = self.layout.block_size;
-                for (block, mut data) in writes {
-                    data.resize(block_size, 0);
-                    let previous = staged.overlay.insert(block, data);
-                    staged.undo.push((block, previous));
-                }
-                return Ok(());
-            }
-        }
-        self.commit_writes_journaled(state, writes)
-    }
-
-    /// Journals and applies a set of block writes as atomic journal
-    /// transactions: one for a compound transaction (`commit_tx` refuses a
-    /// larger set), as many as it takes for a single call outside one.
-    fn commit_writes_journaled(
-        &self,
-        state: &mut FsState,
-        writes: Vec<(u64, Vec<u8>)>,
-    ) -> Result<(), InodeError> {
-        if writes.is_empty() {
+        if blocks.is_empty() {
             return Ok(());
         }
         let block_size = self.layout.block_size;
         let trace = self.trace.get();
-        for chunk in writes.chunks(self.tx_capacity_blocks()) {
-            let commit_span = trace.map(|t| t.tracer.span("fs_commit"));
-            let commit_start = trace.map(|t| t.clock.now_us());
-            let needed = chunk.len() as u64 + 2;
-            let mut pos = state.superblock.journal_write_ptr;
-            if pos + needed > self.layout.journal_blocks {
-                pos = 0;
-            }
-            let tx_id = state.superblock.last_started_tx + 1;
-            let targets: Vec<u64> = chunk.iter().map(|(b, _)| *b).collect();
-
-            // 1. Journal records.
-            let journal_span = trace.map(|t| t.tracer.span("fs_journal"));
-            self.device.write_block(
-                self.layout.journal_start + pos,
-                &encode_header(tx_id, &targets, block_size),
-            )?;
-            for (i, (_, data)) in chunk.iter().enumerate() {
-                let mut padded = data.clone();
-                padded.resize(block_size, 0);
-                self.device
-                    .write_block(self.layout.journal_start + pos + 1 + i as u64, &padded)?;
-            }
-            self.device.write_block(
-                self.layout.journal_start + pos + 1 + chunk.len() as u64,
-                &encode_commit(tx_id, block_size),
-            )?;
-            self.device.flush()?;
-            drop(journal_span);
-
-            // 2. In-place application.  The chunk's cache entries are
-            // dropped first and re-installed only after the flush barrier,
-            // so the cache never runs ahead of (or goes stale behind) the
-            // device, whatever write the crash lands on.  Re-installing
-            // (rather than leaving the blocks uncached) also guarantees
-            // crypto-erasure reaches the cache — a tombstone or
-            // zero-on-free write replaces whatever plaintext the cache
-            // held for that block.
-            let apply_span = trace.map(|t| t.tracer.span("fs_apply"));
-            {
-                let mut cache = self.cache.lock();
-                for (target, _) in chunk {
-                    cache.invalidate(*target);
-                }
-            }
-            for (target, data) in chunk {
-                let mut padded = data.clone();
-                padded.resize(block_size, 0);
-                self.device.write_block(*target, &padded)?;
-            }
-            drop(apply_span);
-            let flush_span = trace.map(|t| t.tracer.span("fs_flush"));
-            self.device.flush()?;
-            drop(flush_span);
-            {
-                let mut cache = self.cache.lock();
-                for (target, data) in chunk {
-                    let mut padded = data.clone();
-                    padded.resize(block_size, 0);
-                    // `install_committed`, not `insert`: the epoch bump
-                    // defeats a racing miss-fill that read the device
-                    // before the in-place write above and would otherwise
-                    // re-install the pre-commit bytes over this entry.
-                    cache.install_committed(*target, padded);
-                }
-            }
-            self.journal_txs.inc();
-
-            // 3. Checkpoint record in the superblock.
-            let checkpoint_span = trace.map(|t| t.tracer.span("fs_checkpoint"));
-            state.superblock.last_started_tx = tx_id;
-            state.superblock.last_applied_tx = tx_id;
-            state.superblock.last_tx_offset = pos;
-            state.superblock.journal_write_ptr = pos + needed;
-            self.device
-                .write_block(0, &state.superblock.encode(block_size))?;
-
-            // 4. Optional scrubbing of the journal records.
-            if state.superblock.journal_mode == JournalMode::Scrub {
-                let zero = vec![0u8; block_size];
-                for b in pos..pos + needed {
-                    self.device
-                        .write_block(self.layout.journal_start + b, &zero)?;
-                }
-            }
-            self.device.flush()?;
-            drop(checkpoint_span);
-            if let (Some(t), Some(start)) = (trace, commit_start) {
-                t.commit_us.record(t.clock.now_us().saturating_sub(start));
-            }
-            drop(commit_span);
+        let commit_span = trace.map(|t| t.tracer.span("fs_commit"));
+        let commit_start = trace.map(|t| t.clock.now_us());
+        let needed = blocks.len() as u64 + 2;
+        let mut pos = state.superblock.journal_write_ptr;
+        if pos + needed > self.layout.journal_blocks {
+            pos = 0;
         }
+        let tx_id = state.superblock.last_started_tx + 1;
+        let targets: Vec<u64> = blocks.keys().copied().collect();
+
+        // 1. Journal records.
+        let journal_span = trace.map(|t| t.tracer.span("fs_journal"));
+        let record = self.layout.journal_start + pos;
+        self.device
+            .write_block(record, &encode_header(tx_id, &targets, block_size))?;
+        for (data, at) in blocks.values().zip(record + 1..) {
+            self.device.write_block(at, data)?;
+        }
+        self.device.write_block(
+            record + 1 + blocks.len() as u64,
+            &encode_commit(tx_id, block_size),
+        )?;
+        self.device.flush()?;
+        drop(journal_span);
+
+        // 2. In-place application.  The blocks' cache entries are dropped
+        // first and re-installed only after the flush barrier, so the cache
+        // never runs ahead of (or goes stale behind) the device, whatever
+        // write the crash lands on.  Re-installing (rather than leaving the
+        // blocks uncached) also guarantees crypto-erasure reaches the cache —
+        // a tombstone or zero-on-free write replaces whatever plaintext the
+        // cache held for that block.
+        let apply_span = trace.map(|t| t.tracer.span("fs_apply"));
+        {
+            let mut cache = self.cache.lock();
+            for &target in &targets {
+                cache.invalidate(target);
+            }
+        }
+        for (&target, data) in &blocks {
+            self.device.write_block(target, data)?;
+        }
+        drop(apply_span);
+        let flush_span = trace.map(|t| t.tracer.span("fs_flush"));
+        self.device.flush()?;
+        drop(flush_span);
+        {
+            let mut cache = self.cache.lock();
+            for (target, data) in blocks {
+                // `install_committed`, not `insert`: the epoch bump defeats a
+                // racing miss-fill that read the device before the in-place
+                // write above and would otherwise re-install the pre-commit
+                // bytes over this entry.
+                cache.install_committed(target, data);
+            }
+        }
+        self.journal_txs.inc();
+
+        // 3. Checkpoint record in the superblock.
+        let checkpoint_span = trace.map(|t| t.tracer.span("fs_checkpoint"));
+        state.superblock.last_started_tx = tx_id;
+        state.superblock.last_applied_tx = tx_id;
+        state.superblock.last_tx_offset = pos;
+        state.superblock.journal_write_ptr = pos + needed;
+        self.device
+            .write_block(0, &state.superblock.encode(block_size))?;
+
+        // 4. Optional scrubbing of the journal records.
+        if state.superblock.journal_mode == JournalMode::Scrub {
+            let zero = vec![0u8; block_size];
+            for b in pos..pos + needed {
+                self.device
+                    .write_block(self.layout.journal_start + b, &zero)?;
+            }
+        }
+        self.device.flush()?;
+        drop(checkpoint_span);
+        if let (Some(t), Some(start)) = (trace, commit_start) {
+            t.commit_us.record(t.clock.now_us().saturating_sub(start));
+        }
+        drop(commit_span);
         Ok(())
     }
 }
@@ -1504,6 +1477,13 @@ mod tests {
     fn small_fs() -> InodeFs<Arc<MemDevice>> {
         let device = Arc::new(MemDevice::new(512, 256));
         InodeFs::format(device, FormatParams::small(), JournalMode::Retain).unwrap()
+    }
+
+    /// [`small_fs`] with a journal that carries 29 blocks a transaction.
+    fn roomy_journal_fs() -> InodeFs<Arc<MemDevice>> {
+        let device = Arc::new(MemDevice::new(512, 256));
+        let params = FormatParams::small().with_journal_blocks(32);
+        InodeFs::format(device, params, JournalMode::Retain).unwrap()
     }
 
     #[test]
@@ -1580,7 +1560,7 @@ mod tests {
 
     #[test]
     fn write_read_round_trip_large_crosses_indirect() {
-        let fs = small_fs();
+        let fs = roomy_journal_fs();
         let ino = fs.alloc_inode(InodeKind::File).unwrap();
         // 256-byte blocks, 10 direct pointers -> anything beyond 2560 bytes
         // needs the indirect block.
@@ -1639,8 +1619,31 @@ mod tests {
     }
 
     #[test]
+    fn a_plain_write_that_runs_out_of_space_leaves_the_allocation_as_it_was() {
+        let device = Arc::new(MemDevice::new(96, 256));
+        let params = FormatParams::small().with_journal_blocks(8);
+        let fs = InodeFs::format(device, params, JournalMode::Retain).unwrap();
+        let total = fs.layout().total_blocks;
+        // Direct blocks only, one a write, until a single block is left.
+        'fill: loop {
+            let ino = fs.alloc_inode(InodeKind::File).unwrap();
+            for block in 0..DIRECT_POINTERS as u64 {
+                if fs.allocated_blocks() == total - 1 {
+                    break 'fill;
+                }
+                fs.write(ino, block * 256, &[7; 256]).unwrap();
+            }
+        }
+        let last = fs.alloc_inode(InodeKind::File).unwrap();
+        assert_eq!(fs.write(last, 0, &[9; 1_024]), Err(InodeError::OutOfSpace));
+        assert_eq!(fs.allocated_blocks(), total - 1);
+        assert_eq!(fs.leaked_data_blocks().unwrap(), []);
+        assert_eq!(fs.stat(last).unwrap().size, 0);
+    }
+
+    #[test]
     fn truncate_frees_blocks() {
-        let fs = small_fs();
+        let fs = roomy_journal_fs();
         let ino = fs.alloc_inode(InodeKind::File).unwrap();
         let data = vec![0xAB; 4000];
         fs.write(ino, 0, &data).unwrap();
@@ -1793,6 +1796,68 @@ mod tests {
     }
 
     #[test]
+    fn secure_free_survives_a_remount() {
+        let device = Arc::new(MemDevice::new(512, 256));
+        let params = FormatParams::small().with_secure_free(true);
+        let fs = InodeFs::format(Arc::clone(&device), params, JournalMode::Scrub).unwrap();
+        let ino = fs.alloc_inode(InodeKind::File).unwrap();
+        fs.write(ino, 0, b"SENSITIVE-SSN-1-23-45").unwrap();
+        fs.dir_add(ROOT_INO, "pd", ino).unwrap();
+        drop(fs);
+        let fs = InodeFs::mount(Arc::clone(&device)).unwrap();
+        assert!(fs.secure_free());
+        fs.free_inode(fs.dir_remove(ROOT_INO, "pd").unwrap())
+            .unwrap();
+        let hits = scan_for_pattern(device.as_ref(), b"SENSITIVE-SSN-1-23-45").unwrap();
+        assert!(hits.is_empty(), "a remount forgot to zero on free");
+    }
+
+    #[test]
+    fn a_secure_free_file_grows_only_as_far_as_its_removal_fits_one_transaction() {
+        // 512 B blocks: the inode addresses 74 blocks, a journal
+        // transaction carries 61.
+        let device = Arc::new(MemDevice::new(1_024, 512));
+        let params = FormatParams::small()
+            .with_journal_blocks(64)
+            .with_secure_free(true);
+        let fs = InodeFs::format(Arc::clone(&device), params, JournalMode::Scrub).unwrap();
+        let ino = fs.alloc_inode(InodeKind::File).unwrap();
+        fs.dir_add(ROOT_INO, "log", ino).unwrap();
+        let chunk = b"SENSITIVE-LOG-16".repeat(32);
+        let append_to_the_cap = || {
+            let mut size = 0;
+            let refusal = loop {
+                match fs.write(ino, size, &chunk) {
+                    Ok(()) => size += chunk.len() as u64,
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(
+                refusal,
+                InodeError::TxTooLarge {
+                    staged: 62,
+                    capacity: 61
+                }
+            );
+            // 55 data blocks, the indirect one, a data-bitmap block and four
+            // more (two of the file's, two of its directory's): 61.
+            assert_eq!(size, 55 * 512);
+        };
+        append_to_the_cap();
+        fs.write_replace(ino, b"short").unwrap();
+        assert_eq!(fs.stat(ino).unwrap().size, 5);
+        append_to_the_cap();
+        let tx = fs.begin_tx();
+        fs.free_inode(fs.dir_remove(ROOT_INO, "log").unwrap())
+            .unwrap();
+        tx.commit().unwrap();
+        let residue = scan_for_pattern(device.as_ref(), b"SENSITIVE-LOG-16").unwrap();
+        assert_eq!(residue, []);
+        assert_eq!(fs.allocated_inodes(), 1);
+        assert_eq!(fs.leaked_data_blocks().unwrap(), []);
+    }
+
+    #[test]
     fn crash_between_commit_and_apply_is_recovered() {
         // Run a workload against a pristine device, then simulate a crash by
         // replaying only a prefix of the writes onto a twin device and
@@ -1889,6 +1954,39 @@ mod tests {
         fs.write_replace(ino, b"tiny").unwrap();
         assert_eq!(fs.read_all(ino).unwrap(), b"tiny");
         assert_eq!(fs.stat(ino).unwrap().size, 4);
+    }
+
+    #[test]
+    fn a_crash_inside_a_plain_write_replace_leaves_the_old_or_the_new_contents() {
+        let image = || {
+            let device = Arc::new(MemDevice::new(512, 256));
+            let fs = InodeFs::format(
+                Arc::clone(&device),
+                FormatParams::small(),
+                JournalMode::Retain,
+            )
+            .unwrap();
+            let ino = fs.alloc_inode(InodeKind::File).unwrap();
+            fs.write(ino, 0, &[b'A'; 1_000]).unwrap();
+            (device, ino)
+        };
+        let (device, ino) = image();
+        let probe = counted_fs(&device, FaultScript::none());
+        let (total_writes, done) = probe
+            .device()
+            .writes_between(|| probe.write_replace(ino, &[b'B'; 300]));
+        done.unwrap();
+        for crash_after in 0..total_writes {
+            let (device, ino) = image();
+            let fs = counted_fs(&device, FaultScript::crash_after_writes(crash_after));
+            assert!(fs.write_replace(ino, &[b'B'; 300]).is_err());
+            drop(fs);
+            let contents = InodeFs::mount(device).unwrap().read_all(ino).unwrap();
+            assert!(
+                contents == [b'A'; 1_000] || contents == [b'B'; 300],
+                "crash point {crash_after}: neither the old nor the new contents"
+            );
+        }
     }
 
     #[test]
@@ -2206,12 +2304,16 @@ mod tests {
         tx.commit().unwrap();
         assert_eq!(fs.read_all(a).unwrap(), b"fits");
 
-        // Outside a transaction the same call keeps its plain-file
-        // semantics and spans as many journal transactions as it takes.
-        let txs = fs.journal_txs();
-        fs.write(a, 0, &big).unwrap();
-        assert!(fs.journal_txs() - txs > 1);
-        assert_eq!(fs.read_all(a).unwrap(), big);
+        // Outside a compound transaction the same call is a transaction of
+        // its own, refused the same way.
+        let before = fs.allocated_blocks();
+        assert_eq!(
+            fs.write(a, 0, &big),
+            Err(InodeError::TxTooLarge { staged, capacity })
+        );
+        assert_eq!(fs.read_all(a).unwrap(), b"fits");
+        assert_eq!(fs.allocated_blocks(), before);
+        assert!(fs.leaked_data_blocks().unwrap().is_empty());
     }
 
     #[test]
@@ -2223,12 +2325,12 @@ mod tests {
         fs.dir_add(ROOT_INO, "kept", a).unwrap();
         let staged_before = fs.tx_staged_blocks();
         let inodes_before = fs.allocated_inodes();
-        let savepoint = fs.tx_savepoint();
+        fs.tx_savepoint();
         let b = fs.alloc_inode(InodeKind::File).unwrap();
         fs.write(b, 0, &[0x77; 900]).unwrap();
         fs.dir_add(ROOT_INO, "dropped", b).unwrap();
         assert!(fs.tx_staged_blocks() > staged_before);
-        fs.tx_rollback_to(savepoint);
+        fs.tx_rollback_to();
         assert_eq!(fs.tx_staged_blocks(), staged_before);
         assert_eq!(fs.allocated_inodes(), inodes_before);
         tx.commit().unwrap();
@@ -2249,9 +2351,9 @@ mod tests {
         fs.write(shrunk, 0, &[0xAB; 2_048]).unwrap();
         let tx = fs.begin_tx();
         fs.truncate(shrunk, 0).unwrap();
-        let savepoint = fs.tx_savepoint();
+        fs.tx_savepoint();
         fs.write(other, 0, b"rolled back").unwrap();
-        fs.tx_rollback_to(savepoint);
+        fs.tx_rollback_to();
         tx.commit().unwrap();
         // The commit zeroes the eight blocks the truncate freed: the
         // secure-free scrub, not a write to an unallocated block.
@@ -2309,11 +2411,12 @@ mod tests {
 
     #[test]
     fn a_name_too_long_for_its_length_prefix_is_refused_before_anything_is_staged() {
-        // 2 KiB blocks: a file holds 532 KiB, so the entry itself would fit.
+        // 2 KiB blocks: a file holds 532 KiB, so the entry itself would fit,
+        // and so does the longest one in a journal transaction.
         let device = Arc::new(MemDevice::new(2_048, 2_048));
         InodeFs::format(
             Arc::clone(&device),
-            FormatParams::small(),
+            FormatParams::small().with_journal_blocks(64),
             JournalMode::Retain,
         )
         .unwrap();
@@ -2366,8 +2469,8 @@ mod tests {
         assert_eq!(small, large, "an update rewrote a share of its directory");
         // Add: header, commit, superblock; entry block, count block and
         // inode, each once in the journal and once in place.  Remove: the
-        // count and the inode, then the truncated inode, each a transaction.
-        assert_eq!(small, (9, 12));
+        // same transaction over the count block and the inode.
+        assert_eq!(small, (9, 7));
         assert!(fs.stat(dir).unwrap().size > 40 * 2_048);
         assert_eq!(fs.dir_entries(dir).unwrap().len(), 4_000);
     }
@@ -2375,7 +2478,8 @@ mod tests {
     #[test]
     fn a_directory_laid_down_whole_by_the_old_writer_behaves_like_a_grown_one() {
         let device = Arc::new(MemDevice::new(1_024, 512));
-        let fs = InodeFs::format(device, FormatParams::small(), JournalMode::Retain).unwrap();
+        let params = FormatParams::small().with_journal_blocks(32);
+        let fs = InodeFs::format(device, params, JournalMode::Retain).unwrap();
         let old = fs.alloc_inode(InodeKind::Directory).unwrap();
         let grown = fs.alloc_inode(InodeKind::Table).unwrap();
         let mut entries = numbered(0..300);
@@ -2414,9 +2518,8 @@ mod tests {
 
     #[test]
     fn a_crash_inside_a_bare_directory_update_leaves_the_old_or_the_new_directory() {
-        // No compound transaction is open: `dir_add` is one journal
-        // transaction, `dir_remove` two (rewrite, then truncate) — so a crash
-        // between those two leaves the removed tail behind the count.
+        // No compound transaction is open: `dir_add` and `dir_remove` (the
+        // shift and the truncate) are each one journal transaction.
         let image = || {
             let device = Arc::new(MemDevice::new(1_024, 512));
             let fs = InodeFs::format(
@@ -2478,9 +2581,6 @@ mod tests {
                 assert!(fs.leaked_data_blocks().unwrap().is_empty());
             }
         }
-        assert!(
-            orphan_tails > 0,
-            "some crash point leaves a tail to overwrite"
-        );
+        assert_eq!(orphan_tails, 0, "a crash left a tail behind the count");
     }
 }

@@ -58,7 +58,7 @@ pub mod superblock;
 
 pub use cache::BlockCache;
 pub use error::InodeError;
-pub use fs::{FormatParams, InodeFs, Transaction, TxSavepoint};
+pub use fs::{FormatParams, InodeFs, Transaction};
 pub use inode::{Ino, Inode, InodeKind};
 pub use journal::JournalMode;
 pub use layout::Layout;

@@ -23,6 +23,8 @@ pub struct Superblock {
     pub journal_blocks: u64,
     /// Journal scrubbing policy.
     pub journal_mode: JournalMode,
+    /// Whether freed data blocks are zeroed.
+    pub secure_free: bool,
     /// Identifier of the last transaction whose journal records were written.
     pub last_started_tx: u64,
     /// Offset (in blocks, relative to the journal start) of that transaction.
@@ -35,11 +37,17 @@ pub struct Superblock {
 
 impl Superblock {
     /// Creates the superblock written by `format`.
-    pub fn new(inode_count: u64, journal_blocks: u64, journal_mode: JournalMode) -> Self {
+    pub fn new(
+        inode_count: u64,
+        journal_blocks: u64,
+        journal_mode: JournalMode,
+        secure_free: bool,
+    ) -> Self {
         Self {
             inode_count,
             journal_blocks,
             journal_mode,
+            secure_free,
             last_started_tx: 0,
             last_tx_offset: 0,
             last_applied_tx: 0,
@@ -64,6 +72,7 @@ impl Superblock {
         out[40..48].copy_from_slice(&self.last_tx_offset.to_le_bytes());
         out[48..56].copy_from_slice(&self.last_applied_tx.to_le_bytes());
         out[56..64].copy_from_slice(&self.journal_write_ptr.to_le_bytes());
+        out[64] = u8::from(self.secure_free);
         out
     }
 
@@ -77,8 +86,8 @@ impl Superblock {
         let corrupt = |what: &str| InodeError::Corrupt {
             what: what.to_owned(),
         };
-        if buf.len() < 64 {
-            return Err(corrupt("superblock shorter than 64 bytes"));
+        if buf.len() < 72 {
+            return Err(corrupt("superblock shorter than 72 bytes"));
         }
         let magic = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
         if magic != SUPERBLOCK_MAGIC {
@@ -93,6 +102,7 @@ impl Superblock {
             JournalMode::from_raw(mode_raw).ok_or_else(|| corrupt("unknown journal mode"))?;
         Ok(Self {
             journal_mode,
+            secure_free: buf[64] != 0,
             inode_count: u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes")),
             journal_blocks: u64::from_le_bytes(buf[24..32].try_into().expect("8 bytes")),
             last_started_tx: u64::from_le_bytes(buf[32..40].try_into().expect("8 bytes")),
@@ -109,7 +119,7 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip() {
-        let mut sb = Superblock::new(128, 32, JournalMode::Scrub);
+        let mut sb = Superblock::new(128, 32, JournalMode::Scrub, true);
         sb.last_started_tx = 7;
         sb.last_tx_offset = 12;
         sb.last_applied_tx = 6;
@@ -120,7 +130,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_magic_and_version() {
-        let sb = Superblock::new(1, 1, JournalMode::Retain);
+        let sb = Superblock::new(1, 1, JournalMode::Retain, false);
         let mut buf = sb.encode(128);
         buf[0] ^= 0xFF;
         assert!(Superblock::decode(&buf).is_err());
@@ -136,6 +146,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "block size too small")]
     fn tiny_block_panics() {
-        Superblock::new(1, 1, JournalMode::Retain).encode(16);
+        Superblock::new(1, 1, JournalMode::Retain, false).encode(16);
     }
 }
