@@ -44,7 +44,7 @@ use rgpdos_inode::fs::ROOT_INO;
 use rgpdos_inode::{FormatParams, Ino, InodeFs, InodeKind, JournalMode, Transaction};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Name of the schema entry inside a table directory.
 const SCHEMA_ENTRY: &str = "__schema";
@@ -425,53 +425,6 @@ pub struct Dbfs<D> {
     /// scrub pass.  `Arc`'d so gauge closures observe them without
     /// borrowing `self` — and without any device I/O.
     space: Arc<SpaceGauges>,
-    /// Per-operation latency instrumentation, installed by
-    /// [`Dbfs::attach_trace_as`] (the first attach wins).  Unset (the
-    /// default) costs one load per public operation and nothing else.
-    trace: OnceLock<DbfsTrace>,
-}
-
-/// The handles [`Dbfs::attach_trace_as`] installs: one latency histogram per
-/// public operation plus the group-commit size distribution, all timed
-/// against the shared trace clock.
-#[derive(Debug)]
-struct DbfsTrace {
-    clock: Arc<rgpdos_trace::TraceClock>,
-    op_us: std::collections::BTreeMap<&'static str, rgpdos_trace::Hist>,
-    group_records: rgpdos_trace::Hist,
-}
-
-/// The public operations [`Dbfs::attach_trace_as`] gives a latency histogram
-/// (`dbfs_op_us{op="<name>"}`).
-const DBFS_TRACED_OPS: [&str; 10] = [
-    "collect",
-    "insert_batch",
-    "get",
-    "load_membrane",
-    "update",
-    "copy",
-    "erase",
-    "erase_subject",
-    "purge_expired",
-    "query",
-];
-
-impl DbfsTrace {
-    fn new(ctx: &rgpdos_trace::TraceCtx, labels: &[(&str, &str)]) -> Self {
-        let mut op_us = std::collections::BTreeMap::new();
-        for op in DBFS_TRACED_OPS {
-            let mut with_op: Vec<(&str, &str)> = labels.to_vec();
-            with_op.push(("op", op));
-            op_us.insert(op, ctx.registry.histogram_with("dbfs_op_us", &with_op));
-        }
-        Self {
-            clock: Arc::clone(&ctx.clock),
-            op_us,
-            group_records: ctx
-                .registry
-                .histogram_with("dbfs_group_commit_records", labels),
-        }
-    }
 }
 
 impl<D: BlockDevice> Dbfs<D> {
@@ -540,7 +493,6 @@ impl<D: BlockDevice> Dbfs<D> {
             stats: DbfsStatsInner::default(),
             index_lock_holds: std::sync::atomic::AtomicU64::new(0),
             space: Arc::new(SpaceGauges::default()),
-            trace: OnceLock::new(),
         })
     }
 
@@ -671,7 +623,6 @@ impl<D: BlockDevice> Dbfs<D> {
             stats,
             index_lock_holds: std::sync::atomic::AtomicU64::new(0),
             space: Arc::new(SpaceGauges::default()),
-            trace: OnceLock::new(),
         };
         // Complete any local erase cascade a crash interrupted between two
         // of its groups.
@@ -683,11 +634,9 @@ impl<D: BlockDevice> Dbfs<D> {
     /// [`DbfsStats`] counter is adopted into the registry (the old
     /// accessors keep reading the same atomics), the inode layer below is
     /// attached ([`InodeFs::attach_trace`] — commit latency, phase spans,
-    /// cache counters), and every subsequent public operation records its
-    /// latency into `dbfs_op_us{op="…"}` plus the group-commit size
-    /// distribution into `dbfs_group_commit_records`.  `labels` tags all
-    /// of it (sharded deployments pass `shard="<i>"`).  The trace layer
-    /// performs no device I/O of its own.
+    /// cache counters), and the read-snapshot and space gauges are
+    /// registered.  `labels` tags all of it (sharded deployments pass
+    /// `shard="<i>"`).  The trace layer performs no device I/O of its own.
     pub fn attach_trace_as(&self, ctx: &rgpdos_trace::TraceCtx, labels: &[(&str, &str)]) {
         self.stats.register(&ctx.registry, labels);
         self.fs.attach_trace(ctx, labels);
@@ -713,14 +662,6 @@ impl<D: BlockDevice> Dbfs<D> {
             .gauge_fn("tombstones_reclaimed", labels, move || {
                 i64::try_from(space.reclaimed()).unwrap_or(i64::MAX)
             });
-        let _ = self.trace.set(DbfsTrace::new(ctx, labels));
-    }
-
-    /// A drop-timer for one traced public operation, or `None` when no
-    /// trace is attached.
-    fn op_timer(&self, op: &'static str) -> Option<rgpdos_trace::HistTimer> {
-        let trace = self.trace.get()?;
-        trace.op_us.get(op).map(|h| h.timer(&trace.clock))
     }
 
     /// Hit/miss counters of the inode-layer buffer cache under this store.
@@ -1155,9 +1096,6 @@ impl<D: BlockDevice> Dbfs<D> {
     /// records can only start after it, so the trail never shows an event
     /// on a record after its `Erased`, nor a `Reclaimed` ahead of it.
     fn apply_group(&self, index: &mut DbfsIndex, mut group: Vec<StagedOp>, ids: &mut Vec<PdId>) {
-        if let Some(t) = self.trace.get() {
-            t.group_records.record(group.len() as u64);
-        }
         let mut index_changed = false;
         for op in &mut group {
             match std::mem::replace(&mut op.change, IndexChange::None) {
@@ -1702,64 +1640,16 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         Ok(view.live_locations(view.table_ids(name)).count())
     }
 
-    fn collect(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-        row: Row,
-    ) -> Result<PdId, DbfsError> {
-        let _timer = self.op_timer("collect");
-        let now = self.clock.now();
-        let schema = self.schema(data_type)?;
-        let membrane = Membrane::from_schema(&schema, subject, now);
-        self.insert_wrapped(data_type, WrappedPd::new(row, membrane))
-    }
-
-    /// A batch of one through the write pipeline.
-    fn insert_wrapped(
-        &self,
-        data_type: &DataTypeId,
-        wrapped: WrappedPd,
-    ) -> Result<PdId, DbfsError> {
-        let ids = self.commit_ops(&[WriteOp::Insert {
-            data_type,
-            wrapped: &wrapped,
-            copy_of: None,
-        }])?;
-        Ok(ids[0])
-    }
-
-    /// The inserts coalesce into **group commits** — as many records per
-    /// journal transaction as the journal capacity allows.  Each group is
-    /// one compound transaction, so a crash leaves a clean *prefix* of the
-    /// batch (whole groups), never a torn record; on error the rows before
-    /// the failing one are inserted exactly as if collected sequentially.
-    fn collect_many(
-        &self,
-        data_type: &DataTypeId,
-        rows: Vec<(SubjectId, Row)>,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        let schema = self.schema(data_type)?;
-        let now = self.clock.now();
-        let items = rows
-            .into_iter()
-            .map(|(subject, row)| {
-                let membrane = Membrane::from_schema(&schema, subject, now);
-                (data_type.clone(), WrappedPd::new(row, membrane))
-            })
-            .collect();
-        self.insert_many(items)
-    }
-
-    /// One batch through the write pipeline, journaled in group commits
-    /// cut at [`rgpdos_inode::InodeFs::tx_capacity_blocks`] (the
-    /// crash-atomicity bound).  On error the items staged before the
-    /// failing one are committed first (prefix semantics).
+    /// One batch through the write pipeline: the inserts coalesce into
+    /// **group commits**, cut at
+    /// [`rgpdos_inode::InodeFs::tx_capacity_blocks`] (the crash-atomicity
+    /// bound), so a crash leaves a clean *prefix* of the batch (whole
+    /// groups), never a torn record; on error the items before the failing
+    /// one are inserted exactly as if inserted one by one.
     fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        let _timer = self.op_timer("insert_batch");
         let ops: Vec<WriteOp<'_>> = items
             .iter()
             .map(|(data_type, wrapped)| WriteOp::Insert {
@@ -1768,9 +1658,7 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
                 copy_of: None,
             })
             .collect();
-        let result = self.commit_ops(&ops);
-        DbfsStatsInner::bump(&self.stats.insert_batches);
-        result
+        self.commit_ops(&ops)
     }
 
     /// One batch through the write pipeline, sharing group commits like
@@ -1790,22 +1678,6 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
             })
             .collect();
         self.commit_ops(&ops).map(drop)
-    }
-
-    /// Served through the checked read (`Dbfs::checked_read`): the location
-    /// resolves from the published snapshot, the device is read with **no
-    /// lock held**, and the result is validated against the current
-    /// snapshot before it is returned — [`DbfsError::Erased`] when an
-    /// erasure or a reclaim committed after the snapshot was cut.
-    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
-        let _timer = self.op_timer("get");
-        DbfsStatsInner::bump(&self.stats.reads);
-        let snapshot = self.read_snapshot();
-        let location = snapshot.view.locate(data_type, id)?;
-        let stored = self
-            .checked_read(&snapshot, id, location, read_stored)?
-            .into_located(id)?;
-        Ok(PdRecord::new(id, data_type.clone(), stored))
     }
 
     /// Reads membrane headers only, never a payload block.  A record
@@ -1839,7 +1711,6 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
     /// [`DbfsError::Erased`] only for a record reclaimed after the snapshot
     /// was cut; a tombstone's membrane is returned as it is.
     fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
-        let _timer = self.op_timer("load_membrane");
         let snapshot = self.read_snapshot();
         let location = snapshot.view.locate(data_type, id)?;
         DbfsStatsInner::bump(&self.stats.membrane_loads);
@@ -1848,18 +1719,18 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
             .ok_or(DbfsError::Erased { id: id.raw() })
     }
 
-    /// Each record goes through the checked read against one published
-    /// snapshot — [`DbfsError::Erased`] when an erasure or a reclaim of one
-    /// of them committed after the snapshot was cut.
+    /// Every id is located in one published snapshot before any is read;
+    /// each record then goes through the checked read
+    /// (`Dbfs::checked_read`): the device is read with **no lock held**,
+    /// and the result is validated against the current snapshot before it
+    /// is returned — [`DbfsError::Erased`] when an erasure or a reclaim of
+    /// one of them committed after the snapshot was cut.
     fn load_records(&self, data_type: &DataTypeId, ids: &[PdId]) -> Result<RecordBatch, DbfsError> {
         let snapshot = self.read_snapshot();
         let locations: Vec<(PdId, &RecordLocation)> = ids
             .iter()
-            .map(|&id| match snapshot.view.records.get(&id) {
-                Some(loc) if &loc.data_type == data_type => Ok((id, loc)),
-                _ => Err(DbfsError::UnknownPd { id: id.raw() }),
-            })
-            .collect::<Result<_, _>>()?;
+            .map(|&id| Ok((id, snapshot.view.locate(data_type, id)?)))
+            .collect::<Result<_, DbfsError>>()?;
         let mut batch = RecordBatch::new();
         for (id, location) in locations {
             DbfsStatsInner::bump(&self.stats.reads);
@@ -1869,17 +1740,6 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
             batch.push(PdRecord::new(id, data_type.clone(), stored));
         }
         Ok(batch)
-    }
-
-    /// A batch of one through the write pipeline.
-    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
-        let _timer = self.op_timer("update");
-        self.commit_ops(&[WriteOp::UpdateRow {
-            data_type,
-            id,
-            row: &row,
-        }])
-        .map(drop)
     }
 
     /// A batch of one through the write pipeline.  Concurrent deltas to the
@@ -1904,7 +1764,6 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
     }
 
     fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
-        let _timer = self.op_timer("copy");
         // The source resolves from the published snapshot, so an erasure can
         // commit between this read and the insert below.  That race is closed
         // by `stage_insert`, which re-walks the copy's lineage under the
@@ -1942,7 +1801,6 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         id: PdId,
         escrow: &OperatorEscrow,
     ) -> Result<Vec<PdId>, DbfsError> {
-        let _timer = self.op_timer("erase");
         let mut index = self.lock_index();
         index.view.locate(data_type, id)?;
         self.erase_roots_locked(&mut index, &[id], escrow)
@@ -1956,7 +1814,6 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         subject: SubjectId,
         escrow: &OperatorEscrow,
     ) -> Result<Vec<PdId>, DbfsError> {
-        let _timer = self.op_timer("erase_subject");
         let mut index = self.lock_index();
         let live = index.view.live_locations(index.view.subject_ids(subject));
         let roots: Vec<PdId> = live.map(|(id, _)| id).collect();
@@ -1967,7 +1824,6 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
     /// visits records that actually expired — unexpired and unbounded-TTL
     /// records cost nothing, in memory or on disk.
     fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
-        let _timer = self.op_timer("purge_expired");
         let now = self.clock.now();
         let candidates: Vec<(DataTypeId, PdId, SubjectId)> = {
             let index = self.lock_index();
@@ -2047,7 +1903,6 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
     }
 
     fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
-        let _timer = self.op_timer("query");
         DbfsStatsInner::bump(&self.stats.queries);
         let schema = self.schema(&request.data_type)?;
         let view = match &request.view {
@@ -2244,9 +2099,7 @@ mod tests {
             grouped_txs * 3 <= per_op_txs,
             "group commit must coalesce journal transactions: {grouped_txs} vs {per_op_txs}"
         );
-        let stats = batched.stats();
-        assert_eq!(stats.collects, 40);
-        assert_eq!(stats.insert_batches, 1);
+        assert_eq!(batched.stats().collects, 40);
         assert_eq!(
             batched.audit().snapshot().len(),
             sequential.audit().snapshot().len()

@@ -53,16 +53,18 @@
 //! ## Batched writes: one pipeline, journal group commit
 //!
 //! Every record mutation is a batch through one private write pipeline:
-//! [`PdStore::collect`], [`PdStore::insert_wrapped`], [`PdStore::copy`],
-//! [`PdStore::update_row`] and [`PdStore::apply_membrane_delta`] are
-//! batches of one, [`PdStore::collect_many`], [`PdStore::insert_many`] and
-//! [`PdStore::update_rows`] batches of N.  The pipeline stages the ops into
-//! shared compound transactions (**group commits**), each op behind a
-//! savepoint: a failing op is un-staged and ends the batch with the ops
-//! before it committed, and a group is cut at the inode journal's
-//! capacity bound so each group — and therefore each
-//! record — stays crash-atomic; an op too large for a group of its own is
-//! refused.  Erasure cascades are batches through the same pipeline.
+//! [`PdStore::collect_many`], [`PdStore::insert_many`] and
+//! [`PdStore::update_rows`] are batches of N; [`PdStore::copy`] and
+//! [`PdStore::apply_membrane_delta`] batches of one; and
+//! [`PdStore::collect`], [`PdStore::insert_wrapped`] and
+//! [`PdStore::update_row`] are the trait's provided methods, a batch of one
+//! through the batch calls, with no body of their own here.  The pipeline
+//! stages the ops into shared compound transactions (**group commits**),
+//! each op behind a savepoint: a failing op is un-staged and ends the
+//! batch with the ops before it committed, and a group is cut at the inode
+//! journal's capacity bound so each group — and therefore each record —
+//! stays crash-atomic; an op too large for a group of its own is refused.
+//! Erasure cascades are batches through the same pipeline.
 //!
 //! ## Reads: one checked read
 //!

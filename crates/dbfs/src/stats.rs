@@ -13,7 +13,6 @@ use std::fmt;
 #[derive(Debug, Default)]
 pub struct DbfsStatsInner {
     pub(crate) collects: Counter,
-    pub(crate) insert_batches: Counter,
     pub(crate) reads: Counter,
     pub(crate) membrane_loads: Counter,
     pub(crate) updates: Counter,
@@ -30,9 +29,6 @@ pub struct DbfsStatsInner {
 pub struct DbfsStats {
     /// Records collected (inserted), batched APIs included.
     pub collects: u64,
-    /// Batched-insert calls (`collect_many` / `insert_many`), each of which
-    /// coalesced its records into journal group commits.
-    pub insert_batches: u64,
     /// Records read individually.
     pub reads: u64,
     /// Membrane-only header reads (the `ded_load_membrane` path).
@@ -61,7 +57,6 @@ impl DbfsStats {
     pub fn merge(self, other: DbfsStats) -> DbfsStats {
         DbfsStats {
             collects: self.collects + other.collects,
-            insert_batches: self.insert_batches + other.insert_batches,
             reads: self.reads + other.reads,
             membrane_loads: self.membrane_loads + other.membrane_loads,
             updates: self.updates + other.updates,
@@ -79,7 +74,6 @@ impl DbfsStatsInner {
     pub(crate) fn snapshot(&self) -> DbfsStats {
         DbfsStats {
             collects: self.collects.get(),
-            insert_batches: self.insert_batches.get(),
             reads: self.reads.get(),
             membrane_loads: self.membrane_loads.get(),
             updates: self.updates.get(),
@@ -102,7 +96,6 @@ impl DbfsStatsInner {
     pub(crate) fn register(&self, registry: &Registry, labels: &[(&str, &str)]) {
         for (name, counter) in [
             ("dbfs_collects", &self.collects),
-            ("dbfs_insert_batches", &self.insert_batches),
             ("dbfs_reads", &self.reads),
             ("dbfs_membrane_loads", &self.membrane_loads),
             ("dbfs_updates", &self.updates),
@@ -122,9 +115,8 @@ impl fmt::Display for DbfsStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "collects={} insert_batches={} reads={} membrane_loads={} updates={} copies={} erasures={} expirations={} queries={} journal_replays={} recovered_txs={}",
+            "collects={} reads={} membrane_loads={} updates={} copies={} erasures={} expirations={} queries={} journal_replays={} recovered_txs={}",
             self.collects,
-            self.insert_batches,
             self.reads,
             self.membrane_loads,
             self.updates,
@@ -159,7 +151,6 @@ mod tests {
     fn merge_sums_every_counter_field_wise() {
         let a = DbfsStats {
             collects: 1,
-            insert_batches: 11,
             reads: 2,
             membrane_loads: 3,
             updates: 4,
@@ -172,7 +163,6 @@ mod tests {
         };
         let b = DbfsStats {
             collects: 10,
-            insert_batches: 110,
             reads: 20,
             membrane_loads: 30,
             updates: 40,
@@ -185,7 +175,6 @@ mod tests {
         };
         let merged = a.merge(b);
         assert_eq!(merged.collects, 11);
-        assert_eq!(merged.insert_batches, 121);
         assert_eq!(merged.reads, 22);
         assert_eq!(merged.membrane_loads, 33);
         assert_eq!(merged.updates, 44);

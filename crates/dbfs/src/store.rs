@@ -14,6 +14,25 @@
 //! implementation has same-named inherent methods, so the documentation
 //! here is the contract and an implementation documents only what is
 //! specific to it.
+//!
+//! Six of the 29 methods are provided, written once here over the 23
+//! required ones: [`PdStore::attach_trace`] is a no-op;
+//! [`PdStore::collect_many`] wraps each row in its type's default
+//! membrane ([`PdStore::schema`] at [`PdStore::clock`]'s now) and calls
+//! [`PdStore::insert_many`]; and the single-record [`PdStore::collect`],
+//! [`PdStore::insert_wrapped`], [`PdStore::update_row`] and
+//! [`PdStore::get`] are a batch of one through [`PdStore::collect_many`],
+//! [`PdStore::insert_many`], [`PdStore::update_rows`] and
+//! [`PdStore::load_records`].  Neither store overrides them, so a
+//! single-record call takes exactly the batch route: one write pipeline on
+//! `Dbfs`, one routing rule on `ShardedDbfs`.
+//!
+//! A partitioned store answers a read that scatters over **two or more**
+//! backing instances in full or fails with [`DbfsError::PartialScatter`]
+//! (which instance failed, how many completed); a scatter over exactly
+//! one instance returns that instance's answer, error included,
+//! unchanged.  A batch write reports the lowest failing instance's error
+//! as it is, every instance having applied a prefix of its slice.
 
 use crate::error::DbfsError;
 use crate::query::QueryRequest;
@@ -42,10 +61,10 @@ pub trait PdStore: Send + Sync {
     /// instances for partitioned stores).
     fn stats(&self) -> DbfsStats;
 
-    /// Routes the store's instrumentation through a trace context: op
-    /// latency histograms, commit latency, cache and stats counters —
-    /// labeled per backing instance for partitioned stores.  The default
-    /// is a no-op so minimal stores stay trivially conformant.
+    /// Routes the store's instrumentation through a trace context: commit
+    /// latency, cache and stats counters — labeled per backing instance
+    /// for partitioned stores.  The default is a no-op so minimal stores
+    /// stay trivially conformant.
     fn attach_trace(&self, ctx: &rgpdos_trace::TraceCtx) {
         let _ = ctx;
     }
@@ -72,13 +91,14 @@ pub trait PdStore: Send + Sync {
     /// # Errors
     ///
     /// Returns [`DbfsError::UnknownType`] when the type is not installed,
-    /// and partitioned stores return [`DbfsError::PartialScatter`] when any
+    /// and partitioned stores return [`DbfsError::PartialScatter`] when a
     /// backing instance failed — an undercount is never presented as a
     /// complete answer.
     fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError>;
 
     /// The `acquisition` built-in: stores a newly collected row under the
-    /// default membrane of its type.
+    /// default membrane of its type.  Provided: [`PdStore::collect_many`]
+    /// of one row.
     ///
     /// # Errors
     ///
@@ -89,33 +109,58 @@ pub trait PdStore: Send + Sync {
         data_type: &DataTypeId,
         subject: SubjectId,
         row: Row,
-    ) -> Result<PdId, DbfsError>;
+    ) -> Result<PdId, DbfsError> {
+        let ids = self.collect_many(data_type, vec![(subject, row)])?;
+        Ok(ids[0])
+    }
 
     /// Stores an already-wrapped record (the DED's store step for produced
-    /// personal data, and the second half of `copy`).
+    /// personal data, and the second half of `copy`).  Provided:
+    /// [`PdStore::insert_many`] of one item.
     ///
     /// # Errors
     ///
     /// Same as [`PdStore::collect`], plus [`DbfsError::Erased`] for a live
     /// copy whose lineage chain is already tombstoned.
-    fn insert_wrapped(&self, data_type: &DataTypeId, wrapped: WrappedPd)
-        -> Result<PdId, DbfsError>;
+    fn insert_wrapped(
+        &self,
+        data_type: &DataTypeId,
+        wrapped: WrappedPd,
+    ) -> Result<PdId, DbfsError> {
+        let ids = self.insert_many(vec![(data_type.clone(), wrapped)])?;
+        Ok(ids[0])
+    }
 
     /// Batched `acquisition`: collects every row, returning the assigned
     /// identifiers in input order.  The batch goes through the store's
     /// write pipeline as one unit: the inserts share journal group commits
     /// (per backing instance for partitioned stores), each record is
     /// individually atomic, and a crash leaves a prefix of whole groups.
+    /// Provided: every row gets the default membrane of the type's
+    /// [`PdStore::schema`], stamped with one [`PdStore::clock`] reading,
+    /// and the batch goes to [`PdStore::insert_many`].
     ///
     /// # Errors
     ///
-    /// Same as [`PdStore::collect`]; on error the rows before the failing
-    /// one are applied (per backing instance for partitioned stores).
+    /// Same as [`PdStore::collect`] — [`DbfsError::UnknownType`] even for
+    /// an empty batch; on error the rows before the failing one are
+    /// applied (per backing instance for partitioned stores).
     fn collect_many(
         &self,
         data_type: &DataTypeId,
         rows: Vec<(SubjectId, Row)>,
-    ) -> Result<Vec<PdId>, DbfsError>;
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let schema = self.schema(data_type)?;
+        let now = self.clock().now();
+        let items = rows
+            .into_iter()
+            .map(|(subject, row)| {
+                let membrane = Membrane::from_schema(&schema, subject, now);
+                (data_type.clone(), WrappedPd::new(row, membrane))
+            })
+            .collect();
+        self.insert_many(items)
+    }
 
     /// Batched [`PdStore::insert_wrapped`] (see [`PdStore::collect_many`]
     /// for the batching and crash semantics).
@@ -139,13 +184,18 @@ pub trait PdStore: Send + Sync {
         updates: Vec<(PdId, Row)>,
     ) -> Result<(), DbfsError>;
 
-    /// Reads one record (payload + membrane).
+    /// Reads one record (payload + membrane).  Provided:
+    /// [`PdStore::load_records`] of one id.
     ///
     /// # Errors
     ///
-    /// Returns [`DbfsError::UnknownPd`] when the id does not exist or
-    /// belongs to another type.
-    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError>;
+    /// Returns [`DbfsError::UnknownType`] for a missing table, and
+    /// [`DbfsError::UnknownPd`] when the id does not exist or belongs to
+    /// another type.
+    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
+        let mut records = self.load_records(data_type, &[id])?.into_records();
+        Ok(records.swap_remove(0))
+    }
 
     /// Membrane-only load of a whole table (the `ded_load_membrane`
     /// request), so consent filtering can happen *before* any personal data
@@ -180,15 +230,19 @@ pub trait PdStore: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`DbfsError::UnknownPd`] for unknown identifiers.
+    /// Returns [`DbfsError::UnknownType`] for a missing table (unless `ids`
+    /// is empty) and [`DbfsError::UnknownPd`] for unknown identifiers.
     fn load_records(&self, data_type: &DataTypeId, ids: &[PdId]) -> Result<RecordBatch, DbfsError>;
 
     /// The `update` built-in: replaces the payload row of a record.
+    /// Provided: [`PdStore::update_rows`] of one update.
     ///
     /// # Errors
     ///
     /// Returns [`DbfsError::Erased`] or [`DbfsError::Core`].
-    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError>;
+    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
+        self.update_rows(data_type, vec![(id, row)])
+    }
 
     /// Applies a subject-initiated membrane change (consent grant or
     /// withdrawal, retention change); returns whether the delta had an
@@ -309,7 +363,7 @@ mod tests {
         assert_eq!(store.count(&user).unwrap(), 1);
         assert!(matches!(
             store.count(&DataTypeId::from("ghost")),
-            Err(DbfsError::UnknownType { .. } | DbfsError::PartialScatter { .. })
+            Err(DbfsError::UnknownType { .. })
         ));
         let copy = store.copy(&user, id).unwrap();
         assert_ne!(copy, id);

@@ -14,10 +14,11 @@
 //!   scans fan out over a worker pool (one crossbeam-fed worker pinned per
 //!   shard) and merge per-shard results, so aggregate throughput scales
 //!   with the shard count — and the write path scatters too:
-//!   `collect_many` / `insert_many` / `update_rows` group a batch by home
-//!   shard and every involved shard ingests its slice under journal group
-//!   commit (shards driven in deterministic shard order, keeping the
-//!   shared audit stream reproducible);
+//!   `insert_many` / `update_rows` group a batch by home shard and every
+//!   involved shard ingests its slice under journal group commit, into its
+//!   own audit stream.  Every fan-out goes through one entry point, and a
+//!   scatter that lands on one shard is that shard's own call, on the
+//!   caller's thread;
 //! * a **cross-shard lineage directory**: `copy` places derived records
 //!   round-robin across shards, so a copy may live on a different shard
 //!   than its original — the directory records every copy edge, every

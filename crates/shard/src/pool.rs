@@ -3,7 +3,8 @@
 //! One worker thread is pinned to each shard; scatter requests enqueue a job
 //! per involved shard over crossbeam channels and gather the replies in
 //! shard order, so a full-table fan-out costs one channel round-trip instead
-//! of N sequential scans.  Pinning a worker to a shard (rather than pooling
+//! of N sequential scans.  The router sends only scatters over two or more
+//! shards here: a lone leg runs on the caller's thread.  Pinning a worker to a shard (rather than pooling
 //! jobs over free threads) keeps every shard's I/O on one thread, which is
 //! how a real deployment would bind shards to devices or NUMA nodes.
 
@@ -45,17 +46,6 @@ impl<D: BlockDevice + 'static> ShardPool<D> {
             senders.push(tx);
         }
         Self { senders, handles }
-    }
-
-    /// Runs `job` on every shard concurrently, gathering the results in
-    /// shard order.
-    pub(crate) fn scatter<R, F>(&self, job: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(usize, &Dbfs<D>) -> R + Send + Sync + 'static,
-    {
-        let all: Vec<usize> = (0..self.senders.len()).collect();
-        self.scatter_on(&all, job)
     }
 
     /// Runs `job` on the given shards concurrently, gathering the results in

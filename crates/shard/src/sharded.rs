@@ -21,18 +21,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Per-shard batch slots handed to the worker pool: each involved shard
+/// Per-shard batch slots handed to the scatter's legs: each involved shard
 /// `take()`s its slot exactly once, so row payloads move instead of clone.
 type ShardBatches<T> = Arc<Vec<Mutex<Option<Vec<T>>>>>;
-
-/// What one shard answered for its slice of a scatter batch
-/// ([`ShardedDbfs::scatter_batch`]).
-struct BatchLeg<R> {
-    shard: usize,
-    /// Input positions of the items routed to `shard`, in input order.
-    positions: Vec<usize>,
-    result: Result<R, DbfsError>,
-}
 
 /// Puts one leg's per-item outputs back at its items' input positions.
 fn place<R>(slots: &mut [Option<R>], positions: Vec<usize>, outputs: Vec<R>) {
@@ -67,19 +58,19 @@ fn intent_for(targets: &[(usize, DataTypeId, PdId)], escrow: &OperatorEscrow) ->
     }
 }
 
-/// Folds a scatter's per-shard results, surfacing any failure as
-/// [`DbfsError::PartialScatter`] instead of silently merging the shards
-/// that did answer (which would present an undercount or a partial
-/// membrane set as a complete result).  `shards` pairs each result with
-/// the shard that produced it; the lowest failing shard is reported and
-/// `completed` counts every shard that succeeded.
+/// Folds the per-shard results of a scatter over two or more shards,
+/// surfacing any failure as [`DbfsError::PartialScatter`] instead of
+/// silently merging the shards that did answer (which would present an
+/// undercount or a partial membrane set as a complete result).  `shards`
+/// pairs each result with the shard that produced it; the lowest failing
+/// shard is reported and `completed` counts every shard that succeeded.
 fn gather_scatter<T>(
-    shards: impl IntoIterator<Item = usize>,
+    shards: &[usize],
     results: Vec<Result<T, DbfsError>>,
 ) -> Result<Vec<T>, DbfsError> {
     let mut ok = Vec::with_capacity(results.len());
     let mut failed: Option<(usize, DbfsError)> = None;
-    for (shard, result) in shards.into_iter().zip(results) {
+    for (&shard, result) in shards.iter().zip(results) {
         match result {
             Ok(value) => ok.push(value),
             Err(source) => match &failed {
@@ -207,7 +198,9 @@ impl fmt::Display for ShardedStats {
 ///   — no directory lookup on the point-read path.
 /// * **Scans** (`query` without a subject conjunct, `count`,
 ///   `load_membranes`) fan out over a worker pool, one worker pinned per
-///   shard, and merge the per-shard results in shard order.
+///   shard, and merge the per-shard results in shard order.  Every fan-out
+///   — reads and batched writes — goes through one entry point, and one
+///   that lands on a single shard runs on the caller's thread instead.
 /// * **Copies** are placed round-robin across shards, modelling the
 ///   derived-data copies (caches, processing outputs) that a real
 ///   deployment spreads for load.  The cross-shard lineage this creates is
@@ -515,17 +508,23 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         &self.shards
     }
 
-    /// Per-shard load plus merged counters (records-per-shard balance).
+    /// Per-shard load plus merged counters (records-per-shard balance),
+    /// read off each shard's published snapshot and counters in place.
     pub fn sharded_stats(&self) -> ShardedStats {
-        let per_shard = self.pool.scatter(|shard, dbfs| {
-            let (live_records, tombstones) = dbfs.record_counts();
-            ShardLoad {
-                shard,
-                live_records,
-                tombstones,
-                stats: dbfs.stats(),
-            }
-        });
+        let per_shard: Vec<ShardLoad> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(shard, dbfs)| {
+                let (live_records, tombstones) = dbfs.record_counts();
+                ShardLoad {
+                    shard,
+                    live_records,
+                    tombstones,
+                    stats: dbfs.stats(),
+                }
+            })
+            .collect();
         let totals = per_shard
             .iter()
             .map(|load| load.stats)
@@ -586,16 +585,39 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         Ok(id)
     }
 
+    /// Every shard, in shard order: the shards a scan scatters over.
+    fn every_shard(&self) -> Vec<usize> {
+        (0..self.shards.len()).collect()
+    }
+
+    /// The router's one fan-out: runs `job` on each of `shards` (ascending,
+    /// distinct) and returns the answers in that order.  Over exactly one
+    /// shard, `job` runs on the caller's thread and that shard's answer is
+    /// returned unchanged — nothing is merged, so nothing can be partial.
+    /// Over two or more, the legs run concurrently on the worker pool and
+    /// any failure is [`DbfsError::PartialScatter`] (`gather_scatter`).
+    fn scatter<R, F>(&self, shards: &[usize], job: F) -> Result<Vec<R>, DbfsError>
+    where
+        R: Send + 'static,
+        F: Fn(usize, &Dbfs<D>) -> Result<R, DbfsError> + Send + Sync + 'static,
+    {
+        match *shards {
+            [shard] => job(shard, &self.shards[shard]).map(|answer| vec![answer]),
+            _ => gather_scatter(shards, self.pool.scatter_on(shards, job)),
+        }
+    }
+
     /// The scatter half of every batched operation: groups `routed` items
     /// — `(input position, target shard, item)` — per shard, runs `run` on
-    /// each involved shard's group concurrently on the worker pool (groups
+    /// each involved shard's group through [`ShardedDbfs::scatter`] (groups
     /// keep input order and move, not clone, their payloads), and returns
-    /// one [`BatchLeg`] per involved shard in ascending shard order.
+    /// each involved shard's input positions and answer, in ascending shard
+    /// order.
     fn scatter_batch<T, R>(
         &self,
         routed: impl IntoIterator<Item = (usize, usize, T)>,
         run: impl Fn(&Dbfs<D>, Vec<T>) -> Result<R, DbfsError> + Send + Sync + 'static,
-    ) -> Vec<BatchLeg<R>>
+    ) -> Result<Vec<(Vec<usize>, R)>, DbfsError>
     where
         T: Send + 'static,
         R: Send + 'static,
@@ -615,22 +637,17 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
                 .map(|group| Mutex::new(Some(group)))
                 .collect(),
         );
-        let results = self.pool.scatter_on(&involved, move |shard, dbfs| {
+        let answers = self.scatter(&involved, move |shard, dbfs| {
             let batch = groups[shard]
                 .lock()
                 .take()
                 .expect("each involved shard runs exactly once");
             run(dbfs, batch)
-        });
-        involved
+        })?;
+        let positions = involved
             .into_iter()
-            .zip(results)
-            .map(|(shard, result)| BatchLeg {
-                shard,
-                positions: std::mem::take(&mut positions[shard]),
-                result,
-            })
-            .collect()
+            .map(|shard| std::mem::take(&mut positions[shard]));
+        Ok(positions.zip(answers).collect())
     }
 
     /// Drops every shard's inode-layer buffer cache (cold-path
@@ -824,73 +841,24 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// Summed over a scatter across every shard.
     fn count(&self, name: &DataTypeId) -> Result<usize, DbfsError> {
         let name = name.clone();
-        let counts = gather_scatter(
-            0..self.shards.len(),
-            self.pool.scatter(move |_, dbfs| dbfs.count(&name)),
-        )?;
+        let counts = self.scatter(&self.every_shard(), move |_, dbfs| dbfs.count(&name))?;
         Ok(counts.into_iter().sum())
     }
 
-    /// Routed to the subject's home shard.
-    fn collect(
-        &self,
-        data_type: &DataTypeId,
-        subject: SubjectId,
-        row: Row,
-    ) -> Result<PdId, DbfsError> {
-        self.shards[self.home_shard(subject)].collect(data_type, subject, row)
-    }
-
-    /// Stored on the subject's home shard, registering any lineage the
-    /// membrane carries in the directory.
-    fn insert_wrapped(
-        &self,
-        data_type: &DataTypeId,
-        wrapped: WrappedPd,
-    ) -> Result<PdId, DbfsError> {
-        let target = self.home_shard(wrapped.membrane().subject());
-        self.store_routed(data_type, wrapped, target)
-    }
-
-    /// The rows are grouped by home shard and every involved shard ingests
-    /// its group under its own journal group commit — the scatter-write
-    /// analogue of the scatter-gather read path.  The groups run
-    /// concurrently on the worker pool: each shard appends to its own audit
-    /// stream with a dense per-shard sequence, and the streams merge by
-    /// Lamport stamp, so the crash-matrix's audit-prefix invariant holds
-    /// per stream without serializing the shards.
+    /// Lineage-free records are grouped by home shard and every involved
+    /// shard ingests its group under its own journal group commit — the
+    /// scatter-write analogue of the scatter-gather read path.  Groups for
+    /// two or more shards run concurrently on the worker pool: each shard
+    /// appends to its own audit stream with a dense per-shard sequence, and
+    /// the streams merge by Lamport stamp, so the crash-matrix's
+    /// audit-prefix invariant holds per stream without serializing the
+    /// shards.  Records carrying lineage go through the
+    /// directory-registering single-record path (`store_routed`).
     ///
-    /// The lowest failing shard's error is reported.  On error, each shard
-    /// has applied a clean prefix of its own group (per-record atomicity
-    /// holds everywhere); rows routed to other shards may or may not have
-    /// been applied.
-    fn collect_many(
-        &self,
-        data_type: &DataTypeId,
-        rows: Vec<(SubjectId, Row)>,
-    ) -> Result<Vec<PdId>, DbfsError> {
-        let name = data_type.clone();
-        let mut ids: Vec<Option<PdId>> = vec![None; rows.len()];
-        let routed = rows
-            .into_iter()
-            .enumerate()
-            .map(|(pos, row)| (pos, self.home_shard(row.0), row));
-        let legs = self.scatter_batch(routed, move |dbfs, batch| dbfs.collect_many(&name, batch));
-        // Ascending shard order: `?` reports the lowest failing shard.
-        for leg in legs {
-            place(&mut ids, leg.positions, leg.result?);
-        }
-        Ok(ids
-            .into_iter()
-            .map(|id| id.expect("every row was routed to exactly one shard"))
-            .collect())
-    }
-
-    /// Lineage-free records are batch-routed to their home shards (group
-    /// commit per shard, groups run concurrently on the worker pool);
-    /// records carrying lineage go through the directory-registering
-    /// single-record path.  Partial application on error follows
-    /// `collect_many`.
+    /// The lowest failing shard's error is reported as it is.  On error,
+    /// each shard has applied a clean prefix of its own group (per-record
+    /// atomicity holds everywhere); items routed to other shards may or may
+    /// not have been applied.
     fn insert_many(&self, items: Vec<(DataTypeId, WrappedPd)>) -> Result<Vec<PdId>, DbfsError> {
         let mut ids: Vec<Option<PdId>> = vec![None; items.len()];
         let mut plain: Vec<(usize, usize, (DataTypeId, WrappedPd))> = Vec::new();
@@ -903,10 +871,12 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
                 with_lineage.push((pos, data_type, wrapped));
             }
         }
-        let legs = self.scatter_batch(plain, |dbfs, batch| dbfs.insert_many(batch));
-        // Ascending shard order: `?` reports the lowest failing shard.
-        for leg in legs {
-            place(&mut ids, leg.positions, leg.result?);
+        // A failed write leg is that leg's answer, not a lost leg: every
+        // shard applied a prefix of its group.  Ascending shard order: `?`
+        // reports the lowest failing shard.
+        let legs = self.scatter_batch(plain, |dbfs, batch| Ok(dbfs.insert_many(batch)))?;
+        for (positions, leg) in legs {
+            place(&mut ids, positions, leg?);
         }
         for (pos, data_type, wrapped) in with_lineage {
             let target = self.home_shard(wrapped.membrane().subject());
@@ -920,8 +890,8 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
 
     /// Updates are grouped by owning shard (computable from the strided id
     /// space) and each shard applies its group under journal group commit,
-    /// the groups running concurrently on the worker pool.  Partial
-    /// application on error follows `collect_many`.
+    /// as [`PdStore::insert_many`] does — so too the error and the partial
+    /// application on error.
     fn update_rows(
         &self,
         data_type: &DataTypeId,
@@ -932,16 +902,9 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
             .into_iter()
             .enumerate()
             .map(|(pos, update)| (pos, self.shard_of_id(update.0), update));
-        let legs = self.scatter_batch(routed, move |dbfs, batch| dbfs.update_rows(&name, batch));
-        for leg in legs {
-            leg.result?;
-        }
-        Ok(())
-    }
-
-    /// Routed by id.
-    fn get(&self, data_type: &DataTypeId, id: PdId) -> Result<PdRecord, DbfsError> {
-        self.shards[self.shard_of_id(id)].get(data_type, id)
+        let update = move |dbfs: &Dbfs<D>, batch| Ok(dbfs.update_rows(&name, batch));
+        let legs = self.scatter_batch(routed, update)?;
+        legs.into_iter().try_for_each(|(_, leg)| leg)
     }
 
     /// A scatter-gather over every shard, merged in shard order;
@@ -950,10 +913,9 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// answered would pass off a partial membrane set as the whole table.
     fn load_membranes(&self, data_type: &DataTypeId) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
         let name = data_type.clone();
-        let per_shard = gather_scatter(
-            0..self.shards.len(),
-            self.pool.scatter(move |_, dbfs| dbfs.load_membranes(&name)),
-        )?;
+        let per_shard = self.scatter(&self.every_shard(), move |_, dbfs| {
+            dbfs.load_membranes(&name)
+        })?;
         Ok(per_shard.into_iter().flatten().collect())
     }
 
@@ -990,8 +952,9 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
         self.shards[self.shard_of_id(id)].load_membrane(data_type, id)
     }
 
-    /// Grouped per shard and fetched through the worker pool;
-    /// [`DbfsError::PartialScatter`] when a shard fails outright.
+    /// Grouped per owning shard and fetched through the scatter;
+    /// [`DbfsError::PartialScatter`] when the ids span two or more shards
+    /// and one fails.
     fn load_records(&self, data_type: &DataTypeId, ids: &[PdId]) -> Result<RecordBatch, DbfsError> {
         let name = data_type.clone();
         let routed = ids
@@ -1001,25 +964,15 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
         let legs = self.scatter_batch(routed, move |dbfs, batch| {
             dbfs.load_records(&name, &batch)
                 .map(RecordBatch::into_records)
-        });
+        })?;
         let mut records: Vec<Option<PdRecord>> = vec![None; ids.len()];
-        let shards: Vec<usize> = legs.iter().map(|leg| leg.shard).collect();
-        let results = legs
-            .into_iter()
-            .map(|leg| leg.result.map(|found| (leg.positions, found)))
-            .collect();
-        for (positions, found) in gather_scatter(shards, results)? {
+        for (positions, found) in legs {
             place(&mut records, positions, found);
         }
         Ok(records
             .into_iter()
             .map(|record| record.expect("every id was routed to exactly one shard"))
             .collect())
-    }
-
-    /// Routed by id.
-    fn update_row(&self, data_type: &DataTypeId, id: PdId, row: Row) -> Result<(), DbfsError> {
-        self.shards[self.shard_of_id(id)].update_row(data_type, id, row)
     }
 
     /// Routed by id.
@@ -1231,9 +1184,9 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// pins one or more subjects is routed to the home shards of those
     /// subjects (plus the shards holding their foreign records); anything
     /// else scatter-gathers across every shard and merges in shard order.
-    /// [`DbfsError::PartialScatter`] when any involved shard fails
-    /// (wrapping [`DbfsError::UnknownType`] or [`DbfsError::Core`]): a
-    /// merge of the surviving legs would be a silently incomplete answer.
+    /// [`DbfsError::PartialScatter`] when one of two or more involved shards
+    /// fails (wrapping [`DbfsError::UnknownType`] or [`DbfsError::Core`]):
+    /// a merge of the surviving legs would be a silently incomplete answer.
     fn query(&self, request: &QueryRequest) -> Result<RecordBatch, DbfsError> {
         let pinned = request.predicate.pinned_subjects();
         let involved: Vec<usize> = if let Some(ids) = request.predicate.pinned_ids() {
@@ -1242,7 +1195,7 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
             involved.dedup();
             involved
         } else if pinned.is_empty() {
-            (0..self.shards.len()).collect()
+            self.every_shard()
         } else {
             let mut involved: Vec<usize> = pinned.iter().map(|&s| self.home_shard(s)).collect();
             let directory = self.directory.lock();
@@ -1266,16 +1219,16 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
         let parent = scatter_span.as_ref().map(rgpdos_trace::SpanGuard::id);
         let legs = trace.cloned();
         let request = Arc::new(request.clone());
-        let results = self.pool.scatter_on(&involved, move |_, dbfs| {
+        let answers = self.scatter(&involved, move |_, dbfs| {
             let leg = legs
                 .as_ref()
                 .map(|t| t.tracer.span_with_parent("shard_query_leg", parent));
             let result = dbfs.query(&request);
             drop(leg);
             result
-        });
+        })?;
         let mut batch = RecordBatch::new();
-        for shard_batch in gather_scatter(involved.iter().copied(), results)? {
+        for shard_batch in answers {
             for record in shard_batch.into_records() {
                 batch.push(record);
             }
@@ -1293,9 +1246,9 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     ///
     /// Expects a quiescent deployment.
     fn verify_index_invariants(&self) -> Result<(), DbfsError> {
-        for result in self.pool.scatter(|_, dbfs| dbfs.verify_index_invariants()) {
-            result?;
-        }
+        self.scatter(&self.every_shard(), |_, dbfs| {
+            dbfs.verify_index_invariants()
+        })?;
         let violation = |what: String| DbfsError::Corrupt { what };
         let global = global_summaries(&self.shards);
         for (id, (shard, _)) in &global {
@@ -1358,8 +1311,8 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// [`SpaceStats::amplification`]).
     fn space_stats(&self) -> Result<SpaceStats, DbfsError> {
         let mut stats = SpaceStats::default();
-        for result in self.pool.scatter(|_, dbfs| dbfs.space_stats()) {
-            stats.merge(&result?);
+        for shard in self.scatter(&self.every_shard(), |_, dbfs| dbfs.space_stats())? {
+            stats.merge(&shard);
         }
         Ok(stats)
     }

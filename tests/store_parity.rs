@@ -108,10 +108,22 @@ fn script<S: PdStore>(store: &S) -> Trace {
         .collect();
     ids.extend(t.ids("collect_many", store.collect_many(&user, batch)));
     assert_eq!(ids.len(), 10, "every insert of the script succeeds");
+    let ghost = DataTypeId::from("ghost");
     t.step(
         "collect into a missing type",
-        store.collect(&"ghost".into(), subject(1), row("x")),
+        store.collect(&ghost, subject(1), row("x")),
         |_| 1,
+    );
+    t.step(
+        "an empty batch into a missing type",
+        store.collect_many(&ghost, Vec::new()),
+        Vec::len,
+    );
+    t.step("count a missing type", store.count(&ghost), |n| *n);
+    t.step(
+        "load_records of a missing type",
+        store.load_records(&ghost, &ids[..1]),
+        RecordBatch::len,
     );
     t.step("count", store.count(&user), |n| *n);
 
@@ -343,6 +355,14 @@ fn one_script_reads_the_same_on_dbfs_one_shard_and_three_shards() {
         steps.map(|step| step.size).collect()
     };
     assert_eq!(size_of("create_type again"), [None]);
+    for what in [
+        "an empty batch into a missing type",
+        "count a missing type",
+        "load_records of a missing type",
+    ] {
+        let step = single.0.iter().find(|step| step.what == what).unwrap();
+        assert!(step.exact.starts_with("Err(UnknownType"), "{step:?}");
+    }
     assert_eq!(size_of("count"), [Some(10), Some(13), Some(8), Some(6)]);
     assert_eq!(size_of("withdraw nothing"), [Some(0)]);
     assert_eq!(
