@@ -1049,6 +1049,13 @@ impl<D: BlockDevice> Dbfs<D> {
         let staged_inserts = group.iter().filter(|op| op.as_insert().is_some()).count();
         let next_pd = index.next_pd + staged_inserts as u64;
         let id = PdId::new(index.alloc.id_for(next_pd));
+        // The index is the table tree's duplicate check: `dir_add` trusts it.
+        let staged = group
+            .iter()
+            .any(|op| op.id == id && op.as_insert().is_some());
+        if staged || index.view.records.get(&id).is_some() {
+            return Err(corrupt(format!("{id} is already in use")));
+        }
         self.fs
             .write_replace(index.meta_ino, &encode_meta(next_pd + 1))?;
 
@@ -1159,7 +1166,7 @@ impl<D: BlockDevice> Dbfs<D> {
 
     /// Checks one directory of a tree against the index: it holds the
     /// entry `name` gives each `expected` record, pointing at the record's
-    /// inode, and (a table's schema entry aside) nothing else.
+    /// inode, once, and (a table's schema entry aside) nothing else.
     fn verify_tree<'a>(
         &self,
         dir: Ino,
@@ -1167,7 +1174,13 @@ impl<D: BlockDevice> Dbfs<D> {
         expected: impl Iterator<Item = (PdId, &'a RecordLocation)>,
         name: impl Fn(PdId, &RecordLocation) -> String,
     ) -> Result<(), DbfsError> {
-        let mut entries: BTreeMap<String, Ino> = self.fs.dir_entries(dir)?.into_iter().collect();
+        let mut listed = self.fs.dir_entries(dir)?;
+        listed.sort_unstable();
+        if let Some(pair) = listed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            let twice = &pair[0].0;
+            return Err(corrupt(format!("{twice} named twice in its {tree} tree")));
+        }
+        let mut entries: BTreeMap<String, Ino> = listed.into_iter().collect();
         entries.remove(SCHEMA_ENTRY);
         for (id, location) in expected {
             if entries.remove(&name(id, location)) != Some(location.ino) {
@@ -2354,6 +2367,28 @@ mod tests {
         assert_eq!(dbfs.count(&"user".into()).unwrap(), 1);
         assert_eq!(dbfs.subjects(), vec![SubjectId::new(1)]);
         assert_eq!(dbfs.stats().collects, 1);
+    }
+
+    #[test]
+    fn an_insert_under_an_id_in_use_is_refused_before_anything_is_staged() {
+        let dbfs = dbfs();
+        let user = DataTypeId::from("user");
+        let first = dbfs
+            .collect(&user, SubjectId::new(1), user_row("First", 1990))
+            .unwrap();
+        // A counter behind the index: mount heals the stored one, so only a
+        // bug could hand out `first` again.
+        dbfs.lock_index().next_pd -= 1;
+        let txs = dbfs.inode_fs().journal_txs();
+        match dbfs.collect(&user, SubjectId::new(2), user_row("Second", 1991)) {
+            Err(DbfsError::Corrupt { what }) => {
+                assert_eq!(what, format!("{first} is already in use"))
+            }
+            other => panic!("expected the id collision to be refused, got {other:?}"),
+        }
+        assert_eq!(dbfs.inode_fs().journal_txs(), txs);
+        assert_eq!(dbfs.subjects(), vec![SubjectId::new(1)]);
+        dbfs.verify_index_invariants().unwrap();
     }
 
     #[test]

@@ -62,7 +62,10 @@ impl<D: BlockDevice> FileFs<D> {
         self.inner.device()
     }
 
-    /// Creates an empty file, creating parent directories as needed.
+    /// Creates an empty file, creating parent directories as needed.  The
+    /// lookups, allocations and links are one transaction, so a crash leaves
+    /// the file linked or nothing allocated, and a racing create of the same
+    /// name waits and then finds it.
     ///
     /// # Errors
     ///
@@ -70,6 +73,7 @@ impl<D: BlockDevice> FileFs<D> {
     pub fn create(&self, path: &str) -> Result<(), FsError> {
         let components = split_path(path)?;
         let (dir_components, file_name) = components.split_at(components.len() - 1);
+        let tx = self.inner.begin_tx();
         let dir = self.ensure_directories(dir_components)?;
         if self.inner.dir_lookup(dir, file_name[0])?.is_some() {
             return Err(FsError::AlreadyExists {
@@ -78,17 +82,21 @@ impl<D: BlockDevice> FileFs<D> {
         }
         let ino = self.inner.alloc_inode(InodeKind::File)?;
         self.inner.dir_add(dir, file_name[0], ino)?;
+        tx.commit()?;
         Ok(())
     }
 
-    /// Creates a directory (and its parents).
+    /// Creates a directory (and its parents), as one transaction like
+    /// [`FileFs::create`].
     ///
     /// # Errors
     ///
     /// Propagates inode-layer errors.
     pub fn create_dir(&self, path: &str) -> Result<(), FsError> {
         let components = split_path(path)?;
+        let tx = self.inner.begin_tx();
         self.ensure_directories(&components)?;
+        tx.commit()?;
         Ok(())
     }
 
@@ -213,7 +221,7 @@ impl<D: BlockDevice> FileFs<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rgpdos_blockdev::{scan_for_pattern, MemDevice};
+    use rgpdos_blockdev::{scan_for_pattern, FaultScript, FaultyDevice, MemDevice};
     use std::sync::Arc;
 
     fn fs() -> FileFs<Arc<MemDevice>> {
@@ -256,6 +264,54 @@ mod tests {
             fs.create("/a"),
             Err(FsError::AlreadyExists { .. })
         ));
+    }
+
+    #[test]
+    fn racing_creates_of_one_path_link_it_once() {
+        let fs = fs();
+        let created: Vec<bool> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| fs.create("/race/f").is_ok()))
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(created.iter().filter(|&&ok| ok).count(), 1);
+        let entries = |dir| fs.inode_fs().dir_entries(dir).unwrap();
+        let race = entries(ROOT_INO);
+        assert_eq!(race.len(), 1);
+        assert_eq!(entries(race[0].1).len(), 1);
+        assert_eq!(fs.inode_fs().allocated_inodes(), 3);
+    }
+
+    #[test]
+    fn a_crash_inside_create_leaves_the_file_linked_or_nothing_allocated() {
+        let image = || {
+            let device = Arc::new(MemDevice::new(1024, 256));
+            let params = FormatParams::small().with_inode_count(128);
+            FileFs::format(Arc::clone(&device), params, JournalMode::Retain).unwrap();
+            device
+        };
+        let faulty = |device: &Arc<MemDevice>, script| {
+            FileFs::mount(FaultyDevice::new(Arc::clone(device), script)).unwrap()
+        };
+        let probe = faulty(&image(), FaultScript::none());
+        let (writes, created) = probe.device().writes_between(|| probe.create("/a"));
+        created.unwrap();
+        for crash_after in 0..writes {
+            let device = image();
+            let fs = faulty(&device, FaultScript::crash_after_writes(crash_after));
+            assert!(
+                fs.create("/a").is_err(),
+                "crash point {crash_after} must trip"
+            );
+            drop(fs);
+            let fs = FileFs::mount(device).unwrap();
+            let inodes = fs.inode_fs().allocated_inodes();
+            assert!(
+                (fs.exists("/a") && inodes == 2) || (!fs.exists("/a") && inodes == 1),
+                "crash point {crash_after}: {inodes} inodes allocated"
+            );
+        }
     }
 
     #[test]

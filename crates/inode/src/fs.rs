@@ -173,12 +173,14 @@ fn corrupt_dir() -> InodeError {
 }
 
 /// A borrowed scan of an encoded directory (see `InodeFs::read_dir`): yields
-/// each counted entry's name bytes and inode, copying nothing.
+/// each counted entry's name bytes and inode, copying nothing, and ends
+/// with [`InodeError::Corrupt`] when bytes follow the last counted entry —
+/// the size rule every directory update keeps.
 struct DirScan<'a> {
     data: &'a [u8],
     /// Counted entries not yet yielded.
     left: u32,
-    /// Where the next entry starts; once exhausted, where a new one goes.
+    /// Where the next entry starts; once exhausted, the directory's end.
     offset: usize,
 }
 
@@ -201,17 +203,20 @@ impl<'a> Iterator for DirScan<'a> {
     type Item = Result<(&'a [u8], Ino), InodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.left = self.left.checked_sub(1)?;
+        let Some(left) = self.left.checked_sub(1) else {
+            let tail = self.offset < self.data.len();
+            self.offset = self.data.len();
+            return tail.then(|| Err(corrupt_dir()));
+        };
         let rest = self.data.get(self.offset..).unwrap_or_default();
         let entry = rest.split_first_chunk::<2>().and_then(|(len, rest)| {
             let (name, rest) = rest.split_at_checked(u16::from_le_bytes(*len) as usize)?;
             let (ino, _) = rest.split_first_chunk::<8>()?;
             Some((name, u64::from_le_bytes(*ino)))
         });
-        if entry.is_none() {
-            self.left = 0;
-        }
-        self.offset += entry.map_or(0, |(name, _)| 10 + name.len());
+        // An entry that fails to decode ends the scan.
+        self.left = if entry.is_some() { left } else { 0 };
+        self.offset = entry.map_or(self.data.len(), |(name, _)| self.offset + 10 + name.len());
         Some(entry.ok_or_else(corrupt_dir))
     }
 }
@@ -988,10 +993,16 @@ impl<D: BlockDevice> InodeFs<D> {
             return Ok(Vec::new());
         }
         let end = (offset + len as u64).min(inode.size);
-        let indirect_table = self.load_indirect_table(inode)?;
         let mut out = Vec::with_capacity((end - offset) as usize);
         let first_block = offset / block_size;
         let last_block = (end - 1) / block_size;
+        // A read within the direct blocks (a directory's count) skips the
+        // indirect one.
+        let indirect_table = if last_block < DIRECT_POINTERS as u64 {
+            Vec::new()
+        } else {
+            self.load_indirect_table(inode)?
+        };
         for file_block in first_block..=last_block {
             let block_start = file_block * block_size;
             let copy_from = offset.max(block_start);
@@ -1103,7 +1114,8 @@ impl<D: BlockDevice> InodeFs<D> {
     /// # Errors
     ///
     /// Returns [`InodeError::Directory`] when `dir` is not a directory and
-    /// [`InodeError::Corrupt`] when its contents fail to decode.
+    /// [`InodeError::Corrupt`] when its contents fail to decode or do not end
+    /// where its last counted entry does.
     pub fn dir_entries(&self, dir: Ino) -> Result<Vec<(String, Ino)>, InodeError> {
         DirScan::new(&self.read_dir(dir)?)?
             .map(|entry| {
@@ -1115,10 +1127,16 @@ impl<D: BlockDevice> InodeFs<D> {
     }
 
     /// The encoded contents of a directory: `u32 count`, then per entry
-    /// `u16 len · name · u64 ino`.  Bytes past the last counted entry (left
-    /// by a crash between growing the file and counting the entry) are not
-    /// part of the directory.
+    /// `u16 len · name · u64 ino`, the last counted entry ending at the
+    /// file's size (the size rule: every update writes the entries and the
+    /// count in one transaction).
     fn read_dir(&self, dir: Ino) -> Result<Vec<u8>, InodeError> {
+        let inode = self.stat_dir(dir)?;
+        self.read_inode(&inode, 0, inode.size as usize)
+    }
+
+    /// [`InodeFs::stat`] of an inode that must be a directory.
+    fn stat_dir(&self, dir: Ino) -> Result<Inode, InodeError> {
         let inode = self.stat(dir)?;
         if inode.kind != InodeKind::Directory
             && inode.kind != InodeKind::Table
@@ -1128,35 +1146,30 @@ impl<D: BlockDevice> InodeFs<D> {
                 reason: format!("inode {dir} is a {} not a directory", inode.kind),
             });
         }
-        self.read_inode(&inode, 0, inode.size as usize)
+        Ok(inode)
     }
 
-    /// Adds an entry to a directory: the new entry is written where the last
-    /// counted one ends and the count is bumped, whatever the directory's
-    /// size — a constant number of blocks, staged together.
+    /// Adds an entry to a directory: the new entry is written at the file's
+    /// end and the count is bumped, reading only the count, whatever the
+    /// directory's size — a constant number of blocks read and staged.
+    ///
+    /// The caller guarantees `name` is not in `dir` yet: nothing here looks
+    /// for it, and a duplicate would be stored as a second entry.
     ///
     /// # Errors
     ///
-    /// Returns [`InodeError::Directory`] on duplicate names and on a name too
-    /// long for the entry's 16-bit length prefix.
+    /// Returns [`InodeError::Directory`] when `dir` is not a directory and on
+    /// a name too long for the entry's 16-bit length prefix.
     pub fn dir_add(&self, dir: Ino, name: &str, ino: Ino) -> Result<(), InodeError> {
         let name_len = u16::try_from(name.len()).map_err(|_| InodeError::Directory {
             reason: format!("a name of {} bytes does not fit an entry", name.len()),
         })?;
         self.in_tx(|| {
-            let data = self.read_dir(dir)?;
-            let mut scan = DirScan::new(&data)?;
-            let count = scan.left;
-            for entry in scan.by_ref() {
-                if entry?.0 == name.as_bytes() {
-                    return Err(InodeError::Directory {
-                        reason: format!("entry `{name}` already exists"),
-                    });
-                }
-            }
+            let inode = self.stat_dir(dir)?;
+            let count = DirScan::new(&self.read_inode(&inode, 0, 4)?)?.left + 1;
             let entry = [&name_len.to_le_bytes(), name.as_bytes(), &ino.to_le_bytes()].concat();
-            let count = (count + 1).to_le_bytes();
-            self.write_extents(dir, &[(scan.offset as u64, &entry), (0, &count)])
+            let end = inode.size.max(4);
+            self.write_extents(dir, &[(end, &entry), (0, &count.to_le_bytes())])
         })
     }
 
@@ -1182,7 +1195,9 @@ impl<D: BlockDevice> InodeFs<D> {
     ///
     /// # Errors
     ///
-    /// Returns [`InodeError::Directory`] when the entry does not exist.
+    /// Returns [`InodeError::Directory`] when the entry does not exist and
+    /// [`InodeError::Corrupt`] when the directory fails to decode or breaks
+    /// the size rule.
     pub fn dir_remove(&self, dir: Ino, name: &str) -> Result<Ino, InodeError> {
         self.in_tx(|| {
             let data = self.read_dir(dir)?;
@@ -1696,10 +1711,6 @@ mod tests {
         fs.dir_add(ROOT_INO, "orders.table", b).unwrap();
         assert_eq!(fs.dir_lookup(ROOT_INO, "users.table").unwrap(), Some(a));
         assert_eq!(fs.dir_lookup(ROOT_INO, "missing").unwrap(), None);
-        assert!(matches!(
-            fs.dir_add(ROOT_INO, "users.table", b),
-            Err(InodeError::Directory { .. })
-        ));
         assert_eq!(fs.dir_entries(ROOT_INO).unwrap().len(), 2);
         assert_eq!(fs.dir_remove(ROOT_INO, "users.table").unwrap(), a);
         assert_eq!(fs.dir_entries(ROOT_INO).unwrap().len(), 1);
@@ -1707,9 +1718,13 @@ mod tests {
             fs.dir_remove(ROOT_INO, "users.table"),
             Err(InodeError::Directory { .. })
         ));
-        // A plain file is not a directory.
+        // A plain file is not a directory, to read or to add to.
         assert!(matches!(
             fs.dir_entries(a),
+            Err(InodeError::Directory { .. })
+        ));
+        assert!(matches!(
+            fs.dir_add(a, "users.table", b),
             Err(InodeError::Directory { .. })
         ));
     }
@@ -2445,34 +2460,69 @@ mod tests {
         .unwrap();
         let fs = counted_fs(&device, FaultScript::none());
         let dir = fs.alloc_inode(InodeKind::Directory).unwrap();
+        // 58-byte entries: 400 of them already reach past the direct
+        // blocks, and neither add below crosses into a new block.
+        let padded = |name: String| format!("{name:-<48}");
         let mut next = 0;
         let mut cost_at = |entries: u64| {
             while next < entries {
                 let tx = fs.begin_tx();
                 for (name, ino) in numbered(next..(next + 200).min(entries)) {
-                    fs.dir_add(dir, &name, ino).unwrap();
+                    fs.dir_add(dir, &padded(name), ino).unwrap();
                 }
                 tx.commit().unwrap();
                 next = (next + 200).min(entries);
             }
-            // 21-byte entries: neither add below crosses into a new block.
-            let name = format!("extra-{entries:05}");
+            let name = padded(format!("extra-{entries:05}"));
+            fs.drop_caches();
+            let reads = fs.device().reads_seen();
             let (add, added) = fs
                 .device()
                 .writes_between(|| fs.dir_add(dir, &name, entries));
             added.unwrap();
+            let reads = fs.device().reads_seen() - reads;
             let (remove, removed) = fs.device().writes_between(|| fs.dir_remove(dir, &name));
             assert_eq!(removed.unwrap(), entries);
-            (add, remove)
+            (reads, add, remove)
         };
         let (small, large) = (cost_at(400), cost_at(4_000));
-        assert_eq!(small, large, "an update rewrote a share of its directory");
-        // Add: header, commit, superblock; entry block, count block and
-        // inode, each once in the journal and once in place.  Remove: the
-        // same transaction over the count block and the inode.
-        assert_eq!(small, (9, 7));
-        assert!(fs.stat(dir).unwrap().size > 40 * 2_048);
+        assert_eq!(
+            small, large,
+            "an update read or rewrote a share of its directory"
+        );
+        // Add reads the inode, block 0 (the count), the indirect block and
+        // the entry's block.  It writes header, commit, superblock; entry
+        // block, count block and inode, each once in the journal and once in
+        // place.  Remove: the same transaction over the count block and the
+        // inode.
+        assert_eq!(small, (4, 9, 7));
+        assert!(fs.stat(dir).unwrap().size > 100 * 2_048);
         assert_eq!(fs.dir_entries(dir).unwrap().len(), 4_000);
+    }
+
+    #[test]
+    fn a_directory_with_bytes_past_its_last_counted_entry_is_corrupt() {
+        let fs = small_fs();
+        let dir = fs.alloc_inode(InodeKind::Directory).unwrap();
+        let entries = numbered(0..3);
+        let whole = encode_dir_whole(&entries);
+        // An uncounted entry after the counted ones, and an empty directory
+        // that still holds bytes.
+        let tail = encode_dir_whole(&numbered(3..4));
+        let tailed = [[&whole[..], &tail[4..]].concat(), [0, 0, 0, 0, 7].to_vec()];
+        for image in tailed {
+            fs.write_replace(dir, &image).unwrap();
+            let removed = fs.dir_remove(dir, "entry-00001").map(drop);
+            for refused in [fs.dir_entries(dir).map(drop), removed] {
+                assert!(
+                    matches!(refused, Err(InodeError::Corrupt { .. })),
+                    "{refused:?}"
+                );
+            }
+        }
+        fs.write_replace(dir, &whole).unwrap();
+        assert_eq!(fs.dir_entries(dir).unwrap(), entries);
+        assert_eq!(fs.dir_remove(dir, "entry-00001").unwrap(), 1_001);
     }
 
     #[test]
@@ -2498,10 +2548,6 @@ mod tests {
         let removed = [entries.remove(150), entries.remove(41)];
         for dir in [old, grown] {
             fs.dir_add(dir, "appended", 7).unwrap();
-            assert!(matches!(
-                fs.dir_add(dir, "entry-00299", 1),
-                Err(InodeError::Directory { .. })
-            ));
             for (name, ino) in &removed {
                 assert_eq!(fs.dir_remove(dir, name).unwrap(), *ino);
                 assert_eq!(fs.dir_lookup(dir, name).unwrap(), None);
@@ -2552,7 +2598,6 @@ mod tests {
                 after
             }),
         ];
-        let mut orphan_tails = 0;
         for (update, after) in updates {
             let probe = counted_fs(&image(), FaultScript::none());
             let (total_writes, done) = probe.device().writes_between(|| update(&probe));
@@ -2564,23 +2609,19 @@ mod tests {
                 assert!(update(&fs).is_err(), "crash point {crash_after} must trip");
                 drop(fs);
                 let fs = InodeFs::mount(device).unwrap();
+                // `dir_entries` also holds the directory to the size rule: a
+                // tail behind the count would be `Corrupt`.
                 let mut entries = fs.dir_entries(ROOT_INO).unwrap();
                 assert!(
                     entries == numbered(0..100) || entries == after,
                     "crash point {crash_after}: neither the old nor the new directory"
                 );
-                let counted = encode_dir_whole(&entries).len() as u64;
-                orphan_tails += usize::from(fs.stat(ROOT_INO).unwrap().size > counted);
-                // The next add goes where the count ends, over any tail.
+                // The next add goes at the file's end, which is the count's.
                 fs.dir_add(ROOT_INO, "next", 6).unwrap();
                 entries.push(("next".to_owned(), 6));
-                assert_eq!(fs.dir_entries(ROOT_INO).unwrap(), entries);
-                let image = fs.read_all(ROOT_INO).unwrap();
-                let counted = encode_dir_whole(&entries);
-                assert_eq!(image[..counted.len()], counted[..]);
+                assert_eq!(fs.read_all(ROOT_INO).unwrap(), encode_dir_whole(&entries));
                 assert!(fs.leaked_data_blocks().unwrap().is_empty());
             }
         }
-        assert_eq!(orphan_tails, 0, "a crash left a tail behind the count");
     }
 }

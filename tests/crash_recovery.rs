@@ -331,6 +331,52 @@ fn a_record_in_one_tree_only_mounts_and_fails_the_index_check() {
     assert!(fresh.raw() > 5);
 }
 
+/// A record named twice in each of its trees — the first entry pointing at
+/// an orphaned copy, forged by rewriting each directory whole — mounts, and
+/// the index check names the duplicate instead of letting one entry hide
+/// the other.
+#[test]
+fn a_record_named_twice_in_its_trees_mounts_and_fails_the_index_check() {
+    let device = Arc::new(MemDevice::new(16_384, 512));
+    let id;
+    {
+        let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
+        dbfs.create_type(listing1_user_schema()).unwrap();
+        id = dbfs
+            .collect(&"user".into(), SubjectId::new(4), user_row("twice"))
+            .unwrap();
+        let fs = dbfs.inode_fs();
+        let root = rgpdos::inode::fs::ROOT_INO;
+        let child = |dir, name: &str| fs.dir_lookup(dir, name).unwrap().unwrap();
+        let table = child(child(root, "tables"), "user");
+        let subject = child(child(root, "subjects"), "subject-4");
+        let orphan = fs.alloc_inode(InodeKind::Record).unwrap();
+        let record = child(table, &id.to_string());
+        fs.write_replace(orphan, &fs.read_all(record).unwrap())
+            .unwrap();
+        for (dir, name) in [(table, id.to_string()), (subject, format!("user#{id}"))] {
+            let old = fs.read_all(dir).unwrap();
+            let count = u32::from_le_bytes(old[..4].try_into().unwrap()) + 1;
+            let entry = [
+                &(name.len() as u16).to_le_bytes()[..],
+                name.as_bytes(),
+                &orphan.to_le_bytes(),
+            ];
+            let forged = [&count.to_le_bytes()[..], &entry.concat(), &old[4..]].concat();
+            fs.write_replace(dir, &forged).unwrap();
+        }
+    }
+
+    let dbfs = Dbfs::mount(Arc::clone(&device)).unwrap();
+    assert_eq!(dbfs.stats().recovered_txs, 0, "mount repairs nothing");
+    match dbfs.verify_index_invariants() {
+        Err(DbfsError::Corrupt { what }) => {
+            assert_eq!(what, format!("{id} named twice in its table tree"));
+        }
+        other => panic!("expected the duplicate to be reported, got {other:?}"),
+    }
+}
+
 /// At least one crash point in an insert sweep lands between the journal
 /// commit and the in-place apply — the remount replays it and surfaces the
 /// replay in `DbfsStats::journal_replays`.
