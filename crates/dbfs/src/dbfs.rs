@@ -373,6 +373,18 @@ pub struct RecordSummary {
     pub erased: bool,
 }
 
+impl RecordSummary {
+    fn of(id: PdId, location: &RecordLocation) -> Self {
+        Self {
+            id,
+            data_type: location.data_type.clone(),
+            subject: location.subject,
+            copied_from: location.copied_from,
+            erased: location.erased,
+        }
+    }
+}
+
 /// A durable record of a multi-instance erasure in flight, persisted through
 /// [`Dbfs::put_erase_intent`] *before* any tombstone is written and cleared
 /// after the last one.  If a crash interrupts the erasure, the next mount
@@ -1244,17 +1256,40 @@ impl<D: BlockDevice> Dbfs<D> {
         Ok(done)
     }
 
-    /// The `(table, id)` pairs of a subject's *live* records, resolved purely
-    /// from the in-memory index — no disk I/O.  Sharded deployments use this
-    /// to snapshot a subject's record set before a cross-shard erasure
-    /// without reading a single block.
-    pub fn ids_of_subject(&self, subject: SubjectId) -> Vec<(DataTypeId, PdId)> {
+    /// The index summary of one record, off the published snapshot — no
+    /// disk I/O, no index lock.  `None` for an id this instance does not
+    /// hold.
+    pub fn summary(&self, id: PdId) -> Option<RecordSummary> {
         let snapshot = self.read_snapshot();
-        snapshot
-            .view
-            .live_locations(snapshot.view.subject_ids(subject))
-            .map(|(id, loc)| (loc.data_type.clone(), id))
+        let location = snapshot.view.records.get(&id)?;
+        Some(RecordSummary::of(id, location))
+    }
+
+    /// The index summaries of a subject's records on this instance, live
+    /// and tombstoned, in id order, off the published snapshot — no disk
+    /// I/O.  Routing layers use it to find a subject's records off its
+    /// home instance, and to snapshot an erasure's roots.
+    pub fn subject_summaries(&self, subject: SubjectId) -> Vec<RecordSummary> {
+        let snapshot = self.read_snapshot();
+        let view = &snapshot.view;
+        let records = view.locations(view.subject_ids(subject));
+        records
+            .map(|(id, location)| RecordSummary::of(id, location))
             .collect()
+    }
+
+    /// The direct copies of `id` this instance holds, in id order, off the
+    /// reverse-lineage index (under the index lock, which that index lives
+    /// behind).  A copy may live on another instance than its original, so
+    /// a routing layer walks a copy closure by asking every instance.
+    pub fn copies_of(&self, id: PdId) -> Vec<PdId> {
+        self.lock_index().copies(id).collect()
+    }
+
+    /// The ids that at least one copy on this instance names as its lineage
+    /// original, off the reverse-lineage index (under the index lock).
+    pub fn copy_originals(&self) -> BTreeSet<PdId> {
+        self.lock_index().originals().collect()
     }
 
     /// `(live, tombstoned)` record counts, read straight off the published
@@ -1272,20 +1307,13 @@ impl<D: BlockDevice> Dbfs<D> {
     }
 
     /// An index-only snapshot of every record (live and tombstoned).  Routing
-    /// layers use this to rebuild placement and lineage directories on mount
-    /// and to audit cross-instance invariants.
+    /// layers use this to heal and audit cross-instance lineage.
     pub fn record_index_snapshot(&self) -> Vec<RecordSummary> {
         self.read_snapshot()
             .view
             .records
             .iter()
-            .map(|(&id, loc)| RecordSummary {
-                id,
-                data_type: loc.data_type.clone(),
-                subject: loc.subject,
-                copied_from: loc.copied_from,
-                erased: loc.erased,
-            })
+            .map(|(&id, location)| RecordSummary::of(id, location))
             .collect()
     }
 
@@ -1444,7 +1472,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// One scrub pass: reclaims the on-disk footprint of tombstones whose
     /// erasure receipt is durable.  `reclaimable` is the caller's extra
     /// retention policy — routing layers pass a predicate that retains
-    /// tombstones the cross-shard lineage directory still references.
+    /// tombstones a copy on another instance still names as its original.
     ///
     /// For every reclaimed tombstone, both tree entries are unlinked and
     /// the record inode is freed (zeroed under `secure_free`, so the

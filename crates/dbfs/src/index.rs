@@ -8,7 +8,7 @@
 //!   structure cannot be maintained one way and checked another.
 //! * [`erased_ancestor`] is the lineage obligation — no copy outlives its
 //!   erased original — as one chain walk, shared by the insert guard, the
-//!   shard router's directory and the crash-matrix oracle.
+//!   shard router's copy guard and the crash-matrix oracle.
 //!
 //! The subject, expiry and lineage indexes are flat `(key, id)` sets read
 //! by range scan.  Everything a snapshot shares with the writer is a
@@ -457,6 +457,11 @@ impl DbfsIndex {
     /// The records that name `id` as their lineage original.
     pub(crate) fn copies(&self, id: PdId) -> impl Iterator<Item = PdId> + '_ {
         ids_under(&self.copies_of, id)
+    }
+
+    /// The lineage original of every copy, once per copy.
+    pub(crate) fn originals(&self) -> impl Iterator<Item = PdId> + '_ {
+        self.copies_of.keys().map(|&(original, _)| original)
     }
 
     /// What an erasure of `roots` must tombstone: the live records among

@@ -19,8 +19,8 @@
 //! * a tombstone referenced by a pending [`EraseIntent`] is **never**
 //!   reclaimed — it is still part of an in-flight erasure protocol;
 //! * a tombstone with surviving lineage copies is retained until its copies
-//!   are reclaimed first (child-before-parent order), so the lineage index
-//!   and the cross-shard lineage directory never dangle;
+//!   are reclaimed first (child-before-parent order), so no lineage index
+//!   — local, or a copy's on another shard — ever dangles;
 //! * every reclamation is audited as an explicit
 //!   [`AuditEventKind::Reclaimed`](rgpdos_core::AuditEventKind) event.
 
@@ -105,8 +105,8 @@ pub struct ScrubReport {
     /// durable everywhere).
     pub retained_intent: usize,
     /// Tombstones retained because lineage still references them: a
-    /// surviving copy (locally or, for routed stores, in the cross-shard
-    /// lineage directory) names them as its original.
+    /// surviving copy (locally or, for routed stores, on another shard)
+    /// names them as its original.
     pub retained_lineage: usize,
     /// Bytes the reclaimed inodes held before being freed.
     pub bytes_reclaimed: u64,

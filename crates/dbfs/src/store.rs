@@ -326,7 +326,7 @@ pub trait PdStore: Send + Sync {
     /// One tombstone-scrub pass: reclaims the on-disk footprint of
     /// tombstones whose erasure receipt is durable, never touching one
     /// still referenced by a pending erase intent or by surviving lineage
-    /// (locally or in a routing layer's lineage directory).
+    /// (a copy on this store, or on another shard of a routing layer).
     ///
     /// # Errors
     ///

@@ -19,19 +19,22 @@
 //!   own audit stream.  Every fan-out goes through one entry point, and a
 //!   scatter that lands on one shard is that shard's own call, on the
 //!   caller's thread;
-//! * a **cross-shard lineage directory**: `copy` places derived records
-//!   round-robin across shards, so a copy may live on a different shard
-//!   than its original — the directory records every copy edge, every
-//!   off-home placement and every tombstone, and erasure runs in **two
-//!   phases** (snapshot the transitive copy closure and pre-announce the
-//!   tombstones under the directory lock — pure metadata, no disk I/O —
-//!   then crypto-erase per shard), so the right to be forgotten reaches
-//!   every copy on every shard while staying `O(one shard + lineage)`.
-//!   The directory is derived state, and how it follows from the shards'
-//!   index summaries is defined once (`LineageDirectory::from_summaries`):
-//!   mount builds it that way, a failed scrub pass resynchronises it that
-//!   way, and `verify_index_invariants` compares the live directory with a
-//!   rebuild.  The copy guard and the lineage heal walk ancestors with
+//! * **cross-shard lineage read off the shards**: `copy` places derived
+//!   records round-robin across shards, so a copy may live on a different
+//!   shard than its original.  The copy's membrane names its original, so
+//!   the shard holding it files the edge in its own reverse-lineage index,
+//!   and its subject index says it lives off its subject's home shard.  The
+//!   router keeps no copy of any of that: a copy closure is a walk over
+//!   every shard's reverse-lineage index, and placements and tombstones
+//!   are read off the shards' published snapshots.  Erasure runs in **two
+//!   phases** — walk the transitive copy closure and announce its ids
+//!   under the router's announcement lock (index reads, no disk I/O), then
+//!   crypto-erase per shard — so the right to be forgotten reaches every
+//!   copy on every shard while staying `O(one shard + lineage)`.  The
+//!   announced ids are the one piece of lineage state the router keeps:
+//!   held while the erasure is in flight (until the next mount, after one
+//!   that failed past its intent write), they make a racing copy lose.
+//!   The copy guard and the lineage heal walk ancestors with
 //!   [`erased_ancestor`](rgpdos_dbfs::erased_ancestor), the function the
 //!   per-shard insert guard uses.
 //!
@@ -70,7 +73,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod directory;
 mod pool;
 pub mod sharded;
 

@@ -1,8 +1,7 @@
 //! [`ShardedDbfs`]: N independent DBFS instances behind a deterministic
-//! subject-hash placement map, a scatter-gather router and a cross-shard
-//! lineage directory.
+//! subject-hash placement map and a scatter-gather router that answers
+//! cross-shard lineage questions from the shards' own indexes.
 
-use crate::directory::{DirectoryEntry, GlobalSummaries, LineageDirectory};
 use crate::pool::ShardPool;
 use parking_lot::Mutex;
 use rgpdos_blockdev::BlockDevice;
@@ -14,9 +13,9 @@ use rgpdos_crypto::escrow::OperatorEscrow;
 use rgpdos_crypto::PublicKey;
 use rgpdos_dbfs::{
     erased_ancestor, Dbfs, DbfsError, DbfsParams, DbfsStats, EraseIntent, IdAllocation, PdStore,
-    QueryRequest, ScrubReport, SpaceStats,
+    QueryRequest, RecordSummary, ScrubReport, SpaceStats,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -87,6 +86,15 @@ fn gather_scatter<T>(
             source: Box::new(source),
         }),
     }
+}
+
+/// Every record of the deployment by id, with the shard that holds it.
+type GlobalSummaries = BTreeMap<PdId, (usize, RecordSummary)>;
+
+/// Inserts `ids` into an announced set, returning the ones it did not hold
+/// yet: the announcements the erasure that makes them owns.
+fn announce(announced: &mut BTreeSet<PdId>, ids: impl IntoIterator<Item = PdId>) -> Vec<PdId> {
+    ids.into_iter().filter(|&id| announced.insert(id)).collect()
 }
 
 /// Every record of the deployment by id, with the shard that holds it —
@@ -195,7 +203,7 @@ impl fmt::Display for ShardedStats {
 /// * **Identifiers** are globally unique by construction: shard `i` draws
 ///   from the strided id space `{ i, i + N, i + 2N, … }`
 ///   ([`IdAllocation::sharded`]), so the owning shard of any id is `id % N`
-///   — no directory lookup on the point-read path.
+///   — no lookup on the point-read path.
 /// * **Scans** (`query` without a subject conjunct, `count`,
 ///   `load_membranes`) fan out over a worker pool, one worker pinned per
 ///   shard, and merge the per-shard results in shard order.  Every fan-out
@@ -203,29 +211,39 @@ impl fmt::Display for ShardedStats {
 ///   that lands on a single shard runs on the caller's thread instead.
 /// * **Copies** are placed round-robin across shards, modelling the
 ///   derived-data copies (caches, processing outputs) that a real
-///   deployment spreads for load.  The cross-shard lineage this creates is
-///   tracked in a router-level directory, and erasure tombstones the
+///   deployment spreads for load.  A copy names its original in its
+///   membrane, so the shard holding it files the lineage edge in its own
+///   reverse-lineage index; the router walks those indexes, on every
+///   shard, for a copy closure and reads placements and tombstones off the
+///   shards' snapshots — it keeps no copy of either.  Erasure tombstones the
 ///   **transitive copy closure on every shard** in two phases: the closure
-///   is snapshotted (and the tombstones pre-announced) under the directory
-///   lock with no disk I/O, then each involved shard erases its members.
+///   is snapshotted and announced under the router's announcement lock,
+///   then each involved shard erases its members.
 ///
 /// All mutations must go through the router: driving a shard's `Dbfs`
-/// directly would bypass the lineage directory, exactly like writing to a
-/// raw device bypasses DBFS.
+/// directly would bypass the copy guard and the two-phase erasure, exactly
+/// like writing to a raw device bypasses DBFS.
 pub struct ShardedDbfs<D: BlockDevice + 'static> {
     shards: Vec<Arc<Dbfs<D>>>,
-    directory: Mutex<LineageDirectory>,
+    /// The ids a routed erasure has announced: its targets, inserted under
+    /// this lock with the closure walk that found them, before the intent
+    /// write.  The erasure withdraws the ones it inserted once its last
+    /// tombstone is published, or when its intent write fails; a failure
+    /// after the intent leaves them, and the next mount completes the
+    /// erasure.  The only lineage state the router keeps, and it guards
+    /// lineage-carrying inserts and nothing else: targets and reads come
+    /// from the shards.
+    announced: Mutex<BTreeSet<PdId>>,
     pool: ShardPool<D>,
     clock: Arc<LogicalClock>,
     audit: AuditLog,
     /// Round-robin cursor for copy placement.
     next_copy: AtomicUsize,
     /// Serializes routed erasures (erase / erase_subject / purge / intent
-    /// recovery).  Reads, inserts and copies are unaffected; serializing the
-    /// rare erasure path keeps the pre-announce / intent / per-shard-erase /
-    /// retract sequence of one request from interleaving with another's —
-    /// a failed intent write can then safely retract exactly the tombstone
-    /// marks it pre-announced.
+    /// recovery) and scrub passes.  Reads, inserts and copies are
+    /// unaffected; serializing the rare erasure path keeps the announce /
+    /// intent / per-shard-erase / withdraw sequence of one request from
+    /// interleaving with another's.
     erasures: Mutex<()>,
     /// Router-level observability, set by the first
     /// [`PdStore::attach_trace`]; unset until then.
@@ -301,17 +319,13 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
                 .map(Arc::new)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::assemble(
-            instances,
-            LineageDirectory::default(),
-            clock,
-            audit,
-        ))
+        Ok(Self::assemble(instances, clock, audit))
     }
 
     /// Mounts an existing sharded deployment.  The devices must be passed in
-    /// their original shard order; the lineage directory is rebuilt from the
-    /// per-shard indexes (membrane headers only — no payload reads).
+    /// their original shard order.  Each shard mounts its own index, and the
+    /// router builds nothing from them: every lineage and placement question
+    /// is answered off the shards' indexes when it is asked.
     ///
     /// Mounting completes any **crashed two-phase erasure**: erase intents
     /// persisted by [`PdStore::erase`] / [`PdStore::erase_subject`] /
@@ -361,26 +375,16 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
                 .map(Arc::new)
             })
             .collect::<Result<Vec<_>, _>>()?;
-
-        let directory =
-            LineageDirectory::from_summaries(&global_summaries(&instances), |subject| {
-                home_for(subject, shards)
-            });
-        let sharded = Self::assemble(instances, directory, clock, audit);
+        let sharded = Self::assemble(instances, clock, audit);
         sharded.recover_crashed_erasures()?;
         Ok(sharded)
     }
 
-    fn assemble(
-        shards: Vec<Arc<Dbfs<D>>>,
-        directory: LineageDirectory,
-        clock: Arc<LogicalClock>,
-        audit: AuditLog,
-    ) -> Self {
+    fn assemble(shards: Vec<Arc<Dbfs<D>>>, clock: Arc<LogicalClock>, audit: AuditLog) -> Self {
         let pool = ShardPool::new(&shards);
         Self {
             shards,
-            directory: Mutex::new_named("lineage-directory", directory),
+            announced: Mutex::new_named("erasure-announcements", BTreeSet::new()),
             pool,
             clock,
             audit,
@@ -413,27 +417,23 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
                         what: "erase intent carries an invalid authority key".to_owned(),
                     })?;
                 let escrow = OperatorEscrow::new(public);
-                let mut confirmed: BTreeSet<PdId> = BTreeSet::new();
                 for (type_name, raw) in &intent.targets {
                     let id = PdId::new(*raw);
                     let data_type = DataTypeId::from(type_name.as_str());
                     let target_shard = self.shard_of_id(id);
                     match self.shards[target_shard].load_membrane(&data_type, id) {
                         Ok(membrane) if !membrane.is_erased() => {
-                            confirmed
-                                .extend(self.shards[target_shard].erase(&data_type, id, &escrow)?);
+                            self.shards[target_shard].erase(&data_type, id, &escrow)?;
                         }
-                        Ok(_) => {
-                            confirmed.insert(id);
-                        }
-                        // The target never reached the disk (its insert was
-                        // lost in the same crash): nothing to erase, and it
-                        // must not be marked in the directory.
-                        Err(DbfsError::UnknownPd { .. }) | Err(DbfsError::UnknownType { .. }) => {}
+                        // Already a tombstone, or the target never reached
+                        // the disk (its insert was lost in the same crash):
+                        // nothing to erase.
+                        Ok(_)
+                        | Err(DbfsError::UnknownPd { .. })
+                        | Err(DbfsError::UnknownType { .. }) => {}
                         Err(e) => return Err(e),
                     }
                 }
-                self.directory.lock().mark_erased(confirmed);
                 heal_keys.insert(intent.escrow_key);
                 completed.push((shard, token));
             }
@@ -471,14 +471,9 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
                 (*shard, summary.data_type.clone(), id)
             })
             .collect();
-        if victims.is_empty() {
-            return Ok(());
-        }
-        let mut erased: BTreeSet<PdId> = BTreeSet::new();
         for (shard, data_type, id) in victims {
-            erased.extend(self.shards[shard].erase(&data_type, id, escrow)?);
+            self.shards[shard].erase(&data_type, id, escrow)?;
         }
-        self.directory.lock().mark_erased(erased);
         Ok(())
     }
 
@@ -497,7 +492,7 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     }
 
     /// The shard that allocated an identifier (computable from the strided
-    /// id space, no directory lookup).
+    /// id space, no lookup).
     pub fn shard_of_id(&self, id: PdId) -> usize {
         (id.raw() % self.shards.len() as u64) as usize
     }
@@ -533,56 +528,99 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     }
 
     // ------------------------------------------------------------------
+    // Lineage and placement, off the shards' indexes
+    // ------------------------------------------------------------------
+
+    /// The index summary of `id`, off its owning shard's snapshot.
+    fn summary(&self, id: PdId) -> Option<RecordSummary> {
+        self.shards[self.shard_of_id(id)].summary(id)
+    }
+
+    /// The transitive copy closure of `roots` (descendants only, the roots
+    /// themselves excluded), walked over every shard's reverse-lineage
+    /// index, since a copy may live on any shard.  Each id's direct copies
+    /// are visited in id order.
+    fn closure(&self, roots: impl IntoIterator<Item = PdId>) -> Vec<PdId> {
+        let mut stack: Vec<PdId> = roots.into_iter().collect();
+        let mut seen: BTreeSet<PdId> = stack.iter().copied().collect();
+        let mut out = Vec::new();
+        while let Some(current) = stack.pop() {
+            let mut copies: Vec<PdId> = self
+                .shards
+                .iter()
+                .flat_map(|shard| shard.copies_of(current))
+                .collect();
+            copies.sort_unstable();
+            for copy in copies {
+                if seen.insert(copy) {
+                    stack.push(copy);
+                    out.push(copy);
+                }
+            }
+        }
+        out
+    }
+
+    /// A subject's records held off its home shard (copies placed
+    /// elsewhere), live and tombstoned, in id order.
+    fn foreign_of(&self, subject: SubjectId) -> Vec<RecordSummary> {
+        let home = self.home_shard(subject);
+        let others = self.shards.iter().enumerate().filter(|&(i, _)| i != home);
+        let mut foreign: Vec<RecordSummary> = others
+            .flat_map(|(_, shard)| shard.subject_summaries(subject))
+            .collect();
+        foreign.sort_unstable_by_key(|summary| summary.id);
+        foreign
+    }
+
+    /// Withdraws announcements an erasure made (see `announced`).
+    fn withdraw(&self, ids: &[PdId]) {
+        let mut announced = self.announced.lock();
+        for id in ids {
+            announced.remove(id);
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Record lifecycle
     // ------------------------------------------------------------------
 
     /// Stores a wrapped record on an explicit target shard.
     ///
-    /// A record with no lineage parent bound for its subject's home shard
-    /// (the common case: DED-produced derived data) needs no directory
-    /// registration and never touches the router lock — parallel derived
-    /// inserts scale with the shard count.  A record that *does* need
-    /// registration (a copy, or an off-home placement) runs its
-    /// erased-lineage check, the shard insert and the registration under one
-    /// directory-lock acquisition — the router-level analogue of `Dbfs`
-    /// running its insert under the index lock — so an erasure can never
-    /// interleave between the guard and the insert.
+    /// A record with no lineage parent (the common case: DED-produced
+    /// derived data) never touches the router lock — parallel derived
+    /// inserts scale with the shard count.  A copy runs its erased-lineage
+    /// check and the shard insert under one hold of the announcement lock —
+    /// the router-level analogue of `Dbfs` running its insert under the
+    /// index lock — so an erasure's closure walk either finds the copy or
+    /// has announced the target before the check runs.
     fn store_routed(
         &self,
         data_type: &DataTypeId,
         wrapped: WrappedPd,
         target: usize,
     ) -> Result<PdId, DbfsError> {
-        let subject = wrapped.membrane().subject();
-        let parent = wrapped.membrane().copied_from();
-        if parent.is_none() && target == self.home_shard(subject) {
-            // Lineage-free home placement: nothing to register, no router
-            // lock — the shard's own index lock is the only serialization.
+        let Some(parent) = wrapped.membrane().copied_from() else {
             return self.shards[target].insert_wrapped(data_type, wrapped);
-        }
-        let mut directory = self.directory.lock();
+        };
+        let announced = self.announced.lock();
         if !wrapped.membrane().is_erased() {
-            if let Some(parent) = parent {
-                // The cross-shard analogue of the per-shard erased-ancestor
-                // insert guard: a copy whose lineage chain was tombstoned
-                // after its plaintext was read must lose the race.
-                if directory.lineage_erased(parent) {
-                    return Err(DbfsError::Erased { id: parent.raw() });
-                }
+            // The cross-shard analogue of the per-shard erased-ancestor
+            // insert guard: a copy whose lineage chain was tombstoned, or is
+            // announced for erasure, after its plaintext was read must lose
+            // the race.
+            let lookup = |id| {
+                let summary = self.summary(id)?;
+                Some((
+                    summary.erased || announced.contains(&id),
+                    summary.copied_from,
+                ))
+            };
+            if erased_ancestor(Some(parent), lookup).is_some() {
+                return Err(DbfsError::Erased { id: parent.raw() });
             }
         }
-        let id = self.shards[target].insert_wrapped(data_type, wrapped)?;
-        let entry = DirectoryEntry {
-            data_type: data_type.clone(),
-            subject,
-        };
-        if let Some(parent) = parent {
-            directory.register_copy(parent, entry.clone(), id, entry.clone());
-        }
-        if target != self.home_shard(subject) {
-            directory.register_foreign(subject, id, entry);
-        }
-        Ok(id)
+        self.shards[target].insert_wrapped(data_type, wrapped)
     }
 
     /// Every shard, in shard order: the shards a scan scatters over.
@@ -659,89 +697,35 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     }
 
     /// The tail `erase` and `erase_subject` share once their targets are
-    /// snapshotted and pre-announced: persist the routed intent on
-    /// `intent_shard` **before the first tombstone**, erase shard by shard
-    /// in target order (`erase` lists the root first, so even an unlogged
-    /// crash leaves every survivor with an erased ancestor — healable),
-    /// record the tombstones in the directory, clear the intent.
+    /// snapshotted and announced (`announced` lists the announcements the
+    /// erasure made): persist the routed intent on `intent_shard` **before
+    /// the first tombstone**, erase shard by shard in target order (`erase`
+    /// lists the root first, so even an unlogged crash leaves every survivor
+    /// with an erased ancestor — healable), withdraw the announcements,
+    /// clear the intent.
     fn erase_routed(
         &self,
         intent_shard: usize,
         targets: Vec<(usize, DataTypeId, PdId)>,
-        pre_announced: Vec<PdId>,
+        announced: Vec<PdId>,
         escrow: &OperatorEscrow,
     ) -> Result<Vec<PdId>, DbfsError> {
         if targets.is_empty() {
+            self.withdraw(&announced);
             return Ok(Vec::new());
         }
-        // If the intent write itself fails (nothing touched disk yet),
-        // retract the pre-announcement — the directory must not claim
-        // tombstones for an erasure that never happened.
+        // A failed intent write touched nothing: the erasure never happened.
         let intent = intent_for(&targets, escrow);
-        let token = match self.shards[intent_shard].put_erase_intent(&intent) {
-            Ok(token) => token,
-            Err(e) => {
-                self.directory.lock().retract_erased(pre_announced);
-                return Err(e);
-            }
-        };
+        let token = self.shards[intent_shard]
+            .put_erase_intent(&intent)
+            .inspect_err(|_| self.withdraw(&announced))?;
         let mut erased: BTreeSet<PdId> = BTreeSet::new();
         for (shard, data_type, id) in targets {
             erased.extend(self.shards[shard].erase(&data_type, id, escrow)?);
         }
-        self.directory.lock().mark_erased(erased.iter().copied());
+        self.withdraw(&announced);
         self.shards[intent_shard].clear_erase_intent(token)?;
         Ok(erased.into_iter().collect())
-    }
-
-    /// The rounds of [`PdStore::scrub_tombstones`], run under the cross-shard
-    /// erasure lock its caller holds.
-    fn scrub_rounds(&self) -> Result<ScrubReport, DbfsError> {
-        let mut report = ScrubReport::default();
-        let mut first_scan: Option<usize> = None;
-        loop {
-            // Tombstones named by any shard's pending intents stay: the
-            // intent may target ids on other shards, so the guard set is
-            // gathered deployment-wide, not per shard.
-            let mut pending: BTreeSet<PdId> = BTreeSet::new();
-            for shard in &self.shards {
-                for (_, intent) in shard.pending_erase_intents()? {
-                    pending.extend(intent.targets.iter().map(|(_, raw)| PdId::new(*raw)));
-                }
-            }
-            let blocked = self.directory.lock().copy_sources();
-            let mut round = ScrubReport::default();
-            // The shard-level scrubber classifies every closure-vetoed
-            // tombstone as lineage-retained; count the vetoes that were
-            // really in-flight-intent holds so the report attributes them
-            // correctly.
-            let pending_holds = std::sync::atomic::AtomicUsize::new(0);
-            for shard in &self.shards {
-                round.merge(shard.scrub_tombstones_with(|id| {
-                    if pending.contains(&id) {
-                        pending_holds.fetch_add(1, Ordering::Relaxed);
-                        return false;
-                    }
-                    !blocked.contains(&id)
-                })?);
-            }
-            if first_scan.is_none() {
-                first_scan = Some(round.scanned_tombstones);
-            }
-            let pending_holds = pending_holds.into_inner();
-            report.retained_intent = round.retained_intent + pending_holds;
-            report.retained_lineage = round.retained_lineage.saturating_sub(pending_holds);
-            if round.reclaimed.is_empty() {
-                break;
-            }
-            self.directory
-                .lock()
-                .forget(round.reclaimed.iter().copied());
-            report.bytes_reclaimed += round.bytes_reclaimed;
-            report.reclaimed.extend(round.reclaimed);
-        }
-        report.scanned_tombstones = first_scan.unwrap_or(0);
-        Ok(report)
     }
 
     /// Total tombstones reclaimed by scrub passes since mount, summed over
@@ -852,8 +836,8 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// appends to its own audit stream with a dense per-shard sequence, and
     /// the streams merge by Lamport stamp, so the crash-matrix's
     /// audit-prefix invariant holds per stream without serializing the
-    /// shards.  Records carrying lineage go through the
-    /// directory-registering single-record path (`store_routed`).
+    /// shards.  Records carrying lineage go through the copy-guarded
+    /// single-record path (`store_routed`).
     ///
     /// The lowest failing shard's error is reported as it is.  On error,
     /// each shard has applied a clean prefix of its own group (per-record
@@ -919,9 +903,10 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
         Ok(per_shard.into_iter().flatten().collect())
     }
 
-    /// The home shard answers from its subject index, plus the directory's
-    /// foreign placements of that subject — `O(home shard + lineage)`,
-    /// never a fan-out.
+    /// The home shard answers from its subject index, plus the subject's
+    /// records on the other shards, found in their snapshots' subject
+    /// indexes — disk reads for the home shard and the foreign records
+    /// only, never a fan-out.
     fn load_membranes_for_subject(
         &self,
         data_type: &DataTypeId,
@@ -929,20 +914,10 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
         let mut out =
             self.shards[self.home_shard(subject)].load_membranes_for_subject(data_type, subject)?;
-        let foreign: Vec<PdId> = {
-            let directory = self.directory.lock();
-            directory
-                .foreign_of(subject)
-                .into_iter()
-                .filter(|id| {
-                    directory
-                        .entry(*id)
-                        .is_some_and(|entry| &entry.data_type == data_type)
-                })
-                .collect()
-        };
-        for id in foreign {
-            out.push((id, self.load_membrane(data_type, id)?));
+        for foreign in self.foreign_of(subject) {
+            if &foreign.data_type == data_type {
+                out.push((foreign.id, self.load_membrane(data_type, foreign.id)?));
+            }
         }
         Ok(out)
     }
@@ -987,9 +962,10 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
 
     /// The source is read on its own shard; the copy is placed
     /// **round-robin** across the deployment (derived-data load balancing),
-    /// so a copy routinely lands on a different shard than its source — the
-    /// case the lineage directory exists for.  A source whose erasure wins
-    /// the race against this copy is [`DbfsError::Erased`].
+    /// so a copy routinely lands on a different shard than its source.  A
+    /// source whose erasure wins the race against this copy — it is
+    /// tombstoned, or announced by an erasure in flight — is
+    /// [`DbfsError::Erased`].
     fn copy(&self, data_type: &DataTypeId, id: PdId) -> Result<PdId, DbfsError> {
         let record = self.get(data_type, id)?;
         if record.membrane().is_erased() {
@@ -1003,9 +979,9 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// Tombstones the record *and* the **transitive copy closure on every
     /// shard**.  The erasure is two-phase and crash-durable:
     ///
-    /// 1. the closure is snapshotted and pre-announced as tombstoned under
-    ///    the directory lock (pure metadata, no disk I/O), so a copy racing
-    ///    the erasure is refused from here on;
+    /// 1. the closure is walked over every shard's reverse-lineage index and
+    ///    announced under the announcement lock (index reads, no disk I/O),
+    ///    so a copy racing the erasure is refused from here on;
     /// 2. the full target list is persisted as an [`EraseIntent`] on the
     ///    root's shard **before any tombstone is written**, then each
     ///    involved shard performs its crypto-erasures (each shard's cascade
@@ -1028,35 +1004,33 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
         let root_erased = self.shards[root_shard]
             .load_membrane(data_type, id)?
             .is_erased();
-        // Phase 1: snapshot the directory closure and pre-announce the
-        // tombstones.  No disk I/O under the directory lock.
-        let (targets, pre_announced): (Vec<(usize, DataTypeId, PdId)>, Vec<PdId>) = {
-            let mut directory = self.directory.lock();
-            let members = directory.closure([id]);
-            let pre_announced =
-                directory.mark_erased_returning_new(members.iter().copied().chain([id]));
+        // Phase 1: walk the closure and announce it.  No disk I/O under the
+        // announcement lock.
+        let (targets, announced) = {
+            let mut announced = self.announced.lock();
+            let members = self.closure([id]);
             let mut targets = Vec::with_capacity(members.len() + 1);
             if !root_erased {
                 targets.push((root_shard, data_type.clone(), id));
             }
-            targets.extend(members.into_iter().map(|member| {
-                let member_type = directory
-                    .entry(member)
-                    .map(|entry| entry.data_type.clone())
-                    .unwrap_or_else(|| data_type.clone());
-                (self.shard_of_id(member), member_type, member)
-            }));
-            (targets, pre_announced)
+            for &member in &members {
+                let member_type = self
+                    .summary(member)
+                    .map_or_else(|| data_type.clone(), |summary| summary.data_type);
+                targets.push((self.shard_of_id(member), member_type, member));
+            }
+            let fresh = announce(&mut announced, members.into_iter().chain([id]));
+            (targets, fresh)
         };
         // Phase 2: intent on the root's shard, then the erasures.
-        self.erase_routed(root_shard, targets, pre_announced, escrow)
+        self.erase_routed(root_shard, targets, announced, escrow)
     }
 
-    /// The subject's home-shard records and foreign placements are
-    /// snapshotted together with their transitive copy closure under the
-    /// directory lock, the target list is persisted as an [`EraseIntent`]
-    /// on the subject's home shard, then every involved shard erases its
-    /// members and the intent is cleared.  A crash mid-erasure is completed
+    /// The subject's live records, on its home shard and off it, are
+    /// snapshotted together with their transitive copy closure and
+    /// announced under the announcement lock, the target list is persisted
+    /// as an [`EraseIntent`] on the subject's home shard, then every
+    /// involved shard erases its members and the intent is cleared.  A crash mid-erasure is completed
     /// at the next mount — the request never stays half-applied.
     fn erase_subject(
         &self,
@@ -1064,47 +1038,36 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
         escrow: &OperatorEscrow,
     ) -> Result<Vec<PdId>, DbfsError> {
         let _serialized = self.erasures.lock();
-        // The subject's own records, from the home shard's in-memory index.
-        let home_ids = self.shards[self.home_shard(subject)].ids_of_subject(subject);
-        // Phase 1: roots = home records + foreign placements; closure-expand
-        // through the directory and pre-announce the tombstones.
-        let (targets, pre_announced) = {
-            let mut directory = self.directory.lock();
+        let home = self.home_shard(subject);
+        // Phase 1: roots = the subject's live records, home shard first, then
+        // those off it; closure-expand them and announce the lot.
+        let (targets, announced) = {
+            let mut announced = self.announced.lock();
             let mut targets: Vec<(usize, DataTypeId, PdId)> = Vec::new();
             let mut seen: BTreeSet<PdId> = BTreeSet::new();
-            for (data_type, id) in home_ids {
-                if seen.insert(id) {
-                    targets.push((self.shard_of_id(id), data_type, id));
+            let records = self.shards[home].subject_summaries(subject);
+            for record in records.into_iter().chain(self.foreign_of(subject)) {
+                if !record.erased && seen.insert(record.id) {
+                    targets.push((self.shard_of_id(record.id), record.data_type, record.id));
                 }
             }
-            for id in directory.foreign_of(subject) {
-                if !directory.is_erased(id) && seen.insert(id) {
-                    let data_type = directory
-                        .entry(id)
-                        .expect("foreign placements carry a directory entry")
-                        .data_type
-                        .clone();
-                    targets.push((self.shard_of_id(id), data_type, id));
-                }
-            }
-            for member in directory.closure(seen.iter().copied()) {
+            for member in self.closure(seen.iter().copied()) {
                 if seen.insert(member) {
-                    if let Some(entry) = directory.entry(member) {
-                        targets.push((self.shard_of_id(member), entry.data_type.clone(), member));
+                    if let Some(summary) = self.summary(member) {
+                        targets.push((self.shard_of_id(member), summary.data_type, member));
                     }
                 }
             }
-            let pre_announced = directory.mark_erased_returning_new(seen);
-            (targets, pre_announced)
+            (targets, announce(&mut announced, seen))
         };
         // Phase 2: intent on the subject's home shard, then the erasures.
-        self.erase_routed(self.home_shard(subject), targets, pre_announced, escrow)
+        self.erase_routed(home, targets, announced, escrow)
     }
 
-    /// Every shard purges its own expiry index, then the directory
-    /// propagates the erasure to cross-shard copies whose retention
-    /// diverged from their expired original (a copy must never outlive its
-    /// lineage).
+    /// Every shard purges its own expiry index, then the router propagates
+    /// the erasure to cross-shard copies whose retention diverged from
+    /// their expired original (a copy must never outlive its lineage): their
+    /// closure is walked and announced like `erase`'s.
     ///
     /// The sweep's exact target set is only known mid-sweep, so the durable
     /// intent written up front carries no targets — just the authority key.
@@ -1130,48 +1093,35 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
         for shard in &self.shards {
             expired.extend(shard.purge_expired(escrow)?);
         }
-        let targets: Vec<(usize, DataTypeId, PdId)> = {
-            let mut directory = self.directory.lock();
-            let members = directory.closure(expired.iter().copied());
-            let targets = members
-                .iter()
-                .filter(|member| !directory.is_erased(**member))
-                .filter_map(|&member| {
-                    directory
-                        .entry(member)
-                        .map(|entry| (self.shard_of_id(member), entry.data_type.clone(), member))
-                })
-                .collect();
-            directory.mark_erased(expired.iter().copied());
-            directory.mark_erased(members.iter().copied());
-            targets
+        let (targets, announced) = {
+            let mut announced = self.announced.lock();
+            let members = self.closure(expired.iter().copied());
+            let live = members.into_iter().filter_map(|member| {
+                let summary = self.summary(member).filter(|summary| !summary.erased)?;
+                Some((self.shard_of_id(member), summary.data_type, member))
+            });
+            let targets: Vec<(usize, DataTypeId, PdId)> = live.collect();
+            let fresh = announce(&mut announced, targets.iter().map(|&(_, _, id)| id));
+            (targets, fresh)
         };
         for (shard, data_type, id) in targets {
             expired.extend(self.shards[shard].erase(&data_type, id, escrow)?);
         }
+        self.withdraw(&announced);
         self.shards[0].clear_erase_intent(token)?;
         Ok(expired)
     }
 
-    /// The home shard's subject index plus the directory's foreign
-    /// placements — `O(home shard + lineage)`.
+    /// The home shard's subject index plus the subject's live records on
+    /// the other shards, found in their snapshots' subject indexes —
+    /// `O(home shard + lineage)` reads.
     fn records_of_subject(&self, subject: SubjectId) -> Result<Vec<PdRecord>, DbfsError> {
         let mut out = self.shards[self.home_shard(subject)].records_of_subject(subject)?;
-        let foreign: Vec<(PdId, DataTypeId)> = {
-            let directory = self.directory.lock();
-            directory
-                .foreign_of(subject)
-                .into_iter()
-                .filter(|id| !directory.is_erased(*id))
-                .filter_map(|id| {
-                    directory
-                        .entry(id)
-                        .map(|entry| (id, entry.data_type.clone()))
-                })
-                .collect()
-        };
-        for (id, data_type) in foreign {
-            let record = self.get(&data_type, id)?;
+        for foreign in self.foreign_of(subject) {
+            if foreign.erased {
+                continue;
+            }
+            let record = self.get(&foreign.data_type, foreign.id)?;
             if !record.membrane().is_erased() {
                 out.push(record);
             }
@@ -1198,11 +1148,9 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
             self.every_shard()
         } else {
             let mut involved: Vec<usize> = pinned.iter().map(|&s| self.home_shard(s)).collect();
-            let directory = self.directory.lock();
             for &subject in &pinned {
-                for id in directory.foreign_of(subject) {
-                    involved.push(self.shard_of_id(id));
-                }
+                let foreign = self.foreign_of(subject);
+                involved.extend(foreign.iter().map(|record| self.shard_of_id(record.id)));
             }
             involved.sort_unstable();
             involved.dedup();
@@ -1238,11 +1186,11 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     }
 
     /// Verifies every shard's own index invariants (in parallel), then the
-    /// router-level invariants: globally unique strided ids, every lineage
-    /// edge present in the directory (and vice versa), every off-home
-    /// placement registered, tombstone agreement between the directory and
-    /// the shards, and the GDPR core property — **no live record anywhere in
-    /// the deployment has an erased lineage ancestor**.
+    /// router-level invariants: every id on the shard its stride names, no
+    /// id on two shards, and the GDPR core property — **no live record
+    /// anywhere in the deployment has an erased lineage ancestor**.  The
+    /// router holds no copy of the shards' lineage or placement to check
+    /// against them.
     ///
     /// Expects a quiescent deployment.
     fn verify_index_invariants(&self) -> Result<(), DbfsError> {
@@ -1265,11 +1213,6 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
                 global.len()
             )));
         }
-        // The live directory is what the shards' summaries derive.
-        let rebuilt = LineageDirectory::from_summaries(&global, |s| self.home_shard(s));
-        if let Some(difference) = self.directory.lock().first_difference(&rebuilt) {
-            return Err(violation(difference));
-        }
         // The GDPR invariant: no live record has an erased lineage ancestor.
         if let Some((id, ancestor)) = erased_ancestor_violations(&global).into_iter().next() {
             return Err(violation(format!(
@@ -1282,29 +1225,69 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// Router-level scrub pass: reclaims every shard's durable tombstones,
     /// honouring the cross-shard protocol state.  A tombstone survives the
     /// pass while **any** shard holds a pending [`EraseIntent`] naming it
-    /// (the routed erasure may still be completing elsewhere) or while the
-    /// lineage directory records surviving copies of it (per-shard
-    /// reverse-lineage indexes rebuilt from disk must never dangle).
+    /// (the routed erasure may still be completing elsewhere) or while a
+    /// copy on any shard names it as its original (no shard's
+    /// reverse-lineage index may dangle).
     ///
     /// Runs under the cross-shard erasure lock, in rounds: reclaiming a
     /// leaf copy on one shard unblocks its original on another, so the pass
     /// iterates until no shard makes progress — erased copy chains vanish
-    /// whole, children first, exactly like the per-shard fixpoint.  After
-    /// each round the reclaimed ids are forgotten by the directory.  When a
-    /// round fails, what it reclaimed before the error — on the earlier
-    /// shards, and on the failing one — is on no report, so the directory
-    /// is instead derived afresh from the shards, as a mount would (which
-    /// is also why a crash between a reclaim and the forget is benign).
+    /// whole, children first, exactly like the per-shard fixpoint.  A round
+    /// that fails leaves nothing to repair: what it reclaimed is gone from
+    /// the shards, the only place the router reads it from.
     ///
     /// The returned report accumulates reclaims across rounds; the
     /// `retained_*` counters describe what the *final* round left behind.
     fn scrub_tombstones(&self) -> Result<ScrubReport, DbfsError> {
         let _serialized = self.erasures.lock();
-        self.scrub_rounds().inspect_err(|_| {
-            let mut directory = self.directory.lock();
-            let global = global_summaries(&self.shards);
-            *directory = LineageDirectory::from_summaries(&global, |s| self.home_shard(s));
-        })
+        let mut report = ScrubReport::default();
+        let mut first_scan: Option<usize> = None;
+        loop {
+            // Tombstones named by any shard's pending intents stay: the
+            // intent may target ids on other shards, so the guard set is
+            // gathered deployment-wide, not per shard.
+            let mut pending: BTreeSet<PdId> = BTreeSet::new();
+            for shard in &self.shards {
+                for (_, intent) in shard.pending_erase_intents()? {
+                    pending.extend(intent.targets.iter().map(|(_, raw)| PdId::new(*raw)));
+                }
+            }
+            // Tombstones a surviving copy names as its original stay, the
+            // copy on whatever shard: no shard's lineage index may dangle.
+            let blocked: BTreeSet<PdId> = self
+                .shards
+                .iter()
+                .flat_map(|shard| shard.copy_originals())
+                .collect();
+            let mut round = ScrubReport::default();
+            // The shard-level scrubber classifies every closure-vetoed
+            // tombstone as lineage-retained; count the vetoes that were
+            // really in-flight-intent holds so the report attributes them
+            // correctly.
+            let pending_holds = std::sync::atomic::AtomicUsize::new(0);
+            for shard in &self.shards {
+                round.merge(shard.scrub_tombstones_with(|id| {
+                    if pending.contains(&id) {
+                        pending_holds.fetch_add(1, Ordering::Relaxed);
+                        return false;
+                    }
+                    !blocked.contains(&id)
+                })?);
+            }
+            if first_scan.is_none() {
+                first_scan = Some(round.scanned_tombstones);
+            }
+            let pending_holds = pending_holds.into_inner();
+            report.retained_intent = round.retained_intent + pending_holds;
+            report.retained_lineage = round.retained_lineage.saturating_sub(pending_holds);
+            if round.reclaimed.is_empty() {
+                break;
+            }
+            report.bytes_reclaimed += round.bytes_reclaimed;
+            report.reclaimed.extend(round.reclaimed);
+        }
+        report.scanned_tombstones = first_scan.unwrap_or(0);
+        Ok(report)
     }
 
     /// Records, bytes and allocated blocks summed across every shard (see
@@ -1315,5 +1298,42 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
             stats.merge(&shard);
         }
         Ok(stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rgpdos_blockdev::MemDevice;
+    use rgpdos_core::schema::listing1_user_schema;
+
+    /// While an erasure's targets are announced and not yet tombstoned, a
+    /// copy of a target loses the race, by `copy` and by inserting a copy's
+    /// membrane directly.
+    #[test]
+    fn an_announced_target_refuses_copies_before_its_tombstone() {
+        let devices = (0..2)
+            .map(|_| Arc::new(MemDevice::new(4096, 512)))
+            .collect();
+        let sharded = ShardedDbfs::format(devices, DbfsParams::small()).unwrap();
+        sharded.create_type(listing1_user_schema()).unwrap();
+        let user = DataTypeId::from("user");
+        let row = Row::new()
+            .with("name", "x")
+            .with("pwd", "pw")
+            .with("year_of_birthdate", 1990i64);
+        let target = sharded.collect(&user, SubjectId::new(1), row).unwrap();
+        let record = sharded.get(&user, target).unwrap();
+        announce(&mut sharded.announced.lock(), [target]);
+
+        let refused = |result: Result<PdId, DbfsError>| matches!(result, Err(DbfsError::Erased { id }) if id == target.raw());
+        assert!(refused(sharded.copy(&user, target)));
+        let membrane = record.membrane().for_copy(target);
+        let wrapped = WrappedPd::new(record.row().clone(), membrane);
+        assert!(refused(sharded.insert_wrapped(&user, wrapped)));
+        assert!(!sharded.get(&user, target).unwrap().membrane().is_erased());
+
+        sharded.withdraw(&[target]);
+        assert!(sharded.copy(&user, target).is_ok());
     }
 }

@@ -1,5 +1,6 @@
 //! Integration tests of the sharded DBFS: placement, scatter-gather,
-//! cross-shard erasure and the mount-time directory rebuild.
+//! cross-shard erasure (a failed one included) and what a remount reads
+//! back off the shards.
 
 use rgpdos_blockdev::MemDevice;
 use rgpdos_core::schema::listing1_user_schema;
@@ -360,7 +361,7 @@ fn retention_purge_propagates_to_ttl_diverged_cross_shard_copies() {
 }
 
 #[test]
-fn mount_rebuilds_the_directory_and_invariants_hold() {
+fn remount_keeps_erased_lineage_refused_and_surviving_lineage_routed() {
     let devices = devices(3);
     let escrow = escrow();
     let erased_original = {
@@ -392,8 +393,8 @@ fn mount_rebuilds_the_directory_and_invariants_hold() {
         );
         victim
     };
-    // Remount on the same devices: the directory is rebuilt from the
-    // per-shard indexes.
+    // Remount on the same devices: the router reads lineage and placement
+    // off the per-shard indexes, as before the remount.
     let remounted = ShardedDbfs::mount(devices).unwrap();
     remounted.verify_index_invariants().unwrap();
     assert_eq!(
@@ -668,7 +669,7 @@ fn scrub_retains_tombstones_named_by_in_flight_routed_intents() {
 }
 
 #[test]
-fn scrubbed_deployment_survives_remount_with_a_clean_directory() {
+fn scrubbed_deployment_survives_remount_with_only_the_surviving_lineage() {
     let devices = devices(3);
     let escrow = escrow();
     let (victim, keeper) = {
@@ -690,7 +691,7 @@ fn scrubbed_deployment_survives_remount_with_a_clean_directory() {
         sharded.verify_index_invariants().unwrap();
         (victim, keeper)
     };
-    // The rebuilt directory has no trace of the reclaimed lineage; the
+    // The remounted shards hold no trace of the reclaimed lineage; the
     // surviving lineage still routes.
     let remounted = ShardedDbfs::mount(devices).unwrap();
     remounted.verify_index_invariants().unwrap();
@@ -854,4 +855,82 @@ fn a_one_shard_scatter_reads_on_the_calling_thread() {
     let spans = ctx.tracer.snapshot();
     let legs = spans.iter().filter(|s| s.name == "shard_query_leg");
     assert_eq!(legs.filter(|s| s.parent.is_some()).count(), 1);
+}
+
+/// A cross-shard `erase_subject` that a read fault stops after the home
+/// shard erased its part leaves the copy on the other shard live.  The
+/// router must then say so: the right of access lists the copy, and a
+/// retried erasure erases it, after which the invariants hold.  Swept over every read the
+/// erasure makes on the copy's shard (cache off, so each block is a read).
+#[test]
+fn a_failed_cross_shard_erasure_leaves_the_live_copy_visible_and_erasable() {
+    use rgpdos_blockdev::{FaultEvent, FaultScript, FaultyDevice};
+
+    type FaultyShard = Arc<FaultyDevice<MemDevice>>;
+
+    /// Two shards: `x` on the subject's home shard 0, its copy `y` on
+    /// shard 1 (a copy of another subject's record takes shard 0's turn of
+    /// the round-robin first).
+    fn deployment(script: FaultScript) -> (ShardedDbfs<FaultyShard>, FaultyShard, SubjectId, PdId) {
+        let devices: Vec<FaultyShard> = [FaultScript::none(), script]
+            .into_iter()
+            .map(|script| Arc::new(FaultyDevice::new(MemDevice::new(8192, 512), script)))
+            .collect();
+        let sharded = ShardedDbfs::format(devices.clone(), DbfsParams::small()).unwrap();
+        sharded.create_type(listing1_user_schema()).unwrap();
+        let mut subjects = (0..).map(SubjectId::new);
+        let mut on_shard_0 = || {
+            subjects
+                .by_ref()
+                .find(|&subject| sharded.home_shard(subject) == 0)
+                .unwrap()
+        };
+        let (subject, other) = (on_shard_0(), on_shard_0());
+        let theirs = sharded.collect(&user(), other, user_row("theirs")).unwrap();
+        assert_eq!(
+            sharded.shard_of_id(sharded.copy(&user(), theirs).unwrap()),
+            0
+        );
+        let x = sharded.collect(&user(), subject, user_row("x")).unwrap();
+        let y = sharded.copy(&user(), x).unwrap();
+        assert_eq!((sharded.shard_of_id(x), sharded.shard_of_id(y)), (0, 1));
+        for shard in sharded.shards() {
+            shard.inode_fs().set_cache_capacity(0);
+        }
+        let shard_1 = Arc::clone(&devices[1]);
+        (sharded, shard_1, subject, y)
+    }
+
+    let (clean, device, subject, _) = deployment(FaultScript::none());
+    let first = device.reads_seen();
+    assert_eq!(clean.erase_subject(subject, &escrow()).unwrap().len(), 2);
+    let last = device.reads_seen();
+    assert!(last > first, "the erasure reads shard 1");
+
+    let mut failed = 0;
+    for k in first..last {
+        let failing = FaultScript::new([FaultEvent::FailedReadAt(k)]);
+        let (sharded, _, subject, y) = deployment(failing);
+        if sharded.erase_subject(subject, &escrow()).is_ok() {
+            continue;
+        }
+        failed += 1;
+        let copy = sharded.get(&user(), y).unwrap();
+        assert!(!copy.membrane().is_erased(), "read {k}: y was erased");
+        let access = sharded.records_of_subject(subject).unwrap();
+        assert!(
+            access.iter().any(|record| record.id() == y),
+            "read {k}: the right of access misses live {y}"
+        );
+        assert_eq!(
+            sharded.erase_subject(subject, &escrow()).unwrap(),
+            [y],
+            "read {k}: the retry must erase the copy"
+        );
+        assert!(sharded.get(&user(), y).unwrap().membrane().is_erased());
+        sharded
+            .verify_index_invariants()
+            .unwrap_or_else(|e| panic!("read {k}: {e}"));
+    }
+    assert!(failed > 0, "no fault failed the erasure");
 }

@@ -531,9 +531,8 @@ proptest! {
     /// The sharded analogue of `secondary_indexes_stay_consistent`: after an
     /// arbitrary interleaving of collect/copy/erase/TTL/purge operations
     /// across shards, no live record anywhere in the deployment has an
-    /// erased lineage ancestor, every router-level index (lineage directory,
-    /// foreign placements, tombstones) agrees with the shards — and a
-    /// remount rebuilds the same picture.
+    /// erased lineage ancestor, every id sits on the shard its stride names
+    /// and on no other — and a remount reads back the same picture.
     #[test]
     fn cross_shard_lineage_never_outlives_erasure(
         ops in proptest::collection::vec(shard_op_strategy(), 1..40)
@@ -629,9 +628,9 @@ proptest! {
             }
         }
         // The router-level checker already enforces the core property (no
-        // live record with an erased lineage ancestor) plus directory/shard
-        // agreement; assert it again independently from the membranes so the
-        // test does not rely on the checker's own bookkeeping.
+        // live record with an erased lineage ancestor) plus id placement;
+        // assert the core property again independently from the membranes
+        // so the test does not rely on the checker's own bookkeeping.
         sharded.verify_index_invariants().unwrap();
         let mut membranes: std::collections::BTreeMap<PdId, (bool, Option<PdId>)> =
             std::collections::BTreeMap::new();

@@ -5,8 +5,8 @@
 //! leaves a prefix of whole reclaims behind.  Whatever that prefix is, the
 //! accounting must describe it: on one store the `Reclaimed` audit events and
 //! the `tombstones_reclaimed` counter name exactly the ids that are gone; on
-//! the sharded store the lineage directory still derives from what the shards
-//! hold.  Both tests sweep a transient read fault over every device read of
+//! the sharded store the router-level invariants still hold and the next pass
+//! finishes the job.  Both tests sweep a transient read fault over every device read of
 //! a clean pass (buffer cache off, so every block a pass needs is a read).
 
 use rgpdos::blockdev::{FaultEvent, FaultScript, FaultyDevice, MemDevice};
@@ -123,7 +123,7 @@ fn erased_cross_shard_chains(scripts: [FaultScript; 2]) -> (ShardedDbfs<Faulty>,
 }
 
 #[test]
-fn a_failed_sharded_scrub_leaves_a_directory_the_shards_still_derive() {
+fn a_failed_sharded_scrub_leaves_the_invariants_holding_and_the_next_pass_finishing() {
     let (clean, devices) = erased_cross_shard_chains([FaultScript::none(), FaultScript::none()]);
     let first = devices[1].reads_seen();
     assert_eq!(clean.scrub_tombstones().unwrap().reclaimed_count(), 9);

@@ -11,7 +11,7 @@
 //! * All three end with `verify_index_invariants()` ok.
 //!
 //! The stores share no code above the per-shard `Dbfs`: routing, the
-//! lineage directory and the two-phase erasure exist only in the router,
+//! cross-shard copy closure and the two-phase erasure exist only in the router,
 //! the local cascade only in `Dbfs`.  The script is the differential test
 //! between them.
 
