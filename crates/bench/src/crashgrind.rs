@@ -839,7 +839,9 @@ pub fn sweep_sharded(scenario: &str, script: &[ScriptOp], shards: usize) -> Swee
 /// pseudo-random single-store sweep, the **batched** (group-commit)
 /// single-store and sharded sweeps, the **scrubber** (tombstone
 /// compaction) single-store and sharded sweeps, the sharded whole-machine
-/// sweep and the single-store **large-cascade** sweep.
+/// sweep and the single-store **large-cascade** sweep.  `sharded-scrub-1`
+/// runs the scrub script on a one-shard router, which must make exactly
+/// the device writes of `dbfs-scrub` (`scripts/crash_gate.sh` checks it).
 pub fn run_all(seed: u64) -> Vec<SweepReport> {
     vec![
         sweep_dbfs("dbfs", &default_script()),
@@ -849,6 +851,7 @@ pub fn run_all(seed: u64) -> Vec<SweepReport> {
         sweep_sharded("sharded", &default_script(), 3),
         sweep_sharded("sharded-batched", &batched_script(), 2),
         sweep_sharded("sharded-scrub", &scrub_script(), 2),
+        sweep_sharded("sharded-scrub", &scrub_script(), 1),
         sweep::<Dbfs<FaultyDev>>(
             "dbfs-cascade",
             &cascade_script(),

@@ -407,6 +407,25 @@ pub struct EraseIntent {
     pub routed: bool,
 }
 
+impl EraseIntent {
+    /// The ids the erasure must tombstone.
+    pub fn ids(&self) -> Vec<PdId> {
+        self.targets.iter().map(|t| PdId::new(t.1)).collect()
+    }
+
+    /// The escrow recovery completes the erasure with, rebuilt from the
+    /// authority key.
+    ///
+    /// # Errors
+    ///
+    /// [`DbfsError::Corrupt`] when the key is not a valid group element.
+    pub fn escrow(&self) -> Result<OperatorEscrow, DbfsError> {
+        let public = PublicKey::from_element(self.escrow_key)
+            .map_err(|_| corrupt("erase intent carries an invalid authority key"))?;
+        Ok(OperatorEscrow::new(public))
+    }
+}
+
 /// On-disk encoding of the intent log (`__intents` in the DBFS root).
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct IntentsFile {
@@ -1210,14 +1229,15 @@ impl<D: BlockDevice> Dbfs<D> {
     /// Crypto-erases the live records among `roots` and in their copy
     /// closures — snapshotted from the index under the already-held lock, a
     /// pure memory walk — as one batch of [`WriteOp::Erase`]s through the
-    /// write pipeline, roots first, and returns the ids it tombstoned.  A
-    /// cascade that fits one journal transaction (every one the shipped
-    /// geometries produce) is one group: a crash applies every tombstone or
-    /// none.  A larger one is cut into atomic groups, so multi-target
-    /// cascades log a **local erase intent** before the batch and clear it
-    /// after: a crash between two groups, or an error that ends the batch
-    /// after a prefix, is completed at the next mount instead of leaving a
-    /// copy that outlives its erased original.
+    /// write pipeline, roots first, and returns the ids it tombstoned.  Ids
+    /// this instance does not hold, and tombstones, are skipped.  Every
+    /// cascade of two or more targets logs a **local erase intent** before
+    /// the batch and clears it after, whether the batch fits one journal
+    /// transaction (every cascade the shipped geometries produce: a crash
+    /// applies every tombstone or none) or is cut into atomic groups: a
+    /// crash between two groups, or an error that ends the batch after a
+    /// prefix, is completed at the next mount instead of leaving a copy
+    /// that outlives its erased original.
     fn erase_roots_locked(
         &self,
         index: &mut DbfsIndex,
@@ -1254,6 +1274,22 @@ impl<D: BlockDevice> Dbfs<D> {
             self.clear_erase_intent_locked(index, token)?;
         }
         Ok(done)
+    }
+
+    /// One cascade (`erase_roots_locked`) over `roots` under the index lock:
+    /// how a routing layer erases its members on this instance, and how
+    /// recovery re-drives an intent.  Returns the ids it tombstoned.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage errors.
+    pub fn erase_ids(
+        &self,
+        roots: &[PdId],
+        escrow: &OperatorEscrow,
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let mut index = self.lock_index();
+        self.erase_roots_locked(&mut index, roots, escrow)
     }
 
     /// The index summary of one record, off the published snapshot — no
@@ -1413,18 +1449,7 @@ impl<D: BlockDevice> Dbfs<D> {
             if intent.routed {
                 continue;
             }
-            let public = PublicKey::from_element(intent.escrow_key)
-                .map_err(|_| corrupt("erase intent carries an invalid authority key"))?;
-            let escrow = OperatorEscrow::new(public);
-            for (type_name, raw) in &intent.targets {
-                let data_type = DataTypeId::from(type_name.as_str());
-                // A target already tombstoned is skipped; one that no
-                // longer exists has nothing left to erase.
-                match self.erase(&data_type, PdId::new(*raw), &escrow) {
-                    Ok(_) | Err(DbfsError::UnknownPd { .. } | DbfsError::UnknownType { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-            }
+            self.erase_ids(&intent.ids(), &intent.escrow()?)?;
             self.clear_erase_intent(token)?;
             self.note_recovered_tx();
         }
@@ -1518,7 +1543,7 @@ impl<D: BlockDevice> Dbfs<D> {
                     .read_intents(ino)?
                     .pending
                     .iter()
-                    .flat_map(|(_, intent)| intent.targets.iter().map(|(_, raw)| PdId::new(*raw)))
+                    .flat_map(|(_, intent)| intent.ids())
                     .collect(),
                 None => BTreeSet::new(),
             };

@@ -90,8 +90,8 @@
 //! implements it directly (there are no same-named inherent methods), so
 //! callers bring the trait into scope.  What stays inherent on [`Dbfs`] is
 //! what is not a store operation: constructors, instrumentation accessors
-//! and the protocol a routing layer drives (erase intents, index
-//! snapshots, the scrub pass with a retention predicate).
+//! and the protocol a routing layer drives (cascades over named ids, erase
+//! intents, index snapshots, the scrub pass with a retention predicate).
 //!
 //! ## Example
 //!

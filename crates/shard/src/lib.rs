@@ -26,14 +26,16 @@
 //!   and its subject index says it lives off its subject's home shard.  The
 //!   router keeps no copy of any of that: a copy closure is a walk over
 //!   every shard's reverse-lineage index, and placements and tombstones
-//!   are read off the shards' published snapshots.  Erasure runs in **two
-//!   phases** — walk the transitive copy closure and announce its ids
-//!   under the router's announcement lock (index reads, no disk I/O), then
-//!   crypto-erase per shard — so the right to be forgotten reaches every
-//!   copy on every shard while staying `O(one shard + lineage)`.  The
-//!   announced ids are the one piece of lineage state the router keeps:
+//!   are read off the shards' published snapshots.  Erasure walks the
+//!   transitive copy closure and announces its ids under the router's
+//!   announcement lock (index reads, no disk I/O), then runs each involved
+//!   shard's members as that shard's own cascade — so the right to be
+//!   forgotten reaches every copy on every shard while staying
+//!   `O(one shard + lineage)`.  A closure on one shard writes exactly what that shard's
+//!   `Dbfs` would; one spanning shards persists a routed erase intent first.
+//!   The announced ids are the one piece of lineage state the router keeps:
 //!   held while the erasure is in flight (until the next mount, after one
-//!   that failed past its intent write), they make a racing copy lose.
+//!   whose cascade failed), they make a racing copy lose.
 //!   The copy guard and the lineage heal walk ancestors with
 //!   [`erased_ancestor`](rgpdos_dbfs::erased_ancestor), the function the
 //!   per-shard insert guard uses.

@@ -10,7 +10,6 @@ use rgpdos_core::{
     RecordBatch, Row, SubjectId, WrappedPd,
 };
 use rgpdos_crypto::escrow::OperatorEscrow;
-use rgpdos_crypto::PublicKey;
 use rgpdos_dbfs::{
     erased_ancestor, Dbfs, DbfsError, DbfsParams, DbfsStats, EraseIntent, IdAllocation, PdStore,
     QueryRequest, RecordSummary, ScrubReport, SpaceStats,
@@ -43,18 +42,6 @@ fn mix(mut x: u64) -> u64 {
 /// The home shard of a subject in a deployment of `shards` shards.
 fn home_for(subject: SubjectId, shards: usize) -> usize {
     (mix(subject.raw()) % shards as u64) as usize
-}
-
-/// Encodes a routed target list as a durable erase intent.
-fn intent_for(targets: &[(usize, DataTypeId, PdId)], escrow: &OperatorEscrow) -> EraseIntent {
-    EraseIntent {
-        targets: targets
-            .iter()
-            .map(|(_, data_type, id)| (data_type.to_string(), id.raw()))
-            .collect(),
-        escrow_key: escrow.public_key().element(),
-        routed: true,
-    }
 }
 
 /// Folds the per-shard results of a scatter over two or more shards,
@@ -90,12 +77,6 @@ fn gather_scatter<T>(
 
 /// Every record of the deployment by id, with the shard that holds it.
 type GlobalSummaries = BTreeMap<PdId, (usize, RecordSummary)>;
-
-/// Inserts `ids` into an announced set, returning the ones it did not hold
-/// yet: the announcements the erasure that makes them owns.
-fn announce(announced: &mut BTreeSet<PdId>, ids: impl IntoIterator<Item = PdId>) -> Vec<PdId> {
-    ids.into_iter().filter(|&id| announced.insert(id)).collect()
-}
 
 /// Every record of the deployment by id, with the shard that holds it —
 /// read off the shards' published index snapshots, no disk I/O.
@@ -216,23 +197,26 @@ impl fmt::Display for ShardedStats {
 ///   reverse-lineage index; the router walks those indexes, on every
 ///   shard, for a copy closure and reads placements and tombstones off the
 ///   shards' snapshots — it keeps no copy of either.  Erasure tombstones the
-///   **transitive copy closure on every shard** in two phases: the closure
-///   is snapshotted and announced under the router's announcement lock,
-///   then each involved shard erases its members.
+///   **transitive copy closure on every shard**: the closure is snapshotted
+///   and announced under the router's announcement lock, then each involved
+///   shard erases its members as its own cascade ([`Dbfs::erase_ids`]).  A
+///   closure on one shard is that shard's cascade alone; only one spanning
+///   shards is two-phase, behind a routed [`EraseIntent`].  A one-shard
+///   router therefore writes exactly what a [`Dbfs`] writes.
 ///
 /// All mutations must go through the router: driving a shard's `Dbfs`
-/// directly would bypass the copy guard and the two-phase erasure, exactly
+/// directly would bypass the copy guard and the cross-shard erasure, exactly
 /// like writing to a raw device bypasses DBFS.
 pub struct ShardedDbfs<D: BlockDevice + 'static> {
     shards: Vec<Arc<Dbfs<D>>>,
-    /// The ids a routed erasure has announced: its targets, inserted under
-    /// this lock with the closure walk that found them, before the intent
-    /// write.  The erasure withdraws the ones it inserted once its last
-    /// tombstone is published, or when its intent write fails; a failure
-    /// after the intent leaves them, and the next mount completes the
-    /// erasure.  The only lineage state the router keeps, and it guards
-    /// lineage-carrying inserts and nothing else: targets and reads come
-    /// from the shards.
+    /// The ids a routed erasure has announced: its roots and copy closure,
+    /// inserted under this lock with the closure walk that found them,
+    /// before the first write.  The erasure withdraws the ones it inserted
+    /// once its last tombstone is published, or when its routed intent
+    /// write fails; a failed shard cascade leaves them, and the next mount
+    /// completes the erasure.  The only lineage state the router keeps, and
+    /// it guards lineage-carrying inserts and nothing else: targets and
+    /// reads come from the shards.
     announced: Mutex<BTreeSet<PdId>>,
     pool: ShardPool<D>,
     clock: Arc<LogicalClock>,
@@ -242,7 +226,7 @@ pub struct ShardedDbfs<D: BlockDevice + 'static> {
     /// Serializes routed erasures (erase / erase_subject / purge / intent
     /// recovery) and scrub passes.  Reads, inserts and copies are
     /// unaffected; serializing the rare erasure path keeps the announce /
-    /// intent / per-shard-erase / withdraw sequence of one request from
+    /// intent / per-shard-cascade / withdraw sequence of one request from
     /// interleaving with another's.
     erasures: Mutex<()>,
     /// Router-level observability, set by the first
@@ -327,13 +311,15 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     /// router builds nothing from them: every lineage and placement question
     /// is answered off the shards' indexes when it is asked.
     ///
-    /// Mounting completes any **crashed two-phase erasure**: erase intents
+    /// Mounting completes any **crashed cross-shard erasure**: each shard's
+    /// own mount completes its local cascade intents, then routed intents
     /// persisted by [`PdStore::erase`] / [`PdStore::erase_subject`] /
     /// [`PdStore::purge_expired`] before the crash are re-driven to
-    /// completion (using an escrow rebuilt from the intent's authority key),
-    /// followed by a lineage heal that erases any live record left with an
-    /// erased ancestor.  Completed intents are counted in the involved
-    /// shard's [`DbfsStats::recovered_txs`].
+    /// completion — their targets grouped per shard, each group that
+    /// shard's cascade, with an escrow rebuilt from the intent's authority
+    /// key — followed by a lineage heal that erases, the same way, any live
+    /// record left with an erased ancestor.  Completed intents are counted
+    /// in the involved shard's [`DbfsStats::recovered_txs`].
     ///
     /// # Errors
     ///
@@ -404,37 +390,15 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     fn recover_crashed_erasures(&self) -> Result<(), DbfsError> {
         let _serialized = self.erasures.lock();
         let mut completed: Vec<(usize, u64)> = Vec::new();
-        let mut heal_keys: BTreeSet<u64> = BTreeSet::new();
-        for shard in 0..self.shards.len() {
-            for (token, intent) in self.shards[shard].pending_erase_intents()? {
-                if !intent.routed {
-                    // Local cascade intents were already completed by the
-                    // shard's own `Dbfs::mount`.
-                    continue;
-                }
-                let public =
-                    PublicKey::from_element(intent.escrow_key).map_err(|_| DbfsError::Corrupt {
-                        what: "erase intent carries an invalid authority key".to_owned(),
-                    })?;
-                let escrow = OperatorEscrow::new(public);
-                for (type_name, raw) in &intent.targets {
-                    let id = PdId::new(*raw);
-                    let data_type = DataTypeId::from(type_name.as_str());
-                    let target_shard = self.shard_of_id(id);
-                    match self.shards[target_shard].load_membrane(&data_type, id) {
-                        Ok(membrane) if !membrane.is_erased() => {
-                            self.shards[target_shard].erase(&data_type, id, &escrow)?;
-                        }
-                        // Already a tombstone, or the target never reached
-                        // the disk (its insert was lost in the same crash):
-                        // nothing to erase.
-                        Ok(_)
-                        | Err(DbfsError::UnknownPd { .. })
-                        | Err(DbfsError::UnknownType { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                heal_keys.insert(intent.escrow_key);
+        let mut heal_escrows: BTreeMap<u64, OperatorEscrow> = BTreeMap::new();
+        for (shard, dbfs) in self.shards.iter().enumerate() {
+            // Local cascade intents were already completed by the shard's
+            // own `Dbfs::mount`.
+            let routed = dbfs.pending_erase_intents()?.into_iter();
+            for (token, intent) in routed.filter(|(_, intent)| intent.routed) {
+                let escrow = intent.escrow()?;
+                self.erase_per_shard(shard, intent.ids(), &escrow)?;
+                heal_escrows.entry(intent.escrow_key).or_insert(escrow);
                 completed.push((shard, token));
             }
         }
@@ -444,11 +408,8 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         // survivor (deployments normally have one authority, so this is one
         // pass; with several, each survivor is escrowed under a key the
         // deployment actually uses rather than whichever intent came last).
-        for key in heal_keys {
-            let public = PublicKey::from_element(key).map_err(|_| DbfsError::Corrupt {
-                what: "erase intent carries an invalid authority key".to_owned(),
-            })?;
-            self.lineage_heal(&OperatorEscrow::new(public))?;
+        for escrow in heal_escrows.values() {
+            self.lineage_heal(escrow)?;
         }
         // Clear only after the heal, so a crash during recovery re-runs it.
         for (shard, token) in completed {
@@ -464,16 +425,8 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
     /// caught in the same pass.
     fn lineage_heal(&self, escrow: &OperatorEscrow) -> Result<(), DbfsError> {
         let global = global_summaries(&self.shards);
-        let victims: Vec<(usize, DataTypeId, PdId)> = erased_ancestor_violations(&global)
-            .into_iter()
-            .map(|(id, _)| {
-                let (shard, summary) = &global[&id];
-                (*shard, summary.data_type.clone(), id)
-            })
-            .collect();
-        for (shard, data_type, id) in victims {
-            self.shards[shard].erase(&data_type, id, escrow)?;
-        }
+        let victims = erased_ancestor_violations(&global).into_iter();
+        self.erase_per_shard(0, victims.map(|(id, _)| id), escrow)?;
         Ok(())
     }
 
@@ -696,36 +649,82 @@ impl<D: BlockDevice + 'static> ShardedDbfs<D> {
         }
     }
 
-    /// The tail `erase` and `erase_subject` share once their targets are
-    /// snapshotted and announced (`announced` lists the announcements the
-    /// erasure made): persist the routed intent on `intent_shard` **before
-    /// the first tombstone**, erase shard by shard in target order (`erase`
-    /// lists the root first, so even an unlogged crash leaves every survivor
-    /// with an erased ancestor — healable), withdraw the announcements,
-    /// clear the intent.
-    fn erase_routed(
+    /// Phase one of every routed erasure: walks the copy closure of `roots`
+    /// over every shard and announces roots and closure under the
+    /// announcement lock — index reads, no disk I/O — so a copy racing the
+    /// erasure is refused from here on.  Returns the live members, roots
+    /// first, with their types, and the announcements this call made.
+    fn announce_closure(&self, roots: Vec<PdId>) -> (Vec<(PdId, DataTypeId)>, Vec<PdId>) {
+        let mut announced = self.announced.lock();
+        let closure = self.closure(roots.iter().copied());
+        let members: Vec<PdId> = roots.into_iter().chain(closure).collect();
+        // The ids the set did not hold yet: the announcements this makes.
+        let fresh = members.iter().copied().filter(|&id| announced.insert(id));
+        let fresh = fresh.collect();
+        let live = members.into_iter().filter_map(|id| {
+            let summary = self.summary(id).filter(|summary| !summary.erased)?;
+            Some((id, summary.data_type))
+        });
+        (live.collect(), fresh)
+    }
+
+    /// Groups `ids` per owning shard, each group in `ids` order, and runs
+    /// each group as its shard's own cascade ([`Dbfs::erase_ids`]): `first`'s
+    /// group first, the others in shard order.  Returns every id tombstoned.
+    fn erase_per_shard(
         &self,
-        intent_shard: usize,
-        targets: Vec<(usize, DataTypeId, PdId)>,
-        announced: Vec<PdId>,
+        first: usize,
+        ids: impl IntoIterator<Item = PdId>,
         escrow: &OperatorEscrow,
     ) -> Result<Vec<PdId>, DbfsError> {
-        if targets.is_empty() {
-            self.withdraw(&announced);
-            return Ok(Vec::new());
+        let mut groups: BTreeMap<usize, Vec<PdId>> = BTreeMap::new();
+        for id in ids {
+            groups.entry(self.shard_of_id(id)).or_default().push(id);
         }
-        // A failed intent write touched nothing: the erasure never happened.
-        let intent = intent_for(&targets, escrow);
-        let token = self.shards[intent_shard]
-            .put_erase_intent(&intent)
-            .inspect_err(|_| self.withdraw(&announced))?;
-        let mut erased: BTreeSet<PdId> = BTreeSet::new();
-        for (shard, data_type, id) in targets {
-            erased.extend(self.shards[shard].erase(&data_type, id, escrow)?);
+        let lead = groups.remove_entry(&first);
+        let mut erased = Vec::new();
+        for (shard, ids) in lead.into_iter().chain(groups) {
+            erased.extend(self.shards[shard].erase_ids(&ids, escrow)?);
         }
+        Ok(erased)
+    }
+
+    /// The tail `erase` and `erase_subject` share once their roots are
+    /// known (`first`: the root's shard, or the subject's home shard): the
+    /// closure is announced, then its live members run per shard.  A
+    /// closure on one shard is that shard's cascade alone, crash-atomic by
+    /// itself, so it writes no routed intent.  One spanning shards persists
+    /// a routed [`EraseIntent`] on `first` **before the first tombstone**
+    /// and clears it after the last.
+    fn erase_closure(
+        &self,
+        first: usize,
+        roots: Vec<PdId>,
+        escrow: &OperatorEscrow,
+    ) -> Result<Vec<PdId>, DbfsError> {
+        let (live, announced) = self.announce_closure(roots);
+        let shard_of = |(id, _): &(PdId, DataTypeId)| self.shard_of_id(*id);
+        let spans = live.windows(2).any(|w| shard_of(&w[0]) != shard_of(&w[1]));
+        let token = if spans {
+            let targets = live.iter().map(|(id, name)| (name.to_string(), id.raw()));
+            let intent = EraseIntent {
+                targets: targets.collect(),
+                escrow_key: escrow.public_key().element(),
+                routed: true,
+            };
+            // A failed intent write touched nothing: the erasure never
+            // happened.
+            let put = self.shards[first].put_erase_intent(&intent);
+            Some(put.inspect_err(|_| self.withdraw(&announced))?)
+        } else {
+            None
+        };
+        let erased = self.erase_per_shard(first, live.into_iter().map(|(id, _)| id), escrow)?;
         self.withdraw(&announced);
-        self.shards[intent_shard].clear_erase_intent(token)?;
-        Ok(erased.into_iter().collect())
+        if let Some(token) = token {
+            self.shards[first].clear_erase_intent(token)?;
+        }
+        Ok(erased)
     }
 
     /// Total tombstones reclaimed by scrub passes since mount, summed over
@@ -977,20 +976,16 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     }
 
     /// Tombstones the record *and* the **transitive copy closure on every
-    /// shard**.  The erasure is two-phase and crash-durable:
-    ///
-    /// 1. the closure is walked over every shard's reverse-lineage index and
-    ///    announced under the announcement lock (index reads, no disk I/O),
-    ///    so a copy racing the erasure is refused from here on;
-    /// 2. the full target list is persisted as an [`EraseIntent`] on the
-    ///    root's shard **before any tombstone is written**, then each
-    ///    involved shard performs its crypto-erasures (each shard's cascade
-    ///    is one batch through its write pipeline) and the intent is cleared.
-    ///
-    /// A crash before the intent write leaves the deployment untouched (a
-    /// clean abort); a crash after it is **completed** at the next
-    /// [`ShardedDbfs::mount`], so no copy ever outlives its erased original
-    /// across a power loss.
+    /// shard**: the closure is walked over every shard's reverse-lineage
+    /// index and announced (index reads, no disk I/O), so a copy racing the
+    /// erasure is refused from here on; then each involved shard runs its
+    /// live members as its own cascade, the root's shard first.  A closure
+    /// on the root's shard alone is exactly [`Dbfs`]'s erase.  One spanning
+    /// shards is two-phase: the targets are persisted as an [`EraseIntent`]
+    /// on the root's shard **before any tombstone is written**.  A crash is
+    /// **completed** at the next [`ShardedDbfs::mount`] — by the shard's
+    /// local intent or by the routed one — so no copy ever outlives its
+    /// erased original across a power loss.
     fn erase(
         &self,
         data_type: &DataTypeId,
@@ -998,40 +993,19 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
         escrow: &OperatorEscrow,
     ) -> Result<Vec<PdId>, DbfsError> {
         let _serialized = self.erasures.lock();
-        let root_shard = self.shard_of_id(id);
-        // Validate the id (and learn whether the root is already a
-        // tombstone) without mutating anything.
-        let root_erased = self.shards[root_shard]
-            .load_membrane(data_type, id)?
-            .is_erased();
-        // Phase 1: walk the closure and announce it.  No disk I/O under the
-        // announcement lock.
-        let (targets, announced) = {
-            let mut announced = self.announced.lock();
-            let members = self.closure([id]);
-            let mut targets = Vec::with_capacity(members.len() + 1);
-            if !root_erased {
-                targets.push((root_shard, data_type.clone(), id));
-            }
-            for &member in &members {
-                let member_type = self
-                    .summary(member)
-                    .map_or_else(|| data_type.clone(), |summary| summary.data_type);
-                targets.push((self.shard_of_id(member), member_type, member));
-            }
-            let fresh = announce(&mut announced, members.into_iter().chain([id]));
-            (targets, fresh)
-        };
-        // Phase 2: intent on the root's shard, then the erasures.
-        self.erase_routed(root_shard, targets, announced, escrow)
+        // Validate the id without mutating anything.
+        self.load_membrane(data_type, id)?;
+        self.erase_closure(self.shard_of_id(id), vec![id], escrow)
     }
 
-    /// The subject's live records, on its home shard and off it, are
-    /// snapshotted together with their transitive copy closure and
-    /// announced under the announcement lock, the target list is persisted
-    /// as an [`EraseIntent`] on the subject's home shard, then every
-    /// involved shard erases its members and the intent is cleared.  A crash mid-erasure is completed
-    /// at the next mount — the request never stays half-applied.
+    /// The subject's live records, on its home shard and off it, are the
+    /// roots of one erasure like [`PdStore::erase`]'s: their transitive
+    /// copy closure is announced, then each involved shard runs its members
+    /// as its own cascade, the home shard first.  Records and copies all on
+    /// one shard are that shard's cascade and write no routed intent; a
+    /// closure spanning shards persists a routed [`EraseIntent`] on the home
+    /// shard first.  A crash mid-erasure is completed at the next mount —
+    /// the request never stays half-applied.
     fn erase_subject(
         &self,
         subject: SubjectId,
@@ -1039,35 +1013,18 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     ) -> Result<Vec<PdId>, DbfsError> {
         let _serialized = self.erasures.lock();
         let home = self.home_shard(subject);
-        // Phase 1: roots = the subject's live records, home shard first, then
-        // those off it; closure-expand them and announce the lot.
-        let (targets, announced) = {
-            let mut announced = self.announced.lock();
-            let mut targets: Vec<(usize, DataTypeId, PdId)> = Vec::new();
-            let mut seen: BTreeSet<PdId> = BTreeSet::new();
-            let records = self.shards[home].subject_summaries(subject);
-            for record in records.into_iter().chain(self.foreign_of(subject)) {
-                if !record.erased && seen.insert(record.id) {
-                    targets.push((self.shard_of_id(record.id), record.data_type, record.id));
-                }
-            }
-            for member in self.closure(seen.iter().copied()) {
-                if seen.insert(member) {
-                    if let Some(summary) = self.summary(member) {
-                        targets.push((self.shard_of_id(member), summary.data_type, member));
-                    }
-                }
-            }
-            (targets, announce(&mut announced, seen))
-        };
-        // Phase 2: intent on the subject's home shard, then the erasures.
-        self.erase_routed(home, targets, announced, escrow)
+        let records = self.shards[home].subject_summaries(subject);
+        let live = records.into_iter().chain(self.foreign_of(subject));
+        let roots = live.filter(|record| !record.erased).map(|record| record.id);
+        self.erase_closure(home, roots.collect(), escrow)
     }
 
-    /// Every shard purges its own expiry index, then the router propagates
-    /// the erasure to cross-shard copies whose retention diverged from
-    /// their expired original (a copy must never outlive its lineage): their
-    /// closure is walked and announced like `erase`'s.
+    /// On one shard, that shard's own sweep.  On two or more, every shard
+    /// purges its own expiry index, then the router propagates the erasure
+    /// to cross-shard copies whose retention diverged from their expired
+    /// original (a copy must never outlive its lineage): their closure is
+    /// walked and announced like `erase`'s, and each involved shard runs its
+    /// members as its own cascade.
     ///
     /// The sweep's exact target set is only known mid-sweep, so the durable
     /// intent written up front carries no targets — just the authority key.
@@ -1076,6 +1033,9 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// **lineage heal**: any live record with an erased ancestor is erased.
     fn purge_expired(&self, escrow: &OperatorEscrow) -> Result<Vec<PdId>, DbfsError> {
         let _serialized = self.erasures.lock();
+        if let [shard] = self.shards.as_slice() {
+            return shard.purge_expired(escrow);
+        }
         let now = self.clock.now();
         if !self
             .shards
@@ -1093,20 +1053,8 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
         for shard in &self.shards {
             expired.extend(shard.purge_expired(escrow)?);
         }
-        let (targets, announced) = {
-            let mut announced = self.announced.lock();
-            let members = self.closure(expired.iter().copied());
-            let live = members.into_iter().filter_map(|member| {
-                let summary = self.summary(member).filter(|summary| !summary.erased)?;
-                Some((self.shard_of_id(member), summary.data_type, member))
-            });
-            let targets: Vec<(usize, DataTypeId, PdId)> = live.collect();
-            let fresh = announce(&mut announced, targets.iter().map(|&(_, _, id)| id));
-            (targets, fresh)
-        };
-        for (shard, data_type, id) in targets {
-            expired.extend(self.shards[shard].erase(&data_type, id, escrow)?);
-        }
+        let (live, announced) = self.announce_closure(expired.clone());
+        expired.extend(self.erase_per_shard(0, live.into_iter().map(|(id, _)| id), escrow)?);
         self.withdraw(&announced);
         self.shards[0].clear_erase_intent(token)?;
         Ok(expired)
@@ -1226,15 +1174,18 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
     /// honouring the cross-shard protocol state.  A tombstone survives the
     /// pass while **any** shard holds a pending [`EraseIntent`] naming it
     /// (the routed erasure may still be completing elsewhere) or while a
-    /// copy on any shard names it as its original (no shard's
-    /// reverse-lineage index may dangle).
+    /// copy on **another** shard names it as its original (no shard's
+    /// reverse-lineage index may dangle).  Copies on its own shard are the
+    /// shard's business: its pass reclaims a local chain whole, children
+    /// first.
     ///
     /// Runs under the cross-shard erasure lock, in rounds: reclaiming a
     /// leaf copy on one shard unblocks its original on another, so the pass
     /// iterates until no shard makes progress — erased copy chains vanish
-    /// whole, children first, exactly like the per-shard fixpoint.  A round
-    /// that fails leaves nothing to repair: what it reclaimed is gone from
-    /// the shards, the only place the router reads it from.
+    /// whole, children first, one round per shard boundary a chain crosses.
+    /// On one shard, the first round is the shard's own pass.  A round that
+    /// fails leaves nothing to repair: what it reclaimed is gone from the
+    /// shards, the only place the router reads it from.
     ///
     /// The returned report accumulates reclaims across rounds; the
     /// `retained_*` counters describe what the *final* round left behind.
@@ -1249,15 +1200,16 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
             let mut pending: BTreeSet<PdId> = BTreeSet::new();
             for shard in &self.shards {
                 for (_, intent) in shard.pending_erase_intents()? {
-                    pending.extend(intent.targets.iter().map(|(_, raw)| PdId::new(*raw)));
+                    pending.extend(intent.ids());
                 }
             }
-            // Tombstones a surviving copy names as its original stay, the
-            // copy on whatever shard: no shard's lineage index may dangle.
-            let blocked: BTreeSet<PdId> = self
+            // Tombstones a surviving copy on another shard names as its
+            // original stay: no shard's lineage index may dangle.  A shard
+            // orders its own copy chains child-first within its pass.
+            let originals: Vec<BTreeSet<PdId>> = self
                 .shards
                 .iter()
-                .flat_map(|shard| shard.copy_originals())
+                .map(|shard| shard.copy_originals())
                 .collect();
             let mut round = ScrubReport::default();
             // The shard-level scrubber classifies every closure-vetoed
@@ -1265,13 +1217,17 @@ impl<D: BlockDevice + 'static> PdStore for ShardedDbfs<D> {
             // really in-flight-intent holds so the report attributes them
             // correctly.
             let pending_holds = std::sync::atomic::AtomicUsize::new(0);
-            for shard in &self.shards {
+            for (i, shard) in self.shards.iter().enumerate() {
+                let copied_elsewhere = |id| {
+                    let mut others = originals.iter().enumerate().filter(|&(j, _)| j != i);
+                    others.any(|(_, named)| named.contains(&id))
+                };
                 round.merge(shard.scrub_tombstones_with(|id| {
                     if pending.contains(&id) {
                         pending_holds.fetch_add(1, Ordering::Relaxed);
                         return false;
                     }
-                    !blocked.contains(&id)
+                    !copied_elsewhere(id)
                 })?);
             }
             if first_scan.is_none() {
@@ -1324,7 +1280,7 @@ mod tests {
             .with("year_of_birthdate", 1990i64);
         let target = sharded.collect(&user, SubjectId::new(1), row).unwrap();
         let record = sharded.get(&user, target).unwrap();
-        announce(&mut sharded.announced.lock(), [target]);
+        sharded.announced.lock().insert(target);
 
         let refused = |result: Result<PdId, DbfsError>| matches!(result, Err(DbfsError::Erased { id }) if id == target.raw());
         assert!(refused(sharded.copy(&user, target)));

@@ -934,3 +934,37 @@ fn a_failed_cross_shard_erasure_leaves_the_live_copy_visible_and_erasable() {
     }
     assert!(failed > 0, "no fault failed the erasure");
 }
+
+/// An erasure whose closure lies on one shard is that shard's own cascade:
+/// the home shard journals exactly what a standalone `Dbfs` journals for the
+/// same subject erasure, and no other shard journals anything.
+#[test]
+fn a_one_shard_subject_erasure_journals_what_dbfs_journals() {
+    let subject = SubjectId::new(7);
+    let names = ["a", "b", "c"];
+    let single = rgpdos_dbfs::Dbfs::format(devices(1).remove(0), DbfsParams::small()).unwrap();
+    single.create_type(listing1_user_schema()).unwrap();
+    for name in names {
+        single.collect(&user(), subject, user_row(name)).unwrap();
+    }
+    let before = single.inode_fs().journal_txs();
+    assert_eq!(single.erase_subject(subject, &escrow()).unwrap().len(), 3);
+    let expected = single.inode_fs().journal_txs() - before;
+
+    let sharded = sharded(3);
+    for name in names {
+        sharded.collect(&user(), subject, user_row(name)).unwrap();
+    }
+    let txs = || -> Vec<u64> {
+        let shards = sharded.shards().iter();
+        shards.map(|shard| shard.inode_fs().journal_txs()).collect()
+    };
+    let before = txs();
+    assert_eq!(sharded.erase_subject(subject, &escrow()).unwrap().len(), 3);
+    let home = sharded.home_shard(subject);
+    for (shard, (after, before)) in txs().into_iter().zip(before).enumerate() {
+        let want = if shard == home { expected } else { 0 };
+        assert_eq!(after - before, want, "shard {shard} (home {home})");
+    }
+    sharded.verify_index_invariants().unwrap();
+}

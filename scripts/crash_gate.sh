@@ -9,6 +9,10 @@
 # committed file.  A change that moves a count on purpose copies that file
 # over perf/crash_counts.json in the same diff and says which sweep moved.
 #
+# It also fails, naming the seed, when a seed's `sharded-scrub-1` (the scrub
+# script on a one-shard router) differs from its `dbfs-scrub`: a one-shard
+# router must make exactly the device writes of the single-device store.
+#
 # usage: scripts/crash_gate.sh [report...]
 #   (default: reports/crash-results.json reports/crash-results-d5c0de.json)
 set -euo pipefail
@@ -26,9 +30,20 @@ jq --slurp --sort-keys '
     | add
 ' "$@" >"$extracted"
 
+status=0
+apart=$(jq -r '
+    to_entries[] | select(.value["sharded-scrub-1"] != .value["dbfs-scrub"])
+    | "seed \(.key): sharded-scrub-1 \(.value["sharded-scrub-1"]) != dbfs-scrub \(.value["dbfs-scrub"])"
+' "$extracted")
+if [ -n "$apart" ]; then
+    echo "a one-shard router's device writes differ from Dbfs's:" >&2
+    echo "$apart" >&2
+    status=1
+fi
 if ! diff -u "$root/perf/crash_counts.json" "$extracted"; then
     echo "crash-point counts moved; if on purpose:" >&2
     echo "  cp $extracted perf/crash_counts.json" >&2
-    exit 1
+    status=1
 fi
+[ "$status" -eq 0 ] || exit 1
 echo "crash-point counts equal perf/crash_counts.json"

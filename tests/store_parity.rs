@@ -9,13 +9,14 @@
 //!   each step succeeded and the size of what it returned — counts,
 //!   cardinalities, erased-closure sizes.
 //! * All three end with `verify_index_invariants()` ok.
+//! * `Dbfs` and one shard leave byte-identical devices: a one-shard router
+//!   is its shard's own calls, so it must issue exactly `Dbfs`'s writes.
 //!
-//! The stores share no code above the per-shard `Dbfs`: routing, the
-//! cross-shard copy closure and the two-phase erasure exist only in the router,
-//! the local cascade only in `Dbfs`.  The script is the differential test
-//! between them.
+//! Routing, the cross-shard copy closure and the two-phase erasure exist
+//! only in the router; every erasure, routed or not, reaches a shard as that
+//! shard's own cascade.  The script is the differential test between them.
 
-use rgpdos::blockdev::MemDevice;
+use rgpdos::blockdev::{BlockDevice, MemDevice};
 use rgpdos::core::prelude::*;
 use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
@@ -286,15 +287,14 @@ fn script<S: PdStore>(store: &S) -> Trace {
         RecordBatch::len,
     );
 
-    // scrub: every tombstone is reclaimable, copy chains child-first.  The
-    // space figures leave `allocated_blocks` out: it counts the erase-intent
-    // log, which only the router writes for a single-target erasure.
+    // scrub: every tombstone is reclaimable, copy chains child-first.
     let records = |s: &rgpdos::dbfs::SpaceStats| {
         (
             s.live_records,
             s.tombstone_records,
             s.live_bytes,
             s.tombstone_bytes,
+            s.allocated_blocks,
         )
     };
     t.step(
@@ -338,16 +338,27 @@ fn device() -> Arc<MemDevice> {
     Arc::new(MemDevice::new(8192, 512))
 }
 
-fn sharded(shards: usize) -> ShardedDbfs<Arc<MemDevice>> {
-    let devices = (0..shards).map(|_| device()).collect();
+fn sharded(devices: Vec<Arc<MemDevice>>) -> ShardedDbfs<Arc<MemDevice>> {
     ShardedDbfs::format(devices, DbfsParams::small()).unwrap()
 }
 
 #[test]
 fn one_script_reads_the_same_on_dbfs_one_shard_and_three_shards() {
-    let single = script(&Dbfs::format(device(), DbfsParams::small()).unwrap());
-    let one_shard = script(&sharded(1));
-    let three_shards = script(&sharded(3));
+    let (single_device, shard_device) = (device(), device());
+    let single = script(&Dbfs::format(Arc::clone(&single_device), DbfsParams::small()).unwrap());
+    let one_shard = script(&sharded(vec![Arc::clone(&shard_device)]));
+    let three_shards = script(&sharded((0..3).map(|_| device()).collect()));
+
+    // A one-shard router is the shard's own calls: the script leaves the
+    // same bytes in every block of both devices.
+    let blocks = single_device.geometry().blocks;
+    let apart: Vec<u64> = (0..blocks)
+        .filter(|&b| single_device.read_block(b).unwrap() != shard_device.read_block(b).unwrap())
+        .collect();
+    assert!(
+        apart.is_empty(),
+        "Dbfs and one shard differ in blocks {apart:?}"
+    );
 
     // The script's own expectations, stated once against the single store.
     let size_of = |what: &str| -> Vec<Option<usize>> {
