@@ -13,7 +13,7 @@ use crate::value::Row;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// On-disk codec for the *split* record layout used by DBFS (format v2).
+/// On-disk codec for the *split* record layout used by DBFS (since format v2).
 ///
 /// A stored record is two length-prefixed sections inside one inode extent:
 ///

@@ -1,5 +1,5 @@
-//! The DBFS implementation: two inode trees, typed tables, membranes,
-//! crypto-erasure and retention sweeping.
+//! The DBFS implementation: one on-disk table tree, typed tables,
+//! membranes, crypto-erasure and retention sweeping.
 //!
 //! # Record layout and secondary indexes
 //!
@@ -8,10 +8,14 @@
 //! followed by the row payload.  Membrane-only reads (`ded_load_membrane`)
 //! fetch and deserialize the header section without touching the payload.
 //!
-//! The in-memory index (the private `index` module) mirrors the two inode
-//! trees and derives per-table, per-subject, reverse copy-lineage and expiry
-//! indexes from them, so no scan, subject-wide operation, erasure
-//! propagation or retention sweep iterates the global record map.
+//! The table tree is the one on-disk record registry: `tables/<type>/pd-<id>`
+//! names every record inode.  The in-memory index (the private `index`
+//! module) mirrors it and derives per-table, per-subject, reverse
+//! copy-lineage and expiry indexes from the membranes it names, so no scan,
+//! subject-wide operation, erasure propagation or retention sweep iterates
+//! the global record map.  The per-subject index is the paper's subject
+//! tree: every membrane names its subject, so mount rebuilds it and no
+//! subject directory is kept on disk.
 //!
 //! # Write path: one pipeline, group commit
 //!
@@ -55,17 +59,19 @@ const META_ENTRY: &str = "meta";
 const INTENTS_ENTRY: &str = "__intents";
 /// Name of the table tree in the DBFS root.
 const TABLES_DIR: &str = "tables";
-/// Name of the subject tree in the DBFS root.
-const SUBJECTS_DIR: &str = "subjects";
-/// Magic-plus-version tag leading the metadata entry (format v2, the split
-/// record layout).  Format v1 metadata was a bare 8-byte `next_pd` counter;
-/// such images are refused on mount.
+/// Magic-plus-version tag leading the metadata entry (format v3: the split
+/// record layout, and the table tree as the one on-disk record tree).
+/// Format v1 metadata was a bare 8-byte `next_pd` counter, and format v2
+/// carried [`META_MAGIC_V2`] and kept a subject tree beside the table tree;
+/// both are refused on mount.
+const META_MAGIC: u64 = 0x5247_5044_4653_0003;
+/// The format v2 tag, known only to be refused.
 const META_MAGIC_V2: u64 = 0x5247_5044_4653_0002;
 
-/// Encodes the v2 metadata entry (magic + next PD identifier).
+/// Encodes the metadata entry (magic + next PD identifier).
 fn encode_meta(next_pd: u64) -> [u8; 16] {
     let mut bytes = [0u8; 16];
-    bytes[0..8].copy_from_slice(&META_MAGIC_V2.to_le_bytes());
+    bytes[0..8].copy_from_slice(&META_MAGIC.to_le_bytes());
     bytes[8..16].copy_from_slice(&next_pd.to_le_bytes());
     bytes
 }
@@ -76,10 +82,11 @@ fn decode_meta(meta: &[u8]) -> Result<u64, DbfsError> {
         8 => Err(corrupt("unsupported format version 1")),
         16 => {
             let (magic, next_pd) = meta.split_at(8);
-            if magic != META_MAGIC_V2.to_le_bytes() {
-                return Err(corrupt("metadata"));
+            match u64::from_le_bytes(magic.try_into().expect("8 bytes")) {
+                META_MAGIC => Ok(u64::from_le_bytes(next_pd.try_into().expect("8 bytes"))),
+                META_MAGIC_V2 => Err(corrupt("unsupported format version 2")),
+                _ => Err(corrupt("metadata")),
             }
-            Ok(u64::from_le_bytes(next_pd.try_into().expect("8 bytes")))
         }
         _ => Err(corrupt("metadata")),
     }
@@ -93,12 +100,6 @@ pub(crate) fn unknown_type(name: &DataTypeId) -> DbfsError {
     DbfsError::UnknownType {
         name: name.to_string(),
     }
-}
-
-/// The name of a record's entry in its subject's directory (`user#pd-7`);
-/// in its table's directory it is the id alone (`pd-7`).
-fn subject_entry(data_type: &DataTypeId, id: PdId) -> String {
-    format!("{data_type}#{id}")
 }
 
 /// Reads only the membrane header section of a split-layout record: the
@@ -330,12 +331,8 @@ struct StagedOp {
 enum IndexChange {
     /// A row update: the record stays where it is.
     None,
-    /// A new record, and the subject subtree the insert created for it
-    /// (`None` when the subject already had one).
-    Insert {
-        location: RecordLocation,
-        new_subject: Option<Ino>,
-    },
+    /// A new record.
+    Insert(RecordLocation),
     /// A retention change: re-key the record in the expiry index.
     Expiry(Option<Timestamp>),
     /// An erasure: the record is a tombstone from now on.
@@ -343,14 +340,11 @@ enum IndexChange {
 }
 
 impl StagedOp {
-    /// The new record's location and the subject subtree created for it,
-    /// when the op is an insert.  Later inserts of the same group see both.
-    fn as_insert(&self) -> Option<(&RecordLocation, Option<Ino>)> {
+    /// The new record's location, when the op is an insert.  Later inserts
+    /// of the same group see it.
+    fn as_insert(&self) -> Option<&RecordLocation> {
         match &self.change {
-            IndexChange::Insert {
-                location,
-                new_subject,
-            } => Some((location, *new_subject)),
+            IndexChange::Insert(location) => Some(location),
             _ => None,
         }
     }
@@ -507,13 +501,11 @@ impl<D: BlockDevice> Dbfs<D> {
         let tx = fs.begin_tx();
         let tables_ino = fs.alloc_inode(InodeKind::Directory)?;
         fs.dir_add(ROOT_INO, TABLES_DIR, tables_ino)?;
-        let subjects_ino = fs.alloc_inode(InodeKind::Directory)?;
-        fs.dir_add(ROOT_INO, SUBJECTS_DIR, subjects_ino)?;
         let meta_ino = fs.alloc_inode(InodeKind::File)?;
         fs.dir_add(ROOT_INO, META_ENTRY, meta_ino)?;
         fs.write_replace(meta_ino, &encode_meta(0))?;
         tx.commit()?;
-        let index = DbfsIndex::new(alloc, tables_ino, subjects_ino, meta_ino);
+        let index = DbfsIndex::new(alloc, tables_ino, meta_ino);
         let snapshot = index.snapshot(clock.now(), fs.journal_txs());
         Ok(Self {
             fs,
@@ -527,8 +519,8 @@ impl<D: BlockDevice> Dbfs<D> {
         })
     }
 
-    /// Mounts an existing DBFS, rebuilding the in-memory index from the two
-    /// inode trees.
+    /// Mounts an existing DBFS, rebuilding the in-memory index from the
+    /// table tree and the membranes it names.
     ///
     /// # Errors
     ///
@@ -555,13 +547,14 @@ impl<D: BlockDevice> Dbfs<D> {
     /// allocation.  The allocation is not persisted: a sharded deployment
     /// must pass the same `IdAllocation` it formatted the shard with.
     ///
-    /// Mounting builds the index from the table tree and the subjects
-    /// directory and repairs nothing in either: every mutation of the two
-    /// trees is one journal transaction, so after the inode layer's journal
-    /// replay they agree, and [`PdStore::verify_index_invariants`] reports
-    /// an image where they do not.  What mount still does on top of the
-    /// replay is heal the identifier counter and complete the local erase
-    /// intents a crash interrupted, counting both in
+    /// Mounting builds the index from the table tree — every derived index,
+    /// the per-subject one included, from the membrane headers its entries
+    /// name — and repairs nothing in it: every mutation of a record and its
+    /// table entry is one journal transaction, so after the inode layer's
+    /// journal replay they agree, and [`PdStore::verify_index_invariants`]
+    /// reports an image where they do not.  What mount still does on top of
+    /// the replay is heal the identifier counter and complete the local
+    /// erase intents a crash interrupted, counting both in
     /// [`DbfsStats::recovered_txs`].
     ///
     /// # Errors
@@ -579,29 +572,19 @@ impl<D: BlockDevice> Dbfs<D> {
         let tables_ino = fs
             .dir_lookup(ROOT_INO, TABLES_DIR)?
             .ok_or_else(|| corrupt("missing tables tree"))?;
-        let subjects_ino = fs
-            .dir_lookup(ROOT_INO, SUBJECTS_DIR)?
-            .ok_or_else(|| corrupt("missing subjects tree"))?;
         let meta_ino = fs
             .dir_lookup(ROOT_INO, META_ENTRY)?
             .ok_or_else(|| corrupt("missing metadata file"))?;
         let meta = fs.read_all(meta_ino)?;
         let next_pd = decode_meta(&meta)?;
 
-        let mut index = DbfsIndex::new(alloc, tables_ino, subjects_ino, meta_ino);
+        let mut index = DbfsIndex::new(alloc, tables_ino, meta_ino);
         index.next_pd = next_pd;
         index.intents_ino = fs.dir_lookup(ROOT_INO, INTENTS_ENTRY)?;
 
-        for (subject_name, subject_ino) in fs.dir_entries(subjects_ino)? {
-            let raw = subject_name
-                .strip_prefix("subject-")
-                .and_then(|s| s.parse::<u64>().ok())
-                .ok_or_else(|| corrupt("malformed subject entry"))?;
-            index.register_subject(SubjectId::new(raw), subject_ino);
-        }
-
         // The tables tree is the record registry: what a record contributes
-        // to every other index follows from its membrane header.
+        // to every other index — its subject included — follows from its
+        // membrane header.
         for (type_name, table_ino) in fs.dir_entries(tables_ino)? {
             let data_type = DataTypeId::from(type_name.as_str());
             for (entry, ino) in fs.dir_entries(table_ino)? {
@@ -807,12 +790,6 @@ impl<D: BlockDevice> Dbfs<D> {
             snapshot.published_at,
             snapshot.committed_txs,
         )
-    }
-
-    /// The subjects that currently own at least one record.  Wait-free
-    /// (published snapshot), like [`PdStore::types`].
-    pub fn subjects(&self) -> Vec<SubjectId> {
-        self.read_snapshot().view.subjects.keys().copied().collect()
     }
 
     // ------------------------------------------------------------------
@@ -1037,9 +1014,9 @@ impl<D: BlockDevice> Dbfs<D> {
     /// index *and* the inserts staged by the open group (a staged record is
     /// never erased, but its ancestors must still be walked), then stages
     /// every disk effect of it — identifier counter, record inode,
-    /// table-tree entry, subject-tree entry — into the **open** compound
-    /// transaction, so a crash at any write index leaves either the whole
-    /// record or none of it.
+    /// table-tree entry — into the **open** compound transaction, so a
+    /// crash at any write index leaves either the whole record or none of
+    /// it.
     fn stage_insert(
         &self,
         index: &DbfsIndex,
@@ -1066,7 +1043,7 @@ impl<D: BlockDevice> Dbfs<D> {
             let lookup = |id| {
                 let staged = || {
                     let mut staged = group.iter().filter(|op| op.id == id);
-                    staged.find_map(|op| Some(op.as_insert()?.0))
+                    staged.find_map(StagedOp::as_insert)
                 };
                 let loc = index.view.records.get(&id).or_else(staged)?;
                 Some((loc.erased, loc.copied_from))
@@ -1096,32 +1073,15 @@ impl<D: BlockDevice> Dbfs<D> {
         self.fs.write_replace(record_ino, &bytes)?;
         self.fs.dir_add(table_ino, &id.to_string(), record_ino)?;
 
-        // Subject-tree entry (creating the subject's subtree on first use —
-        // a subtree created earlier in the same group is reused).
-        let known_subject = index.view.subjects.get(&subject).copied().or_else(|| {
-            let mut staged = group.iter().filter(|op| op.subject == subject);
-            staged.find_map(|op| op.as_insert()?.1)
-        });
-        let (subject_ino, new_subject) = match known_subject {
-            Some(ino) => (ino, None),
-            None => {
-                let ino = self.fs.alloc_inode(InodeKind::SubjectRoot)?;
-                self.fs
-                    .dir_add(index.subjects_ino, &subject.to_string(), ino)?;
-                (ino, Some(ino))
-            }
-        };
-        self.fs
-            .dir_add(subject_ino, &subject_entry(data_type, id), record_ino)?;
-
         Ok(StagedOp {
             id,
             subject,
             event: AuditEventKind::Collected { pd: id },
-            change: IndexChange::Insert {
-                location: RecordLocation::from_membrane(data_type, wrapped.membrane(), record_ino),
-                new_subject,
-            },
+            change: IndexChange::Insert(RecordLocation::from_membrane(
+                data_type,
+                wrapped.membrane(),
+                record_ino,
+            )),
         })
     }
 
@@ -1138,13 +1098,7 @@ impl<D: BlockDevice> Dbfs<D> {
         for op in &mut group {
             match std::mem::replace(&mut op.change, IndexChange::None) {
                 IndexChange::None => continue,
-                IndexChange::Insert {
-                    location,
-                    new_subject,
-                } => {
-                    if let Some(ino) = new_subject {
-                        index.register_subject(op.subject, ino);
-                    }
+                IndexChange::Insert(location) => {
                     index.insert_record(op.id, location);
                     index.next_pd += 1;
                 }
@@ -1195,33 +1149,31 @@ impl<D: BlockDevice> Dbfs<D> {
         Ok(out)
     }
 
-    /// Checks one directory of a tree against the index: it holds the
-    /// entry `name` gives each `expected` record, pointing at the record's
-    /// inode, once, and (a table's schema entry aside) nothing else.
+    /// Checks one table directory against the index: it holds the entry
+    /// `pd-<id>` of each `expected` record, pointing at the record's inode,
+    /// once, and (the schema entry aside) nothing else.
     fn verify_tree<'a>(
         &self,
         dir: Ino,
-        tree: &str,
         expected: impl Iterator<Item = (PdId, &'a RecordLocation)>,
-        name: impl Fn(PdId, &RecordLocation) -> String,
     ) -> Result<(), DbfsError> {
         let mut listed = self.fs.dir_entries(dir)?;
         listed.sort_unstable();
         if let Some(pair) = listed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
             let twice = &pair[0].0;
-            return Err(corrupt(format!("{twice} named twice in its {tree} tree")));
+            return Err(corrupt(format!("{twice} named twice in its table tree")));
         }
         let mut entries: BTreeMap<String, Ino> = listed.into_iter().collect();
         entries.remove(SCHEMA_ENTRY);
         for (id, location) in expected {
-            if entries.remove(&name(id, location)) != Some(location.ino) {
-                return Err(corrupt(format!("{id} missing from its {tree} tree")));
+            if entries.remove(&id.to_string()) != Some(location.ino) {
+                return Err(corrupt(format!("{id} missing from its table tree")));
             }
         }
         match entries.into_keys().next() {
             None => Ok(()),
             Some(name) => Err(corrupt(format!(
-                "{tree} tree holds `{name}`, which the index lacks"
+                "table tree holds `{name}`, which the index lacks"
             ))),
         }
     }
@@ -1499,7 +1451,7 @@ impl<D: BlockDevice> Dbfs<D> {
     /// retention policy — routing layers pass a predicate that retains
     /// tombstones a copy on another instance still names as its original.
     ///
-    /// For every reclaimed tombstone, both tree entries are unlinked and
+    /// For every reclaimed tombstone, its table entry is unlinked and
     /// the record inode is freed (zeroed under `secure_free`, so the
     /// escrowed ciphertext leaves no residue).  The reclaims are cut into
     /// groups at the journal's capacity like a write batch, each **one**
@@ -1586,15 +1538,11 @@ impl<D: BlockDevice> Dbfs<D> {
                 &mut index,
                 &order,
                 |index, _, (id, location)| {
-                    let table = index.view.tables.get(&location.data_type);
-                    let subject = index.view.subjects.get(&location.subject);
-                    let (Some(&table_ino), Some(&subject_ino)) = (table, subject) else {
-                        return Err(corrupt(format!("tombstone {id} outside its trees")));
+                    let Some(&table_ino) = index.view.tables.get(&location.data_type) else {
+                        return Err(corrupt(format!("tombstone {id} outside its table tree")));
                     };
                     let bytes = self.fs.stat(location.ino)?.size;
                     self.fs.dir_remove(table_ino, &id.to_string())?;
-                    let entry = subject_entry(&location.data_type, *id);
-                    self.fs.dir_remove(subject_ino, &entry)?;
                     self.fs.free_inode(location.ino)?;
                     Ok(Some((*id, location.clone(), bytes)))
                 },
@@ -2035,12 +1983,11 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
 
     /// Checks the derived indexes against the primary record map (the
     /// index module's own `verify`), the primary map against the membrane
-    /// headers on disk, and the two on-disk trees against the primary map:
-    /// every record has exactly its `pd-<id>` table entry and its
-    /// `<type>#pd-<id>` subject entry, both naming its inode, and neither
-    /// tree holds an entry the index lacks.  All under the index lock from
-    /// start to end, so no writer can make the index and the disk disagree
-    /// while they are compared.
+    /// headers on disk, and the table tree against the primary map: every
+    /// record has exactly its `pd-<id>` entry in its table's directory,
+    /// naming its inode, and no table directory holds an entry the index
+    /// lacks.  All under the index lock from start to end, so no writer can
+    /// make the index and the disk disagree while they are compared.
     fn verify_index_invariants(&self) -> Result<(), DbfsError> {
         let index = self.lock_index();
         index.verify()?;
@@ -2059,13 +2006,7 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
             }
         }
         for (data_type, &dir) in view.tables.iter() {
-            let records = view.locations(view.table_ids(data_type));
-            self.verify_tree(dir, "table", records, |id, _| id.to_string())?;
-        }
-        for (&subject, &dir) in view.subjects.iter() {
-            let records = view.locations(view.subject_ids(subject));
-            let name = |id, loc: &RecordLocation| subject_entry(&loc.data_type, id);
-            self.verify_tree(dir, "subject", records, name)?;
+            self.verify_tree(dir, view.locations(view.table_ids(data_type)))?;
         }
         Ok(())
     }
@@ -2302,7 +2243,7 @@ mod tests {
             other => panic!("expected the oversize insert to be refused, got {other:?}"),
         }
         // The prefix committed, the oversize row left nothing behind — not
-        // in the index, not in either tree, not in the allocation bitmaps.
+        // in the index, not in the table tree, not in the allocation bitmaps.
         assert_eq!(dbfs.count(&"user".into()).unwrap(), 2);
         assert_eq!(dbfs.stats().collects, 2);
         dbfs.verify_index_invariants().unwrap();
@@ -2418,7 +2359,8 @@ mod tests {
         assert_eq!(record.row().get("name").unwrap().as_text(), Some("Chiraz"));
         assert!(!record.membrane().is_erased());
         assert_eq!(dbfs.count(&"user".into()).unwrap(), 1);
-        assert_eq!(dbfs.subjects(), vec![SubjectId::new(1)]);
+        let summaries = dbfs.subject_summaries(SubjectId::new(1));
+        assert_eq!(summaries.iter().map(|s| s.id).collect::<Vec<_>>(), [id]);
         assert_eq!(dbfs.stats().collects, 1);
     }
 
@@ -2440,7 +2382,7 @@ mod tests {
             other => panic!("expected the id collision to be refused, got {other:?}"),
         }
         assert_eq!(dbfs.inode_fs().journal_txs(), txs);
-        assert_eq!(dbfs.subjects(), vec![SubjectId::new(1)]);
+        assert!(dbfs.subject_summaries(SubjectId::new(2)).is_empty());
         dbfs.verify_index_invariants().unwrap();
     }
 
@@ -2658,31 +2600,35 @@ mod tests {
     }
 
     #[test]
-    fn format_v1_images_are_refused_without_touching_the_device() {
-        let device = Arc::new(MemDevice::new(8192, 512));
-        let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
-        dbfs.create_type(listing1_user_schema()).unwrap();
-        dbfs.collect(&"user".into(), SubjectId::new(9), user_row("Kept", 1975))
-            .unwrap();
-        // Format v1 marked itself by a bare 8-byte counter as metadata.
-        let meta_ino = dbfs.fs.dir_lookup(ROOT_INO, META_ENTRY).unwrap().unwrap();
-        dbfs.fs
-            .write_replace(meta_ino, &1u64.to_le_bytes())
-            .unwrap();
-        drop(dbfs);
-        let image = |device: &MemDevice| -> Vec<Vec<u8>> {
-            (0..device.geometry().blocks)
-                .map(|block| device.read_block(block).unwrap())
-                .collect()
-        };
-        let before = image(&device);
+    fn format_v1_and_v2_images_are_refused_without_touching_the_device() {
+        // Format v1 marked itself by a bare 8-byte counter as metadata;
+        // format v2 by its own magic ahead of the counter.
+        let v2 = [META_MAGIC_V2.to_le_bytes(), 1u64.to_le_bytes()].concat();
+        for (meta, version) in [(1u64.to_le_bytes().to_vec(), 1), (v2, 2)] {
+            let device = Arc::new(MemDevice::new(8192, 512));
+            let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
+            dbfs.create_type(listing1_user_schema()).unwrap();
+            dbfs.collect(&"user".into(), SubjectId::new(9), user_row("Kept", 1975))
+                .unwrap();
+            let meta_ino = dbfs.fs.dir_lookup(ROOT_INO, META_ENTRY).unwrap().unwrap();
+            dbfs.fs.write_replace(meta_ino, &meta).unwrap();
+            drop(dbfs);
+            let image = |device: &MemDevice| -> Vec<Vec<u8>> {
+                (0..device.geometry().blocks)
+                    .map(|block| device.read_block(block).unwrap())
+                    .collect()
+            };
+            let before = image(&device);
 
-        match Dbfs::mount(Arc::clone(&device)) {
-            Err(DbfsError::Corrupt { what }) => assert_eq!(what, "unsupported format version 1"),
-            Err(other) => panic!("v1 image refused with the wrong error: {other}"),
-            Ok(_) => panic!("a v1 image must not mount"),
+            match Dbfs::mount(Arc::clone(&device)) {
+                Err(DbfsError::Corrupt { what }) => {
+                    assert_eq!(what, format!("unsupported format version {version}"))
+                }
+                Err(other) => panic!("v{version} image refused with the wrong error: {other}"),
+                Ok(_) => panic!("a v{version} image must not mount"),
+            }
+            assert!(before == image(&device), "a refused mount must not write");
         }
-        assert!(before == image(&device), "a refused mount must not write");
     }
 
     #[test]

@@ -265,14 +265,13 @@ fn ids_under<K: Ord + Copy>(index: &PSet<(K, PdId)>, key: K) -> impl Iterator<It
 
 /// The maps a reader can consult, held by the writer-side [`DbfsIndex`] and
 /// by every published [`IndexSnapshot`].  Publishing is one clone of this
-/// struct — seven pointer clones, no map copy, whatever the store's size —
+/// struct — six pointer clones, no map copy, whatever the store's size —
 /// and the writer's next mutations copy only the [`PMap`] leaves they land
 /// in, while the published snapshots keep the previous versions alive.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IndexView {
     pub(crate) schemas: Arc<SchemaRegistry>,
     pub(crate) tables: PMap<DataTypeId, Ino>,
-    pub(crate) subjects: PMap<SubjectId, Ino>,
     /// The primary record map.
     pub(crate) records: PMap<PdId, RecordLocation>,
     /// Secondary index: table -> record ids (live and tombstoned).
@@ -351,24 +350,17 @@ pub(crate) struct DbfsIndex {
     /// Monotonic version counter, bumped on every snapshot publish.
     pub(crate) epoch: u64,
     pub(crate) tables_ino: Ino,
-    pub(crate) subjects_ino: Ino,
     pub(crate) meta_ino: Ino,
     /// The erase-intent WAL file, once one exists (created lazily).
     pub(crate) intents_ino: Option<Ino>,
 }
 
 impl DbfsIndex {
-    /// An empty index over the three root entries of a DBFS image.
-    pub(crate) fn new(
-        alloc: IdAllocation,
-        tables_ino: Ino,
-        subjects_ino: Ino,
-        meta_ino: Ino,
-    ) -> Self {
+    /// An empty index over the two root entries of a DBFS image.
+    pub(crate) fn new(alloc: IdAllocation, tables_ino: Ino, meta_ino: Ino) -> Self {
         Self {
             alloc,
             tables_ino,
-            subjects_ino,
             meta_ino,
             ..Self::default()
         }
@@ -379,11 +371,6 @@ impl DbfsIndex {
     pub(crate) fn register_type(&mut self, table_ino: Ino, schema: DataTypeSchema) {
         self.view.tables.insert(schema.name().clone(), table_ino);
         Arc::make_mut(&mut self.view.schemas).register(schema);
-    }
-
-    /// Makes a subject's subtree known.
-    pub(crate) fn register_subject(&mut self, subject: SubjectId, ino: Ino) {
-        self.view.subjects.insert(subject, ino);
     }
 
     /// Files a record under every key [`keys_of`] derives for it, then into

@@ -3,16 +3,18 @@
 //! DBFS is the heart of rgpdOS's storage story (§1 Idea 3, §2 "File System",
 //! §3(1)): personal data is not stored as anonymous byte files but as typed
 //! rows in tables, each row wrapped in its [`Membrane`](rgpdos_core::Membrane).
-//! The implementation follows the paper's description of the re-architected
-//! uFS layout with **two major inode trees** built over the
-//! [`rgpdos_inode`] layer:
+//! The paper re-architects the uFS layout into two major inode trees, a
+//! schema tree and a subject tree.  Here they are:
 //!
-//! * the **subject tree** gathers every piece of personal data of each
-//!   subject (one subtree per subject, grouping the data *and* its
-//!   membranes);
-//! * the **schema tree** provides the database structure: one subtree per
-//!   table (data type) describing its fields and pointing at the records of
-//!   that type.
+//! * the **table tree** (the paper's schema tree), the one on-disk tree,
+//!   built over the [`rgpdos_inode`] layer: one subtree per table (data
+//!   type) holding its schema and pointing at the records of that type;
+//! * the **subject grouping** (the paper's subject tree), which gathers
+//!   every record of each subject together with its membrane: the
+//!   in-memory per-subject index, which mount rebuilds from the membranes,
+//!   since each names its subject.  No subject directory is kept on disk,
+//!   so a subject whose records are all erased and reclaimed leaves no
+//!   trace of its identifier on the device.
 //!
 //! DBFS is always formatted with the scrubbed journal and zero-on-free
 //! policies, so that the right to be forgotten holds against the raw device —
@@ -26,14 +28,16 @@
 //! rule is enforced by the LSM layer of the `rgpdos-kernel` crate and
 //! exercised in the integration tests.
 //!
-//! ## Split record layout and secondary indexes (format v2)
+//! ## Split record layout and secondary indexes (format v3)
 //!
 //! Each record inode holds a **length-prefixed membrane header followed by
 //! the row payload** ([`rgpdos_core::record::stored`]).  Membrane-only reads
 //! — the `ded_load_membrane` request that consent filtering runs on — fetch
 //! and decode the header section without ever reading the payload, making
 //! data minimisation hold at the storage layer too.  A format-v1 image
-//! (single-section JSON records, bare-counter metadata) is refused on mount.
+//! (single-section JSON records, bare-counter metadata) and a format-v2
+//! image (split records, plus an on-disk subject tree) are refused on
+//! mount.
 //!
 //! Besides the primary record map the in-memory index keeps four derived
 //! structures: per-table and per-subject id sets (bounding every scan to the
@@ -45,7 +49,7 @@
 //! module): every index mutation, the mount rebuild and
 //! [`PdStore::verify_index_invariants`] go through that one statement; the
 //! checker then compares the primary map with the on-disk headers and with
-//! the entries of both trees.  The
+//! the entries of the table tree.  The
 //! obligation over the lineage — no copy outlives its erased original — is
 //! one function too, [`erased_ancestor`], shared by the insert guard here,
 //! the shard router and the crash-matrix oracle.

@@ -1138,10 +1138,7 @@ impl<D: BlockDevice> InodeFs<D> {
     /// [`InodeFs::stat`] of an inode that must be a directory.
     fn stat_dir(&self, dir: Ino) -> Result<Inode, InodeError> {
         let inode = self.stat(dir)?;
-        if inode.kind != InodeKind::Directory
-            && inode.kind != InodeKind::Table
-            && inode.kind != InodeKind::SubjectRoot
-        {
+        if inode.kind != InodeKind::Directory && inode.kind != InodeKind::Table {
             return Err(InodeError::Directory {
                 reason: format!("inode {dir} is a {} not a directory", inode.kind),
             });

@@ -10,7 +10,8 @@ pub type Ino = u64;
 /// What an inode stores.  The inode layer itself only distinguishes files and
 /// directories; the higher-level filesystems register their own kinds so that
 /// a raw scan of the inode table reveals the structural role of each subtree
-/// (the paper's DBFS builds *two major inode trees* out of these).
+/// (DBFS builds its table tree out of these).  Code 4, once a DBFS subject
+/// directory, is retired: no inode carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InodeKind {
     /// Unused inode slot.
@@ -21,8 +22,6 @@ pub enum InodeKind {
     Directory,
     /// DBFS: the root of a table (data type) subtree.
     Table,
-    /// DBFS: the root of a subject's PD subtree.
-    SubjectRoot,
     /// DBFS: one personal-data record (row + membrane).
     Record,
     /// DBFS: schema descriptor of a table.
@@ -36,7 +35,6 @@ impl InodeKind {
             InodeKind::File => 1,
             InodeKind::Directory => 2,
             InodeKind::Table => 3,
-            InodeKind::SubjectRoot => 4,
             InodeKind::Record => 5,
             InodeKind::Schema => 6,
         }
@@ -48,7 +46,6 @@ impl InodeKind {
             1 => Some(InodeKind::File),
             2 => Some(InodeKind::Directory),
             3 => Some(InodeKind::Table),
-            4 => Some(InodeKind::SubjectRoot),
             5 => Some(InodeKind::Record),
             6 => Some(InodeKind::Schema),
             _ => None,
@@ -63,7 +60,6 @@ impl fmt::Display for InodeKind {
             InodeKind::File => "file",
             InodeKind::Directory => "directory",
             InodeKind::Table => "table",
-            InodeKind::SubjectRoot => "subject-root",
             InodeKind::Record => "record",
             InodeKind::Schema => "schema",
         };
@@ -182,7 +178,6 @@ mod tests {
             InodeKind::File,
             InodeKind::Directory,
             InodeKind::Table,
-            InodeKind::SubjectRoot,
             InodeKind::Record,
             InodeKind::Schema,
         ] {
@@ -198,6 +193,8 @@ mod tests {
         let mut buf = [0u8; INODE_SIZE];
         buf[0] = 200;
         assert!(Inode::decode(&buf).is_err());
+        buf[0] = 4;
+        assert!(Inode::decode(&buf).is_err(), "kind code 4 is retired");
     }
 
     #[test]

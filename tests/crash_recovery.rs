@@ -114,13 +114,13 @@ fn dbfs_mutations_are_crash_atomic_at_every_write_index() {
     }
 }
 
-/// An insert appends one entry to its table's and its subject's directory
-/// and bumps their counts — a handful of blocks of directories that span
-/// many.  The table is preloaded so that the third of five inserts takes its
-/// directory into a new block: the sweep meets the entry inside a block, the
-/// one that straddles two and allocates, and the first of the new block.  A
-/// crash at any write leaves every record whole in both trees or absent from
-/// both, and no block leaked.
+/// An insert appends one entry to its table's directory and bumps its
+/// count — a handful of blocks of a directory that spans many.  The table
+/// is preloaded so that the third of five inserts takes its directory into
+/// a new block: the sweep meets the entry inside a block, the one that
+/// straddles two and allocates, and the first of the new block.  A crash at
+/// any write leaves every record whole in its table tree or absent from it,
+/// and no block leaked.
 #[test]
 fn an_insert_into_a_multi_block_directory_is_crash_atomic_at_every_write_index() {
     let image = |preloaded: u64| {
@@ -235,6 +235,26 @@ fn a_table_takes_inserts_up_to_its_directory_cap_and_then_fails_cleanly() {
     full(&Dbfs::mount(device).unwrap());
 }
 
+/// The store holds as many subjects as its tables hold records: 1 800
+/// records of 1 800 distinct subjects, past the 1 772 entries a 512 B-block
+/// directory of subjects would have capped, all insert, remount and verify.
+#[test]
+fn one_table_takes_a_subject_per_record_past_a_subject_directory_cap() {
+    let device = Arc::new(MemDevice::new(32_768, 512));
+    let mut params = DbfsParams::small();
+    params.inode_params = params.inode_params.with_inode_count(4_096);
+    let dbfs = Dbfs::format(Arc::clone(&device), params).unwrap();
+    dbfs.create_type(listing1_user_schema()).unwrap();
+    for from in (0..1_800u64).step_by(50) {
+        let rows = (from..from + 50).map(|i| (SubjectId::new(i), user_row("own subject")));
+        dbfs.collect_many(&"user".into(), rows.collect()).unwrap();
+    }
+    drop(dbfs);
+    let dbfs = Dbfs::mount(device).unwrap();
+    assert_eq!(dbfs.count(&"user".into()).unwrap(), 1_800);
+    dbfs.verify_index_invariants().unwrap();
+}
+
 /// A reclaim rewrites a table directory only from the removed entry on, so
 /// in a 2 000-record table (a 67-block directory, past the 61-block journal
 /// transaction) a tombstone near the end is reclaimed.  One near the start
@@ -284,21 +304,21 @@ fn a_scrub_reclaims_near_the_end_of_a_large_table_and_stops_cleanly_near_its_sta
     check(&Dbfs::mount(device).unwrap());
 }
 
-/// Every mutation of the two trees is one journal transaction, so nothing
-/// the store does can leave a record in one tree only — the state is forged
-/// here.  Mount does not repair it (a repair would hide an atomicity bug
-/// from the crash matrix): the image mounts, the index checker names the
-/// record its subject tree lacks, and the id counter — healed so that no id
-/// on disk is ever handed out again — is the one thing mount fixes.
+/// A record linked into the table tree behind the id counter's back — the
+/// state is forged here — mounts as a whole record: the table tree is the
+/// one registry, and its membrane gives the record its subject.  The id
+/// counter, healed so that no id on disk is ever handed out again, is the
+/// one thing mount fixes.  An entry forged into the table tree of a live
+/// store is one the index lacks, and the index checker names it.
 #[test]
-fn a_record_in_one_tree_only_mounts_and_fails_the_index_check() {
+fn a_forged_record_mounts_whole_and_a_stray_table_entry_fails_the_index_check() {
     let device = Arc::new(MemDevice::new(16_384, 512));
     {
         let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
         dbfs.create_type(listing1_user_schema()).unwrap();
         dbfs.collect(&"user".into(), SubjectId::new(4), user_row("intact"))
             .unwrap();
-        // A record linked into the table tree only, with a stale id counter.
+        // A record linked into the table tree, with a stale id counter.
         let fs = dbfs.inode_fs();
         let tables = fs
             .dir_lookup(rgpdos::inode::fs::ROOT_INO, "tables")
@@ -318,25 +338,39 @@ fn a_record_in_one_tree_only_mounts_and_fails_the_index_check() {
 
     let dbfs = Dbfs::mount(Arc::clone(&device)).unwrap();
     assert_eq!(dbfs.stats().recovered_txs, 1, "the counter heal, only");
-    match dbfs.verify_index_invariants() {
-        Err(DbfsError::Corrupt { what }) => {
-            assert_eq!(what, "pd-5 missing from its subject tree");
-        }
-        other => panic!("expected the split trees to be reported, got {other:?}"),
-    }
+    dbfs.verify_index_invariants().unwrap();
+    let forged = dbfs.get(&"user".into(), PdId::new(5)).unwrap();
+    assert_eq!(forged.row().get("name").unwrap().as_text(), Some("torn"));
+    let owned = dbfs.records_of_subject(SubjectId::new(4)).unwrap();
+    assert!(owned.iter().any(|record| record.id() == PdId::new(5)));
     // The counter was healed past the forged id: no collision.
     let fresh = dbfs
         .collect(&"user".into(), SubjectId::new(4), user_row("fresh"))
         .unwrap();
     assert!(fresh.raw() > 5);
+
+    let fs = dbfs.inode_fs();
+    let tables = fs
+        .dir_lookup(rgpdos::inode::fs::ROOT_INO, "tables")
+        .unwrap()
+        .unwrap();
+    let table = fs.dir_lookup(tables, "user").unwrap().unwrap();
+    let stray = fs.alloc_inode(InodeKind::Record).unwrap();
+    fs.dir_add(table, "pd-99", stray).unwrap();
+    match dbfs.verify_index_invariants() {
+        Err(DbfsError::Corrupt { what }) => {
+            assert_eq!(what, "table tree holds `pd-99`, which the index lacks");
+        }
+        other => panic!("expected the extra entry to be reported, got {other:?}"),
+    }
 }
 
-/// A record named twice in each of its trees — the first entry pointing at
-/// an orphaned copy, forged by rewriting each directory whole — mounts, and
-/// the index check names the duplicate instead of letting one entry hide
-/// the other.
+/// A record named twice in its table tree — the first entry pointing at an
+/// orphaned copy, forged by rewriting the directory whole — mounts, and the
+/// index check names the duplicate instead of letting one entry hide the
+/// other.
 #[test]
-fn a_record_named_twice_in_its_trees_mounts_and_fails_the_index_check() {
+fn a_record_named_twice_in_its_table_tree_mounts_and_fails_the_index_check() {
     let device = Arc::new(MemDevice::new(16_384, 512));
     let id;
     {
@@ -349,22 +383,19 @@ fn a_record_named_twice_in_its_trees_mounts_and_fails_the_index_check() {
         let root = rgpdos::inode::fs::ROOT_INO;
         let child = |dir, name: &str| fs.dir_lookup(dir, name).unwrap().unwrap();
         let table = child(child(root, "tables"), "user");
-        let subject = child(child(root, "subjects"), "subject-4");
         let orphan = fs.alloc_inode(InodeKind::Record).unwrap();
         let record = child(table, &id.to_string());
         fs.write_replace(orphan, &fs.read_all(record).unwrap())
             .unwrap();
-        for (dir, name) in [(table, id.to_string()), (subject, format!("user#{id}"))] {
-            let old = fs.read_all(dir).unwrap();
-            let count = u32::from_le_bytes(old[..4].try_into().unwrap()) + 1;
-            let entry = [
-                &(name.len() as u16).to_le_bytes()[..],
-                name.as_bytes(),
-                &orphan.to_le_bytes(),
-            ];
-            let forged = [&count.to_le_bytes()[..], &entry.concat(), &old[4..]].concat();
-            fs.write_replace(dir, &forged).unwrap();
-        }
+        let (old, name) = (fs.read_all(table).unwrap(), id.to_string());
+        let count = u32::from_le_bytes(old[..4].try_into().unwrap()) + 1;
+        let entry = [
+            &(name.len() as u16).to_le_bytes()[..],
+            name.as_bytes(),
+            &orphan.to_le_bytes(),
+        ];
+        let forged = [&count.to_le_bytes()[..], &entry.concat(), &old[4..]].concat();
+        fs.write_replace(table, &forged).unwrap();
     }
 
     let dbfs = Dbfs::mount(Arc::clone(&device)).unwrap();

@@ -96,6 +96,41 @@ fn figure_2_versus_figure_3_erasure_residue() {
         .is_empty());
 }
 
+/// Erasure plus reclaim leaves not even the subject's identifier behind:
+/// once both of a subject's records are crypto-erased and scrubbed, no
+/// block of the device names the subject, before or after a remount.
+#[test]
+fn an_erased_and_scrubbed_subject_leaves_no_identifier_on_the_device() {
+    use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
+    use rgpdos::dbfs::Dbfs;
+    let device = Arc::new(MemDevice::new(8_192, 512));
+    let subject = SubjectId::new(424_242);
+    let needle = subject.to_string();
+    let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::secure()).unwrap();
+    dbfs.create_type(rgpdos::core::schema::listing1_user_schema())
+        .unwrap();
+    let rows = vec![
+        (subject, user_row("one", 1990)),
+        (subject, user_row("two", 1991)),
+    ];
+    dbfs.collect_many(&"user".into(), rows).unwrap();
+    let escrow = OperatorEscrow::new(Authority::generate(42).public_key());
+    assert_eq!(dbfs.erase_subject(subject, &escrow).unwrap().len(), 2);
+    assert_eq!(dbfs.scrub_tombstones().unwrap().reclaimed.len(), 2);
+    let hits = |device: &MemDevice| scan_for_pattern(device, needle.as_bytes()).unwrap().len();
+    assert_eq!(hits(&device), 0, "{needle} left on the device");
+    assert!(dbfs.records_of_subject(subject).unwrap().is_empty());
+    drop(dbfs);
+    let dbfs = Dbfs::mount(Arc::clone(&device)).unwrap();
+    assert!(dbfs.records_of_subject(subject).unwrap().is_empty());
+    dbfs.verify_index_invariants().unwrap();
+    assert_eq!(
+        hits(&device),
+        0,
+        "{needle} left on the device after a remount"
+    );
+}
+
 #[test]
 fn figure_2_versus_figure_3_cross_purpose_access() {
     // Baseline: the unconsented purpose can still reach the data by going
