@@ -8,7 +8,7 @@
 //! protocol is distilled here — snapshot slot, epoch bump on publish,
 //! post-read validation — and explored exhaustively.
 //!
-//! The mutation halves re-create the two bugs the protocol closes:
+//! The mutation halves re-create the three bugs the protocol closes:
 //!
 //! 1. **Stale payload after erase**: without the post-read validation, a
 //!    reader that resolved its location before an erasure can return bytes
@@ -18,6 +18,12 @@
 //!    index instead of the snapshot, a reader can observe a group commit
 //!    half-applied; snapshots only advance at group-commit cut points, so
 //!    the fixed read sees whole groups or nothing.
+//! 3. **Torn read across an in-place apply**: a commit writes a record's
+//!    blocks in place one by one, before it publishes, so the epoch alone
+//!    cannot tell a reader that met the apply half done.  The inode layer's
+//!    apply sequence is odd while blocks are applied; without the retry on
+//!    an odd or moved sequence, a reader returns the record half old, half
+//!    new.
 
 use parking_lot::{Mutex, RwLock};
 use rgpdos_conc::{spawn, Checker, FailureKind};
@@ -221,4 +227,84 @@ fn checker_finds_the_half_applied_group_on_the_live_index() {
         Checker::replay(&schedule, || group_visibility_model(false))
     });
     assert!(replayed.is_err(), "replay must reproduce the half read");
+}
+
+// ---------------------------------------------------------------------
+// Model 3: a read overlapping an in-place apply
+// ---------------------------------------------------------------------
+
+/// A two-block record's contents before and after a commit rewrites it.
+const OLD: u8 = 0x0D;
+const NEW: u8 = 0x4E;
+
+/// `Dbfs::checked_read`'s retry in miniature over a two-block record: note
+/// the apply sequence, read both blocks unlocked and let the read stand only
+/// when the sequence was even and has not moved (when `fixed`).  The model
+/// bounds the retries; `None` is a reader still waiting for the apply.
+fn seq_read(seq: &Mutex<u64>, blocks: &[Mutex<u8>; 2], fixed: bool) -> Option<[u8; 2]> {
+    for _ in 0..3 {
+        let before = *seq.lock();
+        if before % 2 == 1 && fixed {
+            continue;
+        }
+        let read = [*blocks[0].lock(), *blocks[1].lock()];
+        if !fixed || *seq.lock() == before {
+            return Some(read);
+        }
+    }
+    None
+}
+
+/// One reader against one commit applying a rewrite in place, the
+/// sequence bumped around the apply as `InodeFs::commit_journaled` does.
+fn apply_window_model(fixed: bool) {
+    let seq = Arc::new(Mutex::new(0u64));
+    let blocks = Arc::new([Mutex::new(OLD), Mutex::new(OLD)]);
+
+    let (q, b) = (Arc::clone(&seq), Arc::clone(&blocks));
+    let reader = spawn(move || {
+        if let Some(read) = seq_read(&q, &b, fixed) {
+            assert!(read[0] == read[1], "torn read across an apply: {read:02x?}");
+        }
+    });
+    let (q, b) = (Arc::clone(&seq), Arc::clone(&blocks));
+    let writer = spawn(move || {
+        *q.lock() += 1;
+        *b[0].lock() = NEW;
+        *b[1].lock() = NEW;
+        *q.lock() += 1;
+    });
+    reader.join();
+    writer.join();
+}
+
+#[test]
+fn the_apply_sequence_never_lets_a_torn_read_stand() {
+    let report = Checker::dfs().check(|| apply_window_model(true));
+    assert!(report.complete, "the model must be exhausted");
+    assert!(
+        report.executions >= 20,
+        "{} interleavings",
+        report.executions
+    );
+}
+
+/// Mutation: the read without the retry — the protocol before the apply
+/// sequence — lets the checker find the reader that read the first block
+/// before the apply and the second after it.
+#[test]
+fn checker_finds_the_torn_read_without_the_apply_sequence() {
+    let report = Checker::dfs().run(|| apply_window_model(false));
+    let failure = report.failure.expect("the retry-less read must be caught");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(
+        failure.message.contains("torn read across an apply"),
+        "{}",
+        failure.message
+    );
+
+    let schedule = failure.schedule.clone();
+    let replayed =
+        std::panic::catch_unwind(move || Checker::replay(&schedule, || apply_window_model(false)));
+    assert!(replayed.is_err(), "replay must reproduce the torn read");
 }

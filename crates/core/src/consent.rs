@@ -125,13 +125,13 @@ impl fmt::Display for AccessDecision {
 /// The table also records the legal basis claimed for each purpose, so that
 /// the rights engine can distinguish subject-granted consent (revocable) from
 /// a legal obligation (not revocable by the subject).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ConsentTable {
     entries: BTreeMap<PurposeId, ConsentEntry>,
 }
 
 /// One consent entry: the decision and the legal basis backing it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ConsentEntry {
     /// What the purpose may see.
     pub decision: ConsentDecision,

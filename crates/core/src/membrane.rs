@@ -166,6 +166,13 @@ impl Membrane {
         }
     }
 
+    /// The membrane with `collection` as its declared collection interfaces,
+    /// which [`Membrane::new`] leaves empty.
+    pub fn with_collection_methods(mut self, collection: Vec<CollectionMethod>) -> Self {
+        self.collection = collection;
+        self
+    }
+
     /// Creates the default membrane for data of type `schema`, as the
     /// `acquisition` built-in does at collection time: the schema's default
     /// consent, origin, TTL and sensitivity are copied into the membrane.

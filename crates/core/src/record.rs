@@ -21,10 +21,11 @@ use std::fmt;
 /// [u32 LE: membrane section length][membrane JSON][row JSON]
 /// ```
 ///
-/// The membrane header comes first so that membrane-only reads (the
-/// `ded_load_membrane` request) can fetch and deserialize the header section
-/// without ever touching the row payload — data minimisation inside the
-/// storage layer itself.
+/// The membrane header comes first so that a membrane-only read can fetch
+/// and deserialize the header section without ever touching the row
+/// payload: DBFS's mount and its index checker read the headers that way,
+/// and the index it rebuilds from them answers the `ded_load_membrane`
+/// request with no device read at all.
 pub mod stored {
     use super::{CoreError, Membrane, Row};
 

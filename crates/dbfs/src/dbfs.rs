@@ -5,8 +5,11 @@
 //!
 //! Since format v2 every record inode holds the *split* layout of
 //! [`rgpdos_core::record::stored`]: a length-prefixed membrane header
-//! followed by the row payload.  Membrane-only reads (`ded_load_membrane`)
-//! fetch and deserialize the header section without touching the payload.
+//! followed by the row payload.  Mount and the index checker fetch and
+//! deserialize the header section without touching the payload; the index
+//! entry mount builds from it keeps the whole membrane, so membrane-only
+//! reads (`ded_load_membrane`) are answered from the published snapshot
+//! with no device read.
 //!
 //! The table tree is the one on-disk record registry: `tables/<type>/pd-<id>`
 //! names every record inode.  The in-memory index (the private `index`
@@ -104,7 +107,9 @@ pub(crate) fn unknown_type(name: &DataTypeId) -> DbfsError {
 
 /// Reads only the membrane header section of a split-layout record: the
 /// first block is fetched once, and further blocks only when the header
-/// spills past it.  The row payload is never read.
+/// spills past it.  The row payload is never read.  Mount and the index
+/// checker read membranes this way; every other reader takes them from the
+/// index.
 fn read_membrane_from<D: BlockDevice>(fs: &InodeFs<D>, ino: Ino) -> Result<Membrane, DbfsError> {
     let block_size = fs.layout().block_size.max(stored::PREFIX_LEN);
     let first = fs.read(ino, 0, block_size)?;
@@ -333,8 +338,8 @@ enum IndexChange {
     None,
     /// A new record.
     Insert(RecordLocation),
-    /// A retention change: re-key the record in the expiry index.
-    Expiry(Option<Timestamp>),
+    /// A consent or retention change: the record's membrane from now on.
+    Membrane(Membrane),
     /// An erasure: the record is a tombstone from now on.
     Erased,
 }
@@ -371,7 +376,7 @@ impl RecordSummary {
     fn of(id: PdId, location: &RecordLocation) -> Self {
         Self {
             id,
-            data_type: location.data_type.clone(),
+            data_type: location.data_type().clone(),
             subject: location.subject,
             copied_from: location.copied_from,
             erased: location.erased,
@@ -602,10 +607,9 @@ impl<D: BlockDevice> Dbfs<D> {
                         DbfsError::Core(_) => corrupt(format!("record image `{entry}`")),
                         e => e,
                     })?;
-                    index.insert_record(
-                        PdId::new(raw),
-                        RecordLocation::from_membrane(&data_type, &membrane, ino),
-                    );
+                    let terms = index.terms_for(&data_type, &membrane);
+                    let location = RecordLocation::new(&membrane, ino, terms);
+                    index.insert_record(PdId::new(raw), location);
                 }
             }
         }
@@ -740,17 +744,20 @@ impl<D: BlockDevice> Dbfs<D> {
     /// The one checked read: every snapshot-served reader fetches record
     /// bytes through here and nowhere else.
     ///
-    /// `read` (the whole record or only its membrane header) runs against
-    /// the inode `snapshot` located, with **no lock held** — so a
-    /// crypto-erase, a scrub reclaim or an insert reusing the freed inode can
-    /// commit underneath it.  Whatever the read returned (bytes, another
-    /// record's bytes, an error) and whatever the snapshot said (live or
-    /// tombstone) is therefore validated against the *current* snapshot
-    /// before anything is handed out: an id the current snapshot no longer
-    /// holds is [`Checked::Gone`]; a record erased since is read again — the
-    /// tombstone image is committed before the erasure publishes — and
-    /// validated again; otherwise the read stands.  With no publish since
-    /// `snapshot` was cut the cost over the bare read is one slot read.
+    /// `read` runs against the inode `snapshot` located, with **no lock
+    /// held** — so a crypto-erase, a row rewrite, a scrub reclaim or an
+    /// insert reusing the freed inode can commit underneath it.  A read that
+    /// overlapped a commit's in-place apply (the inode layer's apply
+    /// sequence was odd before it or moved during it) may be half old, half
+    /// new, and is read again after a yield.  Whatever a read clear of any
+    /// apply returned (bytes, another record's bytes, an error) and whatever
+    /// the snapshot said (live or tombstone) is then validated against the
+    /// *current* snapshot before anything is handed out: an id the current
+    /// snapshot no longer holds is [`Checked::Gone`]; a record erased since
+    /// is read again — the tombstone image is committed before the erasure
+    /// publishes — and validated again; otherwise the read stands.  With no
+    /// commit and no publish since `snapshot` was cut the cost over the bare
+    /// read is two loads of the sequence and one slot read.
     fn checked_read<T>(
         &self,
         snapshot: &IndexSnapshot,
@@ -760,7 +767,13 @@ impl<D: BlockDevice> Dbfs<D> {
     ) -> Result<Checked<T>, DbfsError> {
         let (mut epoch, mut erased) = (snapshot.epoch, location.erased);
         loop {
-            let outcome = read(&self.fs, location.ino);
+            let applying = self.fs.apply_seq();
+            let clear = applying.is_multiple_of(2);
+            let outcome = clear.then(|| read(&self.fs, location.ino));
+            let Some(outcome) = outcome.filter(|_| self.fs.apply_seq() == applying) else {
+                std::thread::yield_now();
+                continue;
+            };
             let current = self.read_snapshot();
             if current.epoch != epoch {
                 match current.view.records.get(&id) {
@@ -967,20 +980,17 @@ impl<D: BlockDevice> Dbfs<D> {
                 }
                 let spliced = stored::replace_membrane(&bytes, &membrane)?;
                 self.fs.write_replace(location.ino, &spliced)?;
-                let (purpose, change) = match delta {
+                let purpose = match delta {
                     MembraneDelta::Grant { purpose, .. } | MembraneDelta::Withdraw { purpose } => {
-                        (purpose.clone(), IndexChange::None)
+                        purpose.clone()
                     }
-                    MembraneDelta::SetTimeToLive { .. } => (
-                        "retention".into(),
-                        IndexChange::Expiry(membrane.expiry_instant()),
-                    ),
+                    MembraneDelta::SetTimeToLive { .. } => "retention".into(),
                 };
                 Ok(Some(StagedOp {
                     id,
                     subject: location.subject,
                     event: AuditEventKind::ConsentChanged { pd: id, purpose },
-                    change,
+                    change: IndexChange::Membrane(membrane),
                 }))
             }
             WriteOp::Erase {
@@ -1077,19 +1087,20 @@ impl<D: BlockDevice> Dbfs<D> {
             id,
             subject,
             event: AuditEventKind::Collected { pd: id },
-            change: IndexChange::Insert(RecordLocation::from_membrane(
-                data_type,
+            change: IndexChange::Insert(RecordLocation::new(
                 wrapped.membrane(),
                 record_ino,
+                index.terms_for(data_type, wrapped.membrane()),
             )),
         })
     }
 
     /// Makes a committed group visible: applies its index mutations,
     /// publishes a snapshot if any of them changed the index (a plain row
-    /// update does not) — after the commit, so a reader that sees the new
-    /// epoch finds the tombstone already on the device — then bumps stats
-    /// and audits each op in order.  The audit append happens under the
+    /// update does not; a membrane change does, so the DED sees a consent
+    /// change once the call returns) — after the commit, so a reader that
+    /// sees the new epoch finds the tombstone already on the device — then
+    /// bumps stats and audits each op in order.  The audit append happens under the
     /// index lock on purpose: an erasure or a reclaim of one of these
     /// records can only start after it, so the trail never shows an event
     /// on a record after its `Erased`, nor a `Reclaimed` ahead of it.
@@ -1102,7 +1113,7 @@ impl<D: BlockDevice> Dbfs<D> {
                     index.insert_record(op.id, location);
                     index.next_pd += 1;
                 }
-                IndexChange::Expiry(expires_at) => index.set_expiry(op.id, expires_at),
+                IndexChange::Membrane(membrane) => index.set_membrane(op.id, &membrane),
                 IndexChange::Erased => index.mark_erased(op.id),
             }
             index_changed = true;
@@ -1132,21 +1143,17 @@ impl<D: BlockDevice> Dbfs<D> {
         }
     }
 
-    /// Reads the membrane headers of records located by `snapshot`.
-    fn read_membranes<'a>(
+    /// The membranes of the records `locations` yields, from the snapshot
+    /// entries they are: no device read, no decode.
+    fn membranes_of<'a>(
         &self,
-        snapshot: &IndexSnapshot,
         locations: impl Iterator<Item = (PdId, &'a RecordLocation)>,
-    ) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
-        let mut out = Vec::new();
-        for (id, location) in locations {
-            DbfsStatsInner::bump(&self.stats.membrane_loads);
-            let read = self.checked_read(snapshot, id, location, read_membrane_from)?;
-            if let Some(membrane) = read.unless_erased_since(true) {
-                out.push((id, membrane));
-            }
-        }
-        Ok(out)
+    ) -> Vec<(PdId, Membrane)> {
+        let membranes: Vec<(PdId, Membrane)> = locations
+            .map(|(id, location)| (id, location.membrane()))
+            .collect();
+        self.stats.membrane_loads.add(membranes.len() as u64);
+        membranes
     }
 
     /// Checks one table directory against the index: it holds the entry
@@ -1423,8 +1430,7 @@ impl<D: BlockDevice> Dbfs<D> {
     }
 
     /// Index-only probe: whether any live record's retention period has
-    /// elapsed at `now` (no disk I/O; the retention sweep re-verifies every
-    /// candidate against its on-disk header before erasing).
+    /// elapsed at `now` (no disk I/O).
     pub fn has_expired_candidates(&self, now: Timestamp) -> bool {
         self.read_snapshot().view.expired_ids(now).next().is_some()
     }
@@ -1538,7 +1544,7 @@ impl<D: BlockDevice> Dbfs<D> {
                 &mut index,
                 &order,
                 |index, _, (id, location)| {
-                    let Some(&table_ino) = index.view.tables.get(&location.data_type) else {
+                    let Some(&table_ino) = index.view.tables.get(location.data_type()) else {
                         return Err(corrupt(format!("tombstone {id} outside its table tree")));
                     };
                     let bytes = self.fs.stat(location.ino)?.size;
@@ -1694,18 +1700,19 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         self.commit_ops(&ops).map(drop)
     }
 
-    /// Reads membrane headers only, never a payload block.  A record
-    /// reclaimed since the snapshot was cut is left out.
+    /// Served from the published snapshot, which holds every record's
+    /// membrane: no device block is read.
     fn load_membranes(&self, data_type: &DataTypeId) -> Result<Vec<(PdId, Membrane)>, DbfsError> {
         let snapshot = self.read_snapshot();
         if !snapshot.view.tables.contains_key(data_type) {
             return Err(unknown_type(data_type));
         }
         let view = &snapshot.view;
-        self.read_membranes(&snapshot, view.locations(view.table_ids(data_type)))
+        Ok(self.membranes_of(view.locations(view.table_ids(data_type))))
     }
 
-    /// Resolved through the subject index.
+    /// Resolved through the subject index, served from the published
+    /// snapshot.
     fn load_membranes_for_subject(
         &self,
         data_type: &DataTypeId,
@@ -1718,19 +1725,17 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         let view = &snapshot.view;
         let of_type = view
             .locations(view.subject_ids(subject))
-            .filter(|(_, loc)| &loc.data_type == data_type);
-        self.read_membranes(&snapshot, of_type)
+            .filter(|(_, loc)| loc.data_type() == data_type);
+        Ok(self.membranes_of(of_type))
     }
 
-    /// [`DbfsError::Erased`] only for a record reclaimed after the snapshot
-    /// was cut; a tombstone's membrane is returned as it is.
+    /// Served from the published snapshot; a tombstone's membrane is
+    /// returned as it is.
     fn load_membrane(&self, data_type: &DataTypeId, id: PdId) -> Result<Membrane, DbfsError> {
         let snapshot = self.read_snapshot();
         let location = snapshot.view.locate(data_type, id)?;
         DbfsStatsInner::bump(&self.stats.membrane_loads);
-        self.checked_read(&snapshot, id, location, read_membrane_from)?
-            .unless_erased_since(true)
-            .ok_or(DbfsError::Erased { id: id.raw() })
+        Ok(location.membrane())
     }
 
     /// Every id is located in one published snapshot before any is read;
@@ -1756,13 +1761,11 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         Ok(batch)
     }
 
-    /// A batch of one through the write pipeline.  Concurrent deltas to the
-    /// same record are last-writer-wins; the expiry index may briefly trail
-    /// the membrane on disk, but the retention sweep re-verifies every
-    /// candidate against its on-disk header before erasing (and a remount
-    /// rebuilds the index from disk).  An erasure racing this call always
-    /// wins: the stale pre-erasure membrane is never written over the
-    /// tombstone.
+    /// A batch of one through the write pipeline, which installs the new
+    /// membrane in the index and publishes it before the call returns.
+    /// Concurrent deltas to the same record are last-writer-wins.  An
+    /// erasure racing this call always wins: the stale pre-erasure membrane
+    /// is never written over the tombstone.
     fn apply_membrane_delta(
         &self,
         data_type: &DataTypeId,
@@ -1844,7 +1847,7 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
             index
                 .view
                 .live_locations(index.view.expired_ids(now))
-                .map(|(id, loc)| (loc.data_type.clone(), id, loc.subject))
+                .map(|(id, loc)| (loc.data_type().clone(), id, loc.subject))
                 .collect()
         };
         let mut expired = Vec::new();
@@ -1852,36 +1855,17 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
         for (data_type, id, subject) in candidates {
             let reached_earlier = swept.contains(&id);
             if !reached_earlier {
-                // Re-verify against the on-disk membrane header before
-                // erasing: a TTL change racing the sweep must never erase a
-                // record whose membrane no longer allows it.  The read and
-                // the heal happen under one lock acquisition so the heal
-                // cannot clobber a concurrent TTL change.
+                // Re-checked under the index lock: a TTL change publishes its
+                // membrane, so one racing the sweep is seen here.  Tombstoned
+                // by someone else (a concurrent sweep or an Art. 17 request)
+                // since the candidates were taken: not this sweep's expiry to
+                // report.
                 let still_expired = {
-                    let mut index = self.lock_index();
-                    // Tombstoned by someone else (a concurrent sweep or an
-                    // Art. 17 request) since the snapshot — not this sweep's
-                    // expiry to report.
-                    match index
-                        .view
-                        .records
-                        .get(&id)
-                        .filter(|loc| !loc.erased)
-                        .map(|loc| loc.ino)
-                    {
-                        None => false,
-                        Some(ino) => {
-                            let membrane = read_membrane_from(&self.fs, ino)?;
-                            if membrane.is_expired(now) {
-                                true
-                            } else {
-                                // Heal the stale expiry entry the race left.
-                                index.set_expiry(id, membrane.expiry_instant());
-                                self.publish_locked(&mut index);
-                                false
-                            }
-                        }
-                    }
+                    let index = self.lock_index();
+                    let location = index.view.records.get(&id);
+                    location
+                        .and_then(RecordLocation::expires_at)
+                        .is_some_and(|at| at < now)
                 };
                 if !still_expired {
                     continue;
@@ -1911,7 +1895,7 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
             let Some(stored) = read.unless_erased_since(false) else {
                 continue;
             };
-            out.push(PdRecord::new(id, location.data_type.clone(), stored));
+            out.push(PdRecord::new(id, location.data_type().clone(), stored));
         }
         Ok(out)
     }
@@ -1954,7 +1938,7 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
             snapshot
                 .view
                 .locations(candidates)
-                .filter(|(_, loc)| loc.data_type == request.data_type)
+                .filter(|(_, loc)| *loc.data_type() == request.data_type)
                 .filter(|(_, loc)| subjects.iter().all(|s| loc.subject == *s))
                 .filter(|(id, _)| id_sets.iter().all(|ids| ids.contains(id)))
                 .filter(|(_, loc)| !(request.skip_erased && loc.erased))
@@ -1982,27 +1966,20 @@ impl<D: BlockDevice> PdStore for Dbfs<D> {
     }
 
     /// Checks the derived indexes against the primary record map (the
-    /// index module's own `verify`), the primary map against the membrane
-    /// headers on disk, and the table tree against the primary map: every
-    /// record has exactly its `pd-<id>` entry in its table's directory,
-    /// naming its inode, and no table directory holds an entry the index
-    /// lacks.  All under the index lock from start to end, so no writer can
+    /// index module's own `verify`), every indexed membrane, whole, against
+    /// the membrane header on disk, and the table tree against the primary
+    /// map: every record has exactly its `pd-<id>` entry in its table's
+    /// directory, naming its inode, and no table directory holds an entry
+    /// the index lacks.  All under the index lock from start to end, so no writer can
     /// make the index and the disk disagree while they are compared.
     fn verify_index_invariants(&self) -> Result<(), DbfsError> {
         let index = self.lock_index();
         index.verify()?;
         let view = &index.view;
-        // The indexed locations agree with the membrane headers on disk.
+        // The indexed membranes are the membrane headers on disk.
         for (id, loc) in view.records.iter() {
-            let membrane = read_membrane_from(&self.fs, loc.ino)?;
-            if membrane.subject() != loc.subject
-                || membrane.is_erased() != loc.erased
-                || membrane.copied_from() != loc.copied_from
-            {
+            if read_membrane_from(&self.fs, loc.ino)? != loc.membrane() {
                 return Err(corrupt(format!("{id} disagrees with its on-disk membrane")));
-            }
-            if membrane.expiry_instant() != loc.expires_at {
-                return Err(corrupt(format!("{id} expiry disagrees with its membrane")));
             }
         }
         for (data_type, &dir) in view.tables.iter() {
@@ -2632,7 +2609,7 @@ mod tests {
     }
 
     #[test]
-    fn load_membranes_reads_headers_not_payloads() {
+    fn membrane_loads_read_no_device_block() {
         use rgpdos_blockdev::{InstrumentedDevice, LatencyModel};
         let device = Arc::new(InstrumentedDevice::new(
             MemDevice::new(16_384, 512),
@@ -2640,8 +2617,6 @@ mod tests {
         ));
         let dbfs = Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap();
         dbfs.create_type(listing1_user_schema()).unwrap();
-        // A fat payload spanning many blocks, so header-only reads are
-        // visibly cheaper than full-record reads.
         let blob = "x".repeat(8 * 512);
         for i in 0..4u64 {
             dbfs.collect(
@@ -2654,25 +2629,57 @@ mod tests {
             )
             .unwrap();
         }
+        dbfs.drop_caches();
         device.reset_stats();
         let membranes = dbfs.load_membranes(&"user".into()).unwrap();
         assert_eq!(membranes.len(), 4);
-        let header_reads = device.stats().reads;
-        device.reset_stats();
-        let batch = dbfs
-            .load_records(
-                &"user".into(),
-                &membranes.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-            )
-            .unwrap();
-        assert_eq!(batch.len(), 4);
-        let full_reads = device.stats().reads;
-        assert!(
-            header_reads * 2 <= full_reads,
-            "membrane-only loads should cost a fraction of full loads \
-             (headers: {header_reads} block reads, full: {full_reads})"
+        let (first, _) = membranes[0];
+        let of_subject = dbfs.load_membranes_for_subject(&"user".into(), SubjectId::new(0));
+        assert_eq!(of_subject.unwrap(), membranes[..1]);
+        assert_eq!(
+            dbfs.load_membrane(&"user".into(), first).unwrap(),
+            membranes[0].1
         );
-        assert_eq!(dbfs.stats().membrane_loads, 4);
+        assert_eq!(device.stats().reads, 0, "membranes come from the index");
+        let ids: Vec<PdId> = membranes.iter().map(|(id, _)| *id).collect();
+        let batch = dbfs.load_records(&"user".into(), &ids).unwrap();
+        assert!(device.stats().reads >= 4 * 9, "each record spans 9 blocks");
+        let on_disk: Vec<(PdId, Membrane)> = batch
+            .iter()
+            .map(|record| (record.id(), record.membrane().clone()))
+            .collect();
+        assert_eq!(on_disk, membranes);
+        assert_eq!(dbfs.stats().membrane_loads, 6);
+    }
+
+    /// A header that keeps the record's subject, erased flag, lineage
+    /// parent and retention period but states another consent table is a
+    /// record the index misdescribes to the DED, and the checker names it.
+    #[test]
+    fn the_checker_names_a_record_whose_on_disk_consents_differ() {
+        let dbfs = dbfs();
+        let id = dbfs
+            .collect(&"user".into(), SubjectId::new(2), user_row("Forged", 1970))
+            .unwrap();
+        dbfs.verify_index_invariants().unwrap();
+        let ino = dbfs.read_snapshot().view.records.get(&id).unwrap().ino;
+        let fs = dbfs.inode_fs();
+        let bytes = fs.read_all(ino).unwrap();
+        let mut forged = stored::membrane_of(&bytes).unwrap();
+        forged.apply(&MembraneDelta::Grant {
+            purpose: PurposeId::from("purpose2"),
+            decision: ConsentDecision::All,
+        });
+        let tx = fs.begin_tx();
+        fs.write_replace(ino, &stored::replace_membrane(&bytes, &forged).unwrap())
+            .unwrap();
+        tx.commit().unwrap();
+        match dbfs.verify_index_invariants() {
+            Err(DbfsError::Corrupt { what }) => {
+                assert_eq!(what, format!("{id} disagrees with its on-disk membrane"));
+            }
+            other => panic!("expected {id} to be named, got {other:?}"),
+        }
     }
 
     #[test]

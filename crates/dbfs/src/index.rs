@@ -9,6 +9,11 @@
 //! * [`erased_ancestor`] is the lineage obligation — no copy outlives its
 //!   erased original — as one chain walk, shared by the insert guard, the
 //!   shard router's copy guard and the crash-matrix oracle.
+//! * Each [`RecordLocation`] holds its record's whole membrane: the
+//!   per-record fields inline, its table and the rest of the membrane as
+//!   [`Terms`] that every record of the table with equal terms shares,
+//!   interned under the index lock ([`DbfsIndex`] keeps the intern table).
+//!   Membrane reads are answered from the index alone.
 //!
 //! The subject, expiry and lineage indexes are flat `(key, id)` sets read
 //! by range scan.  Everything a snapshot shares with the writer is a
@@ -18,10 +23,13 @@
 use crate::dbfs::{corrupt, unknown_type, IdAllocation};
 use crate::error::DbfsError;
 use rgpdos_core::{
-    DataTypeId, DataTypeSchema, Membrane, PdId, SchemaRegistry, SubjectId, Timestamp,
+    CollectionMethod, ConsentTable, DataTypeId, DataTypeSchema, Membrane, Origin, PdId,
+    SchemaRegistry, Sensitivity, SubjectId, TimeToLive, Timestamp,
 };
 use rgpdos_inode::Ino;
-use std::collections::BTreeSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
@@ -209,29 +217,120 @@ pub fn erased_ancestor(
     None
 }
 
+/// A record's table and what its membrane states beyond the record —
+/// origin, consent table, retention period, sensitivity, collection
+/// interfaces — and so what many records share: every record collected into
+/// a table under its schema's defaults holds the same terms until its
+/// subject changes them.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Terms {
+    /// The intern key, a hash of the rest ([`Terms::key_of`]).
+    key: u64,
+    data_type: DataTypeId,
+    origin: Origin,
+    consents: ConsentTable,
+    time_to_live: TimeToLive,
+    sensitivity: Sensitivity,
+    collection: Vec<CollectionMethod>,
+}
+
+impl Terms {
+    fn of(key: u64, data_type: &DataTypeId, membrane: &Membrane) -> Self {
+        Self {
+            key,
+            data_type: data_type.clone(),
+            origin: membrane.origin(),
+            consents: membrane.consents().clone(),
+            time_to_live: membrane.time_to_live(),
+            sensitivity: membrane.sensitivity(),
+            collection: membrane.collection_methods().to_vec(),
+        }
+    }
+
+    /// The intern key of a record of `data_type` wrapped in `membrane`.
+    fn key_of(data_type: &DataTypeId, membrane: &Membrane) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        data_type.hash(&mut hasher);
+        membrane.origin().hash(&mut hasher);
+        membrane.consents().hash(&mut hasher);
+        membrane.time_to_live().hash(&mut hasher);
+        membrane.sensitivity().hash(&mut hasher);
+        membrane.collection_methods().hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Whether a record of `data_type` wrapped in `membrane` has exactly
+    /// these terms.
+    fn stated_by(&self, data_type: &DataTypeId, membrane: &Membrane) -> bool {
+        self.data_type == *data_type
+            && self.origin == membrane.origin()
+            && self.time_to_live == membrane.time_to_live()
+            && self.sensitivity == membrane.sensitivity()
+            && self.consents == *membrane.consents()
+            && self.collection == membrane.collection_methods()
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct RecordLocation {
-    pub(crate) data_type: DataTypeId,
     pub(crate) subject: SubjectId,
     pub(crate) ino: Ino,
     pub(crate) erased: bool,
     /// Direct lineage parent when the record was produced by `copy`.
     pub(crate) copied_from: Option<PdId>,
-    /// When the record's retention period elapses (`None` for unbounded TTLs
-    /// and for tombstones, which no longer expire).
-    pub(crate) expires_at: Option<Timestamp>,
+    pub(crate) collected_at: Timestamp,
+    /// The record's table and the rest of its membrane, shared with every
+    /// record of equal terms.
+    terms: Arc<Terms>,
 }
 
 impl RecordLocation {
-    pub(crate) fn from_membrane(data_type: &DataTypeId, membrane: &Membrane, ino: Ino) -> Self {
+    /// The location of a record wrapped in `membrane`.  `terms` are its
+    /// terms, as [`DbfsIndex::terms_for`] found or made them.
+    pub(crate) fn new(membrane: &Membrane, ino: Ino, terms: Arc<Terms>) -> Self {
         Self {
-            data_type: data_type.clone(),
             subject: membrane.subject(),
             ino,
             erased: membrane.is_erased(),
             copied_from: membrane.copied_from(),
-            expires_at: membrane.expiry_instant(),
+            collected_at: membrane.collected_at(),
+            terms,
         }
+    }
+
+    /// The table the record lives in.
+    pub(crate) fn data_type(&self) -> &DataTypeId {
+        &self.terms.data_type
+    }
+
+    /// The record's membrane, rebuilt from the index alone.
+    pub(crate) fn membrane(&self) -> Membrane {
+        let terms = &self.terms;
+        let mut membrane = Membrane::new(
+            self.subject,
+            terms.origin,
+            terms.consents.clone(),
+            terms.time_to_live,
+            terms.sensitivity,
+            self.collected_at,
+        )
+        .with_collection_methods(terms.collection.clone());
+        if let Some(original) = self.copied_from {
+            membrane = membrane.for_copy(original);
+        }
+        if self.erased {
+            membrane.mark_erased();
+        }
+        membrane
+    }
+
+    /// When the record's retention period elapses: `None` for unbounded
+    /// TTLs and for tombstones, which no longer expire.
+    pub(crate) fn expires_at(&self) -> Option<Timestamp> {
+        if self.erased {
+            return None;
+        }
+        self.terms.time_to_live.expires_at(self.collected_at)
     }
 }
 
@@ -247,11 +346,10 @@ struct Keys<'a> {
 
 /// The single definition of the derived-index keys of a record.
 fn keys_of(id: PdId, location: &RecordLocation) -> Keys<'_> {
-    let expires_at = location.expires_at.filter(|_| !location.erased);
     Keys {
-        table: &location.data_type,
+        table: location.data_type(),
         subject: (location.subject, id),
-        expiry: expires_at.map(|at| (at, id)),
+        expiry: location.expires_at().map(|at| (at, id)),
         lineage: location.copied_from.map(|original| (original, id)),
     }
 }
@@ -330,20 +428,28 @@ impl IndexView {
             return Err(unknown_type(data_type));
         }
         match self.records.get(&id) {
-            Some(location) if location.data_type == *data_type => Ok(location),
+            Some(location) if location.data_type() == data_type => Ok(location),
             _ => Err(DbfsError::UnknownPd { id: id.raw() }),
         }
     }
 }
 
 /// The writer-side index: the reader-visible [`IndexView`] plus what is only
-/// ever consulted under the index lock (`copies_of`, the allocator state).
+/// ever consulted under the index lock (`copies_of`, the terms intern table,
+/// the allocator state).
 #[derive(Debug, Default)]
 pub(crate) struct DbfsIndex {
     pub(crate) view: IndexView,
     /// Reverse copy-lineage index: `(original, direct copy)`.  Erasure
     /// propagation walks the transitive closure of it.
     copies_of: PSet<(PdId, PdId)>,
+    /// The interned terms of the records' membranes, one per key.  Two
+    /// unequal terms under one key (a hash collision) cost only the sharing:
+    /// the second stays unshared.
+    terms: BTreeMap<u64, Arc<Terms>>,
+    /// The intern table's size after its last sweep (see
+    /// [`DbfsIndex::interned`]).
+    terms_swept_at: usize,
     /// Identifier allocation policy (dense by default, strided on shards).
     pub(crate) alloc: IdAllocation,
     pub(crate) next_pd: u64,
@@ -373,9 +479,44 @@ impl DbfsIndex {
         Arc::make_mut(&mut self.view.schemas).register(schema);
     }
 
+    /// The interned terms of a record of `data_type` wrapped in `membrane`,
+    /// or new terms that [`DbfsIndex::insert_record`] interns — a lookup
+    /// only, so a writer stages an insert under a shared borrow of the index.
+    pub(crate) fn terms_for(&self, data_type: &DataTypeId, membrane: &Membrane) -> Arc<Terms> {
+        let key = Terms::key_of(data_type, membrane);
+        let interned = self.terms.get(&key);
+        match interned.filter(|terms| terms.stated_by(data_type, membrane)) {
+            Some(terms) => Arc::clone(terms),
+            None => Arc::new(Terms::of(key, data_type, membrane)),
+        }
+    }
+
+    /// `terms` as interned.  Terms held by nothing else are new: they are
+    /// filed, or replaced by equal terms filed since they were made.  Before
+    /// it files, the table drops the terms it alone holds — no record and
+    /// no snapshot names them — whenever it has doubled since the last such
+    /// sweep, so it stays within twice the terms in use.
+    fn interned(&mut self, terms: Arc<Terms>) -> Arc<Terms> {
+        if Arc::strong_count(&terms) > 1 {
+            return terms;
+        }
+        if let Some(equal) = self.terms.get(&terms.key).filter(|equal| **equal == terms) {
+            return Arc::clone(equal);
+        }
+        if self.terms.len() >= 2 * self.terms_swept_at.max(32) {
+            self.terms.retain(|_, terms| Arc::strong_count(terms) > 1);
+            self.terms_swept_at = self.terms.len();
+        }
+        self.terms
+            .entry(terms.key)
+            .or_insert_with(|| Arc::clone(&terms));
+        terms
+    }
+
     /// Files a record under every key [`keys_of`] derives for it, then into
-    /// the primary map.
-    pub(crate) fn insert_record(&mut self, id: PdId, location: RecordLocation) {
+    /// the primary map, its terms interned.
+    pub(crate) fn insert_record(&mut self, id: PdId, mut location: RecordLocation) {
+        location.terms = self.interned(location.terms);
         let keys = keys_of(id, &location);
         self.view.by_table.or_default(keys.table).insert(id, ());
         self.view.by_subject.insert(keys.subject, ());
@@ -406,7 +547,8 @@ impl DbfsIndex {
     }
 
     /// Changes a record in place and re-files it under its expiry key, the
-    /// only derived key whose inputs (`erased`, `expires_at`) ever change.
+    /// only derived key whose inputs (`erased`, the retention period) ever
+    /// change.
     fn update(&mut self, id: PdId, change: impl FnOnce(&mut RecordLocation)) {
         let Some(location) = self.view.records.get_mut(&id) else {
             return;
@@ -426,19 +568,19 @@ impl DbfsIndex {
 
     /// Marks a record as a tombstone, retiring it from the expiry index.
     pub(crate) fn mark_erased(&mut self, id: PdId) {
-        self.update(id, |location| {
-            location.erased = true;
-            location.expires_at = None;
-        });
+        self.update(id, |location| location.erased = true);
     }
 
-    /// Re-keys a live record in the expiry index after a TTL change.
-    pub(crate) fn set_expiry(&mut self, id: PdId, expires_at: Option<Timestamp>) {
-        self.update(id, |location| {
-            if !location.erased {
-                location.expires_at = expires_at;
-            }
-        });
+    /// Installs a record's changed membrane (a consent or retention
+    /// change), interning its terms, and re-keys the record in the expiry
+    /// index.
+    pub(crate) fn set_membrane(&mut self, id: PdId, membrane: &Membrane) {
+        let Some(location) = self.view.records.get(&id) else {
+            return;
+        };
+        let terms = self.terms_for(location.data_type(), membrane);
+        let terms = self.interned(terms);
+        self.update(id, |location| location.terms = terms);
     }
 
     /// The records that name `id` as their lineage original.
@@ -461,7 +603,7 @@ impl DbfsIndex {
             .view
             .live_locations(roots.iter().copied().chain(copies));
         targets
-            .map(|(id, loc)| (loc.data_type.clone(), id))
+            .map(|(id, loc)| (loc.data_type().clone(), id))
             .collect()
     }
 
@@ -558,19 +700,40 @@ pub(crate) struct IndexSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use rgpdos_core::schema::listing1_user_schema;
+    use rgpdos_core::{ConsentDecision, MembraneDelta};
 
     const SUBJECT: SubjectId = SubjectId::new(7);
 
+    /// A record collected at 0 whose retention period ends at `expires_at`.
     fn location(copied_from: Option<u64>, expires_at: Option<u64>) -> RecordLocation {
-        RecordLocation {
-            data_type: "user".into(),
-            subject: SUBJECT,
-            ino: 0,
-            erased: false,
-            copied_from: copied_from.map(PdId::new),
-            expires_at: expires_at.map(Timestamp::from_secs),
+        let ttl = expires_at.map_or(TimeToLive::Unbounded, TimeToLive::seconds);
+        let consents = ConsentTable::new();
+        let at = Timestamp::from_secs(0);
+        let mut membrane = Membrane::new(
+            SUBJECT,
+            Origin::Subject,
+            consents,
+            ttl,
+            Sensitivity::Low,
+            at,
+        );
+        if let Some(original) = copied_from {
+            membrane = membrane.for_copy(PdId::new(original));
         }
+        let terms = DbfsIndex::default().terms_for(&"user".into(), &membrane);
+        RecordLocation::new(&membrane, 0, terms)
+    }
+
+    fn change(index: &mut DbfsIndex, id: u64, delta: MembraneDelta) {
+        let id = PdId::new(id);
+        let mut membrane = index.view.records.get(&id).unwrap().membrane();
+        membrane.apply(&delta);
+        index.set_membrane(id, &membrane);
+    }
+
+    fn set_ttl(index: &mut DbfsIndex, id: u64, ttl: TimeToLive) {
+        change(index, id, MembraneDelta::SetTimeToLive { ttl });
     }
 
     /// pd-1 (expires at 50) and its copy pd-2 (unbounded).
@@ -651,12 +814,12 @@ mod tests {
     #[test]
     fn every_mutator_keeps_the_derived_structures_equal_to_the_keys() {
         let mut index = index();
-        index.set_expiry(PdId::new(2), Some(Timestamp::from_secs(70)));
+        set_ttl(&mut index, 2, TimeToLive::seconds(70));
         index.verify().unwrap();
         let expired: Vec<PdId> = index.view.expired_ids(Timestamp::from_secs(71)).collect();
         assert_eq!(expired, [PdId::new(1), PdId::new(2)]);
         assert_eq!(index.view.expired_ids(Timestamp::from_secs(50)).count(), 0);
-        index.set_expiry(PdId::new(2), None);
+        set_ttl(&mut index, 2, TimeToLive::Unbounded);
         index.mark_erased(PdId::new(1));
         index.verify().unwrap();
         assert_eq!(
@@ -667,7 +830,7 @@ mod tests {
             0
         );
         // A tombstone's expiry stays retired.
-        index.set_expiry(PdId::new(1), Some(Timestamp::from_secs(5)));
+        set_ttl(&mut index, 1, TimeToLive::seconds(5));
         index.verify().unwrap();
         assert_eq!(index.view.by_expiry.len(), 0);
         assert_eq!(
@@ -842,6 +1005,65 @@ mod tests {
         );
         assert_eq!((then.records.len(), now.records.len()), (10_000, 10_001));
         assert!(!then.records.get(&PdId::new(5_000)).unwrap().erased);
+    }
+
+    #[test]
+    fn an_entry_holds_its_whole_membrane_and_equal_terms_are_shared() {
+        let schema = listing1_user_schema();
+        let mut index = DbfsIndex::default();
+        let mut membranes = Vec::new();
+        for id in 0..4u64 {
+            let at = Timestamp::from_secs(100 + id);
+            let mut membrane = Membrane::from_schema(&schema, SubjectId::new(id % 2), at);
+            if id == 3 {
+                membrane = membrane.for_copy(PdId::new(1));
+            }
+            let terms = index.terms_for(schema.name(), &membrane);
+            let location = RecordLocation::new(&membrane, id, terms);
+            index.insert_record(PdId::new(id), location);
+            membranes.push(membrane);
+        }
+        index.mark_erased(PdId::new(2));
+        membranes[2].mark_erased();
+        let entry = |index: &DbfsIndex, id: u64| index.view.records.get(&PdId::new(id)).cloned();
+        for (id, membrane) in membranes.iter().enumerate() {
+            assert_eq!(entry(&index, id as u64).unwrap().membrane(), *membrane);
+        }
+        let shared = |index: &DbfsIndex, a, b| {
+            Arc::ptr_eq(
+                &entry(index, a).unwrap().terms,
+                &entry(index, b).unwrap().terms,
+            )
+        };
+        assert!((1..4).all(|id| shared(&index, 0, id)), "one terms for all");
+        assert_eq!(index.terms.len(), 1);
+
+        // A consent change gives the record terms of its own, which the
+        // next record to make the same change shares.
+        let grant = || MembraneDelta::Grant {
+            purpose: "purpose2".into(),
+            decision: ConsentDecision::All,
+        };
+        change(&mut index, 0, grant());
+        change(&mut index, 1, grant());
+        assert!(shared(&index, 0, 1) && !shared(&index, 0, 2));
+        let granted = entry(&index, 0).unwrap().membrane();
+        assert!(granted.permits(&"purpose2".into()).allows_any());
+        assert_eq!(index.terms.len(), 2);
+        index.verify().unwrap();
+    }
+
+    #[test]
+    fn terms_no_record_holds_are_swept_as_the_table_grows() {
+        let mut index = DbfsIndex::default();
+        index.insert_record(PdId::new(1), location(None, Some(1)));
+        for ttl in 2..500 {
+            set_ttl(&mut index, 1, TimeToLive::seconds(ttl));
+        }
+        assert!(index.terms.len() <= 64, "{}", index.terms.len());
+        let expires = index.view.records.get(&PdId::new(1)).unwrap().expires_at();
+        assert_eq!(expires, Some(Timestamp::from_secs(499)));
+        index.verify().unwrap();
     }
 
     #[test]

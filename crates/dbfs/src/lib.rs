@@ -31,14 +31,22 @@
 //! ## Split record layout and secondary indexes (format v3)
 //!
 //! Each record inode holds a **length-prefixed membrane header followed by
-//! the row payload** ([`rgpdos_core::record::stored`]).  Membrane-only reads
-//! — the `ded_load_membrane` request that consent filtering runs on — fetch
-//! and decode the header section without ever reading the payload, making
-//! data minimisation hold at the storage layer too.  A format-v1 image
+//! the row payload** ([`rgpdos_core::record::stored`]).  Mount decodes the
+//! header sections, never a payload, and the index it builds keeps every
+//! record's membrane: the `ded_load_membrane` request that consent
+//! filtering runs on is answered from the index with no device read, so
+//! only the records the filter permits are ever read — data minimisation
+//! at the storage layer too.  A format-v1 image
 //! (single-section JSON records, bare-counter metadata) and a format-v2
 //! image (split records, plus an on-disk subject tree) are refused on
 //! mount.
 //!
+//! Each entry of the primary record map holds its record's membrane: the
+//! per-record fields inline, the record's table and the rest of the
+//! membrane (origin, consent table, retention, sensitivity, collection
+//! interfaces) shared by every record of the table with equal terms,
+//! interned under the index lock.  A consent or retention change
+//! installs the new membrane and publishes it before the call returns.
 //! Besides the primary record map the in-memory index keeps four derived
 //! structures: per-table and per-subject id sets (bounding every scan to the
 //! records actually involved), a **reverse copy-lineage** index (so the
@@ -74,14 +82,17 @@
 //!
 //! Readers never take the index lock: they resolve locations from the
 //! published, epoch-stamped snapshot (a clone of the writer's index view)
-//! and read the device unlocked.  Every reader — [`PdStore::get`], the
-//! `load_membrane*` family, [`PdStore::load_records`],
+//! and read the device unlocked.  The `load_membrane*` family reads nothing
+//! more: the snapshot holds the membranes.  Every reader of record bytes —
+//! [`PdStore::get`], [`PdStore::load_records`],
 //! [`PdStore::records_of_subject`], [`PdStore::query`], the source read of
-//! [`PdStore::copy`] — fetches record bytes through one private function that
-//! validates *after* the read, against the current snapshot, whatever the
-//! read returned and whether the record was located live or as a
-//! tombstone: a record erased since is read again as its tombstone, an id
-//! reclaimed since is gone and its reused inode is never served under it.
+//! [`PdStore::copy`] — fetches them through one private function that
+//! retries a read which overlapped a commit's in-place apply (the inode
+//! layer's apply sequence) and validates *after* the read, against the
+//! current snapshot, whatever the read returned and whether the record was
+//! located live or as a tombstone: a record erased since is read again as
+//! its tombstone, an id reclaimed since is gone and its reused inode is
+//! never served under it.
 //! Point reads report [`DbfsError::Erased`]; set reads leave the id out.
 //! Block reads go through the inode layer's LRU buffer cache, which only
 //! ever holds committed contents (dirty data lives in the transaction

@@ -31,7 +31,9 @@ pub struct DbfsStats {
     pub collects: u64,
     /// Records read individually.
     pub reads: u64,
-    /// Membrane-only header reads (the `ded_load_membrane` path).
+    /// Membranes served by the `load_membrane*` family (the
+    /// `ded_load_membrane` path), from the index snapshot, without a device
+    /// read.
     pub membrane_loads: u64,
     /// Records updated.
     pub updates: u64,

@@ -199,14 +199,17 @@ pub trait PdStore: Send + Sync {
 
     /// Membrane-only load of a whole table (the `ded_load_membrane`
     /// request), so consent filtering can happen *before* any personal data
-    /// is read.  Tombstones are included.
+    /// is read.  Tombstones are included.  A store answers it from its
+    /// published index snapshot, which holds every record's membrane: no
+    /// device block is read.
     ///
     /// # Errors
     ///
     /// Returns [`DbfsError::UnknownType`].
     fn load_membranes(&self, data_type: &DataTypeId) -> Result<Vec<(PdId, Membrane)>, DbfsError>;
 
-    /// Membrane-only load restricted to one subject's records of a type.
+    /// Membrane-only load restricted to one subject's records of a type,
+    /// from the snapshot like [`PdStore::load_membranes`].
     ///
     /// # Errors
     ///
@@ -218,7 +221,7 @@ pub trait PdStore: Send + Sync {
     ) -> Result<Vec<(PdId, Membrane)>, DbfsError>;
 
     /// Membrane-only load of a single record (a tombstone's membrane says
-    /// so itself).
+    /// so itself), from the snapshot like [`PdStore::load_membranes`].
     ///
     /// # Errors
     ///

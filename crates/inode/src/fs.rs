@@ -144,6 +144,9 @@ pub struct InodeFs<D> {
     journal_txs: Counter,
     /// Number of journal transactions replayed by `mount` (crash recovery).
     recovered_txs: u64,
+    /// Bumped before and after each commit applies its blocks in place, so
+    /// odd while it does (see [`InodeFs::apply_seq`]).
+    apply_seq: AtomicU64,
     /// Commit-path instrumentation, set by the first
     /// [`InodeFs::attach_trace`].  Unset costs one load per journaled
     /// commit and nothing else.
@@ -471,6 +474,7 @@ impl<D: BlockDevice> InodeFs<D> {
             cache: Mutex::new(BlockCache::new(DEFAULT_CACHE_BLOCKS)),
             journal_txs: Counter::new(),
             recovered_txs,
+            apply_seq: AtomicU64::new(0),
             trace: OnceLock::new(),
         }
     }
@@ -516,6 +520,14 @@ impl<D: BlockDevice> InodeFs<D> {
     /// this is the denominator batching improves.
     pub fn journal_txs(&self) -> u64 {
         self.journal_txs.get()
+    }
+
+    /// The apply sequence: odd while a commit writes its blocks in place,
+    /// bumped again once the cache holds them.  An unlocked read of a file
+    /// that spans several blocks may meet such an apply half done; the read
+    /// stands only when the sequence was even before it and unchanged after.
+    pub fn apply_seq(&self) -> u64 {
+        self.apply_seq.load(Ordering::SeqCst)
     }
 
     /// Routes this filesystem's instrumentation through `ctx`: the cache
@@ -1381,6 +1393,44 @@ impl<D: BlockDevice> InodeFs<D> {
         }
     }
 
+    /// Step 2 of [`InodeFs::commit_journaled`]: writes `blocks` in place.
+    /// The blocks' cache entries are dropped first and re-installed only
+    /// after the flush barrier, so the cache never runs ahead of (or goes
+    /// stale behind) the device, whatever write the crash lands on.
+    /// Re-installing (rather than leaving the blocks uncached) also
+    /// guarantees crypto-erasure reaches the cache — a tombstone or
+    /// zero-on-free write replaces whatever plaintext the cache held for
+    /// that block.
+    fn apply_in_place(
+        &self,
+        trace: Option<&FsTrace>,
+        blocks: BTreeMap<u64, Vec<u8>>,
+    ) -> Result<(), InodeError> {
+        let apply_span = trace.map(|t| t.tracer.span("fs_apply"));
+        {
+            let mut cache = self.cache.lock();
+            for &target in blocks.keys() {
+                cache.invalidate(target);
+            }
+        }
+        for (&target, data) in &blocks {
+            self.device.write_block(target, data)?;
+        }
+        drop(apply_span);
+        let flush_span = trace.map(|t| t.tracer.span("fs_flush"));
+        self.device.flush()?;
+        drop(flush_span);
+        let mut cache = self.cache.lock();
+        for (target, data) in blocks {
+            // `install_committed`, not `insert`: the epoch bump defeats a
+            // racing miss-fill that read the device before the in-place
+            // write above and would otherwise re-install the pre-commit
+            // bytes over this entry.
+            cache.install_committed(target, data);
+        }
+        Ok(())
+    }
+
     /// Journals and applies a transaction's staged blocks as **one** journal
     /// transaction (`commit_tx` has refused a set the journal cannot hold).
     fn commit_journaled(
@@ -1418,37 +1468,12 @@ impl<D: BlockDevice> InodeFs<D> {
         self.device.flush()?;
         drop(journal_span);
 
-        // 2. In-place application.  The blocks' cache entries are dropped
-        // first and re-installed only after the flush barrier, so the cache
-        // never runs ahead of (or goes stale behind) the device, whatever
-        // write the crash lands on.  Re-installing (rather than leaving the
-        // blocks uncached) also guarantees crypto-erasure reaches the cache —
-        // a tombstone or zero-on-free write replaces whatever plaintext the
-        // cache held for that block.
-        let apply_span = trace.map(|t| t.tracer.span("fs_apply"));
-        {
-            let mut cache = self.cache.lock();
-            for &target in &targets {
-                cache.invalidate(target);
-            }
-        }
-        for (&target, data) in &blocks {
-            self.device.write_block(target, data)?;
-        }
-        drop(apply_span);
-        let flush_span = trace.map(|t| t.tracer.span("fs_flush"));
-        self.device.flush()?;
-        drop(flush_span);
-        {
-            let mut cache = self.cache.lock();
-            for (target, data) in blocks {
-                // `install_committed`, not `insert`: the epoch bump defeats a
-                // racing miss-fill that read the device before the in-place
-                // write above and would otherwise re-install the pre-commit
-                // bytes over this entry.
-                cache.install_committed(target, data);
-            }
-        }
+        // 2. In-place application, inside an odd apply sequence — made even
+        // again before a failed apply returns, or readers would wait forever.
+        self.apply_seq.fetch_add(1, Ordering::SeqCst);
+        let applied = self.apply_in_place(trace, blocks);
+        self.apply_seq.fetch_add(1, Ordering::SeqCst);
+        applied?;
         self.journal_txs.inc();
 
         // 3. Checkpoint record in the superblock.

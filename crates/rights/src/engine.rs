@@ -271,6 +271,44 @@ mod tests {
         ));
     }
 
+    /// The DED checks membranes the index holds: a grant is in the next
+    /// membrane load once `grant_consent` returns, and in the first one
+    /// after a remount.
+    #[test]
+    fn a_granted_consent_is_in_the_next_membrane_load_and_after_a_remount() {
+        let (engine, device) = engine();
+        let (user, purpose) = (DataTypeId::from("user"), PurposeId::from("newsletter"));
+        let dbfs = engine.dbfs();
+        let id = dbfs
+            .collect(&user, SubjectId::new(3), user_row("Grants", 1980))
+            .unwrap();
+        assert!(!dbfs
+            .load_membrane(&user, id)
+            .unwrap()
+            .permits(&purpose)
+            .allows_any());
+        let changed = engine
+            .grant_consent(SubjectId::new(3), &purpose, ConsentDecision::All)
+            .unwrap();
+        assert_eq!(changed, 1);
+        fn granted(dbfs: &impl PdStore, user: &DataTypeId, id: PdId, purpose: &PurposeId) -> bool {
+            let by_id = dbfs.load_membrane(user, id).unwrap();
+            let by_subject = dbfs.load_membranes_for_subject(user, SubjectId::new(3));
+            let in_table = dbfs.load_membranes(user).unwrap();
+            [
+                by_id,
+                by_subject.unwrap().remove(0).1,
+                in_table[0].1.clone(),
+            ]
+            .iter()
+            .all(|membrane| membrane.permits(purpose) == AccessDecision::Full)
+        }
+        assert!(granted(dbfs.as_ref(), &user, id, &purpose));
+        dbfs.verify_index_invariants().unwrap();
+        let remounted = Dbfs::mount(device).unwrap();
+        assert!(granted(&remounted, &user, id, &purpose));
+    }
+
     #[test]
     fn portability_matches_access_minus_processings() {
         let (engine, _) = engine();

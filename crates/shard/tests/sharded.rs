@@ -507,8 +507,7 @@ fn attached_trace_labels_shards_and_records_scatter_fanout() {
 
 /// A shard whose device fails mid-scatter must surface
 /// [`DbfsError::PartialScatter`] instead of silently merging the shards
-/// that answered (which would pass a partial membrane set off as the whole
-/// table).  The fault index is self-calibrating: a fault-free pass measures
+/// that answered (which would pass a partial table off as the whole one).  The fault index is self-calibrating: a fault-free pass measures
 /// how many reads setup costs on the target shard, then an identical pass
 /// arms [`FaultEvent::FailedReadAt`] at exactly that index, so the very
 /// first device read of the scatter leg fails.
@@ -539,8 +538,9 @@ fn scatter_read_failure_surfaces_as_partial_scatter() {
     // confirm the fault-free scatter sees the whole table.
     let (clean, devices) = deployment([FaultScript::none(), FaultScript::none()]);
     let fault_at = devices[1].reads_seen();
+    let everything = QueryRequest::all("user");
     assert_eq!(
-        clean.load_membranes(&user()).unwrap().len(),
+        clean.query(&everything).unwrap().len(),
         16,
         "the fault-free pass must see the whole table"
     );
@@ -553,7 +553,7 @@ fn scatter_read_failure_surfaces_as_partial_scatter() {
     // Faulty pass: identical setup, shard 1's next read fails.
     let failing = FaultScript::new([FaultEvent::FailedReadAt(fault_at)]);
     let (sharded, _devices) = deployment([FaultScript::none(), failing]);
-    match sharded.load_membranes(&user()) {
+    match sharded.query(&everything) {
         Err(DbfsError::PartialScatter {
             shard, completed, ..
         }) => {
@@ -563,7 +563,7 @@ fn scatter_read_failure_surfaces_as_partial_scatter() {
         other => panic!("expected PartialScatter, got {other:?}"),
     }
     // The fault was transient: the retry sees the whole table again.
-    assert_eq!(sharded.load_membranes(&user()).unwrap().len(), 16);
+    assert_eq!(sharded.query(&everything).unwrap().len(), 16);
 }
 
 /// `count` must never present a partial sum as a total: a shard that cannot
@@ -847,14 +847,17 @@ fn a_one_shard_scatter_reads_on_the_calling_thread() {
     });
     assert_eq!(read, caller, "load_records within one shard");
 
-    let read = readers_of(&|| assert_eq!(sharded.load_membranes(&user()).unwrap().len(), 12));
-    let workers: BTreeSet<String> = (0..3).map(|i| format!("dbfs-shard-{i}")).collect();
-    assert_eq!(read, workers, "a whole-table scan");
-
     // The lone leg is still traced as the scatter's one leg.
     let spans = ctx.tracer.snapshot();
     let legs = spans.iter().filter(|s| s.name == "shard_query_leg");
     assert_eq!(legs.filter(|s| s.parent.is_some()).count(), 1);
+
+    let read =
+        readers_of(&|| assert_eq!(sharded.query(&QueryRequest::all("user")).unwrap().len(), 12));
+    let workers: BTreeSet<String> = (0..3).map(|i| format!("dbfs-shard-{i}")).collect();
+    assert_eq!(read, workers, "a whole-table scan");
+    let read = readers_of(&|| assert_eq!(sharded.load_membranes(&user()).unwrap().len(), 12));
+    assert!(read.is_empty(), "membranes come from the shards' indexes");
 }
 
 /// A cross-shard `erase_subject` that a read fault stops after the home

@@ -10,7 +10,14 @@
 //! position.  Whatever the device then returns — the fresh record's bytes
 //! under the old inode, zeroed blocks, a freed inode — no reader may hand
 //! out a membrane or row under an id it does not belong to, and none may
-//! fail with a structural error.
+//! fail with a structural error.  The membrane readers answer from the
+//! snapshot's index alone, so they read no block and the sweep finds no
+//! position in them.
+//!
+//! The same device also pauses a writer in the middle of a commit's
+//! in-place apply, the record half old and half new on the device, and
+//! runs every reader on a second thread there: none may hand out the torn
+//! record or fail on it.
 //!
 //! The last two tests are about the other half of the window: what a second
 //! thread sees while a writer's compound transaction is still *open*.  The
@@ -22,23 +29,21 @@ use rgpdos::core::schema::listing1_user_schema;
 use rgpdos::core::{DataTypeId, Membrane, PdId, PdRecord, Row, SubjectId};
 use rgpdos::crypto::escrow::{Authority, OperatorEscrow};
 use rgpdos::dbfs::{Dbfs, DbfsError, DbfsParams, PdStore, QueryRequest};
-use rgpdos::inode::{FormatParams, InodeError, InodeFs, InodeKind, JournalMode};
+use rgpdos::inode::{FormatParams, InodeError, InodeFs, InodeKind, JournalMode, Layout};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-/// A device that runs `hook` once, just before the n-th read of a **data
-/// block** after [`HookDevice::arm`].  Data-block reads are the reads the
-/// inode layer issues with none of its locks held (inode-table blocks are
-/// fetched under its state lock, where a re-entrant writer would deadlock),
-/// so the hook may call back into the store it sits under.
-struct HookDevice {
-    inner: MemDevice,
-    first_data_block: AtomicU64,
+/// A closure run once, just before the n-th device access of one kind after
+/// [`Trigger::arm`].
+#[derive(Default)]
+struct Trigger {
     countdown: AtomicU64,
     hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
-impl HookDevice {
+impl Trigger {
     fn arm(&self, nth: u64, hook: impl FnOnce() + Send + 'static) {
         *self.hook.lock().unwrap() = Some(Box::new(hook));
         self.countdown.store(nth, Ordering::SeqCst);
@@ -48,6 +53,32 @@ impl HookDevice {
         self.countdown.store(0, Ordering::SeqCst);
         self.hook.lock().unwrap().take();
     }
+
+    /// Counts one access, running the hook when it is the armed one.
+    fn count(&self) {
+        let armed = self.countdown.load(Ordering::SeqCst);
+        if armed > 0 {
+            self.countdown.store(armed - 1, Ordering::SeqCst);
+            if armed == 1 {
+                let hook = self.hook.lock().unwrap().take();
+                hook.expect("an armed trigger holds its hook")();
+            }
+        }
+    }
+}
+
+/// A device with two triggers.  `reads` counts reads of **data blocks**:
+/// the reads the inode layer issues with none of its locks held
+/// (inode-table blocks are fetched under its state lock, where a
+/// re-entrant writer would deadlock), so its hook may call back into the
+/// store it sits under.  `applies` counts the writes a commit applies in
+/// place — every write but the superblock's and the journal's — so its
+/// hook runs with the commit's blocks half applied.
+struct HookDevice {
+    inner: MemDevice,
+    layout: OnceLock<Layout>,
+    reads: Trigger,
+    applies: Trigger,
 }
 
 impl BlockDevice for HookDevice {
@@ -56,18 +87,17 @@ impl BlockDevice for HookDevice {
     }
 
     fn read_block(&self, block: u64) -> Result<Vec<u8>, DeviceError> {
-        let armed = self.countdown.load(Ordering::SeqCst);
-        if armed > 0 && block >= self.first_data_block.load(Ordering::SeqCst) {
-            self.countdown.store(armed - 1, Ordering::SeqCst);
-            if armed == 1 {
-                let hook = self.hook.lock().unwrap().take();
-                hook.expect("an armed device holds its hook")();
-            }
+        if self.layout.get().is_some_and(|l| block >= l.data_start) {
+            self.reads.count();
         }
         self.inner.read_block(block)
     }
 
     fn write_block(&self, block: u64, data: &[u8]) -> Result<(), DeviceError> {
+        let layout = self.layout.get();
+        if layout.is_some_and(|l| block != 0 && !l.is_journal_block(block)) {
+            self.applies.count();
+        }
         self.inner.write_block(block, data)
     }
 
@@ -100,6 +130,7 @@ fn row(who: &str) -> Row {
         .with("year_of_birthdate", 1990i64)
 }
 
+#[derive(Clone)]
 struct Fixture {
     store: Store,
     device: Arc<HookDevice>,
@@ -114,15 +145,13 @@ struct Fixture {
 fn fixture() -> Fixture {
     let device = Arc::new(HookDevice {
         inner: MemDevice::new(4096, 512),
-        first_data_block: AtomicU64::new(u64::MAX),
-        countdown: AtomicU64::new(0),
-        hook: Mutex::new(None),
+        layout: OnceLock::new(),
+        reads: Trigger::default(),
+        applies: Trigger::default(),
     });
     let store = Arc::new(Dbfs::format(Arc::clone(&device), DbfsParams::small()).unwrap());
     store.inode_fs().set_cache_capacity(0);
-    device
-        .first_data_block
-        .store(store.inode_fs().layout().data_start, Ordering::SeqCst);
+    let _ = device.layout.set(store.inode_fs().layout());
     store.create_type(listing1_user_schema()).unwrap();
     let bystander = store
         .collect(&user(), BYSTANDER_SUBJECT, row("bystander"))
@@ -160,7 +189,7 @@ impl Fixture {
         let (store, victim) = (Arc::clone(&self.store), self.victim);
         let raced = Arc::clone(&self.raced);
         let holds = store.index_lock_holds();
-        self.device.arm(nth, move || {
+        self.device.reads.arm(nth, move || {
             if store.index_lock_holds() != holds {
                 return;
             }
@@ -208,6 +237,12 @@ impl Seen {
 }
 
 type Reader = fn(&Fixture) -> Result<Seen, DbfsError>;
+
+/// Whether `reader` reads the device at all: the membrane readers answer
+/// from the snapshot's index alone.
+fn reads_blocks(reader: &str) -> bool {
+    !reader.starts_with("load_membrane")
+}
 
 /// Readers that answer for one id (or an explicit id list): an id erased or
 /// reclaimed under them is an `Erased` error.
@@ -272,7 +307,7 @@ fn sweep(
         }
         fixture.arm(nth, race);
         let result = reader(&fixture);
-        fixture.device.disarm();
+        fixture.device.reads.disarm();
         if !fixture.raced.load(Ordering::SeqCst) {
             return nth - 1;
         }
@@ -311,7 +346,8 @@ fn a_reclaimed_id_is_never_served_and_never_a_structural_error() {
                 );
             });
             // `copy` refuses a tombstone before it reads anything.
-            let reads_nothing = name == "copy" && race == Race::ReclaimAndReuse;
+            let reads_nothing =
+                !reads_blocks(name) || (name == "copy" && race == Race::ReclaimAndReuse);
             assert_eq!(
                 raced == 0,
                 reads_nothing,
@@ -323,7 +359,7 @@ fn a_reclaimed_id_is_never_served_and_never_a_structural_error() {
                 let seen = result.unwrap_or_else(|e| panic!("{context}: {e}"));
                 assert_eq!(seen.ids(), vec![fixture.bystander], "{context}");
             });
-            assert!(raced >= 2, "{name}, {race:?}: {raced} positions");
+            assert_eq!(raced >= 2, reads_blocks(name), "{name}, {race:?}: {raced}");
         }
     }
 }
@@ -331,25 +367,14 @@ fn a_reclaimed_id_is_never_served_and_never_a_structural_error() {
 #[test]
 fn a_record_erased_under_a_read_is_its_tombstone_or_an_erased_error() {
     for (name, reader) in POINT_READERS {
-        let raced = sweep(name, reader, Race::Erase, |fixture, result, context| {
-            match (name, result) {
-                // A membrane can say "erased" itself.
-                ("load_membrane", Ok(seen)) => {
-                    assert!(
-                        seen.membrane(fixture.victim).unwrap().is_erased(),
-                        "{context}"
-                    );
-                }
-                (_, result) => {
-                    let error = result.expect_err(context);
-                    assert!(
-                        matches!(error, DbfsError::Erased { .. }),
-                        "{context}: {error}"
-                    );
-                }
-            }
+        let raced = sweep(name, reader, Race::Erase, |_, result, context| {
+            let error = result.expect_err(context);
+            assert!(
+                matches!(error, DbfsError::Erased { .. }),
+                "{context}: {error}"
+            );
         });
-        assert!(raced >= 1, "{name}: {raced} positions");
+        assert_eq!(raced >= 1, reads_blocks(name), "{name}: {raced} positions");
     }
     for (name, reader) in SET_READERS {
         let raced = sweep(name, reader, Race::Erase, |fixture, result, context| {
@@ -371,7 +396,148 @@ fn a_record_erased_under_a_read_is_its_tombstone_or_an_erased_error() {
                 );
             }
         });
-        assert!(raced >= 2, "{name}: {raced} positions");
+        assert_eq!(raced >= 2, reads_blocks(name), "{name}: {raced} positions");
+    }
+}
+
+/// The membrane readers read no block, so what they answer is the
+/// published snapshot's: the victim live, then its tombstone once the
+/// erasure returns, then nothing once the scrub reclaims it.
+#[test]
+fn the_membrane_readers_answer_from_the_published_snapshot() {
+    let fixture = fixture();
+    let membrane_readers = POINT_READERS
+        .iter()
+        .chain(&SET_READERS)
+        .filter(|(name, _)| !reads_blocks(name));
+    let read_all = || -> Vec<Result<Seen, DbfsError>> {
+        fixture
+            .device
+            .reads
+            .arm(1, || panic!("a membrane reader read a block"));
+        let seen = membrane_readers
+            .clone()
+            .map(|(_, read)| read(&fixture))
+            .collect();
+        fixture.device.reads.disarm();
+        seen
+    };
+    let victim_erased = |seen: &[Result<Seen, DbfsError>]| -> Vec<bool> {
+        let of_victim = seen
+            .iter()
+            .map(|seen| seen.as_ref().unwrap().membrane(fixture.victim));
+        of_victim
+            .map(|membrane| membrane.unwrap().is_erased())
+            .collect()
+    };
+    assert_eq!(victim_erased(&read_all()), [false; 3]);
+    fixture
+        .store
+        .erase(&user(), fixture.victim, &escrow())
+        .unwrap();
+    assert_eq!(victim_erased(&read_all()), [true; 3]);
+    fixture.store.scrub_tombstones().unwrap();
+    let seen = read_all();
+    assert!(matches!(seen[0], Err(DbfsError::UnknownPd { .. })));
+    for seen in &seen[1..] {
+        assert_eq!(seen.as_ref().unwrap().ids(), vec![fixture.bystander]);
+    }
+    fixture.store.verify_index_invariants().unwrap();
+}
+
+/// What the writer paused in the middle of its in-place apply does to the
+/// victim.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Apply {
+    Rewrite,
+    Erase,
+}
+
+/// The victim's row after the rewrite: as long as [`row`]'s, and different
+/// in every block, so a read half old and half new matches neither.
+fn rewritten() -> Row {
+    Row::new()
+        .with("name", format!("{:=<900}", "rewritten"))
+        .with("pwd", "pw")
+        .with("year_of_birthdate", 1990i64)
+}
+
+/// The name column of a live row.
+fn name(row: &Row) -> &str {
+    row.get("name").unwrap().as_text().unwrap()
+}
+
+/// Pauses the writer of `apply` before its n-th in-place write, for n = 1,
+/// 2, … until the writer finishes before the n-th, and runs `reader` on a
+/// second thread there.  A reader that has not returned after a while is
+/// waiting for the apply to end; the writer then goes on, and the reader
+/// returns once it is done.  Whatever it returns is the victim as it was,
+/// as it is after the apply, or an `Erased` error for an erasure — never a
+/// record half old and half new, or an error about one.  Returns how many
+/// positions raced.
+fn sweep_apply(name_of_reader: &str, reader: Reader, apply: Apply) -> u64 {
+    for nth in 1.. {
+        let fixture = fixture();
+        let handle: Arc<Mutex<Option<JoinHandle<_>>>> = Arc::default();
+        let (visitor, slot) = (fixture.clone(), Arc::clone(&handle));
+        fixture.device.applies.arm(nth, move || {
+            visitor.raced.store(true, Ordering::SeqCst);
+            let reading = visitor.clone();
+            let thread = std::thread::spawn(move || reader(&reading));
+            let deadline = Instant::now() + Duration::from_millis(20);
+            while !thread.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            *slot.lock().unwrap() = Some(thread);
+        });
+        let (store, victim) = (&fixture.store, fixture.victim);
+        match apply {
+            Apply::Rewrite => store.update_row(&user(), victim, rewritten()).unwrap(),
+            Apply::Erase => assert_eq!(store.erase(&user(), victim, &escrow()).unwrap(), [victim]),
+        }
+        fixture.device.applies.disarm();
+        if !fixture.raced.load(Ordering::SeqCst) {
+            return nth - 1;
+        }
+        let thread = handle.lock().unwrap().take().unwrap();
+        let context = format!("{name_of_reader}, {apply:?} paused before applied write {nth}");
+        let seen = match thread.join().unwrap() {
+            Err(DbfsError::Erased { id }) if apply == Apply::Erase && id == victim.raw() => None,
+            Err(e) => panic!("{context}: {e}"),
+            Ok(seen) => Some(seen),
+        };
+        let mut rows = vec![row("bystander"), row("victim")];
+        if apply == Apply::Rewrite {
+            rows.push(rewritten());
+        }
+        let names: Vec<&str> = rows.iter().map(name).collect();
+        if let Some(Seen::Records(records)) = &seen {
+            for record in records {
+                let tombstone = apply == Apply::Erase && record.membrane().is_erased();
+                assert!(
+                    tombstone || names.contains(&name(record.row())),
+                    "{context}: {record:?}"
+                );
+            }
+        }
+        if let Some(membrane) = seen
+            .as_ref()
+            .and_then(|seen| seen.membrane(fixture.bystander))
+        {
+            assert!(!membrane.is_erased(), "{context}");
+        }
+        store.verify_index_invariants().unwrap();
+    }
+    unreachable!("a commit applies finitely many blocks")
+}
+
+#[test]
+fn a_read_overlapping_an_in_place_apply_is_never_torn() {
+    for apply in [Apply::Rewrite, Apply::Erase] {
+        for (name, reader) in POINT_READERS.into_iter().chain(SET_READERS) {
+            let raced = sweep_apply(name, reader, apply);
+            assert!(raced >= 3, "{name}, {apply:?}: {raced} positions");
+        }
     }
 }
 
@@ -440,7 +606,7 @@ fn a_reader_inside_a_writers_stage_window_reads_the_committed_record() {
         let (store, bystander) = (Arc::clone(&fixture.store), fixture.bystander);
         let (raced, seen) = (Arc::clone(&fixture.raced), Arc::new(Mutex::new(None)));
         let slot = Arc::clone(&seen);
-        fixture.device.arm(nth, move || {
+        fixture.device.reads.arm(nth, move || {
             raced.store(true, Ordering::SeqCst);
             let visitor = std::thread::spawn(move || store.get(&user(), bystander));
             *slot.lock().unwrap() = Some(visitor.join().unwrap());
@@ -450,7 +616,7 @@ fn a_reader_inside_a_writers_stage_window_reads_the_committed_record() {
             (fixture.victim, row("rewritten too")),
         ];
         let updated = fixture.store.update_rows(&user(), rewrites);
-        fixture.device.disarm();
+        fixture.device.reads.disarm();
         updated.unwrap();
         if !fixture.raced.load(Ordering::SeqCst) {
             assert!(nth > 6, "both rewrites read several blocks");
